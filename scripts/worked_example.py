@@ -56,7 +56,7 @@ def main() -> int:
 
     n = args.n
     x = ostrowski.encode_nat(n, cf)
-    print(f"N = {n} encodes as {ostrowski.format_digits(x)}")
+    print(f"N = {n} encodes as {x}")
     print(f"  decode check: {ostrowski.decode_nat(x)}")
 
     p_part, frac = ostrowski.mult_nat_by_sqrt(x)

@@ -19,7 +19,6 @@ from .cfrac import (
     IdentityVerdict,
     ShiftConstants,
     audit_identities,
-    complete_quotient,
     derive_shift_constants,
     expand,
     normalize_d,
@@ -110,7 +109,6 @@ __all__ = [
     "audit_identities",
     "check_recover_frac",
     "check_recover_nat",
-    "complete_quotient",
     "decode_nat",
     "decode_real",
     "derive_shift_constants",

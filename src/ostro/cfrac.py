@@ -177,11 +177,6 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
     )
 
 
-def complete_quotient(cf: CFData, k: int) -> QuadRat:
-    """The k-th complete quotient of sqrt(d) (k = 0 gives sqrt(d))."""
-    return cf.zeta(k)
-
-
 # ---------------------------------------------------------------------------
 # identity audit
 # ---------------------------------------------------------------------------

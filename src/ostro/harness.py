@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cfrac, ostrowski, shiftcalc
-from .errors import OstroError, UnsupportedRadicand, WitnessUnavailable
+from .errors import OstroError, UnsupportedRadicand, VerificationFailed, WitnessUnavailable
 from .qfield import QuadRat
 
 # Non-square radicands exercised by default: sixteen integers and five
@@ -130,14 +130,18 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     sc = cfrac.derive_shift_constants(cf)
     out["constants"] = sc.to_json()
 
-    # --- one pass over n: roundtrip, sqrt split, both recoveries --------
+    # --- one pass over n: roundtrip, sqrt split, both recoveries, and
+    # the shifted-digit product on the fractional part of n*sqrt(d) ------
     n_max = min(config.n_max, cf.q(cf.depth) - 1)
+    exact_checked = min(config.lambda_n_max, n_max) + 1
     rt_fails: list = []
     frac_fails: list = []
     nat_fails: list = []
+    exact_fails: list = []
     printed_frac_fails = printed_nat_fails = 0
     example = None
     lo, hi = ostrowski.interval_bounds(cf)
+    root = cf.sqrt_d()
     for n in range(n_max + 1):
         x = ostrowski.encode_nat(n, cf)
         if ostrowski.decode_nat(x) != n:
@@ -150,6 +154,10 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
             rt_fails.append({"n": n, "reason": "sqrt-split value"})
         elif not ((fval - lo).sign() >= 0 and (fval - hi).sign() < 0):
             rt_fails.append({"n": n, "reason": "fractional part outside I"})
+        if n < exact_checked:
+            prod, direct = shiftcalc.times_sqrt_frac(frac, sc), root * fval
+            if prod != direct:
+                exact_fails.append({"n": n, "lhs": str(prod), "rhs": str(direct)})
         e_frac = shiftcalc.check_recover_frac(x, sc)
         e_nat = shiftcalc.check_recover_nat(x, sc)
         if e_frac.corrected != "holds":
@@ -182,19 +190,15 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     _sweep(out, "uniqueness", cf.q(length), [] if uniq_ok else [{"reason": "not a bijection"}])
 
     # --- representation-level multiplication ----------------------------
-    checked = min(config.lambda_n_max, n_max) + 1
-    for n in range(checked):
-        x = ostrowski.encode_nat(n, cf)
-        shiftcalc.times_sqrt_frac(
-            ostrowski.OstDigits(cf, x.digits, ostrowski.KIND_REAL), sc
-        )  # verifies internally
-        shiftcalc.times_sqrt_nat(n, cf, sc)  # verifies internally
-    _sweep(out, "times_sqrt_exact", checked, [])
-
+    _sweep(out, "times_sqrt_exact", exact_checked, exact_fails)
+    real_fails = []
     for _ in range(config.lambda_samples):
         xval = Fraction(rng.randint(0, 100 * 9973), 9973)
-        shiftcalc.times_sqrt_real(xval, config.eps, cf, sc)  # certified internally
-    _sweep(out, "times_sqrt_real", config.lambda_samples, [])
+        try:
+            shiftcalc.times_sqrt_real(xval, config.eps, cf, sc)
+        except VerificationFailed as exc:
+            real_fails.append({"x": str(xval), "error": str(exc)})
+    _sweep(out, "times_sqrt_real", config.lambda_samples, real_fails)
 
     # --- digit probes ----------------------------------------------------
     l_eff = -1

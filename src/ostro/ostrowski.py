@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cfrac import CFData
-from .errors import DepthExceeded, InvalidDigits, OutOfInterval
+from .errors import DepthExceeded, InvalidDigits, OutOfInterval, VerificationFailed
 from .qfield import QuadRat, parse_rat
 
 KIND_NAT = "natural"
@@ -42,27 +42,32 @@ class OstDigits:
     Canonical form carries no trailing zeros, so equal values compare
     equal.  kind records whether the string denotes a natural number
     (weights q_k) or a real in I (weights beta_k); the digit constraints
-    are identical.
+    are identical.  Construction validates the digit constraints and
+    raises InvalidDigits naming the first violating position, so every
+    instance holds a valid digit string.
     """
 
     cf: CFData
     digits: tuple[int, ...]
     kind: str
 
+    def __post_init__(self) -> None:
+        ok, idx = validate(self)
+        if not ok:
+            raise InvalidDigits(
+                f"digit constraint violated at position {idx}: {list(self.digits)}"
+            )
+
     def __str__(self) -> str:
         return ",".join(str(b) for b in self.digits) + f"@d={self.cf.d}"
 
 
 def make_digits(cf: CFData, digits, kind: str = KIND_NAT) -> OstDigits:
-    """Build a canonical OstDigits, validating the digit constraints."""
+    """Build a canonical OstDigits: trailing zeros are dropped."""
     ds = list(digits)
     while ds and ds[-1] == 0:
         ds.pop()
-    x = OstDigits(cf, tuple(ds), kind)
-    ok, idx = validate(x)
-    if not ok:
-        raise InvalidDigits(f"digit constraint violated at position {idx}: {ds}")
-    return x
+    return OstDigits(cf, tuple(ds), kind)
 
 
 def validate(x: OstDigits) -> tuple[bool, int | None]:
@@ -99,7 +104,6 @@ def encode_nat(n: int, cf: CFData) -> OstDigits:
     rem = n
     for k in range(len(digits) - 1, -1, -1):
         digits[k], rem = divmod(rem, qs[k + 1])
-    assert rem == 0
     return make_digits(cf, digits, KIND_NAT)
 
 
@@ -236,20 +240,20 @@ def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
                 break
             cand = cand - beta_k
         if chosen is None:  # cannot happen: the windows tile the parent window
-            raise AssertionError(f"no digit fits at position {k} for {c}")
+            raise VerificationFailed(f"no digit fits at position {k} for {c}")
         digits.append(chosen)
         blocked = chosen != 0
-    assert _in_window(rem, tail_window(cf, depth, blocked))
+    if not _in_window(rem, tail_window(cf, depth, blocked)):
+        raise VerificationFailed(
+            f"residual {rem} of {c} after {depth} digits {digits} "
+            f"is outside its tail window"
+        )
     return make_digits(cf, digits, KIND_REAL)
 
 
 # ---------------------------------------------------------------------------
 # text form
 # ---------------------------------------------------------------------------
-
-
-def format_digits(x: OstDigits) -> str:
-    return str(x)
 
 
 def parse_digit_text(text: str) -> tuple[list[int], Fraction | None]:

@@ -12,7 +12,6 @@ from ostro import (
     RationalSquare,
     UnsupportedRadicand,
     audit_identities,
-    complete_quotient,
     derive_shift_constants,
     expand,
     normalize_d,
@@ -87,9 +86,9 @@ def test_determinant_and_beta_shape(cf_of):
 
 
 def test_complete_quotient_periodicity(cf_of):
-    assert complete_quotient(cf_of(2), 5) == quad(1, 1, 2)
-    assert complete_quotient(cf_of(3), 0) == quad(0, 1, 3)
-    assert complete_quotient(cf_of(3), 4) == quad(1, 1, 3)
+    assert cf_of(2).zeta(5) == quad(1, 1, 2)
+    assert cf_of(3).zeta(0) == quad(0, 1, 3)
+    assert cf_of(3).zeta(4) == quad(1, 1, 3)
 
 
 def test_expand_rejects_bad_radicands():

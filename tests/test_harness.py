@@ -2,11 +2,17 @@
 config (de)serialization, and input validation."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ostro import RationalSquare, SuiteConfig, UnsupportedRadicand, run_suite
+import ostro
+from ostro import RationalSquare, SuiteConfig, UnsupportedRadicand, harness, run_suite
 from ostro.harness import (
     config_from_json,
     corrected_failures,
@@ -99,3 +105,44 @@ def test_suite_rejects_bad_radicands():
         run_suite(SuiteConfig(d_list=(Fraction(3), Fraction(4))))
     with pytest.raises(UnsupportedRadicand):
         run_suite(SuiteConfig(d_list=(Fraction(1, 2),)))
+
+
+def test_corrupted_constants_are_counted_not_raised(monkeypatch):
+    derive = harness.cfrac.derive_shift_constants
+
+    def corrupted(cf):
+        sc = derive(cf)
+        return replace(sc, pell_norm=sc.pell_norm + 1)
+
+    monkeypatch.setattr(harness.cfrac, "derive_shift_constants", corrupted)
+    report = run_suite(replace(SMALL, d_list=(Fraction(3),)))
+    res = report["results"][0]
+    assert "error" not in res
+    exact = res["times_sqrt_exact"]
+    assert exact["checked"] == SMALL.lambda_n_max + 1
+    assert exact["failures"] > 0
+    assert set(exact["first_failure"]) == {"n", "lhs", "rhs"}
+    assert exact["first_failure"]["lhs"] != exact["first_failure"]["rhs"]
+    real = res["times_sqrt_real"]
+    assert real["checked"] == SMALL.lambda_samples
+    assert real["failures"] > 0
+    assert set(real["first_failure"]) == {"x", "error"}
+    # the recovery identities do not use pell_norm and still hold
+    assert res["recover_frac"]["failures"] == 0
+    assert corrected_failures(report) > 0
+
+
+def test_small_audit_under_optimize(tmp_path):
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(SMALL.to_json()))
+    src = str(Path(ostro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ostro", "audit", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "corrected failures: 0" in proc.stdout

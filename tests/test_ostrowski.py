@@ -25,7 +25,7 @@ from ostro import (
     tail_window,
     validate,
 )
-from ostro.ostrowski import KIND_REAL, format_digits
+from ostro.ostrowski import KIND_REAL, OstDigits
 
 
 def greedy_oracle(n, cf):
@@ -86,6 +86,17 @@ def test_validate_frozen(cf_of):
     assert validate(make_digits(cf2, (0, 2)))[0]
     with pytest.raises(InvalidDigits):
         make_digits(cf2, (1, 2))
+
+
+def test_direct_construction_validates(cf_of):
+    cf3, cf2 = cf_of(3), cf_of(2)
+    with pytest.raises(InvalidDigits, match=r"position 0: \[1\]"):
+        OstDigits(cf3, (1,), KIND_REAL)
+    with pytest.raises(InvalidDigits, match=r"position 1: \[1, 2\]"):
+        OstDigits(cf2, (1, 2), KIND_REAL)
+    # trailing zeros are kept by the bare constructor, dropped by make_digits
+    assert OstDigits(cf2, (0, 2, 0), KIND_REAL).digits == (0, 2, 0)
+    assert make_digits(cf2, (0, 2, 0)).digits == (0, 2)
 
 
 def test_exhaustive_uniqueness(cf_of):
@@ -268,7 +279,7 @@ def test_encode_real_agrees_with_nat_digits(cf_of):
 def test_digit_text_round_trip(cf_of):
     cf3 = cf_of(3)
     x = encode_nat(5, cf3)
-    assert format_digits(x) == "0,1,0,1@d=3"
+    assert str(x) == "0,1,0,1@d=3"
     digits, d = parse_digit_text("0,1,0,1@d=3")
     assert digits == [0, 1, 0, 1] and d == 3
     digits, d = parse_digit_text("0,1,0,1")
