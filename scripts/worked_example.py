@@ -27,11 +27,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--d", default="3", help="radicand (rational, > 1, non-square)")
     ap.add_argument("--n", type=int, default=5, help="natural number to trace")
-    ap.add_argument("--depth", type=int, default=64)
+    ap.add_argument("--depth", type=int, default=cfrac.DEFAULT_DEPTH,
+                    help="minimum expansion depth; long periods expand deeper")
     args = ap.parse_args()
 
     d = parse_rat(args.d)
-    cf = cfrac.expand(d, args.depth)
+    cf = cfrac.expand_for_audit(d, args.depth)
     root = cf.sqrt_d()
 
     print(f"sqrt({d}) = [{cf.a0}; {', '.join(map(str, cf.period))} ...]"

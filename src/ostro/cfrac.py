@@ -54,10 +54,6 @@ class CFData:
     betas: tuple[QuadRat, ...]
     zetas: tuple[QuadRat, ...]
     depth: int
-    # precomputed for the digit-window hot paths: -beta_k aligned with
-    # betas (from k = -1), and -(beta_{n-1} + beta_n) indexed by n >= 0
-    neg_betas: tuple[QuadRat, ...]
-    neg_beta_pair: tuple[QuadRat, ...]
 
     def sqrt_d(self) -> QuadRat:
         return QuadRat(Fraction(0), Fraction(1), self.d)
@@ -113,7 +109,6 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
 
     root = quad(0, 1, d)
     a0 = root.floor()
-    assert a0 >= 1
 
     # Walk complete quotients until the first one recurs.  For d > 1 the
     # quotient zeta_1 is reduced, so the pre-period is exactly one term.
@@ -153,11 +148,19 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
     # Sanity sweep: determinant identity, sign alternation, strict decay.
     for k in range(0, depth):
         i = k + 1  # offset into the lists
-        assert ps[i] * qs[i - 1] - ps[i - 1] * qs[i] == (-1) ** (k + 1)
+        det = ps[i] * qs[i - 1] - ps[i - 1] * qs[i]
+        if det != (-1) ** (k + 1):
+            raise VerificationFailed(
+                f"p_{k} q_{k - 1} - p_{k - 1} q_{k} = {det} for sqrt({d}), "
+                f"expected {(-1) ** (k + 1)}"
+            )
     for k in range(0, depth + 1):
-        assert betas[k + 1].sign() == (1 if k % 2 == 0 else -1)
-        if k + 1 <= depth:
-            assert (abs(betas[k + 2]) - abs(betas[k + 1])).sign() < 0
+        if betas[k + 1].sign() != (1 if k % 2 == 0 else -1):
+            raise VerificationFailed(f"beta_{k} = {betas[k + 1]} for sqrt({d}) has the wrong sign")
+        if k + 1 <= depth and (abs(betas[k + 2]) - abs(betas[k + 1])).sign() >= 0:
+            raise VerificationFailed(
+                f"|beta_{k + 1}| >= |beta_{k}| for sqrt({d}): {betas[k + 2]}, {betas[k + 1]}"
+            )
 
     return CFData(
         d=d,
@@ -170,11 +173,19 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
         betas=tuple(betas),
         zetas=tuple(zetas),
         depth=depth,
-        neg_betas=tuple(-b for b in betas),
-        neg_beta_pair=tuple(
-            -(betas[n] + betas[n + 1]) for n in range(depth + 1)
-        ),
     )
+
+
+def expand_for_audit(d, depth: int = DEFAULT_DEPTH) -> CFData:
+    """Expand sqrt(d) to at least `depth`, deeper if the period needs it.
+
+    audit_identities needs depth >= 3m+3 and derive_shift_constants
+    needs 2t+2; the period is known after the first expansion, so a
+    long period costs one re-expansion.
+    """
+    cf = expand(d, depth)
+    need = max(depth, 3 * cf.m + 3, 2 * cf.t + 2)
+    return cf if need == cf.depth else expand(d, need)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +251,11 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     for k in range(0, 3 * m + 2):
         zeta_chain.append((zeta_chain[-1] - zeta_chain[-1].floor()).inverse())
     for k in range(1, 3 * m + 2):
-        assert zeta_chain[k] == cf.zeta(k), "periodic quotient table disagrees with recurrence"
+        if zeta_chain[k] != cf.zeta(k):
+            raise VerificationFailed(
+                f"zeta_{k} of sqrt({d}) is {zeta_chain[k]} by the recurrence "
+                f"but {cf.zeta(k)} in the periodic table"
+            )
 
     # convergent recurrence: p_{k+1} = a_{k+1} p_k + p_{k-1}, same for q.
     rec = _first_failure(
@@ -455,7 +470,11 @@ def normalize_d(d) -> tuple[Fraction, Fraction]:
             if h * h > h_lo:
                 scale = Fraction(h, 2**e)
                 d_norm = d / (scale * scale)
-                assert lo < d_norm < hi and scale * scale * d_norm == d
+                if not (lo < d_norm < hi and scale * scale * d_norm == d):
+                    raise VerificationFailed(
+                        f"normalize_d({d}): {d_norm} with scale {scale} is outside "
+                        f"the band ({lo}, {hi}) or does not rescale to d"
+                    )
                 return d_norm, scale
             h += 1
         e += 1

@@ -33,6 +33,12 @@ DEFAULT_D_LIST: tuple[Fraction, ...] = tuple(
     )
 )
 
+# The timed stages of one radicand's audit, in report order.
+STAGES = (
+    "identities", "constants", "recovery", "uniqueness",
+    "times_sqrt_exact", "times_sqrt_real", "prefix_probe", "class_probe",
+)
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -97,19 +103,30 @@ def _sweep(result: dict, name: str, checked: int, failures: list) -> None:
     }
 
 
+def _lap(stages: dict, name: str, mark: float) -> float:
+    """Charge the time since mark to stages[name]; return the new mark."""
+    now = time.perf_counter()
+    stages[name] += now - mark
+    return now
+
+
 def _random_interval_value(cf, rng) -> QuadRat:
     lo, _ = ostrowski.interval_bounds(cf)
     return lo + Fraction(rng.getrandbits(48), 2**48)
 
 
 def audit_one(d: Fraction, config: SuiteConfig) -> dict:
-    """Run every check for a single radicand and return its report dict."""
+    """Run every check for a single radicand and return its report dict.
+
+    The split, recovery and prefix-oracle checks run on integers: a value
+    A + B*sqrt(d) is a pair of ints and its order test is
+    qfield.sign_sqrt.  "stages" records the seconds spent in each sweep;
+    the pass over n counts as "recovery" except its times_sqrt_exact
+    products.
+    """
     t0 = time.perf_counter()
-    depth = max(config.depth, 8)
-    cf = cfrac.expand(d, depth)
-    need = max(depth, 3 * cf.m + 3, 2 * cf.t + 2)
-    if need > cf.depth:
-        cf = cfrac.expand(d, need)
+    stages = dict.fromkeys(STAGES, 0.0)
+    cf = cfrac.expand_for_audit(d, max(config.depth, 8))
     rng = random.Random(f"{config.seed}:{d}")
 
     out: dict = {
@@ -123,12 +140,15 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     }
 
     # --- convergent identities, printed vs corrected -------------------
+    mark = time.perf_counter()
     verdicts = cfrac.audit_identities(cf, config.identity_k_max)
     out["identities"] = [v.to_json() for v in verdicts]
+    mark = _lap(stages, "identities", mark)
 
     # --- shift constants (derivation includes the full-index sweep) ----
     sc = cfrac.derive_shift_constants(cf)
     out["constants"] = sc.to_json()
+    mark = _lap(stages, "constants", mark)
 
     # --- one pass over n: roundtrip, sqrt split, both recoveries, and
     # the shifted-digit product on the fractional part of n*sqrt(d) ------
@@ -140,24 +160,28 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     exact_fails: list = []
     printed_frac_fails = printed_nat_fails = 0
     example = None
-    lo, hi = ostrowski.interval_bounds(cf)
+    interval = ostrowski.window_parts(cf, 0, blocked=True)  # I
     root = cf.sqrt_d()
+    exact_s = 0.0
     for n in range(n_max + 1):
         x = ostrowski.encode_nat(n, cf)
         if ostrowski.decode_nat(x) != n:
             rt_fails.append({"n": n, "reason": "roundtrip"})
             continue
         whole, frac = ostrowski.mult_nat_by_sqrt(x)
-        fval = ostrowski.decode_real(frac)
-        # whole + fval = n sqrt(d), compared component-wise
-        if fval.a + whole != 0 or fval.b != n:
+        fa, fb = ostrowski.beta_parts(frac)
+        # whole + (fa + fb sqrt(d)) = n sqrt(d), compared component-wise
+        if fa + whole != 0 or fb != n:
             rt_fails.append({"n": n, "reason": "sqrt-split value"})
-        elif not ((fval - lo).sign() >= 0 and (fval - hi).sign() < 0):
+        elif not ostrowski.in_window(cf, fa, fb, 1, interval):
             rt_fails.append({"n": n, "reason": "fractional part outside I"})
         if n < exact_checked:
-            prod, direct = shiftcalc.times_sqrt_frac(frac, sc), root * fval
+            t_exact = time.perf_counter()
+            prod = shiftcalc.times_sqrt_frac(frac, sc)
+            direct = root * ostrowski.decode_real(frac)
             if prod != direct:
                 exact_fails.append({"n": n, "lhs": str(prod), "rhs": str(direct)})
+            exact_s += time.perf_counter() - t_exact
         e_frac = shiftcalc.check_recover_frac(x, sc)
         e_nat = shiftcalc.check_recover_nat(x, sc)
         if e_frac.corrected != "holds":
@@ -177,6 +201,9 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
         "nat": printed_nat_fails,
     }
     out["recovery_example"] = example
+    mark = _lap(stages, "recovery", mark)
+    stages["recovery"] -= exact_s
+    stages["times_sqrt_exact"] += exact_s
 
     # Exhaustive uniqueness: valid strings of length L decode bijectively
     # onto [0, q_L), which covers every n <= n_unique once q_L exceeds it.
@@ -188,6 +215,7 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     )
     uniq_ok = values == list(range(cf.q(length)))
     _sweep(out, "uniqueness", cf.q(length), [] if uniq_ok else [{"reason": "not a bijection"}])
+    mark = _lap(stages, "uniqueness", mark)
 
     # --- representation-level multiplication ----------------------------
     _sweep(out, "times_sqrt_exact", exact_checked, exact_fails)
@@ -199,6 +227,7 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
         except VerificationFailed as exc:
             real_fails.append({"x": str(xval), "error": str(exc)})
     _sweep(out, "times_sqrt_real", config.lambda_samples, real_fails)
+    mark = _lap(stages, "times_sqrt_real", mark)
 
     # --- digit probes ----------------------------------------------------
     l_eff = -1
@@ -220,22 +249,26 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
                     fails.append({"l": l, "c": str(c), "reason": "digit mismatch"})
             got.append(row)
         # Brute-force oracle: scan every candidate prefix natural against
-        # its absolute window; the match must be unique and agree.
+        # its absolute window; the match must be unique and agree.  The
+        # window of n at l is f(n) plus prefix_window(cf, l, ...), the
+        # tail window at l+1, all as integer pairs.
         table = []
         for n in range(cf.q(l_eff + 1)):
             xn = ostrowski.encode_nat(n, cf)
-            table.append((xn.digits, ostrowski.decode_real(xn)))
+            table.append((xn.digits, ostrowski.beta_parts(xn)))
+        scaled = [c.scaled() for c in samples]
         for l in range(l_eff + 1):
             bounds = []
             for n in range(cf.q(l + 1)):
-                digs, fval = table[n]
+                digs, (fa, fb) = table[n]
                 dig_l = digs[l] if l < len(digs) else 0
-                lo, hi = shiftcalc.prefix_window(cf, l, last_digit_zero=dig_l == 0)
-                bounds.append((fval + lo, fval + hi))
+                (la, lb), (ha, hb) = ostrowski.window_parts(cf, l + 1, blocked=dig_l != 0)
+                bounds.append(((fa + la, fb + lb), (fa + ha, fb + hb)))
             for ci, c in enumerate(samples):
+                ca, cb, den = scaled[ci]
                 matches = [
-                    n for n, (lo, hi) in enumerate(bounds)
-                    if (c - lo).sign() >= 0 and (c - hi).sign() < 0
+                    n for n, win in enumerate(bounds)
+                    if ostrowski.in_window(cf, ca, cb, den, win)
                 ]
                 if matches != [got[ci][l]]:
                     fails.append(
@@ -245,6 +278,7 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
         out["prefix_probe"]["l_max"] = l_eff
     else:
         out["prefix_probe"] = {"skipped": f"q_1 exceeds probe_q_limit={config.probe_q_limit}"}
+    mark = _lap(stages, "prefix_probe", mark)
 
     fails = []
     checked = 0
@@ -262,7 +296,9 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
                 fails.append({"j": j, "mod": n_mod, "got": list(verdicts_)})
     _sweep(out, "class_probe", checked, fails)
     out["class_probe"]["infeasible"] = skipped
+    _lap(stages, "class_probe", mark)
 
+    out["stages"] = {k: round(v, 3) for k, v in stages.items()}
     out["elapsed_s"] = round(time.perf_counter() - t0, 3)
     return out
 
@@ -317,6 +353,10 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
         "corrected_failures": corrected_failures(report),
         "printed_failures": printed_failures(report),
         "elapsed_s": round(time.perf_counter() - t0, 3),
+        "stages": {
+            k: round(sum(r["stages"][k] for r in results if "stages" in r), 3)
+            for k in STAGES
+        },
     }
     return report
 
@@ -359,6 +399,9 @@ def render_text(report: dict) -> str:
                     f"  {key:24s} checked:{info['checked']} failures:{info['failures']}"
                 )
     s = report["summary"]
+    lines.append(
+        "stages: " + ", ".join(f"{k} {v}s" for k, v in s["stages"].items())
+    )
     lines.append(
         f"suite: {s['d_count']} radicands, corrected failures: "
         f"{s['corrected_failures']}, printed-form failures: {s['printed_failures']} "

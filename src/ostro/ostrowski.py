@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .cfrac import CFData
 from .errors import DepthExceeded, InvalidDigits, OutOfInterval, VerificationFailed
-from .qfield import QuadRat, parse_rat
+from .qfield import QuadRat, parse_rat, sign_sqrt
 
 KIND_NAT = "natural"
 KIND_REAL = "real"
@@ -60,6 +60,15 @@ class OstDigits:
 
     def __str__(self) -> str:
         return ",".join(str(b) for b in self.digits) + f"@d={self.cf.d}"
+
+    def retag(self, kind: str) -> "OstDigits":
+        """The same digits under another kind.  The digit constraints do
+        not depend on kind, so the valid digits are not validated again."""
+        out = object.__new__(OstDigits)
+        object.__setattr__(out, "cf", self.cf)
+        object.__setattr__(out, "digits", self.digits)
+        object.__setattr__(out, "kind", kind)
+        return out
 
 
 def make_digits(cf: CFData, digits, kind: str = KIND_NAT) -> OstDigits:
@@ -113,12 +122,10 @@ def decode_nat(x: OstDigits) -> int:
     return sum(b * qs[k + 1] for k, b in enumerate(x.digits))
 
 
-def decode_real(x: OstDigits) -> QuadRat:
-    """Value of a digit string on the beta_k scale, as an exact quadratic.
+def beta_parts(x: OstDigits) -> tuple[int, int]:
+    """Integers (A, B) with A + B*sqrt(d) the value of x on the beta_k scale.
 
-    beta_k = q_k sqrt(d) - p_k, so the sum is assembled from two integer
-    dot products.  For the digits of a natural n this is the offset of
-    n*sqrt(d) from the nearest lattice of convergent numerators.
+    beta_k = q_k sqrt(d) - p_k, so A and B are two integer dot products.
     """
     cf = x.cf
     qs, ps = cf.conv_q, cf.conv_p
@@ -126,7 +133,17 @@ def decode_real(x: OstDigits) -> QuadRat:
     for k, b in enumerate(x.digits):
         bq += b * qs[k + 1]
         bp += b * ps[k + 1]
-    return QuadRat(Fraction(-bp), Fraction(bq), cf.d)
+    return -bp, bq
+
+
+def decode_real(x: OstDigits) -> QuadRat:
+    """Value of a digit string on the beta_k scale, as an exact quadratic.
+
+    For the digits of a natural n this is the offset of n*sqrt(d) from
+    the nearest lattice of convergent numerators.
+    """
+    a, b = beta_parts(x)
+    return QuadRat(Fraction(a), Fraction(b), x.cf.d)
 
 
 def mult_nat_by_sqrt(x: OstDigits) -> tuple[int, OstDigits]:
@@ -138,7 +155,7 @@ def mult_nat_by_sqrt(x: OstDigits) -> tuple[int, OstDigits]:
     """
     ps = x.cf.conv_p
     whole = sum(b * ps[k + 1] for k, b in enumerate(x.digits))
-    return whole, OstDigits(x.cf, x.digits, KIND_REAL)
+    return whole, x.retag(KIND_REAL)
 
 
 def enumerate_valid(cf: CFData, length: int):
@@ -175,12 +192,15 @@ def interval_bounds(cf: CFData) -> tuple[QuadRat, QuadRat]:
 
 
 def in_interval(cf: CFData, c: QuadRat) -> bool:
-    lo, hi = interval_bounds(cf)
-    return (c - lo).sign() >= 0 and (c - hi).sign() < 0
+    """Whether c lies in I, which is the blocked tail window at 0."""
+    return in_window(cf, *c.scaled(), window_parts(cf, 0, blocked=True))
 
 
-def tail_window(cf: CFData, n: int, blocked: bool) -> tuple[QuadRat, QuadRat]:
+def window_parts(cf: CFData, n: int, blocked: bool) -> tuple[tuple[int, int], tuple[int, int]]:
     """Exact value range [lo, hi) of valid digit tails from position n.
+
+    Each endpoint is an integer pair (A, B) standing for A + B*sqrt(d);
+    -beta_k is (p_k, -q_k).
 
     blocked means the digit at position n is capped one below its usual
     bound (because the previous digit was nonzero, or n == 0).  The
@@ -196,14 +216,31 @@ def tail_window(cf: CFData, n: int, blocked: bool) -> tuple[QuadRat, QuadRat]:
     """
     if n < 0 or n > cf.depth:
         raise DepthExceeded(f"window index {n} not materialized (depth {cf.depth})")
-    near = cf.neg_betas[n + 1]
-    far = cf.neg_beta_pair[n] if blocked else cf.neg_betas[n]
+    ps, qs = cf.conv_p, cf.conv_q
+    near = (ps[n + 1], -qs[n + 1])
+    if blocked:
+        far = (ps[n] + ps[n + 1], -(qs[n] + qs[n + 1]))
+    else:
+        far = (ps[n], -qs[n])
     return (near, far) if n % 2 == 0 else (far, near)
 
 
-def _in_window(c: QuadRat, win: tuple[QuadRat, QuadRat]) -> bool:
-    lo, hi = win
-    return (c - lo).sign() >= 0 and (c - hi).sign() < 0
+def tail_window(cf: CFData, n: int, blocked: bool) -> tuple[QuadRat, QuadRat]:
+    """window_parts as exact quadratic endpoints."""
+    return tuple(
+        QuadRat(Fraction(a), Fraction(b), cf.d) for a, b in window_parts(cf, n, blocked)
+    )
+
+
+def in_window(cf: CFData, a: int, b: int, den: int, win) -> bool:
+    """Whether (a + b*sqrt(d)) / den, den > 0, lies in the window [lo, hi)
+    given by integer pairs as window_parts returns them."""
+    (la, lb), (ha, hb) = win
+    dn, dd = cf.d.numerator, cf.d.denominator
+    return (
+        sign_sqrt(a - la * den, b - lb * den, dn, dd) >= 0
+        and sign_sqrt(a - ha * den, b - hb * den, dn, dd) < 0
+    )
 
 
 def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
@@ -225,25 +262,26 @@ def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
     if depth > cf.depth:
         raise DepthExceeded(f"requested {depth} digits but depth is {cf.depth}")
 
+    # The residual is (ra + rb*sqrt(d)) / den; subtracting beta_k =
+    # q_k sqrt(d) - p_k keeps it on integers.
+    ra, rb, den = c.scaled()
+    ps, qs = cf.conv_p, cf.conv_q
     digits: list[int] = []
-    rem = c
     blocked = True  # position 0 is capped: digits[0] < a_1
     for k in range(depth):
         cap = cf.a(k + 1) - (1 if blocked else 0)
-        beta_k = cf.beta(k)
-        chosen = None
-        cand = rem
+        step_a, step_b = ps[k + 1] * den, qs[k + 1] * den
         for b in range(cap + 1):
-            if _in_window(cand, tail_window(cf, k + 1, blocked=b != 0)):
-                chosen = b
-                rem = cand
+            if in_window(cf, ra, rb, den, window_parts(cf, k + 1, blocked=b != 0)):
                 break
-            cand = cand - beta_k
-        if chosen is None:  # cannot happen: the windows tile the parent window
+            ra += step_a
+            rb -= step_b
+        else:  # cannot happen: the windows tile the parent window
             raise VerificationFailed(f"no digit fits at position {k} for {c}")
-        digits.append(chosen)
-        blocked = chosen != 0
-    if not _in_window(rem, tail_window(cf, depth, blocked)):
+        digits.append(b)
+        blocked = b != 0
+    if not in_window(cf, ra, rb, den, window_parts(cf, depth, blocked)):
+        rem = QuadRat(Fraction(ra, den), Fraction(rb, den), cf.d)
         raise VerificationFailed(
             f"residual {rem} of {c} after {depth} digits {digits} "
             f"is outside its tail window"

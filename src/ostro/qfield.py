@@ -24,8 +24,27 @@ from .errors import MixedRadicand, RationalSquare
 Rat = Fraction
 
 
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
+def sign_sqrt(a: int, b: int, dn: int, dd: int) -> int:
+    """Exact sign in {-1, 0, +1} of a + b*sqrt(dn/dd) for integers a, b.
+
+    dn/dd is a positive non-square rational with dd > 0.  When a and b
+    have opposite signs the comparison reduces to a^2 dd vs b^2 dn,
+    whose strict inequality decides which term dominates.  This is the
+    package's one exact order test; QuadRat.sign delegates to it.
+    """
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    lhs = a * a * dd
+    rhs = b * b * dn
+    if lhs > rhs:
+        return sa
+    if lhs < rhs:
+        return sb
+    return 0  # unreachable for a non-square radicand
 
 
 def is_rational_square(x: Fraction) -> bool:
@@ -156,28 +175,21 @@ class QuadRat:
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}.
 
-        When a and b have opposite signs the comparison reduces to the
-        integer comparison a^2 vs b^2 d, whose strict inequality decides
-        which term dominates.
+        Scaled by the positive a.denominator * b.denominator this is the
+        sign of an integer pair, decided by :func:`sign_sqrt`.
         """
+        a, b, d = self.a, self.b, self.d
+        return sign_sqrt(
+            a.numerator * b.denominator, b.numerator * a.denominator,
+            d.numerator, d.denominator,
+        )
+
+    def scaled(self) -> tuple[int, int, int]:
+        """(A, B, D) with self = (A + B*sqrt(d)) / D and D > 0 the lcm of
+        the two denominators."""
         a, b = self.a, self.b
-        sa = (a.numerator > 0) - (a.numerator < 0)
-        sb = (b.numerator > 0) - (b.numerator < 0)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # cross-multiplied in plain integers to skip Fraction churn
-        d = self.d
-        lhs = a.numerator**2 * b.denominator**2 * d.denominator
-        rhs = b.numerator**2 * a.denominator**2 * d.numerator
-        if lhs > rhs:
-            return sa
-        if lhs < rhs:
-            return sb
-        return 0  # unreachable for a non-square radicand
+        den = math.lcm(a.denominator, b.denominator)
+        return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
 
     def __lt__(self, other):
         o = self._coerce(other)

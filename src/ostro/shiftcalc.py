@@ -159,11 +159,6 @@ def _ones(t: int) -> Weights:
     return Weights.ones(t)
 
 
-@lru_cache(maxsize=None)
-def _cached_weights(values: tuple) -> Weights:
-    return Weights(values)
-
-
 def _sigma_f_pair(x: GenDigits, u: Weights, l: int) -> tuple[QuadRat, QuadRat]:
     """(weighted_q_sum, weighted_beta_sum) of x from a single dot pass."""
     acc_q, acc_p = _residue_dots(x, len(u), l)
@@ -215,24 +210,61 @@ class AuditEntry:
         }
 
 
+def _integer_constants(sc: ShiftConstants) -> tuple:
+    """(unit.scaled(), v scaled, w scaled) of sc, computed once per
+    ShiftConstants instance and kept on it."""
+    cached = sc.__dict__.get("_integer_constants")
+    if cached is None:
+        cached = sc.unit.scaled(), Weights.of(sc.v).scaled(), Weights.of(sc.w).scaled()
+        object.__setattr__(sc, "_integer_constants", cached)
+    return cached
+
+
+def _check_shift(x: OstDigits, l: int) -> None:
+    """Raise DepthExceeded if x's last nonzero digit, moved up by l, is
+    past the materialized depth."""
+    top = len(x.digits) - 1
+    while top >= 0 and x.digits[top] == 0:
+        top -= 1
+    if top >= 0 and top + l > x.cf.depth:
+        raise DepthExceeded(f"shifted index {top + l} exceeds depth {x.cf.depth}")
+
+
 def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
-    """Audit: beta-value of x == (-1)^m * U * (all-ones beta sum at shift m)."""
+    """Audit: beta-value of x == (-1)^m * U * (all-ones beta sum at shift m).
+
+    Decided on integers: the beta-value is -bp + n sqrt(d) and the
+    shifted sum is y = -sp + sq sqrt(d), four dot products of the digits
+    against p and q; a constant c0 + c1 sqrt(d) times y has rational
+    part c1 sq d - c0 sp and sqrt(d) part c0 sq - c1 sp.
+    """
     cf = x.cf
     m = cf.m
-    lhs = decode_real(x)
-    y = weighted_beta_sum(embed(x), _ones(cf.t), m)
-    uy = sc.unit * y
-    rhs = uy if m % 2 == 0 else -uy
-    printed_const = QuadRat(Fraction(cf.q(m - 1) + cf.a0 * cf.q(m)), Fraction(cf.q(m)), cf.d)
-    py = printed_const * y
-    rhs_printed = py if m % 2 == 0 else -py
+    _check_shift(x, m)
+    qs, ps = cf.conv_q, cf.conv_p
+    n = bp = sq = sp = 0
+    for k, b in enumerate(x.digits):
+        if b:
+            n += b * qs[k + 1]
+            bp += b * ps[k + 1]
+            sq += b * qs[k + m + 1]
+            sp += b * ps[k + m + 1]
+    s = 1 if m % 2 == 0 else -1
+    dn, dd = cf.d.numerator, cf.d.denominator
+    (ua, ub, uden), _, _ = _integer_constants(sc)
+    # (-1)^m U y = (ra / dd + rb sqrt(d)) / uden
+    ra = s * (ub * sq * dn - ua * sp * dd)
+    rb = s * (ua * sq - ub * sp)
+    c0, c1 = cf.q(m - 1) + cf.a0 * cf.q(m), cf.q(m)
+    pa = s * (c1 * sq * dn - c0 * sp * dd)
+    pb = s * (c0 * sq - c1 * sp)
     return AuditEntry(
         lemma="frac-recovery",
-        n=decode_nat(x),
-        printed=_verdict(rhs_printed == lhs),
-        corrected=_verdict(rhs == lhs),
-        lhs=lhs,
-        rhs=rhs,
+        n=n,
+        printed=_verdict(pa == -bp * dd and pb == n),
+        corrected=_verdict(ra == -bp * dd * uden and rb == n * uden),
+        lhs=QuadRat(Fraction(-bp), Fraction(n), cf.d),
+        rhs=QuadRat(Fraction(ra, dd * uden), Fraction(rb, uden), cf.d),
     )
 
 
@@ -242,26 +274,32 @@ def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     The q-sums minus beta-sums turn each q_{k+l} sqrt(d) - beta_{k+l}
     into p_{k+l}, so with the shift constants the whole thing collapses
     to sum_k x[k] q_k = n.  The printed variant takes the w-terms at
-    shift 1 as well.
+    shift 1 as well.  Decided on integers: the right-hand side is the
+    v- and w-weighted p dot products over the weights' denominators.
     """
     cf = x.cf
-    n = decode_nat(x)
-    emb = embed(x)
-    v = _cached_weights(sc.v)
-    w = _cached_weights(sc.w)
-    sig_v1, f_v1 = _sigma_f_pair(emb, v, 1)
-    sig_w0, f_w0 = _sigma_f_pair(emb, w, 0)
-    sig_w1, f_w1 = _sigma_f_pair(emb, w, 1)
-    val = sig_v1 - f_v1 + sig_w0 - f_w0
-    val_printed = sig_v1 - f_v1 + sig_w1 - f_w1
-    target = QuadRat(Fraction(n), _F0, cf.d)
+    _check_shift(x, 1)
+    qs, ps = cf.conv_q, cf.conv_p
+    _, (nv, dv), (nw, dw) = _integer_constants(sc)
+    t = sc.t
+    n = v1 = w0 = w1 = 0
+    for k, b in enumerate(x.digits):
+        if b:
+            i = k % t
+            p0, p1 = b * ps[k + 1], b * ps[k + 2]
+            n += b * qs[k + 1]
+            v1 += nv[i] * p1
+            w0 += nw[i] * p0
+            w1 += nw[i] * p1
+    den = dv * dw
+    val = v1 * dw + w0 * dv
     return AuditEntry(
         lemma="nat-recovery",
         n=n,
-        printed=_verdict(val_printed == target),
-        corrected=_verdict(val == target),
+        printed=_verdict(v1 * dw + w1 * dv == n * den),
+        corrected=_verdict(val == n * den),
         lhs=n,
-        rhs=val,
+        rhs=QuadRat(Fraction(val, den), _F0, cf.d),
     )
 
 

@@ -1,6 +1,7 @@
 """Suite runner: report structure, failure accounting, rendering,
 config (de)serialization, and input validation."""
 
+import ast
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 import ostro
 from ostro import RationalSquare, SuiteConfig, UnsupportedRadicand, harness, run_suite
 from ostro.harness import (
+    STAGES,
     config_from_json,
     corrected_failures,
     printed_failures,
@@ -146,3 +148,39 @@ def test_small_audit_under_optimize(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "corrected failures: 0" in proc.stdout
+
+
+def test_stage_timings(small_report):
+    for res in small_report["results"]:
+        assert list(res["stages"]) == list(STAGES)
+        assert all(v >= 0 for v in res["stages"].values())
+    total = small_report["summary"]["stages"]
+    assert list(total) == list(STAGES)
+    for k in STAGES:
+        expected = sum(r["stages"][k] for r in small_report["results"])
+        assert abs(total[k] - expected) < 1e-9
+    lines = [ln for ln in render_text(small_report).splitlines() if ln.startswith("stages: ")]
+    assert len(lines) == 1 and all(k in lines[0] for k in STAGES)
+
+
+def test_library_has_no_bare_asserts():
+    # checks in library code must survive python -O
+    pkg = Path(ostro.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pkg.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("args", [[], ["--d", "991", "--n", "7"]])
+def test_worked_example_script(args):
+    # 991 has period 60, so the script must expand past its default depth
+    script = Path(__file__).resolve().parent.parent / "scripts" / "worked_example.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "corrected:fails" not in proc.stdout

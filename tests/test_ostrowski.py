@@ -25,6 +25,7 @@ from ostro import (
     tail_window,
     validate,
 )
+from ostro import ostrowski
 from ostro.ostrowski import KIND_REAL, OstDigits
 
 
@@ -97,6 +98,21 @@ def test_direct_construction_validates(cf_of):
     # trailing zeros are kept by the bare constructor, dropped by make_digits
     assert OstDigits(cf2, (0, 2, 0), KIND_REAL).digits == (0, 2, 0)
     assert make_digits(cf2, (0, 2, 0)).digits == (0, 2)
+
+
+def test_retag_skips_validation(cf_of, monkeypatch):
+    x = encode_nat(5, cf_of(3))
+    calls = []
+    real_validate = ostrowski.validate
+    monkeypatch.setattr(ostrowski, "validate", lambda y: calls.append(y) or real_validate(y))
+    y = x.retag(KIND_REAL)
+    _, frac = mult_nat_by_sqrt(x)
+    assert calls == []
+    for z in (y, frac):
+        assert z.cf is x.cf and z.digits == x.digits and z.kind == KIND_REAL
+    with pytest.raises(InvalidDigits):
+        OstDigits(x.cf, (1,), KIND_REAL)
+    assert len(calls) == 1
 
 
 def test_exhaustive_uniqueness(cf_of):
@@ -269,6 +285,22 @@ def test_encode_real_agrees_with_nat_digits(cf_of):
             x = encode_nat(n, cf)
             c = decode_real(x)
             assert encode_real(c, cf, max(len(x.digits), 1)).digits == x.digits
+
+
+@given(st.sampled_from([Fraction(x) for x in (2, 3, 7, 61, "3/2", "32/9")]),
+       st.integers(0, 2**30), st.integers(0, 50), st.integers(1, 24))
+def test_encode_real_residual_in_tail_window(cf_of, d, num, irr, depth):
+    # the integer encoder, checked in QuadRat arithmetic: c minus the
+    # value of its first `depth` digits lies in the tail window there
+    cf = cf_of(d)
+    x = quad(Fraction(num, 2**20), Fraction(irr, 7), d)
+    c = x - (x + cf.sqrt_d() - cf.a0).floor()
+    lo, hi = interval_bounds(cf)
+    assert lo <= c < hi
+    enc = encode_real(c, cf, depth)
+    last = enc.digits[depth - 1] if depth <= len(enc.digits) else 0
+    wlo, whi = tail_window(cf, depth, blocked=last != 0)
+    assert wlo <= c - decode_real(enc) < whi
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 double-sum oracle, the two recovery identities, representation-level
 multiplication by sqrt(d), and the window/probe layer."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ from ostro import (
     weighted_q_sum,
     window_digit,
 )
-from ostro.ostrowski import KIND_REAL, decode_real
+from ostro.ostrowski import KIND_REAL, decode_nat, decode_real
 
 D_SMALL = [Fraction(x) for x in (2, 3, "3/2", "32/9")]
 
@@ -161,6 +162,69 @@ def test_recover_sweeps(cf_of, sc_of):
             x = encode_nat(n, cf)
             assert check_recover_frac(x, sc).corrected == "holds"
             assert check_recover_nat(x, sc).corrected == "holds"
+
+
+def reference_recoveries(x, sc):
+    """Both recovery identities in QuadRat arithmetic, from the weighted
+    sums: ((printed, corrected, lhs, rhs) frac, (printed, corrected, rhs) nat)."""
+    cf, m = x.cf, x.cf.m
+    emb, s = embed(x), (-1) ** m
+    lhs = decode_real(x)
+    y = weighted_beta_sum(emb, Weights.ones(cf.t), m)
+    rhs = sc.unit * y * s
+    printed = quad(cf.q(m - 1) + cf.a0 * cf.q(m), cf.q(m), cf.d) * y * s
+    frac = (printed == lhs, rhs == lhs, lhs, rhs)
+
+    def p_sum(u, l):  # sqrt(d) q-sum minus beta-sum: the p dot product
+        return weighted_q_sum(emb, u, l) - weighted_beta_sum(emb, u, l)
+
+    v, w = Weights.of(sc.v), Weights.of(sc.w)
+    n = quad(decode_nat(x), 0, cf.d)
+    val = p_sum(v, 1) + p_sum(w, 0)
+    nat = (p_sum(v, 1) + p_sum(w, 1) == n, val == n, val)
+    return frac, nat
+
+
+def corrupt(sc, field, i, delta):
+    """sc with one entry of v or w, the integers a_const and b_const (and
+    the unit built from them), or the unit alone moved by delta."""
+    if field in ("v", "w"):
+        vals = list(getattr(sc, field))
+        vals[i % sc.t] += delta
+        return replace(sc, **{field: tuple(vals)})
+    if field == "ab":
+        a, b = sc.a_const + delta.numerator, sc.b_const + i
+        return replace(sc, a_const=a, b_const=b, unit=quad(b, a, sc.d))
+    if field == "unit":
+        return replace(sc, unit=sc.unit + delta)
+    return sc
+
+
+@given(st.sampled_from([Fraction(x) for x in (2, 3, 7, 13, "3/2", "32/9", "13/4")]),
+       st.integers(0, 10**6),
+       st.sampled_from([None, "v", "w", "ab", "unit"]),
+       st.integers(0, 7),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+def test_integer_recoveries_match_quadrat_reference(cf_of, sc_of, d, n, field, i, delta):
+    cf = cf_of(d)
+    sc = corrupt(sc_of(d), field, i, delta)
+    x = encode_nat(n, cf)
+    (fp, fc, flhs, frhs), (np_, nc, nrhs) = reference_recoveries(x, sc)
+    ef, en = check_recover_frac(x, sc), check_recover_nat(x, sc)
+    verdict = {True: "holds", False: "fails"}
+    assert (ef.printed, ef.corrected) == (verdict[fp], verdict[fc])
+    assert (ef.n, ef.lhs, ef.rhs) == (n, flhs, frhs)
+    assert (en.printed, en.corrected) == (verdict[np_], verdict[nc])
+    assert (en.n, en.lhs, en.rhs) == (n, n, nrhs)
+
+
+def test_integer_recoveries_report_corruption(cf_of, sc_of):
+    # n = 5 over d = 3 has digits 1 at positions 1 and 3 (residue 1 mod 2)
+    x = encode_nat(5, cf_of(3))
+    for field in ("v", "w", "ab", "unit"):
+        sc = corrupt(sc_of(3), field, 1, Fraction(1, 2))
+        fails = [e.corrected for e in (check_recover_frac(x, sc), check_recover_nat(x, sc))]
+        assert "fails" in fails, field
 
 
 def test_audit_entry_serialization(cf_of, sc_of):
