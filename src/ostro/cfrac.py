@@ -3,11 +3,12 @@
 For a non-square rational d > 1 the expansion is
 ``[a0; a1, ..., a_{m-1}, 2*a0]`` repeated forever: the period starts at
 index 1, its interior is a palindrome and its last digit is 2*a0.  The
-expansion is computed with exact quadratic arithmetic; the period is
-detected when a complete quotient repeats the first one.
+complete quotients are (P + sqrt(D))/Q with D = num(d)*den(d), computed
+by the classical integer recurrence on (P, Q); the period is detected
+when the pair of the first one recurs.
 
-Alongside the digits we materialize the convergents p_k/q_k and the
-differences beta_k = q_k*sqrt(d) - p_k, which alternate in sign and shrink
+Alongside the digits we materialize the convergents p_k/q_k; the
+differences beta_k = q_k*sqrt(d) - p_k alternate in sign and shrink
 strictly.  Index -1 is included (p=1, q=0, beta=-1) because several
 identities reach one step below zero.
 
@@ -21,7 +22,7 @@ engine behind the digit-shift multiplication in :mod:`ostro.shiftcalc`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     UnsupportedRadicand,
     VerificationFailed,
 )
-from .qfield import QuadRat, check_radicand, quad
+from .qfield import QuadRat, check_radicand, quad, sign_sqrt
 
 DEFAULT_DEPTH = 64
 
@@ -39,9 +40,10 @@ DEFAULT_DEPTH = 64
 class CFData:
     """Materialized continued-fraction data for sqrt(d).
 
-    conv_p, conv_q and betas start at index -1; use the accessors p(),
-    q(), beta() which take the mathematical index k >= -1.  zetas holds
-    the complete quotients zeta_1 .. zeta_m of one full period.
+    conv_p and conv_q start at index -1; use the accessors p(), q(),
+    beta() which take the mathematical index k >= -1.  zetas holds zeta_1
+    .. zeta_m of one full period as the pairs (P, Q) of (P + sqrt(D))/Q,
+    D = num(d)*den(d).
     """
 
     d: Fraction
@@ -51,8 +53,7 @@ class CFData:
     s_max: int
     conv_p: tuple[int, ...]
     conv_q: tuple[int, ...]
-    betas: tuple[QuadRat, ...]
-    zetas: tuple[QuadRat, ...]
+    zetas: tuple[tuple[int, int], ...]
     depth: int
 
     def sqrt_d(self) -> QuadRat:
@@ -66,19 +67,19 @@ class CFData:
             raise IndexError(f"partial quotient index {k} out of range")
         return self.period[(k - 1) % self.m]
 
-    def _at(self, seq, k: int, what: str):
+    def _at(self, seq, k: int):
         if k < -1 or k + 1 >= len(seq):
-            raise DepthExceeded(f"{what} index {k} not materialized (depth {self.depth})")
+            raise DepthExceeded(f"convergent index {k} not materialized (depth {self.depth})")
         return seq[k + 1]
 
     def p(self, k: int) -> int:
-        return self._at(self.conv_p, k, "convergent")
+        return self._at(self.conv_p, k)
 
     def q(self, k: int) -> int:
-        return self._at(self.conv_q, k, "convergent")
+        return self._at(self.conv_q, k)
 
     def beta(self, k: int) -> QuadRat:
-        return self._at(self.betas, k, "beta")
+        return QuadRat(Fraction(-self.p(k)), Fraction(self.q(k)), self.d)
 
     def zeta(self, k: int) -> QuadRat:
         """Complete quotient zeta_k; zeta_0 = sqrt(d), periodic for k >= 1."""
@@ -86,7 +87,8 @@ class CFData:
             raise IndexError(f"complete quotient index {k} out of range")
         if k == 0:
             return self.sqrt_d()
-        return self.zetas[(k - 1) % self.m]
+        big_p, big_q = self.zetas[(k - 1) % self.m]  # sqrt(D) = den(d) sqrt(d)
+        return QuadRat(Fraction(big_p, big_q), Fraction(self.d.denominator, big_q), self.d)
 
     @property
     def t(self) -> int:
@@ -107,21 +109,24 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
     if depth < 1:
         raise ValueError(f"depth must be positive, got {depth}")
 
-    root = quad(0, 1, d)
-    a0 = root.floor()
-
-    # Walk complete quotients until the first one recurs.  For d > 1 the
-    # quotient zeta_1 is reduced, so the pre-period is exactly one term.
-    zeta1 = (root - a0).inverse()
+    # zeta_{k+1} = 1/(zeta_k - a_k) takes (P, Q) to (P', Q') with
+    # P' = a_k Q - P and Q' = (D - P'^2)/Q, an exact division, starting
+    # from zeta_0 = sqrt(d) = (0, den(d)).  For d > 1 zeta_1 is reduced:
+    # every Q is positive and the pre-period is exactly one term.
+    dn, dd = d.numerator, d.denominator
+    big_d, root = dn * dd, math.isqrt(dn * dd)
+    a0 = root // dd
+    big_p, big_q = a0 * dd, dn - a0 * a0 * dd  # zeta_1
+    first = (big_p, big_q)
     period: list[int] = []
-    zetas: list[QuadRat] = []
-    zeta = zeta1
+    zetas: list[tuple[int, int]] = []
     while True:
-        zetas.append(zeta)
-        ak = zeta.floor()
+        zetas.append((big_p, big_q))
+        ak = (big_p + root) // big_q
         period.append(ak)
-        zeta = (zeta - ak).inverse()
-        if zeta == zeta1:
+        big_p = ak * big_q - big_p
+        big_q = (big_d - big_p * big_p) // big_q
+        if (big_p, big_q) == first:
             break
         if len(period) > 10_000:
             raise VerificationFailed(f"period of sqrt({d}) not found within 10000 terms")
@@ -134,33 +139,26 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
         if m % div == 0 and period[:div] * (m // div) == period:
             raise VerificationFailed(f"period {period} of sqrt({d}) is not minimal")
 
-    digit = lambda k: period[(k - 1) % m]  # a_k for k >= 1
-
     ps = [1, a0]  # p_{-1}, p_0, ...
     qs = [0, 1]
     for k in range(1, depth + 1):
-        ak = digit(k)
+        ak = period[(k - 1) % m]
         ps.append(ak * ps[-1] + ps[-2])
         qs.append(ak * qs[-1] + qs[-2])
 
-    betas = [QuadRat(Fraction(-p), Fraction(q), d) for p, q in zip(ps, qs)]
-
     # Sanity sweep: determinant identity, sign alternation, strict decay.
-    for k in range(0, depth):
-        i = k + 1  # offset into the lists
-        det = ps[i] * qs[i - 1] - ps[i - 1] * qs[i]
-        if det != (-1) ** (k + 1):
-            raise VerificationFailed(
-                f"p_{k} q_{k - 1} - p_{k - 1} q_{k} = {det} for sqrt({d}), "
-                f"expected {(-1) ** (k + 1)}"
-            )
+    # With beta_k of sign s, |beta_{k+1}| - |beta_k| = -s (beta_k + beta_{k+1}).
     for k in range(0, depth + 1):
-        if betas[k + 1].sign() != (1 if k % 2 == 0 else -1):
-            raise VerificationFailed(f"beta_{k} = {betas[k + 1]} for sqrt({d}) has the wrong sign")
-        if k + 1 <= depth and (abs(betas[k + 2]) - abs(betas[k + 1])).sign() >= 0:
+        i, s = k + 1, (-1) ** k  # offset into the lists, sign of beta_k
+        det = ps[i] * qs[i - 1] - ps[i - 1] * qs[i]
+        if det != -s:
             raise VerificationFailed(
-                f"|beta_{k + 1}| >= |beta_{k}| for sqrt({d}): {betas[k + 2]}, {betas[k + 1]}"
+                f"p_{k} q_{k - 1} - p_{k - 1} q_{k} = {det} for sqrt({d}), expected {-s}"
             )
+        if sign_sqrt(-ps[i], qs[i], dn, dd) != s:
+            raise VerificationFailed(f"beta_{k} = {qs[i]}*sqrt({d}) - {ps[i]} has the wrong sign")
+        if k < depth and s * sign_sqrt(ps[i] + ps[i + 1], -(qs[i] + qs[i + 1]), dn, dd) >= 0:
+            raise VerificationFailed(f"|beta_{k + 1}| >= |beta_{k}| for sqrt({d})")
 
     return CFData(
         d=d,
@@ -170,7 +168,6 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
         s_max=max(period),
         conv_p=tuple(ps),
         conv_q=tuple(qs),
-        betas=tuple(betas),
         zetas=tuple(zetas),
         depth=depth,
     )
@@ -207,12 +204,7 @@ class IdentityVerdict:
     witness: dict | None
 
     def to_json(self) -> dict:
-        return {
-            "fact_id": self.fact_id,
-            "printed": self.printed,
-            "corrected": self.corrected,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _verdict(ok: bool) -> str:

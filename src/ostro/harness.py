@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import cfrac, ostrowski, shiftcalc
-from .errors import OstroError, UnsupportedRadicand, VerificationFailed, WitnessUnavailable
-from .qfield import QuadRat
+from .errors import DepthExceeded, UnsupportedRadicand, VerificationFailed, WitnessUnavailable
+from .qfield import QuadRat, parse_rat
 
 # Non-square radicands exercised by default: sixteen integers and five
 # non-integer rationals, all greater than 1.
@@ -59,39 +59,41 @@ class SuiteConfig:
     identity_k_max: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "d_list": [str(d) for d in self.d_list],
-            "depth": self.depth,
-            "n_max": self.n_max,
-            "n_unique": self.n_unique,
-            "lambda_n_max": self.lambda_n_max,
-            "eps": str(self.eps),
-            "lambda_samples": self.lambda_samples,
-            "probe_samples": self.probe_samples,
-            "probe_l_max": self.probe_l_max,
-            "probe_q_limit": self.probe_q_limit,
-            "class_l_max": self.class_l_max,
-            "seed": self.seed,
-            "identity_k_max": self.identity_k_max,
-        }
+        """Every field in declaration order, rationals as strings."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, tuple):
+                v = [str(x) for x in v]
+            elif isinstance(v, Fraction):
+                v = str(v)
+            out[f.name] = v
+        return out
 
 
-def config_from_json(data: dict) -> SuiteConfig:
-    """Build a SuiteConfig from parsed JSON, tolerating partial dicts."""
+def config_from_json(data) -> SuiteConfig:
+    """Build a SuiteConfig from parsed JSON, tolerating partial dicts.
+
+    Missing keys and null scalars keep their defaults, unknown keys are
+    ignored, and a value of the wrong shape raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     kwargs: dict = {}
-    if "d_list" in data:
-        kwargs["d_list"] = tuple(Fraction(str(x)) for x in data["d_list"])
-    for key in (
-        "depth", "n_max", "n_unique", "lambda_n_max", "lambda_samples",
-        "probe_samples", "probe_l_max", "probe_q_limit", "class_l_max",
-        "seed", "identity_k_max",
-    ):
-        if key in data and data[key] is not None:
-            kwargs[key] = int(data[key])
-    if "eps" in data and data["eps"] is not None:
-        from .qfield import parse_rat
-
-        kwargs["eps"] = parse_rat(str(data["eps"]))
+    for f in fields(SuiteConfig):
+        value = data.get(f.name)
+        if isinstance(f.default, tuple) and f.name in data:  # d_list
+            if not isinstance(value, list):
+                raise ValueError(f"config field {f.name!r} must be a list, got {value!r}")
+            kwargs[f.name] = tuple(Fraction(str(x)) for x in value)
+        elif isinstance(f.default, tuple) or value is None:  # absent, or a null scalar
+            continue
+        elif isinstance(f.default, Fraction):  # eps
+            kwargs[f.name] = parse_rat(str(value))
+        elif isinstance(value, (list, dict)):
+            raise ValueError(f"config field {f.name!r} must be an integer, got {value!r}")
+        else:
+            kwargs[f.name] = int(value)
     return SuiteConfig(**kwargs)
 
 
@@ -207,7 +209,10 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
 
     # Exhaustive uniqueness: valid strings of length L decode bijectively
     # onto [0, q_L), which covers every n <= n_unique once q_L exceeds it.
-    length = next(k for k in range(cf.depth + 1) if cf.q(k) > config.n_unique)
+    length = next((k for k in range(cf.depth + 1) if cf.q(k) > config.n_unique), None)
+    if length is None:
+        raise DepthExceeded(f"uniqueness sweep needs q_k > n_unique={config.n_unique}, "
+                            f"but q_{cf.depth} = {cf.q(cf.depth)} at depth {cf.depth}")
     qs = cf.conv_q
     values = sorted(
         sum(b * qs[k + 1] for k, b in enumerate(digits))
@@ -330,8 +335,8 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
     """Run the harness over every d in the suite and assemble the report.
 
     A malformed suite (square or non-positive radicand) is rejected up
-    front; errors raised mid-run for an individual d are recorded in that
-    d's result entry instead of aborting the remaining radicands.
+    front; any exception raised mid-run for an individual d is recorded
+    in that d's result entry instead of aborting the remaining radicands.
     """
     for d in config.d_list:
         if cfrac.check_radicand(d) <= 1:
@@ -341,7 +346,7 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
     for d in config.d_list:
         try:
             results.append(audit_one(d, config))
-        except OstroError as exc:
+        except Exception as exc:  # recorded per radicand; the suite goes on
             results.append({"d": str(d), "error": f"{type(exc).__name__}: {exc}"})
     report = {
         "config": config.to_json(),

@@ -47,6 +47,17 @@ def sign_sqrt(a: int, b: int, dn: int, dd: int) -> int:
     return 0  # unreachable for a non-square radicand
 
 
+def floor_sqrt(a: int, b: int, big_d: int, e: int) -> int:
+    """Exact floor of (a + b*sqrt(big_d)) / e for integers a, b, e > 0 and
+    big_d > 0 non-square, as floor((a + floor(b*sqrt(big_d))) / e), where
+    b*sqrt(big_d) is irrational for b != 0.  QuadRat.floor delegates to it.
+    """
+    if b == 0:
+        return a // e
+    y = math.isqrt(b * b * big_d)
+    return (a + y) // e if b > 0 else (a - y - 1) // e
+
+
 def is_rational_square(x: Fraction) -> bool:
     """True iff x is the square of a rational.
 
@@ -211,25 +222,11 @@ class QuadRat:
         return -self if self.sign() < 0 else self
 
     def floor(self) -> int:
-        """Largest integer n with n <= a + b*sqrt(d).
-
-        Found by exact doubling/bisection on integer brackets, each probe
-        being one exact sign test, so no rounding can bite.
-        """
-        if self.is_rational:
-            return math.floor(self.a)
-        lo, hi = -1, 1
-        while (self - lo).sign() < 0:
-            lo *= 2
-        while (self - hi).sign() >= 0:
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (self - mid).sign() >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """Largest integer n <= a + b*sqrt(d); with (A, B, E) = scaled()
+        and d = dn/dd that is floor((A*dd + B*sqrt(dn*dd)) / (E*dd))."""
+        a, b, e = self.scaled()
+        dn, dd = self.d.numerator, self.d.denominator
+        return floor_sqrt(a * dd, b, dn * dd, e * dd)
 
     # -- presentation ---------------------------------------------------
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cfrac import CFData, ShiftConstants, _verdict
 from .errors import (
@@ -48,16 +47,18 @@ from .errors import (
 from .ostrowski import (
     KIND_REAL,
     OstDigits,
-    decode_nat,
+    beta_parts,
     decode_real,
     encode_nat,
     encode_real,
     in_interval,
+    in_window,
     make_digits,
     mult_nat_by_sqrt,
     tail_window,
+    window_parts,
 )
-from .qfield import QuadRat
+from .qfield import QuadRat, sign_sqrt
 
 _F0 = Fraction(0)
 
@@ -154,11 +155,6 @@ def _residue_dots(x: GenDigits, t: int, l: int) -> tuple[list[int], list[int]]:
     return acc_q, acc_p
 
 
-@lru_cache(maxsize=None)
-def _ones(t: int) -> Weights:
-    return Weights.ones(t)
-
-
 def _sigma_f_pair(x: GenDigits, u: Weights, l: int) -> tuple[QuadRat, QuadRat]:
     """(weighted_q_sum, weighted_beta_sum) of x from a single dot pass."""
     acc_q, acc_p = _residue_dots(x, len(u), l)
@@ -230,18 +226,12 @@ def _check_shift(x: OstDigits, l: int) -> None:
         raise DepthExceeded(f"shifted index {top + l} exceeds depth {x.cf.depth}")
 
 
-def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
-    """Audit: beta-value of x == (-1)^m * U * (all-ones beta sum at shift m).
-
-    Decided on integers: the beta-value is -bp + n sqrt(d) and the
-    shifted sum is y = -sp + sq sqrt(d), four dot products of the digits
-    against p and q; a constant c0 + c1 sqrt(d) times y has rational
-    part c1 sq d - c0 sp and sqrt(d) part c0 sq - c1 sp.
-    """
-    cf = x.cf
-    m = cf.m
+def _period_dots(x: OstDigits) -> tuple[int, int, int, int]:
+    """(n, bp, sq, sp): the dot products of x's digits b_k with q_k and
+    p_k, and (-1)^m times those with q_{k+m} and p_{k+m}."""
+    m = x.cf.m
     _check_shift(x, m)
-    qs, ps = cf.conv_q, cf.conv_p
+    qs, ps = x.cf.conv_q, x.cf.conv_p
     n = bp = sq = sp = 0
     for k, b in enumerate(x.digits):
         if b:
@@ -249,15 +239,28 @@ def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
             bp += b * ps[k + 1]
             sq += b * qs[k + m + 1]
             sp += b * ps[k + m + 1]
-    s = 1 if m % 2 == 0 else -1
+    return (n, bp, sq, sp) if m % 2 == 0 else (n, bp, -sq, -sp)
+
+
+def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
+    """Audit: beta-value of x == (-1)^m * U * (all-ones beta sum at shift m).
+
+    Decided on integers: the beta-value is -bp + n sqrt(d) and the
+    shifted sum times (-1)^m is y = -sp + sq sqrt(d), four dot products
+    of the digits against p and q; a constant c0 + c1 sqrt(d) times y has
+    rational part c1 sq d - c0 sp and sqrt(d) part c0 sq - c1 sp.
+    """
+    cf = x.cf
+    m = cf.m
+    n, bp, sq, sp = _period_dots(x)
     dn, dd = cf.d.numerator, cf.d.denominator
     (ua, ub, uden), _, _ = _integer_constants(sc)
-    # (-1)^m U y = (ra / dd + rb sqrt(d)) / uden
-    ra = s * (ub * sq * dn - ua * sp * dd)
-    rb = s * (ua * sq - ub * sp)
+    # U y = (ra / dd + rb sqrt(d)) / uden
+    ra = ub * sq * dn - ua * sp * dd
+    rb = ua * sq - ub * sp
     c0, c1 = cf.q(m - 1) + cf.a0 * cf.q(m), cf.q(m)
-    pa = s * (c1 * sq * dn - c0 * sp * dd)
-    pb = s * (c0 * sq - c1 * sp)
+    pa = c1 * sq * dn - c0 * sp * dd
+    pb = c0 * sq - c1 * sp
     return AuditEntry(
         lemma="frac-recovery",
         n=n,
@@ -316,14 +319,9 @@ def times_sqrt_frac(x: OstDigits, sc: ShiftConstants) -> QuadRat:
     and f / U is realized representationally as (-1)^m times the
     all-ones beta sum of the m-shifted digits.
     """
-    cf = x.cf
-    f = decode_real(x)
-    y = weighted_beta_sum(embed(x), _ones(cf.t), cf.m)
-    fu = y if cf.m % 2 == 0 else -y
-    a, b = sc.a_const, sc.b_const
-    c1 = sc.pell_norm / a
-    c2 = Fraction(b, a)
-    return QuadRat(c1 * fu.a + c2 * f.a, c1 * fu.b + c2 * f.b, cf.d)
+    n, bp, sq, sp = _period_dots(x)  # f = -bp + n sqrt(d), f / U = -sp + sq sqrt(d)
+    pell, a, b = sc.pell_norm, sc.a_const, sc.b_const
+    return QuadRat(Fraction(-sp * pell - b * bp, a), Fraction(sq * pell + b * n, a), x.cf.d)
 
 
 def times_sqrt_nat(n: int, cf: CFData, sc: ShiftConstants) -> QuadRat:
@@ -358,13 +356,17 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
     if not in_interval(cf, c):
         raise VerificationFailed(f"{x} - {whole} = {c} is outside I for d={cf.d}")
 
-    depth = None
-    for k in range(1, cf.depth + 1):
-        tail = abs(cf.beta(k - 1)) + abs(cf.beta(k))
-        if ((tail * root) - eps).sign() < 0:
-            depth = k
+    # depth = the first k with (|beta_{k-1}| + |beta_k|) sqrt(d) < eps.  The
+    # betas alternate, so that tail is s (beta_{k-1} - beta_k), s the sign of
+    # beta_{k-1}; times sqrt(d), minus eps and scaled by dd*ed it is a sign_sqrt.
+    dn, dd, en, ed = cf.d.numerator, cf.d.denominator, eps.numerator, eps.denominator
+    ps, qs = cf.conv_p, cf.conv_q
+    for depth in range(1, cf.depth + 1):
+        s = 1 if depth % 2 else -1
+        dq, dp = qs[depth] - qs[depth + 1], ps[depth] - ps[depth + 1]
+        if sign_sqrt(s * dq * dn * ed - en * dd, -s * dp * dd * ed, dn, dd) < 0:
             break
-    if depth is None:
+    else:
         raise DepthExceeded(f"eps={eps} needs more than {cf.depth} digit positions")
 
     digits = encode_real(c, cf, depth)
@@ -413,11 +415,11 @@ def prefix_nat(cf: CFData, l: int, c: QuadRat) -> int:
     """The unique natural n < q_{l+1} whose digits match the first l+1
     digits of c, certified by the exact window inequalities."""
     x = encode_real(c, cf, l + 1)
-    n = decode_nat(x)
+    fa, n = beta_parts(x)  # f(x) = fa + n sqrt(d), n the value on the q scale
     digit_l = x.digits[l] if l < len(x.digits) else 0
-    lo, hi = prefix_window(cf, l, last_digit_zero=digit_l == 0)
-    diff = c - decode_real(x)
-    if not ((diff - lo).sign() >= 0 and (diff - hi).sign() < 0):
+    ca, cb, den = c.scaled()  # c - f(x) must lie in prefix_window(cf, l, digit_l == 0)
+    win = window_parts(cf, l + 1, blocked=digit_l != 0)
+    if not in_window(cf, ca - fa * den, cb - n * den, den, win):
         raise VerificationFailed(f"prefix window certificate failed at l={l} for {c}")
     if n >= cf.q(l + 1):
         raise VerificationFailed(f"prefix natural {n} >= q_{l + 1} = {cf.q(l + 1)} for {c}")

@@ -91,6 +91,30 @@ def test_complete_quotient_periodicity(cf_of):
     assert cf_of(3).zeta(4) == quad(1, 1, 3)
 
 
+def floor_by_bisection(z):
+    """floor(z) from exact sign tests alone, independent of QuadRat.floor."""
+    lo, hi = -1, 1
+    while (z - lo).sign() < 0:
+        lo *= 2
+    while (z - hi).sign() >= 0:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if (z - mid).sign() >= 0 else (lo, mid)
+    return lo
+
+
+def test_integer_zetas_match_quadrat_recurrence():
+    # the (P, Q) recurrence of expand against zeta_{k+1} = 1/(zeta_k - a_k)
+    for d in DEFAULT_D_LIST + (Fraction(991), Fraction(1000003, 7)):
+        cf = expand(d, 8)
+        z = cf.sqrt_d()
+        for k in range(0, 2 * cf.m + 3):
+            assert cf.zeta(k) == z, (d, k)
+            assert cf.a(k) == floor_by_bisection(z), (d, k)
+            z = (z - floor_by_bisection(z)).inverse()
+
+
 def test_expand_rejects_bad_radicands():
     for bad in (1, 4, 9, Fraction(9, 4)):  # 1 is a square, caught first
         with pytest.raises(RationalSquare):

@@ -169,6 +169,25 @@ def test_audit_config_file_with_override(tmp_path, capsys):
     assert rep["config"]["seed"] == 7
 
 
+@pytest.mark.parametrize(
+    "blob", ['{"d_list": null}', '{"d_list": 5}', '{"depth": [1]}', '[{"d_list": ["2"]}]']
+)
+def test_audit_malformed_config_is_input_error(tmp_path, capsys, blob):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(blob)
+    assert main(["audit", "--config", str(cfg), "--d", "2", "--n-max", "5"]) == 2
+
+
+def test_audit_records_each_radicand_error(capsys):
+    # depth 9 leaves d=3 without q_k > n_unique and d=5 without enough
+    # digits for eps; both are recorded and the suite still reports
+    code, out = run(capsys, "audit", "--d", "3,5", "--depth", "9", "--n-max", "5")
+    assert code == 1
+    errors = [ln for ln in out.splitlines() if "ERROR DepthExceeded" in ln]
+    assert [ln.split(":")[0] for ln in errors] == ["d=3", "d=5"]
+    assert "n_unique=500" in errors[0] and "depth 9" in errors[0]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "cf.json"
     code = main(["cf", "--d", "3", "--format", "json", "--output", str(target)])

@@ -2,6 +2,7 @@
 config (de)serialization, and input validation."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -134,6 +135,24 @@ def test_corrupted_constants_are_counted_not_raised(monkeypatch):
     assert corrected_failures(report) > 0
 
 
+def test_unexpected_error_is_recorded_per_radicand(monkeypatch, small_report):
+    probe = harness.shiftcalc.residue_class_probe
+
+    def broken(cf, *args):
+        if cf.d == 3:
+            raise ZeroDivisionError("injected")
+        return probe(cf, *args)
+
+    monkeypatch.setattr(harness.shiftcalc, "residue_class_probe", broken)
+    report = run_suite(SMALL)
+    bad, good = report["results"]
+    assert bad == {"d": "3", "error": "ZeroDivisionError: injected"}
+    timing = ("stages", "elapsed_s")
+    want = {k: v for k, v in small_report["results"][1].items() if k not in timing}
+    assert {k: v for k, v in good.items() if k not in timing} == want
+    assert corrected_failures(report) == 1
+
+
 def test_small_audit_under_optimize(tmp_path):
     cfg = tmp_path / "small.json"
     cfg.write_text(json.dumps(SMALL.to_json()))
@@ -184,3 +203,20 @@ def test_worked_example_script(args):
     )
     assert proc.returncode == 0, proc.stderr
     assert "corrected:fails" not in proc.stdout
+
+
+def test_benchmark_traced_names_resolve():
+    # the traced benchmark run wraps these functions by name, so each
+    # must stay importable even when no production path calls it
+    spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    )
+    assert traced
+    for mod, attr in traced:
+        obj = importlib.import_module(f"ostro.{mod}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (mod, attr)

@@ -97,6 +97,20 @@ def test_frozen_floors():
     assert (-(r2 - 1)).floor() == -1
     assert ((r3 + 1) / 2).floor() == 1
     assert quad(Fraction(-7, 2), 0, 2).floor() == -4
+    # negative b, rational radicands, and magnitudes around 10^30
+    assert quad(0, -1, 2).floor() == -2
+    assert quad(3, -2, 7).floor() == -3
+    assert quad(Fraction(1, 3), Fraction(-5, 7), Fraction(32, 9)).floor() == -2
+    assert quad(0, 1, Fraction(3, 2)).floor() == 1
+    assert quad(Fraction(-7, 3), Fraction(2, 5), Fraction(13, 4)).floor() == -2
+    # q_79 sqrt(2) lies just below p_79 and q_80 sqrt(2) just above p_80
+    q79, p79 = 1480845785007705294702019308528, 2094232192940929332692027310337
+    assert quad(0, q79, 2).floor() == p79 - 1
+    assert quad(0, -q79, 2).floor() == -p79
+    assert quad(0, 3575077977948634627394046618865, 2).floor() == 5055923762956339922096065927393
+    assert quad(10**30 + 7, -(10**15 + 3), 61).floor() == 999999999999992189750324093329
+    big = quad(Fraction(10**30, 7), Fraction(-(10**30), 11), Fraction(3, 2))
+    assert big.floor() == 31516700003362034497526048552
 
 
 def test_mixed_radicand_rejected():

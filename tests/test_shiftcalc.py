@@ -6,10 +6,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ostro import (
+    DepthExceeded,
     OutOfDomain,
     OutOfInterval,
     Weights,
@@ -36,6 +37,7 @@ from ostro import (
     weighted_q_sum,
     window_digit,
 )
+from ostro import shiftcalc
 from ostro.ostrowski import KIND_REAL, decode_nat, decode_real
 
 D_SMALL = [Fraction(x) for x in (2, 3, "3/2", "32/9")]
@@ -297,6 +299,81 @@ def test_times_sqrt_real_rejects_negative(cf_of, sc_of):
         times_sqrt_real(Fraction(-1, 2), Fraction(1, 10**6), cf3, sc3)
     with pytest.raises(OutOfDomain):
         times_sqrt_real(quad(-9, 5, 3), Fraction(1, 10**6), cf3, sc3)
+
+
+def reference_times_sqrt_frac(x, sc):
+    """times_sqrt_frac in QuadRat arithmetic: f / U is (-1)^m times the
+    all-ones beta sum at shift m, combined with f as
+    ((a^2 d - b^2) / a) (f / U) + (b / a) f."""
+    cf = x.cf
+    f = decode_real(x)
+    y = weighted_beta_sum(embed(x), Weights.ones(cf.t), cf.m)
+    fu = y if cf.m % 2 == 0 else -y
+    c1, c2 = sc.pell_norm / sc.a_const, Fraction(sc.b_const, sc.a_const)
+    return quad(c1 * fu.a + c2 * f.a, c1 * fu.b + c2 * f.b, cf.d)
+
+
+@given(st.sampled_from([Fraction(x) for x in (2, 3, 7, 13, "3/2", "32/9", "13/4")]),
+       st.integers(0, 10**6),
+       st.sampled_from([None, "pell", "ab"]),
+       st.integers(0, 7),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+def test_times_sqrt_frac_matches_quadrat_reference(cf_of, sc_of, d, n, field, i, delta):
+    cf, sc = cf_of(d), sc_of(d)
+    if field == "pell":
+        sc = replace(sc, pell_norm=sc.pell_norm + delta)
+    else:
+        sc = corrupt(sc, field, i, delta)
+    assume(sc.a_const != 0)
+    x = encode_nat(n, cf).retag(KIND_REAL)
+    assert times_sqrt_frac(x, sc) == reference_times_sqrt_frac(x, sc)
+
+
+def test_times_sqrt_frac_overrun_message(cf_of, sc_of):
+    # the top digit of q_64 - 1 over d = 3 sits at 63; shifting by m = 2 overruns
+    cf, sc = cf_of(3), sc_of(3)
+    x = encode_nat(cf.q(cf.depth) - 1, cf).retag(KIND_REAL)
+    with pytest.raises(DepthExceeded) as ours:
+        times_sqrt_frac(x, sc)
+    with pytest.raises(DepthExceeded) as ref:
+        reference_times_sqrt_frac(x, sc)
+    assert str(ours.value) == str(ref.value) == f"shifted index {len(x.digits) + 1} exceeds depth 64"
+
+
+def reference_real_depth(cf, eps):
+    """The digit count times_sqrt_real needs, from QuadRat absolute values:
+    the first k with (|beta_{k-1}| + |beta_k|) sqrt(d) < eps, or None."""
+    for k in range(1, cf.depth + 1):
+        tail = abs(cf.beta(k - 1)) + abs(cf.beta(k))
+        if (tail * cf.sqrt_d() - eps).sign() < 0:
+            return k
+    return None
+
+
+def test_times_sqrt_real_depth_matches_quadrat_reference(cf_of, sc_of, monkeypatch):
+    used = []
+
+    def spy(c, cf, depth):
+        used.append(depth)
+        return encode_real(c, cf, depth)
+
+    monkeypatch.setattr(shiftcalc, "encode_real", spy)
+    epsilons = [Fraction(2), Fraction(1, 7), Fraction(1, 10**9), Fraction(1, 10**40),
+                Fraction(3, 10**120)]
+    for d, depth in ((3, 64), (Fraction(13, 4), 64), (991, 130), (Fraction(1000003, 7), 440)):
+        cf, sc = cf_of(d, depth), sc_of(d, depth)
+        for eps in epsilons:
+            want = reference_real_depth(cf, eps)
+            used.clear()
+            if want is None:
+                with pytest.raises(DepthExceeded, match="digit positions"):
+                    times_sqrt_real(Fraction(7, 5), eps, cf, sc)
+                continue
+            try:
+                times_sqrt_real(Fraction(7, 5), eps, cf, sc)
+            except DepthExceeded as exc:  # the digits, shifted by m, overrun
+                assert str(exc).startswith("shifted index"), exc
+            assert used == [want], (d, eps)
 
 
 # ---------------------------------------------------------------------------
