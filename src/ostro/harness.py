@@ -75,7 +75,8 @@ def config_from_json(data) -> SuiteConfig:
     """Build a SuiteConfig from parsed JSON, tolerating partial dicts.
 
     Missing keys and null scalars keep their defaults, unknown keys are
-    ignored, and a value of the wrong shape raises ValueError.
+    ignored, and a value of the wrong type (an integer field takes an int,
+    not a bool, float, string, list or object) raises ValueError.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
@@ -90,10 +91,10 @@ def config_from_json(data) -> SuiteConfig:
             continue
         elif isinstance(f.default, Fraction):  # eps
             kwargs[f.name] = parse_rat(str(value))
-        elif isinstance(value, (list, dict)):
+        elif not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"config field {f.name!r} must be an integer, got {value!r}")
         else:
-            kwargs[f.name] = int(value)
+            kwargs[f.name] = value
     return SuiteConfig(**kwargs)
 
 
@@ -153,8 +154,9 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     mark = _lap(stages, "constants", mark)
 
     # --- one pass over n: roundtrip, sqrt split, both recoveries, and
-    # the shifted-digit product on the fractional part of n*sqrt(d) ------
-    n_max = min(config.n_max, cf.q(cf.depth) - 1)
+    # the shifted-digit product on the fractional part of n*sqrt(d); n <
+    # q_{depth-m+1} keeps the digits shifted by m inside the depth -------
+    n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
     exact_checked = min(config.lambda_n_max, n_max) + 1
     rt_fails: list = []
     frac_fails: list = []
@@ -163,24 +165,19 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     printed_frac_fails = printed_nat_fails = 0
     example = None
     interval = ostrowski.window_parts(cf, 0, blocked=True)  # I
-    root = cf.sqrt_d()
     exact_s = 0.0
     for n in range(n_max + 1):
         x = ostrowski.encode_nat(n, cf)
-        if ostrowski.decode_nat(x) != n:
+        fa, fb = ostrowski.beta_parts(x)  # fractional part of n*sqrt(d); fb = n
+        if fb != n:
             rt_fails.append({"n": n, "reason": "roundtrip"})
             continue
-        whole, frac = ostrowski.mult_nat_by_sqrt(x)
-        fa, fb = ostrowski.beta_parts(frac)
-        # whole + (fa + fb sqrt(d)) = n sqrt(d), compared component-wise
-        if fa + whole != 0 or fb != n:
-            rt_fails.append({"n": n, "reason": "sqrt-split value"})
-        elif not ostrowski.in_window(cf, fa, fb, 1, interval):
+        if not ostrowski.in_window(cf, fa, fb, 1, interval):
             rt_fails.append({"n": n, "reason": "fractional part outside I"})
         if n < exact_checked:
             t_exact = time.perf_counter()
-            prod = shiftcalc.times_sqrt_frac(frac, sc)
-            direct = root * ostrowski.decode_real(frac)
+            prod = shiftcalc.times_sqrt_frac(x, sc)
+            direct = QuadRat(Fraction(fb * cf.d), Fraction(fa), cf.d)  # sqrt(d) (fa + fb sqrt(d))
             if prod != direct:
                 exact_fails.append({"n": n, "lhs": str(prod), "rhs": str(direct)})
             exact_s += time.perf_counter() - t_exact
@@ -250,7 +247,7 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
                 n = shiftcalc.prefix_nat(cf, l, c)  # certified internally
                 row.append(n)
                 dig = digits[l] if l < len(digits) else 0
-                if shiftcalc.window_digit(cf, l, c) != dig:
+                if shiftcalc.prefix_digit(cf, l, n) != dig:
                     fails.append({"l": l, "c": str(c), "reason": "digit mismatch"})
             got.append(row)
         # Brute-force oracle: scan every candidate prefix natural against

@@ -116,24 +116,35 @@ def encode_nat(n: int, cf: CFData) -> OstDigits:
     return make_digits(cf, digits, KIND_NAT)
 
 
+def check_depth(x: OstDigits, l: int = 0) -> None:
+    """Raise DepthExceeded if x's last nonzero digit, moved up by l, is
+    past the materialized depth."""
+    top = len(x.digits) - 1
+    while top >= 0 and x.digits[top] == 0:
+        top -= 1
+    if top >= 0 and top + l > x.cf.depth:
+        what = "shifted index" if l else "digit index"
+        raise DepthExceeded(f"{what} {top + l} exceeds depth {x.cf.depth}")
+
+
+def beta_parts(x: OstDigits, l: int = 0) -> tuple[int, int]:
+    """Integers (A, B) with A + B*sqrt(d) = sum_k b_k beta_{k+l}, the one
+    evaluation of a digit string: beta_k = q_k sqrt(d) - p_k, so B is the
+    q_{k+l} dot product (x as a natural at l = 0) and -A the p_{k+l} one.
+    """
+    check_depth(x, l)
+    qs, ps = x.cf.conv_q, x.cf.conv_p  # qs[i] = q_{i-1}
+    bq = bp = 0
+    for i, b in enumerate(x.digits, l + 1):
+        if b:
+            bq += b * qs[i]
+            bp += b * ps[i]
+    return -bp, bq
+
+
 def decode_nat(x: OstDigits) -> int:
     """Value of a digit string on the q_k scale."""
-    qs = x.cf.conv_q
-    return sum(b * qs[k + 1] for k, b in enumerate(x.digits))
-
-
-def beta_parts(x: OstDigits) -> tuple[int, int]:
-    """Integers (A, B) with A + B*sqrt(d) the value of x on the beta_k scale.
-
-    beta_k = q_k sqrt(d) - p_k, so A and B are two integer dot products.
-    """
-    cf = x.cf
-    qs, ps = cf.conv_q, cf.conv_p
-    bq = bp = 0
-    for k, b in enumerate(x.digits):
-        bq += b * qs[k + 1]
-        bp += b * ps[k + 1]
-    return -bp, bq
+    return beta_parts(x)[1]
 
 
 def decode_real(x: OstDigits) -> QuadRat:
@@ -153,9 +164,7 @@ def mult_nat_by_sqrt(x: OstDigits) -> tuple[int, OstDigits]:
     same digits, reread on the beta scale, give the fractional part; the
     integer part is the p_k dot product.
     """
-    ps = x.cf.conv_p
-    whole = sum(b * ps[k + 1] for k, b in enumerate(x.digits))
-    return whole, x.retag(KIND_REAL)
+    return -beta_parts(x)[0], x.retag(KIND_REAL)
 
 
 def enumerate_valid(cf: CFData, length: int):

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfrac import CFData, ShiftConstants, _verdict
+from .cfrac import CFData, ShiftConstants, _verdict, expand
 from .errors import (
     DepthExceeded,
     InvalidDigits,
@@ -48,6 +48,7 @@ from .ostrowski import (
     KIND_REAL,
     OstDigits,
     beta_parts,
+    check_depth,
     decode_real,
     encode_nat,
     encode_real,
@@ -216,57 +217,39 @@ def _integer_constants(sc: ShiftConstants) -> tuple:
     return cached
 
 
-def _check_shift(x: OstDigits, l: int) -> None:
-    """Raise DepthExceeded if x's last nonzero digit, moved up by l, is
-    past the materialized depth."""
-    top = len(x.digits) - 1
-    while top >= 0 and x.digits[top] == 0:
-        top -= 1
-    if top >= 0 and top + l > x.cf.depth:
-        raise DepthExceeded(f"shifted index {top + l} exceeds depth {x.cf.depth}")
-
-
 def _period_dots(x: OstDigits) -> tuple[int, int, int, int]:
-    """(n, bp, sq, sp): the dot products of x's digits b_k with q_k and
-    p_k, and (-1)^m times those with q_{k+m} and p_{k+m}."""
-    m = x.cf.m
-    _check_shift(x, m)
-    qs, ps = x.cf.conv_q, x.cf.conv_p
-    n = bp = sq = sp = 0
-    for k, b in enumerate(x.digits):
-        if b:
-            n += b * qs[k + 1]
-            bp += b * ps[k + 1]
-            sq += b * qs[k + m + 1]
-            sp += b * ps[k + m + 1]
-    return (n, bp, sq, sp) if m % 2 == 0 else (n, bp, -sq, -sp)
+    """(fa, fb, ya, yb): f = fa + fb sqrt(d) is the beta-value of x and
+    f / U = ya + yb sqrt(d) is (-1)^m times its all-ones beta sum at m."""
+    s = -1 if x.cf.m % 2 else 1
+    ya, yb = beta_parts(x, x.cf.m)
+    return (*beta_parts(x), s * ya, s * yb)
 
 
 def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     """Audit: beta-value of x == (-1)^m * U * (all-ones beta sum at shift m).
 
-    Decided on integers: the beta-value is -bp + n sqrt(d) and the
-    shifted sum times (-1)^m is y = -sp + sq sqrt(d), four dot products
-    of the digits against p and q; a constant c0 + c1 sqrt(d) times y has
-    rational part c1 sq d - c0 sp and sqrt(d) part c0 sq - c1 sp.
+    Decided on integers: the beta-value is fa + n sqrt(d) and the
+    shifted sum times (-1)^m is y = ya + yb sqrt(d), both from
+    beta_parts; a constant c0 + c1 sqrt(d) times y has rational part
+    c0 ya + c1 yb d and sqrt(d) part c0 yb + c1 ya.
     """
     cf = x.cf
     m = cf.m
-    n, bp, sq, sp = _period_dots(x)
+    fa, n, ya, yb = _period_dots(x)
     dn, dd = cf.d.numerator, cf.d.denominator
     (ua, ub, uden), _, _ = _integer_constants(sc)
     # U y = (ra / dd + rb sqrt(d)) / uden
-    ra = ub * sq * dn - ua * sp * dd
-    rb = ua * sq - ub * sp
+    ra = ua * ya * dd + ub * yb * dn
+    rb = ua * yb + ub * ya
     c0, c1 = cf.q(m - 1) + cf.a0 * cf.q(m), cf.q(m)
-    pa = c1 * sq * dn - c0 * sp * dd
-    pb = c0 * sq - c1 * sp
+    pa = c0 * ya * dd + c1 * yb * dn
+    pb = c0 * yb + c1 * ya
     return AuditEntry(
         lemma="frac-recovery",
         n=n,
-        printed=_verdict(pa == -bp * dd and pb == n),
-        corrected=_verdict(ra == -bp * dd * uden and rb == n * uden),
-        lhs=QuadRat(Fraction(-bp), Fraction(n), cf.d),
+        printed=_verdict(pa == fa * dd and pb == n),
+        corrected=_verdict(ra == fa * dd * uden and rb == n * uden),
+        lhs=QuadRat(Fraction(fa), Fraction(n), cf.d),
         rhs=QuadRat(Fraction(ra, dd * uden), Fraction(rb, uden), cf.d),
     )
 
@@ -281,7 +264,7 @@ def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     v- and w-weighted p dot products over the weights' denominators.
     """
     cf = x.cf
-    _check_shift(x, 1)
+    check_depth(x, 1)
     qs, ps = cf.conv_q, cf.conv_p
     _, (nv, dv), (nw, dw) = _integer_constants(sc)
     t = sc.t
@@ -319,9 +302,9 @@ def times_sqrt_frac(x: OstDigits, sc: ShiftConstants) -> QuadRat:
     and f / U is realized representationally as (-1)^m times the
     all-ones beta sum of the m-shifted digits.
     """
-    n, bp, sq, sp = _period_dots(x)  # f = -bp + n sqrt(d), f / U = -sp + sq sqrt(d)
+    fa, fb, ya, yb = _period_dots(x)  # f = fa + fb sqrt(d), f / U = ya + yb sqrt(d)
     pell, a, b = sc.pell_norm, sc.a_const, sc.b_const
-    return QuadRat(Fraction(-sp * pell - b * bp, a), Fraction(sq * pell + b * n, a), x.cf.d)
+    return QuadRat(Fraction(ya * pell + b * fa, a), Fraction(yb * pell + b * fb, a), x.cf.d)
 
 
 def times_sqrt_nat(n: int, cf: CFData, sc: ShiftConstants) -> QuadRat:
@@ -339,7 +322,8 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
 
     x is reduced mod 1 into the fundamental interval, encoded to enough
     digits that the tail (times sqrt(d)) is below eps, and the shifted
-    digit machinery supplies the product of the encoded part.  The error
+    digit machinery supplies the product of the encoded part, from a
+    deeper expansion if the digits shifted by m pass cf.depth.  The error
     bound is certified by an exact sign test before returning.
     """
     if isinstance(x, (int, Fraction)):
@@ -370,6 +354,9 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
         raise DepthExceeded(f"eps={eps} needs more than {cf.depth} digit positions")
 
     digits = encode_real(c, cf, depth)
+    reach = len(digits.digits) - 1 + cf.m
+    if reach > cf.depth:
+        digits = make_digits(expand(cf.d, reach), digits.digits, KIND_REAL)
     result = QuadRat(Fraction(0), Fraction(whole), cf.d) + times_sqrt_frac(digits, sc)
     err = result - root * x
     if not (abs(err) - eps).sign() < 0:
@@ -426,19 +413,23 @@ def prefix_nat(cf: CFData, l: int, c: QuadRat) -> int:
     return n
 
 
-def window_digit(cf: CFData, l: int, c: QuadRat) -> int:
-    """Digit of c at position l, read off the prefix natural by thresholds.
+def prefix_digit(cf: CFData, l: int, n: int) -> int:
+    """Digit at position l of the prefix natural n < q_{l+1}, by thresholds.
 
-    With n the matching prefix natural: the digit is 0 when n < q_l and
-    otherwise the unique i with i q_l <= n < min(q_{l+1}, (i+1) q_l).
+    The digit is 0 when n < q_l and otherwise the unique i with
+    i q_l <= n < min(q_{l+1}, (i+1) q_l), that is i = n // q_l.
     """
-    n = prefix_nat(cf, l, c)
     i = n // cf.q(l)
     if i > cf.a(l + 1):
         raise VerificationFailed(
-            f"digit {i} at l={l} exceeds a_{l + 1} = {cf.a(l + 1)} (prefix natural {n}) for {c}"
+            f"digit {i} at l={l} exceeds a_{l + 1} = {cf.a(l + 1)} (prefix natural {n})"
         )
     return i
+
+
+def window_digit(cf: CFData, l: int, c: QuadRat) -> int:
+    """Digit of c at position l, read off the prefix natural by thresholds."""
+    return prefix_digit(cf, l, prefix_nat(cf, l, c))
 
 
 def residue_class_probe(cf: CFData, j: int, n_mod: int, l_max: int) -> tuple[bool, ...]:

@@ -2,11 +2,16 @@
 trips, depth capping, and file output."""
 
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ostro
+from ostro import parse_quad, quad
 from ostro.cli import main
 from ostro.harness import config_from_json
 
@@ -119,6 +124,17 @@ def test_mul_negative_is_domain_error(capsys):
     assert main(["mul", "--d", "3", "--x", "-1", "--eps", "1e-9"]) == 4
 
 
+def test_mul_reads_past_depth_for_the_shift(capsys):
+    # eps needs digits up to position 117 of depth 118; shifted by m = 2
+    # the product reads position 119, so mul expands one position deeper
+    code, out = run(capsys, "mul", "--d", "3", "--depth", "118", "--x", "7/5",
+                    "--eps", "1e-33", "--format", "json")
+    assert code == 0
+    result = parse_quad(json.loads(out)["result"], Fraction(3))
+    err = result - quad(Fraction(7, 5), 0, 3) * quad(0, 1, 3)
+    assert (abs(err) - Fraction(1, 10**33)).sign() < 0
+
+
 def test_mul_json(capsys):
     code, out = run(capsys, "mul", "--d", "2", "--x", "1", "--eps", "1e-12",
                     "--format", "json")
@@ -170,7 +186,8 @@ def test_audit_config_file_with_override(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "blob", ['{"d_list": null}', '{"d_list": 5}', '{"depth": [1]}', '[{"d_list": ["2"]}]']
+    "blob", ['{"d_list": null}', '{"d_list": 5}', '{"depth": [1]}', '[{"d_list": ["2"]}]',
+             '{"n_max": 5.9, "seed": true}', '{"seed": true}', '{"depth": "64"}']
 )
 def test_audit_malformed_config_is_input_error(tmp_path, capsys, blob):
     cfg = tmp_path / "suite.json"
@@ -216,3 +233,30 @@ def test_module_entry_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5"
+
+
+# Documented exit codes for failures that once escaped as tracebacks.
+# "{config}" stands for a config file holding a non-integer n_max.
+EXIT_CASES = [
+    (["decode", "--d", "3", "--depth", "2", "0,1,0,1,0,1"], 3),
+    (["decode", "--d", "3", "--depth", "2", "0,1,0,1,0,1", "--real"], 3),
+    (["mul", "--d", "3", "--depth", "8", "--x", "7/5", "--eps", "1e-30"], 3),
+    (["audit", "--config", "{config}", "--d", "2"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", EXIT_CASES, ids=["decode", "decode-real", "mul-eps", "config"])
+def test_module_exit_codes(tmp_path, argv, code):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text('{"n_max": 5.9}')
+    argv = [str(cfg) if a == "{config}" else a for a in argv]
+    src = str(Path(ostro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ostro", *argv], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")], proc.stderr

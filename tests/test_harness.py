@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -101,6 +102,53 @@ def test_config_partial_parse():
     assert cfg.n_max == 12
     assert cfg.eps == Fraction(1, 10**6)
     assert cfg.depth == SuiteConfig().depth
+
+
+def test_n_sweep_stops_below_the_shifted_depth():
+    # the recoveries read the digits shifted by m = 2, so over depth 14
+    # n stays below q_13 = 2911 instead of raising DepthExceeded
+    config = config_from_json({"d_list": ["3"], "depth": 14, "n_max": 100000,
+                               "n_unique": 30, "eps": "1/10", "class_l_max": 6})
+    report = run_suite(config)
+    res = report["results"][0]
+    assert "error" not in res, res
+    assert res["depth"] == 14
+    for key in ("roundtrip_and_split", "recover_frac", "recover_nat"):
+        assert res[key]["checked"] == 2911
+    assert corrected_failures(report) == 0
+
+
+def test_corrupted_encoding_is_one_roundtrip_failure(monkeypatch):
+    encode = harness.ostrowski.encode_nat
+
+    def corrupted(n, cf):
+        return encode(n + 1 if n == 40 else n, cf)
+
+    monkeypatch.setattr(harness.ostrowski, "encode_nat", corrupted)
+    report = run_suite(replace(SMALL, d_list=(Fraction(3),)))
+    res = report["results"][0]
+    assert res["roundtrip_and_split"]["failures"] == 1
+    assert res["roundtrip_and_split"]["first_failure"] == {"n": 40, "reason": "roundtrip"}
+    for key in ("recover_frac", "recover_nat", "times_sqrt_exact", "prefix_probe"):
+        assert res[key]["failures"] == 0, key
+    assert corrected_failures(report) == 1
+
+
+def test_prefix_natural_computed_once_per_probe(monkeypatch):
+    calls = Counter()
+    prefix_nat = harness.shiftcalc.prefix_nat
+
+    def spy(cf, l, c):
+        calls[l, c] += 1
+        return prefix_nat(cf, l, c)
+
+    monkeypatch.setattr(harness.shiftcalc, "prefix_nat", spy)
+    report = run_suite(replace(SMALL, d_list=(Fraction(3),)))
+    res = report["results"][0]
+    reads = res["class_probe"]["checked"] * (SMALL.class_l_max + 1)
+    assert res["prefix_probe"]["failures"] == 0
+    assert len(calls) == res["prefix_probe"]["checked"] + reads
+    assert set(calls.values()) == {1}
 
 
 def test_suite_rejects_bad_radicands():

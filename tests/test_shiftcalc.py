@@ -38,7 +38,7 @@ from ostro import (
     window_digit,
 )
 from ostro import shiftcalc
-from ostro.ostrowski import KIND_REAL, decode_nat, decode_real
+from ostro.ostrowski import KIND_REAL, beta_parts, decode_nat, decode_real
 
 D_SMALL = [Fraction(x) for x in (2, 3, "3/2", "32/9")]
 
@@ -111,6 +111,53 @@ def test_shifted_decode_is_reindexed_sum(cf_of):
     x = encode_nat(37, cf)
     val = weighted_q_sum(embed(x), Weights.ones(cf.t), 1)
     assert val == quad(0, sum(b * cf.q(k + 1) for k, b in enumerate(x.digits)), Fraction(3))
+
+
+def reference_beta_parts(x, l):
+    """beta_parts from the GenDigits path: the all-ones beta sum at shift l."""
+    val = weighted_beta_sum(embed(x), Weights.ones(x.cf.t), l)
+    return val.a, val.b
+
+
+@given(st.sampled_from(D_SMALL + [Fraction(7), Fraction(13, 4)]), st.integers(0, 10**9),
+       st.booleans())
+def test_beta_parts_matches_weighted_beta_sum(cf_of, d, n, real):
+    cf = cf_of(d)
+    x = encode_nat(n, cf)
+    if real:  # the kind does not enter the evaluation
+        x = x.retag(KIND_REAL)
+    for l in (0, 1, cf.m):
+        assert beta_parts(x, l) == reference_beta_parts(x, l), (d, n, l)
+    assert beta_parts(x) == beta_parts(x, 0)
+    assert decode_nat(x) == beta_parts(x)[1] == n
+
+
+def test_beta_parts_overrun_message(cf_of):
+    # q_64 - 1 over a depth-64 expansion has its top digit at 63; reread
+    # over a depth-8 expansion the same digits sit past the depth
+    for d in (3, Fraction(13, 4), 7):
+        cf, shallow = cf_of(d), cf_of(d, 8)
+        x = encode_nat(cf.q(cf.depth) - 1, cf)
+        top = len(x.digits) - 1
+        assert top == cf.depth - 1
+        for l in (0, 1, cf.m):
+            if top + l <= cf.depth:
+                assert beta_parts(x, l) == reference_beta_parts(x, l)
+                continue
+            with pytest.raises(DepthExceeded) as ours:
+                beta_parts(x, l)
+            with pytest.raises(DepthExceeded) as ref:
+                reference_beta_parts(x, l)
+            assert str(ours.value) == str(ref.value) == f"shifted index {top + l} exceeds depth 64"
+        deep = make_digits(shallow, x.digits)
+        with pytest.raises(DepthExceeded, match=f"^digit index {top} exceeds depth 8$"):
+            beta_parts(deep)
+        for l in (1, cf.m):
+            with pytest.raises(DepthExceeded) as ours:
+                beta_parts(deep, l)
+            with pytest.raises(DepthExceeded) as ref:
+                reference_beta_parts(deep, l)
+            assert str(ours.value) == str(ref.value) == f"shifted index {top + l} exceeds depth 8"
 
 
 def test_evaluation_frozen_values(cf_of, sc_of):
@@ -369,10 +416,9 @@ def test_times_sqrt_real_depth_matches_quadrat_reference(cf_of, sc_of, monkeypat
                 with pytest.raises(DepthExceeded, match="digit positions"):
                     times_sqrt_real(Fraction(7, 5), eps, cf, sc)
                 continue
-            try:
-                times_sqrt_real(Fraction(7, 5), eps, cf, sc)
-            except DepthExceeded as exc:  # the digits, shifted by m, overrun
-                assert str(exc).startswith("shifted index"), exc
+            # digits that overrun once shifted by m are read from a
+            # deeper expansion, not rejected
+            times_sqrt_real(Fraction(7, 5), eps, cf, sc)
             assert used == [want], (d, eps)
 
 
