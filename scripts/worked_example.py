@@ -32,7 +32,8 @@ def main() -> int:
     args = ap.parse_args()
 
     d = parse_rat(args.d)
-    cf = cfrac.expand_for_audit(d, args.depth)
+    cf = cfrac.expand(d, args.depth)
+    cf = cf.at_least(3 * cf.m + 3)  # the identity audit reads three periods
     root = cf.sqrt_d()
 
     print(f"sqrt({d}) = [{cf.a0}; {', '.join(map(str, cf.period))} ...]"

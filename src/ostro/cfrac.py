@@ -34,6 +34,7 @@ from .errors import (
 from .qfield import QuadRat, check_radicand, quad, sign_sqrt
 
 DEFAULT_DEPTH = 64
+MAX_PERIOD = 10_000  # longest period expand searches for
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,18 @@ class CFData:
         """Residue-class modulus used by the shift constants: max(m, 2)."""
         return max(self.m, 2)
 
+    def at_least(self, k: int) -> CFData:
+        """This expansion if it reaches index k, else sqrt(d) expanded to k."""
+        return self if k <= self.depth else expand(self.d, k)
+
 
 def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
     """Expand sqrt(d) to the given depth with exact arithmetic.
 
     d must be a non-square rational greater than 1 (below 1 the
     pre-period is longer; rescale with normalize_d first).  The full
-    period is always detected, whatever the depth.
+    period is always detected, whatever the depth; one longer than
+    MAX_PERIOD raises DepthExceeded.
     """
     d = check_radicand(d)
     if d <= 1:
@@ -128,8 +134,8 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
         big_q = (big_d - big_p * big_p) // big_q
         if (big_p, big_q) == first:
             break
-        if len(period) > 10_000:
-            raise VerificationFailed(f"period of sqrt({d}) not found within 10000 terms")
+        if len(period) == MAX_PERIOD:
+            raise DepthExceeded(f"period of sqrt({d}) not found within {MAX_PERIOD} terms")
     m = len(period)
 
     # Expected shape: palindromic interior, final digit 2*a0, minimal m.
@@ -171,18 +177,6 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
         zetas=tuple(zetas),
         depth=depth,
     )
-
-
-def expand_for_audit(d, depth: int = DEFAULT_DEPTH) -> CFData:
-    """Expand sqrt(d) to at least `depth`, deeper if the period needs it.
-
-    audit_identities needs depth >= 3m+3 and derive_shift_constants
-    needs 2t+2; the period is known after the first expansion, so a
-    long period costs one re-expansion.
-    """
-    cf = expand(d, depth)
-    need = max(depth, 3 * cf.m + 3, 2 * cf.t + 2)
-    return cf if need == cf.depth else expand(d, need)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +381,12 @@ def derive_shift_constants(cf: CFData) -> ShiftConstants:
     """Solve for the per-residue weights and verify them on every index.
 
     Each (v_i, w_i) comes from the 2x2 system at block indices k = 0, 1
-    and is then checked against every materialized k; any mismatch raises
-    VerificationFailed.  A singular system (cannot happen for d > 1, but
-    checked anyway) raises SingularSystem.
+    and is then checked against every k of cf.at_least(2t+2); any
+    mismatch raises VerificationFailed.  A singular system (cannot happen
+    for d > 1, but checked anyway) raises SingularSystem.
     """
     t = cf.t
-    if cf.depth < 2 * t + 2:
-        raise DepthExceeded(f"need depth >= {2 * t + 2} to derive shift constants, have {cf.depth}")
+    cf = cf.at_least(2 * t + 2)
     vs: list[Fraction] = []
     ws: list[Fraction] = []
     for i in range(t):
@@ -402,15 +395,12 @@ def derive_shift_constants(cf: CFData) -> ShiftConstants:
             raise SingularSystem(f"singular 2x2 system at residue {i} for d={cf.d}")
         v = Fraction(cf.q(i) * cf.p(t + i) - cf.q(t + i) * cf.p(i), det)
         w = Fraction(cf.p(i + 1) * cf.q(t + i) - cf.p(t + i + 1) * cf.q(i), det)
-        k = 0
-        while k * t + i + 1 <= cf.depth:
-            idx = k * t + i
+        for idx in range(i, cf.depth, t):
             if cf.q(idx) != v * cf.p(idx + 1) + w * cf.p(idx):
                 raise VerificationFailed(
                     f"shift constants for d={cf.d} fail at index {idx}: "
                     f"q={cf.q(idx)} vs {v}*{cf.p(idx + 1)}+{w}*{cf.p(idx)}"
                 )
-            k += 1
         vs.append(v)
         ws.append(w)
 

@@ -12,11 +12,13 @@ Exit codes:
     0  success
     1  a corrected-form check failed
     2  bad input (square d, malformed digits, malformed config)
-    3  requested or required depth exceeds the configured bound
+    3  an input needs more than --depth (eps digits, decode or encode
+       --digits past it), or a depth or period bound is exceeded
     4  domain error (value outside the fundamental interval, negative x)
 
 The environment variable OSTRO_MAX_DEPTH, when set, caps the expansion
-depth accepted from flags or config files.
+depth accepted from flags or config files.  The depth the period needs
+(2t+2, 3m+3, the m-shift of mul) grows on demand and is not counted.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from dataclasses import replace
 
 from . import cfrac, harness, ostrowski, shiftcalc
 from .errors import (
@@ -46,27 +48,21 @@ EXIT_DEPTH = 3
 EXIT_DOMAIN = 4
 
 
-def _max_depth() -> int | None:
+def _effective_depth(requested: int) -> int:
+    """The requested depth, checked against OSTRO_MAX_DEPTH when it is set."""
+    if requested < 1:
+        raise ValueError("depth must be positive")
     raw = os.environ.get("OSTRO_MAX_DEPTH")
     if raw is None:
-        return None
+        return requested
     try:
         cap = int(raw)
     except ValueError as exc:
         raise ValueError(f"OSTRO_MAX_DEPTH must be an integer, got {raw!r}") from exc
     if cap < 1:
         raise ValueError("OSTRO_MAX_DEPTH must be positive")
-    return cap
-
-
-def _effective_depth(requested: int) -> int:
-    if requested < 1:
-        raise ValueError("depth must be positive")
-    cap = _max_depth()
-    if cap is not None and requested > cap:
-        raise DepthExceeded(
-            f"requested depth {requested} exceeds OSTRO_MAX_DEPTH={cap}"
-        )
+    if requested > cap:
+        raise DepthExceeded(f"requested depth {requested} exceeds OSTRO_MAX_DEPTH={cap}")
     return requested
 
 
@@ -137,7 +133,7 @@ def cmd_encode(args) -> int:
         x = ostrowski.encode_nat(n, cf)
     else:
         value = parse_quad(text, cf.d)
-        x = ostrowski.encode_real(value, cf, min(args.digits, cf.depth))
+        x = ostrowski.encode_real(value, cf, args.digits)
     _emit(args, str(x))
     return EXIT_OK
 
@@ -222,10 +218,7 @@ def cmd_audit(args) -> int:
         overrides["eps"] = parse_rat(args.eps)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
+    config = replace(config, **overrides)
     _effective_depth(config.depth)
 
     report = harness.run_suite(config)

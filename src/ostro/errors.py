@@ -22,7 +22,8 @@ class MixedRadicand(OstroError):
 
 
 class DepthExceeded(OstroError):
-    """The requested index is beyond the materialized expansion depth."""
+    """The requested index is beyond the materialized expansion depth, or
+    the period is longer than the search allows (cfrac.MAX_PERIOD)."""
 
 
 class OutOfInterval(OstroError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -106,6 +107,15 @@ def _sweep(result: dict, name: str, checked: int, failures: list) -> None:
     }
 
 
+@contextmanager
+def _depth_bounded(result: dict, name: str):
+    """Run one sweep; a depth need past the expansion fails that sweep only."""
+    try:
+        yield
+    except DepthExceeded as exc:
+        _sweep(result, name, 0, [{"error": f"DepthExceeded: {exc}"}])
+
+
 def _lap(stages: dict, name: str, mark: float) -> float:
     """Charge the time since mark to stages[name]; return the new mark."""
     now = time.perf_counter()
@@ -125,11 +135,13 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     A + B*sqrt(d) is a pair of ints and its order test is
     qfield.sign_sqrt.  "stages" records the seconds spent in each sweep;
     the pass over n counts as "recovery" except its times_sqrt_exact
-    products.
+    products.  The expansion grows past config.depth to the 3m+3 the
+    identities need; a depth need of one sweep fails that sweep only.
     """
     t0 = time.perf_counter()
     stages = dict.fromkeys(STAGES, 0.0)
-    cf = cfrac.expand_for_audit(d, max(config.depth, 8))
+    cf = cfrac.expand(d, config.depth)
+    cf = cf.at_least(3 * cf.m + 3)
     rng = random.Random(f"{config.seed}:{d}")
 
     out: dict = {
@@ -206,34 +218,36 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
 
     # Exhaustive uniqueness: valid strings of length L decode bijectively
     # onto [0, q_L), which covers every n <= n_unique once q_L exceeds it.
-    length = next((k for k in range(cf.depth + 1) if cf.q(k) > config.n_unique), None)
-    if length is None:
-        raise DepthExceeded(f"uniqueness sweep needs q_k > n_unique={config.n_unique}, "
-                            f"but q_{cf.depth} = {cf.q(cf.depth)} at depth {cf.depth}")
-    qs = cf.conv_q
-    values = sorted(
-        sum(b * qs[k + 1] for k, b in enumerate(digits))
-        for digits in ostrowski.enumerate_valid(cf, length)
-    )
-    uniq_ok = values == list(range(cf.q(length)))
-    _sweep(out, "uniqueness", cf.q(length), [] if uniq_ok else [{"reason": "not a bijection"}])
+    with _depth_bounded(out, "uniqueness"):
+        length = next((k for k in range(cf.depth + 1) if cf.q(k) > config.n_unique), None)
+        if length is None:
+            raise DepthExceeded(f"uniqueness sweep needs q_k > n_unique={config.n_unique}, "
+                                f"but q_{cf.depth} = {cf.q(cf.depth)} at depth {cf.depth}")
+        qs = cf.conv_q
+        values = sorted(
+            sum(b * qs[k + 1] for k, b in enumerate(digits))
+            for digits in ostrowski.enumerate_valid(cf, length)
+        )
+        uniq_ok = values == list(range(cf.q(length)))
+        _sweep(out, "uniqueness", cf.q(length), [] if uniq_ok else [{"reason": "not a bijection"}])
     mark = _lap(stages, "uniqueness", mark)
 
     # --- representation-level multiplication ----------------------------
     _sweep(out, "times_sqrt_exact", exact_checked, exact_fails)
     real_fails = []
-    for _ in range(config.lambda_samples):
-        xval = Fraction(rng.randint(0, 100 * 9973), 9973)
-        try:
-            shiftcalc.times_sqrt_real(xval, config.eps, cf, sc)
-        except VerificationFailed as exc:
-            real_fails.append({"x": str(xval), "error": str(exc)})
-    _sweep(out, "times_sqrt_real", config.lambda_samples, real_fails)
+    with _depth_bounded(out, "times_sqrt_real"):
+        for _ in range(config.lambda_samples):
+            xval = Fraction(rng.randint(0, 100 * 9973), 9973)
+            try:
+                shiftcalc.times_sqrt_real(xval, config.eps, cf, sc)
+            except VerificationFailed as exc:
+                real_fails.append({"x": str(xval), "error": str(exc)})
+        _sweep(out, "times_sqrt_real", config.lambda_samples, real_fails)
     mark = _lap(stages, "times_sqrt_real", mark)
 
     # --- digit probes ----------------------------------------------------
     l_eff = -1
-    for l in range(config.probe_l_max + 1):
+    for l in range(min(config.probe_l_max, cf.depth - 1) + 1):
         if cf.q(l + 1) <= config.probe_q_limit:
             l_eff = l
     if l_eff >= 0:
@@ -285,19 +299,20 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     fails = []
     checked = 0
     skipped = []
-    for n_mod in (2, 3):
-        for j in range(n_mod):
-            try:
-                verdicts_ = shiftcalc.residue_class_probe(cf, j, n_mod, config.class_l_max)
-            except WitnessUnavailable:
-                skipped.append({"j": j, "mod": n_mod})
-                continue
-            checked += 1
-            expected = tuple(l % n_mod == j for l in range(config.class_l_max + 1))
-            if verdicts_ != expected:
-                fails.append({"j": j, "mod": n_mod, "got": list(verdicts_)})
-    _sweep(out, "class_probe", checked, fails)
-    out["class_probe"]["infeasible"] = skipped
+    with _depth_bounded(out, "class_probe"):
+        for n_mod in (2, 3):
+            for j in range(n_mod):
+                try:
+                    verdicts_ = shiftcalc.residue_class_probe(cf, j, n_mod, config.class_l_max)
+                except WitnessUnavailable:
+                    skipped.append({"j": j, "mod": n_mod})
+                    continue
+                checked += 1
+                expected = tuple(l % n_mod == j for l in range(config.class_l_max + 1))
+                if verdicts_ != expected:
+                    fails.append({"j": j, "mod": n_mod, "got": list(verdicts_)})
+        _sweep(out, "class_probe", checked, fails)
+        out["class_probe"]["infeasible"] = skipped
     _lap(stages, "class_probe", mark)
 
     out["stages"] = {k: round(v, 3) for k, v in stages.items()}

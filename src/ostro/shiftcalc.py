@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfrac import CFData, ShiftConstants, _verdict, expand
+from .cfrac import CFData, ShiftConstants, _verdict
 from .errors import (
     DepthExceeded,
     InvalidDigits,
@@ -356,7 +356,7 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
     digits = encode_real(c, cf, depth)
     reach = len(digits.digits) - 1 + cf.m
     if reach > cf.depth:
-        digits = make_digits(expand(cf.d, reach), digits.digits, KIND_REAL)
+        digits = make_digits(cf.at_least(reach), digits.digits, KIND_REAL)
     result = QuadRat(Fraction(0), Fraction(whole), cf.d) + times_sqrt_frac(digits, sc)
     err = result - root * x
     if not (abs(err) - eps).sign() < 0:

@@ -130,6 +130,16 @@ def test_expand_deterministic():
     assert expand(7, 20) == expand(7, 20)
 
 
+def test_at_least_grows_only_past_the_depth():
+    cf = expand(991, 8)  # m = 60
+    assert cf.at_least(1) is cf and cf.at_least(8) is cf
+    deep = cf.at_least(183)
+    assert deep.depth == 183 and deep == expand(991, 183)
+    assert (deep.period, deep.zetas) == (cf.period, cf.zetas)
+    assert deep.conv_p[: len(cf.conv_p)] == cf.conv_p
+    assert deep.conv_q[: len(cf.conv_q)] == cf.conv_q
+
+
 # ---------------------------------------------------------------------------
 # identity audit
 # ---------------------------------------------------------------------------
@@ -235,6 +245,11 @@ def test_constants_relation_all_materialized(cf_of, sc_of):
                 idx = k * sc.t + i
                 assert Fraction(cf.q(idx)) == sc.v[i] * cf.p(idx + 1) + sc.w[i] * cf.p(idx)
                 k += 1
+
+
+def test_constants_grow_past_a_shallow_expansion():
+    # t = 60 needs 2t+2 = 122 indices; the shallow input is grown, not refused
+    assert derive_shift_constants(expand(991, 8)) == derive_shift_constants(expand(991, 183))
 
 
 def test_constants_unit_exceeds_one(cf_of, sc_of):

@@ -3,6 +3,7 @@ trips, depth capping, and file output."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ostro
-from ostro import parse_quad, quad
+from ostro import cfrac, parse_quad, quad
 from ostro.cli import main
 from ostro.harness import config_from_json
 
@@ -42,6 +43,34 @@ def test_cf_text(capsys):
     code, out = run(capsys, "cf", "--d", "2")
     assert code == 0
     assert "period = [2]" in out
+
+
+@pytest.mark.parametrize("d", ["991", "9949", "99991", "1000003/7"])
+def test_long_periods_run_at_default_flags(capsys, d):
+    # the shift constants need 2t+2 indices and mul reads its digits
+    # shifted by m; both grow the expansion past the default depth 64
+    code, out = run(capsys, "cf", "--d", d)
+    assert code == 0 and "unit = " in out
+    code, out = run(capsys, "constants", "--d", d)
+    assert code == 0
+    a, b, norm = re.search(r"^a = (\d+), b = (\d+), a\^2\*d - b\^2 = (\S+)$", out, re.M).groups()
+    assert int(a) ** 2 * Fraction(d) - int(b) ** 2 == Fraction(norm)
+    code, out = run(capsys, "mul", "--d", d, "--x", "7/5")
+    assert code == 0
+    first, _, certified = out.splitlines()
+    assert certified == "  certified |error| < 1/1000000000"
+    result = parse_quad(first.split(" = ")[1], Fraction(d))
+    err = result - quad(Fraction(7, 5), 0, d) * quad(0, 1, d)
+    assert (abs(err) - Fraction(1, 10**9)).sign() < 0
+
+
+def test_period_cap_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(cfrac, "MAX_PERIOD", 60)  # sqrt(991) has m = 60
+    assert main(["cf", "--d", "991"]) == 0
+    monkeypatch.setattr(cfrac, "MAX_PERIOD", 59)
+    capsys.readouterr()
+    assert main(["cf", "--d", "991"]) == 3
+    assert capsys.readouterr().err == "error: period of sqrt(991) not found within 59 terms\n"
 
 
 def test_cf_square_radicand_is_input_error(capsys):
@@ -196,13 +225,27 @@ def test_audit_malformed_config_is_input_error(tmp_path, capsys, blob):
 
 
 def test_audit_records_each_radicand_error(capsys):
-    # depth 9 leaves d=3 without q_k > n_unique and d=5 without enough
-    # digits for eps; both are recorded and the suite still reports
-    code, out = run(capsys, "audit", "--d", "3,5", "--depth", "9", "--n-max", "5")
+    # depth 9 leaves d=3 without q_k > n_unique and both radicands without
+    # enough digits for eps or the class probe; each of those sweeps
+    # records its error and the radicand's other sweeps still report
+    code, out = run(capsys, "audit", "--d", "3,5", "--depth", "9", "--n-max", "5",
+                    "--format", "json")
     assert code == 1
-    errors = [ln for ln in out.splitlines() if "ERROR DepthExceeded" in ln]
-    assert [ln.split(":")[0] for ln in errors] == ["d=3", "d=5"]
-    assert "n_unique=500" in errors[0] and "depth 9" in errors[0]
+    by_d = {res["d"]: res for res in json.loads(out)["results"]}
+    errors = {
+        d: {k: v["first_failure"]["error"] for k, v in res.items()
+            if isinstance(v, dict) and v.get("failures")}
+        for d, res in by_d.items()
+    }
+    assert set(errors["3"]) == {"uniqueness", "times_sqrt_real", "class_probe"}
+    assert set(errors["5"]) == {"times_sqrt_real", "class_probe"}
+    assert errors["3"]["uniqueness"].startswith("DepthExceeded: ")
+    assert "n_unique=500" in errors["3"]["uniqueness"] and "depth 9" in errors["3"]["uniqueness"]
+    d5 = by_d["5"]
+    assert all(v["corrected"] == "holds" for v in d5["identities"])
+    for key in ("roundtrip_and_split", "recover_frac", "recover_nat", "uniqueness",
+                "times_sqrt_exact", "prefix_probe"):
+        assert d5[key]["checked"] > 0 and d5[key]["failures"] == 0, key
 
 
 def test_output_file(tmp_path, capsys):
@@ -241,11 +284,12 @@ EXIT_CASES = [
     (["decode", "--d", "3", "--depth", "2", "0,1,0,1,0,1"], 3),
     (["decode", "--d", "3", "--depth", "2", "0,1,0,1,0,1", "--real"], 3),
     (["mul", "--d", "3", "--depth", "8", "--x", "7/5", "--eps", "1e-30"], 3),
+    (["encode", "--d", "3", "--digits", "100", "--", "4/3-1*sqrt(3)"], 3),
     (["audit", "--config", "{config}", "--d", "2"], 2),
 ]
 
 
-@pytest.mark.parametrize("argv,code", EXIT_CASES, ids=["decode", "decode-real", "mul-eps", "config"])
+@pytest.mark.parametrize("argv,code", EXIT_CASES, ids=["decode", "decode-real", "mul-eps", "encode-digits", "config"])
 def test_module_exit_codes(tmp_path, argv, code):
     cfg = tmp_path / "suite.json"
     cfg.write_text('{"n_max": 5.9}')

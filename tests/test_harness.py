@@ -151,6 +151,21 @@ def test_prefix_natural_computed_once_per_probe(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_prefix_probe_stays_inside_a_shallow_expansion():
+    # depth 1 grows to 3m+3 = 6 for d=2, and the probe stops at q_6 = 169
+    # instead of reading q_9; the sweeps whose inputs need more record it
+    res = run_suite(replace(SMALL, d_list=(Fraction(2),), depth=1, probe_l_max=8))["results"][0]
+    assert "error" not in res and res["depth"] == 6
+    assert (res["prefix_probe"]["l_max"], res["prefix_probe"]["failures"]) == (5, 0)
+    assert res["class_probe"] == {
+        "checked": 0, "failures": 1,
+        "first_failure": {"error": "DepthExceeded: need depth 11, have 6"},
+    }
+    assert res["times_sqrt_real"]["first_failure"] == {
+        "error": "DepthExceeded: eps=1/1000000000 needs more than 6 digit positions"
+    }
+
+
 def test_suite_rejects_bad_radicands():
     with pytest.raises(RationalSquare):
         run_suite(SuiteConfig(d_list=(Fraction(3), Fraction(4))))
@@ -240,6 +255,42 @@ def test_library_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _expand_calls(tree):
+    """(enclosing function, depth argument) of every call to an `expand`."""
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first, so the innermost def wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, fn.name) for node in ast.walk(fn))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", None) == "expand" or getattr(f, "attr", None) == "expand":
+                depth = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "depth"), None)
+                yield owner.get(node, "<module>"), depth and ast.unparse(depth)
+
+
+def test_expand_only_at_requested_depths():
+    # outside cfrac, expand is called only with a depth the user asked
+    # for; every need that follows from the period goes through
+    # CFData.at_least, so the depth rule cannot leak into another module
+    pkg = Path(ostro.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "cfrac.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.stem, *call) for call in _expand_calls(tree)]
+        if path.name != "__init__.py":
+            assert not [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                        for a in node.names if a.name == "expand"], path.name
+    assert sorted(found) == [
+        ("cli", "_expand", "_effective_depth(args.depth)"),
+        ("cli", "cmd_decode", "_effective_depth(args.depth)"),
+        ("harness", "audit_one", "config.depth"),
+    ]
 
 
 @pytest.mark.parametrize("args", [[], ["--d", "991", "--n", "7"]])
