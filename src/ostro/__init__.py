@@ -7,8 +7,8 @@ Layers, bottom up:
     cfrac      expansion of sqrt(d), identity audit, shift constants
     ostrowski  digit strings for naturals and for reals in the
                fundamental interval, certified greedy encoding
-    shiftcalc  weighted digit sums, recovery identities, multiplication
-               by sqrt(d) at representation level, digit probes
+    shiftcalc  recovery identities, multiplication by sqrt(d) at
+               representation level, digit probes
     harness    batch verification over a suite of radicands
     cli        the ``ostro`` command
 """
@@ -57,24 +57,14 @@ from .ostrowski import (
 from .qfield import QuadRat, is_rational_square, parse_quad, parse_rat, quad
 from .shiftcalc import (
     AuditEntry,
-    GenDigits,
-    UnaryLayers,
-    Weights,
     check_recover_frac,
     check_recover_nat,
-    digit_window,
-    embed,
-    gen_digits,
     prefix_nat,
     prefix_window,
     residue_class_probe,
-    shift,
     times_sqrt_frac,
     times_sqrt_nat,
     times_sqrt_real,
-    unary_layers,
-    weighted_beta_sum,
-    weighted_q_sum,
     window_digit,
 )
 
@@ -86,7 +76,6 @@ __all__ = [
     "DEFAULT_DEPTH",
     "DEFAULT_D_LIST",
     "DepthExceeded",
-    "GenDigits",
     "IdentityVerdict",
     "InvalidDigits",
     "KIND_NAT",
@@ -101,10 +90,8 @@ __all__ = [
     "ShiftConstants",
     "SingularSystem",
     "SuiteConfig",
-    "UnaryLayers",
     "UnsupportedRadicand",
     "VerificationFailed",
-    "Weights",
     "WitnessUnavailable",
     "audit_identities",
     "check_recover_frac",
@@ -112,13 +99,10 @@ __all__ = [
     "decode_nat",
     "decode_real",
     "derive_shift_constants",
-    "digit_window",
-    "embed",
     "encode_nat",
     "encode_real",
     "enumerate_valid",
     "expand",
-    "gen_digits",
     "in_interval",
     "interval_bounds",
     "is_rational_square",
@@ -133,14 +117,10 @@ __all__ = [
     "quad",
     "residue_class_probe",
     "run_suite",
-    "shift",
     "tail_window",
     "times_sqrt_frac",
     "times_sqrt_nat",
     "times_sqrt_real",
-    "unary_layers",
     "validate",
-    "weighted_beta_sum",
-    "weighted_q_sum",
     "window_digit",
 ]

@@ -383,6 +383,11 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _failure_error(sweep: dict) -> str | None:
+    """The error text of a sweep's first failure, if it recorded one."""
+    return (sweep.get("first_failure") or {}).get("error")
+
+
 def render_text(report: dict) -> str:
     lines = []
     for res in report["results"]:
@@ -412,8 +417,10 @@ def render_text(report: dict) -> str:
             if "skipped" in info:
                 lines.append(f"  {key:24s} skipped ({info['skipped']})")
             else:
+                err = _failure_error(info)
                 lines.append(
                     f"  {key:24s} checked:{info['checked']} failures:{info['failures']}"
+                    + (f"  [{err}]" if err else "")
                 )
     s = report["summary"]
     lines.append(
@@ -443,9 +450,10 @@ def render_tsv(report: dict) -> str:
             )
         for key, val in res.items():
             if isinstance(val, dict) and "failures" in val:
+                err = _failure_error(val)
                 rows.append(
                     f"{res['d']}\t{key}\t-\t"
                     f"{'holds' if val['failures'] == 0 else 'fails'}\t"
-                    f"checked={val['checked']}"
+                    f"checked={val['checked']}" + (f" error={err}" if err else "")
                 )
     return "\n".join(rows)

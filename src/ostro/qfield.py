@@ -19,10 +19,6 @@ from fractions import Fraction
 
 from .errors import MixedRadicand, RationalSquare
 
-# The exact rational type used across the package.  Fraction already
-# guarantees lowest terms and a positive denominator.
-Rat = Fraction
-
 
 def sign_sqrt(a: int, b: int, dn: int, dd: int) -> int:
     """Exact sign in {-1, 0, +1} of a + b*sqrt(dn/dd) for integers a, b.
@@ -108,9 +104,6 @@ class QuadRat:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def conjugate(self) -> "QuadRat":
-        return QuadRat(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - b^2 d (the product with the conjugate)."""

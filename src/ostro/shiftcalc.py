@@ -1,16 +1,4 @@
-"""Digit-shift calculus over Ostrowski representations.
-
-The objects here are eventually-zero digit maps (position -> value)
-together with two families of evaluation functionals:
-
-    weighted_q_sum(x, u, l)    = sqrt(d) * sum_k x[k] * u[k mod t] * q_{k+l}
-    weighted_beta_sum(x, u, l) =           sum_k x[k] * u[k mod t] * beta_{k+l}
-
-The weight index is the residue of the digit's *original* position mod
-t, while the convergent index is shifted by l.  (Composing "shift the
-map, then evaluate unshifted" instead pairs weights with the shifted
-residues; the two differ by a rotation of u.  The identities below need
-the original-residue pairing; see the composition test suite.)
+"""Multiplication by sqrt(d) as a digit shift, and the checks behind it.
 
 Two recovery identities are audited per digit string x of a natural n:
 
@@ -18,16 +6,17 @@ Two recovery identities are audited per digit string x of a natural n:
     all-ones beta sum of x shifted by the period length m, where U is
     the unit q_{m-1} sqrt(d) + p_{m-1}.  The commonly printed constant
     q_m sqrt(d) + q_{m-1} + a0 q_m is also evaluated and reported.
-  * nat recovery: n itself is recovered from the four weighted sums with
-    the shift constants v (at shift 1) and w (at shift 0).  The variant
-    with the w-terms also taken at shift 1 (an index slip seen in print)
-    is reported alongside.
+  * nat recovery: n itself is recovered from the v-weighted p dot
+    product of x at shift 1 and the w-weighted one at shift 0, with the
+    shift constants v and w.  The variant with the w-terms also taken at
+    shift 1 (an index slip seen in print) is reported alongside.
 
-On top of these sit representation-level multiplication by sqrt(d)
-(exact on naturals and on interval values, eps-certified on arbitrary
-non-negative inputs) and the digit-extraction probes that mirror the
-first-order definability arguments: prefix windows, digit windows, and
-periodic residue-class witnesses.
+Both are decided on Python ints.  On top of them sit representation-level
+multiplication by sqrt(d) (exact on naturals and on interval values,
+eps-certified on arbitrary non-negative inputs) and the digit-extraction
+probes that mirror the first-order definability arguments: prefix
+windows, digit reads by thresholds, and periodic residue-class witnesses.
+``embed`` lists a digit string's nonzero (position, digit) pairs.
 """
 
 from __future__ import annotations
@@ -64,116 +53,9 @@ from .qfield import QuadRat, sign_sqrt
 _F0 = Fraction(0)
 
 
-@dataclass(frozen=True)
-class GenDigits:
-    """An eventually-zero digit map: sorted (position, value) pairs.
-
-    Values are bounded by s_max (the largest partial quotient), so every
-    Ostrowski digit string embeds, but arbitrary bounded maps are allowed
-    too: the evaluation functionals do not need the adjacency constraint.
-    """
-
-    cf: CFData
-    items: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.items)
-
-    @property
-    def max_pos(self) -> int:
-        return self.items[-1][0] if self.items else -1
-
-    def __str__(self) -> str:
-        body = ";".join(f"{k}:{v}" for k, v in self.items)
-        return body + f"@d={self.cf.d}"
-
-
-def gen_digits(cf: CFData, mapping) -> GenDigits:
-    """Build a GenDigits from any {position: value} mapping, validating bounds."""
-    items = []
-    for k, v in sorted(dict(mapping).items()):
-        if v == 0:
-            continue
-        if k < 0 or not (0 < v <= cf.s_max):
-            raise InvalidDigits(f"entry {k}:{v} out of range (s_max={cf.s_max})")
-        items.append((int(k), int(v)))
-    return GenDigits(cf, tuple(items))
-
-
-def embed(x: OstDigits) -> GenDigits:
-    """Embed an Ostrowski digit string (valid by construction) as a digit map."""
-    return GenDigits(x.cf, tuple((k, b) for k, b in enumerate(x.digits) if b))
-
-
-def shift(x: GenDigits, l: int) -> GenDigits:
-    """Translate every position up by l (the value at k+l is x's at k)."""
-    if l < 0:
-        raise ValueError(f"shift must be non-negative, got {l}")
-    return GenDigits(x.cf, tuple((k + l, v) for k, v in x.items))
-
-
-@dataclass(frozen=True)
-class Weights:
-    """A rational weight vector indexed by residue classes mod t."""
-
-    values: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, seq) -> "Weights":
-        return cls(tuple(Fraction(v) for v in seq))
-
-    @classmethod
-    def ones(cls, t: int) -> "Weights":
-        return cls((Fraction(1),) * t)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """Integer numerators over one common denominator (memoized)."""
-        cached = self.__dict__.get("_scaled")
-        if cached is None:
-            den = math.lcm(*(v.denominator for v in self.values))
-            cached = tuple(v.numerator * (den // v.denominator) for v in self.values), den
-            object.__setattr__(self, "_scaled", cached)
-        return cached
-
-
-def _residue_dots(x: GenDigits, t: int, l: int) -> tuple[list[int], list[int]]:
-    """Per-residue integer dot products of x against q_{k+l} and p_{k+l}."""
-    cf = x.cf
-    if x.items and x.max_pos + l > cf.depth:
-        raise DepthExceeded(
-            f"shifted index {x.max_pos + l} exceeds depth {cf.depth}"
-        )
-    acc_q = [0] * t
-    acc_p = [0] * t
-    qs, ps = cf.conv_q, cf.conv_p
-    for k, v in x.items:
-        i = k % t
-        acc_q[i] += v * qs[k + l + 1]
-        acc_p[i] += v * ps[k + l + 1]
-    return acc_q, acc_p
-
-
-def _sigma_f_pair(x: GenDigits, u: Weights, l: int) -> tuple[QuadRat, QuadRat]:
-    """(weighted_q_sum, weighted_beta_sum) of x from a single dot pass."""
-    acc_q, acc_p = _residue_dots(x, len(u), l)
-    nums, den = u.scaled()
-    tq = Fraction(sum(n * a for n, a in zip(nums, acc_q)), den)
-    tp = Fraction(sum(n * a for n, a in zip(nums, acc_p)), den)
-    d = x.cf.d
-    return QuadRat(_F0, tq, d), QuadRat(-tp, tq, d)
-
-
-def weighted_q_sum(x: GenDigits, u: Weights, l: int = 0) -> QuadRat:
-    """sqrt(d) * sum_k x[k] * u[k mod t] * q_{k+l}, exactly."""
-    return _sigma_f_pair(x, u, l)[0]
-
-
-def weighted_beta_sum(x: GenDigits, u: Weights, l: int = 0) -> QuadRat:
-    """sum_k x[k] * u[k mod t] * beta_{k+l}, exactly."""
-    return _sigma_f_pair(x, u, l)[1]
+def embed(x: OstDigits) -> tuple[tuple[int, int], ...]:
+    """The (position, digit) pairs of x's nonzero digits, in position order."""
+    return tuple((k, b) for k, b in enumerate(x.digits) if b)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +89,18 @@ class AuditEntry:
         }
 
 
+def _over_common_den(values) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of the rationals values over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def _integer_constants(sc: ShiftConstants) -> tuple:
-    """(unit.scaled(), v scaled, w scaled) of sc, computed once per
-    ShiftConstants instance and kept on it."""
+    """(unit.scaled(), v and w over common denominators) of sc, computed
+    once per ShiftConstants instance and kept on it."""
     cached = sc.__dict__.get("_integer_constants")
     if cached is None:
-        cached = sc.unit.scaled(), Weights.of(sc.v).scaled(), Weights.of(sc.w).scaled()
+        cached = sc.unit.scaled(), _over_common_den(sc.v), _over_common_den(sc.w)
         object.__setattr__(sc, "_integer_constants", cached)
     return cached
 
@@ -380,24 +268,6 @@ def prefix_window(cf: CFData, l: int, last_digit_zero: bool) -> tuple[QuadRat, Q
     return tail_window(cf, l + 1, blocked=not last_digit_zero)
 
 
-def digit_window(cf: CFData, l: int, printed: bool = False) -> tuple[QuadRat, QuadRat]:
-    """The parity-dependent window pair (g1, g2) at position l.
-
-    Corrected form (the blocked prefix window, always with g1 < g2):
-        l even: (-(beta_l + beta_{l+1}), -beta_{l+1})
-        l odd:  (-beta_{l+1}, -(beta_l + beta_{l+1}))
-    printed=True returns the odd case as sometimes printed,
-    (-beta_l, -(beta_l + beta_{l+1})), whose entries come out in the
-    wrong order (g1 > g2); it is exposed for the audit only.
-    """
-    b_l, b_next = cf.beta(l), cf.beta(l + 1)
-    if l % 2 == 0:
-        return -(b_l + b_next), -b_next
-    if printed:
-        return -b_l, -(b_l + b_next)
-    return -b_next, -(b_l + b_next)
-
-
 def prefix_nat(cf: CFData, l: int, c: QuadRat) -> int:
     """The unique natural n < q_{l+1} whose digits match the first l+1
     digits of c, certified by the exact window inequalities."""
@@ -462,46 +332,3 @@ def residue_class_probe(cf: CFData, j: int, n_mod: int, l_max: int) -> tuple[boo
         raise VerificationFailed(f"witness {witness} decodes to {c}, outside I")
     return tuple(window_digit(cf, l, c) == 1 for l in range(l_max + 1))
 
-
-# ---------------------------------------------------------------------------
-# unary layer decomposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class UnaryLayers:
-    """Digit map split into t x s_max unary layers.
-
-    supports[(i, j)] lists the positions k with k = i mod t and value at
-    least j, so column j is the j-th unary threshold of the digits in
-    residue class i.  Columns shrink as j grows and the original map is
-    recovered by counting layers.
-    """
-
-    cf: CFData
-    t: int
-    s_max: int
-    supports: dict
-
-    def recompose(self) -> GenDigits:
-        counts: dict[int, int] = {}
-        for (_, _), positions in self.supports.items():
-            for k in positions:
-                counts[k] = counts.get(k, 0) + 1
-        return gen_digits(self.cf, counts)
-
-
-def unary_layers(x: GenDigits) -> UnaryLayers:
-    """Decompose a digit map into per-residue unary threshold layers."""
-    cf = x.cf
-    t, s = cf.t, cf.s_max
-    supports = {
-        (i, j): tuple(k for k, v in x.items if k % t == i and v >= j)
-        for i in range(t)
-        for j in range(1, s + 1)
-    }
-    layers = UnaryLayers(cf=cf, t=t, s_max=s, supports=supports)
-    back = layers.recompose()
-    if back != x:
-        raise VerificationFailed(f"unary layers of {x} recompose to {back}")
-    return layers

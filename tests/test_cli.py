@@ -248,6 +248,24 @@ def test_audit_records_each_radicand_error(capsys):
         assert d5[key]["checked"] > 0 and d5[key]["failures"] == 0, key
 
 
+def test_audit_text_and_tsv_give_a_sweeps_depth_error(capsys):
+    # depth 1 leaves d=2 and d=3 short of n_unique and all three short of
+    # the class probe's depth; every report format gives the reason
+    argv = ["audit", "--d", "2,5,3", "--depth", "1", "--n-max", "5", "--eps", "1/10"]
+    reports = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("json", "text", "tsv")}
+    assert {code for code, _ in reports.values()} == {1}
+    errors = [(res["d"], key, val["first_failure"]["error"])
+              for res in json.loads(reports["json"][1])["results"]
+              for key, val in res.items() if isinstance(val, dict) and val.get("failures")]
+    assert len(errors) == 5 and all(e.startswith("DepthExceeded: ") for _, _, e in errors)
+    failed = [line.split(None, 1) for line in reports["text"][1].splitlines()
+              if "checked:0 failures:1" in line]
+    assert failed == [[key, f"checked:0 failures:1  [{e}]"] for _, key, e in errors]
+    rows = [row.split("\t") for row in reports["tsv"][1].splitlines()]
+    assert [(r[0], r[1], r[4]) for r in rows if r[2:4] == ["-", "fails"]] == [
+        (d, key, f"checked=0 error={e}") for d, key, e in errors]
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "cf.json"
     code = main(["cf", "--d", "3", "--format", "json", "--output", str(target)])
