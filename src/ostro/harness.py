@@ -43,7 +43,7 @@ STAGES = (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Configuration for one harness run."""
+    """Configuration for one harness run; a negative count raises ValueError."""
 
     d_list: tuple[Fraction, ...] = DEFAULT_D_LIST
     depth: int = cfrac.DEFAULT_DEPTH
@@ -58,6 +58,13 @@ class SuiteConfig:
     class_l_max: int = 12
     seed: int = 20260813
     identity_k_max: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("n_max", "n_unique", "lambda_n_max", "lambda_samples",
+                     "probe_samples", "probe_l_max", "probe_q_limit", "class_l_max"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"config field {name!r} must be non-negative, "
+                                 f"got {getattr(self, name)}")
 
     def to_json(self) -> dict:
         """Every field in declaration order, rationals as strings."""
@@ -77,7 +84,8 @@ def config_from_json(data) -> SuiteConfig:
 
     Missing keys and null scalars keep their defaults, unknown keys are
     ignored, and a value of the wrong type (an integer field takes an int,
-    not a bool, float, string, list or object) raises ValueError.
+    not a bool, float, string, list or object) raises ValueError, as
+    SuiteConfig does for a negative count.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
@@ -105,6 +113,11 @@ def _sweep(result: dict, name: str, checked: int, failures: list) -> None:
         "failures": len(failures),
         "first_failure": failures[0] if failures else None,
     }
+
+
+def _witness_first(fails: list, witness) -> list:
+    """fails, (n, x) pairs, with the first one replaced by witness(n, x)."""
+    return [witness(*fails[0]), *fails[1:]] if fails else fails
 
 
 @contextmanager
@@ -166,12 +179,14 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     mark = _lap(stages, "constants", mark)
 
     # --- one pass over n: roundtrip, sqrt split, both recoveries, and
-    # the shifted-digit product on the fractional part of n*sqrt(d); n <
-    # q_{depth-m+1} keeps the digits shifted by m inside the depth -------
+    # the shifted-digit product on the fractional part of n*sqrt(d), all
+    # from the ints of one natural_dots call; n < q_{depth-m+1} keeps the
+    # digits shifted by m inside the depth.  Only a sweep's first failure
+    # and the worked example build exact witnesses. ----------------------
     n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
     exact_checked = min(config.lambda_n_max, n_max) + 1
     rt_fails: list = []
-    frac_fails: list = []
+    frac_fails: list = []  # (n, x) per failing n; _witness_first reports one
     nat_fails: list = []
     exact_fails: list = []
     printed_frac_fails = printed_nat_fails = 0
@@ -180,7 +195,7 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     exact_s = 0.0
     for n in range(n_max + 1):
         x = ostrowski.encode_nat(n, cf)
-        fa, fb = ostrowski.beta_parts(x)  # fractional part of n*sqrt(d); fb = n
+        fa, fb, ya, yb, v1, w0, w1 = shiftcalc.natural_dots(x, sc)  # fb = n
         if fb != n:
             rt_fails.append({"n": n, "reason": "roundtrip"})
             continue
@@ -188,30 +203,36 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
             rt_fails.append({"n": n, "reason": "fractional part outside I"})
         if n < exact_checked:
             t_exact = time.perf_counter()
-            prod = shiftcalc.times_sqrt_frac(x, sc)
-            direct = QuadRat(Fraction(fb * cf.d), Fraction(fa), cf.d)  # sqrt(d) (fa + fb sqrt(d))
-            if prod != direct:
-                exact_fails.append({"n": n, "lhs": str(prod), "rhs": str(direct)})
+            if not shiftcalc.sqrt_product(cf, sc, fa, fb, ya, yb)[0]:
+                exact_fails.append((n, x))
             exact_s += time.perf_counter() - t_exact
-        e_frac = shiftcalc.check_recover_frac(x, sc)
-        e_nat = shiftcalc.check_recover_nat(x, sc)
-        if e_frac.corrected != "holds":
-            frac_fails.append(e_frac.to_json())
-        if e_nat.corrected != "holds":
-            nat_fails.append(e_nat.to_json())
+        frac_printed, frac_ok, _ = shiftcalc.frac_verdicts(cf, sc, fa, fb, ya, yb)
+        nat_printed, nat_ok, _ = shiftcalc.nat_verdicts(sc, fb, v1, w0, w1)
+        if not frac_ok:
+            frac_fails.append((n, x))
+        if not nat_ok:
+            nat_fails.append((n, x))
         if n <= 50:
-            printed_frac_fails += e_frac.printed != "holds"
-            printed_nat_fails += e_nat.printed != "holds"
+            printed_frac_fails += not frac_printed
+            printed_nat_fails += not nat_printed
         if n == min(5, n_max):
-            example = {"frac": e_frac.to_json(), "nat": e_nat.to_json()}
+            example = x
+    exact_fails = _witness_first(exact_fails, lambda n, x: {
+        "n": n, "lhs": str(shiftcalc.times_sqrt_frac(x, sc)),
+        "rhs": str(cf.sqrt_d() * ostrowski.decode_real(x))})
     _sweep(out, "roundtrip_and_split", n_max + 1, rt_fails)
-    _sweep(out, "recover_frac", n_max + 1, frac_fails)
-    _sweep(out, "recover_nat", n_max + 1, nat_fails)
+    _sweep(out, "recover_frac", n_max + 1, _witness_first(
+        frac_fails, lambda n, x: shiftcalc.check_recover_frac(x, sc).to_json()))
+    _sweep(out, "recover_nat", n_max + 1, _witness_first(
+        nat_fails, lambda n, x: shiftcalc.check_recover_nat(x, sc).to_json()))
     out["recovery_printed_fails_upto_50"] = {
         "frac": printed_frac_fails,
         "nat": printed_nat_fails,
     }
-    out["recovery_example"] = example
+    out["recovery_example"] = None if example is None else {
+        "frac": shiftcalc.check_recover_frac(example, sc).to_json(),
+        "nat": shiftcalc.check_recover_nat(example, sc).to_json(),
+    }
     mark = _lap(stages, "recovery", mark)
     stages["recovery"] -= exact_s
     stages["times_sqrt_exact"] += exact_s

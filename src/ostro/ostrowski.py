@@ -80,14 +80,15 @@ def make_digits(cf: CFData, digits, kind: str = KIND_NAT) -> OstDigits:
 
 
 def validate(x: OstDigits) -> tuple[bool, int | None]:
-    """Check the digit constraints; returns (ok, first violating position)."""
-    cf = x.cf
+    """Check the digit constraints; returns (ok, first violating position).
+    The bound a_{k+1} of digit k is period[k % m]."""
+    period, m = x.cf.period, x.cf.m
+    prev = 0
     for k, b in enumerate(x.digits):
-        cap = cf.a(k + 1)
-        if b < 0 or b > cap or (k == 0 and b >= cap):
+        cap = period[k % m]
+        if b < 0 or b > cap or (b == cap and (k == 0 or prev != 0)):
             return False, k
-        if b == cap and k >= 1 and x.digits[k - 1] != 0:
-            return False, k
+        prev = b
     return True, None
 
 
@@ -128,10 +129,10 @@ def check_depth(x: OstDigits, l: int = 0) -> None:
 
 
 def beta_parts(x: OstDigits, l: int = 0) -> tuple[int, int]:
-    """Integers (A, B) with A + B*sqrt(d) = sum_k b_k beta_{k+l}, the one
-    evaluation of a digit string: beta_k = q_k sqrt(d) - p_k, so B is the
-    q_{k+l} dot product (x as a natural at l = 0) and -A the p_{k+l} one.
-    """
+    """Integers (A, B) with A + B*sqrt(d) = sum_k b_k beta_{k+l}: with
+    beta_k = q_k sqrt(d) - p_k, B is the q_{k+l} dot product (x as a
+    natural at l = 0) and -A the p_{k+l} one.  The audit's pass over n
+    reads them, with its other sums, from shiftcalc.natural_dots."""
     check_depth(x, l)
     qs, ps = x.cf.conv_q, x.cf.conv_p  # qs[i] = q_{i-1}
     bq = bp = 0

@@ -11,7 +11,9 @@ Two recovery identities are audited per digit string x of a natural n:
     shift constants v and w.  The variant with the w-terms also taken at
     shift 1 (an index slip seen in print) is reported alongside.
 
-Both are decided on Python ints.  On top of them sit representation-level
+Both are decided on Python ints that natural_dots reads off the digits
+in one pass; the exact values of the two sides are built only when an
+entry's witness is read.  On top of them sit representation-level
 multiplication by sqrt(d) (exact on naturals and on interval values,
 eps-certified on arbitrary non-negative inputs) and the digit-extraction
 probes that mirror the first-order definability arguments: prefix
@@ -63,20 +65,33 @@ def embed(x: OstDigits) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 
 
+def _quad(d: Fraction, parts: tuple[int, int, int]) -> QuadRat:
+    """The exact value (A + B sqrt(d)) / E of an integer triple (A, B, E)."""
+    a, b, e = parts
+    return QuadRat(Fraction(a, e), Fraction(b, e), d)
+
+
 @dataclass(frozen=True)
 class AuditEntry:
-    """One audited instance of a recovery identity.
-
-    lhs and rhs hold the exact values; they are stringified only when the
-    entry is serialized.
-    """
+    """One audited instance of a recovery identity.  The sides are integer
+    triples for _quad, made exact values only when read; lhs_parts None
+    means the left side is n itself."""
 
     lemma: str
     n: int
     printed: str  # "holds" | "fails"
     corrected: str
-    lhs: object
-    rhs: object
+    d: Fraction
+    lhs_parts: tuple[int, int, int] | None
+    rhs_parts: tuple[int, int, int]
+
+    @property
+    def lhs(self):
+        return self.n if self.lhs_parts is None else _quad(self.d, self.lhs_parts)
+
+    @property
+    def rhs(self) -> QuadRat:
+        return _quad(self.d, self.rhs_parts)
 
     def to_json(self) -> dict:
         return {
@@ -105,41 +120,72 @@ def _integer_constants(sc: ShiftConstants) -> tuple:
     return cached
 
 
-def _period_dots(x: OstDigits) -> tuple[int, int, int, int]:
-    """(fa, fb, ya, yb): f = fa + fb sqrt(d) is the beta-value of x and
-    f / U = ya + yb sqrt(d) is (-1)^m times its all-ones beta sum at m."""
-    s = -1 if x.cf.m % 2 else 1
-    ya, yb = beta_parts(x, x.cf.m)
-    return (*beta_parts(x), s * ya, s * yb)
+def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
+    """(fa, n, ya, yb, v1, w0, w1) from one depth check (the last digit
+    moved up by m) and one pass over x: fa + n sqrt(d) is the beta-value
+    of x, ya + yb sqrt(d) is (-1)^m times its all-ones beta sum at shift
+    m, and v1, w0, w1 are its p dot products weighted by the numerators
+    of v at shift 1 and of w at shifts 0 and 1."""
+    cf, m = x.cf, x.cf.m
+    check_depth(x, m)
+    qs, ps = cf.conv_q, cf.conv_p  # qs[i] = q_{i-1}
+    _, (nv, _), (nw, _) = _integer_constants(sc)
+    n = bp = yq = yp = v1 = w0 = w1 = 0
+    for k, b in enumerate(x.digits):
+        if b:
+            i = k % sc.t
+            p0, p1 = b * ps[k + 1], b * ps[k + 2]
+            n += b * qs[k + 1]
+            bp += p0
+            yq += b * qs[k + m + 1]
+            yp += b * ps[k + m + 1]
+            v1 += nv[i] * p1
+            w0 += nw[i] * p0
+            w1 += nw[i] * p1
+    s = -1 if m % 2 else 1
+    return -bp, n, -s * yp, s * yq, v1, w0, w1
+
+
+def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int):
+    """(printed holds, corrected holds, U y as a _quad triple) for frac
+    recovery on natural_dots, y = ya + yb sqrt(d): a constant c0 + c1 sqrt(d)
+    times y has rational part c0 ya + c1 yb d and sqrt(d) part c0 yb + c1 ya."""
+    dn, dd = cf.d.numerator, cf.d.denominator
+    (ua, ub, uden), _, _ = _integer_constants(sc)
+    ra = ua * ya * dd + ub * yb * dn  # U y = (ra / dd + rb sqrt(d)) / uden
+    rb = ua * yb + ub * ya
+    c1 = cf.conv_q[cf.m + 1]  # the printed constant c0 + c1 sqrt(d)
+    c0 = cf.conv_q[cf.m] + cf.a0 * c1
+    printed = c0 * ya * dd + c1 * yb * dn == fa * dd and c0 * yb + c1 * ya == n
+    corrected = ra == fa * dd * uden and rb == n * uden
+    return printed, corrected, (ra, rb * dd, dd * uden)
+
+
+def nat_verdicts(sc: ShiftConstants, n: int, v1: int, w0: int, w1: int):
+    """(printed holds, corrected holds, v1 / dv + w0 / dw as a _quad triple)
+    for nat recovery on natural_dots; printed takes w at shift 1."""
+    _, (_, dv), (_, dw) = _integer_constants(sc)
+    den, val = dv * dw, v1 * dw + w0 * dv
+    return v1 * dw + w1 * dv == n * den, val == n * den, (val, 0, den)
+
+
+def sqrt_product(cf: CFData, sc: ShiftConstants, fa: int, fb: int, ya: int, yb: int):
+    """(exact, product as a _quad triple) of times_sqrt_frac on natural_dots;
+    exact says whether the product is sqrt(d) f = fb d + fa sqrt(d)."""
+    pn, pd = sc.pell_norm.numerator, sc.pell_norm.denominator
+    b, e = sc.b_const, sc.a_const * pd
+    pa, pb = ya * pn + b * fa * pd, yb * pn + b * fb * pd
+    exact = pa * cf.d.denominator == fb * cf.d.numerator * e and pb == fa * e
+    return exact, (pa, pb, e)
 
 
 def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
-    """Audit: beta-value of x == (-1)^m * U * (all-ones beta sum at shift m).
-
-    Decided on integers: the beta-value is fa + n sqrt(d) and the
-    shifted sum times (-1)^m is y = ya + yb sqrt(d), both from
-    beta_parts; a constant c0 + c1 sqrt(d) times y has rational part
-    c0 ya + c1 yb d and sqrt(d) part c0 yb + c1 ya.
-    """
-    cf = x.cf
-    m = cf.m
-    fa, n, ya, yb = _period_dots(x)
-    dn, dd = cf.d.numerator, cf.d.denominator
-    (ua, ub, uden), _, _ = _integer_constants(sc)
-    # U y = (ra / dd + rb sqrt(d)) / uden
-    ra = ua * ya * dd + ub * yb * dn
-    rb = ua * yb + ub * ya
-    c0, c1 = cf.q(m - 1) + cf.a0 * cf.q(m), cf.q(m)
-    pa = c0 * ya * dd + c1 * yb * dn
-    pb = c0 * yb + c1 * ya
-    return AuditEntry(
-        lemma="frac-recovery",
-        n=n,
-        printed=_verdict(pa == fa * dd and pb == n),
-        corrected=_verdict(ra == fa * dd * uden and rb == n * uden),
-        lhs=QuadRat(Fraction(fa), Fraction(n), cf.d),
-        rhs=QuadRat(Fraction(ra, dd * uden), Fraction(rb, uden), cf.d),
-    )
+    """Audit: beta-value of x == (-1)^m * U * (all-ones beta sum at shift m),
+    decided by frac_verdicts on natural_dots."""
+    fa, n, ya, yb, *_ = natural_dots(x, sc)
+    printed, corrected, rhs = frac_verdicts(x.cf, sc, fa, n, ya, yb)
+    return AuditEntry("frac-recovery", n, _verdict(printed), _verdict(corrected),
+                      x.cf.d, (fa, n, 1), rhs)
 
 
 def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
@@ -148,33 +194,13 @@ def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     The q-sums minus beta-sums turn each q_{k+l} sqrt(d) - beta_{k+l}
     into p_{k+l}, so with the shift constants the whole thing collapses
     to sum_k x[k] q_k = n.  The printed variant takes the w-terms at
-    shift 1 as well.  Decided on integers: the right-hand side is the
-    v- and w-weighted p dot products over the weights' denominators.
+    shift 1 as well.  Decided by nat_verdicts on natural_dots, so x's
+    last digit moved up by m must be inside the depth.
     """
-    cf = x.cf
-    check_depth(x, 1)
-    qs, ps = cf.conv_q, cf.conv_p
-    _, (nv, dv), (nw, dw) = _integer_constants(sc)
-    t = sc.t
-    n = v1 = w0 = w1 = 0
-    for k, b in enumerate(x.digits):
-        if b:
-            i = k % t
-            p0, p1 = b * ps[k + 1], b * ps[k + 2]
-            n += b * qs[k + 1]
-            v1 += nv[i] * p1
-            w0 += nw[i] * p0
-            w1 += nw[i] * p1
-    den = dv * dw
-    val = v1 * dw + w0 * dv
-    return AuditEntry(
-        lemma="nat-recovery",
-        n=n,
-        printed=_verdict(v1 * dw + w1 * dv == n * den),
-        corrected=_verdict(val == n * den),
-        lhs=n,
-        rhs=QuadRat(Fraction(val, den), _F0, cf.d),
-    )
+    _, n, _, _, v1, w0, w1 = natural_dots(x, sc)
+    printed, corrected, rhs = nat_verdicts(sc, n, v1, w0, w1)
+    return AuditEntry("nat-recovery", n, _verdict(printed), _verdict(corrected),
+                      x.cf.d, None, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +216,8 @@ def times_sqrt_frac(x: OstDigits, sc: ShiftConstants) -> QuadRat:
     and f / U is realized representationally as (-1)^m times the
     all-ones beta sum of the m-shifted digits.
     """
-    fa, fb, ya, yb = _period_dots(x)  # f = fa + fb sqrt(d), f / U = ya + yb sqrt(d)
-    pell, a, b = sc.pell_norm, sc.a_const, sc.b_const
-    return QuadRat(Fraction(ya * pell + b * fa, a), Fraction(yb * pell + b * fb, a), x.cf.d)
+    fa, fb, ya, yb, *_ = natural_dots(x, sc)
+    return _quad(x.cf.d, sqrt_product(x.cf, sc, fa, fb, ya, yb)[1])
 
 
 def times_sqrt_nat(n: int, cf: CFData, sc: ShiftConstants) -> QuadRat:

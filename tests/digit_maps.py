@@ -10,7 +10,8 @@ t, while the convergent index is shifted by l.  (Composing "shift the
 map, then evaluate unshifted" instead pairs weights with the shifted
 residues; the two differ by a rotation of u.  The recovery identities
 need the original-residue pairing.)  Also here: the printed and corrected
-digit windows, and the unary threshold layers of a digit map.
+digit windows, the unary threshold layers of a digit map, and the digit
+constraints as a per-digit rule.
 """
 
 from __future__ import annotations
@@ -104,6 +105,18 @@ def weighted_q_sum(x: GenDigits, u: Weights, l: int = 0) -> QuadRat:
 def weighted_beta_sum(x: GenDigits, u: Weights, l: int = 0) -> QuadRat:
     """sum_k x[k] * u[k mod t] * beta_{k+l}, exactly."""
     return _sigma_f_pair(x, u, l)[1]
+
+
+def validate_reference(cf: CFData, digits) -> tuple[bool, int | None]:
+    """The digit constraints with one a_{k+1} lookup per digit: the rule
+    ostrowski.validate must agree with on every string, valid or not."""
+    for k, b in enumerate(digits):
+        cap = cf.a(k + 1)
+        if b < 0 or b > cap or (k == 0 and b >= cap):
+            return False, k
+        if b == cap and k >= 1 and digits[k - 1] != 0:
+            return False, k
+    return True, None
 
 
 def digit_window(cf: CFData, l: int, printed: bool = False) -> tuple[QuadRat, QuadRat]:

@@ -216,12 +216,24 @@ def test_audit_config_file_with_override(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "blob", ['{"d_list": null}', '{"d_list": 5}', '{"depth": [1]}', '[{"d_list": ["2"]}]',
-             '{"n_max": 5.9, "seed": true}', '{"seed": true}', '{"depth": "64"}']
+             '{"n_max": 5.9, "seed": true}', '{"seed": true}', '{"depth": "64"}',
+             '{"n_unique": -1}', '{"lambda_n_max": -3}', '{"lambda_samples": -1}',
+             '{"probe_samples": -1}', '{"probe_l_max": -1}', '{"probe_q_limit": -1}',
+             '{"class_l_max": -1}']
 )
 def test_audit_malformed_config_is_input_error(tmp_path, capsys, blob):
     cfg = tmp_path / "suite.json"
     cfg.write_text(blob)
     assert main(["audit", "--config", str(cfg), "--d", "2", "--n-max", "5"]) == 2
+
+
+def test_audit_negative_count_flag_is_input_error(tmp_path, capsys):
+    # a negative count is rejected whether it comes from a flag or a file
+    assert main(["audit", "--d", "3", "--n-max", "-5", "--format", "json"]) == 2
+    assert "'n_max' must be non-negative, got -5" in capsys.readouterr().err
+    cfg = tmp_path / "suite.json"
+    cfg.write_text('{"n_max": -5}')
+    assert main(["audit", "--config", str(cfg), "--d", "3"]) == 2
 
 
 def test_audit_records_each_radicand_error(capsys):

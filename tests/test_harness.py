@@ -16,6 +16,7 @@ import pytest
 
 import ostro
 from ostro import RationalSquare, SuiteConfig, UnsupportedRadicand, harness, run_suite
+from ostro import cfrac, ostrowski, shiftcalc
 from ostro.harness import (
     STAGES,
     config_from_json,
@@ -24,6 +25,8 @@ from ostro.harness import (
     render_text,
     render_tsv,
 )
+
+from test_shiftcalc import corrupt
 
 SMALL = SuiteConfig(
     d_list=(Fraction(3), Fraction(2)),
@@ -132,6 +135,71 @@ def test_corrupted_encoding_is_one_roundtrip_failure(monkeypatch):
     for key in ("recover_frac", "recover_nat", "times_sqrt_exact", "prefix_probe"):
         assert res[key]["failures"] == 0, key
     assert corrected_failures(report) == 1
+
+
+def per_n_reference(cf, sc, config):
+    """The pass over n as a loop over the witness-building checks: the
+    (failures, first_failure) of each sweep and the printed counts."""
+    fails = {"recover_frac": [], "recover_nat": [], "times_sqrt_exact": []}
+    printed = {"frac": 0, "nat": 0}
+    for n in range(config.n_max + 1):
+        x = ostrowski.encode_nat(n, cf)
+        entries = {"frac": shiftcalc.check_recover_frac(x, sc),
+                   "nat": shiftcalc.check_recover_nat(x, sc)}
+        for kind, e in entries.items():
+            if e.corrected != "holds":
+                fails[f"recover_{kind}"].append(e.to_json())
+            if n <= 50:
+                printed[kind] += e.printed != "holds"
+        if n <= config.lambda_n_max:
+            prod = shiftcalc.times_sqrt_frac(x, sc)
+            direct = cf.sqrt_d() * ostrowski.decode_real(x)
+            if prod != direct:
+                fails["times_sqrt_exact"].append({"n": n, "lhs": str(prod), "rhs": str(direct)})
+    return {k: (len(v), v[0] if v else None) for k, v in fails.items()}, printed
+
+
+@pytest.mark.parametrize("d", ["3", "7", "13/4"])
+@pytest.mark.parametrize("field, i, delta, failing", [
+    (None, 0, Fraction(1), ()),
+    ("v", 1, Fraction(1, 2), ("recover_nat",)),
+    ("w", 2, Fraction(-1, 3), ("recover_nat",)),
+    ("ab", 1, Fraction(2), ("recover_frac", "times_sqrt_exact")),
+    ("unit", 0, Fraction(1, 5), ("recover_frac",)),
+])
+def test_fused_pass_matches_per_n_checks(monkeypatch, d, field, i, delta, failing):
+    config = replace(SMALL, d_list=(Fraction(d),), n_max=300, lambda_n_max=120,
+                     lambda_samples=0)
+    cf = cfrac.expand(Fraction(d), config.depth)
+    cf = cf.at_least(3 * cf.m + 3)
+    derive = cfrac.derive_shift_constants
+    want, printed = per_n_reference(cf, corrupt(derive(cf), field, i, delta), config)
+    monkeypatch.setattr(harness.cfrac, "derive_shift_constants",
+                        lambda cf: corrupt(derive(cf), field, i, delta))
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(shiftcalc, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(shiftcalc, name, counted)
+
+    for name in ("natural_dots", "check_recover_frac", "check_recover_nat", "times_sqrt_frac"):
+        spy(name)
+    res = run_suite(config)["results"][0]
+    got = {k: (res[k]["failures"], res[k]["first_failure"]) for k in want}
+    assert got == want
+    assert res["recovery_printed_fails_upto_50"] == printed
+    assert [k for k in want if want[k][0]] == list(failing)
+    # one kernel call per n; the witness builders run for the worked
+    # example and each sweep's first failure only, one kernel call each
+    witnesses = {"check_recover_frac": 1 + ("recover_frac" in failing),
+                 "check_recover_nat": 1 + ("recover_nat" in failing),
+                 "times_sqrt_frac": int("times_sqrt_exact" in failing)}
+    assert {k: calls[k] for k in witnesses} == witnesses
+    assert calls["natural_dots"] == res["recover_frac"]["checked"] + sum(witnesses.values())
 
 
 def test_prefix_natural_computed_once_per_probe(monkeypatch):

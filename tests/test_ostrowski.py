@@ -3,6 +3,7 @@ exhaustive uniqueness, interval membership, window structure, and the
 digit-wise real encoder with its certified truncation bound."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,8 @@ from ostro import (
 )
 from ostro import ostrowski
 from ostro.ostrowski import KIND_REAL, OstDigits
+
+from digit_maps import validate_reference
 
 
 def greedy_oracle(n, cf):
@@ -87,6 +90,21 @@ def test_validate_frozen(cf_of):
     assert validate(make_digits(cf2, (0, 2)))[0]
     with pytest.raises(InvalidDigits):
         make_digits(cf2, (1, 2))
+
+
+@given(st.sampled_from([Fraction(x) for x in (2, 3, 7, 13, 61, "3/2", "13/4")]),
+       st.integers(0, 10**12),
+       st.lists(st.tuples(st.integers(0, 40), st.integers(-1, 15)), max_size=3))
+def test_validate_matches_reference_rule(cf_of, d, n, edits):
+    # the digits of n are valid; each edit sets one position, so most
+    # edited strings break a bound or the zero-below-a-maximal-digit rule
+    cf = cf_of(d)
+    digits = list(encode_nat(n, cf).digits)
+    for pos, val in edits:
+        digits += [0] * (pos + 1 - len(digits))
+        digits[pos] = val
+    x = SimpleNamespace(cf=cf, digits=tuple(digits))  # validate reads only these
+    assert validate(x) == validate_reference(cf, x.digits)
 
 
 def test_direct_construction_validates(cf_of):

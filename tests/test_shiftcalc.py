@@ -384,14 +384,16 @@ def test_times_sqrt_frac_matches_quadrat_reference(cf_of, sc_of, d, n, field, i,
 
 
 def test_times_sqrt_frac_overrun_message(cf_of, sc_of):
-    # the top digit of q_64 - 1 over d = 3 sits at 63; shifting by m = 2 overruns
+    # the top digit of q_64 - 1 over d = 3 sits at 63; shifting by m = 2
+    # overruns, and check_recover_nat has the same depth need
     cf, sc = cf_of(3), sc_of(3)
-    x = encode_nat(cf.q(cf.depth) - 1, cf).retag(KIND_REAL)
-    with pytest.raises(DepthExceeded) as ours:
-        times_sqrt_frac(x, sc)
+    x = encode_nat(cf.q(cf.depth) - 1, cf)
     with pytest.raises(DepthExceeded) as ref:
-        reference_times_sqrt_frac(x, sc)
-    assert str(ours.value) == str(ref.value) == f"shifted index {len(x.digits) + 1} exceeds depth 64"
+        reference_times_sqrt_frac(x.retag(KIND_REAL), sc)
+    for check, y in ((times_sqrt_frac, x.retag(KIND_REAL)), (check_recover_nat, x)):
+        with pytest.raises(DepthExceeded) as ours:
+            check(y, sc)
+        assert str(ours.value) == str(ref.value) == f"shifted index {len(x.digits) + 1} exceeds depth 64"
 
 
 def reference_real_depth(cf, eps):
