@@ -10,8 +10,8 @@ For each workload of the checkout's BENCHMARK.json this runs
 traced on seed0, one process at a time, then times the tier-1 test
 command.  The record holds the checkout's git sha, machine info, per
 workload the median and quartiles of every end-to-end metric over the k
-runs (with k and the raw values), and the traced call count of every
-per-layer span.
+runs (with k and the raw values), and every per-layer metric of the
+traced run: call counts, self times, useful ratios and tracing overhead.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -96,8 +96,7 @@ def main(argv=None) -> int:
                 for name, m in runs[0]["metrics"].items()
             },
             "traced_seed": args.seed0,
-            "traced_calls": {name[: -len(".calls")]: m["value"]
-                             for name, m in traced["metrics"].items() if name.endswith(".calls")},
+            "traced": {name: m["value"] for name, m in traced["metrics"].items()},
         }
         print(f"{wl}: wall_s median {workloads[wl]['metrics']['wall_s']['median']:.3f}",
               file=sys.stderr)
