@@ -3,7 +3,7 @@
 
 Usage, from any directory:
 
-    python3 scripts/bench_record.py --pr 8 [--k 5] [--seed0 101] [--root DIR] [--out FILE]
+    python3 scripts/bench_record.py --pr N [--k 5] [--seed0 101] [--root DIR] [--out FILE]
 
 For each workload of the checkout's BENCHMARK.json this runs
 ``perfbench/run.py`` untraced on k seeds (seed0 .. seed0+k-1) and once
