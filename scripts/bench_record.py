@@ -3,20 +3,20 @@
 
 Usage, from any directory:
 
-    python3 scripts/bench_record.py --pr N [--k 5] [--seed0 101] [--root DIR] [--out FILE]
+    python3 scripts/bench_record.py --pr N [--root DIR]
 
 For each workload of the checkout's BENCHMARK.json this runs
-``perfbench/run.py`` untraced on k seeds (seed0 .. seed0+k-1) and once
-traced on seed0, one process at a time, then times the tier-1 test
+``perfbench/run.py`` untraced on K = 7 seeds (101 .. 107) and once
+traced on seed 101, one process at a time, then times the tier-1 test
 command.  The record holds the checkout's git sha, machine info, per
-workload the median and quartiles of every end-to-end metric over the k
-runs (with k and the raw values), and every per-layer metric of the
+workload the median and quartiles of every end-to-end metric over the K
+runs (with K and the raw values), and every per-layer metric of the
 traced run: call counts, self times, useful ratios and tracing overhead.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
-script in it.  --out defaults to BENCH_<pr>.json at the root of the
-checkout holding this script.  Standard library only.
+script in it.  The record is written to BENCH_<pr>.json at the root of
+the checkout holding this script.  Standard library only.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+SEED0, K = 101, 7  # the same seeds in every record, so records compare seed for seed
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -46,9 +47,8 @@ def run_bench(root: Path, command: list[str], workload: str, seed: int, seconds:
 
 
 def summary(values: list[float]) -> dict:
-    """Median and quartiles (inclusive method) of the k values."""
-    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                   if len(values) > 1 else values * 3)
+    """Median and quartiles (inclusive method) of the K values."""
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"k": len(values), "median": med, "q1": q1, "q3": q3, "values": values}
 
 
@@ -72,21 +72,16 @@ def git_sha(root: Path) -> str | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the file name")
-    parser.add_argument("--k", type=int, default=5, help="untraced runs per workload")
-    parser.add_argument("--seed0", type=int, default=101, help="first seed")
     parser.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
-    parser.add_argument("--out", type=Path, help="output file")
     args = parser.parse_args(argv)
-    if args.k < 1:
-        parser.error("--k must be at least 1")
     root = args.root.resolve()
     bench = json.loads((root / "BENCHMARK.json").read_text())
-    seeds = list(range(args.seed0, args.seed0 + args.k))
+    seeds = list(range(SEED0, SEED0 + K))
 
     workloads = {}
     for wl in (w["name"] for w in bench["workloads"]):
         runs = [run_bench(root, bench["command"], wl, s, bench["run_seconds"], 0) for s in seeds]
-        traced = run_bench(root, bench["command"], wl, args.seed0, bench["run_seconds"], 1)
+        traced = run_bench(root, bench["command"], wl, SEED0, bench["run_seconds"], 1)
         workloads[wl] = {
             "seeds": seeds,
             "correct": all(r["correct"] for r in runs + [traced]),
@@ -95,7 +90,7 @@ def main(argv=None) -> int:
                 name: {"unit": m["unit"], **summary([r["metrics"][name]["value"] for r in runs])}
                 for name, m in runs[0]["metrics"].items()
             },
-            "traced_seed": args.seed0,
+            "traced_seed": SEED0,
             "traced": {name: m["value"] for name, m in traced["metrics"].items()},
         }
         print(f"{wl}: wall_s median {workloads[wl]['metrics']['wall_s']['median']:.3f}",
@@ -113,7 +108,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "tier1": time_tier1(root),
     }
-    out = args.out or HERE / f"BENCH_{args.pr}.json"
+    out = HERE / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

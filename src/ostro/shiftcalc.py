@@ -12,8 +12,7 @@ Two recovery identities are audited per digit string x of a natural n:
     shift 1 (an index slip seen in print) is reported alongside.
 
 Both are decided on Python ints that natural_dots reads off the digits
-in one pass; the exact values of the two sides are built only when an
-entry's witness is read.  On top of them sit representation-level
+in one pass.  On top of them sit representation-level
 multiplication by sqrt(d) (exact on naturals and on interval values,
 eps-certified on arbitrary non-negative inputs) and the digit-extraction
 probes that mirror the first-order definability arguments: prefix
@@ -73,25 +72,18 @@ def _quad(d: Fraction, parts: tuple[int, int, int]) -> QuadRat:
 
 @dataclass(frozen=True)
 class AuditEntry:
-    """One audited instance of a recovery identity.  The sides are integer
-    triples for _quad, made exact values only when read; lhs_parts None
-    means the left side is n itself."""
+    """One audited instance of a recovery identity.
+
+    lhs and rhs hold the exact values; they are stringified only when the
+    entry is serialized.
+    """
 
     lemma: str
     n: int
     printed: str  # "holds" | "fails"
     corrected: str
-    d: Fraction
-    lhs_parts: tuple[int, int, int] | None
-    rhs_parts: tuple[int, int, int]
-
-    @property
-    def lhs(self):
-        return self.n if self.lhs_parts is None else _quad(self.d, self.lhs_parts)
-
-    @property
-    def rhs(self) -> QuadRat:
-        return _quad(self.d, self.rhs_parts)
+    lhs: object
+    rhs: object
 
     def to_json(self) -> dict:
         return {
@@ -185,7 +177,7 @@ def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     fa, n, ya, yb, *_ = natural_dots(x, sc)
     printed, corrected, rhs = frac_verdicts(x.cf, sc, fa, n, ya, yb)
     return AuditEntry("frac-recovery", n, _verdict(printed), _verdict(corrected),
-                      x.cf.d, (fa, n, 1), rhs)
+                      QuadRat(Fraction(fa), Fraction(n), x.cf.d), _quad(x.cf.d, rhs))
 
 
 def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
@@ -200,7 +192,7 @@ def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     _, n, _, _, v1, w0, w1 = natural_dots(x, sc)
     printed, corrected, rhs = nat_verdicts(sc, n, v1, w0, w1)
     return AuditEntry("nat-recovery", n, _verdict(printed), _verdict(corrected),
-                      x.cf.d, None, rhs)
+                      n, _quad(x.cf.d, rhs))
 
 
 # ---------------------------------------------------------------------------

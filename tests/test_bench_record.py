@@ -1,7 +1,9 @@
-"""scripts/bench_record.py against a stub checkout: one record per call,
-medians and quartiles over the seeds, the traced metrics, tier-1 timed."""
+"""scripts/bench_record.py against a stub checkout holding a copy of the
+script: one record per call at the checkout's root, medians and quartiles
+over the seeds, the traced metrics, tier-1 timed."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -32,18 +34,20 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     (root / "BENCHMARK.json").write_text(json.dumps({
         "command": ["python3", "perfbench/run.py"], "run_seconds": 1,
         "workloads": [{"name": "stub"}]}))
-    out = tmp_path / "BENCH_1.json"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--pr", "1", "--k", "5", "--seed0", "10",
-         "--root", str(root), "--out", str(out)],
+    (root / "scripts").mkdir()
+    shutil.copy(SCRIPT, root / "scripts")
+    proc = subprocess.run(  # no --root: the checkout holding the script
+        [sys.executable, str(root / "scripts" / SCRIPT.name), "--pr", "1"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    rec = json.loads(out.read_text())
+    rec = json.loads((root / "BENCH_1.json").read_text())
     assert rec["pr"] == 1 and rec["git_sha"] is None  # the stub is no git checkout
     assert rec["machine"]["nproc"] >= 1
     wl = rec["workloads"]["stub"]
-    assert wl["seeds"] == [10, 11, 12, 13, 14] and wl["correct"]
-    assert wl["metrics"]["wall_s"] == {"unit": "s", "k": 5, "median": 12, "q1": 11,
-                                       "q3": 13, "values": [10, 11, 12, 13, 14]}
+    seeds = list(range(101, 108))
+    assert wl["seeds"] == seeds and wl["correct"]
+    assert wl["metrics"]["wall_s"] == {"unit": "s", "k": 7, "median": 104, "q1": 102.5,
+                                       "q3": 105.5, "values": seeds}
+    assert wl["traced_seed"] == 101
     assert wl["traced"] == {"f.calls": 7}
     assert rec["tier1"]["returncode"] == 0 and "1 passed" in rec["tier1"]["summary"]
