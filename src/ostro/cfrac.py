@@ -14,9 +14,11 @@ identities reach one step below zero.
 
 ``audit_identities`` re-checks the classical identities in two variants
 each: the form as commonly printed (several of which are misindexed) and
-the corrected form.  ``derive_shift_constants`` solves for the rational
+the corrected form.  ``derive_shift_constants`` gives the rational
 weights that express q_k through p_{k+1}, p_k along residue classes, the
-engine behind the digit-shift multiplication in :mod:`ostro.shiftcalc`.
+engine behind the digit-shift multiplication in :mod:`ostro.shiftcalc`,
+off the complete quotients: dn*q_k = Q_{k+1} p_{k+1} - P_{k+2} p_k for
+d = dn/dd, so no linear system is solved and SingularSystem is not raised.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .errors import (
-    DepthExceeded,
-    SingularSystem,
-    UnsupportedRadicand,
-    VerificationFailed,
-)
+from .errors import DepthExceeded, UnsupportedRadicand, VerificationFailed
 from .qfield import QuadRat, check_radicand, quad, sign_sqrt
 
 DEFAULT_DEPTH = 64
@@ -349,7 +346,10 @@ class ShiftConstants:
     For every residue i and every block index k:
         q_{kt+i} = v[i] * p_{kt+i+1} + w[i] * p_{kt+i}
     t = max(m, 2) so the weights are constant along classes (t is always
-    a multiple of the period length m).  U is the unit
+    a multiple of the period length m).  With d = dn/dd and the complete
+    quotients (P_j + sqrt(D))/Q_j, the classical identity
+    dn*q_k = Q_{k+1} p_{k+1} - P_{k+2} p_k gives v[i] = Q_{i+1}/dn and
+    w[i] = -P_{i+2}/dn (P and Q have period m).  U is the unit
     q_{m-1} sqrt(d) + p_{m-1}; a_const, b_const are its coefficients and
     pell_norm records a_const^2 d - b_const^2 (for integer d this is the
     classical +-1).
@@ -378,31 +378,29 @@ class ShiftConstants:
 
 
 def derive_shift_constants(cf: CFData) -> ShiftConstants:
-    """Solve for the per-residue weights and verify them on every index.
+    """Read the per-residue weights off the complete quotients and verify
+    them on every index.
 
-    Each (v_i, w_i) comes from the 2x2 system at block indices k = 0, 1
-    and is then checked against every k of cf.at_least(2t+2); any
-    mismatch raises VerificationFailed.  A singular system (cannot happen
-    for d > 1, but checked anyway) raises SingularSystem.
+    v_i = Q_{i+1}/dn and w_i = -P_{i+2}/dn by the identity in ShiftConstants,
+    checked in integers on every index of cf.at_least(2t+2); a mismatch
+    raises VerificationFailed naming the index.  No linear system is solved,
+    so SingularSystem is no longer raised.
     """
     t = cf.t
     cf = cf.at_least(2 * t + 2)
+    dn, m = cf.d.numerator, cf.m
     vs: list[Fraction] = []
     ws: list[Fraction] = []
     for i in range(t):
-        det = cf.p(i + 1) * cf.p(t + i) - cf.p(i) * cf.p(t + i + 1)
-        if det == 0:
-            raise SingularSystem(f"singular 2x2 system at residue {i} for d={cf.d}")
-        v = Fraction(cf.q(i) * cf.p(t + i) - cf.q(t + i) * cf.p(i), det)
-        w = Fraction(cf.p(i + 1) * cf.q(t + i) - cf.p(t + i + 1) * cf.q(i), det)
+        big_q, big_p = cf.zetas[i % m][1], cf.zetas[(i + 1) % m][0]  # Q_{i+1}, P_{i+2}
         for idx in range(i, cf.depth, t):
-            if cf.q(idx) != v * cf.p(idx + 1) + w * cf.p(idx):
+            if dn * cf.q(idx) != big_q * cf.p(idx + 1) - big_p * cf.p(idx):
                 raise VerificationFailed(
                     f"shift constants for d={cf.d} fail at index {idx}: "
-                    f"q={cf.q(idx)} vs {v}*{cf.p(idx + 1)}+{w}*{cf.p(idx)}"
+                    f"{dn}*q={dn * cf.q(idx)} vs {big_q}*{cf.p(idx + 1)}-{big_p}*{cf.p(idx)}"
                 )
-        vs.append(v)
-        ws.append(w)
+        vs.append(Fraction(big_q, dn))
+        ws.append(Fraction(-big_p, dn))
 
     a_const = cf.q(cf.m - 1)
     b_const = cf.p(cf.m - 1)

@@ -24,6 +24,7 @@ depth accepted from flags or config files.  The depth the period needs
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -134,7 +135,8 @@ def cmd_encode(args) -> int:
     else:
         value = parse_quad(text, cf.d)
         x = ostrowski.encode_real(value, cf, args.digits)
-    _emit(args, str(x))
+    data = {"d": str(cf.d), "kind": x.kind, "digits": list(x.digits)}
+    _emit(args, json.dumps(data, indent=2) if args.format == "json" else str(x))
     return EXIT_OK
 
 
@@ -145,17 +147,19 @@ def cmd_decode(args) -> int:
         raise ValueError(f"--d {d_flag} disagrees with the @d={d_tag} suffix")
     d = d_tag if d_tag is not None else d_flag
     if d is None:
-        if not digits:  # the empty string means zero over any radicand
-            _emit(args, "0")
-            return EXIT_OK
-        raise ValueError("no radicand: pass --d or use the @d= suffix")
-    cf = cfrac.expand(d, _effective_depth(args.depth))
-    x = ostrowski.make_digits(cf, digits, ostrowski.KIND_REAL if args.real else ostrowski.KIND_NAT)
-    if args.real:
-        val = ostrowski.decode_real(x)
-        _emit(args, f"{val} = {val.approx(30)}")
+        if digits:
+            raise ValueError("no radicand: pass --d or use the @d= suffix")
+        data, text = {"d": None, "value": "0"}, "0"  # the empty string is zero over any radicand
     else:
-        _emit(args, str(ostrowski.decode_nat(x)))
+        cf = cfrac.expand(d, _effective_depth(args.depth))
+        kind = ostrowski.KIND_REAL if args.real else ostrowski.KIND_NAT
+        x = ostrowski.make_digits(cf, digits, kind)
+        value = ostrowski.decode_real(x) if args.real else ostrowski.decode_nat(x)
+        data, text = {"d": str(d), "value": str(value)}, str(value)
+        if args.real:
+            data["decimal"] = str(value.approx(40))
+            text = f"{value} = {value.approx(30)}"
+    _emit(args, json.dumps(data, indent=2) if args.format == "json" else text)
     return EXIT_OK
 
 
@@ -238,6 +242,7 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parse_args keeps no state, defaults are immutable
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ostro",

@@ -39,7 +39,7 @@ class InvalidDigits(OstroError):
 
 
 class SingularSystem(OstroError):
-    """The 2x2 system for the shift constants is singular."""
+    """Kept for compatibility; the library no longer raises it."""
 
 
 class VerificationFailed(OstroError):

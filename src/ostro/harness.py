@@ -43,7 +43,8 @@ STAGES = (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Configuration for one harness run; a negative count raises ValueError."""
+    """Configuration for one harness run; a negative count or an eps <= 0
+    raises ValueError."""
 
     d_list: tuple[Fraction, ...] = DEFAULT_D_LIST
     depth: int = cfrac.DEFAULT_DEPTH
@@ -65,6 +66,8 @@ class SuiteConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"config field {name!r} must be non-negative, "
                                  f"got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise ValueError(f"config field 'eps' must be positive, got {self.eps}")
 
     def to_json(self) -> dict:
         """Every field in declaration order, rationals as strings."""

@@ -11,7 +11,9 @@ map, then evaluate unshifted" instead pairs weights with the shifted
 residues; the two differ by a rotation of u.  The recovery identities
 need the original-residue pairing.)  Also here: the printed and corrected
 digit windows, the unary threshold layers of a digit map, and the digit
-constraints as a per-digit rule.
+constraints as a per-digit rule, and the shift constants by a 2x2
+linear solve per residue, the reference for the library's reading of
+them off the complete quotients.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ostro import shiftcalc
-from ostro.cfrac import CFData
-from ostro.errors import DepthExceeded, InvalidDigits, VerificationFailed
+from ostro.cfrac import CFData, ShiftConstants
+from ostro.errors import DepthExceeded, InvalidDigits, SingularSystem, VerificationFailed
 from ostro.ostrowski import OstDigits
 from ostro.qfield import QuadRat
 
@@ -117,6 +119,38 @@ def validate_reference(cf: CFData, digits) -> tuple[bool, int | None]:
         if b == cap and k >= 1 and digits[k - 1] != 0:
             return False, k
     return True, None
+
+
+def shift_constants_reference(cf: CFData) -> ShiftConstants:
+    """The shift constants by solving, per residue i, the 2x2 system
+    q_{kt+i} = v_i p_{kt+i+1} + w_i p_{kt+i} at k = 0, 1, then checking
+    every index of cf.at_least(2t+2) in Fraction arithmetic."""
+    t = cf.t
+    cf = cf.at_least(2 * t + 2)
+    vs: list[Fraction] = []
+    ws: list[Fraction] = []
+    for i in range(t):
+        det = cf.p(i + 1) * cf.p(t + i) - cf.p(i) * cf.p(t + i + 1)
+        if det == 0:
+            raise SingularSystem(f"singular 2x2 system at residue {i} for d={cf.d}")
+        v = Fraction(cf.q(i) * cf.p(t + i) - cf.q(t + i) * cf.p(i), det)
+        w = Fraction(cf.p(i + 1) * cf.q(t + i) - cf.p(t + i + 1) * cf.q(i), det)
+        for idx in range(i, cf.depth, t):
+            if cf.q(idx) != v * cf.p(idx + 1) + w * cf.p(idx):
+                raise VerificationFailed(f"shift constants for d={cf.d} fail at index {idx}")
+        vs.append(v)
+        ws.append(w)
+    a_const, b_const = cf.q(cf.m - 1), cf.p(cf.m - 1)
+    return ShiftConstants(
+        d=cf.d,
+        t=t,
+        v=tuple(vs),
+        w=tuple(ws),
+        unit=QuadRat(Fraction(b_const), Fraction(a_const), cf.d),
+        a_const=a_const,
+        b_const=b_const,
+        pell_norm=Fraction(a_const * a_const) * cf.d - b_const * b_const,
+    )
 
 
 def digit_window(cf: CFData, l: int, printed: bool = False) -> tuple[QuadRat, QuadRat]:

@@ -1,16 +1,20 @@
 """Expansion of sqrt(d): period shape, convergents against an
 independent fold oracle, identity audit verdicts, shift constants."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from digit_maps import shift_constants_reference
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ostro import (
     DepthExceeded,
     RationalSquare,
     UnsupportedRadicand,
+    VerificationFailed,
     audit_identities,
     derive_shift_constants,
     expand,
@@ -18,6 +22,8 @@ from ostro import (
     quad,
 )
 from ostro.harness import DEFAULT_D_LIST
+
+LONG_PERIOD = (Fraction(991), Fraction(9949), Fraction(99991), Fraction(1000003, 7))
 
 
 def fold_convergent(a0: int, partials) -> Fraction:
@@ -250,6 +256,36 @@ def test_constants_relation_all_materialized(cf_of, sc_of):
 def test_constants_grow_past_a_shallow_expansion():
     # t = 60 needs 2t+2 = 122 indices; the shallow input is grown, not refused
     assert derive_shift_constants(expand(991, 8)) == derive_shift_constants(expand(991, 183))
+
+
+@pytest.mark.parametrize("d", DEFAULT_D_LIST + LONG_PERIOD, ids=str)
+def test_constants_match_linear_solve(d):
+    cf = expand(d)
+    assert derive_shift_constants(cf) == shift_constants_reference(cf)
+
+
+@given(st.integers(2, 3000), st.integers(1, 40))
+def test_constants_match_linear_solve_on_rationals(num, den):
+    d = Fraction(num, den)
+    assume(d > 1 and not (math.isqrt(d.numerator) ** 2 == d.numerator
+                          and math.isqrt(d.denominator) ** 2 == d.denominator))
+    cf = expand(d, 8)
+    assert derive_shift_constants(cf) == shift_constants_reference(cf)
+
+
+@pytest.mark.parametrize("d,j,idx", [(3, 0, 1), (991, 5, 4)])
+def test_constants_check_every_index(d, j, idx):
+    # zetas[j] = (P_{j+1}, Q_{j+1}); P_{j+1} is the w weight of residue
+    # j - 1 mod m, so that residue fails at its first index
+    cf = expand(d, 130)
+    big_p, big_q = cf.zetas[j]
+    bad = replace(cf, zetas=cf.zetas[:j] + ((big_p + 1, big_q),) + cf.zetas[j + 1:])
+    with pytest.raises(VerificationFailed, match=f"fail at index {idx}:"):
+        derive_shift_constants(bad)
+    # a deep convergent: only the check on every index can see it
+    deep = replace(cf, conv_q=cf.conv_q[:101] + (cf.conv_q[101] + 1,) + cf.conv_q[102:])
+    with pytest.raises(VerificationFailed, match="fail at index 100:"):
+        derive_shift_constants(deep)
 
 
 def test_constants_unit_exceeds_one(cf_of, sc_of):

@@ -1,6 +1,7 @@
 """Command-line surface: subcommand output, exit codes, JSON round
 trips, depth capping, and file output."""
 
+import argparse
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ostro
-from ostro import cfrac, parse_quad, quad
+from ostro import cfrac, cli, parse_quad, quad
 from ostro.cli import main
 from ostro.harness import config_from_json
 
@@ -117,6 +118,27 @@ def test_decode_needs_some_radicand(capsys):
     assert main(["decode", "0,1"]) == 2
 
 
+def test_encode_json(capsys):
+    code, out = run(capsys, "encode", "--d", "3", "--format", "json", "5")
+    assert code == 0
+    assert json.loads(out) == {"d": "3", "kind": "natural", "digits": [0, 1, 0, 1]}
+    code, out = run(capsys, "encode", "--d", "3", "--digits", "4", "--format", "json", "--",
+                    "-9+5*sqrt(3)")
+    assert code == 0
+    assert json.loads(out) == {"d": "3", "kind": "real", "digits": [0, 1, 0, 1]}
+
+
+def test_decode_json(capsys):
+    code, out = run(capsys, "decode", "--format", "json", "0,1,0,1@d=3")
+    assert code == 0
+    assert json.loads(out) == {"d": "3", "value": "5"}
+    code, out = run(capsys, "decode", "--real", "--format", "json", "0,1,0,1@d=3")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["d"], data["value"]) == ("3", "-9+5*sqrt(3)")
+    assert data["decimal"].startswith("-0.33974596215561353236")
+
+
 def test_encode_negative_is_domain_error(capsys):
     assert main(["encode", "--d", "3", "--", "-4"]) == 4
 
@@ -219,7 +241,7 @@ def test_audit_config_file_with_override(tmp_path, capsys):
              '{"n_max": 5.9, "seed": true}', '{"seed": true}', '{"depth": "64"}',
              '{"n_unique": -1}', '{"lambda_n_max": -3}', '{"lambda_samples": -1}',
              '{"probe_samples": -1}', '{"probe_l_max": -1}', '{"probe_q_limit": -1}',
-             '{"class_l_max": -1}']
+             '{"class_l_max": -1}', '{"eps": "-1/10"}', '{"eps": 0}']
 )
 def test_audit_malformed_config_is_input_error(tmp_path, capsys, blob):
     cfg = tmp_path / "suite.json"
@@ -234,6 +256,14 @@ def test_audit_negative_count_flag_is_input_error(tmp_path, capsys):
     cfg = tmp_path / "suite.json"
     cfg.write_text('{"n_max": -5}')
     assert main(["audit", "--config", str(cfg), "--d", "3"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--eps=0", "--eps=-1/10"])
+def test_audit_non_positive_eps_flag_is_input_error(capsys, flag):
+    # rejected as input, not recorded as an error entry for every radicand
+    assert main(["audit", "--d", "3", "--n-max", "5", flag]) == 2
+    captured = capsys.readouterr()
+    assert "'eps' must be positive" in captured.err and "d=3" not in captured.out
 
 
 def test_audit_records_each_radicand_error(capsys):
@@ -283,6 +313,49 @@ def test_output_file(tmp_path, capsys):
     code = main(["cf", "--d", "3", "--format", "json", "--output", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["m"] == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    calls = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.prog)
+        return add_subparsers(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+    assert main(["cf", "--d", "3"]) == 0
+    assert main(["decode", "0,1,0,1@d=3"]) == 0
+    assert main(["constants", "--d", "2"]) == 0
+    assert calls == ["ostro"]
+
+
+def test_rejected_arguments_leave_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cf", "--format", "xml", "--d", "3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["cf"])  # --d missing
+    capsys.readouterr()
+    code, out = run(capsys, "cf", "--d", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["period"] == [1, 2]
+
+
+def test_no_namespace_leaks_between_calls(capsys):
+    code, out = run(capsys, "decode", "--real", "0,1,0,1@d=3")
+    assert code == 0 and out.startswith("-9+5*sqrt(3) = ")
+    code, out = run(capsys, "decode", "0,1,0,1@d=3")
+    assert code == 0 and out.strip() == "5"
+    code, out = run(capsys, "cf", "--d", "3", "--depth", "10", "--format", "json")
+    assert code == 0 and json.loads(out)["depth"] == 10
+    code, out = run(capsys, "cf", "--d", "3")
+    assert code == 0 and "p_11/q_11" in out  # default depth 64, not 10
 
 
 # ---------------------------------------------------------------------------
