@@ -149,20 +149,7 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
         ps.append(ak * ps[-1] + ps[-2])
         qs.append(ak * qs[-1] + qs[-2])
 
-    # Sanity sweep: determinant identity, sign alternation, strict decay.
-    # With beta_k of sign s, |beta_{k+1}| - |beta_k| = -s (beta_k + beta_{k+1}).
-    for k in range(0, depth + 1):
-        i, s = k + 1, (-1) ** k  # offset into the lists, sign of beta_k
-        det = ps[i] * qs[i - 1] - ps[i - 1] * qs[i]
-        if det != -s:
-            raise VerificationFailed(
-                f"p_{k} q_{k - 1} - p_{k - 1} q_{k} = {det} for sqrt({d}), expected {-s}"
-            )
-        if sign_sqrt(-ps[i], qs[i], dn, dd) != s:
-            raise VerificationFailed(f"beta_{k} = {qs[i]}*sqrt({d}) - {ps[i]} has the wrong sign")
-        if k < depth and s * sign_sqrt(ps[i] + ps[i + 1], -(qs[i] + qs[i + 1]), dn, dd) >= 0:
-            raise VerificationFailed(f"|beta_{k + 1}| >= |beta_{k}| for sqrt({d})")
-
+    _check_convergents(d, ps, qs, depth)
     return CFData(
         d=d,
         a0=a0,
@@ -174,6 +161,24 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
         zetas=tuple(zetas),
         depth=depth,
     )
+
+
+def _check_convergents(d: Fraction, ps, qs, depth: int) -> None:
+    """Sanity sweep over the convergent tables (index -1 first) of expand:
+    determinant identity, sign alternation, strict decay.  With beta_k of
+    sign s, |beta_{k+1}| - |beta_k| = -s (beta_k + beta_{k+1})."""
+    dn, dd = d.numerator, d.denominator
+    for k in range(0, depth + 1):
+        i, s = k + 1, (-1) ** k  # offset into the lists, sign of beta_k
+        det = ps[i] * qs[i - 1] - ps[i - 1] * qs[i]
+        if det != -s:
+            raise VerificationFailed(
+                f"p_{k} q_{k - 1} - p_{k - 1} q_{k} = {det} for sqrt({d}), expected {-s}"
+            )
+        if sign_sqrt(-ps[i], qs[i], dn, dd) != s:
+            raise VerificationFailed(f"beta_{k} = {qs[i]}*sqrt({d}) - {ps[i]} has the wrong sign")
+        if k < depth and s * sign_sqrt(ps[i] + ps[i + 1], -(qs[i] + qs[i + 1]), dn, dd) >= 0:
+            raise VerificationFailed(f"|beta_{k + 1}| >= |beta_{k}| for sqrt({d})")
 
 
 # ---------------------------------------------------------------------------

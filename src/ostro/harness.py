@@ -5,7 +5,11 @@ and corrected forms), derives and verifies the shift constants, and then
 sweeps the numeration and digit-shift layers: encode/decode round trips,
 exhaustive uniqueness, the integer/fractional split of n*sqrt(d), both
 recovery identities, representation-level multiplication, and the digit
-probes against brute-force oracles.
+probes.  The pass over n takes its integers from an Ostrowski counter
+and checks encode_nat against the counter's digits at every n; the
+prefix probe's oracle proves that the windows of all prefix naturals
+tile the fundamental interval and finds each sample's window by
+bisection.
 
 A report is a plain dict (JSON-ready).  Only corrected-form failures
 count as failures; printed-form failures are expected findings and are
@@ -16,13 +20,15 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cmp_to_key
 
 from . import cfrac, ostrowski, shiftcalc
 from .errors import DepthExceeded, UnsupportedRadicand, VerificationFailed, WitnessUnavailable
-from .qfield import QuadRat, parse_rat
+from .qfield import QuadRat, parse_rat, sign_sqrt
 
 # Non-square radicands exercised by default: sixteen integers and five
 # non-integer rationals, all greater than 1.
@@ -43,8 +49,8 @@ STAGES = (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Configuration for one harness run; a negative count or an eps <= 0
-    raises ValueError."""
+    """Configuration for one harness run; a negative count or
+    identity_k_max, a depth below 1 or an eps <= 0 raises ValueError."""
 
     d_list: tuple[Fraction, ...] = DEFAULT_D_LIST
     depth: int = cfrac.DEFAULT_DEPTH
@@ -66,6 +72,11 @@ class SuiteConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"config field {name!r} must be non-negative, "
                                  f"got {getattr(self, name)}")
+        if self.identity_k_max is not None and self.identity_k_max < 0:
+            raise ValueError(f"config field 'identity_k_max' must be non-negative, "
+                             f"got {self.identity_k_max}")
+        if self.depth < 1:
+            raise ValueError(f"config field 'depth' must be positive, got {self.depth}")
         if self.eps <= 0:
             raise ValueError(f"config field 'eps' must be positive, got {self.eps}")
 
@@ -183,9 +194,10 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
 
     # --- one pass over n: roundtrip, sqrt split, both recoveries, and
     # the shifted-digit product on the fractional part of n*sqrt(d), all
-    # from the ints of one natural_dots call; n < q_{depth-m+1} keeps the
-    # digits shifted by m inside the depth.  Only a sweep's first failure
-    # and the worked example build exact witnesses. ----------------------
+    # from the ints an Ostrowski counter carries from n to n+1; every
+    # encode_nat(n) must give the counter's digits.  n < q_{depth-m+1}
+    # keeps the digits shifted by m inside the depth.  Only a sweep's
+    # first failure and the worked example build exact witnesses. -------
     n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
     exact_checked = min(config.lambda_n_max, n_max) + 1
     rt_fails: list = []
@@ -196,10 +208,10 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     example = None
     interval = ostrowski.window_parts(cf, 0, blocked=True)  # I
     exact_s = 0.0
-    for n in range(n_max + 1):
+    counter = shiftcalc.natural_dots_upto(cf, sc, n_max)
+    for n, (digits, (fa, fb, ya, yb, v1, w0, w1)) in enumerate(counter):  # fb = n
         x = ostrowski.encode_nat(n, cf)
-        fa, fb, ya, yb, v1, w0, w1 = shiftcalc.natural_dots(x, sc)  # fb = n
-        if fb != n:
+        if x.digits != digits or fb != n:
             rt_fails.append({"n": n, "reason": "roundtrip"})
             continue
         if not ostrowski.in_window(cf, fa, fb, 1, interval):
@@ -288,31 +300,39 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
                 if shiftcalc.prefix_digit(cf, l, n) != dig:
                     fails.append({"l": l, "c": str(c), "reason": "digit mismatch"})
             got.append(row)
-        # Brute-force oracle: scan every candidate prefix natural against
-        # its absolute window; the match must be unique and agree.  The
-        # window of n at l is f(n) plus prefix_window(cf, l, ...), the
-        # tail window at l+1, all as integer pairs.
+        # Tiling oracle: at each l the windows of every n < q_{l+1}, f(n)
+        # plus prefix_window(cf, l, ...) as integer pairs, sorted by their
+        # lower ends must tile I exactly, so every c in I has exactly one
+        # prefix natural; bisection over the lower ends then finds it.
         table = []
         for n in range(cf.q(l_eff + 1)):
             xn = ostrowski.encode_nat(n, cf)
             table.append((xn.digits, ostrowski.beta_parts(xn)))
         scaled = [c.scaled() for c in samples]
+        dn, dd = cf.d.numerator, cf.d.denominator
+        by_lower = cmp_to_key(lambda u, v: sign_sqrt(u[0] - v[0], u[1] - v[1], dn, dd))
         for l in range(l_eff + 1):
-            bounds = []
+            wins = []
             for n in range(cf.q(l + 1)):
                 digs, (fa, fb) = table[n]
                 dig_l = digs[l] if l < len(digs) else 0
                 (la, lb), (ha, hb) = ostrowski.window_parts(cf, l + 1, blocked=dig_l != 0)
-                bounds.append(((fa + la, fb + lb), (fa + ha, fb + hb)))
+                wins.append(((fa + la, fb + lb), (fa + ha, fb + hb), n))
+            wins.sort(key=lambda w: by_lower(w[0]))
+            lows = [lo for lo, _, _ in wins]
+            highs = [hi for _, hi, _ in wins]
+            tiles = (lows[0], highs[-1]) == interval and lows[1:] == highs[:-1] and all(
+                sign_sqrt(ha - la, hb - lb, dn, dd) > 0 for (la, lb), (ha, hb) in zip(lows, highs))
+            if not tiles:
+                fails.append({"l": l, "reason": "windows do not tile I"})
+                continue
             for ci, c in enumerate(samples):
                 ca, cb, den = scaled[ci]
-                matches = [
-                    n for n, win in enumerate(bounds)
-                    if ostrowski.in_window(cf, ca, cb, den, win)
-                ]
-                if matches != [got[ci][l]]:
+                i = bisect_right(lows, False, key=lambda lo: sign_sqrt(
+                    ca - lo[0] * den, cb - lo[1] * den, dn, dd) < 0) - 1  # last lower end <= c
+                if wins[i][2] != got[ci][l]:
                     fails.append(
-                        {"l": l, "c": str(c), "got": got[ci][l], "oracle": matches}
+                        {"l": l, "c": str(c), "got": got[ci][l], "oracle": [wins[i][2]]}
                     )
         _sweep(out, "prefix_probe", config.probe_samples * (l_eff + 1), fails)
         out["prefix_probe"]["l_max"] = l_eff

@@ -12,7 +12,8 @@ Two recovery identities are audited per digit string x of a natural n:
     shift 1 (an index slip seen in print) is reported alongside.
 
 Both are decided on Python ints that natural_dots reads off the digits
-in one pass.  On top of them sit representation-level
+in one pass, or that natural_dots_upto carries from n to n+1 over a
+sweep of naturals.  On top of them sit representation-level
 multiplication by sqrt(d) (exact on naturals and on interval values,
 eps-certified on arbitrary non-negative inputs) and the digit-extraction
 probes that mirror the first-order definability arguments: prefix
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .cfrac import CFData, ShiftConstants, _verdict
 from .errors import (
@@ -136,6 +138,55 @@ def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
             w1 += nw[i] * p1
     s = -1 if m % 2 else 1
     return -bp, n, -s * yp, s * yq, v1, w0, w1
+
+
+def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
+    """Yield (digits of n, natural_dots of them) for n = 0 .. n_max, by an
+    Ostrowski counter instead of a pass over every digit of every n.
+
+    n + 1 raises the lowest digit that can rise and zeroes the digits
+    below it: digit k can rise when the new value is at most cap =
+    period[k % m] (below cap at k = 0) and the digit above is not at its
+    own cap.  The dots are digit-weighted sums of one weight row per
+    position, so tails[k], their sum over the positions >= k, takes
+    row k at the raised position and is copied to the zeroed ones.  Past
+    q_{depth-m+1} the digits shifted by m leave the depth, and
+    DepthExceeded is raised as natural_dots raises it.
+    """
+    m, period = cf.m, cf.period
+    qs, ps = cf.conv_q, cf.conv_p  # qs[i] = q_{i-1}
+    _, (nv, _), (nw, _) = _integer_constants(sc)
+    s = -1 if m % 2 else 1
+    top = cf.depth - m  # the last position whose shift by m is materialized
+
+    def row(k: int) -> tuple[int, ...]:
+        i = k % sc.t
+        return (-ps[k + 1], qs[k + 1], -s * ps[k + m + 1], s * qs[k + m + 1],
+                nv[i] * ps[k + 2], nw[i] * ps[k + 1], nw[i] * ps[k + 2])
+
+    digits: tuple[int, ...] = ()
+    rows: list[tuple[int, ...]] = []  # built as the digits reach them
+    tails = [(0,) * 7]  # one longer than digits, ending in zeros
+    for _ in range(n_max):
+        yield digits, tails[0]
+        k, size = 0, len(digits)
+        while True:
+            b = digits[k] + 1 if k < size else 1
+            cap = period[k % m]
+            if (b < cap or (b == cap and k > 0)) and (
+                    k + 1 >= size or digits[k + 1] != period[(k + 1) % m]):
+                break
+            k += 1
+        if k > top:
+            raise DepthExceeded(f"shifted index {k + m} exceeds depth {cf.depth}")
+        if k >= size:
+            rows += map(row, range(size, k + 1))
+            tails += [tails[-1]] * (k + 1 - size)
+        digits = (0,) * k + (b,) + digits[k + 1:]
+        # through a list: tuple(map(...)) over-allocates and shrinks, and the
+        # shrunk tuples pile up in CPython's free list (2000 x 96 bytes)
+        tails[:k + 1] = [tuple([*map(add, tails[k], rows[k])])] * (k + 1)
+    yield digits, tails[0]
 
 
 def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int):

@@ -21,6 +21,7 @@ from ostro import (
     normalize_d,
     quad,
 )
+from ostro import cfrac
 from ostro.harness import DEFAULT_D_LIST
 
 LONG_PERIOD = (Fraction(991), Fraction(9949), Fraction(99991), Fraction(1000003, 7))
@@ -130,6 +131,29 @@ def test_expand_rejects_bad_radicands():
             expand(low, 8)
     with pytest.raises(ValueError):
         expand(3, 0)
+
+
+@pytest.mark.parametrize("table, idx, value, message", [
+    # q_0 = 2: p_0 q_-1 - p_-1 q_0 = -2
+    ("q", 1, 2, "p_0 q_-1 - p_-1 q_0 = -2 for sqrt(3), expected -1"),
+    # p_0 = 2 keeps the determinant at -1 but puts p_0 above sqrt(3)
+    ("p", 1, 2, "beta_0 = 1*sqrt(3) - 2 has the wrong sign"),
+    # p_1 = 100 makes beta_1 far larger than beta_0 before index 1 is checked
+    ("p", 2, 100, "|beta_1| >= |beta_0| for sqrt(3)"),
+])
+def test_convergent_sweep_messages(monkeypatch, table, idx, value, message):
+    cf = expand(3, 10)
+    ps, qs = list(cf.conv_p), list(cf.conv_q)
+    cfrac._check_convergents(cf.d, ps, qs, cf.depth)  # the true tables pass
+    (ps if table == "p" else qs)[idx] = value
+    with pytest.raises(VerificationFailed) as exc:
+        cfrac._check_convergents(cf.d, ps, qs, cf.depth)
+    assert str(exc.value) == message
+    # expand runs the sweep on its own tables
+    seen = []
+    monkeypatch.setattr(cfrac, "_check_convergents", lambda *args: seen.append(args))
+    expand(3, 10)
+    assert seen == [(Fraction(3), [*cf.conv_p], [*cf.conv_q], 10)]
 
 
 def test_expand_deterministic():

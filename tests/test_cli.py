@@ -241,7 +241,8 @@ def test_audit_config_file_with_override(tmp_path, capsys):
              '{"n_max": 5.9, "seed": true}', '{"seed": true}', '{"depth": "64"}',
              '{"n_unique": -1}', '{"lambda_n_max": -3}', '{"lambda_samples": -1}',
              '{"probe_samples": -1}', '{"probe_l_max": -1}', '{"probe_q_limit": -1}',
-             '{"class_l_max": -1}', '{"eps": "-1/10"}', '{"eps": 0}']
+             '{"class_l_max": -1}', '{"eps": "-1/10"}', '{"eps": 0}',
+             '{"identity_k_max": -5}', '{"depth": 0}']
 )
 def test_audit_malformed_config_is_input_error(tmp_path, capsys, blob):
     cfg = tmp_path / "suite.json"

@@ -193,13 +193,14 @@ def test_fused_pass_matches_per_n_checks(monkeypatch, d, field, i, delta, failin
     assert got == want
     assert res["recovery_printed_fails_upto_50"] == printed
     assert [k for k in want if want[k][0]] == list(failing)
-    # one kernel call per n; the witness builders run for the worked
-    # example and each sweep's first failure only, one kernel call each
+    # the counter carries the ints from n to n+1; the witness builders run
+    # for the worked example and each sweep's first failure only, and
+    # natural_dots runs once inside each of them
     witnesses = {"check_recover_frac": 1 + ("recover_frac" in failing),
                  "check_recover_nat": 1 + ("recover_nat" in failing),
                  "times_sqrt_frac": int("times_sqrt_exact" in failing)}
     assert {k: calls[k] for k in witnesses} == witnesses
-    assert calls["natural_dots"] == res["recover_frac"]["checked"] + sum(witnesses.values())
+    assert calls["natural_dots"] == sum(witnesses.values())
 
 
 def test_prefix_natural_computed_once_per_probe(monkeypatch):
@@ -217,6 +218,46 @@ def test_prefix_natural_computed_once_per_probe(monkeypatch):
     assert res["prefix_probe"]["failures"] == 0
     assert len(calls) == res["prefix_probe"]["checked"] + reads
     assert set(calls.values()) == {1}
+
+
+def test_prefix_oracle_rejects_windows_that_do_not_tile(monkeypatch):
+    # move the lower end of the blocked window at position 3 (level l = 2)
+    # by -beta_40, far below what the 48-bit samples can see: the encoder
+    # and prefix_nat read the same digits, but the tiling proof breaks
+    window_parts = harness.ostrowski.window_parts
+
+    def moved(cf, n, blocked):
+        (la, lb), hi = window_parts(cf, n, blocked)
+        if n == 3 and blocked:
+            return (la + cf.p(40), lb - cf.q(40)), hi
+        return (la, lb), hi
+
+    monkeypatch.setattr(harness.ostrowski, "window_parts", moved)
+    res = run_suite(replace(SMALL, d_list=(Fraction(3),)))["results"][0]
+    probe = res["prefix_probe"]
+    assert (probe["l_max"], probe["failures"]) == (4, 1)
+    assert probe["first_failure"] == {"l": 2, "reason": "windows do not tile I"}
+
+
+def test_prefix_oracle_catches_a_wrong_prefix_natural(monkeypatch):
+    # the first read at l = 3 answers a neighbour with the same digit at l,
+    # so only the oracle, not prefix_digit, can tell
+    prefix_nat = harness.shiftcalc.prefix_nat
+    wrong = []
+
+    def spy(cf, l, c):
+        n = prefix_nat(cf, l, c)
+        if l == 3 and not wrong:
+            bad = n + 1 if (n + 1) // cf.q(l) == n // cf.q(l) else n - 1
+            wrong.append((str(c), n, bad))
+            return bad
+        return n
+
+    monkeypatch.setattr(harness.shiftcalc, "prefix_nat", spy)
+    res = run_suite(replace(SMALL, d_list=(Fraction(3),)))["results"][0]
+    (c, right, bad), = wrong
+    assert res["prefix_probe"]["failures"] == 1
+    assert res["prefix_probe"]["first_failure"] == {"l": 3, "c": c, "got": bad, "oracle": [right]}
 
 
 def test_prefix_probe_stays_inside_a_shallow_expansion():

@@ -295,6 +295,41 @@ def test_audit_entry_serialization(cf_of, sc_of):
     }
 
 
+@pytest.mark.parametrize("d", [*ostro.harness.DEFAULT_D_LIST, Fraction(991),
+                               Fraction(1000003, 7)], ids=str)
+def test_counter_matches_encode_and_natural_dots(d):
+    # the audit's expansion: 3m+3 deep, so d = 991 and 1000003/7 count
+    # through positions past their first period
+    cf = ostro.cfrac.expand(d, 64)
+    cf = cf.at_least(3 * cf.m + 3)
+    sc = ostro.cfrac.derive_shift_constants(cf)
+    n_max = min(3000, cf.q(cf.depth - cf.m + 1) - 1)
+    seen = 0
+    for n, (digits, dots) in enumerate(shiftcalc.natural_dots_upto(cf, sc, n_max)):
+        x = encode_nat(n, cf)
+        assert digits == x.digits, n
+        assert dots == shiftcalc.natural_dots(x, sc), n
+        seen += 1
+    assert seen == n_max + 1
+
+
+def test_counter_depth_boundary(cf_of, sc_of):
+    # over depth 14, d = 3 (m = 2) counts up to q_13 - 1 = 2910; the next
+    # n has its top digit at 13, which shifted by m passes the depth
+    cf, sc = cf_of(3, 14), sc_of(3, 14)
+    assert cf.q(13) == 2911
+    last = list(shiftcalc.natural_dots_upto(cf, sc, 2910))[-1]
+    assert last == (encode_nat(2910, cf).digits, shiftcalc.natural_dots(encode_nat(2910, cf), sc))
+    counter = shiftcalc.natural_dots_upto(cf, sc, 2911)
+    with pytest.raises(DepthExceeded) as ours:
+        for _ in counter:
+            pass
+    with pytest.raises(DepthExceeded) as ref:
+        shiftcalc.natural_dots(encode_nat(2911, cf), sc)
+    assert str(ours.value) == str(ref.value) == "shifted index 15 exceeds depth 14"
+    assert list(shiftcalc.natural_dots_upto(cf, sc, 0)) == [((), (0,) * 7)]
+
+
 # ---------------------------------------------------------------------------
 # multiplication by sqrt(d)
 # ---------------------------------------------------------------------------
