@@ -12,6 +12,10 @@ command.  The record holds the checkout's git sha, machine info, per
 workload the median and quartiles of every end-to-end metric over the K
 runs (with K and the raw values), and every per-layer metric of the
 traced run: call counts, self times, useful ratios and tracing overhead.
+A ``layers`` block, measured in a subprocess on the checkout's ``src/``,
+adds what the traced run cannot show: the min of 7 runs of
+``cfrac.expand(99991, 874)`` and, per audit stage, the min of 3 runs of
+``ostro.run_suite`` at the default config for d = 99991 and for d = 3.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -63,6 +67,41 @@ def time_tier1(root: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+# Run as `python -c LAYERS SRC`: imports ostro from SRC and prints one JSON line.
+LAYERS = """
+import json, sys, time
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+import ostro
+from ostro import cfrac
+
+def best(fn, k):
+    times = []
+    for _ in range(k):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+stages = {}
+for d in (99991, 3):
+    runs = [ostro.run_suite(ostro.SuiteConfig(d_list=(Fraction(d),)))["results"][0]["stages"]
+            for _ in range(3)]
+    stages[str(d)] = {name: min(r[name] for r in runs) for name in runs[0]}
+print(json.dumps({
+    "expand_99991_874": {"unit": "s", "min_of": 7,
+                         "value": best(lambda: cfrac.expand(99991, 874), 7)},
+    "audit_stages": {"unit": "s", "min_of": 3, "by_d": stages},
+}))
+"""
+
+
+def measure_layers(root: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", LAYERS, str(root / "src")], cwd=root,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def git_sha(root: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
                           text=True)
@@ -106,6 +145,7 @@ def main(argv=None) -> int:
         "benchmark": {"command": bench["command"], "run_seconds": bench["run_seconds"],
                       "time_unit": "reference seconds (see perfbench/speed.py)"},
         "workloads": workloads,
+        "layers": measure_layers(root),
         "tier1": time_tier1(root),
     }
     out = HERE / f"BENCH_{args.pr}.json"

@@ -10,11 +10,17 @@ when the pair of the first one recurs.
 Alongside the digits we materialize the convergents p_k/q_k; the
 differences beta_k = q_k*sqrt(d) - p_k alternate in sign and shrink
 strictly.  Index -1 is included (p=1, q=0, beta=-1) because several
-identities reach one step below zero.
+identities reach one step below zero.  expand verifies its tables on
+integers: the determinant at every index, beta_0 > 0, zeta > 1 for each
+complete quotient of the period, and the step beta_{k+1} zeta_{k+2} =
+-beta_k at every index, which gives the sign alternation and the decay.
 
 ``audit_identities`` re-checks the classical identities in two variants
 each: the form as commonly printed (several of which are misindexed) and
-the corrected form.  ``derive_shift_constants`` gives the rational
+the corrected form.  Every verdict is decided by integer identities over
+the convergent tables and the (P, Q) pairs; QuadRat values are built
+only for the witness of a first failure or the message of a
+VerificationFailed.  ``derive_shift_constants`` gives the rational
 weights that express q_k through p_{k+1}, p_k along residue classes, the
 engine behind the digit-shift multiplication in :mod:`ostro.shiftcalc`,
 off the complete quotients: dn*q_k = Q_{k+1} p_{k+1} - P_{k+2} p_k for
@@ -28,7 +34,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import DepthExceeded, UnsupportedRadicand, VerificationFailed
-from .qfield import QuadRat, check_radicand, quad, sign_sqrt
+from .qfield import QuadRat, check_radicand, floor_sqrt, quad, sign_sqrt
 
 DEFAULT_DEPTH = 64
 MAX_PERIOD = 10_000  # longest period expand searches for
@@ -149,7 +155,7 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
         ps.append(ak * ps[-1] + ps[-2])
         qs.append(ak * qs[-1] + qs[-2])
 
-    _check_convergents(d, ps, qs, depth)
+    _check_convergents(d, ps, qs, zetas, depth)
     return CFData(
         d=d,
         a0=a0,
@@ -163,11 +169,29 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
     )
 
 
-def _check_convergents(d: Fraction, ps, qs, depth: int) -> None:
+def _beta_quotient_holds(dn: int, dd: int, ps, qs, zetas, k: int) -> bool:
+    """beta_{k+1} zeta_{k+2} = -beta_k on the tables (index -1 first) for
+    d = dn/dd.  With zeta_{k+2} = (P + sqrt(D))/Q and sqrt(D) = dd sqrt(d)
+    that is q_{k+1} dn - p_{k+1} P = Q p_k and q_{k+1} P - p_{k+1} dd = -Q q_k."""
+    big_p, big_q = zetas[(k + 1) % len(zetas)]
+    p1, q1 = ps[k + 2], qs[k + 2]
+    return q1 * dn - p1 * big_p == big_q * ps[k + 1] and q1 * big_p - p1 * dd == -big_q * qs[k + 1]
+
+
+def _check_convergents(d: Fraction, ps, qs, zetas, depth: int) -> None:
     """Sanity sweep over the convergent tables (index -1 first) of expand:
-    determinant identity, sign alternation, strict decay.  With beta_k of
-    sign s, |beta_{k+1}| - |beta_k| = -s (beta_k + beta_{k+1})."""
+    beta_0 > 0, every complete quotient of the period > 1, and at every
+    index the determinant identity and the beta-quotient step.  Since
+    beta_{k+1} = -beta_k / zeta_{k+2}, the last three give sign alternation
+    and strict decay of beta_k at every index."""
     dn, dd = d.numerator, d.denominator
+    if sign_sqrt(-ps[1], qs[1], dn, dd) != 1:
+        raise VerificationFailed(f"beta_0 = {qs[1]}*sqrt({d}) - {ps[1]} has the wrong sign")
+    for j, (big_p, big_q) in enumerate(zetas):
+        if big_q <= 0 or sign_sqrt(big_p - big_q, 1, dn * dd, 1) != 1:
+            raise VerificationFailed(
+                f"zeta_{j + 1} = ({big_p}+sqrt({dn * dd}))/{big_q} of sqrt({d}) is not > 1"
+            )
     for k in range(0, depth + 1):
         i, s = k + 1, (-1) ** k  # offset into the lists, sign of beta_k
         det = ps[i] * qs[i - 1] - ps[i - 1] * qs[i]
@@ -175,10 +199,8 @@ def _check_convergents(d: Fraction, ps, qs, depth: int) -> None:
             raise VerificationFailed(
                 f"p_{k} q_{k - 1} - p_{k - 1} q_{k} = {det} for sqrt({d}), expected {-s}"
             )
-        if sign_sqrt(-ps[i], qs[i], dn, dd) != s:
-            raise VerificationFailed(f"beta_{k} = {qs[i]}*sqrt({d}) - {ps[i]} has the wrong sign")
-        if k < depth and s * sign_sqrt(ps[i] + ps[i + 1], -(qs[i] + qs[i + 1]), dn, dd) >= 0:
-            raise VerificationFailed(f"|beta_{k + 1}| >= |beta_{k}| for sqrt({d})")
+        if k < depth and not _beta_quotient_holds(dn, dd, ps, qs, zetas, k):
+            raise VerificationFailed(f"beta_{k + 1} zeta_{k + 2} != -beta_{k} for sqrt({d})")
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +230,32 @@ def _verdict(ok: bool) -> str:
 
 
 def _first_failure(pairs) -> dict | None:
-    """pairs yields (k, lhs, rhs) of QuadRat/int; report the first mismatch."""
+    """pairs yields (k, lhs, rhs) of ints or Fractions; report the first mismatch."""
     for k, lhs, rhs in pairs:
         if lhs != rhs:
             return {"k": k, "lhs": str(lhs), "rhs": str(rhs)}
     return None
+
+
+def _first_witness(ks, holds, sides) -> dict | None:
+    """The witness of the first k in ks where the integer test holds(k)
+    fails, with both sides built as QuadRat values by sides(k)."""
+    for k in ks:
+        if not holds(k):
+            lhs, rhs = sides(k)
+            return {"k": k, "lhs": str(lhs), "rhs": str(rhs)}
+    return None
+
+
+def _unit_shift_holds(cf: CFData, c0: int, c1: int, e: int, k: int) -> bool:
+    """c beta_{k+m} = (-1)^m beta_k for c = (c0 + c1 sqrt(d))/e, e > 0.  For
+    (p, q) = (p_{k+m}, q_{k+m}) that is c1 q dn - c0 p dd = -(-1)^m e dd p_k
+    and c0 q - c1 p = (-1)^m e q_k."""
+    dn, dd, m = cf.d.numerator, cf.d.denominator, cf.m
+    p, q = cf.conv_p[k + m + 1], cf.conv_q[k + m + 1]
+    se = (-1) ** m * e
+    return (c0 * q - c1 * p == se * cf.conv_q[k + 1]
+            and c1 * q * dn - c0 * p * dd == -se * dd * cf.conv_p[k + 1])
 
 
 def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdict]:
@@ -224,24 +267,41 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     of sanity the complete quotients are re-derived from the recurrence
     rather than read from the period table.
 
+    Every verdict is decided by integer identities over conv_p, conv_q and
+    zetas; QuadRat values are built only for the witness of a first failure
+    or the message of a VerificationFailed, so the text is that of the
+    QuadRat evaluation of each side.
+
     k_max caps the quantified index ranges (default: everything the
     expansion materialized).
     """
     if cf.depth < 3 * cf.m + 3:
         raise DepthExceeded(f"audit needs depth >= {3 * cf.m + 3}, have {cf.depth}")
     d, m, a0 = cf.d, cf.m, cf.a0
+    dn, dd = d.numerator, d.denominator
+    big_d = dn * dd
+    ps, qs, zetas = cf.conv_p, cf.conv_q, cf.zetas  # ps[k + 1] = p_k
     root = cf.sqrt_d()
     out: list[IdentityVerdict] = []
     kcap = cf.depth if k_max is None else min(k_max, cf.depth)
 
-    # Complete quotients from scratch, to validate the periodic table.
-    zeta_chain = [root]
-    for k in range(0, 3 * m + 2):
-        zeta_chain.append((zeta_chain[-1] - zeta_chain[-1].floor()).inverse())
+    # Complete quotients from scratch, to validate the periodic table: on
+    # reduced triples (A + B sqrt(D))/E with E > 0, zeta_0 = sqrt(D)/dd, each
+    # floor by floor_sqrt and each inverse by the conjugate.  zeta_k > 1 for
+    # k >= 1, so its reduced triple is (P, 1, Q) for the pair of its entry.
+    a, b, e = 0, 1, dd
     for k in range(1, 3 * m + 2):
-        if zeta_chain[k] != cf.zeta(k):
+        a -= floor_sqrt(a, b, big_d, e) * e
+        a, b, e = e * a, -e * b, a * a - b * b * big_d
+        if e < 0:
+            a, b, e = -a, -b, -e
+        g = math.gcd(a, b, e)
+        a, b, e = a // g, b // g, e // g
+        big_p, big_q = zetas[(k - 1) % m]
+        if (a, b, e) != (big_p, 1, big_q):
+            chain = QuadRat(Fraction(a, e), Fraction(b * dd, e), d)
             raise VerificationFailed(
-                f"zeta_{k} of sqrt({d}) is {zeta_chain[k]} by the recurrence "
+                f"zeta_{k} of sqrt({d}) is {chain} by the recurrence "
                 f"but {cf.zeta(k)} in the periodic table"
             )
 
@@ -254,10 +314,11 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     out.append(IdentityVerdict("convergent-recurrence", _verdict(rec is None), _verdict(rec is None), rec))
 
     # beta quotient step: beta_{k+1} = -beta_k / zeta_{k+2}, checked
-    # multiplicatively to stay division-free.
-    bq = _first_failure(
-        (k, cf.beta(k + 1) * cf.zeta(k + 2), -cf.beta(k))
-        for k in range(0, min(kcap, cf.depth - 1) + 1)
+    # multiplicatively to stay division-free, as in expand's sweep.
+    bq = _first_witness(
+        range(0, min(kcap, cf.depth - 1) + 1),
+        lambda k: _beta_quotient_holds(dn, dd, ps, qs, zetas, k),
+        lambda k: (cf.beta(k + 1) * cf.zeta(k + 2), -cf.beta(k)),
     )
     out.append(IdentityVerdict("beta-quotient-step", _verdict(bq is None), _verdict(bq is None), bq))
 
@@ -269,16 +330,13 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     # period entry point.  Printed: zeta_{lm+1} = zeta_1 = sqrt(d) + a0.
     # Corrected: zeta_{lm} = sqrt(d) + a0 (the quotient *ending* the
     # period block is the shifted root; the one starting it is not,
-    # unless m = 1).
-    target = root + a0
-    l_top = max(1, min(kcap, (cf.depth - 1) // m if m else 1))
-    printed_pairs = []
-    for l in range(1, l_top + 1):
-        printed_pairs.append((l, cf.zeta(l * m + 1), cf.zeta(1)))
-        printed_pairs.append((l, cf.zeta(1), target))
-    w = _first_failure(printed_pairs)
-    w_corr = _first_failure((l, cf.zeta(l * m), target) for l in range(1, l_top + 1))
-    out.append(IdentityVerdict("zeta-period-entry", _verdict(w is None), _verdict(w_corr is None), w))
+    # unless m = 1).  The table is periodic, so zeta_{lm+1} is the entry
+    # of zeta_1 and zeta_{lm} that of zeta_m for every l >= 1, and
+    # (P + sqrt(D))/Q = a0 + sqrt(d) iff (P, Q) = (a0 dd, dd).
+    entry = (a0 * dd, dd)
+    w = None if zetas[0] == entry else {"k": 1, "lhs": str(cf.zeta(1)), "rhs": str(root + a0)}
+    entry_ok = zetas[m - 1] == entry
+    out.append(IdentityVerdict("zeta-period-entry", _verdict(w is None), _verdict(entry_ok), w))
 
     # p/q connection at period multiples.
     # Printed: p_{km} = a0 q_{km} + q_{km-1} and d q_{km} = a0 p_{km} + p_{km-1}
@@ -304,37 +362,32 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     out.append(IdentityVerdict("pq-connection-p", _verdict(wp is None), _verdict(wp_c is None), wp))
     out.append(IdentityVerdict("pq-connection-q", _verdict(wq is None), _verdict(wq_c is None), wq))
 
-    # Product of one period of complete quotients.
+    # Product of one period of complete quotients, as (x + y sqrt(D))/z.
     # Printed: zeta_1 ... zeta_{m+1} = q_m sqrt(d) + q_{m-1} + a0 q_m.
     # Corrected: U := zeta_1 ... zeta_m = q_{m-1} sqrt(d) + p_{m-1}.
-    prod_m = quad(1, 0, d)
-    for k in range(1, m + 1):
-        prod_m = prod_m * cf.zeta(k)
-    prod_m1 = prod_m * cf.zeta(m + 1)
-    printed_rhs = quad(cf.q(m - 1) + a0 * cf.q(m), cf.q(m), d)
-    unit = quad(cf.p(m - 1), cf.q(m - 1), d)
-    w_prod = None if prod_m1 == printed_rhs else {"k": m + 1, "lhs": str(prod_m1), "rhs": str(printed_rhs)}
-    out.append(
-        IdentityVerdict(
-            "unit-product", _verdict(w_prod is None), _verdict(prod_m == unit), w_prod
-        )
-    )
+    x, y, z = 1, 0, 1
+    for big_p, big_q in zetas:
+        x, y, z = x * big_p + y * big_d, x + y * big_p, z * big_q
+    big_p, big_q = zetas[0]  # zeta_{m+1}
+    x1, y1, z1 = x * big_p + y * big_d, x + y * big_p, z * big_q
+    b0, b1 = cf.p(m - 1), cf.q(m - 1)  # U = b0 + b1 sqrt(d)
+    c0, c1 = cf.q(m - 1) + a0 * cf.q(m), cf.q(m)
+    prod_m1 = QuadRat(Fraction(x1, z1), Fraction(y1 * dd, z1), d)  # for witnesses
+    w_prod = _first_witness([m + 1], lambda k: x1 == c0 * z1 and y1 * dd == c1 * z1,
+                            lambda k: (prod_m1, quad(c0, c1, d)))
+    unit_ok = x == b0 * z and y * dd == b1 * z
+    out.append(IdentityVerdict("unit-product", _verdict(w_prod is None), _verdict(unit_ok), w_prod))
 
     # Shift of beta by one period length.
     # Printed: (zeta_1 ... zeta_{m+1}) beta_{k+m} = (-1)^m beta_k.
     # Corrected: U beta_{k+m} = (-1)^m beta_k.
     sign = (-1) ** m
-    k_beta = min(kcap, cf.depth - m)
-    w_shift = _first_failure(
-        (k, prod_m1 * cf.beta(k + m), sign * cf.beta(k)) for k in range(0, k_beta + 1)
-    )
-    w_shift_c = _first_failure(
-        (k, unit * cf.beta(k + m), sign * cf.beta(k)) for k in range(0, k_beta + 1)
-    )
+    ks = range(0, min(kcap, cf.depth - m) + 1)
+    w_shift = _first_witness(ks, lambda k: _unit_shift_holds(cf, x1, y1 * dd, z1, k),
+                             lambda k: (prod_m1 * cf.beta(k + m), sign * cf.beta(k)))
+    shift_ok = all(_unit_shift_holds(cf, b0, b1, 1, k) for k in ks)
     out.append(
-        IdentityVerdict(
-            "beta-unit-shift", _verdict(w_shift is None), _verdict(w_shift_c is None), w_shift
-        )
+        IdentityVerdict("beta-unit-shift", _verdict(w_shift is None), _verdict(shift_ok), w_shift)
     )
     return out
 

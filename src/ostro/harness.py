@@ -221,13 +221,12 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
             if not shiftcalc.sqrt_product(cf, sc, fa, fb, ya, yb)[0]:
                 exact_fails.append((n, x))
             exact_s += time.perf_counter() - t_exact
-        frac_printed, frac_ok, _ = shiftcalc.frac_verdicts(cf, sc, fa, fb, ya, yb)
-        nat_printed, nat_ok, _ = shiftcalc.nat_verdicts(sc, fb, v1, w0, w1)
-        if not frac_ok:
+        if not shiftcalc.frac_verdicts(cf, sc, fa, fb, ya, yb)[0]:
             frac_fails.append((n, x))
-        if not nat_ok:
+        if not shiftcalc.nat_verdicts(sc, fb, v1, w0)[0]:
             nat_fails.append((n, x))
         if n <= 50:
+            frac_printed, nat_printed = shiftcalc.printed_verdicts(cf, sc, fa, fb, ya, yb, v1, w1)
             printed_frac_fails += not frac_printed
             printed_nat_fails += not nat_printed
         if n == min(5, n_max):

@@ -190,26 +190,34 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
 
 
 def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int):
-    """(printed holds, corrected holds, U y as a _quad triple) for frac
-    recovery on natural_dots, y = ya + yb sqrt(d): a constant c0 + c1 sqrt(d)
-    times y has rational part c0 ya + c1 yb d and sqrt(d) part c0 yb + c1 ya."""
+    """(corrected holds, U y as a _quad triple) for frac recovery on
+    natural_dots, y = ya + yb sqrt(d): a constant c0 + c1 sqrt(d) times y
+    has rational part c0 ya + c1 yb d and sqrt(d) part c0 yb + c1 ya."""
     dn, dd = cf.d.numerator, cf.d.denominator
     (ua, ub, uden), _, _ = _integer_constants(sc)
     ra = ua * ya * dd + ub * yb * dn  # U y = (ra / dd + rb sqrt(d)) / uden
     rb = ua * yb + ub * ya
-    c1 = cf.conv_q[cf.m + 1]  # the printed constant c0 + c1 sqrt(d)
-    c0 = cf.conv_q[cf.m] + cf.a0 * c1
-    printed = c0 * ya * dd + c1 * yb * dn == fa * dd and c0 * yb + c1 * ya == n
-    corrected = ra == fa * dd * uden and rb == n * uden
-    return printed, corrected, (ra, rb * dd, dd * uden)
+    return ra == fa * dd * uden and rb == n * uden, (ra, rb * dd, dd * uden)
 
 
-def nat_verdicts(sc: ShiftConstants, n: int, v1: int, w0: int, w1: int):
-    """(printed holds, corrected holds, v1 / dv + w0 / dw as a _quad triple)
-    for nat recovery on natural_dots; printed takes w at shift 1."""
+def nat_verdicts(sc: ShiftConstants, n: int, v1: int, w0: int):
+    """(corrected holds, v1 / dv + w0 / dw as a _quad triple) for nat
+    recovery on natural_dots."""
     _, (_, dv), (_, dw) = _integer_constants(sc)
     den, val = dv * dw, v1 * dw + w0 * dv
-    return v1 * dw + w1 * dv == n * den, val == n * den, (val, 0, den)
+    return val == n * den, (val, 0, den)
+
+
+def printed_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int,
+                     v1: int, w1: int) -> tuple[bool, bool]:
+    """(frac printed holds, nat printed holds) on natural_dots: frac with the
+    printed constant c0 + c1 sqrt(d) in place of U, nat with w at shift 1."""
+    dn, dd = cf.d.numerator, cf.d.denominator
+    _, (_, dv), (_, dw) = _integer_constants(sc)
+    c1 = cf.conv_q[cf.m + 1]
+    c0 = cf.conv_q[cf.m] + cf.a0 * c1
+    return (c0 * ya * dd + c1 * yb * dn == fa * dd and c0 * yb + c1 * ya == n,
+            v1 * dw + w1 * dv == n * dv * dw)
 
 
 def sqrt_product(cf: CFData, sc: ShiftConstants, fa: int, fb: int, ya: int, yb: int):
@@ -224,9 +232,10 @@ def sqrt_product(cf: CFData, sc: ShiftConstants, fa: int, fb: int, ya: int, yb: 
 
 def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     """Audit: beta-value of x == (-1)^m * U * (all-ones beta sum at shift m),
-    decided by frac_verdicts on natural_dots."""
-    fa, n, ya, yb, *_ = natural_dots(x, sc)
-    printed, corrected, rhs = frac_verdicts(x.cf, sc, fa, n, ya, yb)
+    decided by frac_verdicts and printed_verdicts on natural_dots."""
+    fa, n, ya, yb, v1, _, w1 = natural_dots(x, sc)
+    corrected, rhs = frac_verdicts(x.cf, sc, fa, n, ya, yb)
+    printed = printed_verdicts(x.cf, sc, fa, n, ya, yb, v1, w1)[0]
     return AuditEntry("frac-recovery", n, _verdict(printed), _verdict(corrected),
                       QuadRat(Fraction(fa), Fraction(n), x.cf.d), _quad(x.cf.d, rhs))
 
@@ -237,11 +246,12 @@ def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     The q-sums minus beta-sums turn each q_{k+l} sqrt(d) - beta_{k+l}
     into p_{k+l}, so with the shift constants the whole thing collapses
     to sum_k x[k] q_k = n.  The printed variant takes the w-terms at
-    shift 1 as well.  Decided by nat_verdicts on natural_dots, so x's
-    last digit moved up by m must be inside the depth.
+    shift 1 as well.  Decided by nat_verdicts and printed_verdicts on
+    natural_dots, so x's last digit moved up by m must be inside the depth.
     """
-    _, n, _, _, v1, w0, w1 = natural_dots(x, sc)
-    printed, corrected, rhs = nat_verdicts(sc, n, v1, w0, w1)
+    fa, n, ya, yb, v1, w0, w1 = natural_dots(x, sc)
+    corrected, rhs = nat_verdicts(sc, n, v1, w0)
+    printed = printed_verdicts(x.cf, sc, fa, n, ya, yb, v1, w1)[1]
     return AuditEntry("nat-recovery", n, _verdict(printed), _verdict(corrected),
                       n, _quad(x.cf.d, rhs))
 

@@ -1,6 +1,7 @@
 """scripts/bench_record.py against a stub checkout holding a copy of the
 script: one record per call at the checkout's root, medians and quartiles
-over the seeds, the traced metrics, tier-1 timed."""
+over the seeds, the traced metrics, the layers measured on the checkout's
+src/, tier-1 timed."""
 
 import json
 import shutil
@@ -24,11 +25,34 @@ print("wall_s 1.0 s")
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
 '''
 
+STUB_OSTRO = '''
+from . import cfrac
+
+
+class SuiteConfig:
+    def __init__(self, d_list):
+        self.d_list = d_list
+
+
+def run_suite(config):
+    (d,) = config.d_list
+    return {"results": [{"d": str(d), "stages": {"identities": float(d) / 1000, "recovery": 1.0}}]}
+'''
+
+STUB_CFRAC = '''
+def expand(d, depth):
+    if (d, depth) != (99991, 874):
+        raise ValueError((d, depth))
+'''
+
 
 def test_bench_record_on_a_stub_checkout(tmp_path):
     root = tmp_path / "checkout"
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(STUB_RUN)
+    (root / "src" / "ostro").mkdir(parents=True)
+    (root / "src" / "ostro" / "__init__.py").write_text(STUB_OSTRO)
+    (root / "src" / "ostro" / "cfrac.py").write_text(STUB_CFRAC)
     (root / "tests").mkdir()
     (root / "tests" / "test_one.py").write_text("def test_one():\n    pass\n")
     (root / "BENCHMARK.json").write_text(json.dumps({
@@ -50,4 +74,9 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                                        "q3": 105.5, "values": seeds}
     assert wl["traced_seed"] == 101
     assert wl["traced"] == {"f.calls": 7}
+    layers = rec["layers"]
+    assert layers["expand_99991_874"]["min_of"] == 7 and layers["expand_99991_874"]["value"] >= 0
+    assert layers["audit_stages"] == {"unit": "s", "min_of": 3, "by_d": {
+        "99991": {"identities": 99.991, "recovery": 1.0},
+        "3": {"identities": 0.003, "recovery": 1.0}}}
     assert rec["tier1"]["returncode"] == 0 and "1 passed" in rec["tier1"]["summary"]

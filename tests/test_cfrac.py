@@ -1,11 +1,14 @@
 """Expansion of sqrt(d): period shape, convergents against an
 independent fold oracle, identity audit verdicts, shift constants."""
 
+import inspect
 import math
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from cfrac_reference import audit_identities_reference, check_convergents_reference
 from digit_maps import shift_constants_reference
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -138,22 +141,61 @@ def test_expand_rejects_bad_radicands():
     ("q", 1, 2, "p_0 q_-1 - p_-1 q_0 = -2 for sqrt(3), expected -1"),
     # p_0 = 2 keeps the determinant at -1 but puts p_0 above sqrt(3)
     ("p", 1, 2, "beta_0 = 1*sqrt(3) - 2 has the wrong sign"),
-    # p_1 = 100 makes beta_1 far larger than beta_0 before index 1 is checked
-    ("p", 2, 100, "|beta_1| >= |beta_0| for sqrt(3)"),
+    # p_1 = 100 breaks the step from beta_0 to beta_1 before index 1 is checked
+    ("p", 2, 100, "beta_1 zeta_2 != -beta_0 for sqrt(3)"),
 ])
 def test_convergent_sweep_messages(monkeypatch, table, idx, value, message):
     cf = expand(3, 10)
     ps, qs = list(cf.conv_p), list(cf.conv_q)
-    cfrac._check_convergents(cf.d, ps, qs, cf.depth)  # the true tables pass
+    cfrac._check_convergents(cf.d, ps, qs, cf.zetas, cf.depth)  # the true tables pass
     (ps if table == "p" else qs)[idx] = value
     with pytest.raises(VerificationFailed) as exc:
-        cfrac._check_convergents(cf.d, ps, qs, cf.depth)
+        cfrac._check_convergents(cf.d, ps, qs, cf.zetas, cf.depth)
     assert str(exc.value) == message
+    with pytest.raises(VerificationFailed):  # the sign_sqrt sweep sees it too
+        check_convergents_reference(cf.d, ps, qs, cf.depth)
     # expand runs the sweep on its own tables
     seen = []
     monkeypatch.setattr(cfrac, "_check_convergents", lambda *args: seen.append(args))
     expand(3, 10)
-    assert seen == [(Fraction(3), [*cf.conv_p], [*cf.conv_q], 10)]
+    assert seen == [(Fraction(3), [*cf.conv_p], [*cf.conv_q], [*cf.zetas], 10)]
+
+
+def test_convergent_sweep_rejects_a_zeta_below_one():
+    cf = expand(3, 10)
+    zetas = [(1, 3), cf.zetas[1]]  # (1 + sqrt(3))/3 < 1
+    message = r"^zeta_1 = \(1\+sqrt\(3\)\)/3 of sqrt\(3\) is not > 1$"
+    with pytest.raises(VerificationFailed, match=message):
+        cfrac._check_convergents(cf.d, list(cf.conv_p), list(cf.conv_q), zetas, cf.depth)
+
+
+def _misindexed_expand(sweep):
+    """expand with the partial quotients read one index late, period[k % m]
+    in place of period[(k - 1) % m], and the convergent sweep replaced by sweep."""
+    src = textwrap.dedent(inspect.getsource(cfrac.expand))
+    assert src.count("period[(k - 1) % m]") == 1
+    namespace = {**vars(cfrac), "_check_convergents": sweep}
+    exec(compile(src.replace("period[(k - 1) % m]", "period[k % m]"), cfrac.__file__, "exec"),
+         namespace)
+    return namespace["expand"]
+
+
+@pytest.mark.parametrize("d", [d for d in DEFAULT_D_LIST + LONG_PERIOD if expand(d, 1).m > 1],
+                         ids=str)
+def test_expand_rejects_misindexed_partial_quotients(d):
+    # period-1 radicands read the same digit either way
+    depth = 3 * expand(d, 1).m + 3
+    with pytest.raises(VerificationFailed):
+        _misindexed_expand(cfrac._check_convergents)(d, depth)
+    with pytest.raises(VerificationFailed):
+        _misindexed_expand(lambda d, ps, qs, zetas, depth:
+                           check_convergents_reference(d, ps, qs, depth))(d, depth)
+
+
+@pytest.mark.parametrize("d", DEFAULT_D_LIST + LONG_PERIOD, ids=str)
+def test_sign_sqrt_sweep_accepts_the_expanded_tables(d):
+    cf = expand(d, 3 * expand(d, 1).m + 3)  # passed the integer sweep
+    check_convergents_reference(cf.d, cf.conv_p, cf.conv_q, cf.depth)
 
 
 def test_expand_deterministic():
@@ -234,6 +276,53 @@ def test_audit_json_schema(cf_of):
         "corrected": "holds",
         "witness": {"k": 1, "lhs": "5", "rhs": "4"},
     }
+
+
+def _verdicts_or_error(audit, cf):
+    """The audit's verdicts as JSON rows, or the message of the
+    VerificationFailed it raised."""
+    try:
+        return [v.to_json() for v in audit(cf)]
+    except VerificationFailed as exc:
+        return f"VerificationFailed: {exc}"
+
+
+@pytest.mark.parametrize("d", DEFAULT_D_LIST + LONG_PERIOD, ids=str)
+def test_audit_matches_quadrat_reference(d):
+    m = expand(d, 1).m
+    for cf in {expand(d, 3 * m + 3), expand(d).at_least(3 * m + 3)}:
+        for k_max in (None, 0, 1, 5):
+            got = [v.to_json() for v in audit_identities(cf, k_max)]
+            assert got == [v.to_json() for v in audit_identities_reference(cf, k_max)], k_max
+
+
+def _bump(table: tuple, k: int, by: int = 1) -> tuple:
+    """A convergent table with by added to the entry of index k (the table starts at -1)."""
+    return table[:k + 1] + (table[k + 1] + by,) + table[k + 2:]
+
+
+@pytest.mark.parametrize("d, corrupt", [
+    (3, lambda cf: replace(cf, zetas=((cf.zetas[0][0] + 1, cf.zetas[0][1]),) + cf.zetas[1:])),
+    (991, lambda cf: replace(cf, zetas=cf.zetas[:5] + ((cf.zetas[5][0] + 1, cf.zetas[5][1]),)
+                             + cf.zetas[6:])),
+    (3, lambda cf: replace(cf, conv_q=_bump(cf.conv_q, 100))),
+    (3, lambda cf: replace(cf, conv_p=_bump(cf.conv_p, cf.m - 1))),  # U changes
+    (991, lambda cf: replace(cf, conv_p=_bump(cf.conv_p, cf.m - 1))),
+    # p_0 enters only the rational parts of the beta-quotient step at k = 0
+    # and of the unit shift at k = 0, q_0 only their sqrt(d) parts
+    (3, lambda cf: replace(cf, conv_p=_bump(cf.conv_p, 0))),
+    (3, lambda cf: replace(cf, conv_q=_bump(cf.conv_q, 0))),
+    # m = 1: q_1 + 1 and q_0 - a0 keep q_0 + a0 q_1, so only the sqrt(d)
+    # part of the printed period product q_1 sqrt(d) + q_0 + a0 q_1 moves
+    (2, lambda cf: replace(cf, conv_q=_bump(_bump(cf.conv_q, 1), 0, -cf.a0))),
+], ids=["zeta-3", "zeta-991", "q100-3", "unit-3", "unit-991", "p0-3", "q0-3", "product-2"])
+def test_audit_corruptions_match_quadrat_reference(d, corrupt):
+    cf = expand(d, 183)
+    bad = corrupt(cf)
+    want = _verdicts_or_error(audit_identities_reference, bad)
+    assert _verdicts_or_error(audit_identities, bad) == want
+    # the corruption is seen: an error, or a corrected verdict flipped
+    assert isinstance(want, str) or any(v["corrected"] == "fails" for v in want)
 
 
 # ---------------------------------------------------------------------------

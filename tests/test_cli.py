@@ -2,6 +2,7 @@
 trips, depth capping, and file output."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -44,6 +45,23 @@ def test_cf_text(capsys):
     code, out = run(capsys, "cf", "--d", "2")
     assert code == 0
     assert "period = [2]" in out
+
+
+# sha256 of the text and JSON output of `cf` and `constants` at default flags
+# over the default radicands and the four long periods, in that order: how
+# the expansion and the constants are verified must not change a byte of it.
+CF_CONSTANTS_SHA256 = "acc0f605d051248bbddd7c0f25b5beb5268c21df29fe8eeee08cb8fd715dd173"
+
+
+def test_cf_and_constants_output_frozen(capsys):
+    digest = hashlib.sha256()
+    for d in [str(d) for d in ostro.DEFAULT_D_LIST] + ["991", "9949", "99991", "1000003/7"]:
+        for cmd in ("cf", "constants"):
+            for fmt in ("text", "json"):
+                code, out = run(capsys, cmd, "--d", d, "--format", fmt)
+                assert code == 0, (cmd, d, fmt)
+                digest.update(out.encode())
+    assert digest.hexdigest() == CF_CONSTANTS_SHA256
 
 
 @pytest.mark.parametrize("d", ["991", "9949", "99991", "1000003/7"])
