@@ -14,8 +14,12 @@ runs (with K and the raw values), and every per-layer metric of the
 traced run: call counts, self times, useful ratios and tracing overhead.
 A ``layers`` block, measured in a subprocess on the checkout's ``src/``,
 adds what the traced run cannot show: the min of 7 runs of
-``cfrac.expand(99991, 874)`` and, per audit stage, the min of 3 runs of
-``ostro.run_suite`` at the default config for d = 99991 and for d = 3.
+``cfrac.expand(99991, 874)``; per audit stage, the min of 3 runs of
+``ostro.run_suite`` at the default config for d = 99991 and for d = 3;
+and the min of 7 runs each of ``cfrac.derive_shift_constants`` on
+``expand(99991, 874)``, of ``expand(99991, 64).at_least(1311)``, and of
+``ostrowski.encode_real`` to 150 digits over the 40 values
+7 + j/40 - sqrt(61), j = 0 .. 39.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -73,7 +77,7 @@ import json, sys, time
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 import ostro
-from ostro import cfrac
+from ostro import cfrac, ostrowski
 
 def best(fn, k):
     times = []
@@ -88,10 +92,19 @@ for d in (99991, 3):
     runs = [ostro.run_suite(ostro.SuiteConfig(d_list=(Fraction(d),)))["results"][0]["stages"]
             for _ in range(3)]
     stages[str(d)] = {name: min(r[name] for r in runs) for name in runs[0]}
+cf874, cf64, cf61 = cfrac.expand(99991, 874), cfrac.expand(99991, 64), cfrac.expand(61, 150)
+values = [ostro.quad(7 + Fraction(j, 40), -1, 61) for j in range(40)]
 print(json.dumps({
     "expand_99991_874": {"unit": "s", "min_of": 7,
                          "value": best(lambda: cfrac.expand(99991, 874), 7)},
     "audit_stages": {"unit": "s", "min_of": 3, "by_d": stages},
+    "derive_shift_constants_99991_874": {
+        "unit": "s", "min_of": 7, "value": best(lambda: cfrac.derive_shift_constants(cf874), 7)},
+    "at_least_99991_64_1311": {"unit": "s", "min_of": 7,
+                               "value": best(lambda: cf64.at_least(1311), 7)},
+    "encode_real_61_40x150": {
+        "unit": "s", "min_of": 7,
+        "value": best(lambda: [ostrowski.encode_real(c, cf61, 150) for c in values], 7)},
 }))
 """
 

@@ -11,9 +11,12 @@ Alongside the digits we materialize the convergents p_k/q_k; the
 differences beta_k = q_k*sqrt(d) - p_k alternate in sign and shrink
 strictly.  Index -1 is included (p=1, q=0, beta=-1) because several
 identities reach one step below zero.  expand verifies its tables on
-integers: the determinant at every index, beta_0 > 0, zeta > 1 for each
-complete quotient of the period, and the step beta_{k+1} zeta_{k+2} =
--beta_k at every index, which gives the sign alternation and the decay.
+integers in one linear sweep: beta_0 > 0, zeta > 1 for each complete
+quotient of the period, the determinant at index 0, and at every index
+k >= 1 the recurrence p_k = a_k p_{k-1} + p_{k-2} (same for q), which
+carries the determinant to every index, and the step beta_k zeta_{k+1} =
+-beta_{k-1}, which gives the sign alternation and the decay.
+CFData.at_least extends the tables and sweeps only the new indices.
 
 ``audit_identities`` re-checks the classical identities in two variants
 each: the form as commonly printed (several of which are misindexed) and
@@ -30,7 +33,7 @@ d = dn/dd, so no linear system is solved and SingularSystem is not raised.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .errors import DepthExceeded, UnsupportedRadicand, VerificationFailed
@@ -100,8 +103,14 @@ class CFData:
         return max(self.m, 2)
 
     def at_least(self, k: int) -> CFData:
-        """This expansion if it reaches index k, else sqrt(d) expanded to k."""
-        return self if k <= self.depth else expand(self.d, k)
+        """This expansion if it reaches index k, else a copy with the tables
+        extended to index k; expand's sweep checks the new indices only."""
+        if k <= self.depth:
+            return self
+        ps, qs, period, m = list(self.conv_p), list(self.conv_q), self.period, self.m
+        _extend(ps, qs, (period[(j - 1) % m] for j in range(self.depth + 1, k + 1)))
+        _check_convergents(self.d, ps, qs, self.zetas, k, self.depth + 1)
+        return replace(self, conv_p=tuple(ps), conv_q=tuple(qs), depth=k)
 
 
 def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
@@ -148,13 +157,8 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
         if m % div == 0 and period[:div] * (m // div) == period:
             raise VerificationFailed(f"period {period} of sqrt({d}) is not minimal")
 
-    ps = [1, a0]  # p_{-1}, p_0, ...
-    qs = [0, 1]
-    for k in range(1, depth + 1):
-        ak = period[(k - 1) % m]
-        ps.append(ak * ps[-1] + ps[-2])
-        qs.append(ak * qs[-1] + qs[-2])
-
+    ps, qs = [1, a0], [0, 1]  # p_{-1}, p_0, ...
+    _extend(ps, qs, (period[(k - 1) % m] for k in range(1, depth + 1)))
     _check_convergents(d, ps, qs, zetas, depth)
     return CFData(
         d=d,
@@ -178,29 +182,50 @@ def _beta_quotient_holds(dn: int, dd: int, ps, qs, zetas, k: int) -> bool:
     return q1 * dn - p1 * big_p == big_q * ps[k + 1] and q1 * big_p - p1 * dd == -big_q * qs[k + 1]
 
 
-def _check_convergents(d: Fraction, ps, qs, zetas, depth: int) -> None:
-    """Sanity sweep over the convergent tables (index -1 first) of expand:
-    beta_0 > 0, every complete quotient of the period > 1, and at every
-    index the determinant identity and the beta-quotient step.  Since
-    beta_{k+1} = -beta_k / zeta_{k+2}, the last three give sign alternation
-    and strict decay of beta_k at every index."""
+def _extend(ps: list, qs: list, quotients) -> None:
+    """Append p_k = a_k p_{k-1} + p_{k-2} (same for q) to the tables for
+    each next partial quotient a_k."""
+    for ak in quotients:
+        ps.append(ak * ps[-1] + ps[-2])
+        qs.append(ak * qs[-1] + qs[-2])
+
+
+def _check_convergents(d: Fraction, ps, qs, zetas, depth: int, start: int = 0) -> None:
+    """Sanity sweep of expand over the convergent tables (index -1 first)
+    at the indices start .. depth; those below start passed an earlier
+    sweep.  From start = 0: beta_0 > 0, every complete quotient of the
+    period > 1, and p_0 q_-1 - p_-1 q_0 = -1.  At every k >= 1: the
+    recurrence p_k = a_k p_{k-1} + p_{k-2} (same for q) with a_k read off
+    zeta_k, which carries the determinant to k, and the step beta_k
+    zeta_{k+1} = -beta_{k-1}, which gives sign alternation and strict decay."""
     dn, dd = d.numerator, d.denominator
-    if sign_sqrt(-ps[1], qs[1], dn, dd) != 1:
-        raise VerificationFailed(f"beta_0 = {qs[1]}*sqrt({d}) - {ps[1]} has the wrong sign")
-    for j, (big_p, big_q) in enumerate(zetas):
-        if big_q <= 0 or sign_sqrt(big_p - big_q, 1, dn * dd, 1) != 1:
+    m, big_d = len(zetas), dn * dd
+    # a_{j+1} = floor(zeta_{j+1}) = (P + isqrt(D)) // Q for Q > 0, since sqrt(D)
+    # is irrational; zeta_{j+1} > 1 iff it is >= 1, and 0 marks Q <= 0
+    root = math.isqrt(big_d)
+    quots = [(big_p + root) // big_q if big_q > 0 else 0 for big_p, big_q in zetas]
+    if start == 0:
+        if sign_sqrt(-ps[1], qs[1], dn, dd) != 1:
+            raise VerificationFailed(f"beta_0 = {qs[1]}*sqrt({d}) - {ps[1]} has the wrong sign")
+        for j, ((big_p, big_q), ak) in enumerate(zip(zetas, quots)):
+            if ak < 1:
+                raise VerificationFailed(
+                    f"zeta_{j + 1} = ({big_p}+sqrt({big_d}))/{big_q} of sqrt({d}) is not > 1"
+                )
+        det = ps[1] * qs[0] - ps[0] * qs[1]
+        if det != -1:
+            raise VerificationFailed(f"p_0 q_-1 - p_-1 q_0 = {det} for sqrt({d}), expected -1")
+    lo = max(start, 1)
+    for k, p2, p1, p, q2, q1, q in zip(range(lo, depth + 1), ps[lo - 1:], ps[lo:], ps[lo + 1:],
+                                       qs[lo - 1:], qs[lo:], qs[lo + 1:]):
+        big_p, big_q = zetas[k % m]  # zeta_{k+1}, as in _beta_quotient_holds
+        if q * dn - p * big_p != big_q * p1 or q * big_p - p * dd != -big_q * q1:
+            raise VerificationFailed(f"beta_{k} zeta_{k + 1} != -beta_{k - 1} for sqrt({d})")
+        ak = quots[(k - 1) % m]
+        if p != ak * p1 + p2 or q != ak * q1 + q2:
             raise VerificationFailed(
-                f"zeta_{j + 1} = ({big_p}+sqrt({dn * dd}))/{big_q} of sqrt({d}) is not > 1"
+                f"p_{k}, q_{k} do not follow from a_{k} = {ak} for sqrt({d})"
             )
-    for k in range(0, depth + 1):
-        i, s = k + 1, (-1) ** k  # offset into the lists, sign of beta_k
-        det = ps[i] * qs[i - 1] - ps[i - 1] * qs[i]
-        if det != -s:
-            raise VerificationFailed(
-                f"p_{k} q_{k - 1} - p_{k - 1} q_{k} = {det} for sqrt({d}), expected {-s}"
-            )
-        if k < depth and not _beta_quotient_holds(dn, dd, ps, qs, zetas, k):
-            raise VerificationFailed(f"beta_{k + 1} zeta_{k + 2} != -beta_{k} for sqrt({d})")
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +472,16 @@ def derive_shift_constants(cf: CFData) -> ShiftConstants:
     t = cf.t
     cf = cf.at_least(2 * t + 2)
     dn, m = cf.d.numerator, cf.m
+    ps, qs = cf.conv_p, cf.conv_q  # ps[k + 1] = p_k
     vs: list[Fraction] = []
     ws: list[Fraction] = []
     for i in range(t):
         big_q, big_p = cf.zetas[i % m][1], cf.zetas[(i + 1) % m][0]  # Q_{i+1}, P_{i+2}
-        for idx in range(i, cf.depth, t):
-            if dn * cf.q(idx) != big_q * cf.p(idx + 1) - big_p * cf.p(idx):
+        for idx, q, p, p1 in zip(range(i, cf.depth, t), qs[i + 1::t], ps[i + 1::t], ps[i + 2::t]):
+            if dn * q != big_q * p1 - big_p * p:
                 raise VerificationFailed(
                     f"shift constants for d={cf.d} fail at index {idx}: "
-                    f"{dn}*q={dn * cf.q(idx)} vs {big_q}*{cf.p(idx + 1)}-{big_p}*{cf.p(idx)}"
+                    f"{dn}*q={dn * q} vs {big_q}*{p1}-{big_p}*{p}"
                 )
         vs.append(Fraction(big_q, dn))
         ws.append(Fraction(-big_p, dn))

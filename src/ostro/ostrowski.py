@@ -14,8 +14,10 @@ constraints (plus a tie-break on infinite tails that never materializes
 for finite truncations).  The greedy encoder below is certified at each
 step: the set of values reachable by valid digit tails from position n
 is a half-open interval whose endpoints are exact quadratic numbers
-(see tail_window), those windows tile the parent window, and each digit
-choice is validated by exact membership tests.
+(see tail_window), and those windows tile the parent window in order of
+the digit.  So each digit is found by one-sided sign tests against the
+ends of the pieces, and one exact two-sided membership test of the last
+residual, with the digit constraints, certifies the whole string.
 
 The text form of a digit string is ``0,1,0,1@d=3`` (least significant
 first; empty digit list for zero).
@@ -256,10 +258,15 @@ def in_window(cf: CFData, a: int, b: int, den: int, win) -> bool:
 def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
     """First `depth` Ostrowski digits of c in I, greedily and certified.
 
-    Position by position the digit is the unique value whose residual
-    lands in the tail window of the next position; the windows tile, so
-    exactly one candidate passes the exact membership test.  The residual
-    after K digits is bounded by |beta_{K-1}| + |beta_K|.
+    The residual r at position k lies in its tail window W_k, which the
+    pieces b*beta_k + W_{k+1}(blocked = b != 0), b = 0 .. cap, tile in order
+    of b; piece b ends at b*beta_k - beta_{k+1} towards piece b + 1.  So the
+    digit is the first b with r - b*beta_k short of -beta_{k+1}: one sign
+    test per candidate, none for the last.  The certificate is the final
+    two-sided test r_K in W_K with the digit constraints make_digits checks:
+    for valid digits it puts every r_j in W_j (r_j = r_{j+1} + b_j beta_j
+    lies in piece b_j of W_j), so a wrong digit anywhere fails it.  The
+    residual after K digits is bounded by |beta_{K-1}| + |beta_K|.
     """
     if isinstance(c, (int, Fraction)):
         c = QuadRat(Fraction(c), Fraction(0), cf.d)
@@ -269,25 +276,28 @@ def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
         c = QuadRat(c.a, Fraction(0), cf.d)
     if not in_interval(cf, c):
         raise OutOfInterval(f"{c} is outside [{interval_bounds(cf)[0]}, {interval_bounds(cf)[1]})")
+    if depth < 0:
+        raise ValueError(f"digit count must be nonnegative, got {depth}")
     if depth > cf.depth:
         raise DepthExceeded(f"requested {depth} digits but depth is {cf.depth}")
 
     # The residual is (ra + rb*sqrt(d)) / den; subtracting beta_k =
     # q_k sqrt(d) - p_k keeps it on integers.
     ra, rb, den = c.scaled()
-    ps, qs = cf.conv_p, cf.conv_q
+    ps, qs, period, m = cf.conv_p, cf.conv_q, cf.period, cf.m
+    dn, dd = cf.d.numerator, cf.d.denominator
     digits: list[int] = []
     blocked = True  # position 0 is capped: digits[0] < a_1
     for k in range(depth):
-        cap = cf.a(k + 1) - (1 if blocked else 0)
-        step_a, step_b = ps[k + 1] * den, qs[k + 1] * den
-        for b in range(cap + 1):
-            if in_window(cf, ra, rb, den, window_parts(cf, k + 1, blocked=b != 0)):
-                break
+        cap = period[k % m] - blocked
+        step_a, step_b = ps[k + 1] * den, qs[k + 1] * den  # den * -beta_k
+        end_a, end_b = ps[k + 2] * den, qs[k + 2] * den  # den * -beta_{k+1}
+        b = 0
+        # past pieces < b, r is in piece b iff r - b beta_k + beta_{k+1} < 0 (k even) or >= 0
+        while b < cap and (sign_sqrt(ra - end_a, rb + end_b, dn, dd) < 0) != (k % 2 == 0):
             ra += step_a
             rb -= step_b
-        else:  # cannot happen: the windows tile the parent window
-            raise VerificationFailed(f"no digit fits at position {k} for {c}")
+            b += 1
         digits.append(b)
         blocked = b != 0
     if not in_window(cf, ra, rb, den, window_parts(cf, depth, blocked)):

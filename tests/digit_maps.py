@@ -13,7 +13,8 @@ need the original-residue pairing.)  Also here: the printed and corrected
 digit windows, the unary threshold layers of a digit map, and the digit
 constraints as a per-digit rule, and the shift constants by a 2x2
 linear solve per residue, the reference for the library's reading of
-them off the complete quotients.
+them off the complete quotients, and the interval encoder that tests
+every candidate digit two-sidedly, the reference for encode_real.
 """
 
 from __future__ import annotations
@@ -23,8 +24,22 @@ from fractions import Fraction
 
 from ostro import shiftcalc
 from ostro.cfrac import CFData, ShiftConstants
-from ostro.errors import DepthExceeded, InvalidDigits, SingularSystem, VerificationFailed
-from ostro.ostrowski import OstDigits
+from ostro.errors import (
+    DepthExceeded,
+    InvalidDigits,
+    OutOfInterval,
+    SingularSystem,
+    VerificationFailed,
+)
+from ostro.ostrowski import (
+    KIND_REAL,
+    OstDigits,
+    in_interval,
+    in_window,
+    interval_bounds,
+    make_digits,
+    window_parts,
+)
 from ostro.qfield import QuadRat
 
 
@@ -119,6 +134,43 @@ def validate_reference(cf: CFData, digits) -> tuple[bool, int | None]:
         if b == cap and k >= 1 and digits[k - 1] != 0:
             return False, k
     return True, None
+
+
+def encode_real_reference(c, cf: CFData, depth: int) -> OstDigits:
+    """The greedy interval encoder with a two-sided exact membership test
+    of every candidate's residual in the next tail window, first candidate
+    that fits wins: the loop that ostrowski.encode_real's one-sided search
+    over the tiling replaced, and the reference its digits and errors must
+    agree with."""
+    if isinstance(c, (int, Fraction)):
+        c = QuadRat(Fraction(c), Fraction(0), cf.d)
+    if c.d != cf.d:
+        if not c.is_rational:
+            raise OutOfInterval(f"value in Q(sqrt({c.d})) cannot be encoded over d={cf.d}")
+        c = QuadRat(c.a, Fraction(0), cf.d)
+    if not in_interval(cf, c):
+        raise OutOfInterval(f"{c} is outside [{interval_bounds(cf)[0]}, {interval_bounds(cf)[1]})")
+    if depth > cf.depth:
+        raise DepthExceeded(f"requested {depth} digits but depth is {cf.depth}")
+    ra, rb, den = c.scaled()
+    ps, qs = cf.conv_p, cf.conv_q
+    digits: list[int] = []
+    blocked = True  # position 0 is capped: digits[0] < a_1
+    for k in range(depth):
+        cap = cf.a(k + 1) - (1 if blocked else 0)
+        step_a, step_b = ps[k + 1] * den, qs[k + 1] * den
+        for b in range(cap + 1):
+            if in_window(cf, ra, rb, den, window_parts(cf, k + 1, blocked=b != 0)):
+                break
+            ra += step_a
+            rb -= step_b
+        else:
+            raise VerificationFailed(f"no digit fits at position {k} for {c}")
+        digits.append(b)
+        blocked = b != 0
+    if not in_window(cf, ra, rb, den, window_parts(cf, depth, blocked)):
+        raise VerificationFailed(f"residual of {c} after {depth} digits is outside its tail window")
+    return make_digits(cf, digits, KIND_REAL)
 
 
 def shift_constants_reference(cf: CFData) -> ShiftConstants:

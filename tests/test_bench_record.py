@@ -1,7 +1,8 @@
 """scripts/bench_record.py against a stub checkout holding a copy of the
 script: one record per call at the checkout's root, medians and quartiles
 over the seeds, the traced metrics, the layers measured on the checkout's
-src/, tier-1 timed."""
+src/ (expand, the audit stages, the shift constants, at_least and
+encode_real), tier-1 timed."""
 
 import json
 import shutil
@@ -26,7 +27,11 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metri
 '''
 
 STUB_OSTRO = '''
-from . import cfrac
+from . import cfrac, ostrowski
+
+
+def quad(a, b, d):
+    return (a, b, d)
 
 
 class SuiteConfig:
@@ -40,9 +45,32 @@ def run_suite(config):
 '''
 
 STUB_CFRAC = '''
+class CFData:
+    def __init__(self, d, depth):
+        self.d, self.depth = d, depth
+
+    def at_least(self, k):
+        if (self.d, self.depth, k) != (99991, 64, 1311):
+            raise ValueError((self.d, self.depth, k))
+        return CFData(self.d, k)
+
+
 def expand(d, depth):
-    if (d, depth) != (99991, 874):
+    if (d, depth) not in ((99991, 874), (99991, 64), (61, 150)):
         raise ValueError((d, depth))
+    return CFData(d, depth)
+
+
+def derive_shift_constants(cf):
+    if (cf.d, cf.depth) != (99991, 874):
+        raise ValueError((cf.d, cf.depth))
+'''
+
+STUB_OSTROWSKI = '''
+def encode_real(c, cf, depth):
+    a, b, d = c
+    if (cf.d, cf.depth, depth, b, d) != (61, 150, 150, -1, 61) or not 7 <= a < 8:
+        raise ValueError((c, cf.d, cf.depth, depth))
 '''
 
 
@@ -53,6 +81,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     (root / "src" / "ostro").mkdir(parents=True)
     (root / "src" / "ostro" / "__init__.py").write_text(STUB_OSTRO)
     (root / "src" / "ostro" / "cfrac.py").write_text(STUB_CFRAC)
+    (root / "src" / "ostro" / "ostrowski.py").write_text(STUB_OSTROWSKI)
     (root / "tests").mkdir()
     (root / "tests" / "test_one.py").write_text("def test_one():\n    pass\n")
     (root / "BENCHMARK.json").write_text(json.dumps({
@@ -75,7 +104,10 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     assert wl["traced_seed"] == 101
     assert wl["traced"] == {"f.calls": 7}
     layers = rec["layers"]
-    assert layers["expand_99991_874"]["min_of"] == 7 and layers["expand_99991_874"]["value"] >= 0
+    for key in ("expand_99991_874", "derive_shift_constants_99991_874", "at_least_99991_64_1311",
+                "encode_real_61_40x150"):
+        assert layers[key]["unit"] == "s" and layers[key]["min_of"] == 7, key
+        assert layers[key]["value"] >= 0, key
     assert layers["audit_stages"] == {"unit": "s", "min_of": 3, "by_d": {
         "99991": {"identities": 99.991, "recovery": 1.0},
         "3": {"identities": 0.003, "recovery": 1.0}}}

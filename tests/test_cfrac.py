@@ -212,6 +212,67 @@ def test_at_least_grows_only_past_the_depth():
     assert deep.conv_q[: len(cf.conv_q)] == cf.conv_q
 
 
+@pytest.mark.parametrize("d", DEFAULT_D_LIST + LONG_PERIOD, ids=str)
+def test_at_least_extends_to_a_fresh_expansion(d):
+    m = expand(d, 1).m
+    t = max(m, 2)
+    for a, b in ((1, 3 * m + 3), (64, 2 * t + 2), (64, 1311)):
+        assert expand(d, a).at_least(b) == expand(d, max(a, b)), (a, b)
+
+
+def test_at_least_sweeps_only_the_new_indices(monkeypatch):
+    cf = expand(99991, 64)
+    expands, sweeps = [], []
+    sweep = cfrac._check_convergents
+    monkeypatch.setattr(cfrac, "expand", lambda *args: expands.append(args))
+    monkeypatch.setattr(cfrac, "_check_convergents", lambda *args: sweeps.append(args[4:]))
+    deep = cf.at_least(874)
+    assert expands == [] and sweeps == [(874, 65)]
+    # the sweep from index 65 reads nothing below p_63 and q_63, from which
+    # the extension grows, and checks every index up to the depth
+    ps, qs = [0] * 64 + list(deep.conv_p[64:]), [0] * 64 + list(deep.conv_q[64:])
+    sweep(deep.d, ps, qs, deep.zetas, 874, 65)
+    for k in (65, 874):
+        bad = ps[:k + 1] + [ps[k + 1] + 1] + ps[k + 2:]
+        with pytest.raises(VerificationFailed, match=f"^beta_{k} zeta_{k + 1} "):
+            sweep(deep.d, bad, qs, deep.zetas, 874, 65)
+
+
+def test_deep_corruptions_name_their_index(monkeypatch):
+    cf = expand(3, 64)
+    ps = list(cf.conv_p)
+    ps[38] += 1  # p_37
+    with pytest.raises(VerificationFailed, match=r"^beta_37 zeta_38 != -beta_36 for sqrt\(3\)$"):
+        cfrac._check_convergents(cf.d, ps, list(cf.conv_q), list(cf.zetas), cf.depth)
+    deep = expand(99991, 874)
+    qs = list(deep.conv_q)
+    qs[501] += 1  # q_500
+    message = r"^beta_500 zeta_501 != -beta_499 for sqrt\(99991\)$"
+    with pytest.raises(VerificationFailed, match=message):
+        cfrac._check_convergents(deep.d, list(deep.conv_p), qs, list(deep.zetas), deep.depth)
+    # the same corruption in the tail that at_least extends from depth 64
+    shallow, extend = expand(99991, 64), cfrac._extend
+
+    def corrupted(ps, qs, quotients):
+        extend(ps, qs, quotients)
+        qs[501] += 1
+
+    monkeypatch.setattr(cfrac, "_extend", corrupted)
+    with pytest.raises(VerificationFailed, match=message):
+        shallow.at_least(874)
+
+
+def test_convergent_sweep_reads_the_partial_quotients_off_the_zetas():
+    # zeta_1 + 1 is still > 1 and the step from beta_0 to beta_1 reads
+    # zeta_2, so only the recurrence with a_1 = floor(zeta_1 + 1) sees it
+    cf = expand(3, 10)
+    (big_p, big_q), zeta_2 = cf.zetas
+    message = r"^p_1, q_1 do not follow from a_1 = 2 for sqrt\(3\)$"
+    with pytest.raises(VerificationFailed, match=message):
+        cfrac._check_convergents(cf.d, list(cf.conv_p), list(cf.conv_q),
+                                 [(big_p + big_q, big_q), zeta_2], cf.depth)
+
+
 # ---------------------------------------------------------------------------
 # identity audit
 # ---------------------------------------------------------------------------

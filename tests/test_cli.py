@@ -407,11 +407,13 @@ EXIT_CASES = [
     (["decode", "--d", "3", "--depth", "2", "0,1,0,1,0,1", "--real"], 3),
     (["mul", "--d", "3", "--depth", "8", "--x", "7/5", "--eps", "1e-30"], 3),
     (["encode", "--d", "3", "--digits", "100", "--", "4/3-1*sqrt(3)"], 3),
+    (["encode", "--d", "3", "--digits", "-1", "3/2-sqrt(3)"], 2),
     (["audit", "--config", "{config}", "--d", "2"], 2),
 ]
 
 
-@pytest.mark.parametrize("argv,code", EXIT_CASES, ids=["decode", "decode-real", "mul-eps", "encode-digits", "config"])
+@pytest.mark.parametrize("argv,code", EXIT_CASES, ids=["decode", "decode-real", "mul-eps", "encode-digits",
+                                                      "encode-negative-digits", "config"])
 def test_module_exit_codes(tmp_path, argv, code):
     cfg = tmp_path / "suite.json"
     cfg.write_text('{"n_max": 5.9}')

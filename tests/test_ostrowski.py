@@ -2,6 +2,7 @@
 exhaustive uniqueness, interval membership, window structure, and the
 digit-wise real encoder with its certified truncation bound."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,8 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ostro import (
+    DepthExceeded,
     InvalidDigits,
+    OstroError,
     OutOfInterval,
+    VerificationFailed,
     decode_nat,
     decode_real,
     encode_nat,
@@ -27,9 +31,11 @@ from ostro import (
     validate,
 )
 from ostro import ostrowski
+from ostro.harness import DEFAULT_D_LIST
 from ostro.ostrowski import KIND_REAL, OstDigits
+from ostro.qfield import sign_sqrt
 
-from digit_maps import validate_reference
+from digit_maps import encode_real_reference, validate_reference
 
 
 def greedy_oracle(n, cf):
@@ -319,6 +325,80 @@ def test_encode_real_residual_in_tail_window(cf_of, d, num, irr, depth):
     last = enc.digits[depth - 1] if depth <= len(enc.digits) else 0
     wlo, whi = tail_window(cf, depth, blocked=last != 0)
     assert wlo <= c - decode_real(enc) < whi
+
+
+ALL_D = DEFAULT_D_LIST + (Fraction(991), Fraction(9949), Fraction(99991), Fraction(1000003, 7))
+
+
+def _encode_outcome(encode, c, cf, depth):
+    """The digits an encoder returns, or the type of the error it raises."""
+    try:
+        return encode(c, cf, depth).digits
+    except OstroError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("d", ALL_D, ids=str)
+def test_encode_real_matches_the_two_sided_reference(cf_of, d):
+    # 0, both ends of I (the upper one is outside), the ends -beta_n and
+    # beta_{n-1} - beta_n of the pieces 0 and 1 at position n - 1, where the
+    # search's sign test reads 0, and seeded values: a0 + u - sqrt(d) with u
+    # in [0, 1), and rationals in [-1, 1), about half of which lie in I;
+    # lengths up to 150, and one past the depth
+    cf = cf_of(d, 150)
+    rng = random.Random(f"encode_real:{d}")
+    values = [quad(0, 0, d), quad(cf.a0, -1, d), quad(cf.a0 + 1, -1, d)]
+    for n in range(1, 6):
+        values += [-cf.beta(n), cf.beta(n - 1) - cf.beta(n)]
+    for _ in range(3):
+        values.append(quad(cf.a0 + Fraction(rng.randrange(10**6), 10**6), -1, d))
+        values.append(quad(Fraction(rng.randrange(-10**6, 10**6), 10**6), 0, d))
+    for c in values:
+        for depth in (0, rng.randint(1, 149), 150):
+            assert (_encode_outcome(encode_real, c, cf, depth)
+                    == _encode_outcome(encode_real_reference, c, cf, depth)), (c, depth)
+    assert _encode_outcome(encode_real, values[-2], cf, 151) is DepthExceeded
+
+
+@pytest.mark.parametrize("irrational", [True, False])
+@pytest.mark.parametrize("d", [Fraction(3), Fraction(61), Fraction(13, 4), Fraction(99991)],
+                         ids=str)
+def test_encode_real_certificate_catches_a_search_off_by_one(monkeypatch, cf_of, d, irrational):
+    # Flip the verdict of one sign test of the digit search at a time.  A
+    # failing test flipped stops the search early at that candidate; the
+    # test that stopped it flipped moves it one candidate late.  Either way
+    # the final certificate must raise.
+    cf, depth = cf_of(d, 64), 40
+    c = quad(cf.a0 + Fraction(1, 3), -1, d) if irrational else quad(Fraction(-1, 7), 0, d)
+    signs, flip = [], []
+
+    def spy(*args):
+        s = sign_sqrt(*args)
+        signs.append(s)
+        if len(signs) - 1 in flip:
+            return 1 if s < 0 else -1
+        return s
+
+    monkeypatch.setattr(ostrowski, "sign_sqrt", spy)
+    digits = encode_real(c, cf, depth).digits
+    digits += (0,) * (depth - len(digits))
+    # Position k tests candidates 0 .. min(b_k, cap_k - 1), one sign test
+    # each and none for the last; in_interval makes two tests before the
+    # search and the certificate two after it.
+    searches, i, blocked = [], 2, True
+    for k, b in enumerate(digits):
+        cap = cf.a(k + 1) - blocked
+        for cand in range(min(b, cap - 1) + 1):
+            searches.append((i, "late" if cand == b else "early"))
+            i += 1
+        blocked = b != 0
+    assert len(signs) == i + 2
+    assert {kind for _, kind in searches} == {"early", "late"}
+    for i, _ in searches:
+        signs.clear()
+        flip[:] = [i]
+        with pytest.raises(VerificationFailed, match="is outside its tail window$"):
+            encode_real(c, cf, depth)
 
 
 # ---------------------------------------------------------------------------
