@@ -17,9 +17,11 @@ adds what the traced run cannot show: the min of 7 runs of
 ``cfrac.expand(99991, 874)``; per audit stage, the min of 3 runs of
 ``ostro.run_suite`` at the default config for d = 99991 and for d = 3;
 and the min of 7 runs each of ``cfrac.derive_shift_constants`` on
-``expand(99991, 874)``, of ``expand(99991, 64).at_least(1311)``, and of
+``expand(99991, 874)``, of ``expand(99991, 64).at_least(1311)``, of
 ``ostrowski.encode_real`` to 150 digits over the 40 values
-7 + j/40 - sqrt(61), j = 0 .. 39.
+7 + j/40 - sqrt(61), j = 0 .. 39, and of ``QuadRat`` addition,
+multiplication and sign over 1000 fixed pairs of elements of Q(sqrt(13/4))
+whose parts have numerators up to 10^12 and denominators up to 10^6.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -73,7 +75,7 @@ def time_tier1(root: Path) -> dict:
 
 # Run as `python -c LAYERS SRC`: imports ostro from SRC and prints one JSON line.
 LAYERS = """
-import json, sys, time
+import json, random, sys, time
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 import ostro
@@ -94,6 +96,11 @@ for d in (99991, 3):
     stages[str(d)] = {name: min(r[name] for r in runs) for name in runs[0]}
 cf874, cf64, cf61 = cfrac.expand(99991, 874), cfrac.expand(99991, 64), cfrac.expand(61, 150)
 values = [ostro.quad(7 + Fraction(j, 40), -1, 61) for j in range(40)]
+rng = random.Random(1304)
+def part():
+    return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+pairs = [(ostro.quad(part(), part(), Fraction(13, 4)), ostro.quad(part(), part(), Fraction(13, 4)))
+         for _ in range(1000)]
 print(json.dumps({
     "expand_99991_874": {"unit": "s", "min_of": 7,
                          "value": best(lambda: cfrac.expand(99991, 874), 7)},
@@ -105,6 +112,12 @@ print(json.dumps({
     "encode_real_61_40x150": {
         "unit": "s", "min_of": 7,
         "value": best(lambda: [ostrowski.encode_real(c, cf61, 150) for c in values], 7)},
+    "quadrat_add_13_4_1000": {"unit": "s", "min_of": 7,
+                              "value": best(lambda: [x + y for x, y in pairs], 7)},
+    "quadrat_mul_13_4_1000": {"unit": "s", "min_of": 7,
+                              "value": best(lambda: [x * y for x, y in pairs], 7)},
+    "quadrat_sign_13_4_1000": {"unit": "s", "min_of": 7,
+                               "value": best(lambda: [x.sign() for x, _ in pairs], 7)},
 }))
 """
 

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .errors import DepthExceeded, UnsupportedRadicand, VerificationFailed
-from .qfield import QuadRat, check_radicand, floor_sqrt, quad, sign_sqrt
+from .qfield import QuadRat, check_radicand, floor_sqrt, sign_sqrt
 
 DEFAULT_DEPTH = 64
 MAX_PERIOD = 10_000  # longest period expand searches for
@@ -64,7 +64,7 @@ class CFData:
     depth: int
 
     def sqrt_d(self) -> QuadRat:
-        return QuadRat(Fraction(0), Fraction(1), self.d)
+        return QuadRat._of(0, 1, 1, self.d)
 
     def a(self, k: int) -> int:
         """Partial quotient a_k, k >= 0, from the periodic digit stream."""
@@ -86,16 +86,15 @@ class CFData:
         return self._at(self.conv_q, k)
 
     def beta(self, k: int) -> QuadRat:
-        return QuadRat(Fraction(-self.p(k)), Fraction(self.q(k)), self.d)
+        return QuadRat._of(-self.p(k), self.q(k), 1, self.d)
 
     def zeta(self, k: int) -> QuadRat:
         """Complete quotient zeta_k; zeta_0 = sqrt(d), periodic for k >= 1."""
         if k < 0:
             raise IndexError(f"complete quotient index {k} out of range")
-        if k == 0:
-            return self.sqrt_d()
-        big_p, big_q = self.zetas[(k - 1) % self.m]  # sqrt(D) = den(d) sqrt(d)
-        return QuadRat(Fraction(big_p, big_q), Fraction(self.d.denominator, big_q), self.d)
+        dd = self.d.denominator  # sqrt(D) = dd sqrt(d), and zeta_0 = (0 + sqrt(D))/dd
+        big_p, big_q = self.zetas[(k - 1) % self.m] if k else (0, dd)
+        return QuadRat._of(big_p, dd, big_q, self.d)
 
     @property
     def t(self) -> int:
@@ -324,7 +323,7 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
         a, b, e = a // g, b // g, e // g
         big_p, big_q = zetas[(k - 1) % m]
         if (a, b, e) != (big_p, 1, big_q):
-            chain = QuadRat(Fraction(a, e), Fraction(b * dd, e), d)
+            chain = QuadRat._of(a, b * dd, e, d)
             raise VerificationFailed(
                 f"zeta_{k} of sqrt({d}) is {chain} by the recurrence "
                 f"but {cf.zeta(k)} in the periodic table"
@@ -397,9 +396,9 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     x1, y1, z1 = x * big_p + y * big_d, x + y * big_p, z * big_q
     b0, b1 = cf.p(m - 1), cf.q(m - 1)  # U = b0 + b1 sqrt(d)
     c0, c1 = cf.q(m - 1) + a0 * cf.q(m), cf.q(m)
-    prod_m1 = QuadRat(Fraction(x1, z1), Fraction(y1 * dd, z1), d)  # for witnesses
+    prod_m1 = QuadRat._of(x1, y1 * dd, z1, d)  # for witnesses
     w_prod = _first_witness([m + 1], lambda k: x1 == c0 * z1 and y1 * dd == c1 * z1,
-                            lambda k: (prod_m1, quad(c0, c1, d)))
+                            lambda k: (prod_m1, QuadRat._of(c0, c1, 1, d)))
     unit_ok = x == b0 * z and y * dd == b1 * z
     out.append(IdentityVerdict("unit-product", _verdict(w_prod is None), _verdict(unit_ok), w_prod))
 
@@ -486,14 +485,8 @@ def derive_shift_constants(cf: CFData) -> ShiftConstants:
         vs.append(Fraction(big_q, dn))
         ws.append(Fraction(-big_p, dn))
 
-    a_const = cf.q(cf.m - 1)
-    b_const = cf.p(cf.m - 1)
-    unit = QuadRat(Fraction(b_const), Fraction(a_const), cf.d)
-    if not unit > 1:
-        raise VerificationFailed(f"unit {unit} for d={cf.d} is not > 1")
-    pell = Fraction(a_const * a_const) * cf.d - b_const * b_const
-    if cf.d.denominator == 1 and abs(pell) != 1:
-        raise VerificationFailed(f"unit norm {pell} for integer d={cf.d} is not +-1")
+    unit = fundamental_unit(cf)
+    b_const, a_const, _ = unit.scaled()  # U = b + a sqrt(d)
     return ShiftConstants(
         d=cf.d,
         t=t,
@@ -502,8 +495,21 @@ def derive_shift_constants(cf: CFData) -> ShiftConstants:
         unit=unit,
         a_const=a_const,
         b_const=b_const,
-        pell_norm=pell,
+        pell_norm=-unit.norm(),
     )
+
+
+def fundamental_unit(cf: CFData) -> QuadRat:
+    """U = p_{m-1} + q_{m-1} sqrt(d), read at cf.at_least(m - 1) and checked
+    > 1 and, for integer d, of Pell norm q_{m-1}^2 d - p_{m-1}^2 = +-1."""
+    cf = cf.at_least(cf.m - 1)
+    unit = QuadRat._of(cf.p(cf.m - 1), cf.q(cf.m - 1), 1, cf.d)
+    if not unit > 1:
+        raise VerificationFailed(f"unit {unit} for d={cf.d} is not > 1")
+    pell = -unit.norm()
+    if cf.d.denominator == 1 and abs(pell) != 1:
+        raise VerificationFailed(f"unit norm {pell} for integer d={cf.d} is not +-1")
+    return unit
 
 
 # ---------------------------------------------------------------------------

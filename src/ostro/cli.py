@@ -89,7 +89,7 @@ def _expand(args) -> cfrac.CFData:
 
 def cmd_cf(args) -> int:
     cf = _expand(args)
-    sc = cfrac.derive_shift_constants(cf)
+    unit = cfrac.fundamental_unit(cf)
     if args.format == "json":
         data = {
             "d": str(cf.d),
@@ -101,7 +101,7 @@ def cmd_cf(args) -> int:
             "convergents": [
                 {"k": k, "p": cf.p(k), "q": cf.q(k)} for k in range(min(cf.depth, 12))
             ],
-            "unit": str(sc.unit),
+            "unit": str(unit),
             "normalized": [str(v) for v in cfrac.normalize_d(cf.d)],
         }
         _emit(args, json.dumps(data, indent=2))
@@ -114,7 +114,7 @@ def cmd_cf(args) -> int:
     ]
     for k in range(min(cf.depth, 12)):
         lines.append(f"  p_{k}/q_{k} = {cf.p(k)}/{cf.q(k)}")
-    lines.append(f"unit = {sc.unit}")
+    lines.append(f"unit = {unit}")
     d_norm, scale = cfrac.normalize_d(cf.d)
     lines.append(f"normalized radicand = {d_norm} (scale {scale})")
     _emit(args, "\n".join(lines))
@@ -309,11 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RationalSquare, UnsupportedRadicand, InvalidDigits) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RationalSquare, UnsupportedRadicand, InvalidDigits, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # json.JSONDecodeError is a ValueError
         return EXIT_BAD_INPUT
     except DepthExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

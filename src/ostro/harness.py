@@ -28,7 +28,7 @@ from functools import cmp_to_key
 
 from . import cfrac, ostrowski, shiftcalc
 from .errors import DepthExceeded, UnsupportedRadicand, VerificationFailed, WitnessUnavailable
-from .qfield import QuadRat, parse_rat, sign_sqrt
+from .qfield import parse_rat, sign_sqrt
 
 # Non-square radicands exercised by default: sixteen integers and five
 # non-integer rationals, all greater than 1.
@@ -109,7 +109,7 @@ def config_from_json(data) -> SuiteConfig:
         if isinstance(f.default, tuple) and f.name in data:  # d_list
             if not isinstance(value, list):
                 raise ValueError(f"config field {f.name!r} must be a list, got {value!r}")
-            kwargs[f.name] = tuple(Fraction(str(x)) for x in value)
+            kwargs[f.name] = tuple(parse_rat(str(x)) for x in value)
         elif isinstance(f.default, tuple) or value is None:  # absent, or a null scalar
             continue
         elif isinstance(f.default, Fraction):  # eps
@@ -148,11 +148,6 @@ def _lap(stages: dict, name: str, mark: float) -> float:
     now = time.perf_counter()
     stages[name] += now - mark
     return now
-
-
-def _random_interval_value(cf, rng) -> QuadRat:
-    lo, _ = ostrowski.interval_bounds(cf)
-    return lo + Fraction(rng.getrandbits(48), 2**48)
 
 
 def audit_one(d: Fraction, config: SuiteConfig) -> dict:
@@ -286,7 +281,8 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
         if cf.q(l + 1) <= config.probe_q_limit:
             l_eff = l
     if l_eff >= 0:
-        samples = [_random_interval_value(cf, rng) for _ in range(config.probe_samples)]
+        lo_i = ostrowski.interval_bounds(cf)[0]
+        samples = [lo_i + Fraction(rng.getrandbits(48), 2**48) for _ in range(config.probe_samples)]
         fails = []
         got = []
         for c in samples:
@@ -307,7 +303,6 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
         for n in range(cf.q(l_eff + 1)):
             xn = ostrowski.encode_nat(n, cf)
             table.append((xn.digits, ostrowski.beta_parts(xn)))
-        scaled = [c.scaled() for c in samples]
         dn, dd = cf.d.numerator, cf.d.denominator
         by_lower = cmp_to_key(lambda u, v: sign_sqrt(u[0] - v[0], u[1] - v[1], dn, dd))
         for l in range(l_eff + 1):
@@ -326,7 +321,7 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
                 fails.append({"l": l, "reason": "windows do not tile I"})
                 continue
             for ci, c in enumerate(samples):
-                ca, cb, den = scaled[ci]
+                ca, cb, den = c.scaled()
                 i = bisect_right(lows, False, key=lambda lo: sign_sqrt(
                     ca - lo[0] * den, cb - lo[1] * den, dn, dd) < 0) - 1  # last lower end <= c
                 if wins[i][2] != got[ci][l]:

@@ -156,8 +156,7 @@ def decode_real(x: OstDigits) -> QuadRat:
     For the digits of a natural n this is the offset of n*sqrt(d) from
     the nearest lattice of convergent numerators.
     """
-    a, b = beta_parts(x)
-    return QuadRat(Fraction(a), Fraction(b), x.cf.d)
+    return QuadRat._of(*beta_parts(x), 1, x.cf.d)
 
 
 def mult_nat_by_sqrt(x: OstDigits) -> tuple[int, OstDigits]:
@@ -199,7 +198,7 @@ def enumerate_valid(cf: CFData, length: int):
 
 def interval_bounds(cf: CFData) -> tuple[QuadRat, QuadRat]:
     """The fundamental interval I = [a0 - sqrt(d), a0 + 1 - sqrt(d))."""
-    lo = QuadRat(Fraction(cf.a0), Fraction(-1), cf.d)
+    lo = QuadRat._of(cf.a0, -1, 1, cf.d)
     return lo, lo + 1
 
 
@@ -239,9 +238,7 @@ def window_parts(cf: CFData, n: int, blocked: bool) -> tuple[tuple[int, int], tu
 
 def tail_window(cf: CFData, n: int, blocked: bool) -> tuple[QuadRat, QuadRat]:
     """window_parts as exact quadratic endpoints."""
-    return tuple(
-        QuadRat(Fraction(a), Fraction(b), cf.d) for a, b in window_parts(cf, n, blocked)
-    )
+    return tuple(QuadRat._of(a, b, 1, cf.d) for a, b in window_parts(cf, n, blocked))
 
 
 def in_window(cf: CFData, a: int, b: int, den: int, win) -> bool:
@@ -268,12 +265,9 @@ def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
     lies in piece b_j of W_j), so a wrong digit anywhere fails it.  The
     residual after K digits is bounded by |beta_{K-1}| + |beta_K|.
     """
-    if isinstance(c, (int, Fraction)):
-        c = QuadRat(Fraction(c), Fraction(0), cf.d)
-    if c.d != cf.d:
-        if not c.is_rational:
-            raise OutOfInterval(f"value in Q(sqrt({c.d})) cannot be encoded over d={cf.d}")
-        c = QuadRat(c.a, Fraction(0), cf.d)
+    if isinstance(c, QuadRat) and c.d != cf.d and not c.is_rational:
+        raise OutOfInterval(f"value in Q(sqrt({c.d})) cannot be encoded over d={cf.d}")
+    c = QuadRat._of(0, 0, 1, cf.d) + c  # over cf.d, a rational c re-tagged
     if not in_interval(cf, c):
         raise OutOfInterval(f"{c} is outside [{interval_bounds(cf)[0]}, {interval_bounds(cf)[1]})")
     if depth < 0:
@@ -301,7 +295,7 @@ def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
         digits.append(b)
         blocked = b != 0
     if not in_window(cf, ra, rb, den, window_parts(cf, depth, blocked)):
-        rem = QuadRat(Fraction(ra, den), Fraction(rb, den), cf.d)
+        rem = QuadRat._of(ra, rb, den, cf.d)
         raise VerificationFailed(
             f"residual {rem} of {c} after {depth} digits {digits} "
             f"is outside its tail window"

@@ -1,8 +1,9 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
-A value is a pair of rationals (a, b) denoting a + b*sqrt(d) for a fixed
-positive non-square rational d.  Signs, comparisons and floors are decided
-by exact integer tests; nothing in this module rounds.  The only numeric
+A value a + b*sqrt(d), for a fixed positive non-square rational d, is held
+as one reduced integer triple (A, B, E) meaning (A + B*sqrt(d)) / E, the
+form every kernel of the package computes with.  Signs, comparisons and
+floors are decided by exact integer tests; nothing in this module rounds.  The only numeric
 escape hatch is :meth:`QuadRat.approx`, which is for display.
 
 The text form is ``a+b*sqrt(d)`` with each part a rational like ``p/q``,
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -76,100 +76,135 @@ def check_radicand(d: Fraction) -> Fraction:
     return d
 
 
-@dataclass(frozen=True)
 class QuadRat:
     """An element a + b*sqrt(d) of Q(sqrt(d)), exact and immutable.
 
-    Instances are normally built with :func:`quad`, which validates the
-    radicand.  Arithmetic between two QuadRat values requires identical d.
-    Equality is component-wise, which is also value equality because
-    sqrt(d) is irrational.
+    Stored as the integer triple (A, B, E) of (A + B*sqrt(d)) / E with
+    E > 0 and gcd(A, B, E) = 1, over the Fraction d.  That triple is
+    unique for each value, so field-wise equality and hashing are value
+    equality (sqrt(d) is irrational).  QuadRat(a, b, d) takes the two
+    rational parts; :func:`quad` also validates the radicand.  Arithmetic
+    between two QuadRat values requires identical d; a rational operand,
+    or a QuadRat with b = 0, is re-tagged to this d.  As in Fraction, the
+    fields are private slots behind read-only properties.
     """
 
-    a: Fraction
-    b: Fraction
-    d: Fraction
+    __slots__ = ("_a", "_b", "_e", "_d")
 
-    def __post_init__(self):
-        # unrolled: this constructor is the hottest allocation site
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", Fraction(self.b))
-        if type(self.d) is not Fraction:
-            object.__setattr__(self, "d", Fraction(self.d))
+    def __init__(self, a, b, d):
+        a, b = Fraction(a), Fraction(b)
+        e = math.lcm(a.denominator, b.denominator)  # over the lcm no common factor is left
+        self._a, self._b, self._e, self._d = int(a * e), int(b * e), e, Fraction(d)
+
+    @classmethod
+    def _of(cls, a: int, b: int, e: int, d: Fraction) -> "QuadRat":
+        """(a + b*sqrt(d)) / e for ints, e != 0, and a Fraction d, reduced
+        by one gcd to E > 0."""
+        if not e:
+            raise ZeroDivisionError(f"({a} + {b}*sqrt({d})) / 0")
+        g = math.gcd(e, a, b) if e > 0 else -math.gcd(e, a, b)
+        x = object.__new__(cls)
+        x._a, x._b, x._e, x._d = a // g, b // g, e // g, d
+        return x
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._e)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._e)
+
+    @property
+    def d(self) -> Fraction:
+        return self._d
+
+    @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._b == 0
+
+    def scaled(self) -> tuple[int, int, int]:
+        """The triple (A, B, E): self = (A + B*sqrt(d)) / E, E > 0."""
+        return self._a, self._b, self._e
 
     def norm(self) -> Fraction:
         """Field norm a^2 - b^2 d (the product with the conjugate)."""
-        return self.a * self.a - self.b * self.b * self.d
+        dn, dd = self._d.numerator, self._d.denominator
+        return Fraction(self._a * self._a * dd - self._b * self._b * dn, self._e * self._e * dd)
 
-    def _coerce(self, other) -> "QuadRat":
+    def __eq__(self, other):
+        if other.__class__ is not QuadRat:
+            return NotImplemented
+        return self.scaled() == other.scaled() and self._d == other._d
+
+    def __hash__(self):
+        return hash((self.a, self.b, self._d))
+
+    def __repr__(self) -> str:
+        return f"QuadRat(a={self.a!r}, b={self.b!r}, d={self._d!r})"
+
+    def _parts(self, other):
+        """other's triple over this d, or None for an unsupported type."""
         if isinstance(other, QuadRat):
-            if other.d is self.d or other.d == self.d:
-                return other
-            if other.is_rational:  # re-tag a purely rational operand
-                return QuadRat(other.a, Fraction(0), self.d)
-            raise MixedRadicand(f"cannot combine sqrt({self.d}) with sqrt({other.d})")
+            if other._d is self._d or other._d == self._d or other._b == 0:
+                return other._a, other._b, other._e
+            raise MixedRadicand(f"cannot combine sqrt({self._d}) with sqrt({other._d})")
         if isinstance(other, (int, Fraction)):
-            return QuadRat(Fraction(other), Fraction(0), self.d)
-        return NotImplemented
+            return other.numerator, 0, other.denominator
+        return None
 
     # -- ring operations ----------------------------------------------------
 
+    def _plus(self, a: int, b: int, e: int) -> "QuadRat":
+        """self + (a + b*sqrt(d)) / e for a reduced triple."""
+        sa, sb, se = self._a, self._b, self._e
+        if se != 1 and e != 1:
+            return QuadRat._of(sa * e + a * se, sb * e + b * se, se * e, self._d)
+        x = object.__new__(QuadRat)  # over E = 1 on either side the sum is reduced
+        x._a, x._b, x._e, x._d = sa * e + a * se, sb * e + b * se, se * e, self._d
+        return x
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadRat(self.a + o.a, self.b + o.b, self.d)
+        o = self._parts(other)
+        return NotImplemented if o is None else self._plus(*o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadRat(-self.a, -self.b, self.d)
+        return QuadRat._of(-self._a, -self._b, self._e, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadRat(self.a - o.a, self.b - o.b, self.d)
+        o = self._parts(other)
+        return NotImplemented if o is None else self._plus(-o[0], -o[1], o[2])
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadRat(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        (a, b, e), sa, sb, d = o, self._a, self._b, self._d
+        dn, dd = d.numerator, d.denominator
+        return QuadRat._of(sa * a * dd + sb * b * dn, (sa * b + sb * a) * dd, self._e * e * dd, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadRat":
-        """Multiplicative inverse via the conjugate.
-
-        a^2 - b^2 d never vanishes for a nonzero element because sqrt(d)
-        is irrational.
-        """
-        if self.a == 0 and self.b == 0:
+        """Multiplicative inverse via the conjugate: E dd (A - B sqrt(d))
+        over A^2 dd - B^2 dn, which vanishes only for zero because sqrt(d)
+        is irrational."""
+        a, b, e = self.scaled()
+        if a == 0 and b == 0:
             raise ZeroDivisionError("inverse of zero")
-        n = self.norm()
-        return QuadRat(self.a / n, -self.b / n, self.d)
+        dn, dd = self._d.numerator, self._d.denominator
+        return QuadRat._of(e * dd * a, -e * dd * b, a * a * dd - b * b * dn, self._d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        o = self._parts(other)
+        return NotImplemented if o is None else self * QuadRat._of(*o, self._d).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse().__mul__(other)
@@ -177,49 +212,30 @@ class QuadRat:
     # -- exact order --------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}.
-
-        Scaled by the positive a.denominator * b.denominator this is the
-        sign of an integer pair, decided by :func:`sign_sqrt`.
-        """
-        a, b, d = self.a, self.b, self.d
-        return sign_sqrt(
-            a.numerator * b.denominator, b.numerator * a.denominator,
-            d.numerator, d.denominator,
-        )
-
-    def scaled(self) -> tuple[int, int, int]:
-        """(A, B, D) with self = (A + B*sqrt(d)) / D and D > 0 the lcm of
-        the two denominators."""
-        a, b = self.a, self.b
-        den = math.lcm(a.denominator, b.denominator)
-        return a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+        """Exact sign in {-1, 0, +1}, that of A + B*sqrt(d) as E > 0,
+        decided by :func:`sign_sqrt`."""
+        return sign_sqrt(self._a, self._b, self._d.numerator, self._d.denominator)
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def floor(self) -> int:
-        """Largest integer n <= a + b*sqrt(d); with (A, B, E) = scaled()
-        and d = dn/dd that is floor((A*dd + B*sqrt(dn*dd)) / (E*dd))."""
-        a, b, e = self.scaled()
-        dn, dd = self.d.numerator, self.d.denominator
-        return floor_sqrt(a * dd, b, dn * dd, e * dd)
+        """Largest integer n <= (A + B*sqrt(d)) / E; with d = dn/dd that is
+        floor((A*dd + B*sqrt(dn*dd)) / (E*dd))."""
+        dn, dd = self._d.numerator, self._d.denominator
+        return floor_sqrt(self._a * dd, self._b, dn * dd, self._e * dd)
 
     # -- presentation ---------------------------------------------------
 
@@ -227,21 +243,17 @@ class QuadRat:
         """Decimal approximation, for display and for numeric cross-checks."""
         with localcontext() as ctx:
             ctx.prec = prec + 10
-            root = (Decimal(self.d.numerator) / Decimal(self.d.denominator)).sqrt()
-            val = (
-                Decimal(self.a.numerator) / Decimal(self.a.denominator)
-                + (Decimal(self.b.numerator) / Decimal(self.b.denominator)) * root
-            )
-            return +val
+            root = (Decimal(self._d.numerator) / Decimal(self._d.denominator)).sqrt()
+            return +(Decimal(self._a) / self._e + Decimal(self._b) / self._e * root)
 
     def __str__(self) -> str:
-        op = "-" if self.b < 0 else "+"
-        return f"{self.a}{op}{abs(self.b)}*sqrt({self.d})"
+        op = "-" if self._b < 0 else "+"
+        return f"{self.a}{op}{abs(self.b)}*sqrt({self._d})"
 
 
 def quad(a, b, d) -> QuadRat:
     """Build a + b*sqrt(d), validating the radicand."""
-    return QuadRat(Fraction(a), Fraction(b), check_radicand(d))
+    return QuadRat(a, b, check_radicand(d))
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
@@ -252,10 +264,13 @@ _QUAD_RE = re.compile(
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse a rational such as ``7``, ``-5/3`` or ``1e-9``."""
+    """Parse a rational such as ``7``, ``-5/3`` or ``1e-9``; a zero
+    denominator is a ValueError like any other malformed rational."""
     text = text.strip()
     try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     except ValueError:
         pass
     try:
@@ -274,15 +289,15 @@ def parse_quad(text: str, d=None) -> QuadRat:
     m = _QUAD_RE.match(s)
     if not m or (m.group("a") is None and m.group("d") is None):
         raise ValueError(f"cannot parse quadratic value: {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") is not None else Fraction(0)
+    a = parse_rat(m.group("a")) if m.group("a") is not None else 0
     if m.group("d") is None:
         if d is None:
             raise ValueError(f"bare rational {text!r} needs an explicit radicand")
-        return QuadRat(a, Fraction(0), check_radicand(Fraction(d)))
-    rad = check_radicand(Fraction(m.group("d")))
+        return QuadRat(a, 0, check_radicand(Fraction(d)))
+    rad = check_radicand(parse_rat(m.group("d")))
     if d is not None and Fraction(d) != rad:
         raise ValueError(f"radicand mismatch: {rad} in text, {d} requested")
-    b = Fraction(m.group("b")) if m.group("b") is not None else Fraction(1)
+    b = parse_rat(m.group("b")) if m.group("b") is not None else 1
     if m.group("op") == "-":
         b = -b
     elif m.group("op") is None and m.group("a") is not None:

@@ -53,8 +53,6 @@ from .ostrowski import (
 )
 from .qfield import QuadRat, sign_sqrt
 
-_F0 = Fraction(0)
-
 
 def embed(x: OstDigits) -> tuple[tuple[int, int], ...]:
     """The (position, digit) pairs of x's nonzero digits, in position order."""
@@ -64,12 +62,6 @@ def embed(x: OstDigits) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 # recovery identities
 # ---------------------------------------------------------------------------
-
-
-def _quad(d: Fraction, parts: tuple[int, int, int]) -> QuadRat:
-    """The exact value (A + B sqrt(d)) / E of an integer triple (A, B, E)."""
-    a, b, e = parts
-    return QuadRat(Fraction(a, e), Fraction(b, e), d)
 
 
 @dataclass(frozen=True)
@@ -105,11 +97,11 @@ def _over_common_den(values) -> tuple[tuple[int, ...], int]:
 
 
 def _integer_constants(sc: ShiftConstants) -> tuple:
-    """(unit.scaled(), v and w over common denominators) of sc, computed
-    once per ShiftConstants instance and kept on it."""
+    """v and w of sc over their common denominators, computed once per
+    ShiftConstants instance and kept on it."""
     cached = sc.__dict__.get("_integer_constants")
     if cached is None:
-        cached = sc.unit.scaled(), _over_common_den(sc.v), _over_common_den(sc.w)
+        cached = _over_common_den(sc.v), _over_common_den(sc.w)
         object.__setattr__(sc, "_integer_constants", cached)
     return cached
 
@@ -123,7 +115,7 @@ def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
     cf, m = x.cf, x.cf.m
     check_depth(x, m)
     qs, ps = cf.conv_q, cf.conv_p  # qs[i] = q_{i-1}
-    _, (nv, _), (nw, _) = _integer_constants(sc)
+    (nv, _), (nw, _) = _integer_constants(sc)
     n = bp = yq = yp = v1 = w0 = w1 = 0
     for k, b in enumerate(x.digits):
         if b:
@@ -155,7 +147,7 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
     """
     m, period = cf.m, cf.period
     qs, ps = cf.conv_q, cf.conv_p  # qs[i] = q_{i-1}
-    _, (nv, _), (nw, _) = _integer_constants(sc)
+    (nv, _), (nw, _) = _integer_constants(sc)
     s = -1 if m % 2 else 1
     top = cf.depth - m  # the last position whose shift by m is materialized
 
@@ -190,20 +182,20 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
 
 
 def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int):
-    """(corrected holds, U y as a _quad triple) for frac recovery on
+    """(corrected holds, U y as a QuadRat triple) for frac recovery on
     natural_dots, y = ya + yb sqrt(d): a constant c0 + c1 sqrt(d) times y
     has rational part c0 ya + c1 yb d and sqrt(d) part c0 yb + c1 ya."""
     dn, dd = cf.d.numerator, cf.d.denominator
-    (ua, ub, uden), _, _ = _integer_constants(sc)
+    ua, ub, uden = sc.unit.scaled()
     ra = ua * ya * dd + ub * yb * dn  # U y = (ra / dd + rb sqrt(d)) / uden
     rb = ua * yb + ub * ya
     return ra == fa * dd * uden and rb == n * uden, (ra, rb * dd, dd * uden)
 
 
 def nat_verdicts(sc: ShiftConstants, n: int, v1: int, w0: int):
-    """(corrected holds, v1 / dv + w0 / dw as a _quad triple) for nat
+    """(corrected holds, v1 / dv + w0 / dw as a QuadRat triple) for nat
     recovery on natural_dots."""
-    _, (_, dv), (_, dw) = _integer_constants(sc)
+    (_, dv), (_, dw) = _integer_constants(sc)
     den, val = dv * dw, v1 * dw + w0 * dv
     return val == n * den, (val, 0, den)
 
@@ -213,7 +205,7 @@ def printed_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, y
     """(frac printed holds, nat printed holds) on natural_dots: frac with the
     printed constant c0 + c1 sqrt(d) in place of U, nat with w at shift 1."""
     dn, dd = cf.d.numerator, cf.d.denominator
-    _, (_, dv), (_, dw) = _integer_constants(sc)
+    (_, dv), (_, dw) = _integer_constants(sc)
     c1 = cf.conv_q[cf.m + 1]
     c0 = cf.conv_q[cf.m] + cf.a0 * c1
     return (c0 * ya * dd + c1 * yb * dn == fa * dd and c0 * yb + c1 * ya == n,
@@ -221,7 +213,7 @@ def printed_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, y
 
 
 def sqrt_product(cf: CFData, sc: ShiftConstants, fa: int, fb: int, ya: int, yb: int):
-    """(exact, product as a _quad triple) of times_sqrt_frac on natural_dots;
+    """(exact, product as a QuadRat triple) of times_sqrt_frac on natural_dots;
     exact says whether the product is sqrt(d) f = fb d + fa sqrt(d)."""
     pn, pd = sc.pell_norm.numerator, sc.pell_norm.denominator
     b, e = sc.b_const, sc.a_const * pd
@@ -237,7 +229,7 @@ def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     corrected, rhs = frac_verdicts(x.cf, sc, fa, n, ya, yb)
     printed = printed_verdicts(x.cf, sc, fa, n, ya, yb, v1, w1)[0]
     return AuditEntry("frac-recovery", n, _verdict(printed), _verdict(corrected),
-                      QuadRat(Fraction(fa), Fraction(n), x.cf.d), _quad(x.cf.d, rhs))
+                      QuadRat._of(fa, n, 1, x.cf.d), QuadRat._of(*rhs, x.cf.d))
 
 
 def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
@@ -253,7 +245,7 @@ def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     corrected, rhs = nat_verdicts(sc, n, v1, w0)
     printed = printed_verdicts(x.cf, sc, fa, n, ya, yb, v1, w1)[1]
     return AuditEntry("nat-recovery", n, _verdict(printed), _verdict(corrected),
-                      n, _quad(x.cf.d, rhs))
+                      n, QuadRat._of(*rhs, x.cf.d))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +262,7 @@ def times_sqrt_frac(x: OstDigits, sc: ShiftConstants) -> QuadRat:
     all-ones beta sum of the m-shifted digits.
     """
     fa, fb, ya, yb, *_ = natural_dots(x, sc)
-    return _quad(x.cf.d, sqrt_product(x.cf, sc, fa, fb, ya, yb)[1])
+    return QuadRat._of(*sqrt_product(x.cf, sc, fa, fb, ya, yb)[1], x.cf.d)
 
 
 def times_sqrt_nat(n: int, cf: CFData, sc: ShiftConstants) -> QuadRat:
@@ -280,7 +272,7 @@ def times_sqrt_nat(n: int, cf: CFData, sc: ShiftConstants) -> QuadRat:
     times_sqrt_* functions share one calling convention.
     """
     whole, frac = mult_nat_by_sqrt(encode_nat(n, cf))
-    return QuadRat(Fraction(whole), _F0, cf.d) + decode_real(frac)
+    return decode_real(frac) + whole
 
 
 def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
@@ -292,8 +284,7 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
     deeper expansion if the digits shifted by m pass cf.depth.  The error
     bound is certified by an exact sign test before returning.
     """
-    if isinstance(x, (int, Fraction)):
-        x = QuadRat(Fraction(x), Fraction(0), cf.d)
+    x = QuadRat._of(0, 0, 1, cf.d) + x  # over cf.d, a rational x re-tagged
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -323,7 +314,7 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
     reach = len(digits.digits) - 1 + cf.m
     if reach > cf.depth:
         digits = make_digits(cf.at_least(reach), digits.digits, KIND_REAL)
-    result = QuadRat(Fraction(0), Fraction(whole), cf.d) + times_sqrt_frac(digits, sc)
+    result = times_sqrt_frac(digits, sc) + QuadRat._of(0, whole, 1, cf.d)
     err = result - root * x
     if not (abs(err) - eps).sign() < 0:
         raise VerificationFailed(f"certified bound violated: |{err}| >= {eps}")

@@ -1,8 +1,8 @@
 """scripts/bench_record.py against a stub checkout holding a copy of the
 script: one record per call at the checkout's root, medians and quartiles
 over the seeds, the traced metrics, the layers measured on the checkout's
-src/ (expand, the audit stages, the shift constants, at_least and
-encode_real), tier-1 timed."""
+src/ (expand, the audit stages, the shift constants, at_least,
+encode_real and QuadRat add/mul/sign), tier-1 timed."""
 
 import json
 import shutil
@@ -27,11 +27,31 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metri
 '''
 
 STUB_OSTRO = '''
+from fractions import Fraction
+
 from . import cfrac, ostrowski
 
 
+class Quad(tuple):
+    def __add__(self, other):
+        return self._same(other)
+
+    def __mul__(self, other):
+        return self._same(other)
+
+    def _same(self, other):
+        if self[2] != other[2]:
+            raise ValueError((self, other))
+        return self
+
+    def sign(self):
+        return 1
+
+
 def quad(a, b, d):
-    return (a, b, d)
+    if d not in (61, Fraction(13, 4)):
+        raise ValueError(d)
+    return Quad((a, b, d))
 
 
 class SuiteConfig:
@@ -105,7 +125,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     assert wl["traced"] == {"f.calls": 7}
     layers = rec["layers"]
     for key in ("expand_99991_874", "derive_shift_constants_99991_874", "at_least_99991_64_1311",
-                "encode_real_61_40x150"):
+                "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
+                "quadrat_sign_13_4_1000"):
         assert layers[key]["unit"] == "s" and layers[key]["min_of"] == 7, key
         assert layers[key]["value"] >= 0, key
     assert layers["audit_stages"] == {"unit": "s", "min_of": 3, "by_d": {

@@ -428,3 +428,29 @@ def test_module_exit_codes(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")], proc.stderr
+
+
+# Every place a rational is read: a zero denominator is bad input, not a
+# ZeroDivisionError.  "{config}" stands for a config file with "d_list": ["1/0"].
+ZERO_DENOMINATOR_CASES = [
+    ["cf", "--d", "3/0"],
+    ["mul", "--d", "3", "--x", "1/0"],
+    ["mul", "--d", "3", "--x", "1+1/0*sqrt(3)"],
+    ["mul", "--d", "3", "--x", "1+1*sqrt(3/0)"],
+    ["mul", "--d", "3", "--x", "1", "--eps", "1/0"],
+    ["encode", "--d", "3", "1/0"],
+    ["decode", "1@d=1/0"],
+    ["decode", "1", "--d", "1/0"],
+    ["audit", "--d", "1/0"],
+    ["audit", "--config", "{config}"],
+]
+
+
+@pytest.mark.parametrize("argv", ZERO_DENOMINATOR_CASES, ids=" ".join)
+def test_zero_denominator_is_input_error(tmp_path, capsys, argv):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text('{"d_list": ["1/0"]}')
+    argv = [str(cfg) if a == "{config}" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: zero denominator in '"), err

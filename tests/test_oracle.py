@@ -8,6 +8,12 @@ bounded inputs: non-square radicands num/den with num <= 10^6 and
 den <= 50, so long periods and rational radicands are included.  Every
 command runs through cli.main with --format json, at default flags where
 the command allows it, so the expansion grows on demand as in use.
+
+The argv-grammar fuzz at the end draws only bad input: bad radicands,
+squares and zero denominators, negative and huge naturals, malformed
+values and digit strings, eps <= 0, and depths past OSTRO_MAX_DEPTH.  Each
+must exit 2, 3 or 4 with an ``error:`` line last on stderr and no
+traceback; exit 1 (a failed check) would be a defect.
 """
 
 import contextlib
@@ -15,6 +21,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -131,3 +138,123 @@ def test_mul_is_within_eps_of_the_product(d, num, den, irr, mantissa, exponent):
     # result - sqrt(d) x, with sqrt(d) (xa + xb sqrt(d)) = xb d + xa sqrt(d)
     ea, eb = ra - x[1] * d, rb - x[0]
     assert ref.sign(ea - eps, eb, d) < 0 < ref.sign(ea + eps, eb, d)
+
+
+# ---------------------------------------------------------------------------
+# argv grammar: every bad input gets its documented exit code
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(derandomize=True, max_examples=300, deadline=None)
+
+small_d = st.builds(Fraction, st.integers(2, 1000), st.integers(1, 10)).filter(
+    _non_square_above_one).map(str)
+squares = st.one_of(
+    st.integers(1, 1000).map(lambda k: str(k * k)),
+    st.builds(lambda a, b: str(Fraction(a * a, b * b)), st.integers(1, 100), st.integers(1, 100)),
+)
+bad_d = st.one_of(
+    squares,
+    st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000)).filter(
+        lambda d: d <= 1).map(str),  # not above 1 (1 itself is a square)
+    st.builds(lambda n: f"{n}/0", st.integers(-1000, 1000)),  # zero denominator
+    st.sampled_from(["", "abc", "3/", "/3", "3//4", "nan", "inf", "-inf", "1e", "0x10",
+                     "3.5.1", "sqrt(3)", "2 3", "1/-2"]),
+)
+bad_digits = st.one_of(
+    st.sampled_from(["1,,2", "a", "1;2", "1@x=3", "1@d=", "1 2", "0,1@", ",", "1.5",
+                     "1,2@d=3@d=3", "0,1@d=3/0", "0,1@d=4"]),
+    st.lists(st.integers(1, 50), min_size=1).map(lambda ds: ",".join(map(str, ds)) + "@d=3"),
+    st.lists(st.integers(-50, -1), min_size=1).map(lambda ds: ",".join(map(str, ds)) + "@d=3"),
+)
+bad_quad = st.one_of(
+    st.sampled_from(["1/2/3", "sqrt(3)+1", "abc", "1+2", "1+sqrt(5)", "1+1*sqrt(4)", "1*sqrt(3)2",
+                     "1/0", "1+1/0*sqrt(3)", ""]),
+    # outside I = [1 - sqrt(3), 2 - sqrt(3)): exit 4 from encode
+    st.builds(lambda a, b: f"{a}+{b}*sqrt(3)", st.integers(-10**6, -3), st.integers(0, 1)),
+)
+non_positive_eps = st.one_of(st.just("0"), st.builds(lambda n, k: f"-{n}/{k}",
+                                                     st.integers(1, 10**6), st.integers(1, 99)))
+
+
+def _case(argv, cap=10_000):
+    return argv, cap
+
+
+def _depth_past_cap():
+    """(argv, cap): a command asking for a depth past OSTRO_MAX_DEPTH."""
+    cmd = st.sampled_from([["cf", "--d", "3"], ["constants", "--d", "3"],
+                           ["encode", "--d", "3", "5"], ["mul", "--d", "3", "--x", "7/5"],
+                           ["decode", "0,1@d=3"], ["audit", "--d", "3"]])
+    return st.integers(1, 5000).flatmap(lambda cap: st.builds(
+        lambda c, depth: (c + ["--depth", str(depth)], cap), cmd, st.integers(cap + 1, 10**9)))
+
+
+argv_cases = st.one_of(
+    # radicands: squares, <= 1, zero denominators, malformed text
+    st.builds(lambda c, d: _case([c, f"--d={d}"]), st.sampled_from(["cf", "constants"]), bad_d),
+    st.builds(lambda d: _case(["mul", f"--d={d}", "--x", "1"]), bad_d),
+    st.builds(lambda d: _case(["encode", f"--d={d}", "5"]), bad_d),
+    st.builds(lambda d: _case(["decode", f"--d={d}", "0,1"]), bad_d),
+    st.builds(lambda d: _case(["decode", f"0,1@d={d}"]), bad_d),
+    st.builds(lambda d: _case(["audit", f"--d=2,{d}"]), bad_d),
+    # naturals: negative (exit 4) and past q_depth (exit 3); bad digit counts
+    st.builds(lambda d, n: _case(["encode", "--d", d, "--", str(n)]), small_d,
+              st.integers(-10**30, -1)),
+    st.builds(lambda d, n: _case(["encode", "--d", d, str(n)]), small_d,
+              st.integers(10**300, 10**320)),
+    st.builds(lambda d, k: _case(["encode", "--d", d, "--digits", str(k), "--",
+                                  f"1/2-1/2*sqrt({d})"]),
+              small_d, st.one_of(st.integers(-10**6, -1), st.integers(65, 10**6))),
+    # malformed values and digit strings
+    st.builds(lambda x: _case(["encode", "--d", "3", "--", x]), bad_quad),
+    st.builds(lambda x: _case(["mul", "--d", "3", "--x", x]), bad_quad),
+    st.builds(lambda s, real: _case(["decode", *(["--real"] if real else []), "--", s]),
+              bad_digits, st.booleans()),
+    st.builds(lambda k: _case(["decode", "--depth", "10", ",".join(["0"] * k + ["1"]) + "@d=3"]),
+              st.integers(11, 60)),
+    # eps <= 0 and eps past the depth
+    st.builds(lambda d, e: _case(["mul", "--d", d, "--x", "7/5", "--eps", e]), small_d,
+              non_positive_eps),
+    st.builds(lambda d, k: _case(["mul", "--d", d, "--x", "7/5", "--eps", f"1e-{k}"]), small_d,
+              st.integers(200, 400)),
+    st.builds(lambda e: _case(["audit", "--d", "3", "--eps", e]), non_positive_eps),
+    # audit counts and depths
+    st.builds(lambda flag, n: _case(["audit", "--d", "3", flag, str(n)]),
+              st.sampled_from(["--n-max", "--depth"]), st.integers(-10**6, 0).filter(
+                  lambda n: n < 0)),
+    st.builds(lambda c, depth: _case([c, "--d", "3", "--depth", str(depth)]),
+              st.sampled_from(["cf", "constants", "encode", "mul"]), st.integers(-10**6, 0)),
+    # depth past OSTRO_MAX_DEPTH, and a non-integer cap
+    _depth_past_cap(),
+    st.builds(lambda raw: (["cf", "--d", "3"], raw), st.sampled_from(["x", "1.5", "", "0", "-3"])),
+)
+
+
+@contextlib.contextmanager
+def _max_depth(cap):
+    old = os.environ.get("OSTRO_MAX_DEPTH")
+    os.environ["OSTRO_MAX_DEPTH"] = str(cap)
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["OSTRO_MAX_DEPTH"]
+        else:
+            os.environ["OSTRO_MAX_DEPTH"] = old
+
+
+@FUZZ
+@given(argv_cases)
+def test_bad_argv_exits_with_its_documented_code(case):
+    argv, cap = case
+    out, err = io.StringIO(), io.StringIO()
+    with _max_depth(cap), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the grammar itself
+            code = exc.code
+    text = err.getvalue()
+    assert code in (2, 3, 4), (argv, cap, code, text)
+    assert "Traceback" not in text
+    last = text.rstrip("\n").splitlines()[-1]
+    assert last.startswith("error: ") or re.match(r"ostro \w+: error: ", last), (argv, text)

@@ -1,13 +1,18 @@
 """Exact arithmetic in Q(sqrt(d)): frozen values, a high-precision
-numeric oracle for the sign test, and algebraic property checks."""
+numeric oracle for the sign test, algebraic property checks, and a
+differential test of the integer-triple QuadRat against the Fraction-pair
+reference in tests/qfield_reference.py."""
 
+import math
+import operator
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from qfield_reference import RefQuadRat, ref_quad
 
 from ostro import (
     MixedRadicand,
@@ -190,3 +195,79 @@ def test_sign_respects_order(xy):
     else:
         assert x != y
         assert (y - x).sign() == -s
+
+
+# ---------------------------------------------------------------------------
+# differential test against the Fraction-pair reference
+# ---------------------------------------------------------------------------
+
+DIFF_DS = [Fraction(x) for x in (2, 3, 61, "13/4", "32/9")]
+DERANDOMIZED = settings(derandomize=True, max_examples=300, deadline=None)
+big_rationals = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+)
+
+
+def operands(d):
+    """Specs of the second operand: a QuadRat over d, an int, a Fraction, a
+    rational QuadRat over another radicand (re-tagged to d) and an
+    irrational one over another radicand (MixedRadicand)."""
+    other = st.sampled_from([e for e in DIFF_DS if e != d])
+    return st.one_of(
+        st.tuples(st.just("q"), big_rationals, big_rationals, st.just(d)),
+        st.tuples(st.just("int"), st.integers(-10**6, 10**6)),
+        st.tuples(st.just("frac"), st.fractions(min_value=-100, max_value=100,
+                                                max_denominator=1000)),
+        st.tuples(st.just("q"), big_rationals, st.just(0), other),
+        st.tuples(st.just("q"), big_rationals, big_rationals.filter(bool), other),
+    )
+
+
+def build(spec):
+    """The operand as (library value, reference value), built independently."""
+    if spec[0] == "q":
+        _, a, b, d = spec
+        return quad(a, b, d), ref_quad(a, b, d)
+    return spec[1], spec[1]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, MixedRadicand) as exc:
+        return type(exc)
+
+
+def assert_same(new, ref):
+    if isinstance(ref, RefQuadRat):
+        assert type(new) is QuadRat
+        assert (new.a, new.b, new.d) == (ref.a, ref.b, ref.d)
+        assert (str(new), hash(new)) == (str(ref), hash(ref))
+        a, b, e = new.scaled()
+        assert e > 0 and math.gcd(a, b, e) == 1 and Fraction(a, e) == ref.a
+    else:
+        assert type(new) is type(ref) and new == ref
+
+
+@DERANDOMIZED
+@given(st.sampled_from(DIFF_DS).flatmap(
+    lambda d: st.tuples(big_rationals, big_rationals, st.just(d), operands(d))))
+def test_triple_matches_fraction_pair_reference(case):
+    a, b, d, spec = case
+    x, rx = quad(a, b, d), ref_quad(a, b, d)
+    y, ry = build(spec)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
+        assert_same(outcome(op, x, y), outcome(op, rx, ry))
+        if not isinstance(y, QuadRat):  # the reflected operations
+            assert_same(outcome(op, y, x), outcome(op, ry, rx))
+    assert_same(outcome(QuadRat.inverse, x), outcome(RefQuadRat.inverse, rx))
+    assert_same(-x, -rx)
+    assert_same(abs(x), abs(rx))
+    assert (x.sign(), x.floor(), x.norm(), x.is_rational) == (
+        rx.sign(), rx.floor(), rx.norm(), rx.is_rational)
+    assert_same(x, rx)
+    assert str(x.approx(40)) == str(rx.approx(40))
+    assert_same(parse_quad(str(x)), rx)
+    assert_same(QuadRat(x.a, x.b, x.d), rx)
