@@ -21,7 +21,11 @@ and the min of 7 runs each of ``cfrac.derive_shift_constants`` on
 ``ostrowski.encode_real`` to 150 digits over the 40 values
 7 + j/40 - sqrt(61), j = 0 .. 39, and of ``QuadRat`` addition,
 multiplication and sign over 1000 fixed pairs of elements of Q(sqrt(13/4))
-whose parts have numerators up to 10^12 and denominators up to 10^6.
+whose parts have numerators up to 10^12 and denominators up to 10^6, of
+consuming ``shiftcalc.natural_dots_upto`` over n = 0 .. 10^4 on
+``expand(3, 64)`` and its shift constants, and of
+``shiftcalc.times_sqrt_real`` on the 20 rationals 7/5 + j/20, j = 0 .. 19,
+at eps = 10^-30 on ``expand(99991, 64)`` and its shift constants.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -75,11 +79,11 @@ def time_tier1(root: Path) -> dict:
 
 # Run as `python -c LAYERS SRC`: imports ostro from SRC and prints one JSON line.
 LAYERS = """
-import json, random, sys, time
+import collections, json, random, sys, time
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 import ostro
-from ostro import cfrac, ostrowski
+from ostro import cfrac, ostrowski, shiftcalc
 
 def best(fn, k):
     times = []
@@ -101,6 +105,9 @@ def part():
     return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
 pairs = [(ostro.quad(part(), part(), Fraction(13, 4)), ostro.quad(part(), part(), Fraction(13, 4)))
          for _ in range(1000)]
+cf3 = cfrac.expand(3, 64)
+sc3, sc64 = cfrac.derive_shift_constants(cf3), cfrac.derive_shift_constants(cf64)
+rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction(1, 10**30)
 print(json.dumps({
     "expand_99991_874": {"unit": "s", "min_of": 7,
                          "value": best(lambda: cfrac.expand(99991, 874), 7)},
@@ -118,6 +125,14 @@ print(json.dumps({
                               "value": best(lambda: [x * y for x, y in pairs], 7)},
     "quadrat_sign_13_4_1000": {"unit": "s", "min_of": 7,
                                "value": best(lambda: [x.sign() for x, _ in pairs], 7)},
+    "natural_dots_upto_3_10000": {
+        "unit": "s", "min_of": 7,
+        "value": best(lambda: collections.deque(
+            shiftcalc.natural_dots_upto(cf3, sc3, 10**4), maxlen=0), 7)},
+    "times_sqrt_real_99991_20": {
+        "unit": "s", "min_of": 7,
+        "value": best(lambda: [shiftcalc.times_sqrt_real(x, eps, cf64, sc64)
+                               for x in rationals], 7)},
 }))
 """
 

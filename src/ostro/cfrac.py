@@ -23,11 +23,12 @@ each: the form as commonly printed (several of which are misindexed) and
 the corrected form.  Every verdict is decided by integer identities over
 the convergent tables and the (P, Q) pairs; QuadRat values are built
 only for the witness of a first failure or the message of a
-VerificationFailed.  ``derive_shift_constants`` gives the rational
-weights that express q_k through p_{k+1}, p_k along residue classes, the
-engine behind the digit-shift multiplication in :mod:`ostro.shiftcalc`,
-off the complete quotients: dn*q_k = Q_{k+1} p_{k+1} - P_{k+2} p_k for
-d = dn/dd, so no linear system is solved and SingularSystem is not raised.
+VerificationFailed.  ``derive_shift_constants`` gives the weights that
+express q_k through p_{k+1}, p_k along residue classes, the engine behind
+the digit-shift multiplication in :mod:`ostro.shiftcalc`, off the complete
+quotients: dn*q_k = Q_{k+1} p_{k+1} - P_{k+2} p_k for d = dn/dd, so the
+weights are the integers Q_{k+1} and -P_{k+2} over the one denominator
+dn, no linear system is solved and SingularSystem is not raised.
 """
 
 from __future__ import annotations
@@ -367,20 +368,20 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     # for every natural k.  Corrected: the same two equations one index
     # earlier, p_{km-1} = a0 q_{km-1} + q_{km-2} and
     # d q_{km-1} = a0 p_{km-1} + p_{km-2}, for k >= 1.
-    k_top = min(kcap, (cf.depth - 1) // m if m else kcap)
+    k_top = min(kcap, (cf.depth - 1) // m)
     wp = _first_failure(
         (k, cf.p(k * m), a0 * cf.q(k * m) + cf.q(k * m - 1)) for k in range(0, k_top + 1)
     )
     wq = _first_failure(
         (k, d * cf.q(k * m), a0 * cf.p(k * m) + cf.p(k * m - 1)) for k in range(0, k_top + 1)
     )
-    k_top_c = min(kcap, cf.depth // m if m else kcap)
+    k_top_c = min(kcap, cf.depth // m)
     wp_c = _first_failure(
-        (k, cf.p(k * m - 1), a0 * cf.q(k * m - 1) + (cf.q(k * m - 2) if k * m - 2 >= -1 else 0))
+        (k, cf.p(k * m - 1), a0 * cf.q(k * m - 1) + cf.q(k * m - 2))
         for k in range(1, k_top_c + 1)
     )
     wq_c = _first_failure(
-        (k, d * cf.q(k * m - 1), a0 * cf.p(k * m - 1) + (cf.p(k * m - 2) if k * m - 2 >= -1 else 1))
+        (k, d * cf.q(k * m - 1), a0 * cf.p(k * m - 1) + cf.p(k * m - 2))
         for k in range(1, k_top_c + 1)
     )
     out.append(IdentityVerdict("pq-connection-p", _verdict(wp is None), _verdict(wp_c is None), wp))
@@ -423,28 +424,36 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
 
 @dataclass(frozen=True)
 class ShiftConstants:
-    """Rational weights linking q to p along residue classes mod t.
+    """Integer weights linking q to p along residue classes mod t.
 
-    For every residue i and every block index k:
-        q_{kt+i} = v[i] * p_{kt+i+1} + w[i] * p_{kt+i}
+    For every residue i and every block index k, with d = dn/dd:
+        dn q_{kt+i} = v_num[i] p_{kt+i+1} + w_num[i] p_{kt+i}
     t = max(m, 2) so the weights are constant along classes (t is always
-    a multiple of the period length m).  With d = dn/dd and the complete
-    quotients (P_j + sqrt(D))/Q_j, the classical identity
-    dn*q_k = Q_{k+1} p_{k+1} - P_{k+2} p_k gives v[i] = Q_{i+1}/dn and
-    w[i] = -P_{i+2}/dn (P and Q have period m).  U is the unit
-    q_{m-1} sqrt(d) + p_{m-1}; a_const, b_const are its coefficients and
-    pell_norm records a_const^2 d - b_const^2 (for integer d this is the
-    classical +-1).
+    a multiple of the period length m).  With the complete quotients
+    (P_j + sqrt(D))/Q_j, the classical identity dn q_k = Q_{k+1} p_{k+1}
+    - P_{k+2} p_k gives v_num[i] = Q_{i+1} and w_num[i] = -P_{i+2} (P and
+    Q have period m); v and w are the rational weights v_num[i]/dn and
+    w_num[i]/dn.  U is the unit q_{m-1} sqrt(d) + p_{m-1}; a_const,
+    b_const are its coefficients and pell_norm records a_const^2 d -
+    b_const^2 (for integer d this is the classical +-1).
     """
 
     d: Fraction
     t: int
-    v: tuple[Fraction, ...]
-    w: tuple[Fraction, ...]
+    v_num: tuple[int, ...]
+    w_num: tuple[int, ...]
     unit: QuadRat
     a_const: int
     b_const: int
     pell_norm: Fraction
+
+    @property
+    def v(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.d.numerator) for x in self.v_num)
+
+    @property
+    def w(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.d.numerator) for x in self.w_num)
 
     def to_json(self) -> dict:
         return {
@@ -463,35 +472,35 @@ def derive_shift_constants(cf: CFData) -> ShiftConstants:
     """Read the per-residue weights off the complete quotients and verify
     them on every index.
 
-    v_i = Q_{i+1}/dn and w_i = -P_{i+2}/dn by the identity in ShiftConstants,
-    checked in integers on every index of cf.at_least(2t+2); a mismatch
-    raises VerificationFailed naming the index.  No linear system is solved,
-    so SingularSystem is no longer raised.
+    v_num[i] = Q_{i+1} and w_num[i] = -P_{i+2} by the identity in
+    ShiftConstants, checked in integers on every index of cf.at_least(2t+2);
+    a mismatch raises VerificationFailed naming the index.  No linear system
+    is solved, so SingularSystem is no longer raised.
     """
     t = cf.t
     cf = cf.at_least(2 * t + 2)
     dn, m = cf.d.numerator, cf.m
     ps, qs = cf.conv_p, cf.conv_q  # ps[k + 1] = p_k
-    vs: list[Fraction] = []
-    ws: list[Fraction] = []
+    v_num: list[int] = []
+    w_num: list[int] = []
     for i in range(t):
-        big_q, big_p = cf.zetas[i % m][1], cf.zetas[(i + 1) % m][0]  # Q_{i+1}, P_{i+2}
+        v, w = cf.zetas[i % m][1], -cf.zetas[(i + 1) % m][0]  # Q_{i+1}, -P_{i+2}
         for idx, q, p, p1 in zip(range(i, cf.depth, t), qs[i + 1::t], ps[i + 1::t], ps[i + 2::t]):
-            if dn * q != big_q * p1 - big_p * p:
+            if dn * q != v * p1 + w * p:
                 raise VerificationFailed(
                     f"shift constants for d={cf.d} fail at index {idx}: "
-                    f"{dn}*q={dn * q} vs {big_q}*{p1}-{big_p}*{p}"
+                    f"{dn}*q={dn * q} vs {v}*{p1}-{-w}*{p}"
                 )
-        vs.append(Fraction(big_q, dn))
-        ws.append(Fraction(-big_p, dn))
+        v_num.append(v)
+        w_num.append(w)
 
     unit = fundamental_unit(cf)
     b_const, a_const, _ = unit.scaled()  # U = b + a sqrt(d)
     return ShiftConstants(
         d=cf.d,
         t=t,
-        v=tuple(vs),
-        w=tuple(ws),
+        v_num=tuple(v_num),
+        w_num=tuple(w_num),
         unit=unit,
         a_const=a_const,
         b_const=b_const,

@@ -212,7 +212,7 @@ def cmd_audit(args) -> int:
         with open(args.config, encoding="utf-8") as fh:
             config = harness.config_from_json(json.load(fh))
     overrides: dict = {}
-    if args.d:
+    if args.d is not None:
         overrides["d_list"] = tuple(parse_rat(s) for s in args.d.split(","))
     if args.depth is not None:
         overrides["depth"] = args.depth
@@ -271,13 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a digit string")
+    add_common(p, need_d=False)
     p.add_argument("digits", help="comma separated digits, e.g. '0,1,0,1@d=3'")
     p.add_argument("--d", help="radicand (needed when no @d= suffix)")
-    p.add_argument("--depth", type=int, default=cfrac.DEFAULT_DEPTH)
     p.add_argument("--real", action="store_true",
                    help="decode on the beta scale instead of as a natural")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", help="write to file instead of stdout")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("mul", help="multiply by sqrt(d) with a certified bound")

@@ -49,8 +49,8 @@ STAGES = (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Configuration for one harness run; a negative count or
-    identity_k_max, a depth below 1 or an eps <= 0 raises ValueError."""
+    """Configuration for one harness run; an empty d_list, a negative
+    count or identity_k_max, a depth below 1 or an eps <= 0 raises ValueError."""
 
     d_list: tuple[Fraction, ...] = DEFAULT_D_LIST
     depth: int = cfrac.DEFAULT_DEPTH
@@ -67,6 +67,8 @@ class SuiteConfig:
     identity_k_max: int | None = None
 
     def __post_init__(self) -> None:
+        if not self.d_list:
+            raise ValueError("config field 'd_list' must not be empty")
         for name in ("n_max", "n_unique", "lambda_n_max", "lambda_samples",
                      "probe_samples", "probe_l_max", "probe_q_limit", "class_l_max"):
             if getattr(self, name) < 0:

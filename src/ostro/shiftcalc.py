@@ -23,7 +23,6 @@ windows, digit reads by thresholds, and periodic residue-class witnesses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -39,17 +38,15 @@ from .errors import (
 from .ostrowski import (
     KIND_REAL,
     OstDigits,
-    beta_parts,
     check_depth,
+    decode_nat,
     decode_real,
     encode_nat,
     encode_real,
     in_interval,
-    in_window,
     make_digits,
     mult_nat_by_sqrt,
     tail_window,
-    window_parts,
 )
 from .qfield import QuadRat, sign_sqrt
 
@@ -90,32 +87,16 @@ class AuditEntry:
         }
 
 
-def _over_common_den(values) -> tuple[tuple[int, ...], int]:
-    """Integer numerators of the rationals values over their least common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
-
-
-def _integer_constants(sc: ShiftConstants) -> tuple:
-    """v and w of sc over their common denominators, computed once per
-    ShiftConstants instance and kept on it."""
-    cached = sc.__dict__.get("_integer_constants")
-    if cached is None:
-        cached = _over_common_den(sc.v), _over_common_den(sc.w)
-        object.__setattr__(sc, "_integer_constants", cached)
-    return cached
-
-
 def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
     """(fa, n, ya, yb, v1, w0, w1) from one depth check (the last digit
     moved up by m) and one pass over x: fa + n sqrt(d) is the beta-value
     of x, ya + yb sqrt(d) is (-1)^m times its all-ones beta sum at shift
-    m, and v1, w0, w1 are its p dot products weighted by the numerators
-    of v at shift 1 and of w at shifts 0 and 1."""
+    m, and v1, w0, w1 are its p dot products weighted by sc.v_num at
+    shift 1 and by sc.w_num at shifts 0 and 1."""
     cf, m = x.cf, x.cf.m
     check_depth(x, m)
     qs, ps = cf.conv_q, cf.conv_p  # qs[i] = q_{i-1}
-    (nv, _), (nw, _) = _integer_constants(sc)
+    nv, nw = sc.v_num, sc.w_num
     n = bp = yq = yp = v1 = w0 = w1 = 0
     for k, b in enumerate(x.digits):
         if b:
@@ -147,7 +128,7 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
     """
     m, period = cf.m, cf.period
     qs, ps = cf.conv_q, cf.conv_p  # qs[i] = q_{i-1}
-    (nv, _), (nw, _) = _integer_constants(sc)
+    nv, nw = sc.v_num, sc.w_num
     s = -1 if m % 2 else 1
     top = cf.depth - m  # the last position whose shift by m is materialized
 
@@ -193,11 +174,10 @@ def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: 
 
 
 def nat_verdicts(sc: ShiftConstants, n: int, v1: int, w0: int):
-    """(corrected holds, v1 / dv + w0 / dw as a QuadRat triple) for nat
+    """(corrected holds, (v1 + w0) / num(d) as a QuadRat triple) for nat
     recovery on natural_dots."""
-    (_, dv), (_, dw) = _integer_constants(sc)
-    den, val = dv * dw, v1 * dw + w0 * dv
-    return val == n * den, (val, 0, den)
+    dn = sc.d.numerator
+    return v1 + w0 == n * dn, (v1 + w0, 0, dn)
 
 
 def printed_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int,
@@ -205,11 +185,10 @@ def printed_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, y
     """(frac printed holds, nat printed holds) on natural_dots: frac with the
     printed constant c0 + c1 sqrt(d) in place of U, nat with w at shift 1."""
     dn, dd = cf.d.numerator, cf.d.denominator
-    (_, dv), (_, dw) = _integer_constants(sc)
     c1 = cf.conv_q[cf.m + 1]
     c0 = cf.conv_q[cf.m] + cf.a0 * c1
     return (c0 * ya * dd + c1 * yb * dn == fa * dd and c0 * yb + c1 * ya == n,
-            v1 * dw + w1 * dv == n * dv * dw)
+            v1 + w1 == n * dn)
 
 
 def sqrt_product(cf: CFData, sc: ShiftConstants, fa: int, fb: int, ya: int, yb: int):
@@ -339,14 +318,8 @@ def prefix_window(cf: CFData, l: int, last_digit_zero: bool) -> tuple[QuadRat, Q
 
 def prefix_nat(cf: CFData, l: int, c: QuadRat) -> int:
     """The unique natural n < q_{l+1} whose digits match the first l+1
-    digits of c, certified by the exact window inequalities."""
-    x = encode_real(c, cf, l + 1)
-    fa, n = beta_parts(x)  # f(x) = fa + n sqrt(d), n the value on the q scale
-    digit_l = x.digits[l] if l < len(x.digits) else 0
-    ca, cb, den = c.scaled()  # c - f(x) must lie in prefix_window(cf, l, digit_l == 0)
-    win = window_parts(cf, l + 1, blocked=digit_l != 0)
-    if not in_window(cf, ca - fa * den, cb - n * den, den, win):
-        raise VerificationFailed(f"prefix window certificate failed at l={l} for {c}")
+    digits of c, certified by encode_real's tail-window test at l+1."""
+    n = decode_nat(encode_real(c, cf, l + 1))
     if n >= cf.q(l + 1):
         raise VerificationFailed(f"prefix natural {n} >= q_{l + 1} = {cf.q(l + 1)} for {c}")
     return n

@@ -176,11 +176,13 @@ def encode_real_reference(c, cf: CFData, depth: int) -> OstDigits:
 def shift_constants_reference(cf: CFData) -> ShiftConstants:
     """The shift constants by solving, per residue i, the 2x2 system
     q_{kt+i} = v_i p_{kt+i+1} + w_i p_{kt+i} at k = 0, 1, then checking
-    every index of cf.at_least(2t+2) in Fraction arithmetic."""
+    every index of cf.at_least(2t+2) in Fraction arithmetic.  The solved
+    weights are stored over num(d); one that is not integral there raises."""
     t = cf.t
     cf = cf.at_least(2 * t + 2)
-    vs: list[Fraction] = []
-    ws: list[Fraction] = []
+    dn = cf.d.numerator
+    vs: list[int] = []
+    ws: list[int] = []
     for i in range(t):
         det = cf.p(i + 1) * cf.p(t + i) - cf.p(i) * cf.p(t + i + 1)
         if det == 0:
@@ -190,14 +192,17 @@ def shift_constants_reference(cf: CFData) -> ShiftConstants:
         for idx in range(i, cf.depth, t):
             if cf.q(idx) != v * cf.p(idx + 1) + w * cf.p(idx):
                 raise VerificationFailed(f"shift constants for d={cf.d} fail at index {idx}")
-        vs.append(v)
-        ws.append(w)
+        vn, wn = v * dn, w * dn
+        if vn.denominator != 1 or wn.denominator != 1:
+            raise VerificationFailed(f"weights {v}, {w} for d={cf.d} are not over num(d)")
+        vs.append(vn.numerator)
+        ws.append(wn.numerator)
     a_const, b_const = cf.q(cf.m - 1), cf.p(cf.m - 1)
     return ShiftConstants(
         d=cf.d,
         t=t,
-        v=tuple(vs),
-        w=tuple(ws),
+        v_num=tuple(vs),
+        w_num=tuple(ws),
         unit=QuadRat(Fraction(b_const), Fraction(a_const), cf.d),
         a_const=a_const,
         b_const=b_const,

@@ -2,7 +2,8 @@
 script: one record per call at the checkout's root, medians and quartiles
 over the seeds, the traced metrics, the layers measured on the checkout's
 src/ (expand, the audit stages, the shift constants, at_least,
-encode_real and QuadRat add/mul/sign), tier-1 timed."""
+encode_real, QuadRat add/mul/sign, the natural_dots_upto counter and
+times_sqrt_real), tier-1 timed."""
 
 import json
 import shutil
@@ -76,14 +77,15 @@ class CFData:
 
 
 def expand(d, depth):
-    if (d, depth) not in ((99991, 874), (99991, 64), (61, 150)):
+    if (d, depth) not in ((99991, 874), (99991, 64), (61, 150), (3, 64)):
         raise ValueError((d, depth))
     return CFData(d, depth)
 
 
 def derive_shift_constants(cf):
-    if (cf.d, cf.depth) != (99991, 874):
+    if (cf.d, cf.depth) not in ((99991, 874), (99991, 64), (3, 64)):
         raise ValueError((cf.d, cf.depth))
+    return ("sc", cf.d)
 '''
 
 STUB_OSTROWSKI = '''
@@ -91,6 +93,22 @@ def encode_real(c, cf, depth):
     a, b, d = c
     if (cf.d, cf.depth, depth, b, d) != (61, 150, 150, -1, 61) or not 7 <= a < 8:
         raise ValueError((c, cf.d, cf.depth, depth))
+'''
+
+STUB_SHIFTCALC = '''
+from fractions import Fraction
+
+
+def natural_dots_upto(cf, sc, n_max):
+    if (cf.d, cf.depth, sc, n_max) != (3, 64, ("sc", 3), 10**4):
+        raise ValueError((cf.d, cf.depth, sc, n_max))
+    yield from range(n_max + 1)
+
+
+def times_sqrt_real(x, eps, cf, sc):
+    if ((cf.d, cf.depth, sc, eps) != (99991, 64, ("sc", 99991), Fraction(1, 10**30))
+            or not Fraction(7, 5) <= x < Fraction(12, 5)):
+        raise ValueError((x, eps, cf.d, cf.depth, sc))
 '''
 
 
@@ -102,6 +120,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     (root / "src" / "ostro" / "__init__.py").write_text(STUB_OSTRO)
     (root / "src" / "ostro" / "cfrac.py").write_text(STUB_CFRAC)
     (root / "src" / "ostro" / "ostrowski.py").write_text(STUB_OSTROWSKI)
+    (root / "src" / "ostro" / "shiftcalc.py").write_text(STUB_SHIFTCALC)
     (root / "tests").mkdir()
     (root / "tests" / "test_one.py").write_text("def test_one():\n    pass\n")
     (root / "BENCHMARK.json").write_text(json.dumps({
@@ -126,7 +145,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     layers = rec["layers"]
     for key in ("expand_99991_874", "derive_shift_constants_99991_874", "at_least_99991_64_1311",
                 "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
-                "quadrat_sign_13_4_1000"):
+                "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000", "times_sqrt_real_99991_20"):
         assert layers[key]["unit"] == "s" and layers[key]["min_of"] == 7, key
         assert layers[key]["value"] >= 0, key
     assert layers["audit_stages"] == {"unit": "s", "min_of": 3, "by_d": {

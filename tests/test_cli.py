@@ -268,6 +268,18 @@ def test_audit_malformed_config_is_input_error(tmp_path, capsys, blob):
     assert main(["audit", "--config", str(cfg), "--d", "2", "--n-max", "5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["audit", "--d", ""], ["audit", "--d="],
+                                  ["audit", "--config", "{config}"]], ids=" ".join)
+def test_audit_empty_radicand_list_is_input_error(tmp_path, capsys, argv):
+    # an empty list is bad input, not the default suite and not an empty audit
+    cfg = tmp_path / "suite.json"
+    cfg.write_text('{"d_list": []}')
+    argv = [str(cfg) if a == "{config}" else a for a in argv]
+    assert main([*argv, "--n-max", "5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_audit_negative_count_flag_is_input_error(tmp_path, capsys):
     # a negative count is rejected whether it comes from a flag or a file
     assert main(["audit", "--d", "3", "--n-max", "-5", "--format", "json"]) == 2

@@ -242,12 +242,13 @@ def reference_recoveries(x, sc):
 
 
 def corrupt(sc, field, i, delta):
-    """sc with one entry of v or w, the integers a_const and b_const (and
-    the unit built from them), or the unit alone moved by delta."""
+    """sc with one integer weight of v or w stepped by the nonzero
+    numerator of delta, the integers a_const and b_const (and the unit
+    built from them), or the unit alone moved by delta."""
     if field in ("v", "w"):
-        vals = list(getattr(sc, field))
-        vals[i % sc.t] += delta
-        return replace(sc, **{field: tuple(vals)})
+        vals = list(getattr(sc, field + "_num"))
+        vals[i % sc.t] += delta.numerator
+        return replace(sc, **{field + "_num": tuple(vals)})
     if field == "ab":
         a, b = sc.a_const + delta.numerator, sc.b_const + i
         return replace(sc, a_const=a, b_const=b, unit=quad(b, a, sc.d))
