@@ -25,7 +25,9 @@ whose parts have numerators up to 10^12 and denominators up to 10^6, of
 consuming ``shiftcalc.natural_dots_upto`` over n = 0 .. 10^4 on
 ``expand(3, 64)`` and its shift constants, and of
 ``shiftcalc.times_sqrt_real`` on the 20 rationals 7/5 + j/20, j = 0 .. 19,
-at eps = 10^-30 on ``expand(99991, 64)`` and its shift constants.
+at eps = 10^-30 on ``expand(99991, 64)`` and its shift constants, of
+``cfrac.audit_identities`` on ``expand(99991, 64).at_least(1311)``, and of
+``ostrowski.encode_nat`` over n = 0 .. 10^4 on ``expand(3, 64)``.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -107,6 +109,7 @@ pairs = [(ostro.quad(part(), part(), Fraction(13, 4)), ostro.quad(part(), part()
          for _ in range(1000)]
 cf3 = cfrac.expand(3, 64)
 sc3, sc64 = cfrac.derive_shift_constants(cf3), cfrac.derive_shift_constants(cf64)
+cf1311 = cf64.at_least(1311)
 rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction(1, 10**30)
 print(json.dumps({
     "expand_99991_874": {"unit": "s", "min_of": 7,
@@ -133,6 +136,11 @@ print(json.dumps({
         "unit": "s", "min_of": 7,
         "value": best(lambda: [shiftcalc.times_sqrt_real(x, eps, cf64, sc64)
                                for x in rationals], 7)},
+    "audit_identities_99991_1311": {"unit": "s", "min_of": 7,
+                                    "value": best(lambda: cfrac.audit_identities(cf1311), 7)},
+    "encode_nat_3_10000": {
+        "unit": "s", "min_of": 7,
+        "value": best(lambda: [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)], 7)},
 }))
 """
 

@@ -21,19 +21,21 @@ CFData.at_least extends the tables and sweeps only the new indices.
 ``audit_identities`` re-checks the classical identities in two variants
 each: the form as commonly printed (several of which are misindexed) and
 the corrected form.  Every verdict is decided by integer identities over
-the convergent tables and the (P, Q) pairs; QuadRat values are built
-only for the witness of a first failure or the message of a
-VerificationFailed.  ``derive_shift_constants`` gives the weights that
-express q_k through p_{k+1}, p_k along residue classes, the engine behind
-the digit-shift multiplication in :mod:`ostro.shiftcalc`, off the complete
-quotients: dn*q_k = Q_{k+1} p_{k+1} - P_{k+2} p_k for d = dn/dd, so the
-weights are the integers Q_{k+1} and -P_{k+2} over the one denominator
-dn, no linear system is solved and SingularSystem is not raised.
+the convergent, period and (P, Q) tables; one helper gives every witness
+(first failing index, both sides exact), and QuadRat values are built only
+for a witness or the message of a VerificationFailed.
+``derive_shift_constants`` gives the weights that express q_k through
+p_{k+1}, p_k along residue classes, the engine behind the digit-shift
+multiplication in :mod:`ostro.shiftcalc`, off the complete quotients:
+dn*q_k = Q_{k+1} p_{k+1} - P_{k+2} p_k for d = dn/dd, so the weights are
+the integers Q_{k+1} and -P_{k+2} over the one denominator dn, no linear
+system is solved and SingularSystem is not raised.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
@@ -254,19 +256,13 @@ def _verdict(ok: bool) -> str:
     return "holds" if ok else "fails"
 
 
-def _first_failure(pairs) -> dict | None:
-    """pairs yields (k, lhs, rhs) of ints or Fractions; report the first mismatch."""
-    for k, lhs, rhs in pairs:
-        if lhs != rhs:
-            return {"k": k, "lhs": str(lhs), "rhs": str(rhs)}
-    return None
-
-
-def _first_witness(ks, holds, sides) -> dict | None:
-    """The witness of the first k in ks where the integer test holds(k)
-    fails, with both sides built as QuadRat values by sides(k)."""
+def _first_witness(ks, sides, holds=None) -> dict | None:
+    """The witness of the first k in ks where an identity fails, with both
+    sides exact as given by sides(k).  With holds(k) the identity is decided
+    on integers and the sides are built only for the witness; without it
+    the two sides (ints, Fractions or QuadRat values) are compared."""
     for k in ks:
-        if not holds(k):
+        if not (holds(k) if holds else operator.eq(*sides(k))):
             lhs, rhs = sides(k)
             return {"k": k, "lhs": str(lhs), "rhs": str(rhs)}
     return None
@@ -288,11 +284,11 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
 
     Every identity is evaluated in two variants: the commonly printed
     form and the index-corrected form.  A failing printed form carries a
-    witness (first failing index, both sides exact).  For one deep period
-    of sanity the complete quotients are re-derived from the recurrence
-    rather than read from the period table.
+    witness (first failing index, both sides exact) from _first_witness.
+    For one deep period of sanity the complete quotients are re-derived
+    from the recurrence rather than read from the period table.
 
-    Every verdict is decided by integer identities over conv_p, conv_q and
+    Every verdict is decided on the integers of conv_p, conv_q, period and
     zetas; QuadRat values are built only for the witness of a first failure
     or the message of a VerificationFailed, so the text is that of the
     QuadRat evaluation of each side.
@@ -306,9 +302,15 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     dn, dd = d.numerator, d.denominator
     big_d = dn * dd
     ps, qs, zetas = cf.conv_p, cf.conv_q, cf.zetas  # ps[k + 1] = p_k
-    root = cf.sqrt_d()
     out: list[IdentityVerdict] = []
     kcap = cf.depth if k_max is None else min(k_max, cf.depth)
+
+    # The printed form fails iff it has a witness, {} for a failure with no
+    # index to show (reported as None); corrected defaults to its verdict.
+    def add(fact_id: str, witness: dict | None, corrected: bool | None = None) -> None:
+        ok = witness is None
+        corrected = ok if corrected is None else corrected
+        out.append(IdentityVerdict(fact_id, _verdict(ok), _verdict(corrected), witness or None))
 
     # Complete quotients from scratch, to validate the periodic table: on
     # reduced triples (A + B sqrt(D))/E with E > 0, zeta_0 = sqrt(D)/dd, each
@@ -330,27 +332,24 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
                 f"but {cf.zeta(k)} in the periodic table"
             )
 
-    # convergent recurrence: p_{k+1} = a_{k+1} p_k + p_{k-1}, same for q.
-    rec = _first_failure(
-        (k + 1, (cf.p(k + 1), cf.q(k + 1)),
-         (cf.a(k + 1) * cf.p(k) + cf.p(k - 1), cf.a(k + 1) * cf.q(k) + cf.q(k - 1)))
-        for k in range(0, min(kcap, cf.depth - 1) + 1)
-    )
-    out.append(IdentityVerdict("convergent-recurrence", _verdict(rec is None), _verdict(rec is None), rec))
+    # convergent recurrence: p_k = a_k p_{k-1} + p_{k-2}, same for q.
+    def recurrence(k):
+        ak = cf.period[(k - 1) % m]
+        return (ps[k + 1], qs[k + 1]), (ak * ps[k] + ps[k - 1], ak * qs[k] + qs[k - 1])
+
+    add("convergent-recurrence", _first_witness(range(1, min(kcap + 1, cf.depth) + 1), recurrence))
 
     # beta quotient step: beta_{k+1} = -beta_k / zeta_{k+2}, checked
     # multiplicatively to stay division-free, as in expand's sweep.
-    bq = _first_witness(
-        range(0, min(kcap, cf.depth - 1) + 1),
-        lambda k: _beta_quotient_holds(dn, dd, ps, qs, zetas, k),
-        lambda k: (cf.beta(k + 1) * cf.zeta(k + 2), -cf.beta(k)),
-    )
-    out.append(IdentityVerdict("beta-quotient-step", _verdict(bq is None), _verdict(bq is None), bq))
+    add("beta-quotient-step",
+        _first_witness(range(0, min(kcap, cf.depth - 1) + 1),
+                       lambda k: (cf.beta(k + 1) * cf.zeta(k + 2), -cf.beta(k)),
+                       lambda k: _beta_quotient_holds(dn, dd, ps, qs, zetas, k)))
 
     # period shape: interior palindrome, last digit 2*a0 (verified at
     # expansion time; recorded here so every report carries it).
     shape_ok = cf.period[-1] == 2 * a0 and cf.period[:-1] == cf.period[-2::-1]
-    out.append(IdentityVerdict("period-palindrome", _verdict(shape_ok), _verdict(shape_ok), None))
+    add("period-palindrome", None if shape_ok else {})
 
     # period entry point.  Printed: zeta_{lm+1} = zeta_1 = sqrt(d) + a0.
     # Corrected: zeta_{lm} = sqrt(d) + a0 (the quotient *ending* the
@@ -359,33 +358,23 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     # of zeta_1 and zeta_{lm} that of zeta_m for every l >= 1, and
     # (P + sqrt(D))/Q = a0 + sqrt(d) iff (P, Q) = (a0 dd, dd).
     entry = (a0 * dd, dd)
-    w = None if zetas[0] == entry else {"k": 1, "lhs": str(cf.zeta(1)), "rhs": str(root + a0)}
-    entry_ok = zetas[m - 1] == entry
-    out.append(IdentityVerdict("zeta-period-entry", _verdict(w is None), _verdict(entry_ok), w))
+    add("zeta-period-entry",
+        _first_witness([1], lambda k: (cf.zeta(k), cf.sqrt_d() + a0),
+                       lambda k: zetas[k - 1] == entry),
+        zetas[m - 1] == entry)
 
-    # p/q connection at period multiples.
-    # Printed: p_{km} = a0 q_{km} + q_{km-1} and d q_{km} = a0 p_{km} + p_{km-1}
-    # for every natural k.  Corrected: the same two equations one index
-    # earlier, p_{km-1} = a0 q_{km-1} + q_{km-2} and
-    # d q_{km-1} = a0 p_{km-1} + p_{km-2}, for k >= 1.
-    k_top = min(kcap, (cf.depth - 1) // m)
-    wp = _first_failure(
-        (k, cf.p(k * m), a0 * cf.q(k * m) + cf.q(k * m - 1)) for k in range(0, k_top + 1)
-    )
-    wq = _first_failure(
-        (k, d * cf.q(k * m), a0 * cf.p(k * m) + cf.p(k * m - 1)) for k in range(0, k_top + 1)
-    )
-    k_top_c = min(kcap, cf.depth // m)
-    wp_c = _first_failure(
-        (k, cf.p(k * m - 1), a0 * cf.q(k * m - 1) + cf.q(k * m - 2))
-        for k in range(1, k_top_c + 1)
-    )
-    wq_c = _first_failure(
-        (k, d * cf.q(k * m - 1), a0 * cf.p(k * m - 1) + cf.p(k * m - 2))
-        for k in range(1, k_top_c + 1)
-    )
-    out.append(IdentityVerdict("pq-connection-p", _verdict(wp is None), _verdict(wp_c is None), wp))
-    out.append(IdentityVerdict("pq-connection-q", _verdict(wq is None), _verdict(wq_c is None), wq))
+    # p/q connection at period multiples: p_j = a0 q_j + q_{j-1} and
+    # d q_j = a0 p_j + p_{j-1}.  Printed at j = km for every natural k;
+    # corrected one index earlier, at j = km - 1 for k >= 1.
+    for name, xs, c, ys in (("p", ps, 1, qs), ("q", qs, d, ps)):
+        def connection(j):  # c x_j = a0 y_j + y_{j-1}
+            return c * xs[j + 1], a0 * ys[j + 1] + ys[j]
+
+        printed = _first_witness(range(0, min(kcap, (cf.depth - 1) // m) + 1),
+                                 lambda k: connection(k * m))
+        corrected = _first_witness(range(1, min(kcap, cf.depth // m) + 1),
+                                   lambda k: connection(k * m - 1))
+        add(f"pq-connection-{name}", printed, corrected is None)
 
     # Product of one period of complete quotients, as (x + y sqrt(D))/z.
     # Printed: zeta_1 ... zeta_{m+1} = q_m sqrt(d) + q_{m-1} + a0 q_m.
@@ -395,25 +384,22 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
         x, y, z = x * big_p + y * big_d, x + y * big_p, z * big_q
     big_p, big_q = zetas[0]  # zeta_{m+1}
     x1, y1, z1 = x * big_p + y * big_d, x + y * big_p, z * big_q
-    b0, b1 = cf.p(m - 1), cf.q(m - 1)  # U = b0 + b1 sqrt(d)
-    c0, c1 = cf.q(m - 1) + a0 * cf.q(m), cf.q(m)
+    b0, b1 = ps[m], qs[m]  # U = b0 + b1 sqrt(d)
+    c0, c1 = qs[m] + a0 * qs[m + 1], qs[m + 1]
     prod_m1 = QuadRat._of(x1, y1 * dd, z1, d)  # for witnesses
-    w_prod = _first_witness([m + 1], lambda k: x1 == c0 * z1 and y1 * dd == c1 * z1,
-                            lambda k: (prod_m1, QuadRat._of(c0, c1, 1, d)))
-    unit_ok = x == b0 * z and y * dd == b1 * z
-    out.append(IdentityVerdict("unit-product", _verdict(w_prod is None), _verdict(unit_ok), w_prod))
+    add("unit-product",
+        _first_witness([m + 1], lambda k: (prod_m1, QuadRat._of(c0, c1, 1, d)),
+                       lambda k: x1 == c0 * z1 and y1 * dd == c1 * z1),
+        x == b0 * z and y * dd == b1 * z)
 
     # Shift of beta by one period length.
     # Printed: (zeta_1 ... zeta_{m+1}) beta_{k+m} = (-1)^m beta_k.
     # Corrected: U beta_{k+m} = (-1)^m beta_k.
-    sign = (-1) ** m
     ks = range(0, min(kcap, cf.depth - m) + 1)
-    w_shift = _first_witness(ks, lambda k: _unit_shift_holds(cf, x1, y1 * dd, z1, k),
-                             lambda k: (prod_m1 * cf.beta(k + m), sign * cf.beta(k)))
-    shift_ok = all(_unit_shift_holds(cf, b0, b1, 1, k) for k in ks)
-    out.append(
-        IdentityVerdict("beta-unit-shift", _verdict(w_shift is None), _verdict(shift_ok), w_shift)
-    )
+    add("beta-unit-shift",
+        _first_witness(ks, lambda k: (prod_m1 * cf.beta(k + m), (-1) ** m * cf.beta(k)),
+                       lambda k: _unit_shift_holds(cf, x1, y1 * dd, z1, k)),
+        all(_unit_shift_holds(cf, b0, b1, 1, k) for k in ks))
     return out
 
 

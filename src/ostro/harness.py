@@ -196,7 +196,8 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     # keeps the digits shifted by m inside the depth.  Only a sweep's
     # first failure and the worked example build exact witnesses. -------
     n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
-    exact_checked = min(config.lambda_n_max, n_max) + 1
+    exact_top = min(config.lambda_n_max, n_max) + 1
+    recovery_checked = exact_checked = 0  # n whose checks ran; a roundtrip failure skips them
     rt_fails: list = []
     frac_fails: list = []  # (n, x) per failing n; _witness_first reports one
     nat_fails: list = []
@@ -211,9 +212,11 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
         if x.digits != digits or fb != n:
             rt_fails.append({"n": n, "reason": "roundtrip"})
             continue
+        recovery_checked += 1
         if not ostrowski.in_window(cf, fa, fb, 1, interval):
             rt_fails.append({"n": n, "reason": "fractional part outside I"})
-        if n < exact_checked:
+        if n < exact_top:
+            exact_checked += 1
             t_exact = time.perf_counter()
             if not shiftcalc.sqrt_product(cf, sc, fa, fb, ya, yb)[0]:
                 exact_fails.append((n, x))
@@ -232,9 +235,9 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
         "n": n, "lhs": str(shiftcalc.times_sqrt_frac(x, sc)),
         "rhs": str(cf.sqrt_d() * ostrowski.decode_real(x))})
     _sweep(out, "roundtrip_and_split", n_max + 1, rt_fails)
-    _sweep(out, "recover_frac", n_max + 1, _witness_first(
+    _sweep(out, "recover_frac", recovery_checked, _witness_first(
         frac_fails, lambda n, x: shiftcalc.check_recover_frac(x, sc).to_json()))
-    _sweep(out, "recover_nat", n_max + 1, _witness_first(
+    _sweep(out, "recover_nat", recovery_checked, _witness_first(
         nat_fails, lambda n, x: shiftcalc.check_recover_nat(x, sc).to_json()))
     out["recovery_printed_fails_upto_50"] = {
         "frac": printed_frac_fails,
@@ -489,7 +492,9 @@ def render_tsv(report: dict) -> str:
                 f"{res['d']}\t{v['fact_id']}\t{v['printed']}\t{v['corrected']}\t{detail}"
             )
         for key, val in res.items():
-            if isinstance(val, dict) and "failures" in val:
+            if isinstance(val, dict) and "skipped" in val:
+                rows.append(f"{res['d']}\t{key}\t-\t-\tskipped: {val['skipped']}")
+            elif isinstance(val, dict) and "failures" in val:
                 err = _failure_error(val)
                 rows.append(
                     f"{res['d']}\t{key}\t-\t"

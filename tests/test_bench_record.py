@@ -2,8 +2,8 @@
 script: one record per call at the checkout's root, medians and quartiles
 over the seeds, the traced metrics, the layers measured on the checkout's
 src/ (expand, the audit stages, the shift constants, at_least,
-encode_real, QuadRat add/mul/sign, the natural_dots_upto counter and
-times_sqrt_real), tier-1 timed."""
+encode_real, QuadRat add/mul/sign, the natural_dots_upto counter,
+times_sqrt_real, the identity audit and encode_nat), tier-1 timed."""
 
 import json
 import shutil
@@ -86,6 +86,12 @@ def derive_shift_constants(cf):
     if (cf.d, cf.depth) not in ((99991, 874), (99991, 64), (3, 64)):
         raise ValueError((cf.d, cf.depth))
     return ("sc", cf.d)
+
+
+def audit_identities(cf):
+    if (cf.d, cf.depth) != (99991, 1311):
+        raise ValueError((cf.d, cf.depth))
+    return []
 '''
 
 STUB_OSTROWSKI = '''
@@ -93,6 +99,11 @@ def encode_real(c, cf, depth):
     a, b, d = c
     if (cf.d, cf.depth, depth, b, d) != (61, 150, 150, -1, 61) or not 7 <= a < 8:
         raise ValueError((c, cf.d, cf.depth, depth))
+
+
+def encode_nat(n, cf):
+    if (cf.d, cf.depth) != (3, 64) or not 0 <= n <= 10**4:
+        raise ValueError((n, cf.d, cf.depth))
 '''
 
 STUB_SHIFTCALC = '''
@@ -145,7 +156,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     layers = rec["layers"]
     for key in ("expand_99991_874", "derive_shift_constants_99991_874", "at_least_99991_64_1311",
                 "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
-                "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000", "times_sqrt_real_99991_20"):
+                "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000", "times_sqrt_real_99991_20",
+                "audit_identities_99991_1311", "encode_nat_3_10000"):
         assert layers[key]["unit"] == "s" and layers[key]["min_of"] == 7, key
         assert layers[key]["value"] >= 0, key
     assert layers["audit_stages"] == {"unit": "s", "min_of": 3, "by_d": {

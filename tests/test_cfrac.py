@@ -339,11 +339,11 @@ def test_audit_json_schema(cf_of):
     }
 
 
-def _verdicts_or_error(audit, cf):
+def _verdicts_or_error(audit, cf, k_max=None):
     """The audit's verdicts as JSON rows, or the message of the
     VerificationFailed it raised."""
     try:
-        return [v.to_json() for v in audit(cf)]
+        return [v.to_json() for v in audit(cf, k_max)]
     except VerificationFailed as exc:
         return f"VerificationFailed: {exc}"
 
@@ -376,13 +376,19 @@ def _bump(table: tuple, k: int, by: int = 1) -> tuple:
     # m = 1: q_1 + 1 and q_0 - a0 keep q_0 + a0 q_1, so only the sqrt(d)
     # part of the printed period product q_1 sqrt(d) + q_0 + a0 q_1 moves
     (2, lambda cf: replace(cf, conv_q=_bump(_bump(cf.conv_q, 1), 0, -cf.a0))),
-], ids=["zeta-3", "zeta-991", "q100-3", "unit-3", "unit-991", "p0-3", "q0-3", "product-2"])
+    # the period of sqrt(7) is (1, 1, 1, 4): break its palindrome, then its last digit
+    (7, lambda cf: replace(cf, period=(1, 1, 2, 4))),
+    (7, lambda cf: replace(cf, period=(1, 1, 1, 5))),
+], ids=["zeta-3", "zeta-991", "q100-3", "unit-3", "unit-991", "p0-3", "q0-3", "product-2",
+        "palindrome-7", "last-digit-7"])
 def test_audit_corruptions_match_quadrat_reference(d, corrupt):
     cf = expand(d, 183)
     bad = corrupt(cf)
+    for k_max in (None, 0, 1, 5):
+        want = _verdicts_or_error(audit_identities_reference, bad, k_max)
+        assert _verdicts_or_error(audit_identities, bad, k_max) == want, k_max
+    # over every index the corruption is seen: an error, or a corrected verdict flipped
     want = _verdicts_or_error(audit_identities_reference, bad)
-    assert _verdicts_or_error(audit_identities, bad) == want
-    # the corruption is seen: an error, or a corrected verdict flipped
     assert isinstance(want, str) or any(v["corrected"] == "fails" for v in want)
 
 

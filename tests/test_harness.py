@@ -94,6 +94,14 @@ def test_render_text_and_tsv(small_report):
     assert any(row[0] == "3" for row in rows[1:])
 
 
+def test_tsv_keeps_a_skipped_prefix_probe():
+    config = replace(SMALL, probe_q_limit=0)
+    rows = render_tsv(run_suite(config)).splitlines()
+    for d in config.d_list:
+        want = f"{d}\tprefix_probe\t-\t-\tskipped: q_1 exceeds probe_q_limit=0"
+        assert want in rows, d
+
+
 def test_config_round_trip():
     blob = json.dumps(SMALL.to_json())
     assert config_from_json(json.loads(blob)) == SMALL
@@ -121,20 +129,26 @@ def test_n_sweep_stops_below_the_shifted_depth():
     assert corrected_failures(report) == 0
 
 
-def test_corrupted_encoding_is_one_roundtrip_failure(monkeypatch):
+# n = 15 is the last n of the times_sqrt_exact sweep (lambda_n_max = 15) and
+# the first past the prefix probe's table of encode_nat(n), n < q_5 = 15
+@pytest.mark.parametrize("bad_n, exact_checked", [(40, 16), (15, 15)])
+def test_corrupted_encoding_is_one_roundtrip_failure(monkeypatch, bad_n, exact_checked):
     encode = harness.ostrowski.encode_nat
 
     def corrupted(n, cf):
-        return encode(n + 1 if n == 40 else n, cf)
+        return encode(n + 1 if n == bad_n else n, cf)
 
     monkeypatch.setattr(harness.ostrowski, "encode_nat", corrupted)
     report = run_suite(replace(SMALL, d_list=(Fraction(3),)))
     res = report["results"][0]
     assert res["roundtrip_and_split"]["failures"] == 1
-    assert res["roundtrip_and_split"]["first_failure"] == {"n": 40, "reason": "roundtrip"}
+    assert res["roundtrip_and_split"]["first_failure"] == {"n": bad_n, "reason": "roundtrip"}
     for key in ("recover_frac", "recover_nat", "times_sqrt_exact", "prefix_probe"):
         assert res[key]["failures"] == 0, key
     assert corrected_failures(report) == 1
+    # the skipped n is not counted: n_max = 60 and lambda_n_max = 15
+    assert res["recover_frac"]["checked"] == res["recover_nat"]["checked"] == 60
+    assert res["times_sqrt_exact"]["checked"] == exact_checked
 
 
 def per_n_reference(cf, sc, config):
