@@ -31,7 +31,6 @@ from .errors import (
     OutOfDomain,
     OutOfInterval,
     RationalSquare,
-    SingularSystem,
     UnsupportedRadicand,
     VerificationFailed,
     WitnessUnavailable,
@@ -88,7 +87,6 @@ __all__ = [
     "QuadRat",
     "RationalSquare",
     "ShiftConstants",
-    "SingularSystem",
     "SuiteConfig",
     "UnsupportedRadicand",
     "VerificationFailed",

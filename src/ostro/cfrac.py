@@ -28,8 +28,8 @@ for a witness or the message of a VerificationFailed.
 p_{k+1}, p_k along residue classes, the engine behind the digit-shift
 multiplication in :mod:`ostro.shiftcalc`, off the complete quotients:
 dn*q_k = Q_{k+1} p_{k+1} - P_{k+2} p_k for d = dn/dd, so the weights are
-the integers Q_{k+1} and -P_{k+2} over the one denominator dn, no linear
-system is solved and SingularSystem is not raised.
+the integers Q_{k+1} and -P_{k+2} over the one denominator dn, and no
+linear system is solved.
 """
 
 from __future__ import annotations
@@ -461,7 +461,7 @@ def derive_shift_constants(cf: CFData) -> ShiftConstants:
     v_num[i] = Q_{i+1} and w_num[i] = -P_{i+2} by the identity in
     ShiftConstants, checked in integers on every index of cf.at_least(2t+2);
     a mismatch raises VerificationFailed naming the index.  No linear system
-    is solved, so SingularSystem is no longer raised.
+    is solved.
     """
     t = cf.t
     cf = cf.at_least(2 * t + 2)

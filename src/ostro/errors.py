@@ -38,10 +38,6 @@ class InvalidDigits(OstroError):
     """A digit string violates the Ostrowski digit constraints."""
 
 
-class SingularSystem(OstroError):
-    """Kept for compatibility; the library no longer raises it."""
-
-
 class VerificationFailed(OstroError):
     """A derived quantity failed its exhaustive verification sweep."""
 

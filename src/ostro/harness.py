@@ -1,15 +1,16 @@
 """Batch verification harness: run every check over a suite of radicands.
 
-The harness expands each d, audits the convergent identities (printed
-and corrected forms), derives and verifies the shift constants, and then
-sweeps the numeration and digit-shift layers: encode/decode round trips,
-exhaustive uniqueness, the integer/fractional split of n*sqrt(d), both
-recovery identities, representation-level multiplication, and the digit
-probes.  The pass over n takes its integers from an Ostrowski counter
-and checks encode_nat against the counter's digits at every n; the
-prefix probe's oracle proves that the windows of all prefix naturals
-tile the fundamental interval and finds each sample's window by
-bisection.
+One radicand's audit is a table of stages run in order on a shared
+context: the convergent identities (printed and corrected forms), the
+shift constants, one fused pass over n (round trips, the integer and
+fractional split of n*sqrt(d), both recovery identities, the exact
+products), exhaustive uniqueness, multiplication of reals and the two
+digit probes.  The table also names the timed STAGES and the reported
+SWEEPS, which the failure count and the renderers read.  The pass over
+n checks encode_nat against an Ostrowski counter's digits at every n.
+The uniqueness stage enumerates the valid digit strings once, and the
+prefix probe's tiling oracle reads its windows off those strings, so no
+oracle calls the encoder another sweep checks.
 
 A report is a plain dict (JSON-ready).  Only corrected-form failures
 count as failures; printed-form failures are expected findings and are
@@ -21,10 +22,10 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cmp_to_key
+from types import SimpleNamespace
 
 from . import cfrac, ostrowski, shiftcalc
 from .errors import DepthExceeded, UnsupportedRadicand, VerificationFailed, WitnessUnavailable
@@ -39,13 +40,6 @@ DEFAULT_D_LIST: tuple[Fraction, ...] = tuple(
         "3/2", "5/3", "7/2", "32/9", "13/4",
     )
 )
-
-# The timed stages of one radicand's audit, in report order.
-STAGES = (
-    "identities", "constants", "recovery", "uniqueness",
-    "times_sqrt_exact", "times_sqrt_real", "prefix_probe", "class_probe",
-)
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -136,65 +130,25 @@ def _witness_first(fails: list, witness) -> list:
     return [witness(*fails[0]), *fails[1:]] if fails else fails
 
 
-@contextmanager
-def _depth_bounded(result: dict, name: str):
-    """Run one sweep; a depth need past the expansion fails that sweep only."""
-    try:
-        yield
-    except DepthExceeded as exc:
-        _sweep(result, name, 0, [{"error": f"DepthExceeded: {exc}"}])
+def _identities(ctx) -> None:
+    verdicts = cfrac.audit_identities(ctx.cf, ctx.config.identity_k_max)
+    ctx.out["identities"] = [v.to_json() for v in verdicts]
 
 
-def _lap(stages: dict, name: str, mark: float) -> float:
-    """Charge the time since mark to stages[name]; return the new mark."""
-    now = time.perf_counter()
-    stages[name] += now - mark
-    return now
+def _constants(ctx) -> None:
+    ctx.sc = cfrac.derive_shift_constants(ctx.cf)  # includes the full-index sweep
+    ctx.out["constants"] = ctx.sc.to_json()
 
 
-def audit_one(d: Fraction, config: SuiteConfig) -> dict:
-    """Run every check for a single radicand and return its report dict.
-
-    The split, recovery and prefix-oracle checks run on integers: a value
-    A + B*sqrt(d) is a pair of ints and its order test is
-    qfield.sign_sqrt.  "stages" records the seconds spent in each sweep;
-    the pass over n counts as "recovery" except its times_sqrt_exact
-    products.  The expansion grows past config.depth to the 3m+3 the
-    identities need; a depth need of one sweep fails that sweep only.
-    """
-    t0 = time.perf_counter()
-    stages = dict.fromkeys(STAGES, 0.0)
-    cf = cfrac.expand(d, config.depth)
-    cf = cf.at_least(3 * cf.m + 3)
-    rng = random.Random(f"{config.seed}:{d}")
-
-    out: dict = {
-        "d": str(d),
-        "depth": cf.depth,
-        "a0": cf.a0,
-        "period": list(cf.period),
-        "m": cf.m,
-        "t": cf.t,
-        "s_max": cf.s_max,
-    }
-
-    # --- convergent identities, printed vs corrected -------------------
-    mark = time.perf_counter()
-    verdicts = cfrac.audit_identities(cf, config.identity_k_max)
-    out["identities"] = [v.to_json() for v in verdicts]
-    mark = _lap(stages, "identities", mark)
-
-    # --- shift constants (derivation includes the full-index sweep) ----
-    sc = cfrac.derive_shift_constants(cf)
-    out["constants"] = sc.to_json()
-    mark = _lap(stages, "constants", mark)
-
-    # --- one pass over n: roundtrip, sqrt split, both recoveries, and
-    # the shifted-digit product on the fractional part of n*sqrt(d), all
-    # from the ints an Ostrowski counter carries from n to n+1; every
-    # encode_nat(n) must give the counter's digits.  n < q_{depth-m+1}
-    # keeps the digits shifted by m inside the depth.  Only a sweep's
-    # first failure and the worked example build exact witnesses. -------
+def _pass_over_n(ctx) -> None:
+    """Roundtrip, sqrt split, both recoveries, and the shifted-digit product
+    on the fractional part of n*sqrt(d), all from the ints an Ostrowski
+    counter carries from n to n+1; every encode_nat(n) must give the
+    counter's digits.  n < q_{depth-m+1} keeps the digits shifted by m
+    inside the depth.  Only a sweep's first failure and the worked
+    example build exact witnesses.  The exact products run here, fused;
+    their count, failures and seconds are left in ctx."""
+    cf, sc, config, out = ctx.cf, ctx.sc, ctx.config, ctx.out
     n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
     exact_top = min(config.lambda_n_max, n_max) + 1
     recovery_checked = exact_checked = 0  # n whose checks ran; a roundtrip failure skips them
@@ -204,7 +158,7 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     exact_fails: list = []
     printed_frac_fails = printed_nat_fails = 0
     example = None
-    interval = ostrowski.window_parts(cf, 0, blocked=True)  # I
+    interval = ctx.interval = ostrowski.window_parts(cf, 0, blocked=True)  # I
     exact_s = 0.0
     counter = shiftcalc.natural_dots_upto(cf, sc, n_max)
     for n, (digits, (fa, fb, ya, yb, v1, w0, w1)) in enumerate(counter):  # fb = n
@@ -231,9 +185,7 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
             printed_nat_fails += not nat_printed
         if n == min(5, n_max):
             example = x
-    exact_fails = _witness_first(exact_fails, lambda n, x: {
-        "n": n, "lhs": str(shiftcalc.times_sqrt_frac(x, sc)),
-        "rhs": str(cf.sqrt_d() * ostrowski.decode_real(x))})
+    ctx.exact_checked, ctx.exact_fails, ctx.exact_s = exact_checked, exact_fails, exact_s
     _sweep(out, "roundtrip_and_split", n_max + 1, rt_fails)
     _sweep(out, "recover_frac", recovery_checked, _witness_first(
         frac_fails, lambda n, x: shiftcalc.check_recover_frac(x, sc).to_json()))
@@ -247,117 +199,172 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
         "frac": shiftcalc.check_recover_frac(example, sc).to_json(),
         "nat": shiftcalc.check_recover_nat(example, sc).to_json(),
     }
-    mark = _lap(stages, "recovery", mark)
-    stages["recovery"] -= exact_s
-    stages["times_sqrt_exact"] += exact_s
 
-    # Exhaustive uniqueness: valid strings of length L decode bijectively
-    # onto [0, q_L), which covers every n <= n_unique once q_L exceeds it.
-    with _depth_bounded(out, "uniqueness"):
-        length = next((k for k in range(cf.depth + 1) if cf.q(k) > config.n_unique), None)
-        if length is None:
-            raise DepthExceeded(f"uniqueness sweep needs q_k > n_unique={config.n_unique}, "
-                                f"but q_{cf.depth} = {cf.q(cf.depth)} at depth {cf.depth}")
-        qs = cf.conv_q
-        values = sorted(
-            sum(b * qs[k + 1] for k, b in enumerate(digits))
-            for digits in ostrowski.enumerate_valid(cf, length)
-        )
-        uniq_ok = values == list(range(cf.q(length)))
-        _sweep(out, "uniqueness", cf.q(length), [] if uniq_ok else [{"reason": "not a bijection"}])
-    mark = _lap(stages, "uniqueness", mark)
 
-    # --- representation-level multiplication ----------------------------
-    _sweep(out, "times_sqrt_exact", exact_checked, exact_fails)
-    real_fails = []
-    with _depth_bounded(out, "times_sqrt_real"):
-        for _ in range(config.lambda_samples):
-            xval = Fraction(rng.randint(0, 100 * 9973), 9973)
-            try:
-                shiftcalc.times_sqrt_real(xval, config.eps, cf, sc)
-            except VerificationFailed as exc:
-                real_fails.append({"x": str(xval), "error": str(exc)})
-        _sweep(out, "times_sqrt_real", config.lambda_samples, real_fails)
-    mark = _lap(stages, "times_sqrt_real", mark)
+def _uniqueness(ctx) -> None:
+    """Valid strings of length L decode bijectively onto [0, q_L), q_L > n_unique.
+    The one enumeration, at length max(L, l_eff + 1), also leaves the
+    tiling oracle (n, -sum b_k p_k, digits) for each n < q_{l_eff+1}."""
+    cf = ctx.cf
+    length = next((k for k in range(cf.depth + 1) if cf.q(k) > ctx.config.n_unique), None)
+    qs, ps = cf.conv_q, cf.conv_p  # qs[i] = q_{i-1}
+    top = cf.q(ctx.l_eff + 1)
+    values, ctx.oracle = [], []
+    for digits in ostrowski.enumerate_valid(cf, max(length or 0, ctx.l_eff + 1)):
+        n = sum(b * qs[k + 1] for k, b in enumerate(digits))
+        if length is not None and not any(digits[length:]):
+            values.append(n)
+        if n < top:
+            ctx.oracle.append((n, -sum(b * ps[k + 1] for k, b in enumerate(digits)), digits))
+    if length is None:
+        raise DepthExceeded(f"uniqueness sweep needs q_k > n_unique={ctx.config.n_unique}, "
+                            f"but q_{cf.depth} = {cf.q(cf.depth)} at depth {cf.depth}")
+    uniq_ok = sorted(values) == list(range(cf.q(length)))
+    _sweep(ctx.out, "uniqueness", cf.q(length), [] if uniq_ok else [{"reason": "not a bijection"}])
 
-    # --- digit probes ----------------------------------------------------
-    l_eff = -1
-    for l in range(min(config.probe_l_max, cf.depth - 1) + 1):
-        if cf.q(l + 1) <= config.probe_q_limit:
-            l_eff = l
-    if l_eff >= 0:
-        lo_i = ostrowski.interval_bounds(cf)[0]
-        samples = [lo_i + Fraction(rng.getrandbits(48), 2**48) for _ in range(config.probe_samples)]
-        fails = []
-        got = []
-        for c in samples:
-            digits = ostrowski.encode_real(c, cf, l_eff + 1).digits
-            row = []
-            for l in range(l_eff + 1):
-                n = shiftcalc.prefix_nat(cf, l, c)  # certified internally
-                row.append(n)
-                dig = digits[l] if l < len(digits) else 0
-                if shiftcalc.prefix_digit(cf, l, n) != dig:
-                    fails.append({"l": l, "c": str(c), "reason": "digit mismatch"})
-            got.append(row)
-        # Tiling oracle: at each l the windows of every n < q_{l+1}, f(n)
-        # plus prefix_window(cf, l, ...) as integer pairs, sorted by their
-        # lower ends must tile I exactly, so every c in I has exactly one
-        # prefix natural; bisection over the lower ends then finds it.
-        table = []
-        for n in range(cf.q(l_eff + 1)):
-            xn = ostrowski.encode_nat(n, cf)
-            table.append((xn.digits, ostrowski.beta_parts(xn)))
-        dn, dd = cf.d.numerator, cf.d.denominator
-        by_lower = cmp_to_key(lambda u, v: sign_sqrt(u[0] - v[0], u[1] - v[1], dn, dd))
-        for l in range(l_eff + 1):
-            wins = []
-            for n in range(cf.q(l + 1)):
-                digs, (fa, fb) = table[n]
-                dig_l = digs[l] if l < len(digs) else 0
-                (la, lb), (ha, hb) = ostrowski.window_parts(cf, l + 1, blocked=dig_l != 0)
-                wins.append(((fa + la, fb + lb), (fa + ha, fb + hb), n))
-            wins.sort(key=lambda w: by_lower(w[0]))
-            lows = [lo for lo, _, _ in wins]
-            highs = [hi for _, hi, _ in wins]
-            tiles = (lows[0], highs[-1]) == interval and lows[1:] == highs[:-1] and all(
-                sign_sqrt(ha - la, hb - lb, dn, dd) > 0 for (la, lb), (ha, hb) in zip(lows, highs))
-            if not tiles:
-                fails.append({"l": l, "reason": "windows do not tile I"})
-                continue
-            for ci, c in enumerate(samples):
-                ca, cb, den = c.scaled()
-                i = bisect_right(lows, False, key=lambda lo: sign_sqrt(
-                    ca - lo[0] * den, cb - lo[1] * den, dn, dd) < 0) - 1  # last lower end <= c
-                if wins[i][2] != got[ci][l]:
-                    fails.append(
-                        {"l": l, "c": str(c), "got": got[ci][l], "oracle": [wins[i][2]]}
-                    )
-        _sweep(out, "prefix_probe", config.probe_samples * (l_eff + 1), fails)
-        out["prefix_probe"]["l_max"] = l_eff
-    else:
-        out["prefix_probe"] = {"skipped": f"q_1 exceeds probe_q_limit={config.probe_q_limit}"}
-    mark = _lap(stages, "prefix_probe", mark)
 
+def _times_sqrt_exact(ctx) -> None:
+    cf, sc = ctx.cf, ctx.sc
+    _sweep(ctx.out, "times_sqrt_exact", ctx.exact_checked, _witness_first(
+        ctx.exact_fails, lambda n, x: {"n": n, "lhs": str(shiftcalc.times_sqrt_frac(x, sc)),
+                                       "rhs": str(cf.sqrt_d() * ostrowski.decode_real(x))}))
+
+
+def _times_sqrt_real(ctx) -> None:
+    config, fails = ctx.config, []
+    for _ in range(config.lambda_samples):
+        xval = Fraction(ctx.rng.randint(0, 100 * 9973), 9973)
+        try:
+            shiftcalc.times_sqrt_real(xval, config.eps, ctx.cf, ctx.sc)
+        except VerificationFailed as exc:
+            fails.append({"x": str(xval), "error": str(exc)})
+    _sweep(ctx.out, "times_sqrt_real", config.lambda_samples, fails)
+
+
+def _prefix_probe(ctx) -> None:
+    """Each sample's prefix naturals and their digits, against an oracle:
+    at each l the windows f(n) + prefix_window(cf, l, ...) of every
+    n < q_{l+1}, as integer pairs sorted by their lower ends, must tile I
+    exactly, so every c in I has exactly one prefix natural; bisection
+    over the lower ends then finds it."""
+    cf, config, l_eff = ctx.cf, ctx.config, ctx.l_eff
+    if l_eff < 0:
+        ctx.out["prefix_probe"] = {"skipped": f"q_1 exceeds probe_q_limit={config.probe_q_limit}"}
+        return
+    lo_i = ostrowski.interval_bounds(cf)[0]
+    samples = [lo_i + Fraction(ctx.rng.getrandbits(48), 2**48) for _ in range(config.probe_samples)]
     fails = []
-    checked = 0
-    skipped = []
-    with _depth_bounded(out, "class_probe"):
-        for n_mod in (2, 3):
-            for j in range(n_mod):
-                try:
-                    verdicts_ = shiftcalc.residue_class_probe(cf, j, n_mod, config.class_l_max)
-                except WitnessUnavailable:
-                    skipped.append({"j": j, "mod": n_mod})
-                    continue
-                checked += 1
-                expected = tuple(l % n_mod == j for l in range(config.class_l_max + 1))
-                if verdicts_ != expected:
-                    fails.append({"j": j, "mod": n_mod, "got": list(verdicts_)})
-        _sweep(out, "class_probe", checked, fails)
-        out["class_probe"]["infeasible"] = skipped
-    _lap(stages, "class_probe", mark)
+    got = []
+    for c in samples:
+        digits = ostrowski.encode_real(c, cf, l_eff + 1).digits
+        row = []
+        for l in range(l_eff + 1):
+            n = shiftcalc.prefix_nat(cf, l, c)  # certified internally
+            row.append(n)
+            dig = digits[l] if l < len(digits) else 0
+            if shiftcalc.prefix_digit(cf, l, n) != dig:
+                fails.append({"l": l, "c": str(c), "reason": "digit mismatch"})
+        got.append(row)
+    dn, dd = cf.d.numerator, cf.d.denominator
+    by_lower = cmp_to_key(lambda u, v: sign_sqrt(u[0] - v[0], u[1] - v[1], dn, dd))
+    for l in range(l_eff + 1):
+        top, wins = cf.q(l + 1), []
+        for n, fa, digs in ctx.oracle:
+            if n < top:
+                (la, lb), (ha, hb) = ostrowski.window_parts(cf, l + 1, blocked=digs[l] != 0)
+                wins.append(((fa + la, n + lb), (fa + ha, n + hb), n))
+        wins.sort(key=lambda w: by_lower(w[0]))
+        lows = [lo for lo, _, _ in wins]
+        highs = [hi for _, hi, _ in wins]
+        tiles = (lows[0], highs[-1]) == ctx.interval and lows[1:] == highs[:-1] and all(
+            sign_sqrt(ha - la, hb - lb, dn, dd) > 0 for (la, lb), (ha, hb) in zip(lows, highs))
+        if not tiles:
+            fails.append({"l": l, "reason": "windows do not tile I"})
+            continue
+        for ci, c in enumerate(samples):
+            ca, cb, den = c.scaled()
+            i = bisect_right(lows, False, key=lambda lo: sign_sqrt(
+                ca - lo[0] * den, cb - lo[1] * den, dn, dd) < 0) - 1  # last lower end <= c
+            if wins[i][2] != got[ci][l]:
+                fails.append({"l": l, "c": str(c), "got": got[ci][l], "oracle": [wins[i][2]]})
+    _sweep(ctx.out, "prefix_probe", config.probe_samples * (l_eff + 1), fails)
+    ctx.out["prefix_probe"]["l_max"] = l_eff
 
+
+def _class_probe(ctx) -> None:
+    fails, checked, skipped = [], 0, []
+    for n_mod in (2, 3):
+        for j in range(n_mod):
+            try:
+                verdicts = shiftcalc.residue_class_probe(ctx.cf, j, n_mod, ctx.config.class_l_max)
+            except WitnessUnavailable:
+                skipped.append({"j": j, "mod": n_mod})
+                continue
+            checked += 1
+            expected = tuple(l % n_mod == j for l in range(ctx.config.class_l_max + 1))
+            if verdicts != expected:
+                fails.append({"j": j, "mod": n_mod, "got": list(verdicts)})
+    _sweep(ctx.out, "class_probe", checked, fails)
+    ctx.out["class_probe"]["infeasible"] = skipped
+
+
+# One radicand's audit in report order: (stage, function, the sweeps it
+# writes).  Each function reads and extends the shared context.
+_TABLE = (
+    ("identities", _identities, ()),
+    ("constants", _constants, ()),
+    ("recovery", _pass_over_n, ("roundtrip_and_split", "recover_frac", "recover_nat")),
+    ("uniqueness", _uniqueness, ("uniqueness",)),
+    ("times_sqrt_exact", _times_sqrt_exact, ("times_sqrt_exact",)),
+    ("times_sqrt_real", _times_sqrt_real, ("times_sqrt_real",)),
+    ("prefix_probe", _prefix_probe, ("prefix_probe",)),
+    ("class_probe", _class_probe, ("class_probe",)),
+)
+STAGES = tuple(name for name, _, _ in _TABLE)  # the timed stages
+SWEEPS = tuple(key for _, _, keys in _TABLE for key in keys)  # the reported sweeps
+
+
+def audit_one(d: Fraction, config: SuiteConfig) -> dict:
+    """Run the stage table for a single radicand and return its report dict.
+
+    The expansion grows past config.depth to the 3m+3 the identities
+    need.  A DepthExceeded in a stage that writes one sweep fails that
+    sweep with its message; in any other stage it fails the radicand.
+    The stages share one context: the uniqueness stage's enumeration of
+    valid strings is the prefix probe's oracle, and the pass over n runs
+    the exact products, whose seconds "stages" counts as times_sqrt_exact.
+    Checks run on integers: A + B*sqrt(d) is a pair of ints and its order
+    test is qfield.sign_sqrt.
+    """
+    t0 = time.perf_counter()
+    cf = cfrac.expand(d, config.depth)
+    cf = cf.at_least(3 * cf.m + 3)
+    out: dict = {
+        "d": str(d),
+        "depth": cf.depth,
+        "a0": cf.a0,
+        "period": list(cf.period),
+        "m": cf.m,
+        "t": cf.t,
+        "s_max": cf.s_max,
+    }
+    # the probed levels, read by the uniqueness enumeration and the prefix probe
+    l_eff = max((l for l in range(min(config.probe_l_max, cf.depth - 1) + 1)
+                 if cf.q(l + 1) <= config.probe_q_limit), default=-1)
+    ctx = SimpleNamespace(cf=cf, config=config, rng=random.Random(f"{config.seed}:{d}"),
+                          out=out, l_eff=l_eff)
+    stages = {}
+    for name, stage, keys in _TABLE:
+        mark = time.perf_counter()
+        try:
+            stage(ctx)
+        except DepthExceeded as exc:
+            if len(keys) != 1:
+                raise
+            _sweep(out, keys[0], 0, [{"error": f"DepthExceeded: {exc}"}])
+        stages[name] = time.perf_counter() - mark
+    stages["recovery"] -= ctx.exact_s
+    stages["times_sqrt_exact"] += ctx.exact_s
     out["stages"] = {k: round(v, 3) for k, v in stages.items()}
     out["elapsed_s"] = round(time.perf_counter() - t0, 3)
     return out
@@ -371,9 +378,7 @@ def corrected_failures(report: dict) -> int:
             bad += 1
             continue
         bad += sum(1 for v in res["identities"] if v["corrected"] != "holds")
-        for key, val in res.items():
-            if isinstance(val, dict) and "failures" in val:
-                bad += val["failures"]
+        bad += sum(res[key].get("failures", 0) for key in SWEEPS)
     return bad
 
 
@@ -450,13 +455,8 @@ def render_text(report: dict) -> str:
                 f"  {v['fact_id']:24s} printed:{v['printed']:5s} "
                 f"corrected:{v['corrected']}{note}"
             )
-        for key in (
-            "roundtrip_and_split", "uniqueness", "recover_frac", "recover_nat",
-            "times_sqrt_exact", "times_sqrt_real", "prefix_probe", "class_probe",
-        ):
-            info = res.get(key)
-            if info is None:
-                continue
+        for key in SWEEPS:
+            info = res[key]
             if "skipped" in info:
                 lines.append(f"  {key:24s} skipped ({info['skipped']})")
             else:
@@ -491,10 +491,11 @@ def render_tsv(report: dict) -> str:
             rows.append(
                 f"{res['d']}\t{v['fact_id']}\t{v['printed']}\t{v['corrected']}\t{detail}"
             )
-        for key, val in res.items():
-            if isinstance(val, dict) and "skipped" in val:
+        for key in SWEEPS:
+            val = res[key]
+            if "skipped" in val:
                 rows.append(f"{res['d']}\t{key}\t-\t-\tskipped: {val['skipped']}")
-            elif isinstance(val, dict) and "failures" in val:
+            else:
                 err = _failure_error(val)
                 rows.append(
                     f"{res['d']}\t{key}\t-\t"

@@ -27,8 +27,8 @@ from ostro.cfrac import CFData, ShiftConstants
 from ostro.errors import (
     DepthExceeded,
     InvalidDigits,
+    OstroError,
     OutOfInterval,
-    SingularSystem,
     VerificationFailed,
 )
 from ostro.ostrowski import (
@@ -41,6 +41,10 @@ from ostro.ostrowski import (
     window_parts,
 )
 from ostro.qfield import QuadRat
+
+
+class SingularSystem(OstroError):
+    """The reference's 2x2 system for the shift constants is singular."""
 
 
 @dataclass(frozen=True)

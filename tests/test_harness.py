@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import ostro
-from ostro import RationalSquare, SuiteConfig, UnsupportedRadicand, harness, run_suite
+from ostro import (RationalSquare, SuiteConfig, UnsupportedRadicand, VerificationFailed, harness,
+                   run_suite)
 from ostro import cfrac, ostrowski, shiftcalc
 from ostro.harness import (
     STAGES,
@@ -129,9 +130,10 @@ def test_n_sweep_stops_below_the_shifted_depth():
     assert corrected_failures(report) == 0
 
 
-# n = 15 is the last n of the times_sqrt_exact sweep (lambda_n_max = 15) and
-# the first past the prefix probe's table of encode_nat(n), n < q_5 = 15
-@pytest.mark.parametrize("bad_n, exact_checked", [(40, 16), (15, 15)])
+# n = 15 is the last n of the times_sqrt_exact sweep (lambda_n_max = 15);
+# n = 10 is inside the prefix probe's oracle, n < q_5 = 15, which reads the
+# enumerated valid strings and so does not see the encoder's fault
+@pytest.mark.parametrize("bad_n, exact_checked", [(40, 16), (15, 15), (10, 15)])
 def test_corrupted_encoding_is_one_roundtrip_failure(monkeypatch, bad_n, exact_checked):
     encode = harness.ostrowski.encode_nat
 
@@ -234,19 +236,53 @@ def test_prefix_natural_computed_once_per_probe(monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_prefix_oracle_rejects_windows_that_do_not_tile(monkeypatch):
-    # move the lower end of the blocked window at position 3 (level l = 2)
-    # by -beta_40, far below what the 48-bit samples can see: the encoder
-    # and prefix_nat read the same digits, but the tiling proof breaks
-    window_parts = harness.ostrowski.window_parts
+SWEEP_KEYS = ("roundtrip_and_split", "recover_frac", "recover_nat", "uniqueness",
+              "times_sqrt_exact", "times_sqrt_real", "prefix_probe", "class_probe")
 
+
+def _fault(real, pick, wrong):
+    """real, except that where pick(*args) holds it answers wrong(*args)."""
+    return lambda *args, **kw: (wrong if pick(*args, **kw) else real)(*args, **kw)
+
+
+def _stalled_counter(real):
+    # the counter repeats n = 19's digits and dots at n = 20
+    def counter(cf, sc, n_max):
+        last = None
+        for n, item in enumerate(real(cf, sc, n_max)):
+            yield last if n == 20 else item
+            last = item
+    return counter
+
+
+def _refuted(real):
+    def refuted(*args):
+        raise VerificationFailed("certified bound violated (seeded)")
+    return _fault(real, lambda x, *rest: x > 50, refuted)
+
+
+def _neighbour(real):
+    # a prefix natural with the same digit at l, which prefix_digit cannot tell
+    def neighbour(cf, l, c):
+        n = real(cf, l, c)
+        return n + 1 if (n + 1) // cf.q(l) == n // cf.q(l) else n - 1
+    return _fault(real, lambda cf, l, c: l == 3, neighbour)
+
+
+def _moved_window(real):
+    # the lower end of the blocked window at position 3 moves by -beta_40,
+    # far below what the 48-bit probe samples can see
     def moved(cf, n, blocked):
-        (la, lb), hi = window_parts(cf, n, blocked)
-        if n == 3 and blocked:
-            return (la + cf.p(40), lb - cf.q(40)), hi
-        return (la, lb), hi
+        (la, lb), hi = real(cf, n, blocked)
+        return (la + cf.p(40), lb - cf.q(40)), hi
+    return _fault(real, lambda cf, n, blocked: n == 3 and blocked, moved)
 
-    monkeypatch.setattr(harness.ostrowski, "window_parts", moved)
+
+def test_prefix_oracle_rejects_windows_that_do_not_tile(monkeypatch):
+    # the moved window is at level l = 2: the encoder and prefix_nat read
+    # the same digits, but the tiling proof breaks
+    monkeypatch.setattr(harness.ostrowski, "window_parts",
+                        _moved_window(harness.ostrowski.window_parts))
     res = run_suite(replace(SMALL, d_list=(Fraction(3),)))["results"][0]
     probe = res["prefix_probe"]
     assert (probe["l_max"], probe["failures"]) == (4, 1)
@@ -272,6 +308,62 @@ def test_prefix_oracle_catches_a_wrong_prefix_natural(monkeypatch):
     (c, right, bad), = wrong
     assert res["prefix_probe"]["failures"] == 1
     assert res["prefix_probe"]["first_failure"] == {"l": 3, "c": c, "got": bad, "oracle": [right]}
+
+
+# (kernel, fault built from the real function, the sweeps that must fail);
+# each fault is seeded at one place and checked on d = 3 of SMALL
+LOCALISED_FAULTS = [
+    ("encode_nat", lambda real: _fault(
+        real, lambda n, cf: n == 10, lambda n, cf: real(n + 1, cf)), {"roundtrip_and_split"}),
+    ("natural_dots_upto", _stalled_counter, {"roundtrip_and_split"}),
+    ("frac_verdicts", lambda real: _fault(
+        real, lambda cf, sc, fa, n, ya, yb: n == 20,
+        lambda *args: (False, real(*args)[1])), {"recover_frac"}),
+    ("nat_verdicts", lambda real: _fault(
+        real, lambda sc, n, v1, w0: n == 20,
+        lambda *args: (False, real(*args)[1])), {"recover_nat"}),
+    # times_sqrt_real reads only the product, not the exactness flag
+    ("sqrt_product", lambda real: _fault(
+        real, lambda cf, sc, fa, fb, ya, yb: fb == 7,
+        lambda *args: (False, real(*args)[1])), {"times_sqrt_exact"}),
+    # every c off the integer combinations of the betas loses its digits:
+    # the times_sqrt_real inputs (denominator 9973) and the probe samples
+    # (2^48) are such c, the class probe's witnesses are not
+    ("encode_real", lambda real: _fault(
+        real, lambda c, cf, depth: c.scaled()[2] > 1,
+        lambda c, cf, depth: ostrowski.make_digits(cf, (), ostrowski.KIND_REAL)),
+     {"times_sqrt_real", "prefix_probe"}),
+    ("prefix_nat", _neighbour, {"prefix_probe"}),
+    # the class probe reads its digits through prefix_digit too
+    ("prefix_digit", lambda real: _fault(
+        real, lambda cf, l, n: l == 2, lambda cf, l, n: real(cf, l, n) + 1),
+     {"prefix_probe", "class_probe"}),
+    ("window_parts", _moved_window, {"prefix_probe"}),
+    ("times_sqrt_real", _refuted, {"times_sqrt_real"}),
+    ("residue_class_probe", lambda real: _fault(
+        real, lambda cf, j, n_mod, l_max: (j, n_mod) == (1, 3),
+        lambda *args: (lambda v: (not v[0], *v[1:]))(real(*args))), {"class_probe"}),
+    # the uniqueness sweep and the tiling oracle read one enumeration
+    ("enumerate_valid", lambda real: _fault(
+        real, lambda cf, length: True,
+        lambda cf, length: (s for s in real(cf, length)
+                            if sum(b * cf.q(k) for k, b in enumerate(s)) != 7)),
+     {"uniqueness", "prefix_probe"}),
+]
+
+
+@pytest.mark.parametrize("kernel, fault, failing", LOCALISED_FAULTS,
+                         ids=[row[0] for row in LOCALISED_FAULTS])
+def test_one_fault_fails_only_its_sweeps(monkeypatch, kernel, fault, failing):
+    real = getattr(ostrowski, kernel, None) or getattr(shiftcalc, kernel)
+    faulty = fault(real)
+    for module in (ostrowski, shiftcalc):  # and shiftcalc's imported copies
+        if getattr(module, kernel, None) is real:
+            monkeypatch.setattr(module, kernel, faulty)
+    res = run_suite(replace(SMALL, d_list=(Fraction(3),)))["results"][0]
+    assert "error" not in res, res["error"]
+    assert {key for key in SWEEP_KEYS if res[key]["failures"]} == failing
+    assert all(v["corrected"] == "holds" for v in res["identities"])
 
 
 def test_prefix_probe_stays_inside_a_shallow_expansion():

@@ -9,6 +9,11 @@ den <= 50, so long periods and rational radicands are included.  Every
 command runs through cli.main with --format json, at default flags where
 the command allows it, so the expansion grows on demand as in use.
 
+The benchmark's audit workloads fail any radicand whose verdict
+projection (perfbench/workloads.py, loaded the same way) differs from
+perfbench/golden.json; the same check runs here on both audit subsets
+at the default SuiteConfig.
+
 The argv-grammar fuzz at the end draws only bad input: bad radicands,
 squares and zero denominators, negative and huge naturals, malformed
 values and digit strings, eps <= 0, and depths past OSTRO_MAX_DEPTH.  Each
@@ -23,19 +28,32 @@ import json
 import math
 import os
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ostro import SuiteConfig, run_suite
 from ostro.cfrac import MAX_PERIOD
 from ostro.cli import main
 
-_spec = importlib.util.spec_from_file_location(
-    "_perfbench_reference", Path(__file__).resolve().parent.parent / "perfbench" / "reference.py")
-ref = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ref)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench(stem: str):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{stem}", PERFBENCH / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ref = _load_perfbench("reference")
+with mock.patch.dict(sys.modules, {"reference": ref}):  # workloads imports it by that name
+    workloads = _load_perfbench("workloads")
 
 EXAMPLES = settings(derandomize=True, max_examples=50, deadline=None)
 
@@ -174,6 +192,16 @@ bad_quad = st.one_of(
 )
 non_positive_eps = st.one_of(st.just("0"), st.builds(lambda n, k: f"-{n}/{k}",
                                                      st.integers(1, 10**6), st.integers(1, 99)))
+
+
+@pytest.mark.parametrize("d", workloads.AUDIT_DEFAULT_SUBSET + workloads.AUDIT_LONG_SUBSET)
+def test_audit_matches_the_benchmark_golden_file(d):
+    # the audit workloads' correctness gate: an item whose verdict
+    # projection differs from perfbench/golden.json fails
+    report = run_suite(SuiteConfig(d_list=(Fraction(d),)))
+    assert report["summary"]["corrected_failures"] == 0
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    assert workloads.project(report["results"][0]) == golden[d]
 
 
 def _case(argv, cap=10_000):
