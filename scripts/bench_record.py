@@ -26,8 +26,17 @@ consuming ``shiftcalc.natural_dots_upto`` over n = 0 .. 10^4 on
 ``expand(3, 64)`` and its shift constants, and of
 ``shiftcalc.times_sqrt_real`` on the 20 rationals 7/5 + j/20, j = 0 .. 19,
 at eps = 10^-30 on ``expand(99991, 64)`` and its shift constants, of
-``cfrac.audit_identities`` on ``expand(99991, 64).at_least(1311)``, and of
-``ostrowski.encode_nat`` over n = 0 .. 10^4 on ``expand(3, 64)``.
+``cfrac.audit_identities`` on ``expand(99991, 64).at_least(1311)``, of
+``ostrowski.encode_nat`` over n = 0 .. 10^4 on ``expand(3, 64)``, of
+``shiftcalc.frac_verdicts`` and ``nat_verdicts`` on the counter's ints
+for those n (built outside the timer), of ``ostrowski.decode_real`` on
+their digits, of ``shiftcalc.check_recover_frac`` and
+``check_recover_nat`` on the digits of n = 0 .. 2000, and of
+``shiftcalc.prefix_nat`` at l = 0 .. 8 on the 40 values
+7 + j/40 - sqrt(61).  An ``audit`` block times K_AUDIT = 3 runs of
+``python -m ostro audit --format json`` (the default suite) on the
+checkout and keeps per radicand the min over the runs of its
+``elapsed_s`` and of each stage time.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -49,6 +58,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SEED0, K = 101, 7  # the same seeds in every record, so records compare seed for seed
+K_AUDIT = 3  # the default audit takes seconds, so fewer runs than the workloads
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -68,15 +78,42 @@ def summary(values: list[float]) -> dict:
     return {"k": len(values), "median": med, "q1": q1, "q3": q3, "values": values}
 
 
-def time_tier1(root: Path) -> dict:
+def src_env() -> dict:
+    """The environment with the checkout's src/ first on PYTHONPATH (run from its root)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ("src", env.get("PYTHONPATH"))))
+    return env
+
+
+def time_tier1(root: Path) -> dict:
     t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=root, capture_output=True, text=True, env=env)
+    proc = subprocess.run(TIER1, cwd=root, capture_output=True, text=True, env=src_env())
     wall = time.perf_counter() - t0
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": round(wall, 2), "returncode": proc.returncode,
             "summary": lines[-1] if lines else ""}
+
+
+def measure_audit(root: Path) -> dict:
+    """Wall time of K_AUDIT default audits, and per radicand the min over the
+    runs of elapsed_s and of each stage (radicands that errored have none)."""
+    walls, runs = [], []
+    for _ in range(K_AUDIT):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "ostro", "audit", "--format", "json"],
+                              cwd=root, capture_output=True, text=True, env=src_env())
+        walls.append(time.perf_counter() - t0)
+        if proc.returncode not in (0, 1):  # 1: a corrected-form check failed, still a report
+            raise RuntimeError(f"ostro audit exited {proc.returncode}: {proc.stderr}")
+        runs.append(json.loads(proc.stdout)["results"])
+    by_d = {
+        entries[0]["d"]: {
+            "elapsed_s": min(e["elapsed_s"] for e in entries),
+            "stages": {k: min(e["stages"][k] for e in entries) for k in entries[0]["stages"]},
+        }
+        for entries in zip(*runs) if "stages" in entries[0]
+    }
+    return {"unit": "s", "runs": K_AUDIT, "wall_s": walls, "by_d": by_d}
 
 
 # Run as `python -c LAYERS SRC`: imports ostro from SRC and prints one JSON line.
@@ -111,6 +148,8 @@ cf3 = cfrac.expand(3, 64)
 sc3, sc64 = cfrac.derive_shift_constants(cf3), cfrac.derive_shift_constants(cf64)
 cf1311 = cf64.at_least(1311)
 rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction(1, 10**30)
+dots = [t for _, t in shiftcalc.natural_dots_upto(cf3, sc3, 10**4)]
+nats = [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)]
 print(json.dumps({
     "expand_99991_874": {"unit": "s", "min_of": 7,
                          "value": best(lambda: cfrac.expand(99991, 874), 7)},
@@ -141,6 +180,26 @@ print(json.dumps({
     "encode_nat_3_10000": {
         "unit": "s", "min_of": 7,
         "value": best(lambda: [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)], 7)},
+    "frac_verdicts_3_10000": {
+        "unit": "s", "min_of": 7,
+        "value": best(lambda: [shiftcalc.frac_verdicts(cf3, sc3, fa, n, ya, yb)
+                               for fa, n, ya, yb, *_ in dots], 7)},
+    "nat_verdicts_3_10000": {
+        "unit": "s", "min_of": 7,
+        "value": best(lambda: [shiftcalc.nat_verdicts(sc3, n, v1, w0)
+                               for _, n, _, _, v1, w0, _ in dots], 7)},
+    "decode_real_3_10000": {"unit": "s", "min_of": 7,
+                            "value": best(lambda: [ostrowski.decode_real(x) for x in nats], 7)},
+    "check_recover_frac_3_2000": {
+        "unit": "s", "min_of": 7,
+        "value": best(lambda: [shiftcalc.check_recover_frac(x, sc3) for x in nats[:2001]], 7)},
+    "check_recover_nat_3_2000": {
+        "unit": "s", "min_of": 7,
+        "value": best(lambda: [shiftcalc.check_recover_nat(x, sc3) for x in nats[:2001]], 7)},
+    "prefix_nat_61_40x9": {
+        "unit": "s", "min_of": 7,
+        "value": best(lambda: [shiftcalc.prefix_nat(cf61, l, c) for c in values
+                               for l in range(9)], 7)},
 }))
 """
 
@@ -195,6 +254,7 @@ def main(argv=None) -> int:
                       "time_unit": "reference seconds (see perfbench/speed.py)"},
         "workloads": workloads,
         "layers": measure_layers(root),
+        "audit": measure_audit(root),
         "tier1": time_tier1(root),
     }
     out = HERE / f"BENCH_{args.pr}.json"

@@ -34,6 +34,7 @@ linear system is solved.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass, replace
@@ -517,30 +518,24 @@ def normalize_d(d) -> tuple[Fraction, Fraction]:
 
     Returns (d_norm, scale) with scale a dyadic rational h / 2^e, found
     by the smallest e admitting an integer h with d * 4^e / 4 < h^2 <
-    d * 4^e * 4 / 9.  The band has ratio 16/9 > 1 so the search
-    terminates.  The result keeps sqrt(d_norm) strictly between 3/2 and
-    2 (so its integer part is 1).
+    d * 4^e * 4 / 9.  For n = d * 4^e that range of h, (sqrt(n)/2,
+    2 sqrt(n)/3), is wider than 1 once n > 36, so the search terminates.
+    The result keeps sqrt(d_norm) strictly between 3/2 and 2 (so its
+    integer part is 1).
     """
     d = check_radicand(d)
     lo, hi = Fraction(9, 4), Fraction(4)
     if lo < d < hi:
         return d, Fraction(1)
-    e = 0
-    while e < 64:
+    for e in itertools.count():
         n = d * 4**e
-        h_lo = n / 4  # need h^2 strictly above this
-        h_hi = 4 * n / 9  # and strictly below this
-        h = math.isqrt(math.floor(h_lo)) + 1
-        while h * h < h_hi:
-            if h * h > h_lo:
-                scale = Fraction(h, 2**e)
-                d_norm = d / (scale * scale)
-                if not (lo < d_norm < hi and scale * scale * d_norm == d):
-                    raise VerificationFailed(
-                        f"normalize_d({d}): {d_norm} with scale {scale} is outside "
-                        f"the band ({lo}, {hi}) or does not rescale to d"
-                    )
-                return d_norm, scale
-            h += 1
-        e += 1
-    raise VerificationFailed(f"no dyadic scale found for d={d}")  # unreachable
+        h = math.isqrt(math.floor(n / 4)) + 1  # the least h with h^2 > n/4
+        if h * h < 4 * n / 9:
+            scale = Fraction(h, 2**e)
+            d_norm = d / (scale * scale)
+            if not (lo < d_norm < hi and scale * scale * d_norm == d):
+                raise VerificationFailed(
+                    f"normalize_d({d}): {d_norm} with scale {scale} is outside "
+                    f"the band ({lo}, {hi}) or does not rescale to d"
+                )
+            return d_norm, scale

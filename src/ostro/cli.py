@@ -8,6 +8,9 @@ Subcommands:
     constants   derive and print the digit-shift constants
     audit       run the full verification suite and emit a report
 
+Every command prints one object, as text or (--format json) as JSON;
+--output writes exactly what stdout would show to a file instead.
+
 Exit codes:
     0  success
     1  a corrected-form check failed
@@ -67,14 +70,16 @@ def _effective_depth(requested: int) -> int:
     return requested
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+def _emit(args, data, text: str, code: int = EXIT_OK) -> int:
+    """Print data as JSON under --format json, else text, to --output or
+    stdout; return the exit code."""
+    out = json.dumps(data, indent=2) if args.format == "json" else text
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            print(out, file=fh)
     else:
-        print(text)
+        print(out)
+    return code
 
 
 def _expand(args) -> cfrac.CFData:
@@ -89,36 +94,29 @@ def _expand(args) -> cfrac.CFData:
 
 def cmd_cf(args) -> int:
     cf = _expand(args)
-    unit = cfrac.fundamental_unit(cf)
-    if args.format == "json":
-        data = {
-            "d": str(cf.d),
-            "a0": cf.a0,
-            "period": list(cf.period),
-            "m": cf.m,
-            "s_max": cf.s_max,
-            "depth": cf.depth,
-            "convergents": [
-                {"k": k, "p": cf.p(k), "q": cf.q(k)} for k in range(min(cf.depth, 12))
-            ],
-            "unit": str(unit),
-            "normalized": [str(v) for v in cfrac.normalize_d(cf.d)],
-        }
-        _emit(args, json.dumps(data, indent=2))
-        return EXIT_OK
-    lines = [
-        f"d = {cf.d}",
+    data = {
+        "d": str(cf.d),
+        "a0": cf.a0,
+        "period": list(cf.period),
+        "m": cf.m,
+        "s_max": cf.s_max,
+        "depth": cf.depth,
+        "convergents": [
+            {"k": k, "p": cf.p(k), "q": cf.q(k)} for k in range(min(cf.depth, 12))
+        ],
+        "unit": str(cfrac.fundamental_unit(cf)),
+        "normalized": [str(v) for v in cfrac.normalize_d(cf.d)],
+    }
+    text = "\n".join([
+        f"d = {data['d']}",
         f"a0 = {cf.a0}",
-        f"period = {list(cf.period)}  (length m = {cf.m})",
+        f"period = {data['period']}  (length m = {cf.m})",
         f"largest digit bound s_max = {cf.s_max}",
-    ]
-    for k in range(min(cf.depth, 12)):
-        lines.append(f"  p_{k}/q_{k} = {cf.p(k)}/{cf.q(k)}")
-    lines.append(f"unit = {unit}")
-    d_norm, scale = cfrac.normalize_d(cf.d)
-    lines.append(f"normalized radicand = {d_norm} (scale {scale})")
-    _emit(args, "\n".join(lines))
-    return EXIT_OK
+        *(f"  p_{c['k']}/q_{c['k']} = {c['p']}/{c['q']}" for c in data["convergents"]),
+        f"unit = {data['unit']}",
+        "normalized radicand = {} (scale {})".format(*data["normalized"]),
+    ])
+    return _emit(args, data, text)
 
 
 def cmd_encode(args) -> int:
@@ -127,17 +125,12 @@ def cmd_encode(args) -> int:
     try:
         n = int(text)
     except ValueError:
-        n = None
-    if n is not None:
+        x = ostrowski.encode_real(parse_quad(text, cf.d), cf, args.digits)
+    else:
         if n < 0:
             raise OutOfDomain("naturals to encode must be nonnegative")
         x = ostrowski.encode_nat(n, cf)
-    else:
-        value = parse_quad(text, cf.d)
-        x = ostrowski.encode_real(value, cf, args.digits)
-    data = {"d": str(cf.d), "kind": x.kind, "digits": list(x.digits)}
-    _emit(args, json.dumps(data, indent=2) if args.format == "json" else str(x))
-    return EXIT_OK
+    return _emit(args, {"d": str(cf.d), "kind": x.kind, "digits": list(x.digits)}, str(x))
 
 
 def cmd_decode(args) -> int:
@@ -155,12 +148,12 @@ def cmd_decode(args) -> int:
         kind = ostrowski.KIND_REAL if args.real else ostrowski.KIND_NAT
         x = ostrowski.make_digits(cf, digits, kind)
         value = ostrowski.decode_real(x) if args.real else ostrowski.decode_nat(x)
-        data, text = {"d": str(d), "value": str(value)}, str(value)
+        data = {"d": str(d), "value": str(value)}
+        text = data["value"]
         if args.real:
             data["decimal"] = str(value.approx(40))
-            text = f"{value} = {value.approx(30)}"
-    _emit(args, json.dumps(data, indent=2) if args.format == "json" else text)
-    return EXIT_OK
+            text = f"{text} = {value.approx(30)}"
+    return _emit(args, data, text)
 
 
 def cmd_mul(args) -> int:
@@ -169,41 +162,28 @@ def cmd_mul(args) -> int:
     eps = parse_rat(args.eps)
     x = parse_quad(args.x, cf.d)
     result = shiftcalc.times_sqrt_real(x, eps, cf, sc)
-    if args.format == "json":
-        data = {
-            "d": str(cf.d),
-            "x": str(x),
-            "eps": str(eps),
-            "result": str(result),
-            "decimal": str(result.approx(40)),
-        }
-        _emit(args, json.dumps(data, indent=2))
-        return EXIT_OK
-    _emit(
-        args,
-        f"sqrt({cf.d}) * ({x}) = {result}\n"
-        f"  ~ {result.approx(40)}\n"
-        f"  certified |error| < {eps}",
-    )
-    return EXIT_OK
+    data = {
+        "d": str(cf.d),
+        "x": str(x),
+        "eps": str(eps),
+        "result": str(result),
+        "decimal": str(result.approx(40)),
+    }
+    text = "sqrt({d}) * ({x}) = {result}\n  ~ {decimal}\n  certified |error| < {eps}"
+    return _emit(args, data, text.format(**data))
 
 
 def cmd_constants(args) -> int:
-    cf = _expand(args)
-    sc = cfrac.derive_shift_constants(cf)
-    if args.format == "json":
-        _emit(args, json.dumps(sc.to_json(), indent=2))
-        return EXIT_OK
-    lines = [
-        f"d = {sc.d}",
-        f"t = {sc.t}",
-        f"v = ({', '.join(str(v) for v in sc.v)})",
-        f"w = ({', '.join(str(w) for w in sc.w)})",
-        f"unit = {sc.unit}",
-        f"a = {sc.a_const}, b = {sc.b_const}, a^2*d - b^2 = {sc.pell_norm}",
-    ]
-    _emit(args, "\n".join(lines))
-    return EXIT_OK
+    data = cfrac.derive_shift_constants(_expand(args)).to_json()
+    text = "\n".join([
+        f"d = {data['d']}",
+        f"t = {data['t']}",
+        f"v = ({', '.join(data['v'])})",
+        f"w = ({', '.join(data['w'])})",
+        f"unit = {data['U']}",
+        f"a = {data['a']}, b = {data['b']}, a^2*d - b^2 = {data['pell_norm']}",
+    ])
+    return _emit(args, data, text)
 
 
 def cmd_audit(args) -> int:
@@ -226,15 +206,9 @@ def cmd_audit(args) -> int:
     _effective_depth(config.depth)
 
     report = harness.run_suite(config)
-    if args.format == "json":
-        _emit(args, json.dumps(report, indent=2))
-    elif args.format == "tsv":
-        _emit(args, harness.render_tsv(report))
-    else:
-        _emit(args, harness.render_text(report))
-    if report["summary"]["corrected_failures"]:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    render = harness.render_tsv if args.format == "tsv" else harness.render_text
+    failed = report["summary"]["corrected_failures"]
+    return _emit(args, report, render(report), EXIT_CHECK_FAILED if failed else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------

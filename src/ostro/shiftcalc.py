@@ -43,7 +43,6 @@ from .ostrowski import (
     decode_real,
     encode_nat,
     encode_real,
-    in_interval,
     make_digits,
     mult_nat_by_sqrt,
     tail_window,
@@ -273,8 +272,6 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
     root = cf.sqrt_d()
     whole = (x + root - cf.a0).floor()  # x - whole lies in I exactly
     c = x - whole
-    if not in_interval(cf, c):
-        raise VerificationFailed(f"{x} - {whole} = {c} is outside I for d={cf.d}")
 
     # depth = the first k with (|beta_{k-1}| + |beta_k|) sqrt(d) < eps.  The
     # betas alternate, so that tail is s (beta_{k-1} - beta_k), s the sign of
@@ -289,10 +286,8 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
     else:
         raise DepthExceeded(f"eps={eps} needs more than {cf.depth} digit positions")
 
-    digits = encode_real(c, cf, depth)
-    reach = len(digits.digits) - 1 + cf.m
-    if reach > cf.depth:
-        digits = make_digits(cf.at_least(reach), digits.digits, KIND_REAL)
+    # encoded over the depth its digits shifted by m can reach
+    digits = encode_real(c, cf.at_least(depth - 1 + cf.m), depth)
     result = times_sqrt_frac(digits, sc) + QuadRat._of(0, whole, 1, cf.d)
     err = result - root * x
     if not (abs(err) - eps).sign() < 0:
@@ -370,7 +365,5 @@ def residue_class_probe(cf: CFData, j: int, n_mod: int, l_max: int) -> tuple[boo
             f"no interval value has digit 1 at position {j} for d={cf.d}"
         ) from exc
     c = decode_real(witness)
-    if not in_interval(cf, c):
-        raise VerificationFailed(f"witness {witness} decodes to {c}, outside I")
     return tuple(window_digit(cf, l, c) == 1 for l in range(l_max + 1))
 

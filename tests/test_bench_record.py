@@ -3,7 +3,9 @@ script: one record per call at the checkout's root, medians and quartiles
 over the seeds, the traced metrics, the layers measured on the checkout's
 src/ (expand, the audit stages, the shift constants, at_least,
 encode_real, QuadRat add/mul/sign, the natural_dots_upto counter,
-times_sqrt_real, the identity audit and encode_nat), tier-1 timed."""
+times_sqrt_real, the identity audit, encode_nat, the recovery verdicts,
+decode_real, the recovery checks and prefix_nat), the default audit
+timed per radicand, tier-1 timed."""
 
 import json
 import shutil
@@ -104,6 +106,12 @@ def encode_real(c, cf, depth):
 def encode_nat(n, cf):
     if (cf.d, cf.depth) != (3, 64) or not 0 <= n <= 10**4:
         raise ValueError((n, cf.d, cf.depth))
+    return ("digits", n)
+
+
+def decode_real(x):
+    if x[0] != "digits" or not 0 <= x[1] <= 10**4:
+        raise ValueError(x)
 '''
 
 STUB_SHIFTCALC = '''
@@ -113,13 +121,53 @@ from fractions import Fraction
 def natural_dots_upto(cf, sc, n_max):
     if (cf.d, cf.depth, sc, n_max) != (3, 64, ("sc", 3), 10**4):
         raise ValueError((cf.d, cf.depth, sc, n_max))
-    yield from range(n_max + 1)
+    for n in range(n_max + 1):
+        yield (), (-n, n, 0, 0, n, -n, 0)
+
+
+def frac_verdicts(cf, sc, fa, n, ya, yb):
+    if (cf.d, cf.depth, sc, fa, ya, yb) != (3, 64, ("sc", 3), -n, 0, 0):
+        raise ValueError((cf.d, cf.depth, sc, fa, n, ya, yb))
+
+
+def nat_verdicts(sc, n, v1, w0):
+    if (sc, v1, w0) != (("sc", 3), n, -n):
+        raise ValueError((sc, n, v1, w0))
+
+
+def check_recover_frac(x, sc):
+    if sc != ("sc", 3) or not 0 <= x[1] <= 2000:
+        raise ValueError((x, sc))
+
+
+check_recover_nat = check_recover_frac
+
+
+def prefix_nat(cf, l, c):
+    a, b, d = c
+    if (cf.d, cf.depth, b, d) != (61, 150, -1, 61) or not 0 <= l <= 8 or not 7 <= a < 8:
+        raise ValueError((cf.d, cf.depth, l, c))
 
 
 def times_sqrt_real(x, eps, cf, sc):
     if ((cf.d, cf.depth, sc, eps) != (99991, 64, ("sc", 99991), Fraction(1, 10**30))
             or not Fraction(7, 5) <= x < Fraction(12, 5)):
         raise ValueError((x, eps, cf.d, cf.depth, sc))
+'''
+
+# `python -m ostro audit --format json`: the n-th run reports elapsed_s 0.5 + n
+STUB_MAIN = '''
+import json, sys
+from pathlib import Path
+
+if sys.argv[1:] != ["audit", "--format", "json"]:
+    raise SystemExit(f"unexpected arguments {sys.argv[1:]}")
+log = Path("audit_runs")
+n = len(log.read_text()) if log.exists() else 0
+log.write_text("x" * (n + 1))
+print(json.dumps({"results": [
+    {"d": "2", "elapsed_s": 0.5 + n, "stages": {"identities": 0.1 * (3 - n), "recovery": 0.4}},
+    {"d": "4", "error": "RationalSquare: radicand 4 is a rational square"}]}, indent=2))
 '''
 
 
@@ -132,6 +180,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     (root / "src" / "ostro" / "cfrac.py").write_text(STUB_CFRAC)
     (root / "src" / "ostro" / "ostrowski.py").write_text(STUB_OSTROWSKI)
     (root / "src" / "ostro" / "shiftcalc.py").write_text(STUB_SHIFTCALC)
+    (root / "src" / "ostro" / "__main__.py").write_text(STUB_MAIN)
     (root / "tests").mkdir()
     (root / "tests" / "test_one.py").write_text("def test_one():\n    pass\n")
     (root / "BENCHMARK.json").write_text(json.dumps({
@@ -157,10 +206,16 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     for key in ("expand_99991_874", "derive_shift_constants_99991_874", "at_least_99991_64_1311",
                 "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
                 "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000", "times_sqrt_real_99991_20",
-                "audit_identities_99991_1311", "encode_nat_3_10000"):
+                "audit_identities_99991_1311", "encode_nat_3_10000", "frac_verdicts_3_10000",
+                "nat_verdicts_3_10000", "decode_real_3_10000", "check_recover_frac_3_2000",
+                "check_recover_nat_3_2000", "prefix_nat_61_40x9"):
         assert layers[key]["unit"] == "s" and layers[key]["min_of"] == 7, key
         assert layers[key]["value"] >= 0, key
     assert layers["audit_stages"] == {"unit": "s", "min_of": 3, "by_d": {
         "99991": {"identities": 99.991, "recovery": 1.0},
         "3": {"identities": 0.003, "recovery": 1.0}}}
+    audit = rec["audit"]
+    assert audit["unit"] == "s" and audit["runs"] == 3
+    assert len(audit["wall_s"]) == 3 and min(audit["wall_s"]) > 0
+    assert audit["by_d"] == {"2": {"elapsed_s": 0.5, "stages": {"identities": 0.1, "recovery": 0.4}}}
     assert rec["tier1"]["returncode"] == 0 and "1 passed" in rec["tier1"]["summary"]

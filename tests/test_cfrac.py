@@ -486,6 +486,9 @@ def test_constants_unit_exceeds_one(cf_of, sc_of):
 def test_normalize_frozen():
     assert normalize_d(3) == (Fraction(3), Fraction(1))
     assert normalize_d(2) == (Fraction(32, 9), Fraction(3, 4))
+    # small radicands need more than 63 doublings of the scale
+    assert normalize_d(Fraction(2, 10**38)) == (Fraction(2 * 4**65, 9 * 10**38), Fraction(3, 2**65))
+    assert normalize_d(Fraction(3, 4**70)) == (Fraction(3), Fraction(1, 2**70))
 
 
 @given(st.fractions(min_value=0, max_value=100, max_denominator=60))

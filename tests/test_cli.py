@@ -10,11 +10,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import ostro
-from ostro import cfrac, cli, parse_quad, quad
+from ostro import cfrac, cli, harness, parse_quad, quad
 from ostro.cli import main
 from ostro.harness import config_from_json
 
@@ -339,11 +340,26 @@ def test_audit_text_and_tsv_give_a_sweeps_depth_error(capsys):
         (d, key, f"checked=0 error={e}") for d, key, e in errors]
 
 
-def test_output_file(tmp_path, capsys):
-    target = tmp_path / "cf.json"
-    code = main(["cf", "--d", "3", "--format", "json", "--output", str(target)])
-    assert code == 0
-    assert json.loads(target.read_text())["m"] == 2
+OUTPUT_CASES = [
+    [*argv, "--format", fmt]
+    for argv in (["cf", "--d", "3"], ["encode", "--d", "3", "5"],
+                 ["decode", "--real", "0,1,0,1@d=3"], ["mul", "--d", "3", "--x", "7/5"],
+                 ["constants", "--d", "3"])
+    for fmt in ("text", "json")
+] + [["audit", "--d", "3", "--n-max", "30", "--format", fmt] for fmt in ("text", "json", "tsv")]
+
+
+def test_output_file(tmp_path, capsys, monkeypatch):
+    # --output writes exactly what stdout shows, for every command and format;
+    # the audit's clock is stopped so that its timings agree between the runs
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    target = tmp_path / "out"
+    for argv in OUTPUT_CASES:
+        code, out = run(capsys, *argv)
+        assert code == 0 and out, argv
+        assert main([*argv, "--output", str(target)]) == 0, argv
+        assert capsys.readouterr().out == ""
+        assert target.read_text(encoding="utf-8") == out, argv
 
 
 # ---------------------------------------------------------------------------
