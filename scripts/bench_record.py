@@ -13,30 +13,15 @@ workload the median and quartiles of every end-to-end metric over the K
 runs (with K and the raw values), and every per-layer metric of the
 traced run: call counts, self times, useful ratios and tracing overhead.
 A ``layers`` block, measured in a subprocess on the checkout's ``src/``,
-adds what the traced run cannot show: the min of 7 runs of
-``cfrac.expand(99991, 874)``; per audit stage, the min of 3 runs of
-``ostro.run_suite`` at the default config for d = 99991 and for d = 3;
-and the min of 7 runs each of ``cfrac.derive_shift_constants`` on
-``expand(99991, 874)``, of ``expand(99991, 64).at_least(1311)``, of
-``ostrowski.encode_real`` to 150 digits over the 40 values
-7 + j/40 - sqrt(61), j = 0 .. 39, and of ``QuadRat`` addition,
-multiplication and sign over 1000 fixed pairs of elements of Q(sqrt(13/4))
-whose parts have numerators up to 10^12 and denominators up to 10^6, of
-consuming ``shiftcalc.natural_dots_upto`` over n = 0 .. 10^4 on
-``expand(3, 64)`` and its shift constants, and of
-``shiftcalc.times_sqrt_real`` on the 20 rationals 7/5 + j/20, j = 0 .. 19,
-at eps = 10^-30 on ``expand(99991, 64)`` and its shift constants, of
-``cfrac.audit_identities`` on ``expand(99991, 64).at_least(1311)``, of
-``ostrowski.encode_nat`` over n = 0 .. 10^4 on ``expand(3, 64)``, of
-``shiftcalc.frac_verdicts`` and ``nat_verdicts`` on the counter's ints
-for those n (built outside the timer), of ``ostrowski.decode_real`` on
-their digits, of ``shiftcalc.check_recover_frac`` and
-``check_recover_nat`` on the digits of n = 0 .. 2000, and of
-``shiftcalc.prefix_nat`` at l = 0 .. 8 on the 40 values
-7 + j/40 - sqrt(61).  An ``audit`` block times K_AUDIT = 3 runs of
-``python -m ostro audit --format json`` (the default suite) on the
-checkout and keeps per radicand the min over the runs of its
-``elapsed_s`` and of each stage time.
+adds what the traced run cannot show: ``audit_stages``, per audit stage
+the min of 3 runs of ``ostro.run_suite`` at the default config for
+d = 99991 and for d = 3, and one entry per row of the ``kernels`` table
+in ``LAYERS`` (a name and a zero-argument call on fixed inputs), each
+``{"unit": "s", "min_of": 7, "value": <min of 7 timed calls>}``.  An
+``audit`` block times K_AUDIT = 3 runs of ``python -m ostro audit
+--format json`` (the default suite) on the checkout and keeps per
+radicand the min over the runs of its ``elapsed_s`` and of each stage
+time.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -150,57 +135,32 @@ cf1311 = cf64.at_least(1311)
 rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction(1, 10**30)
 dots = [t for _, t in shiftcalc.natural_dots_upto(cf3, sc3, 10**4)]
 nats = [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)]
-print(json.dumps({
-    "expand_99991_874": {"unit": "s", "min_of": 7,
-                         "value": best(lambda: cfrac.expand(99991, 874), 7)},
-    "audit_stages": {"unit": "s", "min_of": 3, "by_d": stages},
-    "derive_shift_constants_99991_874": {
-        "unit": "s", "min_of": 7, "value": best(lambda: cfrac.derive_shift_constants(cf874), 7)},
-    "at_least_99991_64_1311": {"unit": "s", "min_of": 7,
-                               "value": best(lambda: cf64.at_least(1311), 7)},
-    "encode_real_61_40x150": {
-        "unit": "s", "min_of": 7,
-        "value": best(lambda: [ostrowski.encode_real(c, cf61, 150) for c in values], 7)},
-    "quadrat_add_13_4_1000": {"unit": "s", "min_of": 7,
-                              "value": best(lambda: [x + y for x, y in pairs], 7)},
-    "quadrat_mul_13_4_1000": {"unit": "s", "min_of": 7,
-                              "value": best(lambda: [x * y for x, y in pairs], 7)},
-    "quadrat_sign_13_4_1000": {"unit": "s", "min_of": 7,
-                               "value": best(lambda: [x.sign() for x, _ in pairs], 7)},
-    "natural_dots_upto_3_10000": {
-        "unit": "s", "min_of": 7,
-        "value": best(lambda: collections.deque(
-            shiftcalc.natural_dots_upto(cf3, sc3, 10**4), maxlen=0), 7)},
-    "times_sqrt_real_99991_20": {
-        "unit": "s", "min_of": 7,
-        "value": best(lambda: [shiftcalc.times_sqrt_real(x, eps, cf64, sc64)
-                               for x in rationals], 7)},
-    "audit_identities_99991_1311": {"unit": "s", "min_of": 7,
-                                    "value": best(lambda: cfrac.audit_identities(cf1311), 7)},
-    "encode_nat_3_10000": {
-        "unit": "s", "min_of": 7,
-        "value": best(lambda: [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)], 7)},
-    "frac_verdicts_3_10000": {
-        "unit": "s", "min_of": 7,
-        "value": best(lambda: [shiftcalc.frac_verdicts(cf3, sc3, fa, n, ya, yb)
-                               for fa, n, ya, yb, *_ in dots], 7)},
-    "nat_verdicts_3_10000": {
-        "unit": "s", "min_of": 7,
-        "value": best(lambda: [shiftcalc.nat_verdicts(sc3, n, v1, w0)
-                               for _, n, _, _, v1, w0, _ in dots], 7)},
-    "decode_real_3_10000": {"unit": "s", "min_of": 7,
-                            "value": best(lambda: [ostrowski.decode_real(x) for x in nats], 7)},
-    "check_recover_frac_3_2000": {
-        "unit": "s", "min_of": 7,
-        "value": best(lambda: [shiftcalc.check_recover_frac(x, sc3) for x in nats[:2001]], 7)},
-    "check_recover_nat_3_2000": {
-        "unit": "s", "min_of": 7,
-        "value": best(lambda: [shiftcalc.check_recover_nat(x, sc3) for x in nats[:2001]], 7)},
-    "prefix_nat_61_40x9": {
-        "unit": "s", "min_of": 7,
-        "value": best(lambda: [shiftcalc.prefix_nat(cf61, l, c) for c in values
-                               for l in range(9)], 7)},
-}))
+kernels = {
+    "expand_99991_874": lambda: cfrac.expand(99991, 874),
+    "derive_shift_constants_99991_874": lambda: cfrac.derive_shift_constants(cf874),
+    "at_least_99991_64_1311": lambda: cf64.at_least(1311),
+    "encode_real_61_40x150": lambda: [ostrowski.encode_real(c, cf61, 150) for c in values],
+    "quadrat_add_13_4_1000": lambda: [x + y for x, y in pairs],
+    "quadrat_mul_13_4_1000": lambda: [x * y for x, y in pairs],
+    "quadrat_sign_13_4_1000": lambda: [x.sign() for x, _ in pairs],
+    "natural_dots_upto_3_10000": lambda: collections.deque(
+        shiftcalc.natural_dots_upto(cf3, sc3, 10**4), maxlen=0),
+    "times_sqrt_real_99991_20": lambda: [shiftcalc.times_sqrt_real(x, eps, cf64, sc64)
+                                         for x in rationals],
+    "audit_identities_99991_1311": lambda: cfrac.audit_identities(cf1311),
+    "encode_nat_3_10000": lambda: [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)],
+    "frac_verdicts_3_10000": lambda: [shiftcalc.frac_verdicts(cf3, sc3, fa, n, ya, yb)
+                                      for fa, n, ya, yb, *_ in dots],
+    "nat_verdicts_3_10000": lambda: [shiftcalc.nat_verdicts(sc3, n, v1, w0)
+                                     for _, n, _, _, v1, w0, _ in dots],
+    "decode_real_3_10000": lambda: [ostrowski.decode_real(x) for x in nats],
+    "check_recover_frac_3_2000": lambda: [shiftcalc.check_recover_frac(x, sc3) for x in nats[:2001]],
+    "check_recover_nat_3_2000": lambda: [shiftcalc.check_recover_nat(x, sc3) for x in nats[:2001]],
+    "prefix_nat_61_40x9": lambda: [shiftcalc.prefix_nat(cf61, l, c) for c in values
+                                   for l in range(9)],
+}
+layers = {name: {"unit": "s", "min_of": 7, "value": best(fn, 7)} for name, fn in kernels.items()}
+print(json.dumps({"audit_stages": {"unit": "s", "min_of": 3, "by_d": stages}, **layers}))
 """
 
 

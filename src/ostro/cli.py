@@ -31,7 +31,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import cfrac, harness, ostrowski, shiftcalc
 from .errors import (
@@ -187,22 +186,14 @@ def cmd_constants(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    config = harness.SuiteConfig()
+    data: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config = harness.config_from_json(json.load(fh))
-    overrides: dict = {}
-    if args.d is not None:
-        overrides["d_list"] = tuple(parse_rat(s) for s in args.d.split(","))
-    if args.depth is not None:
-        overrides["depth"] = args.depth
-    if args.n_max is not None:
-        overrides["n_max"] = args.n_max
-    if args.eps is not None:
-        overrides["eps"] = parse_rat(args.eps)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = replace(config, **overrides)
+            data = json.load(fh)
+        harness.config_from_json(data)  # a bad field is bad input even where a flag overrides it
+    flags = {"d_list": None if args.d is None else args.d.split(","), "depth": args.depth,
+             "n_max": args.n_max, "eps": args.eps, "seed": args.seed}
+    config = harness.config_from_json({**data, **{k: v for k, v in flags.items() if v is not None}})
     _effective_depth(config.depth)
 
     report = harness.run_suite(config)
@@ -279,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # exact values print at any length
     try:
         return args.func(args)
     except (RationalSquare, UnsupportedRadicand, InvalidDigits, ValueError, OSError) as exc:
@@ -293,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     except OstroError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

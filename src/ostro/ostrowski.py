@@ -197,9 +197,9 @@ def enumerate_valid(cf: CFData, length: int):
 
 
 def interval_bounds(cf: CFData) -> tuple[QuadRat, QuadRat]:
-    """The fundamental interval I = [a0 - sqrt(d), a0 + 1 - sqrt(d))."""
-    lo = QuadRat._of(cf.a0, -1, 1, cf.d)
-    return lo, lo + 1
+    """The fundamental interval I = [a0 - sqrt(d), a0 + 1 - sqrt(d)), which
+    is the blocked tail window at 0."""
+    return tail_window(cf, 0, blocked=True)
 
 
 def in_interval(cf: CFData, c: QuadRat) -> bool:

@@ -158,13 +158,9 @@ class QuadRat:
     # -- ring operations ----------------------------------------------------
 
     def _plus(self, a: int, b: int, e: int) -> "QuadRat":
-        """self + (a + b*sqrt(d)) / e for a reduced triple."""
+        """self + (a + b*sqrt(d)) / e, reduced by _of."""
         sa, sb, se = self._a, self._b, self._e
-        if se != 1 and e != 1:
-            return QuadRat._of(sa * e + a * se, sb * e + b * se, se * e, self._d)
-        x = object.__new__(QuadRat)  # over E = 1 on either side the sum is reduced
-        x._a, x._b, x._e, x._d = sa * e + a * se, sb * e + b * se, se * e, self._d
-        return x
+        return QuadRat._of(sa * e + a * se, sb * e + b * se, se * e, self._d)
 
     def __add__(self, other):
         o = self._parts(other)

@@ -76,40 +76,29 @@ class AuditEntry:
     rhs: object
 
     def to_json(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "n": self.n,
-            "printed": self.printed,
-            "corrected": self.corrected,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-        }
+        return {**vars(self), "lhs": str(self.lhs), "rhs": str(self.rhs)}
+
+
+def _row(cf: CFData, sc: ShiftConstants, k: int) -> tuple[int, ...]:
+    """The seven weights of digit k in natural_dots: -p_k, q_k, the p and q
+    of k + m signed by (-1)^m, and p_{k+1} times sc.v_num, p_k and p_{k+1}
+    times sc.w_num, the constants taken at k mod t."""
+    m, ps, qs = cf.m, cf.conv_p, cf.conv_q  # qs[i] = q_{i-1}
+    s, i = (-1 if m % 2 else 1), k % sc.t
+    nv, nw = sc.v_num[i], sc.w_num[i]
+    return (-ps[k + 1], qs[k + 1], -s * ps[k + m + 1], s * qs[k + m + 1],
+            nv * ps[k + 2], nw * ps[k + 1], nw * ps[k + 2])
 
 
 def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
     """(fa, n, ya, yb, v1, w0, w1) from one depth check (the last digit
-    moved up by m) and one pass over x: fa + n sqrt(d) is the beta-value
-    of x, ya + yb sqrt(d) is (-1)^m times its all-ones beta sum at shift
-    m, and v1, w0, w1 are its p dot products weighted by sc.v_num at
-    shift 1 and by sc.w_num at shifts 0 and 1."""
-    cf, m = x.cf, x.cf.m
-    check_depth(x, m)
-    qs, ps = cf.conv_q, cf.conv_p  # qs[i] = q_{i-1}
-    nv, nw = sc.v_num, sc.w_num
-    n = bp = yq = yp = v1 = w0 = w1 = 0
-    for k, b in enumerate(x.digits):
-        if b:
-            i = k % sc.t
-            p0, p1 = b * ps[k + 1], b * ps[k + 2]
-            n += b * qs[k + 1]
-            bp += p0
-            yq += b * qs[k + m + 1]
-            yp += b * ps[k + m + 1]
-            v1 += nv[i] * p1
-            w0 += nw[i] * p0
-            w1 += nw[i] * p1
-    s = -1 if m % 2 else 1
-    return -bp, n, -s * yp, s * yq, v1, w0, w1
+    moved up by m) and the digit-weighted sum of x's weight rows: fa +
+    n sqrt(d) is the beta-value of x, ya + yb sqrt(d) is (-1)^m times its
+    all-ones beta sum at shift m, and v1, w0, w1 are its p dot products
+    weighted by sc.v_num at shift 1 and by sc.w_num at shifts 0 and 1."""
+    check_depth(x, x.cf.m)
+    rows = [[b * w for w in _row(x.cf, sc, k)] for k, b in enumerate(x.digits) if b]
+    return tuple(map(sum, zip((0,) * 7, *rows)))
 
 
 def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
@@ -126,16 +115,7 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
     DepthExceeded is raised as natural_dots raises it.
     """
     m, period = cf.m, cf.period
-    qs, ps = cf.conv_q, cf.conv_p  # qs[i] = q_{i-1}
-    nv, nw = sc.v_num, sc.w_num
-    s = -1 if m % 2 else 1
     top = cf.depth - m  # the last position whose shift by m is materialized
-
-    def row(k: int) -> tuple[int, ...]:
-        i = k % sc.t
-        return (-ps[k + 1], qs[k + 1], -s * ps[k + m + 1], s * qs[k + m + 1],
-                nv[i] * ps[k + 2], nw[i] * ps[k + 1], nw[i] * ps[k + 2])
-
     digits: tuple[int, ...] = ()
     rows: list[tuple[int, ...]] = []  # built as the digits reach them
     tails = [(0,) * 7]  # one longer than digits, ending in zeros
@@ -152,7 +132,7 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
         if k > top:
             raise DepthExceeded(f"shifted index {k + m} exceeds depth {cf.depth}")
         if k >= size:
-            rows += map(row, range(size, k + 1))
+            rows += [_row(cf, sc, j) for j in range(size, k + 1)]
             tails += [tails[-1]] * (k + 1 - size)
         digits = (0,) * k + (b,) + digits[k + 1:]
         # through a list: tuple(map(...)) over-allocates and shrinks, and the

@@ -255,15 +255,30 @@ def test_audit_config_file_with_override(tmp_path, capsys):
     assert rep["config"]["seed"] == 7
 
 
+def test_flags_and_config_file_build_the_same_audit(tmp_path, capsys, monkeypatch):
+    # flags are read by the config file's parser, so the same five fields
+    # give the same report either way (the clock stopped for the timings)
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"d_list": ["3", "3/2"], "depth": 20, "n_max": 5,
+                               "eps": "1/10", "seed": 1}))
+    by_flags = run(capsys, "audit", "--d", "3,3/2", "--depth", "20", "--n-max", "5",
+                   "--eps", "1/10", "--seed", "1", "--format", "json")
+    by_file = run(capsys, "audit", "--config", str(cfg), "--format", "json")
+    assert by_flags == by_file
+    assert json.loads(by_file[1])["config"]["d_list"] == ["3", "3/2"]
+
+
 @pytest.mark.parametrize(
     "blob", ['{"d_list": null}', '{"d_list": 5}', '{"depth": [1]}', '[{"d_list": ["2"]}]',
              '{"n_max": 5.9, "seed": true}', '{"seed": true}', '{"depth": "64"}',
              '{"n_unique": -1}', '{"lambda_n_max": -3}', '{"lambda_samples": -1}',
              '{"probe_samples": -1}', '{"probe_l_max": -1}', '{"probe_q_limit": -1}',
              '{"class_l_max": -1}', '{"eps": "-1/10"}', '{"eps": 0}',
-             '{"identity_k_max": -5}', '{"depth": 0}']
+             '{"identity_k_max": -5}', '{"depth": 0}', '{"n_max": 5.9}']
 )
 def test_audit_malformed_config_is_input_error(tmp_path, capsys, blob):
+    # a bad field is bad input even where a flag overrides it (--d, --n-max)
     cfg = tmp_path / "suite.json"
     cfg.write_text(blob)
     assert main(["audit", "--config", str(cfg), "--d", "2", "--n-max", "5"]) == 2
@@ -437,11 +452,13 @@ EXIT_CASES = [
     (["encode", "--d", "3", "--digits", "100", "--", "4/3-1*sqrt(3)"], 3),
     (["encode", "--d", "3", "--digits", "-1", "3/2-sqrt(3)"], 2),
     (["audit", "--config", "{config}", "--d", "2"], 2),
+    (["mul", "--d", "3", "--x", "7/5", "--eps", "1e-5000"], 3),
 ]
 
 
 @pytest.mark.parametrize("argv,code", EXIT_CASES, ids=["decode", "decode-real", "mul-eps", "encode-digits",
-                                                      "encode-negative-digits", "config"])
+                                                      "encode-negative-digits", "config",
+                                                      "mul-eps-5001-digits"])
 def test_module_exit_codes(tmp_path, argv, code):
     cfg = tmp_path / "suite.json"
     cfg.write_text('{"n_max": 5.9}')
@@ -456,6 +473,32 @@ def test_module_exit_codes(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")], proc.stderr
+
+
+# Exact values past Python's default limit of 4300 digits for int-to-str:
+# the unit of sqrt(99999993) has 4628 digits and eps = 10^-5000 has 5001.
+LONG_VALUE_CASES = [
+    (["cf", "--d", "99999993", "--format", "json"], 0),
+    (["constants", "--d", "99999993", "--format", "json"], 0),
+    (["mul", "--d", "3", "--x", "7/5", "--eps", "1e-5000"], 3),
+    (["audit", "--d", "3", "--n-max", "5", "--eps", "1e-5000", "--format", "json"], 1),
+]
+
+
+@pytest.mark.parametrize("argv,code", LONG_VALUE_CASES, ids=[a[0] for a, _ in LONG_VALUE_CASES])
+def test_exact_values_print_at_any_length(capsys, argv, code):
+    limit = sys.get_int_max_str_digits()
+    assert main(argv) == code
+    assert sys.get_int_max_str_digits() == limit  # main leaves the process-wide limit as it was
+    out, err = capsys.readouterr()
+    if argv[0] in ("cf", "constants"):
+        assert max(map(len, re.findall(r"\d+", out))) > 4300
+    elif argv[0] == "mul":
+        assert re.fullmatch(r"error: eps=1/10{5000} needs more than 64 digit positions\n", err)
+    else:
+        (res,) = json.loads(out)["results"]
+        assert res["times_sqrt_real"]["first_failure"]["error"].startswith("DepthExceeded: eps=")
+        assert json.loads(out)["config"]["eps"] == "1/1" + "0" * 5000
 
 
 # Every place a rational is read: a zero denominator is bad input, not a
