@@ -7,7 +7,9 @@ fractional split of n*sqrt(d), both recovery identities, the exact
 products), exhaustive uniqueness, multiplication of reals and the two
 digit probes.  The table also names the timed STAGES and the reported
 SWEEPS, which the failure count and the renderers read.  The pass over
-n checks encode_nat against an Ostrowski counter's digits at every n.
+n checks encode_nat against an Ostrowski counter's digits at every n,
+and its split test is one floor: fa + n*sqrt(d) lies in I iff a0 - fa =
+floor((n+1)*sqrt(d)), that is isqrt((n+1)^2 dn dd) // dd for d = dn/dd.
 The uniqueness stage enumerates the valid digit strings once, and the
 prefix probe's tiling oracle reads its windows off those strings, so no
 oracle calls the encoder another sweep checks.
@@ -25,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cmp_to_key
+from math import isqrt
 from types import SimpleNamespace
 
 from . import cfrac, ostrowski, shiftcalc
@@ -158,7 +161,8 @@ def _pass_over_n(ctx) -> None:
     exact_fails: list = []
     printed_frac_fails = printed_nat_fails = 0
     example = None
-    interval = ctx.interval = ostrowski.window_parts(cf, 0, blocked=True)  # I
+    a0, dd, example_n = cf.a0, cf.d.denominator, min(5, n_max)
+    dndd = cf.d.numerator * dd  # floor(floor(y)/dd) = floor(y/dd) makes the split test exact
     exact_s = 0.0
     counter = shiftcalc.natural_dots_upto(cf, sc, n_max)
     for n, (digits, (fa, fb, ya, yb, v1, w0, w1)) in enumerate(counter):  # fb = n
@@ -167,7 +171,7 @@ def _pass_over_n(ctx) -> None:
             rt_fails.append({"n": n, "reason": "roundtrip"})
             continue
         recovery_checked += 1
-        if not ostrowski.in_window(cf, fa, fb, 1, interval):
+        if a0 - fa != isqrt((n + 1) ** 2 * dndd) // dd:
             rt_fails.append({"n": n, "reason": "fractional part outside I"})
         if n < exact_top:
             exact_checked += 1
@@ -183,7 +187,7 @@ def _pass_over_n(ctx) -> None:
             frac_printed, nat_printed = shiftcalc.printed_verdicts(cf, sc, fa, fb, ya, yb, v1, w1)
             printed_frac_fails += not frac_printed
             printed_nat_fails += not nat_printed
-        if n == min(5, n_max):
+        if n == example_n:
             example = x
     ctx.exact_checked, ctx.exact_fails, ctx.exact_s = exact_checked, exact_fails, exact_s
     _sweep(out, "roundtrip_and_split", n_max + 1, rt_fails)
@@ -266,6 +270,7 @@ def _prefix_probe(ctx) -> None:
                 fails.append({"l": l, "c": str(c), "reason": "digit mismatch"})
         got.append(row)
     dn, dd = cf.d.numerator, cf.d.denominator
+    interval = ostrowski.window_parts(cf, 0, blocked=True)  # I
     by_lower = cmp_to_key(lambda u, v: sign_sqrt(u[0] - v[0], u[1] - v[1], dn, dd))
     for l in range(l_eff + 1):
         top, wins = cf.q(l + 1), []
@@ -276,7 +281,7 @@ def _prefix_probe(ctx) -> None:
         wins.sort(key=lambda w: by_lower(w[0]))
         lows = [lo for lo, _, _ in wins]
         highs = [hi for _, hi, _ in wins]
-        tiles = (lows[0], highs[-1]) == ctx.interval and lows[1:] == highs[:-1] and all(
+        tiles = (lows[0], highs[-1]) == interval and lows[1:] == highs[:-1] and all(
             sign_sqrt(ha - la, hb - lb, dn, dd) > 0 for (la, lb), (ha, hb) in zip(lows, highs))
         if not tiles:
             fails.append({"l": l, "reason": "windows do not tile I"})

@@ -26,8 +26,8 @@ first; empty digit list for zero).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .cfrac import CFData
 from .errors import DepthExceeded, InvalidDigits, OutOfInterval, VerificationFailed
@@ -37,40 +37,53 @@ KIND_NAT = "natural"
 KIND_REAL = "real"
 
 
-@dataclass(frozen=True)
 class OstDigits:
     """An Ostrowski digit string over a fixed expansion.
 
     Canonical form carries no trailing zeros, so equal values compare
-    equal.  kind records whether the string denotes a natural number
-    (weights q_k) or a real in I (weights beta_k); the digit constraints
-    are identical.  Construction validates the digit constraints and
-    raises InvalidDigits naming the first violating position, so every
-    instance holds a valid digit string.
+    equal.  kind says whether the string denotes a natural number (weights
+    q_k) or a real in I (weights beta_k); the digit constraints are the
+    same.  The constructor validates them and raises InvalidDigits naming
+    the first violating position; OstDigits._of trusts digits encode_nat
+    has checked in its loop or retag keeps.  As in QuadRat, the fields are
+    private slots behind read-only properties.
     """
 
-    cf: CFData
-    digits: tuple[int, ...]
-    kind: str
+    __slots__ = ("_cf", "_digits", "_kind")
 
-    def __post_init__(self) -> None:
+    def __init__(self, cf: CFData, digits: tuple[int, ...], kind: str) -> None:
+        self._cf, self._digits, self._kind = cf, digits, kind
         ok, idx = validate(self)
         if not ok:
-            raise InvalidDigits(
-                f"digit constraint violated at position {idx}: {list(self.digits)}"
-            )
+            raise InvalidDigits(f"digit constraint violated at position {idx}: {list(digits)}")
+
+    @classmethod
+    def _of(cls, cf: CFData, digits: tuple[int, ...], kind: str) -> "OstDigits":
+        x = object.__new__(cls)
+        x._cf, x._digits, x._kind = cf, digits, kind
+        return x
+
+    cf = property(attrgetter("_cf"))
+    digits = property(attrgetter("_digits"))
+    kind = property(attrgetter("_kind"))
+
+    def __eq__(self, other):
+        if other.__class__ is not OstDigits:
+            return NotImplemented
+        return (self._cf, self._digits, self._kind) == (other._cf, other._digits, other._kind)
+
+    def __hash__(self):
+        return hash((self._cf, self._digits, self._kind))
+
+    def __repr__(self) -> str:
+        return f"OstDigits(cf={self._cf!r}, digits={self._digits!r}, kind={self._kind!r})"
 
     def __str__(self) -> str:
-        return ",".join(str(b) for b in self.digits) + f"@d={self.cf.d}"
+        return ",".join(str(b) for b in self._digits) + f"@d={self._cf.d}"
 
     def retag(self, kind: str) -> "OstDigits":
-        """The same digits under another kind.  The digit constraints do
-        not depend on kind, so the valid digits are not validated again."""
-        out = object.__new__(OstDigits)
-        object.__setattr__(out, "cf", self.cf)
-        object.__setattr__(out, "digits", self.digits)
-        object.__setattr__(out, "kind", kind)
-        return out
+        """The same digits under another kind, which the constraints ignore."""
+        return OstDigits._of(self._cf, self._digits, kind)
 
 
 def make_digits(cf: CFData, digits, kind: str = KIND_NAT) -> OstDigits:
@@ -102,32 +115,36 @@ def validate(x: OstDigits) -> tuple[bool, int | None]:
 def encode_nat(n: int, cf: CFData) -> OstDigits:
     """Greedy digit expansion of a natural number over the q_k scale.
 
-    Greedy subtraction of the largest q_k automatically satisfies the
-    digit constraints; the remainder after position k is < q_k, which
-    keeps the next digit in range and zeroes the digit below a maximal
-    one.
+    On a correct expansion the remainder after position k is < q_k, which
+    keeps the next digit in range and zeroes the digit below a maximal one.
+    The loop checks this per digit, so only a corrupted table fails: a digit
+    over its cap, or at it with remainder >= q_{k-1}, raises InvalidDigits
+    naming the highest such position and the digits found down to it.
     """
     if n < 0:
         raise ValueError(f"natural number expected, got {n}")
     qs = cf.conv_q  # qs[i] = q_{i-1}
     if n >= qs[-1]:
         raise DepthExceeded(f"{n} >= q_depth = {qs[-1]}; expand deeper")
-    digits = [0] * (bisect_right(qs, n, 1) - 1)
-    rem = n
+    period, m = cf.period, cf.m
+    digits, rem = [0] * (bisect_right(qs, n, 1) - 1), n
     for k in range(len(digits) - 1, -1, -1):
         digits[k], rem = divmod(rem, qs[k + 1])
-    return make_digits(cf, digits, KIND_NAT)
+        b, cap = digits[k], period[k % m]
+        if b > cap or b == cap and (k == 0 or rem >= qs[k]):
+            raise InvalidDigits(f"digit constraint violated at position {k}: {digits}")
+    return OstDigits._of(cf, tuple(digits), KIND_NAT)
 
 
 def check_depth(x: OstDigits, l: int = 0) -> None:
     """Raise DepthExceeded if x's last nonzero digit, moved up by l, is
     past the materialized depth."""
-    top = len(x.digits) - 1
-    while top >= 0 and x.digits[top] == 0:
+    top = len(x._digits) - 1
+    while top >= 0 and x._digits[top] == 0:
         top -= 1
-    if top >= 0 and top + l > x.cf.depth:
+    if top >= 0 and top + l > x._cf.depth:
         what = "shifted index" if l else "digit index"
-        raise DepthExceeded(f"{what} {top + l} exceeds depth {x.cf.depth}")
+        raise DepthExceeded(f"{what} {top + l} exceeds depth {x._cf.depth}")
 
 
 def beta_parts(x: OstDigits, l: int = 0) -> tuple[int, int]:
@@ -136,9 +153,9 @@ def beta_parts(x: OstDigits, l: int = 0) -> tuple[int, int]:
     natural at l = 0) and -A the p_{k+l} one.  The audit's pass over n
     reads them, with its other sums, from shiftcalc.natural_dots."""
     check_depth(x, l)
-    qs, ps = x.cf.conv_q, x.cf.conv_p  # qs[i] = q_{i-1}
+    qs, ps = x._cf.conv_q, x._cf.conv_p  # qs[i] = q_{i-1}
     bq = bp = 0
-    for i, b in enumerate(x.digits, l + 1):
+    for i, b in enumerate(x._digits, l + 1):
         if b:
             bq += b * qs[i]
             bp += b * ps[i]
@@ -156,7 +173,7 @@ def decode_real(x: OstDigits) -> QuadRat:
     For the digits of a natural n this is the offset of n*sqrt(d) from
     the nearest lattice of convergent numerators.
     """
-    return QuadRat._of(*beta_parts(x), 1, x.cf.d)
+    return QuadRat._of(*beta_parts(x), 1, x._cf.d)
 
 
 def mult_nat_by_sqrt(x: OstDigits) -> tuple[int, OstDigits]:

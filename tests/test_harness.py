@@ -10,9 +10,12 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ostro
 from ostro import (RationalSquare, SuiteConfig, UnsupportedRadicand, VerificationFailed, harness,
@@ -366,6 +369,43 @@ def test_one_fault_fails_only_its_sweeps(monkeypatch, kernel, fault, failing):
     assert all(v["corrected"] == "holds" for v in res["identities"])
 
 
+# fa + n*sqrt(d) is the fractional part of n*sqrt(d) in I, which has length
+# 1, so fa +- 1 puts it outside I; fa also feeds the fractional recovery
+# and the exact product (n = 10 <= lambda_n_max = 15), so those fail too,
+# while the natural recovery reads only n and the roundtrip reads the digits
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("d", ["3", "13/4"])
+def test_fractional_part_outside_the_interval(monkeypatch, d, delta):
+    real = shiftcalc.natural_dots_upto
+
+    def counter(cf, sc, n_max):
+        for n, (digits, (fa, *rest)) in enumerate(real(cf, sc, n_max)):
+            yield digits, (fa + delta if n == 10 else fa, *rest)
+
+    monkeypatch.setattr(shiftcalc, "natural_dots_upto", counter)
+    res = run_suite(replace(SMALL, d_list=(Fraction(d),)))["results"][0]
+    assert "error" not in res, res["error"]
+    split = res["roundtrip_and_split"]
+    assert split["failures"] == 1
+    assert split["first_failure"] == {"n": 10, "reason": "fractional part outside I"}
+    assert {key for key in SWEEP_KEYS if res[key]["failures"]} == {
+        "roundtrip_and_split", "recover_frac", "times_sqrt_exact"}
+    assert res["recover_frac"]["failures"] == res["times_sqrt_exact"]["failures"] == 1
+
+
+@given(st.sampled_from([Fraction(x) for x in (2, 3, 7, 61, 99991, "3/2", "13/4", "32/9")]),
+       st.integers(0, 10**12), st.sampled_from([-1, 0, 1]))
+def test_split_floor_matches_in_window(cf_of, d, n, delta):
+    # the pass over n's split test: A + n*sqrt(d) lies in I iff
+    # a0 - A = floor((n+1) sqrt(d)) = isqrt((n+1)^2 dn dd) // dd; the digits
+    # of n give the A in I, and A +- 1 lies outside
+    cf = cf_of(d)
+    fa = ostrowski.beta_parts(ostrowski.encode_nat(n, cf))[0] + delta
+    floor_holds = cf.a0 - fa == isqrt((n + 1) ** 2 * d.numerator * d.denominator) // d.denominator
+    in_i = ostrowski.in_window(cf, fa, n, 1, ostrowski.window_parts(cf, 0, blocked=True))
+    assert floor_holds == in_i == (delta == 0)
+
+
 def test_prefix_probe_stays_inside_a_shallow_expansion():
     # depth 1 grows to 3m+3 = 6 for d=2, and the probe stops at q_6 = 169
     # instead of reading q_9; the sweeps whose inputs need more record it
@@ -465,7 +505,7 @@ def test_library_has_no_bare_asserts():
     pkg = Path(ostro.__file__).resolve().parent
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(pkg.glob("*.py"))
+        for path in sorted(pkg.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]

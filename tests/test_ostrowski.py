@@ -3,6 +3,8 @@ exhaustive uniqueness, interval membership, window structure, and the
 digit-wise real encoder with its certified truncation bound."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -137,6 +139,60 @@ def test_retag_skips_validation(cf_of, monkeypatch):
     with pytest.raises(InvalidDigits):
         OstDigits(x.cf, (1,), KIND_REAL)
     assert len(calls) == 1
+
+
+def test_encode_nat_checks_its_digits_without_validate(cf_of, monkeypatch):
+    cf = cf_of(3)
+    calls = Counter()
+    for name in ("validate", "make_digits"):
+        real = getattr(ostrowski, name)
+        monkeypatch.setattr(ostrowski, name,
+                            lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
+    assert all(decode_nat(encode_nat(n, cf)) == n for n in range(2001))
+    assert calls == Counter()
+    ostrowski.make_digits(cf, (0, 1))  # the spies do see the public path
+    assert calls == Counter(validate=1, make_digits=1)
+
+
+def test_encode_nat_rejects_a_corrupted_table(cf_of):
+    cf2 = cf_of(2)  # a_k = 2 for k >= 1; q = 1, 2, 5, 12, ...
+    # a period of (1,) caps digit 1 at 1, and greedy 4 = 2*q_1 puts 2 there
+    with pytest.raises(InvalidDigits, match=r"^digit constraint violated at position 1: \[0, 2\]$"):
+        encode_nat(4, replace(cf2, period=(1,)))
+    # with q_2 = 6, greedy 5 = 2*q_1 + 1*q_0: digit 1 at its cap leaves rem 1 >= q_0;
+    # the digits below the named position are not yet found and read 0
+    qs = cf2.conv_q  # qs[i] = q_{i-1}
+    bad_q = replace(cf2, conv_q=qs[:3] + (6,) + qs[4:])
+    with pytest.raises(InvalidDigits, match=r"^digit constraint violated at position 1: \[0, 2\]$"):
+        encode_nat(5, bad_q)
+    # 28 = 2*q_3 + 2*q_1 breaks that cap twice: the loop runs down and names
+    # the highest position, where validate names the lowest
+    capped = replace(cf2, period=(1,))
+    with pytest.raises(InvalidDigits, match=r"position 3: \[0, 0, 0, 2\]$"):
+        encode_nat(28, capped)
+    assert validate(SimpleNamespace(cf=capped, digits=(0, 2, 0, 2))) == (False, 1)
+    assert encode_nat(4, cf2).digits == (0, 2)
+
+
+def test_encode_nat_equals_the_validated_constructor(cf_of):
+    for d in (2, 3, 7, Fraction(13, 4), 99991):
+        cf = cf_of(d)
+        for n in range(10**4 + 1):
+            x = encode_nat(n, cf)
+            y = make_digits(cf, x.digits)
+            assert x == y and hash(x) == hash(y) and x.kind == y.kind, (d, n)
+    x = encode_nat(5, cf)
+    assert x != x.retag(KIND_REAL) and x != (x.cf, x.digits, x.kind)
+
+
+def test_digits_are_read_only(cf_of):
+    x = encode_nat(5, cf_of(3))
+    for field in ("cf", "digits", "kind"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(x, field))
+    with pytest.raises(AttributeError):
+        x.extra = 1  # slotted: no instance dict
+    assert x.digits == (0, 1, 0, 1) and str(x) == "0,1,0,1@d=3"
 
 
 def test_exhaustive_uniqueness(cf_of):
