@@ -17,7 +17,10 @@ adds what the traced run cannot show: ``audit_stages``, per audit stage
 the min of 3 runs of ``ostro.run_suite`` at the default config for
 d = 99991 and for d = 3, and one entry per row of the ``kernels`` table
 in ``LAYERS`` (a name and a zero-argument call on fixed inputs), each
-``{"unit": "s", "min_of": 7, "value": <min of 7 timed calls>}``.  An
+``{"unit": "s", "min_of": 7, "cal_s": <s>, "value": <min of 7 timed calls>}``.
+``cal_s`` is the median of 5 timings of ``perfbench/speed.py``'s
+calibration loop taken right before that layer, so a layer's value can
+be read against the machine's speed at the time across records.  An
 ``audit`` block times K_AUDIT = 3 runs of ``python -m ostro audit
 --format json`` (the default suite) on the checkout and keeps per
 radicand the min over the runs of its ``elapsed_s`` and of each stage
@@ -101,13 +104,15 @@ def measure_audit(root: Path) -> dict:
     return {"unit": "s", "runs": K_AUDIT, "wall_s": walls, "by_d": by_d}
 
 
-# Run as `python -c LAYERS SRC`: imports ostro from SRC and prints one JSON line.
+# Run as `python -c LAYERS SRC PERFBENCH`: imports ostro from SRC and the calibration
+# loop from PERFBENCH/speed.py, and prints one JSON line.
 LAYERS = """
-import collections, json, random, sys, time
+import collections, json, random, statistics, sys, time
 from fractions import Fraction
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
 import ostro
 from ostro import cfrac, ostrowski, shiftcalc
+from speed import calibration_loop
 
 def best(fn, k):
     times = []
@@ -116,6 +121,14 @@ def best(fn, k):
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+def cal():
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        calibration_loop()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 stages = {}
 for d in (99991, 3):
@@ -135,6 +148,7 @@ cf1311 = cf64.at_least(1311)
 rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction(1, 10**30)
 dots = [t for _, t in shiftcalc.natural_dots_upto(cf3, sc3, 10**4)]
 nats = [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)]
+dots99991 = [t for _, t in shiftcalc.natural_dots_upto(cf1311, sc64, 10**4)]
 kernels = {
     "expand_99991_874": lambda: cfrac.expand(99991, 874),
     "derive_shift_constants_99991_874": lambda: cfrac.derive_shift_constants(cf874),
@@ -151,6 +165,8 @@ kernels = {
     "encode_nat_3_10000": lambda: [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)],
     "frac_verdicts_3_10000": lambda: [shiftcalc.frac_verdicts(cf3, sc3, fa, n, ya, yb)
                                       for fa, n, ya, yb, *_ in dots],
+    "frac_verdicts_99991_10000": lambda: [shiftcalc.frac_verdicts(cf1311, sc64, fa, n, ya, yb)
+                                          for fa, n, ya, yb, *_ in dots99991],
     "nat_verdicts_3_10000": lambda: [shiftcalc.nat_verdicts(sc3, n, v1, w0)
                                      for _, n, _, _, v1, w0, _ in dots],
     "decode_real_3_10000": lambda: [ostrowski.decode_real(x) for x in nats],
@@ -159,14 +175,15 @@ kernels = {
     "prefix_nat_61_40x9": lambda: [shiftcalc.prefix_nat(cf61, l, c) for c in values
                                    for l in range(9)],
 }
-layers = {name: {"unit": "s", "min_of": 7, "value": best(fn, 7)} for name, fn in kernels.items()}
+layers = {name: {"unit": "s", "min_of": 7, "cal_s": cal(), "value": best(fn, 7)}
+          for name, fn in kernels.items()}
 print(json.dumps({"audit_stages": {"unit": "s", "min_of": 3, "by_d": stages}, **layers}))
 """
 
 
 def measure_layers(root: Path) -> dict:
-    proc = subprocess.run([sys.executable, "-c", LAYERS, str(root / "src")], cwd=root,
-                          capture_output=True, text=True, check=True)
+    argv = [sys.executable, "-c", LAYERS, str(root / "src"), str(root / "perfbench")]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

@@ -34,6 +34,7 @@ linear system is solved.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -433,6 +434,11 @@ class ShiftConstants:
     a_const: int
     b_const: int
     pell_norm: Fraction
+
+    @functools.cached_property
+    def unit_inverse(self) -> tuple[int, int, int]:
+        """U^-1 as the triple (A, B, E) of (A + B sqrt(d)) / E; as small as U."""
+        return self.unit.inverse().scaled()
 
     @property
     def v(self) -> tuple[Fraction, ...]:

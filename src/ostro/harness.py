@@ -179,9 +179,9 @@ def _pass_over_n(ctx) -> None:
             if not shiftcalc.sqrt_product(cf, sc, fa, fb, ya, yb)[0]:
                 exact_fails.append((n, x))
             exact_s += time.perf_counter() - t_exact
-        if not shiftcalc.frac_verdicts(cf, sc, fa, fb, ya, yb)[0]:
+        if not shiftcalc.frac_verdicts(cf, sc, fa, fb, ya, yb):
             frac_fails.append((n, x))
-        if not shiftcalc.nat_verdicts(sc, fb, v1, w0)[0]:
+        if not shiftcalc.nat_verdicts(sc, fb, v1, w0):
             nat_fails.append((n, x))
         if n <= 50:
             frac_printed, nat_printed = shiftcalc.printed_verdicts(cf, sc, fa, fb, ya, yb, v1, w1)

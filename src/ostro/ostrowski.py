@@ -129,10 +129,11 @@ def encode_nat(n: int, cf: CFData) -> OstDigits:
     period, m = cf.period, cf.m
     digits, rem = [0] * (bisect_right(qs, n, 1) - 1), n
     for k in range(len(digits) - 1, -1, -1):
-        digits[k], rem = divmod(rem, qs[k + 1])
-        b, cap = digits[k], period[k % m]
-        if b > cap or b == cap and (k == 0 or rem >= qs[k]):
-            raise InvalidDigits(f"digit constraint violated at position {k}: {digits}")
+        if rem >= qs[k + 1]:  # a zero digit is under every cap (each is >= 1)
+            digits[k], rem = divmod(rem, qs[k + 1])
+            b, cap = digits[k], period[k % m]
+            if b > cap or b == cap and (k == 0 or rem >= qs[k]):
+                raise InvalidDigits(f"digit constraint violated at position {k}: {digits}")
     return OstDigits._of(cf, tuple(digits), KIND_NAT)
 
 

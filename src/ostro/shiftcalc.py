@@ -13,11 +13,15 @@ Two recovery identities are audited per digit string x of a natural n:
 
 Both are decided on Python ints that natural_dots reads off the digits
 in one pass, or that natural_dots_upto carries from n to n+1 over a
-sweep of naturals.  On top of them sit representation-level
-multiplication by sqrt(d) (exact on naturals and on interval values,
-eps-certified on arbitrary non-negative inputs) and the digit-extraction
-probes that mirror the first-order definability arguments: prefix
-windows, digit reads by thresholds, and periodic residue-class witnesses.
+sweep of naturals; frac_verdicts and nat_verdicts return bools, and frac
+recovery is decided as y = U^-1 f, so the period-sized shifted sum y is
+never multiplied by U.  The witness builders check_recover_frac and
+check_recover_nat form the exact sides of an AuditEntry.  On top of them
+sit representation-level multiplication by sqrt(d) (exact on naturals
+and on interval values, eps-certified on arbitrary non-negative inputs)
+and the digit-extraction probes that mirror the first-order
+definability arguments: prefix windows, digit reads by thresholds, and
+periodic residue-class witnesses.
 ``embed`` lists a digit string's nonzero (position, digit) pairs.
 """
 
@@ -96,8 +100,9 @@ def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
     n sqrt(d) is the beta-value of x, ya + yb sqrt(d) is (-1)^m times its
     all-ones beta sum at shift m, and v1, w0, w1 are its p dot products
     weighted by sc.v_num at shift 1 and by sc.w_num at shifts 0 and 1."""
-    check_depth(x, x.cf.m)
-    rows = [[b * w for w in _row(x.cf, sc, k)] for k, b in enumerate(x.digits) if b]
+    cf = x.cf
+    check_depth(x, cf.m)
+    rows = [[b * w for w in _row(cf, sc, k)] for k, b in enumerate(x.digits) if b]
     return tuple(map(sum, zip((0,) * 7, *rows)))
 
 
@@ -141,22 +146,18 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
     yield digits, tails[0]
 
 
-def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int):
-    """(corrected holds, U y as a QuadRat triple) for frac recovery on
-    natural_dots, y = ya + yb sqrt(d): a constant c0 + c1 sqrt(d) times y
-    has rational part c0 ya + c1 yb d and sqrt(d) part c0 yb + c1 ya."""
+def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int) -> bool:
+    """Corrected frac recovery on natural_dots, f = U y for f = fa + n sqrt(d), y = ya + yb sqrt(d),
+    decided as y = U^-1 f (U != 0): the unit-sized U^-1 = (ia + ib sqrt(d)) / ie
+    meets only the small fa and n, never the period-sized ya and yb."""
     dn, dd = cf.d.numerator, cf.d.denominator
-    ua, ub, uden = sc.unit.scaled()
-    ra = ua * ya * dd + ub * yb * dn  # U y = (ra / dd + rb sqrt(d)) / uden
-    rb = ua * yb + ub * ya
-    return ra == fa * dd * uden and rb == n * uden, (ra, rb * dd, dd * uden)
+    ia, ib, ie = sc.unit_inverse
+    return ya * ie * dd == fa * ia * dd + n * ib * dn and yb * ie == fa * ib + n * ia
 
 
-def nat_verdicts(sc: ShiftConstants, n: int, v1: int, w0: int):
-    """(corrected holds, (v1 + w0) / num(d) as a QuadRat triple) for nat
-    recovery on natural_dots."""
-    dn = sc.d.numerator
-    return v1 + w0 == n * dn, (v1 + w0, 0, dn)
+def nat_verdicts(sc: ShiftConstants, n: int, v1: int, w0: int) -> bool:
+    """Corrected nat recovery on natural_dots: (v1 + w0) / num(d) == n."""
+    return v1 + w0 == n * sc.d.numerator
 
 
 def printed_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int,
@@ -183,11 +184,12 @@ def sqrt_product(cf: CFData, sc: ShiftConstants, fa: int, fb: int, ya: int, yb: 
 def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     """Audit: beta-value of x == (-1)^m * U * (all-ones beta sum at shift m),
     decided by frac_verdicts and printed_verdicts on natural_dots."""
+    cf = x.cf
     fa, n, ya, yb, v1, _, w1 = natural_dots(x, sc)
-    corrected, rhs = frac_verdicts(x.cf, sc, fa, n, ya, yb)
-    printed = printed_verdicts(x.cf, sc, fa, n, ya, yb, v1, w1)[0]
+    corrected = frac_verdicts(cf, sc, fa, n, ya, yb)
+    printed = printed_verdicts(cf, sc, fa, n, ya, yb, v1, w1)[0]
     return AuditEntry("frac-recovery", n, _verdict(printed), _verdict(corrected),
-                      QuadRat._of(fa, n, 1, x.cf.d), QuadRat._of(*rhs, x.cf.d))
+                      QuadRat._of(fa, n, 1, cf.d), sc.unit * QuadRat._of(ya, yb, 1, cf.d))
 
 
 def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
@@ -199,11 +201,11 @@ def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     shift 1 as well.  Decided by nat_verdicts and printed_verdicts on
     natural_dots, so x's last digit moved up by m must be inside the depth.
     """
+    cf = x.cf
     fa, n, ya, yb, v1, w0, w1 = natural_dots(x, sc)
-    corrected, rhs = nat_verdicts(sc, n, v1, w0)
-    printed = printed_verdicts(x.cf, sc, fa, n, ya, yb, v1, w1)[1]
-    return AuditEntry("nat-recovery", n, _verdict(printed), _verdict(corrected),
-                      n, QuadRat._of(*rhs, x.cf.d))
+    printed = printed_verdicts(cf, sc, fa, n, ya, yb, v1, w1)[1]
+    return AuditEntry("nat-recovery", n, _verdict(printed), _verdict(nat_verdicts(sc, n, v1, w0)),
+                      n, QuadRat._of(v1 + w0, 0, cf.d.numerator, cf.d))
 
 
 # ---------------------------------------------------------------------------

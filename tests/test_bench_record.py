@@ -4,8 +4,9 @@ over the seeds, the traced metrics, the layers measured on the checkout's
 src/ (expand, the audit stages, the shift constants, at_least,
 encode_real, QuadRat add/mul/sign, the natural_dots_upto counter,
 times_sqrt_real, the identity audit, encode_nat, the recovery verdicts,
-decode_real, the recovery checks and prefix_nat), the default audit
-timed per radicand, tier-1 timed."""
+decode_real, the recovery checks and prefix_nat), each layer with the
+calibration loop timed before it, the default audit timed per radicand,
+tier-1 timed."""
 
 import json
 import shutil
@@ -119,14 +120,16 @@ from fractions import Fraction
 
 
 def natural_dots_upto(cf, sc, n_max):
-    if (cf.d, cf.depth, sc, n_max) != (3, 64, ("sc", 3), 10**4):
+    if (cf.d, cf.depth, sc, n_max) not in ((3, 64, ("sc", 3), 10**4),
+                                           (99991, 1311, ("sc", 99991), 10**4)):
         raise ValueError((cf.d, cf.depth, sc, n_max))
     for n in range(n_max + 1):
         yield (), (-n, n, 0, 0, n, -n, 0)
 
 
 def frac_verdicts(cf, sc, fa, n, ya, yb):
-    if (cf.d, cf.depth, sc, fa, ya, yb) != (3, 64, ("sc", 3), -n, 0, 0):
+    if ((cf.d, cf.depth, sc) not in ((3, 64, ("sc", 3)), (99991, 1311, ("sc", 99991)))
+            or (fa, ya, yb) != (-n, 0, 0)):
         raise ValueError((cf.d, cf.depth, sc, fa, n, ya, yb))
 
 
@@ -156,6 +159,11 @@ def times_sqrt_real(x, eps, cf, sc):
 '''
 
 # `python -m ostro audit --format json`: the n-th run reports elapsed_s 0.5 + n
+STUB_SPEED = '''
+def calibration_loop():
+    sum(range(100))
+'''
+
 STUB_MAIN = '''
 import json, sys
 from pathlib import Path
@@ -175,6 +183,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     root = tmp_path / "checkout"
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(STUB_RUN)
+    (root / "perfbench" / "speed.py").write_text(STUB_SPEED)
     (root / "src" / "ostro").mkdir(parents=True)
     (root / "src" / "ostro" / "__init__.py").write_text(STUB_OSTRO)
     (root / "src" / "ostro" / "cfrac.py").write_text(STUB_CFRAC)
@@ -207,10 +216,10 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
                 "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000", "times_sqrt_real_99991_20",
                 "audit_identities_99991_1311", "encode_nat_3_10000", "frac_verdicts_3_10000",
-                "nat_verdicts_3_10000", "decode_real_3_10000", "check_recover_frac_3_2000",
+                "frac_verdicts_99991_10000", "nat_verdicts_3_10000", "decode_real_3_10000", "check_recover_frac_3_2000",
                 "check_recover_nat_3_2000", "prefix_nat_61_40x9"):
         assert layers[key]["unit"] == "s" and layers[key]["min_of"] == 7, key
-        assert layers[key]["value"] >= 0, key
+        assert layers[key]["value"] >= 0 and layers[key]["cal_s"] > 0, key
     assert layers["audit_stages"] == {"unit": "s", "min_of": 3, "by_d": {
         "99991": {"identities": 99.991, "recovery": 1.0},
         "3": {"identities": 0.003, "recovery": 1.0}}}

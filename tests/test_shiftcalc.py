@@ -32,6 +32,7 @@ from ostro import (
 )
 from ostro import shiftcalc
 from ostro.ostrowski import KIND_REAL, beta_parts, decode_nat, decode_real
+from ostro.qfield import QuadRat
 
 from digit_maps import (Weights, digit_window, embed, gen_digits, shift, unary_layers,
                         weighted_beta_sum, weighted_q_sum)
@@ -282,6 +283,71 @@ def test_integer_recoveries_report_corruption(cf_of, sc_of):
         sc = corrupt(sc_of(3), field, 1, Fraction(1, 2))
         fails = [e.corrected for e in (check_recover_frac(x, sc), check_recover_nat(x, sc))]
         assert "fails" in fails, field
+
+
+def audit_cf(d):
+    """The audit's expansion of d: 3m+3 deep, so the counter reaches n = 2000."""
+    cf = ostro.cfrac.expand(Fraction(d), 64)
+    return cf.at_least(3 * cf.m + 3)
+
+
+def with_units(sc):
+    """sc and sc with its unit moved by 1/5 (so E = 5), negated and doubled."""
+    return [sc] + [replace(sc, unit=u) for u in (sc.unit + Fraction(1, 5), -sc.unit, 2 * sc.unit)]
+
+
+@pytest.mark.parametrize("d", ["2", "3", "13/4", "32/9", "991", "99991", "1000003/7"])
+def test_frac_verdicts_match_the_unit_product(d):
+    # the audit decides U y == f as y == U^-1 f; the reference multiplies
+    # the period-sized y by U, on the counter's ints and on each of them
+    # moved by one, for the true unit and for three wrong ones
+    cf = audit_cf(d)
+    verdicts = []
+    for sc in with_units(ostro.cfrac.derive_shift_constants(cf)):
+        for _, (fa, n, ya, yb, *_) in shiftcalc.natural_dots_upto(cf, sc, 2000):
+            uy, f = sc.unit * QuadRat._of(ya, yb, 1, cf.d), QuadRat._of(fa, n, 1, cf.d)
+            for fa2, n2 in [(fa, n), (fa + 1, n), (fa - 1, n), (fa, n + 1), (fa, n - 1)]:
+                ours = shiftcalc.frac_verdicts(cf, sc, fa2, n2, ya, yb)
+                assert ours == (uy == QuadRat._of(fa2, n2, 1, cf.d)), (sc.unit, n, fa2, n2)
+                verdicts.append(ours)
+            for ya2, yb2 in [(ya + 1, yb), (ya - 1, yb), (ya, yb + 1), (ya, yb - 1)]:
+                ours = shiftcalc.frac_verdicts(cf, sc, fa, n, ya2, yb2)
+                uy2 = sc.unit * QuadRat._of(ya2, yb2, 1, cf.d)
+                assert ours == (uy2 == f), (sc.unit, n, ya2, yb2)
+                verdicts.append(ours)
+            # U (sa + sb sqrt(d)) == e f exactly, so it holds under every unit
+            sa, sb, e = (sc.unit.inverse() * f).scaled()
+            assert shiftcalc.frac_verdicts(cf, sc, e * fa, e * n, sa, sb), (sc.unit, n)
+    # the unmoved ints under the true unit, and n = 0 (f = y = 0) under every unit
+    assert verdicts.count(True) == 2001 + 3
+
+
+@pytest.mark.parametrize("d", ["2", "3", "13/4", "32/9", "99991"])
+def test_recovery_entries_hold_exactly_when_their_sides_agree(d):
+    # the verdict comes from the ints, the sides from the witness builders
+    cf = audit_cf(d)
+    good = ostro.cfrac.derive_shift_constants(cf)
+    bad = [corrupt(good, field, 1, Fraction(1, 2)) for field in ("v", "w", "ab", "unit")]
+    seen = set()
+    for sc in [*with_units(good), *bad]:
+        for n in range(0, 200, 7):
+            x = encode_nat(n, cf)
+            for entry in (check_recover_frac(x, sc), check_recover_nat(x, sc)):
+                agree = (entry.rhs - entry.lhs).sign() == 0  # the nat lhs is the int n
+                assert (entry.corrected == "holds") == agree, (entry, sc)
+                seen.add((entry.lemma, agree))
+    assert len(seen) == 4  # each lemma both holds and fails
+
+
+def test_zero_unit_is_an_error_entry(monkeypatch):
+    # only a corrupted ShiftConstants can hold U = 0, which has no inverse
+    derive = ostro.harness.cfrac.derive_shift_constants
+    monkeypatch.setattr(ostro.harness.cfrac, "derive_shift_constants",
+                        lambda cf: replace(derive(cf), unit=quad(0, 0, cf.d)))
+    report = ostro.run_suite(ostro.SuiteConfig(d_list=(Fraction(3),), n_max=20))
+    (res,) = report["results"]
+    assert res == {"d": "3", "error": "ZeroDivisionError: inverse of zero"}
+    assert ostro.harness.corrected_failures(report) >= 1
 
 
 def test_audit_entry_serialization(cf_of, sc_of):
