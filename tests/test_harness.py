@@ -106,6 +106,93 @@ def test_tsv_keeps_a_skipped_prefix_probe():
         assert want in rows, d
 
 
+def _sweep(checked, failures=0, first_failure=None):
+    return {"checked": checked, "failures": failures, "first_failure": first_failure}
+
+
+# A hand-built report with one line of every kind the renderers print: an
+# identity that holds, printed-form failures with and without a witness, a
+# failing corrected form, sweeps that hold, fail, fail on an error or were
+# skipped, and an error entry.
+PINNED = {
+    "results": [
+        {
+            "d": "3", "period": [1, 2], "m": 2, "t": 2, "elapsed_s": 0.25,
+            "identities": [
+                {"fact_id": "convergent-recurrence", "printed": "holds", "corrected": "holds",
+                 "witness": None},
+                {"fact_id": "pq-connection-p", "printed": "fails", "corrected": "holds",
+                 "witness": {"k": 2, "lhs": "7", "rhs": "5+1*sqrt(3)"}},
+                {"fact_id": "period-palindrome", "printed": "fails", "corrected": "holds",
+                 "witness": {}},
+                {"fact_id": "unit-product", "printed": "holds", "corrected": "fails",
+                 "witness": None},
+            ],
+            "roundtrip_and_split": _sweep(61),
+            "recover_frac": _sweep(61, 3, {"n": 4, "lhs": "1", "rhs": "2"}),
+            "recover_nat": _sweep(0, 1, {"error": "DepthExceeded: needs depth 9"}),
+            "uniqueness": _sweep(21),
+            "times_sqrt_exact": _sweep(16),
+            "times_sqrt_real": _sweep(3),
+            "prefix_probe": {"skipped": "q_1 exceeds probe_q_limit=0"},
+            "class_probe": {**_sweep(5), "infeasible": [{"j": 0, "mod": 2}]},
+        },
+        {"d": "4", "error": "RationalSquare: radicand 4 is a rational square"},
+    ],
+    "summary": {"d_count": 2, "corrected_failures": 6, "printed_failures": 2, "elapsed_s": 0.5,
+                "stages": {"identities": 0.125, "recovery": 0.0}},
+}
+
+
+def test_renderers_byte_for_byte():
+    assert render_text(PINNED) == (
+        "d=3: period=[1, 2] m=2 t=2 (0.25s)\n"
+        "  convergent-recurrence    printed:holds corrected:holds\n"
+        "  pq-connection-p          printed:fails corrected:holds  [k=2: 7 vs 5+1*sqrt(3)]\n"
+        "  period-palindrome        printed:fails corrected:holds\n"
+        "  unit-product             printed:holds corrected:fails\n"
+        "  roundtrip_and_split      checked:61 failures:0\n"
+        "  recover_frac             checked:61 failures:3\n"
+        "  recover_nat              checked:0 failures:1  [DepthExceeded: needs depth 9]\n"
+        "  uniqueness               checked:21 failures:0\n"
+        "  times_sqrt_exact         checked:16 failures:0\n"
+        "  times_sqrt_real          checked:3 failures:0\n"
+        "  prefix_probe             skipped (q_1 exceeds probe_q_limit=0)\n"
+        "  class_probe              checked:5 failures:0\n"
+        "d=4: ERROR RationalSquare: radicand 4 is a rational square\n"
+        "stages: identities 0.125s, recovery 0.0s\n"
+        "suite: 2 radicands, corrected failures: 6, printed-form failures: 2 (0.5s)"
+    )
+    assert render_tsv(PINNED) == (
+        "d\titem\tprinted\tcorrected\tdetail\n"
+        "3\tconvergent-recurrence\tholds\tholds\t\n"
+        "3\tpq-connection-p\tfails\tholds\tk=2 lhs=7 rhs=5+1*sqrt(3)\n"
+        "3\tperiod-palindrome\tfails\tholds\t\n"
+        "3\tunit-product\tholds\tfails\t\n"
+        "3\troundtrip_and_split\t-\tholds\tchecked=61\n"
+        "3\trecover_frac\t-\tfails\tchecked=61\n"
+        "3\trecover_nat\t-\tfails\tchecked=0 error=DepthExceeded: needs depth 9\n"
+        "3\tuniqueness\t-\tholds\tchecked=21\n"
+        "3\ttimes_sqrt_exact\t-\tholds\tchecked=16\n"
+        "3\ttimes_sqrt_real\t-\tholds\tchecked=3\n"
+        "3\tprefix_probe\t-\t-\tskipped: q_1 exceeds probe_q_limit=0\n"
+        "3\tclass_probe\t-\tholds\tchecked=5\n"
+        "4\terror\t-\t-\tRationalSquare: radicand 4 is a rational square"
+    )
+
+
+def test_failure_counts_are_exact():
+    # recover_frac's 3 recorded failures, recover_nat's error, the failing
+    # corrected identity and the error entry; skipped and holding sweeps
+    # count 0, and only identities count toward printed-form failures
+    assert corrected_failures(PINNED) == 3 + 1 + 1 + 1
+    assert printed_failures(PINNED) == 2
+    error_only = {"results": PINNED["results"][1:]}
+    assert (corrected_failures(error_only), printed_failures(error_only)) == (1, 0)
+    entry = dict(PINNED["results"][0], prefix_probe=_sweep(40, 2))
+    assert corrected_failures({"results": [entry]}) == 5 + 2
+
+
 def test_config_round_trip():
     blob = json.dumps(SMALL.to_json())
     assert config_from_json(json.loads(blob)) == SMALL
