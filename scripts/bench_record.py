@@ -18,13 +18,13 @@ the min of 3 runs of ``ostro.run_suite`` at the default config for
 d = 99991 and for d = 3, and one entry per row of the ``kernels`` table
 in ``LAYERS`` (a name and a zero-argument call on fixed inputs), each
 ``{"unit": "s", "min_of": 7, "cal_s": <s>, "value": <min of 7 timed calls>}``.
-``cal_s`` is the median of 5 timings of ``perfbench/speed.py``'s
-calibration loop taken right before that layer, so a layer's value can
-be read against the machine's speed at the time across records.  An
-``audit`` block times K_AUDIT = 3 runs of ``python -m ostro audit
+An ``audit`` block times K_AUDIT = 3 runs of ``python -m ostro audit
 --format json`` (the default suite) on the checkout and keeps per
 radicand the min over the runs of its ``elapsed_s`` and of each stage
-time.
+time.  Every layer, ``audit_stages`` and the ``audit`` block carry a
+``cal_s``: the median of 5 timings of ``perfbench/speed.py``'s
+calibration loop taken right before it, so its times can be read
+against the machine's speed at the time across records.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -82,9 +82,31 @@ def time_tier1(root: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+# The head of each `python -c` program below, run with the arguments SRC PERFBENCH: puts
+# both first on the path and defines cal(), the median of 5 timings of the calibration
+# loop of PERFBENCH/speed.py.
+CAL = """
+import statistics, sys, time
+sys.path[:0] = sys.argv[1:3]
+from speed import calibration_loop
+
+def cal():
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        calibration_loop()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+"""
+
+
 def measure_audit(root: Path) -> dict:
     """Wall time of K_AUDIT default audits, and per radicand the min over the
-    runs of elapsed_s and of each stage (radicands that errored have none)."""
+    runs of elapsed_s and of each stage (radicands that errored have none),
+    after a calibration sample."""
+    argv = [sys.executable, "-c", CAL + "print(cal())", str(root / "src"), str(root / "perfbench")]
+    cal_s = float(subprocess.run(argv, cwd=root, capture_output=True, text=True,
+                                 check=True).stdout)
     walls, runs = [], []
     for _ in range(K_AUDIT):
         t0 = time.perf_counter()
@@ -101,18 +123,15 @@ def measure_audit(root: Path) -> dict:
         }
         for entries in zip(*runs) if "stages" in entries[0]
     }
-    return {"unit": "s", "runs": K_AUDIT, "wall_s": walls, "by_d": by_d}
+    return {"unit": "s", "runs": K_AUDIT, "cal_s": cal_s, "wall_s": walls, "by_d": by_d}
 
 
-# Run as `python -c LAYERS SRC PERFBENCH`: imports ostro from SRC and the calibration
-# loop from PERFBENCH/speed.py, and prints one JSON line.
-LAYERS = """
-import collections, json, random, statistics, sys, time
+# Run as `python -c LAYERS SRC PERFBENCH`: imports ostro from SRC and prints one JSON line.
+LAYERS = CAL + """
+import collections, json, random
 from fractions import Fraction
-sys.path[:0] = sys.argv[1:3]
 import ostro
 from ostro import cfrac, ostrowski, shiftcalc
-from speed import calibration_loop
 
 def best(fn, k):
     times = []
@@ -122,15 +141,7 @@ def best(fn, k):
         times.append(time.perf_counter() - t0)
     return min(times)
 
-def cal():
-    times = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        calibration_loop()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-stages = {}
+stages_cal_s, stages = cal(), {}
 for d in (99991, 3):
     runs = [ostro.run_suite(ostro.SuiteConfig(d_list=(Fraction(d),)))["results"][0]["stages"]
             for _ in range(3)]
@@ -177,7 +188,8 @@ kernels = {
 }
 layers = {name: {"unit": "s", "min_of": 7, "cal_s": cal(), "value": best(fn, 7)}
           for name, fn in kernels.items()}
-print(json.dumps({"audit_stages": {"unit": "s", "min_of": 3, "by_d": stages}, **layers}))
+print(json.dumps({"audit_stages": {"unit": "s", "min_of": 3, "cal_s": stages_cal_s,
+                                   "by_d": stages}, **layers}))
 """
 
 

@@ -6,13 +6,14 @@ shift constants, one fused pass over n (round trips, the integer and
 fractional split of n*sqrt(d), both recovery identities, the exact
 products), exhaustive uniqueness, multiplication of reals and the two
 digit probes.  The table also names the timed STAGES and the reported
-SWEEPS, which the failure count and the renderers read.  The pass over
-n checks encode_nat against an Ostrowski counter's digits at every n,
-and its split test is one floor: fa + n*sqrt(d) lies in I iff a0 - fa =
-floor((n+1)*sqrt(d)), that is isqrt((n+1)^2 dn dd) // dd for d = dn/dd.
-The uniqueness stage enumerates the valid digit strings once, and the
-prefix probe's tiling oracle reads its windows off those strings, so no
-oracle calls the encoder another sweep checks.
+SWEEPS, which _rows reads: it yields one row per report line of a result
+entry, and both renderers and both failure counts read those rows.  The
+pass over n checks encode_nat against an Ostrowski counter's digits at
+every n, and its split test is one floor: fa + n*sqrt(d) lies in I iff
+a0 - fa = floor((n+1)*sqrt(d)), that is isqrt((n+1)^2 dn dd) // dd for
+d = dn/dd.  The uniqueness stage enumerates the valid digit strings
+once, and the prefix probe's tiling oracle reads its windows off those
+strings, so no oracle calls the encoder another sweep checks.
 
 A report is a plain dict (JSON-ready).  Only corrected-form failures
 count as failures; printed-form failures are expected findings and are
@@ -375,25 +376,40 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     return out
 
 
-def corrected_failures(report: dict) -> int:
-    """Count corrected-form failures in a full report."""
-    bad = 0
-    for res in report["results"]:
-        if "error" in res:
-            bad += 1
+def _rows(res: dict):
+    """One (item, printed, corrected, corrected failures, text line, TSV
+    detail) per report line of a result entry, in report order."""
+    if "error" in res:
+        yield "error", "-", "-", 1, f"d={res['d']}: ERROR {res['error']}", res["error"]
+        return
+    for v in res["identities"]:
+        w = v["witness"]
+        yield (v["fact_id"], v["printed"], v["corrected"], v["corrected"] != "holds",
+               f"  {v['fact_id']:24s} printed:{v['printed']:5s} corrected:{v['corrected']}"
+               + (f"  [k={w['k']}: {w['lhs']} vs {w['rhs']}]" if w else ""),
+               f"k={w['k']} lhs={w['lhs']} rhs={w['rhs']}" if w else "")
+    for key in SWEEPS:
+        sweep = res[key]
+        if "skipped" in sweep:
+            yield (key, "-", "-", 0, f"  {key:24s} skipped ({sweep['skipped']})",
+                   f"skipped: {sweep['skipped']}")
             continue
-        bad += sum(1 for v in res["identities"] if v["corrected"] != "holds")
-        bad += sum(res[key].get("failures", 0) for key in SWEEPS)
-    return bad
+        err = (sweep["first_failure"] or {}).get("error")
+        yield (key, "-", "fails" if sweep["failures"] else "holds", sweep["failures"],
+               f"  {key:24s} checked:{sweep['checked']} failures:{sweep['failures']}"
+               + (f"  [{err}]" if err else ""),
+               f"checked={sweep['checked']}" + (f" error={err}" if err else ""))
+
+
+def corrected_failures(report: dict) -> int:
+    """Count corrected-form failures in a full report: each recorded sweep
+    failure, each failing corrected identity and each error entry."""
+    return sum(row[3] for res in report["results"] for row in _rows(res))
 
 
 def printed_failures(report: dict) -> int:
-    total = 0
-    for res in report["results"]:
-        if "error" in res:
-            continue
-        total += sum(1 for v in res["identities"] if v["printed"] != "holds")
-    return total
+    """Count the identities whose printed form fails."""
+    return sum(row[1] == "fails" for res in report["results"] for row in _rows(res))
 
 
 def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
@@ -436,40 +452,15 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _failure_error(sweep: dict) -> str | None:
-    """The error text of a sweep's first failure, if it recorded one."""
-    return (sweep.get("first_failure") or {}).get("error")
-
-
 def render_text(report: dict) -> str:
     lines = []
     for res in report["results"]:
-        if "error" in res:
-            lines.append(f"d={res['d']}: ERROR {res['error']}")
-            continue
-        lines.append(
-            f"d={res['d']}: period={res['period']} m={res['m']} "
-            f"t={res['t']} ({res['elapsed_s']}s)"
-        )
-        for v in res["identities"]:
-            note = ""
-            if v["witness"]:
-                w = v["witness"]
-                note = f"  [k={w['k']}: {w['lhs']} vs {w['rhs']}]"
+        if "error" not in res:
             lines.append(
-                f"  {v['fact_id']:24s} printed:{v['printed']:5s} "
-                f"corrected:{v['corrected']}{note}"
+                f"d={res['d']}: period={res['period']} m={res['m']} "
+                f"t={res['t']} ({res['elapsed_s']}s)"
             )
-        for key in SWEEPS:
-            info = res[key]
-            if "skipped" in info:
-                lines.append(f"  {key:24s} skipped ({info['skipped']})")
-            else:
-                err = _failure_error(info)
-                lines.append(
-                    f"  {key:24s} checked:{info['checked']} failures:{info['failures']}"
-                    + (f"  [{err}]" if err else "")
-                )
+        lines += [row[4] for row in _rows(res)]
     s = report["summary"]
     lines.append(
         "stages: " + ", ".join(f"{k} {v}s" for k, v in s["stages"].items())
@@ -485,26 +476,6 @@ def render_text(report: dict) -> str:
 def render_tsv(report: dict) -> str:
     rows = ["d\titem\tprinted\tcorrected\tdetail"]
     for res in report["results"]:
-        if "error" in res:
-            rows.append(f"{res['d']}\terror\t-\t-\t{res['error']}")
-            continue
-        for v in res["identities"]:
-            detail = ""
-            if v["witness"]:
-                w = v["witness"]
-                detail = f"k={w['k']} lhs={w['lhs']} rhs={w['rhs']}"
-            rows.append(
-                f"{res['d']}\t{v['fact_id']}\t{v['printed']}\t{v['corrected']}\t{detail}"
-            )
-        for key in SWEEPS:
-            val = res[key]
-            if "skipped" in val:
-                rows.append(f"{res['d']}\t{key}\t-\t-\tskipped: {val['skipped']}")
-            else:
-                err = _failure_error(val)
-                rows.append(
-                    f"{res['d']}\t{key}\t-\t"
-                    f"{'holds' if val['failures'] == 0 else 'fails'}\t"
-                    f"checked={val['checked']}" + (f" error={err}" if err else "")
-                )
+        rows += [f"{res['d']}\t{item}\t{printed}\t{corrected}\t{detail}"
+                 for item, printed, corrected, _, _, detail in _rows(res)]
     return "\n".join(rows)

@@ -4,9 +4,9 @@ over the seeds, the traced metrics, the layers measured on the checkout's
 src/ (expand, the audit stages, the shift constants, at_least,
 encode_real, QuadRat add/mul/sign, the natural_dots_upto counter,
 times_sqrt_real, the identity audit, encode_nat, the recovery verdicts,
-decode_real, the recovery checks and prefix_nat), each layer with the
-calibration loop timed before it, the default audit timed per radicand,
-tier-1 timed."""
+decode_real, the recovery checks and prefix_nat), each layer, the
+audit stages and the default audit with the calibration loop timed
+before it, the default audit timed per radicand, tier-1 timed."""
 
 import json
 import shutil
@@ -220,11 +220,12 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "check_recover_nat_3_2000", "prefix_nat_61_40x9"):
         assert layers[key]["unit"] == "s" and layers[key]["min_of"] == 7, key
         assert layers[key]["value"] >= 0 and layers[key]["cal_s"] > 0, key
+    assert layers["audit_stages"].pop("cal_s") > 0
     assert layers["audit_stages"] == {"unit": "s", "min_of": 3, "by_d": {
         "99991": {"identities": 99.991, "recovery": 1.0},
         "3": {"identities": 0.003, "recovery": 1.0}}}
     audit = rec["audit"]
-    assert audit["unit"] == "s" and audit["runs"] == 3
+    assert audit["unit"] == "s" and audit["runs"] == 3 and audit["cal_s"] > 0
     assert len(audit["wall_s"]) == 3 and min(audit["wall_s"]) > 0
     assert audit["by_d"] == {"2": {"elapsed_s": 0.5, "stages": {"identities": 0.1, "recovery": 0.4}}}
     assert rec["tier1"]["returncode"] == 0 and "1 passed" in rec["tier1"]["summary"]
