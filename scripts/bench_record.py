@@ -24,7 +24,9 @@ radicand the min over the runs of its ``elapsed_s`` and of each stage
 time.  Every layer, ``audit_stages`` and the ``audit`` block carry a
 ``cal_s``: the median of 5 timings of ``perfbench/speed.py``'s
 calibration loop taken right before it, so its times can be read
-against the machine's speed at the time across records.
+against the machine's speed at the time across records.  ``src_lines``
+counts the lines of each ``src/ostro`` module (as ``wc -l`` does) and
+their total, the tracked size of the library.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -199,6 +201,13 @@ def measure_layers(root: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def src_lines(root: Path) -> dict:
+    """Newline count of each src/ostro module of the checkout, and the total."""
+    by_module = {p.name: p.read_bytes().count(b"\n")
+                 for p in sorted((root / "src" / "ostro").glob("*.py"))}
+    return {"by_module": by_module, "total": sum(by_module.values())}
+
+
 def git_sha(root: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
                           text=True)
@@ -245,6 +254,7 @@ def main(argv=None) -> int:
         "layers": measure_layers(root),
         "audit": measure_audit(root),
         "tier1": time_tier1(root),
+        "src_lines": src_lines(root),
     }
     out = HERE / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")

@@ -53,8 +53,6 @@ EXIT_DOMAIN = 4
 
 def _effective_depth(requested: int) -> int:
     """The requested depth, checked against OSTRO_MAX_DEPTH when it is set."""
-    if requested < 1:
-        raise ValueError("depth must be positive")
     raw = os.environ.get("OSTRO_MAX_DEPTH")
     if raw is None:
         return requested

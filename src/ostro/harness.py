@@ -45,10 +45,17 @@ DEFAULT_D_LIST: tuple[Fraction, ...] = tuple(
     )
 )
 
+_COUNTS = ("n_max", "n_unique", "lambda_n_max", "lambda_samples", "probe_samples",
+           "probe_l_max", "probe_q_limit", "class_l_max")  # SuiteConfig's count fields
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Configuration for one harness run; an empty d_list, a negative
-    count or identity_k_max, a depth below 1 or an eps <= 0 raises ValueError."""
+    """Configuration for one harness run, checked when it is built: a value
+    that is not an int in an integer field (identity_k_max may be None), a
+    negative count or identity_k_max, a depth below 1, an eps <= 0 or an
+    empty d_list raises ValueError, a square or non-positive radicand
+    RationalSquare, and one in (0, 1] UnsupportedRadicand."""
 
     d_list: tuple[Fraction, ...] = DEFAULT_D_LIST
     depth: int = cfrac.DEFAULT_DEPTH
@@ -65,20 +72,23 @@ class SuiteConfig:
     identity_k_max: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("depth", *_COUNTS, "seed", "identity_k_max"):
+            value = getattr(self, name)  # type(), not isinstance: True is no count
+            if type(value) is not int and (value is not None or name != "identity_k_max"):
+                raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
         if not self.d_list:
             raise ValueError("config field 'd_list' must not be empty")
-        for name in ("n_max", "n_unique", "lambda_n_max", "lambda_samples",
-                     "probe_samples", "probe_l_max", "probe_q_limit", "class_l_max"):
-            if getattr(self, name) < 0:
+        for name in (*_COUNTS, "identity_k_max"):
+            if (getattr(self, name) or 0) < 0:  # identity_k_max may be None
                 raise ValueError(f"config field {name!r} must be non-negative, "
                                  f"got {getattr(self, name)}")
-        if self.identity_k_max is not None and self.identity_k_max < 0:
-            raise ValueError(f"config field 'identity_k_max' must be non-negative, "
-                             f"got {self.identity_k_max}")
         if self.depth < 1:
             raise ValueError(f"config field 'depth' must be positive, got {self.depth}")
         if self.eps <= 0:
             raise ValueError(f"config field 'eps' must be positive, got {self.eps}")
+        for d in self.d_list:
+            if cfrac.check_radicand(d) <= 1:
+                raise UnsupportedRadicand(f"d must exceed 1, got {d}; use normalize_d")
 
     def to_json(self) -> dict:
         """Every field in declaration order, rationals as strings."""
@@ -94,30 +104,19 @@ class SuiteConfig:
 
 
 def config_from_json(data) -> SuiteConfig:
-    """Build a SuiteConfig from parsed JSON, tolerating partial dicts.
-
-    Missing keys and null scalars keep their defaults, unknown keys are
-    ignored, and a value of the wrong type (an integer field takes an int,
-    not a bool, float, string, list or object) raises ValueError, as
-    SuiteConfig does for a negative count.
-    """
+    """Build a SuiteConfig from parsed JSON, tolerating partial dicts:
+    missing keys and null scalars keep their defaults, unknown keys are
+    ignored, d_list (a list) and eps are parsed from their text, and
+    SuiteConfig checks every value."""
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    kwargs: dict = {}
-    for f in fields(SuiteConfig):
-        value = data.get(f.name)
-        if isinstance(f.default, tuple) and f.name in data:  # d_list
-            if not isinstance(value, list):
-                raise ValueError(f"config field {f.name!r} must be a list, got {value!r}")
-            kwargs[f.name] = tuple(parse_rat(str(x)) for x in value)
-        elif isinstance(f.default, tuple) or value is None:  # absent, or a null scalar
-            continue
-        elif isinstance(f.default, Fraction):  # eps
-            kwargs[f.name] = parse_rat(str(value))
-        elif not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"config field {f.name!r} must be an integer, got {value!r}")
-        else:
-            kwargs[f.name] = value
+    kwargs = {f.name: data[f.name] for f in fields(SuiteConfig) if data.get(f.name) is not None}
+    if "d_list" in data:
+        if not isinstance(data["d_list"], list):
+            raise ValueError(f"config field 'd_list' must be a list, got {data['d_list']!r}")
+        kwargs["d_list"] = tuple(parse_rat(str(x)) for x in data["d_list"])
+    if "eps" in kwargs:
+        kwargs["eps"] = parse_rat(str(kwargs["eps"]))
     return SuiteConfig(**kwargs)
 
 
@@ -394,11 +393,12 @@ def _rows(res: dict):
             yield (key, "-", "-", 0, f"  {key:24s} skipped ({sweep['skipped']})",
                    f"skipped: {sweep['skipped']}")
             continue
-        err = (sweep["first_failure"] or {}).get("error")
-        yield (key, "-", "fails" if sweep["failures"] else "holds", sweep["failures"],
-               f"  {key:24s} checked:{sweep['checked']} failures:{sweep['failures']}"
+        err, k = (sweep["first_failure"] or {}).get("error"), sweep["failures"]
+        yield (key, "-", "fails" if k else "holds", k,
+               f"  {key:24s} checked:{sweep['checked']} failures:{k}"
                + (f"  [{err}]" if err else ""),
-               f"checked={sweep['checked']}" + (f" error={err}" if err else ""))
+               f"checked={sweep['checked']}"  # the count, unless it is the one error shown
+               + (f" failures={k}" if k > bool(err) else "") + (f" error={err}" if err else ""))
 
 
 def corrected_failures(report: dict) -> int:
@@ -415,13 +415,10 @@ def printed_failures(report: dict) -> int:
 def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
     """Run the harness over every d in the suite and assemble the report.
 
-    A malformed suite (square or non-positive radicand) is rejected up
-    front; any exception raised mid-run for an individual d is recorded
-    in that d's result entry instead of aborting the remaining radicands.
+    The config checked its radicands when it was built; any exception
+    raised mid-run for an individual d is recorded in that d's result
+    entry instead of aborting the remaining radicands.
     """
-    for d in config.d_list:
-        if cfrac.check_radicand(d) <= 1:
-            raise UnsupportedRadicand(f"d must exceed 1, got {d}; use normalize_d")
     t0 = time.perf_counter()
     results = []
     for d in config.d_list:

@@ -40,27 +40,37 @@ KIND_REAL = "real"
 class OstDigits:
     """An Ostrowski digit string over a fixed expansion.
 
-    Canonical form carries no trailing zeros, so equal values compare
-    equal.  kind says whether the string denotes a natural number (weights
-    q_k) or a real in I (weights beta_k); the digit constraints are the
-    same.  The constructor validates them and raises InvalidDigits naming
-    the first violating position; OstDigits._of trusts digits encode_nat
-    has checked in its loop or retag keeps.  As in QuadRat, the fields are
-    private slots behind read-only properties.
+    kind says whether the string denotes a natural number (weights q_k)
+    or a real in I (weights beta_k); the digit constraints are the same.
+    OstDigits(cf, digits, kind) takes any iterable, drops trailing zeros
+    (so equal values compare and hash equal), raises InvalidDigits naming
+    the first invalid position, then DepthExceeded for a last digit past
+    cf.depth.  OstDigits._of drops trailing zeros but trusts the rest: to
+    encode_nat's in-loop check, encode_real's caps and retag.  As in
+    QuadRat, the fields are private slots behind read-only properties.
     """
 
     __slots__ = ("_cf", "_digits", "_kind")
 
-    def __init__(self, cf: CFData, digits: tuple[int, ...], kind: str) -> None:
-        self._cf, self._digits, self._kind = cf, digits, kind
-        ok, idx = validate(self)
+    def __new__(cls, cf: CFData, digits, kind: str) -> "OstDigits":
+        x = cls._of(cf, tuple(digits), kind)
+        ok, idx = validate(x)
         if not ok:
-            raise InvalidDigits(f"digit constraint violated at position {idx}: {list(digits)}")
+            raise InvalidDigits(f"digit constraint violated at position {idx}: {list(x._digits)}")
+        if len(x._digits) > cf.depth + 1:
+            raise DepthExceeded(f"digit index {len(x._digits) - 1} exceeds depth {cf.depth}")
+        return x
+
+    def __getnewargs__(self):  # copy and pickle rebuild through the checks
+        return self._cf, self._digits, self._kind
 
     @classmethod
     def _of(cls, cf: CFData, digits: tuple[int, ...], kind: str) -> "OstDigits":
+        top = len(digits)
+        while top and not digits[top - 1]:
+            top -= 1
         x = object.__new__(cls)
-        x._cf, x._digits, x._kind = cf, digits, kind
+        x._cf, x._digits, x._kind = cf, digits[:top], kind
         return x
 
     cf = property(attrgetter("_cf"))
@@ -87,11 +97,8 @@ class OstDigits:
 
 
 def make_digits(cf: CFData, digits, kind: str = KIND_NAT) -> OstDigits:
-    """Build a canonical OstDigits: trailing zeros are dropped."""
-    ds = list(digits)
-    while ds and ds[-1] == 0:
-        ds.pop()
-    return OstDigits(cf, tuple(ds), kind)
+    """OstDigits(cf, digits, kind), with the natural kind by default."""
+    return OstDigits(cf, digits, kind)
 
 
 def validate(x: OstDigits) -> tuple[bool, int | None]:
@@ -137,26 +144,14 @@ def encode_nat(n: int, cf: CFData) -> OstDigits:
     return OstDigits._of(cf, tuple(digits), KIND_NAT)
 
 
-def check_depth(x: OstDigits, l: int = 0) -> None:
-    """Raise DepthExceeded if x's last nonzero digit, moved up by l, is
-    past the materialized depth."""
-    top = len(x._digits) - 1
-    while top >= 0 and x._digits[top] == 0:
-        top -= 1
-    if top >= 0 and top + l > x._cf.depth:
-        what = "shifted index" if l else "digit index"
-        raise DepthExceeded(f"{what} {top + l} exceeds depth {x._cf.depth}")
-
-
-def beta_parts(x: OstDigits, l: int = 0) -> tuple[int, int]:
-    """Integers (A, B) with A + B*sqrt(d) = sum_k b_k beta_{k+l}: with
-    beta_k = q_k sqrt(d) - p_k, B is the q_{k+l} dot product (x as a
-    natural at l = 0) and -A the p_{k+l} one.  The audit's pass over n
-    reads them, with its other sums, from shiftcalc.natural_dots."""
-    check_depth(x, l)
+def beta_parts(x: OstDigits) -> tuple[int, int]:
+    """Integers (A, B) with A + B*sqrt(d) = sum_k b_k beta_k: with
+    beta_k = q_k sqrt(d) - p_k, B is the q_k dot product (x as a natural)
+    and -A the p_k one, all inside the depth the constructor checked.  The
+    audit's pass over n reads them from shiftcalc.natural_dots."""
     qs, ps = x._cf.conv_q, x._cf.conv_p  # qs[i] = q_{i-1}
     bq = bp = 0
-    for i, b in enumerate(x._digits, l + 1):
+    for i, b in enumerate(x._digits, 1):
         if b:
             bq += b * qs[i]
             bp += b * ps[i]
@@ -278,10 +273,11 @@ def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
     of b; piece b ends at b*beta_k - beta_{k+1} towards piece b + 1.  So the
     digit is the first b with r - b*beta_k short of -beta_{k+1}: one sign
     test per candidate, none for the last.  The certificate is the final
-    two-sided test r_K in W_K with the digit constraints make_digits checks:
-    for valid digits it puts every r_j in W_j (r_j = r_{j+1} + b_j beta_j
-    lies in piece b_j of W_j), so a wrong digit anywhere fails it.  The
-    residual after K digits is bounded by |beta_{K-1}| + |beta_K|.
+    two-sided test r_K in W_K with the digit constraints, which the caps
+    period[k % m] - blocked make hold, so OstDigits._of does not validate
+    again: it puts every r_j in W_j (r_j = r_{j+1} + b_j beta_j lies in
+    piece b_j of W_j), so a wrong digit anywhere fails it.  The residual
+    after K digits is bounded by |beta_{K-1}| + |beta_K|.
     """
     if isinstance(c, QuadRat) and c.d != cf.d and not c.is_rational:
         raise OutOfInterval(f"value in Q(sqrt({c.d})) cannot be encoded over d={cf.d}")
@@ -318,7 +314,7 @@ def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
             f"residual {rem} of {c} after {depth} digits {digits} "
             f"is outside its tail window"
         )
-    return make_digits(cf, digits, KIND_REAL)
+    return OstDigits._of(cf, tuple(digits), KIND_REAL)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .errors import (
 from .ostrowski import (
     KIND_REAL,
     OstDigits,
-    check_depth,
     decode_nat,
     decode_real,
     encode_nat,
@@ -101,7 +100,8 @@ def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
     all-ones beta sum at shift m, and v1, w0, w1 are its p dot products
     weighted by sc.v_num at shift 1 and by sc.w_num at shifts 0 and 1."""
     cf = x.cf
-    check_depth(x, cf.m)
+    if x.digits and (top := len(x.digits) - 1 + cf.m) > cf.depth:
+        raise DepthExceeded(f"shifted index {top} exceeds depth {cf.depth}")
     rows = [[b * w for w in _row(cf, sc, k)] for k, b in enumerate(x.digits) if b]
     return tuple(map(sum, zip((0,) * 7, *rows)))
 

@@ -6,7 +6,8 @@ encode_real, QuadRat add/mul/sign, the natural_dots_upto counter,
 times_sqrt_real, the identity audit, encode_nat, the recovery verdicts,
 decode_real, the recovery checks and prefix_nat), each layer, the
 audit stages and the default audit with the calibration loop timed
-before it, the default audit timed per radicand, tier-1 timed."""
+before it, the default audit timed per radicand, tier-1 timed, and the
+line count of each src/ostro module."""
 
 import json
 import shutil
@@ -229,3 +230,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     assert len(audit["wall_s"]) == 3 and min(audit["wall_s"]) > 0
     assert audit["by_d"] == {"2": {"elapsed_s": 0.5, "stages": {"identities": 0.1, "recovery": 0.4}}}
     assert rec["tier1"]["returncode"] == 0 and "1 passed" in rec["tier1"]["summary"]
+    stubs = {"__init__.py": STUB_OSTRO, "__main__.py": STUB_MAIN, "cfrac.py": STUB_CFRAC,
+             "ostrowski.py": STUB_OSTROWSKI, "shiftcalc.py": STUB_SHIFTCALC}
+    assert rec["src_lines"] == {"by_module": {name: text.count("\n")
+                                              for name, text in sorted(stubs.items())},
+                                "total": sum(text.count("\n") for text in stubs.values())}

@@ -147,6 +147,16 @@ def test_encode_json(capsys):
     assert json.loads(out) == {"d": "3", "kind": "real", "digits": [0, 1, 0, 1]}
 
 
+@pytest.mark.parametrize("digits, code, err", [
+    ("0,0,0,0,0,0,1", 3, "error: digit index 6 exceeds depth 5"),
+    ("1,0,0,0,0,0,1", 2, "error: digit constraint violated at position 0: [1, 0, 0, 0, 0, 0, 1]"),
+    ("0,0,0,0,0,1,0,0", 0, ""),  # the trailing zeros past the depth are dropped
+])
+def test_decode_checks_validity_before_depth(capsys, digits, code, err):
+    assert main(["decode", "--d", "3", "--depth", "5", digits]) == code
+    assert capsys.readouterr().err.strip() == err
+
+
 def test_decode_json(capsys):
     code, out = run(capsys, "decode", "--format", "json", "0,1,0,1@d=3")
     assert code == 0

@@ -112,8 +112,8 @@ def _sweep(checked, failures=0, first_failure=None):
 
 # A hand-built report with one line of every kind the renderers print: an
 # identity that holds, printed-form failures with and without a witness, a
-# failing corrected form, sweeps that hold, fail, fail on an error or were
-# skipped, and an error entry.
+# failing corrected form, sweeps that hold, fail, fail on one error, fail
+# more than once with an error first or were skipped, and an error entry.
 PINNED = {
     "results": [
         {
@@ -133,13 +133,13 @@ PINNED = {
             "recover_nat": _sweep(0, 1, {"error": "DepthExceeded: needs depth 9"}),
             "uniqueness": _sweep(21),
             "times_sqrt_exact": _sweep(16),
-            "times_sqrt_real": _sweep(3),
+            "times_sqrt_real": _sweep(3, 2, {"x": "7/5", "error": "bound violated"}),
             "prefix_probe": {"skipped": "q_1 exceeds probe_q_limit=0"},
             "class_probe": {**_sweep(5), "infeasible": [{"j": 0, "mod": 2}]},
         },
         {"d": "4", "error": "RationalSquare: radicand 4 is a rational square"},
     ],
-    "summary": {"d_count": 2, "corrected_failures": 6, "printed_failures": 2, "elapsed_s": 0.5,
+    "summary": {"d_count": 2, "corrected_failures": 8, "printed_failures": 2, "elapsed_s": 0.5,
                 "stages": {"identities": 0.125, "recovery": 0.0}},
 }
 
@@ -156,12 +156,12 @@ def test_renderers_byte_for_byte():
         "  recover_nat              checked:0 failures:1  [DepthExceeded: needs depth 9]\n"
         "  uniqueness               checked:21 failures:0\n"
         "  times_sqrt_exact         checked:16 failures:0\n"
-        "  times_sqrt_real          checked:3 failures:0\n"
+        "  times_sqrt_real          checked:3 failures:2  [bound violated]\n"
         "  prefix_probe             skipped (q_1 exceeds probe_q_limit=0)\n"
         "  class_probe              checked:5 failures:0\n"
         "d=4: ERROR RationalSquare: radicand 4 is a rational square\n"
         "stages: identities 0.125s, recovery 0.0s\n"
-        "suite: 2 radicands, corrected failures: 6, printed-form failures: 2 (0.5s)"
+        "suite: 2 radicands, corrected failures: 8, printed-form failures: 2 (0.5s)"
     )
     assert render_tsv(PINNED) == (
         "d\titem\tprinted\tcorrected\tdetail\n"
@@ -170,11 +170,11 @@ def test_renderers_byte_for_byte():
         "3\tperiod-palindrome\tfails\tholds\t\n"
         "3\tunit-product\tholds\tfails\t\n"
         "3\troundtrip_and_split\t-\tholds\tchecked=61\n"
-        "3\trecover_frac\t-\tfails\tchecked=61\n"
+        "3\trecover_frac\t-\tfails\tchecked=61 failures=3\n"
         "3\trecover_nat\t-\tfails\tchecked=0 error=DepthExceeded: needs depth 9\n"
         "3\tuniqueness\t-\tholds\tchecked=21\n"
         "3\ttimes_sqrt_exact\t-\tholds\tchecked=16\n"
-        "3\ttimes_sqrt_real\t-\tholds\tchecked=3\n"
+        "3\ttimes_sqrt_real\t-\tfails\tchecked=3 failures=2 error=bound violated\n"
         "3\tprefix_probe\t-\t-\tskipped: q_1 exceeds probe_q_limit=0\n"
         "3\tclass_probe\t-\tholds\tchecked=5\n"
         "4\terror\t-\t-\tRationalSquare: radicand 4 is a rational square"
@@ -182,15 +182,16 @@ def test_renderers_byte_for_byte():
 
 
 def test_failure_counts_are_exact():
-    # recover_frac's 3 recorded failures, recover_nat's error, the failing
-    # corrected identity and the error entry; skipped and holding sweeps
-    # count 0, and only identities count toward printed-form failures
-    assert corrected_failures(PINNED) == 3 + 1 + 1 + 1
+    # recover_frac's 3 recorded failures, recover_nat's error,
+    # times_sqrt_real's 2, the failing corrected identity and the error
+    # entry; skipped and holding sweeps count 0, and only identities count
+    # toward printed-form failures
+    assert corrected_failures(PINNED) == 3 + 1 + 2 + 1 + 1
     assert printed_failures(PINNED) == 2
     error_only = {"results": PINNED["results"][1:]}
     assert (corrected_failures(error_only), printed_failures(error_only)) == (1, 0)
     entry = dict(PINNED["results"][0], prefix_probe=_sweep(40, 2))
-    assert corrected_failures({"results": [entry]}) == 5 + 2
+    assert corrected_failures({"results": [entry]}) == 7 + 2
 
 
 def test_config_round_trip():
@@ -509,10 +510,30 @@ def test_prefix_probe_stays_inside_a_shallow_expansion():
 
 
 def test_suite_rejects_bad_radicands():
+    # the config checks its radicands when it is built, before any run
+    with pytest.raises(RationalSquare, match="^radicand 4 is a rational square$"):
+        SuiteConfig(d_list=(Fraction(3), Fraction(4)))
     with pytest.raises(RationalSquare):
-        run_suite(SuiteConfig(d_list=(Fraction(3), Fraction(4))))
-    with pytest.raises(UnsupportedRadicand):
-        run_suite(SuiteConfig(d_list=(Fraction(1, 2),)))
+        SuiteConfig(d_list=(Fraction(4),))
+    with pytest.raises(UnsupportedRadicand, match="^d must exceed 1, got 1/2; use normalize_d$"):
+        SuiteConfig(d_list=(Fraction(1, 2),))
+
+
+def test_config_built_from_python_checks_integer_fields():
+    # the same check and message whether the config comes from Python or
+    # from JSON (where null keeps the default, so depth=None is Python only)
+    for field, value in [("n_max", 5.9), ("n_max", True), ("seed", "x"),
+                         ("identity_k_max", 1.0), ("depth", None)]:
+        msg = f"config field {field!r} must be an integer, got {value!r}"
+        with pytest.raises(ValueError) as built:
+            SuiteConfig(**{field: value})
+        assert str(built.value) == msg
+        if value is not None:
+            with pytest.raises(ValueError) as parsed:
+                config_from_json({field: value})
+            assert str(parsed.value) == msg
+    assert SuiteConfig(seed=-1).seed == -1  # the seed alone may be negative
+    assert SuiteConfig(identity_k_max=None) == SuiteConfig()
 
 
 def test_corrupted_constants_are_counted_not_raised(monkeypatch):

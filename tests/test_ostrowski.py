@@ -2,6 +2,7 @@
 exhaustive uniqueness, interval membership, window structure, and the
 digit-wise real encoder with its certified truncation bound."""
 
+import pickle
 import random
 from collections import Counter
 from dataclasses import replace
@@ -121,9 +122,12 @@ def test_direct_construction_validates(cf_of):
         OstDigits(cf3, (1,), KIND_REAL)
     with pytest.raises(InvalidDigits, match=r"position 1: \[1, 2\]"):
         OstDigits(cf2, (1, 2), KIND_REAL)
-    # trailing zeros are kept by the bare constructor, dropped by make_digits
-    assert OstDigits(cf2, (0, 2, 0), KIND_REAL).digits == (0, 2, 0)
-    assert make_digits(cf2, (0, 2, 0)).digits == (0, 2)
+    # the constructor drops trailing zeros, so one value has one string
+    x, y = OstDigits(cf2, (0, 2, 0), KIND_REAL), make_digits(cf2, [0, 2], KIND_REAL)
+    assert x.digits == y.digits == (0, 2)
+    assert x == y and hash(x) == hash(y)
+    assert pickle.loads(pickle.dumps(x)) == x  # rebuilt through the checking constructor
+    assert OstDigits(cf2, iter([0, 0]), KIND_REAL).digits == ()
 
 
 def test_retag_skips_validation(cf_of, monkeypatch):
@@ -414,6 +418,34 @@ def test_encode_real_matches_the_two_sided_reference(cf_of, d):
             assert (_encode_outcome(encode_real, c, cf, depth)
                     == _encode_outcome(encode_real_reference, c, cf, depth)), (c, depth)
     assert _encode_outcome(encode_real, values[-2], cf, 151) is DepthExceeded
+
+
+@given(st.sampled_from([*DEFAULT_D_LIST, Fraction(991)]), st.integers(0, 2**64 - 1), st.data())
+def test_encode_real_digits_are_valid_by_construction(cf_of, d, u, data):
+    # encode_real validates nothing: its caps period[k % m] - blocked keep
+    # each digit valid, and _of drops the trailing zeros, so the string is
+    # the one the checking constructor builds
+    cf = cf_of(d, max(64, 3 * cf_of(d).m + 3))
+    count = data.draw(st.integers(0, cf.depth), label="count")
+    c = interval_bounds(cf)[0] + Fraction(u, 2**64)
+    x = encode_real(c, cf, count)
+    assert validate(x) == (True, None)
+    assert not x.digits or x.digits[-1] != 0
+    assert x == OstDigits(cf, x.digits, KIND_REAL)
+
+
+def test_encode_real_blocked_cap_holds_over_a_lowered_table(cf_of):
+    # On a true table the sign tests alone keep the digits valid, so only a
+    # corrupted one shows the caps.  d = 3 has bounds 1, 2, 1, 2, ...;
+    # lowered to 1 everywhere, the true digits (0, 0, 1, 1) of c put a
+    # maximal 1 at position 3 after a nonzero digit, so the blocked cap stops
+    # the search at 0 and the certificate refuses the string, which a search
+    # capped at the bound alone would return invalid
+    cf3 = cf_of(3)
+    c = decode_real(make_digits(cf3, (0, 0, 1, 1), KIND_REAL))
+    assert encode_real(c, cf3, 4).digits == (0, 0, 1, 1)
+    with pytest.raises(VerificationFailed, match="is outside its tail window$"):
+        encode_real(c, replace(cf3, period=(1, 1)), 4)
 
 
 @pytest.mark.parametrize("irrational", [True, False])

@@ -129,43 +129,36 @@ def reference_beta_parts(x, l):
 
 @given(st.sampled_from(D_SMALL + [Fraction(7), Fraction(13, 4)]), st.integers(0, 10**9),
        st.booleans())
-def test_beta_parts_matches_weighted_beta_sum(cf_of, d, n, real):
+def test_beta_parts_matches_weighted_beta_sum(cf_of, sc_of, d, n, real):
     cf = cf_of(d)
     x = encode_nat(n, cf)
     if real:  # the kind does not enter the evaluation
         x = x.retag(KIND_REAL)
-    for l in (0, 1, cf.m):
-        assert beta_parts(x, l) == reference_beta_parts(x, l), (d, n, l)
-    assert beta_parts(x) == beta_parts(x, 0)
+    assert beta_parts(x) == reference_beta_parts(x, 0), (d, n)
     assert decode_nat(x) == beta_parts(x)[1] == n
+    # the sum shifted by m is read only by natural_dots, signed by (-1)^m
+    ya, yb = shiftcalc.natural_dots(x, sc_of(d))[2:4]
+    s = -1 if cf.m % 2 else 1
+    assert (s * ya, s * yb) == reference_beta_parts(x, cf.m), (d, n)
 
 
-def test_beta_parts_overrun_message(cf_of):
-    # q_64 - 1 over a depth-64 expansion has its top digit at 63; reread
-    # over a depth-8 expansion the same digits sit past the depth
+def test_beta_parts_overrun_message(cf_of, sc_of):
+    # q_64 - 1 over a depth-64 expansion has its top digit at 63: moved up
+    # by m it is past the depth in natural_dots, and reread over a depth-8
+    # expansion the constructor refuses it
     for d in (3, Fraction(13, 4), 7):
         cf, shallow = cf_of(d), cf_of(d, 8)
         x = encode_nat(cf.q(cf.depth) - 1, cf)
         top = len(x.digits) - 1
         assert top == cf.depth - 1
-        for l in (0, 1, cf.m):
-            if top + l <= cf.depth:
-                assert beta_parts(x, l) == reference_beta_parts(x, l)
-                continue
-            with pytest.raises(DepthExceeded) as ours:
-                beta_parts(x, l)
-            with pytest.raises(DepthExceeded) as ref:
-                reference_beta_parts(x, l)
-            assert str(ours.value) == str(ref.value) == f"shifted index {top + l} exceeds depth 64"
-        deep = make_digits(shallow, x.digits)
+        assert beta_parts(x) == reference_beta_parts(x, 0)
+        with pytest.raises(DepthExceeded) as ours:
+            shiftcalc.natural_dots(x, sc_of(d))
+        with pytest.raises(DepthExceeded) as ref:
+            reference_beta_parts(x, cf.m)
+        assert str(ours.value) == str(ref.value) == f"shifted index {top + cf.m} exceeds depth 64"
         with pytest.raises(DepthExceeded, match=f"^digit index {top} exceeds depth 8$"):
-            beta_parts(deep)
-        for l in (1, cf.m):
-            with pytest.raises(DepthExceeded) as ours:
-                beta_parts(deep, l)
-            with pytest.raises(DepthExceeded) as ref:
-                reference_beta_parts(deep, l)
-            assert str(ours.value) == str(ref.value) == f"shifted index {top + l} exceeds depth 8"
+            make_digits(shallow, x.digits)
 
 
 def test_evaluation_frozen_values(cf_of, sc_of):
