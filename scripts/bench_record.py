@@ -162,8 +162,10 @@ rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction
 dots = [t for _, t in shiftcalc.natural_dots_upto(cf3, sc3, 10**4)]
 nats = [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)]
 dots99991 = [t for _, t in shiftcalc.natural_dots_upto(cf1311, sc64, 10**4)]
-kernels = {
+kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visible share
+    "expand_2_64": lambda: cfrac.expand(2, 64),
     "expand_99991_874": lambda: cfrac.expand(99991, 874),
+    "derive_shift_constants_3_64": lambda: cfrac.derive_shift_constants(cf3),
     "derive_shift_constants_99991_874": lambda: cfrac.derive_shift_constants(cf874),
     "at_least_99991_64_1311": lambda: cf64.at_least(1311),
     "encode_real_61_40x150": lambda: [ostrowski.encode_real(c, cf61, 150) for c in values],

@@ -38,7 +38,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .errors import DepthExceeded, UnsupportedRadicand, VerificationFailed
@@ -48,9 +47,53 @@ DEFAULT_DEPTH = 64
 MAX_PERIOD = 10_000  # longest period expand searches for
 
 
-@dataclass(frozen=True)
-class CFData:
-    """Materialized continued-fraction data for sqrt(d).
+class Value:
+    """Base of the immutable value classes.  A subclass lists its fields in
+    _fields, in constructor order, and in __slots__ (then "__dict__" if a
+    cached_property needs one); __init__ hands them to _fill, which sets
+    each slot past __setattr__.  Setting or deleting an attribute raises
+    AttributeError; equality and hashing are field-wise within one class;
+    repr names every field; copy, pickle and replace go through __init__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def _fill(self, *values) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built by __init__."""
+        return self.__class__(**{**self._asdict(), **changes})
+
+
+class CFData(Value):
+    """Materialized continued-fraction data for sqrt(d), a Value.
 
     conv_p and conv_q start at index -1; use the accessors p(), q(),
     beta() which take the mathematical index k >= -1.  zetas holds zeta_1
@@ -58,15 +101,12 @@ class CFData:
     D = num(d)*den(d).
     """
 
-    d: Fraction
-    a0: int
-    period: tuple[int, ...]
-    m: int
-    s_max: int
-    conv_p: tuple[int, ...]
-    conv_q: tuple[int, ...]
-    zetas: tuple[tuple[int, int], ...]
-    depth: int
+    __slots__ = _fields = ("d", "a0", "period", "m", "s_max", "conv_p", "conv_q", "zetas", "depth")
+
+    def __init__(self, d: Fraction, a0: int, period: tuple[int, ...], m: int, s_max: int,
+                 conv_p: tuple[int, ...], conv_q: tuple[int, ...],
+                 zetas: tuple[tuple[int, int], ...], depth: int) -> None:
+        self._fill(d, a0, period, m, s_max, conv_p, conv_q, zetas, depth)
 
     def sqrt_d(self) -> QuadRat:
         return QuadRat._of(0, 1, 1, self.d)
@@ -114,7 +154,7 @@ class CFData:
         ps, qs, period, m = list(self.conv_p), list(self.conv_q), self.period, self.m
         _extend(ps, qs, (period[(j - 1) % m] for j in range(self.depth + 1, k + 1)))
         _check_convergents(self.d, ps, qs, self.zetas, k, self.depth + 1)
-        return replace(self, conv_p=tuple(ps), conv_q=tuple(qs), depth=k)
+        return self.replace(conv_p=tuple(ps), conv_q=tuple(qs), depth=k)
 
 
 def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
@@ -237,21 +277,21 @@ def _check_convergents(d: Fraction, ps, qs, zetas, depth: int, start: int = 0) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
-    """Outcome of checking one identity in printed and corrected form.
+class IdentityVerdict(Value):
+    """Outcome of checking one identity in printed and corrected form, a Value.
 
-    witness documents the first failing index of the printed form with
-    both sides rendered exactly; None when the printed form holds.
+    printed and corrected are "holds" or "fails".  witness documents the
+    first failing index of the printed form with both sides rendered
+    exactly; None when the printed form holds.
     """
 
-    fact_id: str
-    printed: str  # "holds" | "fails"
-    corrected: str
-    witness: dict | None
+    __slots__ = _fields = ("fact_id", "printed", "corrected", "witness")
+
+    def __init__(self, fact_id: str, printed: str, corrected: str, witness: dict | None) -> None:
+        self._fill(fact_id, printed, corrected, witness)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "witness": self.witness and dict(self.witness)}
 
 
 def _verdict(ok: bool) -> str:
@@ -410,9 +450,8 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftConstants:
-    """Integer weights linking q to p along residue classes mod t.
+class ShiftConstants(Value):
+    """Integer weights linking q to p along residue classes mod t, a Value.
 
     For every residue i and every block index k, with d = dn/dd:
         dn q_{kt+i} = v_num[i] p_{kt+i+1} + w_num[i] p_{kt+i}
@@ -426,14 +465,12 @@ class ShiftConstants:
     b_const^2 (for integer d this is the classical +-1).
     """
 
-    d: Fraction
-    t: int
-    v_num: tuple[int, ...]
-    w_num: tuple[int, ...]
-    unit: QuadRat
-    a_const: int
-    b_const: int
-    pell_norm: Fraction
+    _fields = ("d", "t", "v_num", "w_num", "unit", "a_const", "b_const", "pell_norm")
+    __slots__ = (*_fields, "__dict__")  # the dict holds unit_inverse once read
+
+    def __init__(self, d: Fraction, t: int, v_num: tuple[int, ...], w_num: tuple[int, ...],
+                 unit: QuadRat, a_const: int, b_const: int, pell_norm: Fraction) -> None:
+        self._fill(d, t, v_num, w_num, unit, a_const, b_const, pell_norm)
 
     @functools.cached_property
     def unit_inverse(self) -> tuple[int, int, int]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
@@ -49,58 +48,50 @@ _COUNTS = ("n_max", "n_unique", "lambda_n_max", "lambda_samples", "probe_samples
            "probe_l_max", "probe_q_limit", "class_l_max")  # SuiteConfig's count fields
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Configuration for one harness run, checked when it is built: a value
-    that is not an int in an integer field (identity_k_max may be None), a
-    negative count or identity_k_max, a depth below 1, an eps <= 0 or an
-    empty d_list raises ValueError, a square or non-positive radicand
-    RationalSquare, and one in (0, 1] UnsupportedRadicand."""
+class SuiteConfig(cfrac.Value):
+    """Configuration for one harness run, a Value checked when it is built:
+    a value that is not an int in an integer field (identity_k_max may be
+    None), an eps that is neither a Fraction nor an int, a negative count or
+    identity_k_max, a depth below 1, an eps <= 0 or an empty d_list raises
+    ValueError, a square or non-positive radicand RationalSquare, and one in
+    (0, 1] UnsupportedRadicand.  to_json and config_from_json read _fields."""
 
-    d_list: tuple[Fraction, ...] = DEFAULT_D_LIST
-    depth: int = cfrac.DEFAULT_DEPTH
-    n_max: int = 10_000
-    n_unique: int = 500
-    lambda_n_max: int = 1_000
-    eps: Fraction = Fraction(1, 10**9)
-    lambda_samples: int = 100
-    probe_samples: int = 40
-    probe_l_max: int = 8
-    probe_q_limit: int = 600
-    class_l_max: int = 12
-    seed: int = 20260813
-    identity_k_max: int | None = None
+    __slots__ = _fields = ("d_list", "depth", "n_max", "n_unique", "lambda_n_max", "eps",
+                           "lambda_samples", "probe_samples", "probe_l_max", "probe_q_limit",
+                           "class_l_max", "seed", "identity_k_max")
 
-    def __post_init__(self) -> None:
+    def __init__(self, d_list: tuple[Fraction, ...] = DEFAULT_D_LIST,
+                 depth: int = cfrac.DEFAULT_DEPTH, n_max: int = 10_000, n_unique: int = 500,
+                 lambda_n_max: int = 1_000, eps: Fraction = Fraction(1, 10**9),
+                 lambda_samples: int = 100, probe_samples: int = 40, probe_l_max: int = 8,
+                 probe_q_limit: int = 600, class_l_max: int = 12, seed: int = 20260813,
+                 identity_k_max: int | None = None) -> None:
+        self._fill(d_list, depth, n_max, n_unique, lambda_n_max, eps, lambda_samples, probe_samples,
+                   probe_l_max, probe_q_limit, class_l_max, seed, identity_k_max)
         for name in ("depth", *_COUNTS, "seed", "identity_k_max"):
             value = getattr(self, name)  # type(), not isinstance: True is no count
             if type(value) is not int and (value is not None or name != "identity_k_max"):
                 raise ValueError(f"config field {name!r} must be an integer, got {value!r}")
-        if not self.d_list:
+        if type(eps) not in (Fraction, int):
+            raise ValueError(f"config field 'eps' must be a rational, got {eps!r}")
+        if not d_list:
             raise ValueError("config field 'd_list' must not be empty")
         for name in (*_COUNTS, "identity_k_max"):
             if (getattr(self, name) or 0) < 0:  # identity_k_max may be None
                 raise ValueError(f"config field {name!r} must be non-negative, "
                                  f"got {getattr(self, name)}")
-        if self.depth < 1:
-            raise ValueError(f"config field 'depth' must be positive, got {self.depth}")
-        if self.eps <= 0:
-            raise ValueError(f"config field 'eps' must be positive, got {self.eps}")
-        for d in self.d_list:
+        if depth < 1:
+            raise ValueError(f"config field 'depth' must be positive, got {depth}")
+        if eps <= 0:
+            raise ValueError(f"config field 'eps' must be positive, got {eps}")
+        for d in d_list:
             if cfrac.check_radicand(d) <= 1:
                 raise UnsupportedRadicand(f"d must exceed 1, got {d}; use normalize_d")
 
     def to_json(self) -> dict:
         """Every field in declaration order, rationals as strings."""
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = [str(x) for x in v]
-            elif isinstance(v, Fraction):
-                v = str(v)
-            out[f.name] = v
-        return out
+        eps = str(self.eps) if isinstance(self.eps, Fraction) else self.eps
+        return {**self._asdict(), "d_list": [str(x) for x in self.d_list], "eps": eps}
 
 
 def config_from_json(data) -> SuiteConfig:
@@ -110,7 +101,7 @@ def config_from_json(data) -> SuiteConfig:
     SuiteConfig checks every value."""
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    kwargs = {f.name: data[f.name] for f in fields(SuiteConfig) if data.get(f.name) is not None}
+    kwargs = {name: data[name] for name in SuiteConfig._fields if data.get(name) is not None}
     if "d_list" in data:
         if not isinstance(data["d_list"], list):
             raise ValueError(f"config field 'd_list' must be a list, got {data['d_list']!r}")

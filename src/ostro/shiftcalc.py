@@ -27,11 +27,10 @@ periodic residue-class witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .cfrac import CFData, ShiftConstants, _verdict
+from .cfrac import CFData, ShiftConstants, Value, _verdict
 from .errors import (
     DepthExceeded,
     InvalidDigits,
@@ -63,23 +62,20 @@ def embed(x: OstDigits) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditEntry:
-    """One audited instance of a recovery identity.
+class AuditEntry(Value):
+    """One audited instance of a recovery identity, an immutable Value.
 
-    lhs and rhs hold the exact values; they are stringified only when the
-    entry is serialized.
+    printed and corrected are "holds" or "fails".  lhs and rhs hold the
+    exact values; they are stringified only when the entry is serialized.
     """
 
-    lemma: str
-    n: int
-    printed: str  # "holds" | "fails"
-    corrected: str
-    lhs: object
-    rhs: object
+    __slots__ = _fields = ("lemma", "n", "printed", "corrected", "lhs", "rhs")
+
+    def __init__(self, lemma: str, n: int, printed: str, corrected: str, lhs, rhs) -> None:
+        self._fill(lemma, n, printed, corrected, lhs, rhs)
 
     def to_json(self) -> dict:
-        return {**vars(self), "lhs": str(self.lhs), "rhs": str(self.rhs)}
+        return {**self._asdict(), "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
 def _row(cf: CFData, sc: ShiftConstants, k: int) -> tuple[int, ...]:

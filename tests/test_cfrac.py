@@ -4,7 +4,6 @@ independent fold oracle, identity audit verdicts, shift constants."""
 import inspect
 import math
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -363,22 +362,22 @@ def _bump(table: tuple, k: int, by: int = 1) -> tuple:
 
 
 @pytest.mark.parametrize("d, corrupt", [
-    (3, lambda cf: replace(cf, zetas=((cf.zetas[0][0] + 1, cf.zetas[0][1]),) + cf.zetas[1:])),
-    (991, lambda cf: replace(cf, zetas=cf.zetas[:5] + ((cf.zetas[5][0] + 1, cf.zetas[5][1]),)
+    (3, lambda cf: cf.replace(zetas=((cf.zetas[0][0] + 1, cf.zetas[0][1]),) + cf.zetas[1:])),
+    (991, lambda cf: cf.replace(zetas=cf.zetas[:5] + ((cf.zetas[5][0] + 1, cf.zetas[5][1]),)
                              + cf.zetas[6:])),
-    (3, lambda cf: replace(cf, conv_q=_bump(cf.conv_q, 100))),
-    (3, lambda cf: replace(cf, conv_p=_bump(cf.conv_p, cf.m - 1))),  # U changes
-    (991, lambda cf: replace(cf, conv_p=_bump(cf.conv_p, cf.m - 1))),
+    (3, lambda cf: cf.replace(conv_q=_bump(cf.conv_q, 100))),
+    (3, lambda cf: cf.replace(conv_p=_bump(cf.conv_p, cf.m - 1))),  # U changes
+    (991, lambda cf: cf.replace(conv_p=_bump(cf.conv_p, cf.m - 1))),
     # p_0 enters only the rational parts of the beta-quotient step at k = 0
     # and of the unit shift at k = 0, q_0 only their sqrt(d) parts
-    (3, lambda cf: replace(cf, conv_p=_bump(cf.conv_p, 0))),
-    (3, lambda cf: replace(cf, conv_q=_bump(cf.conv_q, 0))),
+    (3, lambda cf: cf.replace(conv_p=_bump(cf.conv_p, 0))),
+    (3, lambda cf: cf.replace(conv_q=_bump(cf.conv_q, 0))),
     # m = 1: q_1 + 1 and q_0 - a0 keep q_0 + a0 q_1, so only the sqrt(d)
     # part of the printed period product q_1 sqrt(d) + q_0 + a0 q_1 moves
-    (2, lambda cf: replace(cf, conv_q=_bump(_bump(cf.conv_q, 1), 0, -cf.a0))),
+    (2, lambda cf: cf.replace(conv_q=_bump(_bump(cf.conv_q, 1), 0, -cf.a0))),
     # the period of sqrt(7) is (1, 1, 1, 4): break its palindrome, then its last digit
-    (7, lambda cf: replace(cf, period=(1, 1, 2, 4))),
-    (7, lambda cf: replace(cf, period=(1, 1, 1, 5))),
+    (7, lambda cf: cf.replace(period=(1, 1, 2, 4))),
+    (7, lambda cf: cf.replace(period=(1, 1, 1, 5))),
 ], ids=["zeta-3", "zeta-991", "q100-3", "unit-3", "unit-991", "p0-3", "q0-3", "product-2",
         "palindrome-7", "last-digit-7"])
 def test_audit_corruptions_match_quadrat_reference(d, corrupt):
@@ -459,11 +458,11 @@ def test_constants_check_every_index(d, j, idx):
     # j - 1 mod m, so that residue fails at its first index
     cf = expand(d, 130)
     big_p, big_q = cf.zetas[j]
-    bad = replace(cf, zetas=cf.zetas[:j] + ((big_p + 1, big_q),) + cf.zetas[j + 1:])
+    bad = cf.replace(zetas=cf.zetas[:j] + ((big_p + 1, big_q),) + cf.zetas[j + 1:])
     with pytest.raises(VerificationFailed, match=f"fail at index {idx}:"):
         derive_shift_constants(bad)
     # a deep convergent: only the check on every index can see it
-    deep = replace(cf, conv_q=cf.conv_q[:101] + (cf.conv_q[101] + 1,) + cf.conv_q[102:])
+    deep = cf.replace(conv_q=cf.conv_q[:101] + (cf.conv_q[101] + 1,) + cf.conv_q[102:])
     with pytest.raises(VerificationFailed, match="fail at index 100:"):
         derive_shift_constants(deep)
 

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -99,7 +98,7 @@ def test_render_text_and_tsv(small_report):
 
 
 def test_tsv_keeps_a_skipped_prefix_probe():
-    config = replace(SMALL, probe_q_limit=0)
+    config = SMALL.replace(probe_q_limit=0)
     rows = render_tsv(run_suite(config)).splitlines()
     for d in config.d_list:
         want = f"{d}\tprefix_probe\t-\t-\tskipped: q_1 exceeds probe_q_limit=0"
@@ -232,7 +231,7 @@ def test_corrupted_encoding_is_one_roundtrip_failure(monkeypatch, bad_n, exact_c
         return encode(n + 1 if n == bad_n else n, cf)
 
     monkeypatch.setattr(harness.ostrowski, "encode_nat", corrupted)
-    report = run_suite(replace(SMALL, d_list=(Fraction(3),)))
+    report = run_suite(SMALL.replace(d_list=(Fraction(3),)))
     res = report["results"][0]
     assert res["roundtrip_and_split"]["failures"] == 1
     assert res["roundtrip_and_split"]["first_failure"] == {"n": bad_n, "reason": "roundtrip"}
@@ -275,7 +274,7 @@ def per_n_reference(cf, sc, config):
     ("unit", 0, Fraction(1, 5), ("recover_frac",)),
 ])
 def test_fused_pass_matches_per_n_checks(monkeypatch, d, field, i, delta, failing):
-    config = replace(SMALL, d_list=(Fraction(d),), n_max=300, lambda_n_max=120,
+    config = SMALL.replace(d_list=(Fraction(d),), n_max=300, lambda_n_max=120,
                      lambda_samples=0)
     cf = cfrac.expand(Fraction(d), config.depth)
     cf = cf.at_least(3 * cf.m + 3)
@@ -319,7 +318,7 @@ def test_prefix_natural_computed_once_per_probe(monkeypatch):
         return prefix_nat(cf, l, c)
 
     monkeypatch.setattr(harness.shiftcalc, "prefix_nat", spy)
-    report = run_suite(replace(SMALL, d_list=(Fraction(3),)))
+    report = run_suite(SMALL.replace(d_list=(Fraction(3),)))
     res = report["results"][0]
     reads = res["class_probe"]["checked"] * (SMALL.class_l_max + 1)
     assert res["prefix_probe"]["failures"] == 0
@@ -374,7 +373,7 @@ def test_prefix_oracle_rejects_windows_that_do_not_tile(monkeypatch):
     # the same digits, but the tiling proof breaks
     monkeypatch.setattr(harness.ostrowski, "window_parts",
                         _moved_window(harness.ostrowski.window_parts))
-    res = run_suite(replace(SMALL, d_list=(Fraction(3),)))["results"][0]
+    res = run_suite(SMALL.replace(d_list=(Fraction(3),)))["results"][0]
     probe = res["prefix_probe"]
     assert (probe["l_max"], probe["failures"]) == (4, 1)
     assert probe["first_failure"] == {"l": 2, "reason": "windows do not tile I"}
@@ -395,7 +394,7 @@ def test_prefix_oracle_catches_a_wrong_prefix_natural(monkeypatch):
         return n
 
     monkeypatch.setattr(harness.shiftcalc, "prefix_nat", spy)
-    res = run_suite(replace(SMALL, d_list=(Fraction(3),)))["results"][0]
+    res = run_suite(SMALL.replace(d_list=(Fraction(3),)))["results"][0]
     (c, right, bad), = wrong
     assert res["prefix_probe"]["failures"] == 1
     assert res["prefix_probe"]["first_failure"] == {"l": 3, "c": c, "got": bad, "oracle": [right]}
@@ -451,7 +450,7 @@ def test_one_fault_fails_only_its_sweeps(monkeypatch, kernel, fault, failing):
     for module in (ostrowski, shiftcalc):  # and shiftcalc's imported copies
         if getattr(module, kernel, None) is real:
             monkeypatch.setattr(module, kernel, faulty)
-    res = run_suite(replace(SMALL, d_list=(Fraction(3),)))["results"][0]
+    res = run_suite(SMALL.replace(d_list=(Fraction(3),)))["results"][0]
     assert "error" not in res, res["error"]
     assert {key for key in SWEEP_KEYS if res[key]["failures"]} == failing
     assert all(v["corrected"] == "holds" for v in res["identities"])
@@ -471,7 +470,7 @@ def test_fractional_part_outside_the_interval(monkeypatch, d, delta):
             yield digits, (fa + delta if n == 10 else fa, *rest)
 
     monkeypatch.setattr(shiftcalc, "natural_dots_upto", counter)
-    res = run_suite(replace(SMALL, d_list=(Fraction(d),)))["results"][0]
+    res = run_suite(SMALL.replace(d_list=(Fraction(d),)))["results"][0]
     assert "error" not in res, res["error"]
     split = res["roundtrip_and_split"]
     assert split["failures"] == 1
@@ -497,7 +496,7 @@ def test_split_floor_matches_in_window(cf_of, d, n, delta):
 def test_prefix_probe_stays_inside_a_shallow_expansion():
     # depth 1 grows to 3m+3 = 6 for d=2, and the probe stops at q_6 = 169
     # instead of reading q_9; the sweeps whose inputs need more record it
-    res = run_suite(replace(SMALL, d_list=(Fraction(2),), depth=1, probe_l_max=8))["results"][0]
+    res = run_suite(SMALL.replace(d_list=(Fraction(2),), depth=1, probe_l_max=8))["results"][0]
     assert "error" not in res and res["depth"] == 6
     assert (res["prefix_probe"]["l_max"], res["prefix_probe"]["failures"]) == (5, 0)
     assert res["class_probe"] == {
@@ -536,15 +535,29 @@ def test_config_built_from_python_checks_integer_fields():
     assert SuiteConfig(identity_k_max=None) == SuiteConfig()
 
 
+def test_config_built_from_python_checks_eps_type():
+    # a float eps would certify against its binary value, not the rational
+    # it reads as; JSON and the CLI parse eps from its text, so they never
+    # pass one, and a float there still means its decimal text
+    for value in (0.1, "1/10", True):
+        with pytest.raises(ValueError) as built:
+            SuiteConfig(eps=value)
+        assert str(built.value) == f"config field 'eps' must be a rational, got {value!r}"
+    assert SuiteConfig(eps=Fraction(1, 10)).to_json()["eps"] == "1/10"
+    assert SuiteConfig(eps=1).to_json()["eps"] == 1  # an int builds and prints as before
+    assert config_from_json({"eps": 0.1}).eps == Fraction(1, 10)
+    assert config_from_json({"eps": "1/10"}).eps == Fraction(1, 10)
+
+
 def test_corrupted_constants_are_counted_not_raised(monkeypatch):
     derive = harness.cfrac.derive_shift_constants
 
     def corrupted(cf):
         sc = derive(cf)
-        return replace(sc, pell_norm=sc.pell_norm + 1)
+        return sc.replace(pell_norm=sc.pell_norm + 1)
 
     monkeypatch.setattr(harness.cfrac, "derive_shift_constants", corrupted)
-    report = run_suite(replace(SMALL, d_list=(Fraction(3),)))
+    report = run_suite(SMALL.replace(d_list=(Fraction(3),)))
     res = report["results"][0]
     assert "error" not in res
     exact = res["times_sqrt_exact"]

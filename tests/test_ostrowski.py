@@ -5,7 +5,6 @@ digit-wise real encoder with its certified truncation bound."""
 import pickle
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -162,16 +161,16 @@ def test_encode_nat_rejects_a_corrupted_table(cf_of):
     cf2 = cf_of(2)  # a_k = 2 for k >= 1; q = 1, 2, 5, 12, ...
     # a period of (1,) caps digit 1 at 1, and greedy 4 = 2*q_1 puts 2 there
     with pytest.raises(InvalidDigits, match=r"^digit constraint violated at position 1: \[0, 2\]$"):
-        encode_nat(4, replace(cf2, period=(1,)))
+        encode_nat(4, cf2.replace(period=(1,)))
     # with q_2 = 6, greedy 5 = 2*q_1 + 1*q_0: digit 1 at its cap leaves rem 1 >= q_0;
     # the digits below the named position are not yet found and read 0
     qs = cf2.conv_q  # qs[i] = q_{i-1}
-    bad_q = replace(cf2, conv_q=qs[:3] + (6,) + qs[4:])
+    bad_q = cf2.replace(conv_q=qs[:3] + (6,) + qs[4:])
     with pytest.raises(InvalidDigits, match=r"^digit constraint violated at position 1: \[0, 2\]$"):
         encode_nat(5, bad_q)
     # 28 = 2*q_3 + 2*q_1 breaks that cap twice: the loop runs down and names
     # the highest position, where validate names the lowest
-    capped = replace(cf2, period=(1,))
+    capped = cf2.replace(period=(1,))
     with pytest.raises(InvalidDigits, match=r"position 3: \[0, 0, 0, 2\]$"):
         encode_nat(28, capped)
     assert validate(SimpleNamespace(cf=capped, digits=(0, 2, 0, 2))) == (False, 1)
@@ -445,7 +444,7 @@ def test_encode_real_blocked_cap_holds_over_a_lowered_table(cf_of):
     c = decode_real(make_digits(cf3, (0, 0, 1, 1), KIND_REAL))
     assert encode_real(c, cf3, 4).digits == (0, 0, 1, 1)
     with pytest.raises(VerificationFailed, match="is outside its tail window$"):
-        encode_real(c, replace(cf3, period=(1, 1)), 4)
+        encode_real(c, cf3.replace(period=(1, 1)), 4)
 
 
 @pytest.mark.parametrize("irrational", [True, False])

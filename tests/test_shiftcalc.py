@@ -2,7 +2,6 @@
 double-sum oracle, the two recovery identities, representation-level
 multiplication by sqrt(d), and the window/probe layer."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -242,12 +241,12 @@ def corrupt(sc, field, i, delta):
     if field in ("v", "w"):
         vals = list(getattr(sc, field + "_num"))
         vals[i % sc.t] += delta.numerator
-        return replace(sc, **{field + "_num": tuple(vals)})
+        return sc.replace(**{field + "_num": tuple(vals)})
     if field == "ab":
         a, b = sc.a_const + delta.numerator, sc.b_const + i
-        return replace(sc, a_const=a, b_const=b, unit=quad(b, a, sc.d))
+        return sc.replace(a_const=a, b_const=b, unit=quad(b, a, sc.d))
     if field == "unit":
-        return replace(sc, unit=sc.unit + delta)
+        return sc.replace(unit=sc.unit + delta)
     return sc
 
 
@@ -286,7 +285,7 @@ def audit_cf(d):
 
 def with_units(sc):
     """sc and sc with its unit moved by 1/5 (so E = 5), negated and doubled."""
-    return [sc] + [replace(sc, unit=u) for u in (sc.unit + Fraction(1, 5), -sc.unit, 2 * sc.unit)]
+    return [sc] + [sc.replace(unit=u) for u in (sc.unit + Fraction(1, 5), -sc.unit, 2 * sc.unit)]
 
 
 @pytest.mark.parametrize("d", ["2", "3", "13/4", "32/9", "991", "99991", "1000003/7"])
@@ -336,7 +335,7 @@ def test_zero_unit_is_an_error_entry(monkeypatch):
     # only a corrupted ShiftConstants can hold U = 0, which has no inverse
     derive = ostro.harness.cfrac.derive_shift_constants
     monkeypatch.setattr(ostro.harness.cfrac, "derive_shift_constants",
-                        lambda cf: replace(derive(cf), unit=quad(0, 0, cf.d)))
+                        lambda cf: derive(cf).replace(unit=quad(0, 0, cf.d)))
     report = ostro.run_suite(ostro.SuiteConfig(d_list=(Fraction(3),), n_max=20))
     (res,) = report["results"]
     assert res == {"d": "3", "error": "ZeroDivisionError: inverse of zero"}
@@ -470,7 +469,7 @@ def reference_times_sqrt_frac(x, sc):
 def test_times_sqrt_frac_matches_quadrat_reference(cf_of, sc_of, d, n, field, i, delta):
     cf, sc = cf_of(d), sc_of(d)
     if field == "pell":
-        sc = replace(sc, pell_norm=sc.pell_norm + delta)
+        sc = sc.replace(pell_norm=sc.pell_norm + delta)
     else:
         sc = corrupt(sc, field, i, delta)
     assume(sc.a_const != 0)
