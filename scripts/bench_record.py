@@ -159,6 +159,9 @@ cf3 = cfrac.expand(3, 64)
 sc3, sc64 = cfrac.derive_shift_constants(cf3), cfrac.derive_shift_constants(cf64)
 cf1311 = cf64.at_least(1311)
 rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction(1, 10**30)
+cf256 = cfrac.expand(3, 256)  # eps = 10^-60 takes 212 digits, and the shift stays inside
+sc256, eps60 = cfrac.derive_shift_constants(cf256), Fraction(1, 10**60)
+by9973 = [Fraction(10**6 + 7 * j, 9973) for j in range(50)]
 dots = [t for _, t in shiftcalc.natural_dots_upto(cf3, sc3, 10**4)]
 nats = [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)]
 dots99991 = [t for _, t in shiftcalc.natural_dots_upto(cf1311, sc64, 10**4)]
@@ -176,6 +179,8 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
         shiftcalc.natural_dots_upto(cf3, sc3, 10**4), maxlen=0),
     "times_sqrt_real_99991_20": lambda: [shiftcalc.times_sqrt_real(x, eps, cf64, sc64)
                                          for x in rationals],
+    "times_sqrt_real_3_256_50": lambda: [shiftcalc.times_sqrt_real(x, eps60, cf256, sc256)
+                                         for x in by9973],
     "audit_identities_99991_1311": lambda: cfrac.audit_identities(cf1311),
     "encode_nat_3_10000": lambda: [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)],
     "frac_verdicts_3_10000": lambda: [shiftcalc.frac_verdicts(cf3, sc3, fa, n, ya, yb)

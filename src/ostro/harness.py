@@ -99,15 +99,22 @@ def config_from_json(data) -> SuiteConfig:
     missing keys and null scalars keep their defaults, unknown keys are
     ignored, d_list (a list) and eps are parsed from their text, and
     SuiteConfig checks every value."""
+    def rational(field: str, value) -> Fraction:  # a bad value names its field
+        try:
+            return parse_rat(str(value))
+        except ValueError as exc:  # a zero denominator keeps parse_rat's message
+            raise exc if str(exc).startswith("zero denominator") else ValueError(
+                f"config field {field!r} must be a rational, got {value!r}") from None
+
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     kwargs = {name: data[name] for name in SuiteConfig._fields if data.get(name) is not None}
     if "d_list" in data:
         if not isinstance(data["d_list"], list):
             raise ValueError(f"config field 'd_list' must be a list, got {data['d_list']!r}")
-        kwargs["d_list"] = tuple(parse_rat(str(x)) for x in data["d_list"])
+        kwargs["d_list"] = tuple(rational(f"d_list[{i}]", x) for i, x in enumerate(data["d_list"]))
     if "eps" in kwargs:
-        kwargs["eps"] = parse_rat(str(kwargs["eps"]))
+        kwargs["eps"] = rational("eps", kwargs["eps"])
     return SuiteConfig(**kwargs)
 
 

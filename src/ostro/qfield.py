@@ -271,7 +271,7 @@ def parse_rat(text: str) -> Fraction:
         pass
     try:
         return Fraction(Decimal(text))
-    except ArithmeticError:
+    except (ArithmeticError, ValueError):  # ValueError: a NaN has no ratio
         raise ValueError(f"not a rational: {text!r}") from None
 
 

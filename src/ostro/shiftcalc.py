@@ -27,6 +27,7 @@ periodic residue-class witnesses.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from operator import add
 
@@ -78,28 +79,33 @@ class AuditEntry(Value):
         return {**self._asdict(), "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
-def _row(cf: CFData, sc: ShiftConstants, k: int) -> tuple[int, ...]:
-    """The seven weights of digit k in natural_dots: -p_k, q_k, the p and q
-    of k + m signed by (-1)^m, and p_{k+1} times sc.v_num, p_k and p_{k+1}
-    times sc.w_num, the constants taken at k mod t."""
+def _dots(cf: CFData, sc: ShiftConstants, digits, start: int = 0) -> tuple[int, ...]:
+    """The seven sums of natural_dots over digits placed from position start: digit k
+    weighs -p_k, q_k, the p and q of k + m signed by (-1)^m, p_{k+1} v and p_k, p_{k+1} w
+    (sc's numerators at k mod t).  On the one digit 1 at k it is the counter's row k."""
     m, ps, qs = cf.m, cf.conv_p, cf.conv_q  # qs[i] = q_{i-1}
-    s, i = (-1 if m % 2 else 1), k % sc.t
-    nv, nw = sc.v_num[i], sc.w_num[i]
-    return (-ps[k + 1], qs[k + 1], -s * ps[k + m + 1], s * qs[k + m + 1],
-            nv * ps[k + 2], nw * ps[k + 1], nw * ps[k + 2])
+    nv, nw, t = sc.v_num, sc.w_num, sc.t
+    bp = n = yp = yq = v1 = w0 = w1 = 0
+    for k, b in enumerate(digits, start):
+        if b:
+            i = k % t
+            p0, p1 = b * ps[k + 1], b * ps[k + 2]
+            bp, n = bp + p0, n + b * qs[k + 1]
+            yp, yq = yp + b * ps[k + m + 1], yq + b * qs[k + m + 1]
+            v1, w0, w1 = v1 + nv[i] * p1, w0 + nw[i] * p0, w1 + nw[i] * p1
+    s = -1 if m % 2 else 1
+    return -bp, n, -s * yp, s * yq, v1, w0, w1
 
 
 def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
-    """(fa, n, ya, yb, v1, w0, w1) from one depth check (the last digit
-    moved up by m) and the digit-weighted sum of x's weight rows: fa +
-    n sqrt(d) is the beta-value of x, ya + yb sqrt(d) is (-1)^m times its
-    all-ones beta sum at shift m, and v1, w0, w1 are its p dot products
-    weighted by sc.v_num at shift 1 and by sc.w_num at shifts 0 and 1."""
+    """(fa, n, ya, yb, v1, w0, w1) from one depth check (the last digit moved up
+    by m) and one pass over x: fa + n sqrt(d) is the beta-value of x, ya + yb sqrt(d)
+    is (-1)^m times its all-ones beta sum at shift m, and v1, w0, w1 are its p dot
+    products weighted by sc.v_num at shift 1 and by sc.w_num at shifts 0 and 1."""
     cf = x.cf
     if x.digits and (top := len(x.digits) - 1 + cf.m) > cf.depth:
         raise DepthExceeded(f"shifted index {top} exceeds depth {cf.depth}")
-    rows = [[b * w for w in _row(cf, sc, k)] for k, b in enumerate(x.digits) if b]
-    return tuple(map(sum, zip((0,) * 7, *rows)))
+    return _dots(cf, sc, x.digits)
 
 
 def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
@@ -110,10 +116,11 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
     below it: digit k can rise when the new value is at most cap =
     period[k % m] (below cap at k = 0) and the digit above is not at its
     own cap.  The dots are digit-weighted sums of one weight row per
-    position, so tails[k], their sum over the positions >= k, takes
-    row k at the raised position and is copied to the zeroed ones.  Past
-    q_{depth-m+1} the digits shifted by m leave the depth, and
-    DepthExceeded is raised as natural_dots raises it.
+    position, natural_dots' loop on the one digit 1 there, so tails[k],
+    their sum over the positions >= k, takes row k at the raised position
+    and is copied to the zeroed ones.  Past q_{depth-m+1} the digits
+    shifted by m leave the depth, and DepthExceeded is raised as
+    natural_dots raises it.
     """
     m, period = cf.m, cf.period
     top = cf.depth - m  # the last position whose shift by m is materialized
@@ -133,7 +140,7 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
         if k > top:
             raise DepthExceeded(f"shifted index {k + m} exceeds depth {cf.depth}")
         if k >= size:
-            rows += [_row(cf, sc, j) for j in range(size, k + 1)]
+            rows += [_dots(cf, sc, (1,), j) for j in range(size, k + 1)]
             tails += [tails[-1]] * (k + 1 - size)
         digits = (0,) * k + (b,) + digits[k + 1:]
         # through a list: tuple(map(...)) over-allocates and shrinks, and the
@@ -251,17 +258,18 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
     whole = (x + root - cf.a0).floor()  # x - whole lies in I exactly
     c = x - whole
 
-    # depth = the first k with (|beta_{k-1}| + |beta_k|) sqrt(d) < eps.  The
-    # betas alternate, so that tail is s (beta_{k-1} - beta_k), s the sign of
-    # beta_{k-1}; times sqrt(d), minus eps and scaled by dd*ed it is a sign_sqrt.
+    # depth = the first k with (|beta_{k-1}| + |beta_k|) sqrt(d) < eps, by bisection: that
+    # tail strictly decreases in k.  The betas alternate, so it is s (beta_{k-1} - beta_k),
+    # s the sign of beta_{k-1}; times sqrt(d), minus eps and scaled by dd*ed, a sign_sqrt.
     dn, dd, en, ed = cf.d.numerator, cf.d.denominator, eps.numerator, eps.denominator
     ps, qs = cf.conv_p, cf.conv_q
-    for depth in range(1, cf.depth + 1):
-        s = 1 if depth % 2 else -1
-        dq, dp = qs[depth] - qs[depth + 1], ps[depth] - ps[depth + 1]
-        if sign_sqrt(s * dq * dn * ed - en * dd, -s * dp * dd * ed, dn, dd) < 0:
-            break
-    else:
+    def below_eps(k: int) -> bool:
+        s = 1 if k % 2 else -1
+        dq, dp = qs[k] - qs[k + 1], ps[k] - ps[k + 1]
+        return sign_sqrt(s * dq * dn * ed - en * dd, -s * dp * dd * ed, dn, dd) < 0
+
+    depth = bisect_right(range(1, cf.depth + 1), False, key=below_eps) + 1
+    if depth > cf.depth:
         raise DepthExceeded(f"eps={eps} needs more than {cf.depth} digit positions")
 
     # encoded over the depth its digits shifted by m can reach

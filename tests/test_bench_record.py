@@ -81,13 +81,13 @@ class CFData:
 
 
 def expand(d, depth):
-    if (d, depth) not in ((99991, 874), (99991, 64), (61, 150), (3, 64), (2, 64)):
+    if (d, depth) not in ((99991, 874), (99991, 64), (61, 150), (3, 64), (3, 256), (2, 64)):
         raise ValueError((d, depth))
     return CFData(d, depth)
 
 
 def derive_shift_constants(cf):
-    if (cf.d, cf.depth) not in ((99991, 874), (99991, 64), (3, 64)):
+    if (cf.d, cf.depth) not in ((99991, 874), (99991, 64), (3, 64), (3, 256)):
         raise ValueError((cf.d, cf.depth))
     return ("sc", cf.d)
 
@@ -154,7 +154,10 @@ def prefix_nat(cf, l, c):
 
 
 def times_sqrt_real(x, eps, cf, sc):
-    if ((cf.d, cf.depth, sc, eps) != (99991, 64, ("sc", 99991), Fraction(1, 10**30))
+    if (cf.d, cf.depth, sc, eps) == (3, 256, ("sc", 3), Fraction(1, 10**60)):
+        if x.denominator != 9973:
+            raise ValueError(x)
+    elif ((cf.d, cf.depth, sc, eps) != (99991, 64, ("sc", 99991), Fraction(1, 10**30))
             or not Fraction(7, 5) <= x < Fraction(12, 5)):
         raise ValueError((x, eps, cf.d, cf.depth, sc))
 '''
@@ -217,6 +220,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "derive_shift_constants_99991_874", "at_least_99991_64_1311",
                 "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
                 "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000", "times_sqrt_real_99991_20",
+                "times_sqrt_real_3_256_50",
                 "audit_identities_99991_1311", "encode_nat_3_10000", "frac_verdicts_3_10000",
                 "frac_verdicts_99991_10000", "nat_verdicts_3_10000", "decode_real_3_10000", "check_recover_frac_3_2000",
                 "check_recover_nat_3_2000", "prefix_nat_61_40x9"):

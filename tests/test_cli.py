@@ -204,6 +204,11 @@ def test_mul_negative_is_domain_error(capsys):
     assert main(["mul", "--d", "3", "--x", "-1", "--eps", "1e-9"]) == 4
 
 
+def test_mul_nan_eps_is_input_error(capsys):
+    assert main(["mul", "--d", "3", "--x", "1", "--eps", "nan"]) == 2
+    assert capsys.readouterr().err == "error: not a rational: 'nan'\n"
+
+
 def test_mul_reads_past_depth_for_the_shift(capsys):
     # eps needs digits up to position 117 of depth 118; shifted by m = 2
     # the product reads position 119, so mul expands one position deeper

@@ -549,6 +549,23 @@ def test_config_built_from_python_checks_eps_type():
     assert config_from_json({"eps": "1/10"}).eps == Fraction(1, 10)
 
 
+def test_config_from_json_names_a_bad_rational():
+    # eps and each d_list entry are parsed from their text; one that is no
+    # rational is reported by its field, as the integer fields are
+    for blob, field, value in [({"eps": float("nan")}, "eps", float("nan")),
+                               ({"eps": [1]}, "eps", [1]), ({"eps": "1/"}, "eps", "1/"),
+                               ({"eps": "inf"}, "eps", "inf"),
+                               ({"d_list": [3, "x"]}, "d_list[1]", "x"),
+                               ({"d_list": ["nan", 2]}, "d_list[0]", "nan")]:
+        with pytest.raises(ValueError) as bad:
+            config_from_json(blob)
+        assert str(bad.value) == f"config field {field!r} must be a rational, got {value!r}"
+    with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
+        config_from_json({"eps": "1/0"})  # as everywhere a rational is read
+    assert config_from_json({"d_list": ["3/2", 7], "eps": "1e-9"}) == SuiteConfig(
+        d_list=(Fraction(3, 2), Fraction(7)), eps=Fraction(1, 10**9))
+
+
 def test_corrupted_constants_are_counted_not_raised(monkeypatch):
     derive = harness.cfrac.derive_shift_constants
 

@@ -61,6 +61,15 @@ def test_text_form_round_trip():
     assert parse_rat("3/4") == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("text", ["nan", "-NaN", "snan", "inf", "-Infinity", "abc", "1e"])
+def test_parse_rat_rejects_non_rationals_by_their_text(text):
+    # Decimal reads NaN and Infinity, which have no ratio; the message is
+    # the same for them as for any other malformed rational
+    with pytest.raises(ValueError) as bad:
+        parse_rat(text)
+    assert str(bad.value) == f"not a rational: {text!r}"
+
+
 @given(rationals, rationals, radicands)
 def test_parse_inverts_str(a, b, d):
     x = quad(a, b, d)

@@ -3,9 +3,10 @@ double-sum oracle, the two recovery identities, representation-level
 multiplication by sqrt(d), and the window/probe layer."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import ostro
@@ -215,7 +216,8 @@ def test_recover_sweeps(cf_of, sc_of):
 
 def reference_recoveries(x, sc):
     """Both recovery identities in QuadRat arithmetic, from the weighted
-    sums: ((printed, corrected, lhs, rhs) frac, (printed, corrected, rhs) nat)."""
+    sums: ((printed, corrected, lhs, rhs) frac, (printed, corrected, rhs) nat,
+    the seven ints of natural_dots)."""
     cf, m = x.cf, x.cf.m
     emb, s = embed(x), (-1) ** m
     lhs = decode_real(x)
@@ -231,7 +233,45 @@ def reference_recoveries(x, sc):
     n = quad(decode_nat(x), 0, cf.d)
     val = p_sum(v, 1) + p_sum(w, 0)
     nat = (p_sum(v, 1) + p_sum(w, 1) == n, val == n, val)
-    return frac, nat
+    f, ys = weighted_beta_sum(emb, Weights.ones(cf.t)), y * s
+    vn, wn = Weights.of(sc.v_num), Weights.of(sc.w_num)
+    dots = (f.a, f.b, ys.a, ys.b, p_sum(vn, 1).a, p_sum(wn, 0).a, p_sum(wn, 1).a)
+    return frac, nat, dots
+
+
+# (d, x, eps) of ostro mul inputs whose digit strings hold 84-210 digits,
+# over expansions that the shift by m takes past depth 64
+MUL_INPUTS = (
+    (Fraction(3), Fraction(123457, 9973), Fraction(1, 10**24)),
+    (Fraction(3), Fraction(9972, 9973), Fraction(1, 10**59)),
+    (Fraction(61), Fraction(50001, 9973), Fraction(1, 10**40)),
+    (Fraction(61), Fraction(7, 5), Fraction(1, 10**80)),
+    (Fraction(99991), Fraction(1, 9973), Fraction(1, 10**60)),
+    (Fraction(99991), Fraction(888888, 9973), Fraction(1, 10**100)),
+)
+
+
+@lru_cache(maxsize=None)
+def mul_string(d, x, eps):
+    """The string times_sqrt_real builds for sqrt(d) x to eps: x mod 1 encoded
+    to the eps depth, over the expansion deepened by the shift m."""
+    cf = ostro.cfrac.expand(d, 256)
+    depth = reference_real_depth(cf, eps)
+    c = x - (quad(x, 0, d) + cf.sqrt_d() - cf.a0).floor()
+    return encode_real(quad(c, 0, d), cf.at_least(depth - 1 + cf.m), depth)
+
+
+def digit_string(cf_of, d, n):
+    """encode_nat(n) over d, or for n a (d, x, eps) triple of MUL_INPUTS the
+    string times_sqrt_real builds for it."""
+    return encode_nat(n, cf_of(d)) if isinstance(n, int) else mul_string(*n)
+
+
+def with_mul_examples(test):
+    """Every MUL_INPUTS string through test as an explicit, uncorrupted example."""
+    for inputs in MUL_INPUTS:
+        test = example(inputs[0], inputs, None, 0, Fraction(1))(test)
+    return test
 
 
 def corrupt(sc, field, i, delta):
@@ -250,16 +290,20 @@ def corrupt(sc, field, i, delta):
     return sc
 
 
+@with_mul_examples
 @given(st.sampled_from([Fraction(x) for x in (2, 3, 7, 13, "3/2", "32/9", "13/4")]),
-       st.integers(0, 10**6),
+       st.one_of(st.integers(0, 10**6), st.sampled_from(MUL_INPUTS)),
        st.sampled_from([None, "v", "w", "ab", "unit"]),
        st.integers(0, 7),
        st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
 def test_integer_recoveries_match_quadrat_reference(cf_of, sc_of, d, n, field, i, delta):
-    cf = cf_of(d)
-    sc = corrupt(sc_of(d), field, i, delta)
-    x = encode_nat(n, cf)
-    (fp, fc, flhs, frhs), (np_, nc, nrhs) = reference_recoveries(x, sc)
+    # n is a natural over d, or a long real string as ostro mul builds it
+    x = digit_string(cf_of, d, n)
+    sc = corrupt(sc_of(x.cf.d), field, i, delta)
+    (fp, fc, flhs, frhs), (np_, nc, nrhs), dots = reference_recoveries(x, sc)
+    assert shiftcalc.natural_dots(x, sc) == dots  # all seven ints
+    if not isinstance(n, int):  # a mul string's natural is its q-weighted sum
+        n = dots[1]
     ef, en = check_recover_frac(x, sc), check_recover_nat(x, sc)
     verdict = {True: "holds", False: "fails"}
     assert (ef.printed, ef.corrected) == (verdict[fp], verdict[fc])
@@ -461,19 +505,21 @@ def reference_times_sqrt_frac(x, sc):
     return quad(c1 * fu.a + c2 * f.a, c1 * fu.b + c2 * f.b, cf.d)
 
 
+@with_mul_examples
 @given(st.sampled_from([Fraction(x) for x in (2, 3, 7, 13, "3/2", "32/9", "13/4")]),
-       st.integers(0, 10**6),
+       st.one_of(st.integers(0, 10**6), st.sampled_from(MUL_INPUTS)),
        st.sampled_from([None, "pell", "ab"]),
        st.integers(0, 7),
        st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
 def test_times_sqrt_frac_matches_quadrat_reference(cf_of, sc_of, d, n, field, i, delta):
-    cf, sc = cf_of(d), sc_of(d)
+    # n is a natural over d, or a long real string as ostro mul builds it
+    x = digit_string(cf_of, d, n).retag(KIND_REAL)
+    sc = sc_of(x.cf.d)
     if field == "pell":
         sc = sc.replace(pell_norm=sc.pell_norm + delta)
     else:
         sc = corrupt(sc, field, i, delta)
     assume(sc.a_const != 0)
-    x = encode_nat(n, cf).retag(KIND_REAL)
     assert times_sqrt_frac(x, sc) == reference_times_sqrt_frac(x, sc)
 
 
@@ -500,6 +546,14 @@ def reference_real_depth(cf, eps):
     return None
 
 
+def tail_edges(cf, k):
+    """Rationals just below and just above (|beta_{k-1}| + |beta_k|) sqrt(d)."""
+    tail = (abs(cf.beta(k - 1)) + abs(cf.beta(k))) * cf.sqrt_d()
+    scale = 10**6 * cf.q(k) ** 2
+    below = Fraction((tail * scale).floor(), scale)
+    return below, below + Fraction(1, scale)
+
+
 def test_times_sqrt_real_depth_matches_quadrat_reference(cf_of, sc_of, monkeypatch):
     used = []
 
@@ -508,11 +562,20 @@ def test_times_sqrt_real_depth_matches_quadrat_reference(cf_of, sc_of, monkeypat
         return encode_real(c, cf, depth)
 
     monkeypatch.setattr(shiftcalc, "encode_real", spy)
-    epsilons = [Fraction(2), Fraction(1, 7), Fraction(1, 10**9), Fraction(1, 10**40),
-                Fraction(3, 10**120)]
+    epsilons = [Fraction(10**6), Fraction(2), Fraction(1, 7), Fraction(1, 10**9),
+                Fraction(1, 10**40), Fraction(3, 10**120)]
     for d, depth in ((3, 64), (Fraction(13, 4), 64), (991, 130), (Fraction(1000003, 7), 440)):
         cf, sc = cf_of(d, depth), sc_of(d, depth)
-        for eps in epsilons:
+        # every boundary of the depth search (1000003/7 aside): just above the
+        # tail at k it takes k positions, just below it k + 1, and just below
+        # the tail at cf.depth more than the expansion holds
+        edges = []
+        for k in [*range(1, 41), cf.depth] if depth < 440 else []:
+            below, above = tail_edges(cf, k)
+            assert reference_real_depth(cf, above) == k
+            assert reference_real_depth(cf, below) == (k + 1 if k < cf.depth else None)
+            edges += [below, above]
+        for eps in epsilons + edges:
             want = reference_real_depth(cf, eps)
             used.clear()
             if want is None:
