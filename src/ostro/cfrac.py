@@ -34,7 +34,6 @@ linear system is solved.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -48,17 +47,19 @@ MAX_PERIOD = 10_000  # longest period expand searches for
 
 
 class Value:
-    """Base of the immutable value classes.  A subclass lists its fields in
-    _fields, in constructor order, and in __slots__ (then "__dict__" if a
-    cached_property needs one); __init__ hands them to _fill, which sets
-    each slot past __setattr__.  Setting or deleting an attribute raises
-    AttributeError; equality and hashing are field-wise within one class;
-    repr names every field; copy, pickle and replace go through __init__."""
+    """Base of the immutable value classes.  A subclass lists its
+    constructor inputs in _fields, in order, the values it derives from them
+    in _derived, and both in __slots__; __init__ hands the fields and then
+    the derived values to _fill, which sets each slot past __setattr__.
+    Setting or deleting an attribute raises AttributeError; equality,
+    hashing, repr, copy, pickle and replace read the fields only, so a copy
+    rebuilds its derived slots through __init__."""
 
     __slots__ = ()
+    _derived = ()
 
     def __init_subclass__(cls) -> None:
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in (*cls._fields, *cls._derived))
 
     def _fill(self, *values) -> None:
         for set_field, value in zip(self._setters, values):
@@ -98,15 +99,22 @@ class CFData(Value):
     conv_p and conv_q start at index -1; use the accessors p(), q(),
     beta() which take the mathematical index k >= -1.  zetas holds zeta_1
     .. zeta_m of one full period as the pairs (P, Q) of (P + sqrt(D))/Q,
-    D = num(d)*den(d).
+    D = num(d)*den(d).  Derived on construction: a0 = floor(sqrt(d)), the
+    period length m, the largest digit bound s_max, the depth (the last
+    materialized index) and t = max(m, 2), the residue-class modulus of the
+    shift constants.
     """
 
-    __slots__ = _fields = ("d", "a0", "period", "m", "s_max", "conv_p", "conv_q", "zetas", "depth")
+    _fields = ("d", "period", "conv_p", "conv_q", "zetas")
+    _derived = ("a0", "m", "s_max", "depth", "t")
+    __slots__ = (*_fields, *_derived)
 
-    def __init__(self, d: Fraction, a0: int, period: tuple[int, ...], m: int, s_max: int,
-                 conv_p: tuple[int, ...], conv_q: tuple[int, ...],
-                 zetas: tuple[tuple[int, int], ...], depth: int) -> None:
-        self._fill(d, a0, period, m, s_max, conv_p, conv_q, zetas, depth)
+    def __init__(self, d: Fraction, period: tuple[int, ...], conv_p: tuple[int, ...],
+                 conv_q: tuple[int, ...], zetas: tuple[tuple[int, int], ...]) -> None:
+        m = len(period)
+        self._fill(d, period, conv_p, conv_q, zetas,
+                   math.isqrt(d.numerator * d.denominator) // d.denominator, m, max(period),
+                   len(conv_p) - 2, max(m, 2))
 
     def sqrt_d(self) -> QuadRat:
         return QuadRat._of(0, 1, 1, self.d)
@@ -141,11 +149,6 @@ class CFData(Value):
         big_p, big_q = self.zetas[(k - 1) % self.m] if k else (0, dd)
         return QuadRat._of(big_p, dd, big_q, self.d)
 
-    @property
-    def t(self) -> int:
-        """Residue-class modulus used by the shift constants: max(m, 2)."""
-        return max(self.m, 2)
-
     def at_least(self, k: int) -> CFData:
         """This expansion if it reaches index k, else a copy with the tables
         extended to index k; expand's sweep checks the new indices only."""
@@ -154,7 +157,7 @@ class CFData(Value):
         ps, qs, period, m = list(self.conv_p), list(self.conv_q), self.period, self.m
         _extend(ps, qs, (period[(j - 1) % m] for j in range(self.depth + 1, k + 1)))
         _check_convergents(self.d, ps, qs, self.zetas, k, self.depth + 1)
-        return self.replace(conv_p=tuple(ps), conv_q=tuple(qs), depth=k)
+        return self.replace(conv_p=tuple(ps), conv_q=tuple(qs))
 
 
 def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
@@ -204,17 +207,7 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
     ps, qs = [1, a0], [0, 1]  # p_{-1}, p_0, ...
     _extend(ps, qs, (period[(k - 1) % m] for k in range(1, depth + 1)))
     _check_convergents(d, ps, qs, zetas, depth)
-    return CFData(
-        d=d,
-        a0=a0,
-        period=tuple(period),
-        m=m,
-        s_max=max(period),
-        conv_p=tuple(ps),
-        conv_q=tuple(qs),
-        zetas=tuple(zetas),
-        depth=depth,
-    )
+    return CFData(d, tuple(period), tuple(ps), tuple(qs), tuple(zetas))
 
 
 def _beta_quotient_holds(dn: int, dd: int, ps, qs, zetas, k: int) -> bool:
@@ -460,22 +453,22 @@ class ShiftConstants(Value):
     (P_j + sqrt(D))/Q_j, the classical identity dn q_k = Q_{k+1} p_{k+1}
     - P_{k+2} p_k gives v_num[i] = Q_{i+1} and w_num[i] = -P_{i+2} (P and
     Q have period m); v and w are the rational weights v_num[i]/dn and
-    w_num[i]/dn.  U is the unit q_{m-1} sqrt(d) + p_{m-1}; a_const,
-    b_const are its coefficients and pell_norm records a_const^2 d -
-    b_const^2 (for integer d this is the classical +-1).
+    w_num[i]/dn.  U is the unit q_{m-1} sqrt(d) + p_{m-1}.  Derived on
+    construction: t = len(v_num), a_const and b_const with U = b_const +
+    a_const sqrt(d), pell_norm = -norm(U) = a_const^2 d - b_const^2 (for
+    integer d the classical +-1), and unit_inverse, U^-1 as the triple
+    (A, B, E) of (A + B sqrt(d)) / E, as small as U.
     """
 
-    _fields = ("d", "t", "v_num", "w_num", "unit", "a_const", "b_const", "pell_norm")
-    __slots__ = (*_fields, "__dict__")  # the dict holds unit_inverse once read
+    _fields = ("d", "v_num", "w_num", "unit")
+    _derived = ("t", "a_const", "b_const", "pell_norm", "unit_inverse")
+    __slots__ = (*_fields, *_derived)
 
-    def __init__(self, d: Fraction, t: int, v_num: tuple[int, ...], w_num: tuple[int, ...],
-                 unit: QuadRat, a_const: int, b_const: int, pell_norm: Fraction) -> None:
-        self._fill(d, t, v_num, w_num, unit, a_const, b_const, pell_norm)
-
-    @functools.cached_property
-    def unit_inverse(self) -> tuple[int, int, int]:
-        """U^-1 as the triple (A, B, E) of (A + B sqrt(d)) / E; as small as U."""
-        return self.unit.inverse().scaled()
+    def __init__(self, d: Fraction, v_num: tuple[int, ...], w_num: tuple[int, ...],
+                 unit: QuadRat) -> None:
+        b_const, a_const, _ = unit.scaled()  # U = b + a sqrt(d)
+        self._fill(d, v_num, w_num, unit,
+                   len(v_num), a_const, b_const, -unit.norm(), unit.inverse().scaled())
 
     @property
     def v(self) -> tuple[Fraction, ...]:
@@ -524,18 +517,7 @@ def derive_shift_constants(cf: CFData) -> ShiftConstants:
         v_num.append(v)
         w_num.append(w)
 
-    unit = fundamental_unit(cf)
-    b_const, a_const, _ = unit.scaled()  # U = b + a sqrt(d)
-    return ShiftConstants(
-        d=cf.d,
-        t=t,
-        v_num=tuple(v_num),
-        w_num=tuple(w_num),
-        unit=unit,
-        a_const=a_const,
-        b_const=b_const,
-        pell_norm=-unit.norm(),
-    )
+    return ShiftConstants(cf.d, tuple(v_num), tuple(w_num), fundamental_unit(cf))
 
 
 def fundamental_unit(cf: CFData) -> QuadRat:

@@ -102,9 +102,10 @@ def config_from_json(data) -> SuiteConfig:
     def rational(field: str, value) -> Fraction:  # a bad value names its field
         try:
             return parse_rat(str(value))
-        except ValueError as exc:  # a zero denominator keeps parse_rat's message
-            raise exc if str(exc).startswith("zero denominator") else ValueError(
-                f"config field {field!r} must be a rational, got {value!r}") from None
+        except ValueError as exc:  # a zero denominator keeps parse_rat's message first
+            zero = str(exc).startswith("zero denominator")
+            raise ValueError(f"{exc} (config field {field!r})" if zero else
+                             f"config field {field!r} must be a rational, got {value!r}") from None
 
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")

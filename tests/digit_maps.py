@@ -181,7 +181,8 @@ def shift_constants_reference(cf: CFData) -> ShiftConstants:
     """The shift constants by solving, per residue i, the 2x2 system
     q_{kt+i} = v_i p_{kt+i+1} + w_i p_{kt+i} at k = 0, 1, then checking
     every index of cf.at_least(2t+2) in Fraction arithmetic.  The solved
-    weights are stored over num(d); one that is not integral there raises."""
+    weights are stored over num(d); one that is not integral there raises,
+    and so do derived a, b or Pell norm that differ from the reference's own."""
     t = cf.t
     cf = cf.at_least(2 * t + 2)
     dn = cf.d.numerator
@@ -202,16 +203,15 @@ def shift_constants_reference(cf: CFData) -> ShiftConstants:
         vs.append(vn.numerator)
         ws.append(wn.numerator)
     a_const, b_const = cf.q(cf.m - 1), cf.p(cf.m - 1)
-    return ShiftConstants(
-        d=cf.d,
-        t=t,
-        v_num=tuple(vs),
-        w_num=tuple(ws),
-        unit=QuadRat(Fraction(b_const), Fraction(a_const), cf.d),
-        a_const=a_const,
-        b_const=b_const,
-        pell_norm=Fraction(a_const * a_const) * cf.d - b_const * b_const,
-    )
+    unit = QuadRat(Fraction(b_const), Fraction(a_const), cf.d)
+    sc = ShiftConstants(cf.d, tuple(vs), tuple(ws), unit)
+    # the constructor derives a, b and the norm from the unit; the reference
+    # compares them with its own coefficients and Pell formula
+    pell = Fraction(a_const * a_const) * cf.d - b_const * b_const
+    if (sc.a_const, sc.b_const, sc.pell_norm) != (a_const, b_const, pell):
+        raise VerificationFailed(f"derived constants {sc.a_const}, {sc.b_const}, {sc.pell_norm} "
+                                 f"for d={cf.d}, expected {a_const}, {b_const}, {pell}")
+    return sc
 
 
 def digit_window(cf: CFData, l: int, printed: bool = False) -> tuple[QuadRat, QuadRat]:

@@ -271,7 +271,7 @@ def per_n_reference(cf, sc, config):
     ("v", 1, Fraction(1, 2), ("recover_nat",)),
     ("w", 2, Fraction(-1, 3), ("recover_nat",)),
     ("ab", 1, Fraction(2), ("recover_frac", "times_sqrt_exact")),
-    ("unit", 0, Fraction(1, 5), ("recover_frac",)),
+    ("unit", 0, Fraction(1, 5), ("recover_frac", "times_sqrt_exact")),
 ])
 def test_fused_pass_matches_per_n_checks(monkeypatch, d, field, i, delta, failing):
     config = SMALL.replace(d_list=(Fraction(d),), n_max=300, lambda_n_max=120,
@@ -560,8 +560,12 @@ def test_config_from_json_names_a_bad_rational():
         with pytest.raises(ValueError) as bad:
             config_from_json(blob)
         assert str(bad.value) == f"config field {field!r} must be a rational, got {value!r}"
-    with pytest.raises(ValueError, match="^zero denominator in '1/0'$"):
-        config_from_json({"eps": "1/0"})  # as everywhere a rational is read
+    # a zero denominator keeps the message it has wherever a rational is read
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0' \(config field 'eps'\)$"):
+        config_from_json({"eps": "1/0"})
+    with pytest.raises(ValueError,
+                       match=r"^zero denominator in '2/0' \(config field 'd_list\[1\]'\)$"):
+        config_from_json({"d_list": [3, "2/0"]})
     assert config_from_json({"d_list": ["3/2", 7], "eps": "1e-9"}) == SuiteConfig(
         d_list=(Fraction(3, 2), Fraction(7)), eps=Fraction(1, 10**9))
 
@@ -571,7 +575,7 @@ def test_corrupted_constants_are_counted_not_raised(monkeypatch):
 
     def corrupted(cf):
         sc = derive(cf)
-        return sc.replace(pell_norm=sc.pell_norm + 1)
+        return sc.replace(unit=sc.unit + 1)
 
     monkeypatch.setattr(harness.cfrac, "derive_shift_constants", corrupted)
     report = run_suite(SMALL.replace(d_list=(Fraction(3),)))
@@ -586,8 +590,6 @@ def test_corrupted_constants_are_counted_not_raised(monkeypatch):
     assert real["checked"] == SMALL.lambda_samples
     assert real["failures"] > 0
     assert set(real["first_failure"]) == {"x", "error"}
-    # the recovery identities do not use pell_norm and still hold
-    assert res["recover_frac"]["failures"] == 0
     assert corrected_failures(report) > 0
 
 

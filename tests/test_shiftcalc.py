@@ -276,15 +276,15 @@ def with_mul_examples(test):
 
 def corrupt(sc, field, i, delta):
     """sc with one integer weight of v or w stepped by the nonzero
-    numerator of delta, the integers a_const and b_const (and the unit
-    built from them), or the unit alone moved by delta."""
+    numerator of delta, the unit b + a sqrt(d) with a stepped by that
+    numerator and b by i, or the unit moved by delta.  a_const, b_const,
+    pell_norm and unit_inverse follow the unit."""
     if field in ("v", "w"):
         vals = list(getattr(sc, field + "_num"))
         vals[i % sc.t] += delta.numerator
         return sc.replace(**{field + "_num": tuple(vals)})
     if field == "ab":
-        a, b = sc.a_const + delta.numerator, sc.b_const + i
-        return sc.replace(a_const=a, b_const=b, unit=quad(b, a, sc.d))
+        return sc.replace(unit=quad(sc.b_const + i, sc.a_const + delta.numerator, sc.d))
     if field == "unit":
         return sc.replace(unit=sc.unit + delta)
     return sc
@@ -501,24 +501,21 @@ def reference_times_sqrt_frac(x, sc):
     f = decode_real(x)
     y = weighted_beta_sum(embed(x), Weights.ones(cf.t), cf.m)
     fu = y if cf.m % 2 == 0 else -y
-    c1, c2 = sc.pell_norm / sc.a_const, Fraction(sc.b_const, sc.a_const)
+    a, b = sc.a_const, sc.b_const
+    c1, c2 = (a * a * cf.d - b * b) / a, Fraction(b, a)  # its own Pell formula, not sc.pell_norm
     return quad(c1 * fu.a + c2 * f.a, c1 * fu.b + c2 * f.b, cf.d)
 
 
 @with_mul_examples
 @given(st.sampled_from([Fraction(x) for x in (2, 3, 7, 13, "3/2", "32/9", "13/4")]),
        st.one_of(st.integers(0, 10**6), st.sampled_from(MUL_INPUTS)),
-       st.sampled_from([None, "pell", "ab"]),
+       st.sampled_from([None, "ab"]),
        st.integers(0, 7),
        st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
 def test_times_sqrt_frac_matches_quadrat_reference(cf_of, sc_of, d, n, field, i, delta):
     # n is a natural over d, or a long real string as ostro mul builds it
     x = digit_string(cf_of, d, n).retag(KIND_REAL)
-    sc = sc_of(x.cf.d)
-    if field == "pell":
-        sc = sc.replace(pell_norm=sc.pell_norm + delta)
-    else:
-        sc = corrupt(sc, field, i, delta)
+    sc = corrupt(sc_of(x.cf.d), field, i, delta)
     assume(sc.a_const != 0)
     assert times_sqrt_frac(x, sc) == reference_times_sqrt_frac(x, sc)
 

@@ -1,6 +1,6 @@
 """The immutable value classes (cfrac.Value and its five subclasses): a
 cheap package import, value semantics, immutability, copies that rebuild
-through the constructor, and the lazy ShiftConstants.unit_inverse."""
+through the constructor, and derived slots that follow their inputs."""
 
 import ast
 import copy
@@ -36,8 +36,8 @@ def _values():
     cf = cfrac.expand(3, 16)
     sc = cfrac.derive_shift_constants(cf)
     return [
-        (cf, "depth", 17),
-        (sc, "t", 4),
+        (cf, "period", (1, 3)),
+        (sc, "unit", 2 * sc.unit),
         (cfrac.IdentityVerdict("unit-product", "holds", "holds", None), "corrected", "fails"),
         (shiftcalc.check_recover_frac(encode_nat(7, cf), sc), "n", 8),
         (SuiteConfig(d_list=(Fraction(3),), n_max=5), "n_max", 6),
@@ -45,8 +45,8 @@ def _values():
 
 
 FIELDS = {
-    "CFData": ("d", "a0", "period", "m", "s_max", "conv_p", "conv_q", "zetas", "depth"),
-    "ShiftConstants": ("d", "t", "v_num", "w_num", "unit", "a_const", "b_const", "pell_norm"),
+    "CFData": ("d", "period", "conv_p", "conv_q", "zetas"),
+    "ShiftConstants": ("d", "v_num", "w_num", "unit"),
     "IdentityVerdict": ("fact_id", "printed", "corrected", "witness"),
     "AuditEntry": ("lemma", "n", "printed", "corrected", "lhs", "rhs"),
     "SuiteConfig": ("d_list", "depth", "n_max", "n_unique", "lambda_n_max", "eps",
@@ -100,14 +100,39 @@ def test_changed_config_runs_its_checks_again():
     assert list(config.to_json()) == list(FIELDS["SuiteConfig"])
 
 
-def test_unit_inverse_is_cached_and_fresh_on_a_copy():
-    sc = cfrac.derive_shift_constants(cfrac.expand(3, 16))
-    first = sc.unit_inverse
-    assert first == sc.unit.inverse().scaled() and sc.unit_inverse is first
-    doubled = sc.replace(unit=2 * sc.unit)
-    assert doubled.unit_inverse == (2 * sc.unit).inverse().scaled() != first
-    assert copy.copy(sc).unit_inverse == first
-    with pytest.raises(TypeError):
-        sc.replace(unit_inverse=(1, 0, 1))  # a cache, not a field
+DERIVED = {
+    "CFData": ("a0", "m", "s_max", "depth", "t"),
+    "ShiftConstants": ("t", "a_const", "b_const", "pell_norm", "unit_inverse"),
+}
+
+
+def test_derived_slots_follow_their_inputs_on_every_copy():
+    cf = cfrac.expand(Fraction(13, 4), 16)
+    assert (cf.a0, cf.m, cf.s_max, cf.depth, cf.t) == (1, 6, 14, 16, 6)  # sqrt(13)/2 = 1.80...
+    assert [cf.at_least(k).depth for k in (3, 16, 17, 40)] == [16, 16, 17, 40]
+    short = cf.replace(period=(5,))  # t = max(m, 2)
+    assert (short.a0, short.m, short.s_max, short.depth, short.t) == (1, 1, 5, 16, 2)
+    sc = cfrac.derive_shift_constants(cf)
+    unit = 2 * sc.unit + Fraction(1, 3)
+    moved = sc.replace(unit=unit)
+    b, a, _ = unit.scaled()
+    assert (moved.t, moved.a_const, moved.b_const) == (sc.t, a, b) != (sc.t, sc.a_const, sc.b_const)
+    assert moved.pell_norm == -unit.norm() and moved.unit_inverse == unit.inverse().scaled()
+    for value in (cf, short, sc, moved):
+        names = DERIVED[type(value).__name__]
+        # derived values are no constructor inputs, and no slot can be changed
+        for name in names:
+            with pytest.raises(TypeError):
+                value.replace(**{name: getattr(value, name)})
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        # copies rebuild equal values with equal derived slots
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert twin == value and all(getattr(twin, n) == getattr(value, n) for n in names)
+    # a zero unit has no inverse, so constants holding it cannot be built
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+        sc.replace(unit=0 * sc.unit)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         sc.no_such_name
