@@ -167,6 +167,7 @@ nats = [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)]
 dots99991 = [t for _, t in shiftcalc.natural_dots_upto(cf1311, sc64, 10**4)]
 kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visible share
     "expand_2_64": lambda: cfrac.expand(2, 64),
+    "expand_99991_64": lambda: cfrac.expand(99991, 64),  # m = 436: the closure reads 64 entries
     "expand_99991_874": lambda: cfrac.expand(99991, 874),
     "derive_shift_constants_3_64": lambda: cfrac.derive_shift_constants(cf3),
     "derive_shift_constants_99991_874": lambda: cfrac.derive_shift_constants(cf874),

@@ -11,11 +11,12 @@ Alongside the digits we materialize the convergents p_k/q_k; the
 differences beta_k = q_k*sqrt(d) - p_k alternate in sign and shrink
 strictly.  Index -1 is included (p=1, q=0, beta=-1) because several
 identities reach one step below zero.  expand verifies its tables on
-integers in one linear sweep: beta_0 > 0, zeta > 1 for each complete
-quotient of the period, the determinant at index 0, and at every index
-k >= 1 the recurrence p_k = a_k p_{k-1} + p_{k-2} (same for q), which
-carries the determinant to every index, and the step beta_k zeta_{k+1} =
--beta_{k-1}, which gives the sign alternation and the decay.
+integers by induction: beta_0 > 0, zeta > 1 for each complete quotient
+of the period, the determinant at index 0, at every index k >= 1 the
+recurrence p_k = a_k p_{k-1} + p_{k-2} (same for q), zeta_k = a_k +
+1/zeta_{k+1} on the period entries read, and the step beta_k zeta_{k+1}
+= -beta_{k-1} at one index.  These carry the step, and with it the sign
+alternation and the decay, to every index.
 CFData.at_least extends the tables and sweeps only the new indices.
 
 ``audit_identities`` re-checks the classical identities in two variants
@@ -62,6 +63,9 @@ class Value:
         cls._setters = tuple(getattr(cls, name).__set__ for name in (*cls._fields, *cls._derived))
 
     def _fill(self, *values) -> None:
+        if len(values) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes {len(self._setters)} values "
+                            f"(fields, then derived), got {len(values)}")
         for set_field, value in zip(self._setters, values):
             set_field(self, value)
 
@@ -231,10 +235,12 @@ def _check_convergents(d: Fraction, ps, qs, zetas, depth: int, start: int = 0) -
     """Sanity sweep of expand over the convergent tables (index -1 first)
     at the indices start .. depth; those below start passed an earlier
     sweep.  From start = 0: beta_0 > 0, every complete quotient of the
-    period > 1, and p_0 q_-1 - p_-1 q_0 = -1.  At every k >= 1: the
-    recurrence p_k = a_k p_{k-1} + p_{k-2} (same for q) with a_k read off
-    zeta_k, which carries the determinant to k, and the step beta_k
-    zeta_{k+1} = -beta_{k-1}, which gives sign alternation and strict decay."""
+    period > 1, and p_0 q_-1 - p_-1 q_0 = -1.  At every k >= lo = max(start,
+    1) the recurrence p_k = a_k p_{k-1} + p_{k-2} (same for q), a_k read off
+    zeta_k, carries the determinant to k; with the closure zeta_k = a_k +
+    1/zeta_{k+1} on the entries read and the step beta_{lo-1} zeta_lo =
+    -beta_{lo-2}, it gives beta_k = beta_{k-1}(a_k - zeta_k) = -beta_{k-1}/
+    zeta_{k+1} at every k: sign alternation and strict decay."""
     dn, dd = d.numerator, d.denominator
     m, big_d = len(zetas), dn * dd
     # a_{j+1} = floor(zeta_{j+1}) = (P + isqrt(D)) // Q for Q > 0, since sqrt(D)
@@ -255,14 +261,17 @@ def _check_convergents(d: Fraction, ps, qs, zetas, depth: int, start: int = 0) -
     lo = max(start, 1)
     for k, p2, p1, p, q2, q1, q in zip(range(lo, depth + 1), ps[lo - 1:], ps[lo:], ps[lo + 1:],
                                        qs[lo - 1:], qs[lo:], qs[lo + 1:]):
-        big_p, big_q = zetas[k % m]  # zeta_{k+1}, as in _beta_quotient_holds
-        if q * dn - p * big_p != big_q * p1 or q * big_p - p * dd != -big_q * q1:
-            raise VerificationFailed(f"beta_{k} zeta_{k + 1} != -beta_{k - 1} for sqrt({d})")
         ak = quots[(k - 1) % m]
         if p != ak * p1 + p2 or q != ak * q1 + q2:
-            raise VerificationFailed(
-                f"p_{k}, q_{k} do not follow from a_{k} = {ak} for sqrt({d})"
-            )
+            if not _beta_quotient_holds(dn, dd, ps, qs, zetas, k - 1):
+                raise VerificationFailed(f"beta_{k} zeta_{k + 1} != -beta_{k - 1} for sqrt({d})")
+            raise VerificationFailed(f"p_{k}, q_{k} do not follow from a_{k} = {ak} for sqrt({d})")
+    for k in range(lo, min(lo + m, depth + 1)):  # the closure, on the entries read
+        (big_p, big_q), (next_p, next_q) = zetas[(k - 1) % m], zetas[k % m]
+        if big_p + next_p != quots[(k - 1) % m] * big_q or big_q * next_q != big_d - next_p**2:
+            raise VerificationFailed(f"zeta_{k} != a_{k} + 1/zeta_{k + 1} for sqrt({d})")
+    if not _beta_quotient_holds(dn, dd, ps, qs, zetas, lo - 2):
+        raise VerificationFailed(f"beta_{lo - 1} zeta_{lo} != -beta_{lo - 2} for sqrt({d})")
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +384,8 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     add("convergent-recurrence", _first_witness(range(1, min(kcap + 1, cf.depth) + 1), recurrence))
 
     # beta quotient step: beta_{k+1} = -beta_k / zeta_{k+2}, checked
-    # multiplicatively to stay division-free, as in expand's sweep.
+    # multiplicatively at every index to stay division-free; expand's sweep
+    # runs it once and carries it by induction.
     add("beta-quotient-step",
         _first_witness(range(0, min(kcap, cf.depth - 1) + 1),
                        lambda k: (cf.beta(k + 1) * cf.zeta(k + 2), -cf.beta(k)),

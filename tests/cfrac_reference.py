@@ -1,13 +1,15 @@
-"""The QuadRat references for ostro.cfrac's integer verification: the
-identity audit with every side evaluated as a QuadRat product over
-Fractions, and the convergent sweep with the sign and decay of beta_k
-decided by sign_sqrt at every index.  The library decides the same
-verdicts on integer identities; the tests require equal verdicts,
+"""The references for ostro.cfrac's integer verification: the identity
+audit with every side evaluated as a QuadRat product over Fractions, the
+convergent sweep with the sign and decay of beta_k decided by sign_sqrt at
+every index, and the stepwise sweep that checks the beta step at every
+index, which expand ran before it checked the step by induction.  The
+library decides the same verdicts; the tests require equal verdicts,
 witnesses and VerificationFailed messages on true and corrupted tables.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ostro.cfrac import CFData, IdentityVerdict, _verdict
@@ -31,6 +33,39 @@ def check_convergents_reference(d: Fraction, ps, qs, depth: int) -> None:
             raise VerificationFailed(f"beta_{k} = {qs[i]}*sqrt({d}) - {ps[i]} has the wrong sign")
         if k < depth and s * sign_sqrt(ps[i] + ps[i + 1], -(qs[i] + qs[i + 1]), dn, dd) >= 0:
             raise VerificationFailed(f"|beta_{k + 1}| >= |beta_{k}| for sqrt({d})")
+
+
+def check_convergents_stepwise(d: Fraction, ps, qs, zetas, depth: int, start: int = 0) -> None:
+    """The convergent sweep with the beta step run at every index: from
+    start = 0 beta_0 > 0, every complete quotient of the period > 1 and
+    p_0 q_-1 - p_-1 q_0 = -1; at every k in max(start, 1) .. depth first the
+    step beta_k zeta_{k+1} = -beta_{k-1}, then the recurrence p_k = a_k
+    p_{k-1} + p_{k-2} (same for q) with a_k read off zeta_k."""
+    dn, dd = d.numerator, d.denominator
+    m, big_d = len(zetas), dn * dd
+    root = math.isqrt(big_d)
+    quots = [(big_p + root) // big_q if big_q > 0 else 0 for big_p, big_q in zetas]
+    if start == 0:
+        if sign_sqrt(-ps[1], qs[1], dn, dd) != 1:
+            raise VerificationFailed(f"beta_0 = {qs[1]}*sqrt({d}) - {ps[1]} has the wrong sign")
+        for j, ((big_p, big_q), ak) in enumerate(zip(zetas, quots)):
+            if ak < 1:
+                raise VerificationFailed(
+                    f"zeta_{j + 1} = ({big_p}+sqrt({big_d}))/{big_q} of sqrt({d}) is not > 1"
+                )
+        det = ps[1] * qs[0] - ps[0] * qs[1]
+        if det != -1:
+            raise VerificationFailed(f"p_0 q_-1 - p_-1 q_0 = {det} for sqrt({d}), expected -1")
+    for k in range(max(start, 1), depth + 1):
+        p2, p1, p, q2, q1, q = ps[k - 1], ps[k], ps[k + 1], qs[k - 1], qs[k], qs[k + 1]
+        big_p, big_q = zetas[k % m]  # zeta_{k+1}
+        if q * dn - p * big_p != big_q * p1 or q * big_p - p * dd != -big_q * q1:
+            raise VerificationFailed(f"beta_{k} zeta_{k + 1} != -beta_{k - 1} for sqrt({d})")
+        ak = quots[(k - 1) % m]
+        if p != ak * p1 + p2 or q != ak * q1 + q2:
+            raise VerificationFailed(
+                f"p_{k}, q_{k} do not follow from a_{k} = {ak} for sqrt({d})"
+            )
 
 
 def _first_failure(pairs) -> dict | None:

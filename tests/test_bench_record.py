@@ -216,7 +216,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     assert wl["traced_seed"] == 101
     assert wl["traced"] == {"f.calls": 7}
     layers = rec["layers"]
-    for key in ("expand_2_64", "expand_99991_874", "derive_shift_constants_3_64",
+    for key in ("expand_2_64", "expand_99991_64", "expand_99991_874",
+                "derive_shift_constants_3_64",
                 "derive_shift_constants_99991_874", "at_least_99991_64_1311",
                 "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
                 "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000", "times_sqrt_real_99991_20",

@@ -3,11 +3,16 @@ independent fold oracle, identity audit verdicts, shift constants."""
 
 import inspect
 import math
+import random
 import textwrap
 from fractions import Fraction
 
 import pytest
-from cfrac_reference import audit_identities_reference, check_convergents_reference
+from cfrac_reference import (
+    audit_identities_reference,
+    check_convergents_reference,
+    check_convergents_stepwise,
+)
 from digit_maps import shift_constants_reference
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -270,6 +275,100 @@ def test_convergent_sweep_reads_the_partial_quotients_off_the_zetas():
     with pytest.raises(VerificationFailed, match=message):
         cfrac._check_convergents(cf.d, list(cf.conv_p), list(cf.conv_q),
                                  [(big_p + big_q, big_q), zeta_2], cf.depth)
+
+
+def _sweep_message(sweep, cf, ps, qs, zetas, start):
+    """The VerificationFailed message of one sweep over the tables, None if it passes."""
+    try:
+        sweep(cf.d, ps, qs, zetas, cf.depth, start)
+    except VerificationFailed as exc:
+        return str(exc)
+    return None
+
+
+def _convergent_corruptions(cf, cases):
+    """The tables with one p or q entry moved by one, for each (table, i, delta)."""
+    for table, i, delta in cases:
+        ps, qs = list(cf.conv_p), list(cf.conv_q)
+        (ps if table == "p" else qs)[i] += delta
+        yield (table, i, delta), ps, qs
+
+
+def test_induction_sweep_names_what_the_stepwise_sweep_names():
+    # the stepwise sweep runs the beta step at every index; the induction
+    # carries it from one base step, so on every table corruption both raise
+    # the same message at the same index, or both pass
+    for d in (2, 3, 7, Fraction(13, 4), 61):
+        cf = expand(d, 64)
+        cases = [(t, i, delta) for t in "pq" for i in range(len(cf.conv_p)) for delta in (1, -1)]
+        for case, ps, qs in _convergent_corruptions(cf, cases):
+            for start in (0, 10):
+                want = _sweep_message(check_convergents_stepwise, cf, ps, qs, cf.zetas, start)
+                got = _sweep_message(cfrac._check_convergents, cf, ps, qs, cf.zetas, start)
+                assert got == want, (d, case, start)
+    rng = random.Random(2805)
+    for d in (991, 99991):
+        cf = expand(d, 874)
+        cases = [(rng.choice("pq"), rng.randrange(len(cf.conv_p)), rng.choice((1, -1)))
+                 for _ in range(40)]
+        for case, ps, qs in _convergent_corruptions(cf, cases):
+            start = rng.choice((0, 65))
+            want = _sweep_message(check_convergents_stepwise, cf, ps, qs, cf.zetas, start)
+            assert want is not None or start > case[1] + 1  # only p, q below start - 2 go unread
+            got = _sweep_message(cfrac._check_convergents, cf, ps, qs, cf.zetas, start)
+            assert got == want, (d, case, start)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, Fraction(13, 4), 61, 991], ids=str)
+def test_induction_sweep_rejects_what_the_stepwise_sweep_rejects_in_the_zetas(d):
+    cf = expand(d, 64)
+    ps, qs = list(cf.conv_p), list(cf.conv_q)
+    caught = 0
+    for j in range(cf.m):
+        for part in (0, 1):
+            for delta in (1, -1):
+                zetas = list(cf.zetas)
+                zetas[j] = tuple(x + delta * (i == part) for i, x in enumerate(zetas[j]))
+                for start in (0, 10):
+                    if _sweep_message(check_convergents_stepwise, cf, ps, qs, zetas, start):
+                        caught += 1
+                        assert _sweep_message(cfrac._check_convergents, cf, ps, qs, zetas, start)
+    assert caught > 0
+
+
+def test_closure_sees_a_zeta_with_the_same_floor():
+    # zeta_1 = (1 + sqrt(3))/2 becomes (2 + sqrt(3))/2: a_1 = 1 either way, so
+    # the recurrence holds at every index and only the closure at 1 fails
+    cf = expand(3, 10)
+    zetas = [(2, 2), cf.zetas[1]]
+    message = r"^zeta_1 != a_1 \+ 1/zeta_2 for sqrt\(3\)$"
+    with pytest.raises(VerificationFailed, match=message):
+        cfrac._check_convergents(cf.d, list(cf.conv_p), list(cf.conv_q), zetas, cf.depth)
+    # at depth 64 < m = 436, the stepwise sweep reads zeta_1 only through its floor
+    cf = expand(99991, 64)
+    (big_p, big_q), *rest = cf.zetas
+    zetas = [(big_p + 1, big_q), *rest]
+    check_convergents_stepwise(cf.d, cf.conv_p, cf.conv_q, zetas, cf.depth)
+    with pytest.raises(VerificationFailed, match=r"^zeta_1 != a_1 \+ 1/zeta_2 for sqrt\(99991\)$"):
+        cfrac._check_convergents(cf.d, cf.conv_p, cf.conv_q, zetas, cf.depth)
+
+
+def test_base_step_sees_tables_that_follow_the_recurrence_from_a_wrong_start():
+    # p_0 = a0 - 1 keeps beta_0 > 0 and the determinant -1, and _extend makes
+    # the recurrence hold at every index from it
+    cf = expand(3, 10)
+    ps, qs = [1, cf.a0 - 1], [0, 1]
+    cfrac._extend(ps, qs, (cf.a(k) for k in range(1, cf.depth + 1)))
+    with pytest.raises(VerificationFailed, match=r"^beta_0 zeta_1 != -beta_-1 for sqrt\(3\)$"):
+        cfrac._check_convergents(cf.d, ps, qs, cf.zetas, cf.depth)
+    # at start > 0 the base is the step at start - 1: at_least grows the tables
+    # from p_63 and p_64 by the recurrence and sweeps from 65, and p_63 is wrong
+    shallow = expand(99991, 64)
+    ps = list(shallow.conv_p)
+    ps[64] += 1  # p_63
+    message = r"^beta_64 zeta_65 != -beta_63 for sqrt\(99991\)$"
+    with pytest.raises(VerificationFailed, match=message):
+        shallow.replace(conv_p=tuple(ps)).at_least(874)
 
 
 # ---------------------------------------------------------------------------

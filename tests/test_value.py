@@ -136,3 +136,29 @@ def test_derived_slots_follow_their_inputs_on_every_copy():
         sc.replace(unit=0 * sc.unit)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         sc.no_such_name
+
+
+class Pair(cfrac.Value):
+    """A value whose __init__ hands _fill a chosen number of values."""
+
+    _fields = ("x", "y")
+    _derived = ("total",)
+    __slots__ = (*_fields, *_derived)
+
+    def __init__(self, x, y, extra=()) -> None:
+        self._fill(x, y, x + y, *extra)
+
+
+def test_fill_takes_exactly_one_value_per_slot():
+    assert (Pair(1, 2).x, Pair(1, 2).y, Pair(1, 2).total) == (1, 2, 3)
+    with pytest.raises(TypeError, match=r"^Pair takes 3 values \(fields, then derived\), got 4$"):
+        Pair(1, 2, (9,))
+
+    class Short(Pair):
+        __slots__ = ()
+
+        def __init__(self, x, y) -> None:
+            self._fill(x, y)
+
+    with pytest.raises(TypeError, match=r"^Short takes 3 values \(fields, then derived\), got 2$"):
+        Short(1, 2)
