@@ -17,14 +17,16 @@ adds what the traced run cannot show: ``audit_stages``, per audit stage
 the min of 3 runs of ``ostro.run_suite`` at the default config for
 d = 99991 and for d = 3, and one entry per row of the ``kernels`` table
 in ``LAYERS`` (a name and a zero-argument call on fixed inputs), each
-``{"unit": "s", "min_of": 7, "cal_s": <s>, "value": <min of 7 timed calls>}``.
+``{"unit": "s", "min_of": 7, "cal_s": <s>, "value": <min of 7 timed calls>}``;
+its ``cal_s`` is the median of 7 timings of ``perfbench/speed.py``'s
+calibration loop, one right before each timed call.
 An ``audit`` block times K_AUDIT = 3 runs of ``python -m ostro audit
 --format json`` (the default suite) on the checkout and keeps per
 radicand the min over the runs of its ``elapsed_s`` and of each stage
-time.  Every layer, ``audit_stages`` and the ``audit`` block carry a
-``cal_s``: the median of 5 timings of ``perfbench/speed.py``'s
-calibration loop taken right before it, so its times can be read
-against the machine's speed at the time across records.  ``src_lines``
+time.  ``audit_stages`` and the ``audit`` block carry a ``cal_s``: the
+median of 5 timings of the calibration loop taken right before them.
+With the layers' ``cal_s``, times can be read against the machine's
+speed at the time across records.  ``src_lines``
 counts the lines of each ``src/ostro`` module (as ``wc -l`` does) and
 their total, the tracked size of the library.
 
@@ -130,18 +132,27 @@ def measure_audit(root: Path) -> dict:
 
 # Run as `python -c LAYERS SRC PERFBENCH`: imports ostro from SRC and prints one JSON line.
 LAYERS = CAL + """
-import collections, json, random
+import collections, contextlib, io, json, random
 from fractions import Fraction
 import ostro
-from ostro import cfrac, ostrowski, shiftcalc
+from ostro import cfrac, cli, ostrowski, shiftcalc
 
-def best(fn, k):
-    times = []
+def timed(fn, k=7):  # k timed calls, each right after a timed calibration run
+    cals, times = [], []
     for _ in range(k):
         t0 = time.perf_counter()
+        calibration_loop()
+        t1 = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
+        cals.append(t1 - t0)
+        times.append(time.perf_counter() - t1)
+    return {"unit": "s", "min_of": k, "cal_s": statistics.median(cals), "value": min(times)}
+
+def run_cli(argvs):
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in argvs:
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"ostro {' '.join(argv)} failed")
 
 stages_cal_s, stages = cal(), {}
 for d in (99991, 3):
@@ -165,6 +176,9 @@ by9973 = [Fraction(10**6 + 7 * j, 9973) for j in range(50)]
 dots = [t for _, t in shiftcalc.natural_dots_upto(cf3, sc3, 10**4)]
 nats = [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)]
 dots99991 = [t for _, t in shiftcalc.natural_dots_upto(cf1311, sc64, 10**4)]
+short_argvs = [argv for d in ("2", "3", "7", "10", "19", "61", "13/4", "5/3") for argv in (
+    ["cf", "--d", d, "--depth", "20"], ["constants", "--d", d], ["encode", "--d", d, "123456"],
+    ["decode", "--real", f"0,1,0,1@d={d}"], ["mul", "--d", d, "--x", "7/5", "--eps", "1e-12"])]
 kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visible share
     "expand_2_64": lambda: cfrac.expand(2, 64),
     "expand_99991_64": lambda: cfrac.expand(99991, 64),  # m = 436: the closure reads 64 entries
@@ -195,9 +209,10 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
     "check_recover_nat_3_2000": lambda: [shiftcalc.check_recover_nat(x, sc3) for x in nats[:2001]],
     "prefix_nat_61_40x9": lambda: [shiftcalc.prefix_nat(cf61, l, c) for c in values
                                    for l in range(9)],
+    "cli_main_short_40": lambda: run_cli(short_argvs),  # argv parsing is a visible share
+    "cli_mul_99991_64": lambda: run_cli([["mul", "--d", "99991", "--x", "7/5"]]),
 }
-layers = {name: {"unit": "s", "min_of": 7, "cal_s": cal(), "value": best(fn, 7)}
-          for name, fn in kernels.items()}
+layers = {name: timed(fn) for name, fn in kernels.items()}
 print(json.dumps({"audit_stages": {"unit": "s", "min_of": 3, "cal_s": stages_cal_s,
                                    "by_d": stages}, **layers}))
 """

@@ -158,8 +158,8 @@ class CFData(Value):
         extended to index k; expand's sweep checks the new indices only."""
         if k <= self.depth:
             return self
-        ps, qs, period, m = list(self.conv_p), list(self.conv_q), self.period, self.m
-        _extend(ps, qs, (period[(j - 1) % m] for j in range(self.depth + 1, k + 1)))
+        ps, qs, j = list(self.conv_p), list(self.conv_q), self.depth % self.m  # a_{depth+1}
+        _extend(ps, qs, itertools.islice(itertools.cycle(self.period), j, j + k - self.depth))
         _check_convergents(self.d, ps, qs, self.zetas, k, self.depth + 1)
         return self.replace(conv_p=tuple(ps), conv_q=tuple(qs))
 
@@ -209,7 +209,7 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
             raise VerificationFailed(f"period {period} of sqrt({d}) is not minimal")
 
     ps, qs = [1, a0], [0, 1]  # p_{-1}, p_0, ...
-    _extend(ps, qs, (period[(k - 1) % m] for k in range(1, depth + 1)))
+    _extend(ps, qs, itertools.islice(itertools.cycle(period), depth))
     _check_convergents(d, ps, qs, zetas, depth)
     return CFData(d, tuple(period), tuple(ps), tuple(qs), tuple(zetas))
 

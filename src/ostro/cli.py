@@ -21,7 +21,10 @@ Exit codes:
 
 The environment variable OSTRO_MAX_DEPTH, when set, caps the expansion
 depth accepted from flags or config files.  The depth the period needs
-(2t+2, 3m+3, the m-shift of mul) grows on demand and is not counted.
+(2t+2, 3m+3, the m-shift of mul) grows on demand and is not counted; mul
+grows it once and encodes on it, with its eps digits bounded by --depth.
+argv is parsed once, by the named subcommand's parser, with the usage,
+errors and exit codes of parse_args on the full parser.
 """
 
 from __future__ import annotations
@@ -155,10 +158,11 @@ def cmd_decode(args) -> int:
 
 def cmd_mul(args) -> int:
     cf = _expand(args)
-    sc = cfrac.derive_shift_constants(cf)
+    grown = cf.at_least(2 * cf.t + 2)  # the depth the shift constants are checked to
+    sc = cfrac.derive_shift_constants(grown)
     eps = parse_rat(args.eps)
     x = parse_quad(args.x, cf.d)
-    result = shiftcalc.times_sqrt_real(x, eps, cf, sc)
+    result = shiftcalc.times_sqrt_real(x, eps, grown, sc, cf.depth)  # eps digits <= --depth
     data = {
         "d": str(cf.d),
         "x": str(x),
@@ -213,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "certified multiplication by sqrt(d) on representations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # main parses argv[1:] with the one named first
 
     def add_common(p, need_d=True):
         if need_d:
@@ -267,7 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.subcommands.get(argv[0]) if argv else None  # None: no argv, -h, unknown
+    args, rest = sub.parse_known_args(argv[1:]) if sub else (parser.parse_args(argv), [])
+    if rest:  # as parse_args reports leftovers: under the top-level usage
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact values print at any length
     try:

@@ -4,10 +4,11 @@ over the seeds, the traced metrics, the layers measured on the checkout's
 src/ (expand, the audit stages, the shift constants, at_least,
 encode_real, QuadRat add/mul/sign, the natural_dots_upto counter,
 times_sqrt_real, the identity audit, encode_nat, the recovery verdicts,
-decode_real, the recovery checks and prefix_nat), each layer, the
-audit stages and the default audit with the calibration loop timed
-before it, the default audit timed per radicand, tier-1 timed, and the
-line count of each src/ostro module."""
+decode_real, the recovery checks, prefix_nat and cli.main on short
+commands), each layer with the calibration loop timed before each of its
+calls, the audit stages and the default audit with it timed before them,
+the default audit timed per radicand, tier-1 timed, and the line count
+of each src/ostro module."""
 
 import json
 import shutil
@@ -162,6 +163,14 @@ def times_sqrt_real(x, eps, cf, sc):
         raise ValueError((x, eps, cf.d, cf.depth, sc))
 '''
 
+STUB_CLI = '''
+def main(argv):
+    if argv[0] not in ("cf", "constants", "encode", "decode", "mul"):
+        raise ValueError(argv)
+    print(" ".join(argv))
+    return 0
+'''
+
 # `python -m ostro audit --format json`: the n-th run reports elapsed_s 0.5 + n
 STUB_SPEED = '''
 def calibration_loop():
@@ -193,6 +202,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     (root / "src" / "ostro" / "cfrac.py").write_text(STUB_CFRAC)
     (root / "src" / "ostro" / "ostrowski.py").write_text(STUB_OSTROWSKI)
     (root / "src" / "ostro" / "shiftcalc.py").write_text(STUB_SHIFTCALC)
+    (root / "src" / "ostro" / "cli.py").write_text(STUB_CLI)
     (root / "src" / "ostro" / "__main__.py").write_text(STUB_MAIN)
     (root / "tests").mkdir()
     (root / "tests" / "test_one.py").write_text("def test_one():\n    pass\n")
@@ -224,7 +234,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "times_sqrt_real_3_256_50",
                 "audit_identities_99991_1311", "encode_nat_3_10000", "frac_verdicts_3_10000",
                 "frac_verdicts_99991_10000", "nat_verdicts_3_10000", "decode_real_3_10000", "check_recover_frac_3_2000",
-                "check_recover_nat_3_2000", "prefix_nat_61_40x9"):
+                "check_recover_nat_3_2000", "prefix_nat_61_40x9", "cli_main_short_40",
+                "cli_mul_99991_64"):
         assert layers[key]["unit"] == "s" and layers[key]["min_of"] == 7, key
         assert layers[key]["value"] >= 0 and layers[key]["cal_s"] > 0, key
     assert layers["audit_stages"].pop("cal_s") > 0
@@ -237,7 +248,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     assert audit["by_d"] == {"2": {"elapsed_s": 0.5, "stages": {"identities": 0.1, "recovery": 0.4}}}
     assert rec["tier1"]["returncode"] == 0 and "1 passed" in rec["tier1"]["summary"]
     stubs = {"__init__.py": STUB_OSTRO, "__main__.py": STUB_MAIN, "cfrac.py": STUB_CFRAC,
-             "ostrowski.py": STUB_OSTROWSKI, "shiftcalc.py": STUB_SHIFTCALC}
+             "cli.py": STUB_CLI, "ostrowski.py": STUB_OSTROWSKI, "shiftcalc.py": STUB_SHIFTCALC}
     assert rec["src_lines"] == {"by_module": {name: text.count("\n")
                                               for name, text in sorted(stubs.items())},
                                 "total": sum(text.count("\n") for text in stubs.values())}

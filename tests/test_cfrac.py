@@ -174,13 +174,15 @@ def test_convergent_sweep_rejects_a_zeta_below_one():
 
 
 def _misindexed_expand(sweep):
-    """expand with the partial quotients read one index late, period[k % m]
-    in place of period[(k - 1) % m], and the convergent sweep replaced by sweep."""
+    """expand with the partial quotients read one index late, a_k =
+    period[k % m] in place of period[(k - 1) % m] (the stream from period
+    position 1, not 0), and the convergent sweep replaced by sweep."""
     src = textwrap.dedent(inspect.getsource(cfrac.expand))
-    assert src.count("period[(k - 1) % m]") == 1
+    stream = "itertools.islice(itertools.cycle(period), depth)"
+    assert src.count(stream) == 1
     namespace = {**vars(cfrac), "_check_convergents": sweep}
-    exec(compile(src.replace("period[(k - 1) % m]", "period[k % m]"), cfrac.__file__, "exec"),
-         namespace)
+    late = "itertools.islice(itertools.cycle(period), 1, depth + 1)"
+    exec(compile(src.replace(stream, late), cfrac.__file__, "exec"), namespace)
     return namespace["expand"]
 
 
@@ -222,6 +224,16 @@ def test_at_least_extends_to_a_fresh_expansion(d):
     t = max(m, 2)
     for a, b in ((1, 3 * m + 3), (64, 2 * t + 2), (64, 1311)):
         assert expand(d, a).at_least(b) == expand(d, max(a, b)), (a, b)
+
+
+@pytest.mark.parametrize("d", [13, 61, 991], ids=str)  # m = 5, 11, 60
+def test_at_least_extends_from_every_offset_in_the_period(d):
+    # the partial quotients a_{a+1} .. a_b are read from position a mod m of
+    # the period on, through two full periods and past a third
+    m = expand(d, 1).m
+    for a in range(1, m + 2):
+        b = a + 2 * m + 1
+        assert expand(d, a).at_least(b) == expand(d, b), (a, b)
 
 
 def test_at_least_sweeps_only_the_new_indices(monkeypatch):

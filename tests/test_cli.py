@@ -2,7 +2,9 @@
 trips, depth capping, and file output."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -13,6 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from cli_reference import parse_args_reference
 
 import ostro
 from ostro import cfrac, cli, harness, parse_quad, quad
@@ -218,6 +221,15 @@ def test_mul_reads_past_depth_for_the_shift(capsys):
     result = parse_quad(json.loads(out)["result"], Fraction(3))
     err = result - quad(Fraction(7, 5), 0, 3) * quad(0, 1, 3)
     assert (abs(err) - Fraction(1, 10**33)).sign() < 0
+
+
+def test_mul_eps_digits_stay_bounded_by_depth(capsys):
+    # mul encodes on the expansion its shift constants grew to 2t+2 = 874;
+    # eps = 10^-150 fits in that, but not in the 64 digit positions of --depth
+    assert main(["mul", "--d", "99991", "--x", "7/5", "--eps", "1e-150"]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: eps=1/10{150} needs more than 64 digit positions\n", err)
+    assert main(["mul", "--d", "99991", "--x", "7/5", "--eps", "1e-150", "--depth", "874"]) == 0
 
 
 def test_mul_json(capsys):
@@ -433,6 +445,97 @@ def test_no_namespace_leaks_between_calls(capsys):
     assert code == 0 and json.loads(out)["depth"] == 10
     code, out = run(capsys, "cf", "--d", "3")
     assert code == 0 and "p_11/q_11" in out  # default depth 64, not 10
+
+
+# argv of every subcommand in every format: flags before and after the
+# positionals, --flag=value, abbreviations and a "--" before a value
+PARSED_ARGVS = [
+    ["cf", "--d", "3"],
+    ["cf", "--d=13/4", "--depth", "9", "--format", "json"],
+    ["cf", "--dep", "9", "--d", "2", "--form", "text", "--out", "cf.txt"],
+    ["encode", "--d", "3", "5"],
+    ["encode", "5", "--d", "3", "--format=json"],
+    ["encode", "--d", "3", "--digits", "30", "--", "-9+5*sqrt(3)"],
+    ["encode", "--dig=30", "--d", "61", "--format", "text", "1/3"],
+    ["decode", "0,1,0,1@d=3"],
+    ["decode", "--real", "0,1@d=3", "--format", "json"],
+    ["decode", "0,1", "--d", "3", "--dep", "9", "--re"],
+    ["decode", "--d=3", "--format=text", "--", "0,1"],
+    ["mul", "--d", "3", "--x", "7/5"],
+    ["mul", "--x=7/5", "--eps", "1e-30", "--d", "99991", "--format", "json"],
+    ["mul", "--d", "3", "--dep", "9", "--x", "1+1/2*sqrt(3)", "--ep=1e-5", "--form", "text"],
+    ["constants", "--d", "2"],
+    ["constants", "--format=json", "--d", "13/4", "--depth", "20"],
+    ["constants", "--d", "5/3", "--fo", "text", "--output=c.txt"],
+    ["audit"],
+    ["audit", "--d", "2,3", "--n-max", "5", "--format", "tsv"],
+    ["audit", "--format=json", "--seed", "7", "--eps", "1/100", "--depth", "40"],
+    ["audit", "--n", "5", "--conf", "c.json", "--out", "r.txt", "--form=text", "--d=2"],
+]
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """main with every subcommand replaced by one that records its namespace."""
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+
+    for name in ("cmd_cf", "cmd_encode", "cmd_decode", "cmd_mul", "cmd_constants", "cmd_audit"):
+        monkeypatch.setattr(cli, name, record)
+    cli.build_parser.cache_clear()  # a parser over the recording subcommands
+    yield seen
+    cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS, ids=" ".join)
+def test_main_parses_as_the_full_parser(captured, argv):
+    assert main(argv) == 0
+    (got,) = captured
+    want = vars(parse_args_reference(argv))
+    assert want.pop("command") == argv[0]
+    assert vars(got) == want
+
+
+def _outcome(fn, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            fn(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+# Each exits in the parser: help, a missing or unknown command, a missing
+# flag (`mul --d 3 --bogus` misses --x before its leftover is reported),
+# and leftovers, which parse_args reports with the top-level usage.
+REJECTED_ARGVS = [
+    [], ["-h"], ["nope"], ["mul", "-h"], ["mul"], ["mul", "--d", "3", "--bogus"],
+    ["mul", "--d", "3", "--x", "1", "--bogus"], ["cf", "--d", "3", "extra"],
+    ["audit", "--d", "3", "--frob"], ["decode", "0,1", "--d", "3", "x", "--y=1"],
+    ["cf", "--format", "xml", "--d", "3"], ["encode", "--d", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_rejected_argv_prints_what_the_full_parser_prints(argv):
+    code, out, err = _outcome(main, argv)
+    assert (code, out, err) == _outcome(parse_args_reference, argv)
+    assert code == (0 if "-h" in argv else 2)
+
+
+def test_leftovers_are_reported_with_the_top_level_usage():
+    code, out, err = _outcome(main, ["cf", "--d", "3", "extra", "--frob"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ostro [-h] {cf,encode,decode,mul,constants,audit} ...\n")
+    assert err.endswith("\nostro: error: unrecognized arguments: extra --frob\n")
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ostro", "decode", "0,1,0,1@d=3"])
+    assert main() == 0
+    assert capsys.readouterr().out == "5\n"
 
 
 # ---------------------------------------------------------------------------
