@@ -105,20 +105,19 @@ class CFData(Value):
     .. zeta_m of one full period as the pairs (P, Q) of (P + sqrt(D))/Q,
     D = num(d)*den(d).  Derived on construction: a0 = floor(sqrt(d)), the
     period length m, the largest digit bound s_max, the depth (the last
-    materialized index) and t = max(m, 2), the residue-class modulus of the
-    shift constants.
+    materialized index), t = max(m, 2), the residue-class modulus of the
+    shift constants, and dn, dd = num(d), den(d) as ints.
     """
 
     _fields = ("d", "period", "conv_p", "conv_q", "zetas")
-    _derived = ("a0", "m", "s_max", "depth", "t")
+    _derived = ("a0", "m", "s_max", "depth", "t", "dn", "dd")
     __slots__ = (*_fields, *_derived)
 
     def __init__(self, d: Fraction, period: tuple[int, ...], conv_p: tuple[int, ...],
                  conv_q: tuple[int, ...], zetas: tuple[tuple[int, int], ...]) -> None:
-        m = len(period)
-        self._fill(d, period, conv_p, conv_q, zetas,
-                   math.isqrt(d.numerator * d.denominator) // d.denominator, m, max(period),
-                   len(conv_p) - 2, max(m, 2))
+        m, dn, dd = len(period), d.numerator, d.denominator
+        self._fill(d, period, conv_p, conv_q, zetas, math.isqrt(dn * dd) // dd, m, max(period),
+                   len(conv_p) - 2, max(m, 2), dn, dd)
 
     def sqrt_d(self) -> QuadRat:
         return QuadRat._of(0, 1, 1, self.d)
@@ -466,19 +465,20 @@ class ShiftConstants(Value):
     w_num[i]/dn.  U is the unit q_{m-1} sqrt(d) + p_{m-1}.  Derived on
     construction: t = len(v_num), a_const and b_const with U = b_const +
     a_const sqrt(d), pell_norm = -norm(U) = a_const^2 d - b_const^2 (for
-    integer d the classical +-1), and unit_inverse, U^-1 as the triple
-    (A, B, E) of (A + B sqrt(d)) / E, as small as U.
+    integer d the classical +-1), unit_inverse, U^-1 as the triple
+    (A, B, E) of (A + B sqrt(d)) / E, as small as U, and dn, dd = num(d),
+    den(d) as ints.
     """
 
     _fields = ("d", "v_num", "w_num", "unit")
-    _derived = ("t", "a_const", "b_const", "pell_norm", "unit_inverse")
+    _derived = ("t", "a_const", "b_const", "pell_norm", "unit_inverse", "dn", "dd")
     __slots__ = (*_fields, *_derived)
 
     def __init__(self, d: Fraction, v_num: tuple[int, ...], w_num: tuple[int, ...],
                  unit: QuadRat) -> None:
         b_const, a_const, _ = unit.scaled()  # U = b + a sqrt(d)
-        self._fill(d, v_num, w_num, unit,
-                   len(v_num), a_const, b_const, -unit.norm(), unit.inverse().scaled())
+        self._fill(d, v_num, w_num, unit, len(v_num), a_const, b_const, -unit.norm(),
+                   unit.inverse().scaled(), d.numerator, d.denominator)
 
     @property
     def v(self) -> tuple[Fraction, ...]:

@@ -28,6 +28,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
+from operator import mul
 from types import SimpleNamespace
 
 from . import cfrac, ostrowski, shiftcalc
@@ -160,8 +161,8 @@ def _pass_over_n(ctx) -> None:
     exact_fails: list = []
     printed_frac_fails = printed_nat_fails = 0
     example = None
-    a0, dd, example_n = cf.a0, cf.d.denominator, min(5, n_max)
-    dndd = cf.d.numerator * dd  # floor(floor(y)/dd) = floor(y/dd) makes the split test exact
+    a0, dd, example_n = cf.a0, cf.dd, min(5, n_max)
+    dndd = cf.dn * dd  # floor(floor(y)/dd) = floor(y/dd) makes the split test exact
     exact_s = 0.0
     counter = shiftcalc.natural_dots_upto(cf, sc, n_max)
     for n, (digits, (fa, fb, ya, yb, v1, w0, w1)) in enumerate(counter):  # fb = n
@@ -210,15 +211,15 @@ def _uniqueness(ctx) -> None:
     tiling oracle (n, -sum b_k p_k, digits) for each n < q_{l_eff+1}."""
     cf = ctx.cf
     length = next((k for k in range(cf.depth + 1) if cf.q(k) > ctx.config.n_unique), None)
-    qs, ps = cf.conv_q, cf.conv_p  # qs[i] = q_{i-1}
+    qs, ps = cf.conv_q[1:], cf.conv_p[1:]  # q_0, q_1, ... weigh the digits in order
     top = cf.q(ctx.l_eff + 1)
     values, ctx.oracle = [], []
     for digits in ostrowski.enumerate_valid(cf, max(length or 0, ctx.l_eff + 1)):
-        n = sum(b * qs[k + 1] for k, b in enumerate(digits))
+        n = sum(map(mul, digits, qs))
         if length is not None and not any(digits[length:]):
             values.append(n)
         if n < top:
-            ctx.oracle.append((n, -sum(b * ps[k + 1] for k, b in enumerate(digits)), digits))
+            ctx.oracle.append((n, -sum(map(mul, digits, ps)), digits))
     if length is None:
         raise DepthExceeded(f"uniqueness sweep needs q_k > n_unique={ctx.config.n_unique}, "
                             f"but q_{cf.depth} = {cf.q(cf.depth)} at depth {cf.depth}")

@@ -35,6 +35,7 @@ from .qfield import QuadRat, parse_rat, sign_sqrt
 
 KIND_NAT = "natural"
 KIND_REAL = "real"
+_new = object.__new__  # bound once: _of builds every encoder's result
 
 
 class OstDigits:
@@ -45,7 +46,8 @@ class OstDigits:
     OstDigits(cf, digits, kind) takes any iterable, drops trailing zeros
     (so equal values compare and hash equal), raises InvalidDigits naming
     the first invalid position, then DepthExceeded for a last digit past
-    cf.depth.  OstDigits._of drops trailing zeros but trusts the rest: to
+    cf.depth.  OstDigits._of drops trailing zeros (no scan when the last
+    digit is nonzero, as encode_nat's always is) but trusts the rest: to
     encode_nat's in-loop check, encode_real's caps and retag.  As in
     QuadRat, the fields are private slots behind read-only properties.
     """
@@ -66,11 +68,13 @@ class OstDigits:
 
     @classmethod
     def _of(cls, cf: CFData, digits: tuple[int, ...], kind: str) -> "OstDigits":
-        top = len(digits)
-        while top and not digits[top - 1]:
-            top -= 1
-        x = object.__new__(cls)
-        x._cf, x._digits, x._kind = cf, digits[:top], kind
+        if digits and not digits[-1]:
+            top = len(digits) - 1
+            while top and not digits[top - 1]:
+                top -= 1
+            digits = digits[:top]
+        x = _new(cls)
+        x._cf, x._digits, x._kind = cf, digits, kind
         return x
 
     cf = property(attrgetter("_cf"))
@@ -126,7 +130,8 @@ def encode_nat(n: int, cf: CFData) -> OstDigits:
     keeps the next digit in range and zeroes the digit below a maximal one.
     The loop checks this per digit, so only a corrupted table fails: a digit
     over its cap, or at it with remainder >= q_{k-1}, raises InvalidDigits
-    naming the highest such position and the digits found down to it.
+    naming the highest such position and the digits found down to it.  It
+    stops at remainder 0: the zeros below are under every cap (each >= 1).
     """
     if n < 0:
         raise ValueError(f"natural number expected, got {n}")
@@ -136,11 +141,15 @@ def encode_nat(n: int, cf: CFData) -> OstDigits:
     period, m = cf.period, cf.m
     digits, rem = [0] * (bisect_right(qs, n, 1) - 1), n
     for k in range(len(digits) - 1, -1, -1):
-        if rem >= qs[k + 1]:  # a zero digit is under every cap (each is >= 1)
-            digits[k], rem = divmod(rem, qs[k + 1])
-            b, cap = digits[k], period[k % m]
-            if b > cap or b == cap and (k == 0 or rem >= qs[k]):
+        q = qs[k + 1]
+        if rem >= q:  # a zero digit is under every cap
+            b = rem // q
+            rem %= q
+            digits[k], cap = b, period[k % m]
+            if b >= cap and (b > cap or k == 0 or rem >= qs[k]):
                 raise InvalidDigits(f"digit constraint violated at position {k}: {digits}")
+            if not rem:
+                break
     return OstDigits._of(cf, tuple(digits), KIND_NAT)
 
 
@@ -258,7 +267,7 @@ def in_window(cf: CFData, a: int, b: int, den: int, win) -> bool:
     """Whether (a + b*sqrt(d)) / den, den > 0, lies in the window [lo, hi)
     given by integer pairs as window_parts returns them."""
     (la, lb), (ha, hb) = win
-    dn, dd = cf.d.numerator, cf.d.denominator
+    dn, dd = cf.dn, cf.dd
     return (
         sign_sqrt(a - la * den, b - lb * den, dn, dd) >= 0
         and sign_sqrt(a - ha * den, b - hb * den, dn, dd) < 0
@@ -292,13 +301,13 @@ def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
     # The residual is (ra + rb*sqrt(d)) / den; subtracting beta_k =
     # q_k sqrt(d) - p_k keeps it on integers.
     ra, rb, den = c.scaled()
-    ps, qs, period, m = cf.conv_p, cf.conv_q, cf.period, cf.m
-    dn, dd = cf.d.numerator, cf.d.denominator
+    ps, qs, period, m, dn, dd = cf.conv_p, cf.conv_q, cf.period, cf.m, cf.dn, cf.dd
     digits: list[int] = []
     blocked = True  # position 0 is capped: digits[0] < a_1
+    end_a, end_b = ps[1] * den, qs[1] * den  # den * -beta_0, position 0's step
     for k in range(depth):
         cap = period[k % m] - blocked
-        step_a, step_b = ps[k + 1] * den, qs[k + 1] * den  # den * -beta_k
+        step_a, step_b = end_a, end_b  # den * -beta_k, carried from position k - 1
         end_a, end_b = ps[k + 2] * den, qs[k + 2] * den  # den * -beta_{k+1}
         b = 0
         # past pieces < b, r is in piece b iff r - b beta_k + beta_{k+1} < 0 (k even) or >= 0

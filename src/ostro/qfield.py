@@ -236,11 +236,17 @@ class QuadRat:
     # -- presentation ---------------------------------------------------
 
     def approx(self, prec: int = 50) -> Decimal:
-        """Decimal approximation, for display and for numeric cross-checks."""
+        """Decimal approximation at prec + 10 digits, for display and numeric
+        cross-checks; with A, B of opposite signs it is the norm over the
+        conjugate, (A^2 dd - B^2 dn) / (dd E (A - B sqrt(d))) for d = dn/dd, so
+        no digits cancel."""
+        a, b, e, dn, dd = self._a, self._b, self._e, self._d.numerator, self._d.denominator
         with localcontext() as ctx:
             ctx.prec = prec + 10
-            root = (Decimal(self._d.numerator) / Decimal(self._d.denominator)).sqrt()
-            return +(Decimal(self._a) / self._e + Decimal(self._b) / self._e * root)
+            root = (Decimal(dn) / Decimal(dd)).sqrt()
+            if a * b < 0:
+                return Decimal(a * a * dd - b * b * dn) / (dd * e * (a - b * root))
+            return +(Decimal(a) / e + Decimal(b) / e * root)
 
     def __str__(self) -> str:
         op = "-" if self._b < 0 else "+"

@@ -153,21 +153,20 @@ def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: 
     """Corrected frac recovery on natural_dots, f = U y for f = fa + n sqrt(d), y = ya + yb sqrt(d),
     decided as y = U^-1 f (U != 0): the unit-sized U^-1 = (ia + ib sqrt(d)) / ie
     meets only the small fa and n, never the period-sized ya and yb."""
-    dn, dd = cf.d.numerator, cf.d.denominator
-    ia, ib, ie = sc.unit_inverse
-    return ya * ie * dd == fa * ia * dd + n * ib * dn and yb * ie == fa * ib + n * ia
+    dd, (ia, ib, ie) = cf.dd, sc.unit_inverse
+    return ya * ie * dd == fa * ia * dd + n * ib * cf.dn and yb * ie == fa * ib + n * ia
 
 
 def nat_verdicts(sc: ShiftConstants, n: int, v1: int, w0: int) -> bool:
     """Corrected nat recovery on natural_dots: (v1 + w0) / num(d) == n."""
-    return v1 + w0 == n * sc.d.numerator
+    return v1 + w0 == n * sc.dn
 
 
 def printed_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int,
                      v1: int, w1: int) -> tuple[bool, bool]:
     """(frac printed holds, nat printed holds) on natural_dots: frac with the
     printed constant c0 + c1 sqrt(d) in place of U, nat with w at shift 1."""
-    dn, dd = cf.d.numerator, cf.d.denominator
+    dn, dd = cf.dn, cf.dd
     c1 = cf.conv_q[cf.m + 1]
     c0 = cf.conv_q[cf.m] + cf.a0 * c1
     return (c0 * ya * dd + c1 * yb * dn == fa * dd and c0 * yb + c1 * ya == n,
@@ -180,7 +179,7 @@ def sqrt_product(cf: CFData, sc: ShiftConstants, fa: int, fb: int, ya: int, yb: 
     pn, pd = sc.pell_norm.numerator, sc.pell_norm.denominator
     b, e = sc.b_const, sc.a_const * pd
     pa, pb = ya * pn + b * fa * pd, yb * pn + b * fb * pd
-    exact = pa * cf.d.denominator == fb * cf.d.numerator * e and pb == fa * e
+    exact = pa * cf.dd == fb * cf.dn * e and pb == fa * e
     return exact, (pa, pb, e)
 
 

@@ -169,10 +169,18 @@ class RefQuadRat:
     # -- presentation ---------------------------------------------------
 
     def approx(self, prec: int = 50) -> Decimal:
-        """Decimal approximation, for display and for numeric cross-checks."""
+        """Decimal approximation, for display and for numeric cross-checks.
+        With a and b of opposite signs, a + b sqrt(d) is evaluated as
+        (a^2 - b^2 d) / (a - b sqrt(d)), both over the common denominator e
+        of a and b, so that no digits cancel."""
+        dn, dd = self.d.numerator, self.d.denominator
         with localcontext() as ctx:
             ctx.prec = prec + 10
-            root = (Decimal(self.d.numerator) / Decimal(self.d.denominator)).sqrt()
+            root = (Decimal(dn) / Decimal(dd)).sqrt()
+            if self.a * self.b < 0:
+                e = math.lcm(self.a.denominator, self.b.denominator)
+                a, b = int(self.a * e), int(self.b * e)
+                return Decimal(a * a * dd - b * b * dn) / (dd * e * (a - b * root))
             val = (
                 Decimal(self.a.numerator) / Decimal(self.a.denominator)
                 + (Decimal(self.b.numerator) / Decimal(self.b.denominator)) * root

@@ -38,6 +38,7 @@ from ostro.ostrowski import KIND_REAL, OstDigits
 from ostro.qfield import sign_sqrt
 
 from digit_maps import encode_real_reference, validate_reference
+from ostrowski_reference import encode_nat_full_scan
 
 
 def greedy_oracle(n, cf):
@@ -186,6 +187,59 @@ def test_encode_nat_equals_the_validated_constructor(cf_of):
             assert x == y and hash(x) == hash(y) and x.kind == y.kind, (d, n)
     x = encode_nat(5, cf)
     assert x != x.retag(KIND_REAL) and x != (x.cf, x.digits, x.kind)
+
+
+ALL_D = DEFAULT_D_LIST + (Fraction(991), Fraction(9949), Fraction(99991), Fraction(1000003, 7))
+
+
+@pytest.mark.parametrize("d", ALL_D, ids=str)
+def test_encode_nat_matches_the_full_scan(cf_of, d):
+    # q_20 reaches 6e15 (d = 10), so below it: every n < 5000, each q_k and
+    # its neighbours, and seeded n spread over [0, q_20)
+    cf = cf_of(d)
+    top, rng = cf.q(20), random.Random(f"encode_nat:{d}")
+    ns = [*range(5000), *(cf.q(k) + j for k in range(20) for j in (-1, 0, 1)),
+          *(rng.randrange(top) for _ in range(500))]
+    for n in ns:
+        x = encode_nat(n, cf)
+        assert x.digits == encode_nat_full_scan(n, cf) and (not x.digits or x.digits[-1]), (d, n)
+
+
+def _nat_outcome(encode, n, cf):
+    """(None, the digits an encoder returns), or (the type, the message) of its error."""
+    try:
+        x = encode(n, cf)
+    except (OstroError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None, getattr(x, "digits", x)
+
+
+@pytest.mark.parametrize("d", (2, 3, 7, Fraction(13, 4), 61), ids=str)
+def test_encode_nat_errors_match_the_full_scan_on_corrupted_tables(cf_of, d):
+    # every entry of conv_q and of the period moved by one, as replace builds
+    # them; a q entry moved to 0 is left out, since the full scan divides by
+    # it below the last nonzero digit, where the early stop never looks
+    deep = cf_of(d)
+    cf = cf_of(d, next(k for k in range(64) if deep.q(k) > 500))
+    tables = []
+    for i in range(len(cf.conv_q)):
+        for step in (-1, 1):
+            qs = list(cf.conv_q)
+            qs[i] += step
+            if qs[i] or i == 0:
+                tables.append(cf.replace(conv_q=tuple(qs)))
+    for i in range(cf.m):
+        for step in (-1, 1):
+            period = list(cf.period)
+            period[i] += step
+            tables.append(cf.replace(period=tuple(period)))
+    errors = Counter()
+    for bad in tables:
+        for n in range(-1, cf.q(cf.depth) + 2):
+            got = _nat_outcome(encode_nat, n, bad)
+            assert got == _nat_outcome(encode_nat_full_scan, n, bad), (bad.conv_q, bad.period, n)
+            errors[got[0]] += 1
+    assert errors[InvalidDigits] and errors[DepthExceeded] and errors[ValueError]
 
 
 def test_digits_are_read_only(cf_of):
@@ -384,9 +438,6 @@ def test_encode_real_residual_in_tail_window(cf_of, d, num, irr, depth):
     last = enc.digits[depth - 1] if depth <= len(enc.digits) else 0
     wlo, whi = tail_window(cf, depth, blocked=last != 0)
     assert wlo <= c - decode_real(enc) < whi
-
-
-ALL_D = DEFAULT_D_LIST + (Fraction(991), Fraction(9949), Fraction(99991), Fraction(1000003, 7))
 
 
 def _encode_outcome(encode, c, cf, depth):

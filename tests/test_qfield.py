@@ -6,7 +6,7 @@ reference in tests/qfield_reference.py."""
 import math
 import operator
 import random
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -23,6 +23,7 @@ from ostro import (
     parse_rat,
     quad,
 )
+from ostro.cfrac import expand
 from ostro.qfield import check_radicand
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -280,3 +281,31 @@ def test_triple_matches_fraction_pair_reference(case):
     assert str(x.approx(40)) == str(rx.approx(40))
     assert_same(parse_quad(str(x)), rx)
     assert_same(QuadRat(x.a, x.b, x.d), rx)
+
+
+def _decimal_300(x):
+    """(A + B sqrt(d)) / E at 300 digits: a sum that cancels k leading digits
+    keeps 300 - k, far more than approx prints."""
+    a, b, e = x.scaled()
+    with localcontext() as ctx:
+        ctx.prec = 300
+        return (Decimal(a) + Decimal(b) * (Decimal(x.d.numerator) / x.d.denominator).sqrt()) / e
+
+
+def test_approx_keeps_its_digits_when_the_parts_cancel():
+    # beta_k = q_k sqrt(3) - p_k up to k = 147 (|beta_147| ~ 1e-42), products
+    # close to exact ones, and seeded pairs of either sign; every value keeps
+    # prec + 10 significant digits, wrong by less than one unit in the 49th
+    cf = expand(3, 150)
+    values = [cf.beta(k) for k in range(148)] + [-cf.beta(k) / 7 for k in range(0, 148, 7)]
+    rng = random.Random(2718)
+    for d in (Fraction(3), Fraction(13, 4), Fraction(99991)):
+        for _ in range(40):
+            a, b = (Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**6)) for _ in "ab")
+            values.append(quad(a, b, d))
+    for x in values:
+        for prec in (40, 50):
+            got, ref = x.approx(prec), _decimal_300(x)
+            assert len(got.as_tuple().digits) == prec + 10, x
+            assert abs(got - ref) < abs(ref).scaleb(-(prec + 8)), (x, got, ref)
+    assert str(cf.beta(60).approx(30)) == "5.082937832754361435195369499873086491349E-18"

@@ -101,8 +101,8 @@ def test_changed_config_runs_its_checks_again():
 
 
 DERIVED = {
-    "CFData": ("a0", "m", "s_max", "depth", "t"),
-    "ShiftConstants": ("t", "a_const", "b_const", "pell_norm", "unit_inverse"),
+    "CFData": ("a0", "m", "s_max", "depth", "t", "dn", "dd"),
+    "ShiftConstants": ("t", "a_const", "b_const", "pell_norm", "unit_inverse", "dn", "dd"),
 }
 
 
@@ -136,6 +136,24 @@ def test_derived_slots_follow_their_inputs_on_every_copy():
         sc.replace(unit=0 * sc.unit)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         sc.no_such_name
+
+
+def test_radicand_parts_are_int_slots_that_follow_d():
+    cf = cfrac.expand(Fraction(13, 4), 16)
+    sc = cfrac.derive_shift_constants(cf)
+    for value in (cf, sc):
+        moved = value.replace(d=Fraction(7, 3))
+        twins = (pickle.loads(pickle.dumps(moved)), copy.copy(moved), copy.deepcopy(moved))
+        for v in (value, moved, *twins):
+            assert (v.dn, v.dd) == (v.d.numerator, v.d.denominator)
+            assert type(v.dn) is int and type(v.dd) is int
+        assert (value.dn, value.dd) == (13, 4) and (moved.dn, moved.dd) == (7, 3)
+        for name in ("dn", "dd"):
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(value, name, 1)
+            with pytest.raises(TypeError):
+                value.replace(**{name: 1})
+        assert (value.dn, value.dd) == (13, 4)
 
 
 class Pair(cfrac.Value):
