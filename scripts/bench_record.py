@@ -12,6 +12,12 @@ command.  The record holds the checkout's git sha, machine info, per
 workload the median and quartiles of every end-to-end metric over the K
 runs (with K and the raw values), and every per-layer metric of the
 traced run: call counts, self times, useful ratios and tracing overhead.
+Its provenance: ``git_sha``, the checkout's HEAD (the parent commit when
+the change is not yet committed); ``dirty``, whether ``git status
+--porcelain`` lists anything (null outside git); and ``src_sha256``, a
+hash of the ``src/ostro/*.py`` bytes measured, taken once the benchmark
+runs are done and equal to ``sha256sum src/ostro/*.py | sha256sum`` at
+the checkout's root (C collation).
 A ``layers`` block, measured in a subprocess on the checkout's ``src/``,
 adds what the traced run cannot show: ``audit_stages``, per audit stage
 the min of 3 runs of ``ostro.run_suite`` at the default config for
@@ -231,10 +237,31 @@ def src_lines(root: Path) -> dict:
     return {"by_module": by_module, "total": sum(by_module.values())}
 
 
+def src_sha256(root: Path) -> str:
+    """sha256 of the sha256sum listing of the checkout's src/ostro/*.py, in name order.
+
+    hashlib is imported here, after the benchmark runs: it grows this process
+    by about 3.5 MB, and on Linux a child's ru_maxrss starts from the RSS of
+    the process it was forked from, so every later run would report at least that.
+    """
+    import hashlib
+
+    listing = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  src/ostro/{p.name}\n"
+                      for p in sorted((root / "src" / "ostro").glob("*.py")))
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
 def git_sha(root: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
                           text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def git_dirty(root: Path) -> bool | None:
+    """Whether git status lists any change in the checkout; None outside git."""
+    proc = subprocess.run(["git", "status", "--porcelain"], cwd=root, capture_output=True,
+                          text=True)
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
 def main(argv=None) -> int:
@@ -267,6 +294,8 @@ def main(argv=None) -> int:
     record = {
         "pr": args.pr,
         "git_sha": git_sha(root),
+        "dirty": git_dirty(root),
+        "src_sha256": src_sha256(root),
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "implementation": platform.python_implementation(),
                     "platform": platform.platform()},

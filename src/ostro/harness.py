@@ -164,9 +164,12 @@ def _pass_over_n(ctx) -> None:
     a0, dd, example_n = cf.a0, cf.dd, min(5, n_max)
     dndd = cf.dn * dd  # floor(floor(y)/dd) = floor(y/dd) makes the split test exact
     exact_s = 0.0
+    # bound once per pass, from the module attributes, so a patched kernel is the one called
+    encode_nat, sqrt_product = ostrowski.encode_nat, shiftcalc.sqrt_product
+    frac_verdicts, nat_verdicts = shiftcalc.frac_verdicts, shiftcalc.nat_verdicts
     counter = shiftcalc.natural_dots_upto(cf, sc, n_max)
     for n, (digits, (fa, fb, ya, yb, v1, w0, w1)) in enumerate(counter):  # fb = n
-        x = ostrowski.encode_nat(n, cf)
+        x = encode_nat(n, cf)
         if x.digits != digits or fb != n:
             rt_fails.append({"n": n, "reason": "roundtrip"})
             continue
@@ -176,12 +179,12 @@ def _pass_over_n(ctx) -> None:
         if n < exact_top:
             exact_checked += 1
             t_exact = time.perf_counter()
-            if not shiftcalc.sqrt_product(cf, sc, fa, fb, ya, yb)[0]:
+            if not sqrt_product(cf, sc, fa, fb, ya, yb)[0]:
                 exact_fails.append((n, x))
             exact_s += time.perf_counter() - t_exact
-        if not shiftcalc.frac_verdicts(cf, sc, fa, fb, ya, yb):
+        if not frac_verdicts(cf, sc, fa, fb, ya, yb):
             frac_fails.append((n, x))
-        if not shiftcalc.nat_verdicts(sc, fb, v1, w0):
+        if not nat_verdicts(sc, fb, v1, w0):
             nat_fails.append((n, x))
         if n <= 50:
             frac_printed, nat_printed = shiftcalc.printed_verdicts(cf, sc, fa, fb, ya, yb, v1, w1)

@@ -35,7 +35,7 @@ from .qfield import QuadRat, parse_rat, sign_sqrt
 
 KIND_NAT = "natural"
 KIND_REAL = "real"
-_new = object.__new__  # bound once: _of builds every encoder's result
+_new = object.__new__  # bound once: the encoders build their results through it
 
 
 class OstDigits:
@@ -47,9 +47,9 @@ class OstDigits:
     (so equal values compare and hash equal), raises InvalidDigits naming
     the first invalid position, then DepthExceeded for a last digit past
     cf.depth.  OstDigits._of drops trailing zeros (no scan when the last
-    digit is nonzero, as encode_nat's always is) but trusts the rest: to
-    encode_nat's in-loop check, encode_real's caps and retag.  As in
-    QuadRat, the fields are private slots behind read-only properties.
+    digit is nonzero) but trusts the rest: to encode_real's caps and
+    retag; encode_nat sets the slots itself.  As in QuadRat, the fields
+    are private slots behind read-only properties.
     """
 
     __slots__ = ("_cf", "_digits", "_kind")
@@ -139,9 +139,10 @@ def encode_nat(n: int, cf: CFData) -> OstDigits:
     if n >= qs[-1]:
         raise DepthExceeded(f"{n} >= q_depth = {qs[-1]}; expand deeper")
     period, m = cf.period, cf.m
-    digits, rem = [0] * (bisect_right(qs, n, 1) - 1), n
-    for k in range(len(digits) - 1, -1, -1):
-        q = qs[k + 1]
+    k = bisect_right(qs, n, 1) - 1  # the digit count; the top one is n // q_{k-1} >= 1
+    digits, rem = [0] * k, n
+    for q in qs[k:0:-1]:  # q_{k-1} down to q_0: after k -= 1, q is qs[k + 1]
+        k -= 1
         if rem >= q:  # a zero digit is under every cap
             b = rem // q
             rem %= q
@@ -150,7 +151,9 @@ def encode_nat(n: int, cf: CFData) -> OstDigits:
                 raise InvalidDigits(f"digit constraint violated at position {k}: {digits}")
             if not rem:
                 break
-    return OstDigits._of(cf, tuple(digits), KIND_NAT)
+    x = _new(OstDigits)  # the last digit is nonzero: no zeros for _of to drop
+    x._cf, x._digits, x._kind = cf, tuple(digits), KIND_NAT
+    return x
 
 
 def beta_parts(x: OstDigits) -> tuple[int, int]:
@@ -286,11 +289,13 @@ def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
     period[k % m] - blocked make hold, so OstDigits._of does not validate
     again: it puts every r_j in W_j (r_j = r_{j+1} + b_j beta_j lies in
     piece b_j of W_j), so a wrong digit anywhere fails it.  The residual
-    after K digits is bounded by |beta_{K-1}| + |beta_K|.
+    after K digits is bounded by |beta_{K-1}| + |beta_K|.  A c that is
+    already a QuadRat over cf.d is taken as it is; any other is re-tagged.
     """
     if isinstance(c, QuadRat) and c.d != cf.d and not c.is_rational:
         raise OutOfInterval(f"value in Q(sqrt({c.d})) cannot be encoded over d={cf.d}")
-    c = QuadRat._of(0, 0, 1, cf.d) + c  # over cf.d, a rational c re-tagged
+    if not (isinstance(c, QuadRat) and (c.d is cf.d or c.d == cf.d)):
+        c = QuadRat._of(0, 0, 1, cf.d) + c  # over cf.d, a rational c re-tagged
     if not in_interval(cf, c):
         raise OutOfInterval(f"{c} is outside [{interval_bounds(cf)[0]}, {interval_bounds(cf)[1]})")
     if depth < 0:

@@ -239,10 +239,13 @@ class QuadRat:
         """Decimal approximation at prec + 10 digits, for display and numeric
         cross-checks; with A, B of opposite signs it is the norm over the
         conjugate, (A^2 dd - B^2 dn) / (dd E (A - B sqrt(d))) for d = dn/dd, so
-        no digits cancel."""
+        no digits cancel.  A rational (B = 0) is A / E alone, so it keeps its
+        own exponent: 0 prints as 0 and 7/5 as 1.4."""
         a, b, e, dn, dd = self._a, self._b, self._e, self._d.numerator, self._d.denominator
         with localcontext() as ctx:
             ctx.prec = prec + 10
+            if not b:
+                return Decimal(a) / e
             root = (Decimal(dn) / Decimal(dd)).sqrt()
             if a * b < 0:
                 return Decimal(a * a * dd - b * b * dn) / (dd * e * (a - b * root))

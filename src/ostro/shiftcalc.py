@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from operator import add
 
 from .cfrac import CFData, ShiftConstants, Value, _verdict
 from .errors import (
@@ -50,7 +49,7 @@ from .ostrowski import (
     mult_nat_by_sqrt,
     tail_window,
 )
-from .qfield import QuadRat, sign_sqrt
+from .qfield import QuadRat, floor_sqrt, sign_sqrt
 
 
 def embed(x: OstDigits) -> tuple[tuple[int, int], ...]:
@@ -113,39 +112,45 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
     Ostrowski counter instead of a pass over every digit of every n.
 
     n + 1 raises the lowest digit that can rise and zeroes the digits
-    below it: digit k can rise when the new value is at most cap =
-    period[k % m] (below cap at k = 0) and the digit above is not at its
-    own cap.  The dots are digit-weighted sums of one weight row per
+    below it: digit k can rise to rise[k] (its cap period[k % m], one less
+    at k = 0) while the digit above is not at its own cap, both listed once
+    per sweep.  The dots are digit-weighted sums of one weight row per
     position, natural_dots' loop on the one digit 1 there, so tails[k],
     their sum over the positions >= k, takes row k at the raised position
-    and is copied to the zeroed ones.  Past q_{depth-m+1} the digits
-    shifted by m leave the depth, and DepthExceeded is raised as
-    natural_dots raises it.
+    and is copied to the zeroed ones.  Rows and zero prefixes are built as
+    the digits reach them: up to the depth, the prefixes would take
+    megabytes on a long period.  Past q_{depth-m+1} the digits shifted by
+    m leave the depth, and DepthExceeded is raised as natural_dots raises it.
     """
-    m, period = cf.m, cf.period
+    m = cf.m
     top = cf.depth - m  # the last position whose shift by m is materialized
+    caps = [cf.period[k % m] for k in range(max(top, 0) + 2)]  # k reaches top + 1 at most
+    rise = [cap - (k == 0) for k, cap in enumerate(caps)]
     digits: tuple[int, ...] = ()
-    rows: list[tuple[int, ...]] = []  # built as the digits reach them
+    rows, zeros = [], []  # row k and zeros[k] = (0,) * k, built as the digits reach k
     tails = [(0,) * 7]  # one longer than digits, ending in zeros
     for _ in range(n_max):
         yield digits, tails[0]
         k, size = 0, len(digits)
         while True:
             b = digits[k] + 1 if k < size else 1
-            cap = period[k % m]
-            if (b < cap or (b == cap and k > 0)) and (
-                    k + 1 >= size or digits[k + 1] != period[(k + 1) % m]):
+            if b <= rise[k] and (k + 1 >= size or digits[k + 1] != caps[k + 1]):
                 break
             k += 1
         if k > top:
             raise DepthExceeded(f"shifted index {k + m} exceeds depth {cf.depth}")
         if k >= size:
             rows += [_dots(cf, sc, (1,), j) for j in range(size, k + 1)]
+            zeros += [(0,) * j for j in range(len(zeros), k + 1)]
             tails += [tails[-1]] * (k + 1 - size)
-        digits = (0,) * k + (b,) + digits[k + 1:]
-        # through a list: tuple(map(...)) over-allocates and shrinks, and the
-        # shrunk tuples pile up in CPython's free list (2000 x 96 bytes)
-        tails[:k + 1] = [tuple([*map(add, tails[k], rows[k])])] * (k + 1)
+        (f0, f1, f2, f3, f4, f5, f6), (r0, r1, r2, r3, r4, r5, r6) = tails[k], rows[k]
+        tail = (f0 + r0, f1 + r1, f2 + r2, f3 + r3, f4 + r4, f5 + r5, f6 + r6)
+        if k:
+            digits = zeros[k] + (b,) + digits[k + 1:]
+            tails[:k + 1] = [tail] * (k + 1)
+        else:
+            digits = (b,) + digits[1:]
+            tails[0] = tail
     yield digits, tails[0]
 
 
@@ -243,25 +248,23 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants,
 
     x is reduced mod 1 into the fundamental interval, encoded to enough
     digits that the tail (times sqrt(d)) is below eps, no more than bound
-    or cf.depth, and the shifted digit machinery supplies the product of the
-    encoded part, from a deeper expansion if the digits shifted by m pass
-    cf.depth.  The error bound is certified by an exact sign test.
+    or cf.depth, and sqrt_product on their natural_dots gives the product
+    of the encoded part, from a deeper expansion if the digits shifted by m
+    pass cf.depth.  The sign, floor and certificate are integer tests.
     """
-    x = QuadRat._of(0, 0, 1, cf.d) + x  # over cf.d, a rational x re-tagged
+    xa, xb, xe = (QuadRat._of(0, 0, 1, cf.d) + x).scaled()  # over cf.d, a rational x re-tagged
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if x.sign() < 0:
-        raise OutOfDomain(f"{x} is negative")
-
-    root = cf.sqrt_d()
-    whole = (x + root - cf.a0).floor()  # x - whole lies in I exactly
-    c = x - whole
+    dn, dd, en, ed = cf.dn, cf.dd, eps.numerator, eps.denominator
+    if sign_sqrt(xa, xb, dn, dd) < 0:
+        raise OutOfDomain(f"{QuadRat._of(xa, xb, xe, cf.d)} is negative")
+    # x - whole lies in I exactly: whole = floor(x + sqrt(d) - a0), as QuadRat.floor takes it
+    whole = floor_sqrt((xa - cf.a0 * xe) * dd, xb + xe, dn * dd, xe * dd)
 
     # depth = the first k with (|beta_{k-1}| + |beta_k|) sqrt(d) < eps, by bisection: that
     # tail strictly decreases in k.  The betas alternate, so it is s (beta_{k-1} - beta_k),
     # s the sign of beta_{k-1}; times sqrt(d), minus eps and scaled by dd*ed, a sign_sqrt.
-    dn, dd, en, ed = cf.d.numerator, cf.d.denominator, eps.numerator, eps.denominator
     ps, qs = cf.conv_p, cf.conv_q
     def below_eps(k: int) -> bool:
         s = 1 if k % 2 else -1
@@ -274,11 +277,17 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants,
         raise DepthExceeded(f"eps={eps} needs more than {bound} digit positions")
 
     # encoded over the depth its digits shifted by m can reach
-    digits = encode_real(c, cf.at_least(depth - 1 + cf.m), depth)
-    result = times_sqrt_frac(digits, sc) + QuadRat._of(0, whole, 1, cf.d)
-    err = result - root * x
-    if not (abs(err) - eps).sign() < 0:
-        raise VerificationFailed(f"certified bound violated: |{err}| >= {eps}")
+    c = QuadRat._of(xa - whole * xe, xb, xe, cf.d)
+    fa, fb, ya, yb, *_ = natural_dots(encode_real(c, cf.at_least(depth - 1 + cf.m), depth), sc)
+    pa, pb, e = sqrt_product(cf, sc, fa, fb, ya, yb)[1]
+    result = QuadRat._of(pa, pb + whole * e, e, cf.d)  # sqrt(d) c + whole sqrt(d)
+    # err = result - sqrt(d) x = (ea + eb sqrt(d)) / big_e; |err| < eps is two sign tests
+    ra, rb, re = result.scaled()
+    ea, eb, big_e = ra * xe * dd - xb * dn * re, (rb * xe - xa * re) * dd, re * xe * dd
+    if not (sign_sqrt(ea * ed - en * big_e, eb * ed, dn, dd) < 0
+            < sign_sqrt(ea * ed + en * big_e, eb * ed, dn, dd)):
+        raise VerificationFailed(
+            f"certified bound violated: |{QuadRat._of(ea, eb, big_e, cf.d)}| >= {eps}")
     return result
 
 

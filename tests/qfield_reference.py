@@ -176,6 +176,8 @@ class RefQuadRat:
         dn, dd = self.d.numerator, self.d.denominator
         with localcontext() as ctx:
             ctx.prec = prec + 10
+            if self.b == 0:  # a rational keeps its own exponent
+                return Decimal(self.a.numerator) / Decimal(self.a.denominator)
             root = (Decimal(dn) / Decimal(dd)).sqrt()
             if self.a * self.b < 0:
                 e = math.lcm(self.a.denominator, self.b.denominator)

@@ -8,8 +8,11 @@ decode_real, the recovery checks, prefix_nat and cli.main on short
 commands), each layer with the calibration loop timed before each of its
 calls, the audit stages and the default audit with it timed before them,
 the default audit timed per radicand, tier-1 timed, and the line count
-of each src/ostro module."""
+of each src/ostro module; and the record's provenance: the checkout's git
+sha, whether its tree is dirty, and a hash of the src/ostro modules."""
 
+import hashlib
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -216,7 +219,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rec = json.loads((root / "BENCH_1.json").read_text())
-    assert rec["pr"] == 1 and rec["git_sha"] is None  # the stub is no git checkout
+    assert rec["pr"] == 1 and rec["git_sha"] is None and rec["dirty"] is None  # no git checkout
     assert rec["machine"]["nproc"] >= 1
     wl = rec["workloads"]["stub"]
     seeds = list(range(101, 108))
@@ -252,3 +255,28 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     assert rec["src_lines"] == {"by_module": {name: text.count("\n")
                                               for name, text in sorted(stubs.items())},
                                 "total": sum(text.count("\n") for text in stubs.values())}
+    listing = "".join(f"{hashlib.sha256(text.encode()).hexdigest()}  src/ostro/{name}\n"
+                      for name, text in sorted(stubs.items()))  # as sha256sum prints it
+    assert rec["src_sha256"] == hashlib.sha256(listing.encode()).hexdigest()
+
+
+def test_bench_record_provenance_in_a_git_checkout(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+
+    def git(*argv):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                        *argv], cwd=tmp_path, check=True, capture_output=True)
+
+    module = tmp_path / "src" / "ostro" / "one.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "one")
+    sha, digest = bench_record.git_sha(tmp_path), bench_record.src_sha256(tmp_path)
+    assert bench_record.git_dirty(tmp_path) is False and len(sha) == 40
+    module.write_text("x = 2\n")  # the measured bytes move; the sha does not
+    assert bench_record.git_dirty(tmp_path) is True and bench_record.git_sha(tmp_path) == sha
+    assert bench_record.src_sha256(tmp_path) != digest

@@ -130,6 +130,9 @@ def test_encode_decode_round_trip(capsys):
 def test_decode_empty_is_zero(capsys):
     code, out = run(capsys, "decode", "")
     assert code == 0 and out.strip() == "0"
+    # a rational value prints its decimal with its own exponent, not the root's
+    code, out = run(capsys, "decode", "--d", "3", "--real", "0,0")
+    assert code == 0 and out.strip() == "0+0*sqrt(3) = 0"
 
 
 def test_decode_radicand_mismatch(capsys):
@@ -194,6 +197,8 @@ def test_mul_zero(capsys):
     code, out = run(capsys, "mul", "--d", "3", "--x", "0", "--eps", "1e-9")
     assert code == 0
     assert "0+0*sqrt(3)" in out
+    code, out = run(capsys, "mul", "--d", "3", "--x", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["decimal"] == "0"
 
 
 def test_mul_certified(capsys):

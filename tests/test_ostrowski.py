@@ -179,7 +179,8 @@ def test_encode_nat_rejects_a_corrupted_table(cf_of):
 
 
 def test_encode_nat_equals_the_validated_constructor(cf_of):
-    for d in (2, 3, 7, Fraction(13, 4), 99991):
+    # encode_nat sets OstDigits' slots itself, past the constructor's checks
+    for d in (2, 3, 7, Fraction(13, 4), 61, 99991):
         cf = cf_of(d)
         for n in range(10**4 + 1):
             x = encode_nat(n, cf)
@@ -401,6 +402,11 @@ def test_encode_real_zero_and_errors(cf_of):
         encode_real(quad(1, 0, 3), cf3, 8)
     with pytest.raises(OutOfInterval):
         encode_real(quad(0, 1, 2), cf3, 8)  # wrong field entirely
+    # a rational over another radicand, or a Fraction, is re-tagged over cf.d first
+    for c in (quad(Fraction(1, 5), 0, 2), Fraction(1, 5)):
+        assert encode_real(c, cf3, 12) == encode_real(quad(Fraction(1, 5), 0, 3), cf3, 12)
+    with pytest.raises(OutOfInterval, match=r"^1\+0\*sqrt\(3\) is outside "):
+        encode_real(quad(1, 0, 2), cf3, 8)
 
 
 def test_encode_real_truncation_residual(cf_of):

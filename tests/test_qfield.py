@@ -309,3 +309,11 @@ def test_approx_keeps_its_digits_when_the_parts_cancel():
             assert len(got.as_tuple().digits) == prec + 10, x
             assert abs(got - ref) < abs(ref).scaleb(-(prec + 8)), (x, got, ref)
     assert str(cf.beta(60).approx(30)) == "5.082937832754361435195369499873086491349E-18"
+
+
+def test_approx_of_a_rational_keeps_its_own_exponent():
+    # b = 0 is A / E alone: no root term lends its exponent to an exact rational
+    assert [str(quad(a, 0, 3).approx(40)) for a in (0, Fraction(7, 5), -5, Fraction(-1, 8))] == [
+        "0", "1.4", "-5", "-0.125"]
+    third = quad(Fraction(1, 3), 0, Fraction(13, 4)).approx(40)
+    assert third.as_tuple().digits == (3,) * 50 and third.adjusted() == -1

@@ -2,6 +2,8 @@
 double-sum oracle, the two recovery identities, representation-level
 multiplication by sqrt(d), and the window/probe layer."""
 
+import collections
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,6 +16,7 @@ from ostro import (
     DepthExceeded,
     OutOfDomain,
     OutOfInterval,
+    VerificationFailed,
     WitnessUnavailable,
     check_recover_frac,
     check_recover_nat,
@@ -36,6 +39,7 @@ from ostro.qfield import QuadRat
 
 from digit_maps import (Weights, digit_window, embed, gen_digits, shift, unary_layers,
                         weighted_beta_sum, weighted_q_sum)
+from shiftcalc_reference import times_sqrt_real_quadrat
 
 D_SMALL = [Fraction(x) for x in (2, 3, "3/2", "32/9")]
 
@@ -433,6 +437,21 @@ def test_counter_depth_boundary(cf_of, sc_of):
     assert list(shiftcalc.natural_dots_upto(cf, sc, 0)) == [((), (0,) * 7)]
 
 
+def test_counter_memory_stays_with_the_digits(cf_of, sc_of):
+    # at d = 99991 over depth 1311 the counter may reach position 875; zero
+    # prefixes built up to there would take about 3 MB, those the digits of
+    # n <= 10^4 reach take a few hundred bytes
+    cf = cf_of(99991).at_least(1311)
+    sc = sc_of(99991)
+    tracemalloc.start()
+    try:
+        collections.deque(shiftcalc.natural_dots_upto(cf, sc, 10**4), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # multiplication by sqrt(d)
 # ---------------------------------------------------------------------------
@@ -491,6 +510,65 @@ def test_times_sqrt_real_rejects_negative(cf_of, sc_of):
         times_sqrt_real(Fraction(-1, 2), Fraction(1, 10**6), cf3, sc3)
     with pytest.raises(OutOfDomain):
         times_sqrt_real(quad(-9, 5, 3), Fraction(1, 10**6), cf3, sc3)
+
+
+LONG_PERIOD = [Fraction(x) for x in (991, 9949, 99991, "1000003/7")]
+
+
+def _mul_inputs(d):
+    """x >= 0 over d: rationals with and without whole parts, 0 as an int and
+    as a QuadRat, rationals tagged with another radicand, quadratic values
+    and their whole-part shifts; then negative ones and inputs of other kinds."""
+    other = Fraction(2) if d != 2 else Fraction(3)
+    xs = [0, 5, Fraction(7, 5), Fraction(1, 10**12), Fraction(123456789, 9973),
+          quad(0, 0, d), quad(Fraction(1000, 7), 0, d), quad(Fraction(7, 5), 0, other)]
+    for a, b in ((-9, 5), (Fraction(1, 3), Fraction(2, 7)), (Fraction(-10**6, 3), 10**4)):
+        y = abs(quad(a, b, d))
+        xs += [y, y + 17]
+    return xs + [Fraction(-1, 2), -abs(quad(-9, 5, d)), quad(1, 1, other), 1.5]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d", [*ostro.harness.DEFAULT_D_LIST, *LONG_PERIOD], ids=str)
+def test_times_sqrt_real_matches_the_quadrat_reference(cf_of, sc_of, d):
+    # the integer sign, floor and certificate against the QuadRat body they
+    # replaced: equal products, and equal errors for x < 0 (OutOfDomain), for
+    # another radicand (MixedRadicand), for a float and for eps = 0
+    cf, sc = cf_of(d, 300), sc_of(d, 300)
+    epsilons = [Fraction(1, 10**k) for k in (3, 9, 20, 40, 60)] + [Fraction(3, 7 * 10**15), 0]
+    for x in _mul_inputs(d):
+        for eps in epsilons:
+            got = _outcome(times_sqrt_real, x, eps, cf, sc)
+            assert got == _outcome(times_sqrt_real_quadrat, x, eps, cf, sc), (x, eps)
+            if isinstance(got, QuadRat):
+                assert got.d == cf.d and got.scaled()[2] > 0
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("part", [0, 1], ids=["pa", "pb"])
+def test_times_sqrt_real_certificate_catches_a_moved_product(monkeypatch, cf_of, sc_of, part,
+                                                             delta):
+    # sqrt_product's pa or pb moved by one moves the product by 1/e or sqrt(d)/e,
+    # e = q_{m-1} den(pell_norm), above eps = 1e-9 on every default radicand;
+    # either sign, so each of the certificate's two sign tests must hold
+    real = shiftcalc.sqrt_product
+
+    def moved(*args):
+        exact, triple = real(*args)
+        return exact, tuple(v + delta * (i == part) for i, v in enumerate(triple))
+
+    monkeypatch.setattr(shiftcalc, "sqrt_product", moved)
+    for d in ostro.harness.DEFAULT_D_LIST:
+        cf, sc = cf_of(d), sc_of(d)
+        for x in (0, Fraction(7, 5), Fraction(123456789, 9973), abs(quad(-9, 5, d)) + 3):
+            with pytest.raises(VerificationFailed, match=r"^certified bound violated: \|"):
+                times_sqrt_real(x, Fraction(1, 10**9), cf, sc)
 
 
 def reference_times_sqrt_frac(x, sc):
