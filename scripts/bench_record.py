@@ -172,7 +172,7 @@ def part():
     return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
 pairs = [(ostro.quad(part(), part(), Fraction(13, 4)), ostro.quad(part(), part(), Fraction(13, 4)))
          for _ in range(1000)]
-cf3 = cfrac.expand(3, 64)
+cf3, cf31 = cfrac.expand(3, 64), cfrac.expand(31, 64)
 sc3, sc64 = cfrac.derive_shift_constants(cf3), cfrac.derive_shift_constants(cf64)
 cf1311 = cf64.at_least(1311)
 rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction(1, 10**30)
@@ -198,6 +198,10 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
     "quadrat_sign_13_4_1000": lambda: [x.sign() for x, _ in pairs],
     "natural_dots_upto_3_10000": lambda: collections.deque(
         shiftcalc.natural_dots_upto(cf3, sc3, 10**4), maxlen=0),
+    "natural_dots_upto_99991_10000": lambda: collections.deque(
+        shiftcalc.natural_dots_upto(cf1311, sc64, 10**4), maxlen=0),
+    # 2885 strings: the uniqueness sweep's largest enumeration on the default list
+    "enumerate_valid_31_8": lambda: collections.deque(ostrowski.enumerate_valid(cf31, 8), maxlen=0),
     "times_sqrt_real_99991_20": lambda: [shiftcalc.times_sqrt_real(x, eps, cf64, sc64)
                                          for x in rationals],
     "times_sqrt_real_3_256_50": lambda: [shiftcalc.times_sqrt_real(x, eps60, cf256, sc256)

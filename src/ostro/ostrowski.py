@@ -195,25 +195,25 @@ def mult_nat_by_sqrt(x: OstDigits) -> tuple[int, OstDigits]:
 
 
 def enumerate_valid(cf: CFData, length: int):
-    """Yield every valid digit tuple of the given length (LSF order).
-
-    Exhaustive by construction; used by the uniqueness sweeps, which
-    check that decoding is a bijection onto [0, q_length).
-    """
-    def rec(k: int, prefix: list[int]):
-        if k == length:
-            yield tuple(prefix)
+    """Yield every valid digit tuple of the given length (LSF order), position 0
+    varying slowest, by an odometer: the last digit that can rise (below its cap
+    a_{k+1}, or to it when k >= 1 and digit k-1 is 0) rises and the ones after
+    it return to 0.  Used by the uniqueness sweeps, which check that decoding
+    is a bijection onto [0, q_length)."""
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
+    caps = [cf.a(k + 1) for k in range(length)]
+    digits = [0] * length
+    while True:
+        yield tuple(digits)
+        for k in range(length - 1, -1, -1):
+            b = digits[k] + 1
+            if b < caps[k] or b == caps[k] and k and not digits[k - 1]:
+                digits[k] = b
+                break
+            digits[k] = 0
+        else:
             return
-        cap = cf.a(k + 1)
-        hi = cap - 1 if k == 0 else cap
-        for b in range(0, hi + 1):
-            if k >= 1 and b == cap and prefix[k - 1] != 0:
-                continue
-            prefix.append(b)
-            yield from rec(k + 1, prefix)
-            prefix.pop()
-
-    yield from rec(0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ Two recovery identities are audited per digit string x of a natural n:
     shift 1 (an index slip seen in print) is reported alongside.
 
 Both are decided on Python ints that natural_dots reads off the digits
-in one pass, or that natural_dots_upto carries from n to n+1 over a
-sweep of naturals; frac_verdicts and nat_verdicts return bools, and frac
+in one pass, or that natural_dots_upto sums from a table of low digit
+strings over a sweep; frac_verdicts and nat_verdicts return bools, and frac
 recovery is decided as y = U^-1 f, so the period-sized shifted sum y is
 never multiplied by U.  The witness builders check_recover_frac and
 check_recover_nat form the exact sides of an AuditEntry.  On top of them
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 
 from .cfrac import CFData, ShiftConstants, Value, _verdict
 from .errors import (
@@ -107,29 +108,24 @@ def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
     return _dots(cf, sc, x.digits)
 
 
-def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
-    """Yield (digits of n, natural_dots of them) for n = 0 .. n_max, by an
-    Ostrowski counter instead of a pass over every digit of every n.
-
-    n + 1 raises the lowest digit that can rise and zeroes the digits
-    below it: digit k can rise to rise[k] (its cap period[k % m], one less
-    at k = 0) while the digit above is not at its own cap, both listed once
-    per sweep.  The dots are digit-weighted sums of one weight row per
-    position, natural_dots' loop on the one digit 1 there, so tails[k],
-    their sum over the positions >= k, takes row k at the raised position
-    and is copied to the zeroed ones.  Rows and zero prefixes are built as
-    the digits reach them: up to the depth, the prefixes would take
-    megabytes on a long period.  Past q_{depth-m+1} the digits shifted by
-    m leave the depth, and DepthExceeded is raised as natural_dots raises it.
-    """
+def _count_from(cf: CFData, sc: ShiftConstants, lo: int):
+    """Yield (digits at positions lo, lo + 1, .., natural_dots of them) in value
+    order, without end.  Going up by one raises the lowest digit that can rise
+    and zeroes the ones below: digit k rises to rise[k] (its cap, one less at
+    position 0) while the digit above is not at its own cap.  The dots are sums
+    of one weight row per position (natural_dots on the one digit 1 there), so
+    tails[k], their sum over the digits >= k, takes row k at the raised digit
+    and is copied to the zeroed ones.  Rows and zero prefixes are built as the
+    digits reach them.  A digit whose shift by m passes the depth raises
+    DepthExceeded as natural_dots raises it."""
     m = cf.m
-    top = cf.depth - m  # the last position whose shift by m is materialized
-    caps = [cf.period[k % m] for k in range(max(top, 0) + 2)]  # k reaches top + 1 at most
-    rise = [cap - (k == 0) for k, cap in enumerate(caps)]
+    top = cf.depth - m - lo  # the last position whose shift by m is materialized, from lo
+    caps = [cf.period[(lo + k) % m] for k in range(max(top, 0) + 2)]  # k reaches top + 1
+    rise = [cap - (lo + k == 0) for k, cap in enumerate(caps)]
     digits: tuple[int, ...] = ()
     rows, zeros = [], []  # row k and zeros[k] = (0,) * k, built as the digits reach k
     tails = [(0,) * 7]  # one longer than digits, ending in zeros
-    for _ in range(n_max):
+    while True:
         yield digits, tails[0]
         k, size = 0, len(digits)
         while True:
@@ -138,9 +134,9 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
                 break
             k += 1
         if k > top:
-            raise DepthExceeded(f"shifted index {k + m} exceeds depth {cf.depth}")
+            raise DepthExceeded(f"shifted index {lo + k + m} exceeds depth {cf.depth}")
         if k >= size:
-            rows += [_dots(cf, sc, (1,), j) for j in range(size, k + 1)]
+            rows += [_dots(cf, sc, (1,), lo + j) for j in range(size, k + 1)]
             zeros += [(0,) * j for j in range(len(zeros), k + 1)]
             tails += [tails[-1]] * (k + 1 - size)
         (f0, f1, f2, f3, f4, f5, f6), (r0, r1, r2, r3, r4, r5, r6) = tails[k], rows[k]
@@ -151,7 +147,36 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
         else:
             digits = (b,) + digits[1:]
             tails[0] = tail
-    yield digits, tails[0]
+
+
+def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
+    """Yield (digits of n, natural_dots of them) for n = 0 .. n_max, by a
+    two-level Ostrowski counter.  With J the first position >= 1 where
+    q_J >= 64, one _count_from run from 0 lists the digits and dots of every
+    n < q_J, and one from J steps through the high strings h in value order.
+    The dots are linear in the digits, so h yields its block of n by one tuple
+    concatenation and one 7-int sum per n: all q_J low strings, or the first
+    q_{J-1} (digit J-1 zero) when h's digit at J is at its cap a_{J+1}.  A sweep
+    inside the first block, or with no such J below the depth, is streamed.
+    Past q_{depth-m+1} DepthExceeded is raised as natural_dots raises it.
+    """
+    qs = cf.conv_q  # qs[k + 1] = q_k; low blocks of 32 to 128 n timed alike, 1024 slower
+    j = next((k for k in range(1, cf.depth - cf.m + 1) if qs[k + 1] >= 64), None)
+    if j is None or n_max < qs[j + 1]:
+        yield from islice(_count_from(cf, sc, 0), max(n_max + 1, 0))
+        return
+    low = list(islice(_count_from(cf, sc, 0), qs[j + 1]))
+    yield from low
+    padded = [(digits + (0,) * (j - len(digits)), dots) for digits, dots in low]
+    blocks = padded, padded[:qs[j]]  # by whether h's digit at J is at its cap
+    cap, n = cf.period[j % cf.m], qs[j + 1]  # n: the first n of the next block
+    high = islice(_count_from(cf, sc, j), 1, None)  # h = () was the first block
+    while n <= n_max:
+        h, (g0, g1, g2, g3, g4, g5, g6) = next(high)
+        block = blocks[h[0] == cap][:n_max + 1 - n]
+        n += len(block)
+        for digits, (f0, f1, f2, f3, f4, f5, f6) in block:
+            yield digits + h, (f0 + g0, f1 + g1, f2 + g2, f3 + g3, f4 + g4, f5 + g5, f6 + g6)
 
 
 def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int) -> bool:

@@ -1,11 +1,14 @@
-"""The greedy natural encoder that ostro.ostrowski.encode_nat replaced,
-kept as the reference for its early stop.
+"""Bodies that ostro.ostrowski replaced, kept as references for the tests.
 
 encode_nat_full_scan runs the greedy descent over every position down to
 0, with the same per-digit check and the same InvalidDigits message, and
 returns the digit tuple with its trailing zeros dropped.  The library's
 encode_nat ends the descent once the remainder is 0; the tests require
 equal digits on true tables and equal errors on corrupted ones.
+
+enumerate_valid_recursive is the recursive body of enumerate_valid, one
+nested generator frame per position; the library's odometer over one
+digit list must yield the same strings in the same order.
 """
 
 from __future__ import annotations
@@ -34,3 +37,22 @@ def encode_nat_full_scan(n: int, cf: CFData) -> tuple[int, ...]:
     while digits and not digits[-1]:
         digits.pop()
     return tuple(digits)
+
+
+def enumerate_valid_recursive(cf: CFData, length: int):
+    """Every valid digit tuple of the given length, position 0 varying
+    slowest, by one nested generator per position."""
+    def rec(k: int, prefix: list[int]):
+        if k == length:
+            yield tuple(prefix)
+            return
+        cap = cf.a(k + 1)
+        hi = cap - 1 if k == 0 else cap
+        for b in range(0, hi + 1):
+            if k >= 1 and b == cap and prefix[k - 1] != 0:
+                continue
+            prefix.append(b)
+            yield from rec(k + 1, prefix)
+            prefix.pop()
+
+    yield from rec(0, [])

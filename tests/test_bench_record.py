@@ -2,10 +2,10 @@
 script: one record per call at the checkout's root, medians and quartiles
 over the seeds, the traced metrics, the layers measured on the checkout's
 src/ (expand, the audit stages, the shift constants, at_least,
-encode_real, QuadRat add/mul/sign, the natural_dots_upto counter,
-times_sqrt_real, the identity audit, encode_nat, the recovery verdicts,
-decode_real, the recovery checks, prefix_nat and cli.main on short
-commands), each layer with the calibration loop timed before each of its
+encode_real, QuadRat add/mul/sign, the natural_dots_upto counter, the
+enumerate_valid odometer, times_sqrt_real, the identity audit,
+encode_nat, the recovery verdicts, decode_real, the recovery checks,
+prefix_nat and cli.main on short commands), each layer with the calibration loop timed before each of its
 calls, the audit stages and the default audit with it timed before them,
 the default audit timed per radicand, tier-1 timed, and the line count
 of each src/ostro module; and the record's provenance: the checkout's git
@@ -85,7 +85,8 @@ class CFData:
 
 
 def expand(d, depth):
-    if (d, depth) not in ((99991, 874), (99991, 64), (61, 150), (3, 64), (3, 256), (2, 64)):
+    if (d, depth) not in ((99991, 874), (99991, 64), (61, 150), (3, 64), (3, 256), (2, 64),
+                          (31, 64)):
         raise ValueError((d, depth))
     return CFData(d, depth)
 
@@ -118,6 +119,12 @@ def encode_nat(n, cf):
 def decode_real(x):
     if x[0] != "digits" or not 0 <= x[1] <= 10**4:
         raise ValueError(x)
+
+
+def enumerate_valid(cf, length):
+    if (cf.d, cf.depth, length) != (31, 64, 8):
+        raise ValueError((cf.d, cf.depth, length))
+    return iter([(0,) * 8])
 '''
 
 STUB_SHIFTCALC = '''
@@ -233,7 +240,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "derive_shift_constants_3_64",
                 "derive_shift_constants_99991_874", "at_least_99991_64_1311",
                 "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
-                "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000", "times_sqrt_real_99991_20",
+                "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000",
+                "natural_dots_upto_99991_10000", "enumerate_valid_31_8", "times_sqrt_real_99991_20",
                 "times_sqrt_real_3_256_50",
                 "audit_identities_99991_1311", "encode_nat_3_10000", "frac_verdicts_3_10000",
                 "frac_verdicts_99991_10000", "nat_verdicts_3_10000", "decode_real_3_10000", "check_recover_frac_3_2000",

@@ -33,12 +33,12 @@ from ostro import (
     validate,
 )
 from ostro import ostrowski
-from ostro.harness import DEFAULT_D_LIST
+from ostro.harness import DEFAULT_D_LIST, SuiteConfig
 from ostro.ostrowski import KIND_REAL, OstDigits
 from ostro.qfield import sign_sqrt
 
 from digit_maps import encode_real_reference, validate_reference
-from ostrowski_reference import encode_nat_full_scan
+from ostrowski_reference import encode_nat_full_scan, enumerate_valid_recursive
 
 
 def greedy_oracle(n, cf):
@@ -261,6 +261,25 @@ def test_exhaustive_uniqueness(cf_of):
             decode_nat(make_digits(cf, w)) for w in enumerate_valid(cf, length)
         )
         assert seen == list(range(cf.q(length)))
+
+
+@pytest.mark.parametrize("d", ALL_D, ids=str)
+def test_enumerate_valid_matches_the_recursive_body(cf_of, d):
+    # the same strings in the same order, position 0 slowest, at every length
+    # up to one past the audit's max(L, l_eff + 1): L the first with
+    # q_L > n_unique, l_eff the last probed level
+    cf, config = cf_of(d), SuiteConfig()
+    big_l = next(k for k in range(cf.depth + 1) if cf.q(k) > config.n_unique)
+    l_eff = max(l for l in range(config.probe_l_max + 1) if cf.q(l + 1) <= config.probe_q_limit)
+    for length in range(max(big_l, l_eff + 1) + 2):
+        assert list(enumerate_valid(cf, length)) == list(enumerate_valid_recursive(cf, length))
+
+
+def test_enumerate_valid_rejects_a_negative_length(cf_of):
+    for length in (-1, -7):
+        with pytest.raises(ValueError, match=f"^length must be non-negative, got {length}$"):
+            next(enumerate_valid(cf_of(3), length))
+    assert list(enumerate_valid(cf_of(3), 0)) == [()]
 
 
 # ---------------------------------------------------------------------------

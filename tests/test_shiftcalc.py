@@ -39,7 +39,7 @@ from ostro.qfield import QuadRat
 
 from digit_maps import (Weights, digit_window, embed, gen_digits, shift, unary_layers,
                         weighted_beta_sum, weighted_q_sum)
-from shiftcalc_reference import times_sqrt_real_quadrat
+from shiftcalc_reference import natural_dots_single_level, times_sqrt_real_quadrat
 
 D_SMALL = [Fraction(x) for x in (2, 3, "3/2", "32/9")]
 
@@ -450,6 +450,76 @@ def test_counter_memory_stays_with_the_digits(cf_of, sc_of):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+def test_counter_yields_nothing_below_zero(cf_of, sc_of):
+    # n = 0 .. n_max is empty; the single-level counter yielded n = 0 here
+    cf, sc = cf_of(3), sc_of(3)
+    for n_max in (-1, -5):
+        assert list(shiftcalc.natural_dots_upto(cf, sc, n_max)) == []
+
+
+def _counted(counter):
+    """A counter's yields, and the message of the DepthExceeded that ended it, if any."""
+    items = []
+    try:
+        for item in counter:
+            items.append(item)
+    except DepthExceeded as exc:
+        return items, str(exc)
+    return items, None
+
+
+@pytest.mark.parametrize("d", [*ostro.harness.DEFAULT_D_LIST, *map(Fraction, (
+    991, 9949, 99991, "1000003/7", 1000001))], ids=str)
+def test_two_level_counter_matches_the_single_level(d):
+    # J is the first position >= 1 with q_J >= 64; d = 1000001 has q_1 = 2000,
+    # so J = 1.  Each n_max at a block edge, or the audit's 10^4, inside the
+    # depth bound of the audit's expansion
+    cf = ostro.cfrac.expand(d, 64)
+    cf = cf.at_least(3 * cf.m + 3)
+    sc = ostro.cfrac.derive_shift_constants(cf)
+    j = next(k for k in range(1, cf.depth - cf.m + 1) if cf.q(k) >= 64)
+    q_j, cap, bound = cf.q(j), cf.a(j + 1), cf.q(cf.depth - cf.m + 1)
+    for n_max in sorted({0, 1, q_j - 2, q_j - 1, q_j, q_j + 1, cf.q(j + 1), 10**4}):
+        if n_max <= 10**4 and n_max < bound:
+            ours = _counted(shiftcalc.natural_dots_upto(cf, sc, n_max))
+            assert ours == _counted(natural_dots_single_level(cf, sc, n_max)), n_max
+            assert len(ours[0]) == n_max + 1 and ours[1] is None, n_max
+    # digit J at its cap restricts its block to the low strings with digit
+    # J-1 zero, and first comes at n = a_{J+1} q_J (d = 3: J = 8, a_9 q_8 = 153)
+    assert len(ours[0]) == 10**4 + 1
+    capped = [digits for digits, _ in ours[0] if len(digits) > j and digits[j] == cap]
+    assert bool(capped) == (cap * q_j <= 10**4)
+
+
+def test_two_level_counter_stops_at_the_depth_as_the_single_level():
+    # over shallow expansions the depth falls below J (no J: streamed) or
+    # past the first block; both counters stop at the same n with the same
+    # message
+    for d in (2, 3, 7, 13, 991):
+        sc = ostro.cfrac.derive_shift_constants(ostro.cfrac.expand(d, 64))
+        for depth in range(1, 21):
+            cf = ostro.cfrac.expand(d, depth)
+            for n_max in (0, 1, 63, 64, 65, 100, 500, 3000):
+                ours = _counted(shiftcalc.natural_dots_upto(cf, sc, n_max))
+                assert ours == _counted(natural_dots_single_level(cf, sc, n_max)), (d, depth)
+
+
+def test_counter_streams_a_block_past_the_sweep():
+    # d = 10^12 + 1 has q_1 = 2*10^6: the first block covers n <= 10^4, and
+    # listing it would take hundreds of megabytes
+    cf = ostro.cfrac.expand(Fraction(10**12 + 1), 64)
+    sc = ostro.cfrac.derive_shift_constants(cf)
+    assert cf.q(1) == 2 * 10**6
+    tracemalloc.start()
+    try:
+        last = collections.deque(shiftcalc.natural_dots_upto(cf, sc, 10**4), maxlen=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert last[0] == (encode_nat(10**4, cf).digits, shiftcalc.natural_dots(encode_nat(10**4, cf), sc))
 
 
 # ---------------------------------------------------------------------------
