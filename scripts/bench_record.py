@@ -23,16 +23,13 @@ adds what the traced run cannot show: ``audit_stages``, per audit stage
 the min of 3 runs of ``ostro.run_suite`` at the default config for
 d = 99991 and for d = 3, and one entry per row of the ``kernels`` table
 in ``LAYERS`` (a name and a zero-argument call on fixed inputs), each
-``{"unit": "s", "min_of": 7, "cal_s": <s>, "value": <min of 7 timed calls>}``;
-its ``cal_s`` is the median of 7 timings of ``perfbench/speed.py``'s
-calibration loop, one right before each timed call.
+``{"unit": "s", "min_of": 7, "value": <min of 7 calls in a row>}``.
 An ``audit`` block times K_AUDIT = 3 runs of ``python -m ostro audit
 --format json`` (the default suite) on the checkout and keeps per
 radicand the min over the runs of its ``elapsed_s`` and of each stage
-time.  ``audit_stages`` and the ``audit`` block carry a ``cal_s``: the
-median of 5 timings of the calibration loop taken right before them.
-With the layers' ``cal_s``, times can be read against the machine's
-speed at the time across records.  ``src_lines``
+time.  These are raw seconds on a machine whose speed drifts between
+sessions, so a layer row compares only with the same row timed in
+interleaved rounds of one session, not with another record's.  ``src_lines``
 counts the lines of each ``src/ostro`` module (as ``wc -l`` does) and
 their total, the tracked size of the library.
 
@@ -92,31 +89,9 @@ def time_tier1(root: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
-# The head of each `python -c` program below, run with the arguments SRC PERFBENCH: puts
-# both first on the path and defines cal(), the median of 5 timings of the calibration
-# loop of PERFBENCH/speed.py.
-CAL = """
-import statistics, sys, time
-sys.path[:0] = sys.argv[1:3]
-from speed import calibration_loop
-
-def cal():
-    times = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        calibration_loop()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-"""
-
-
 def measure_audit(root: Path) -> dict:
     """Wall time of K_AUDIT default audits, and per radicand the min over the
-    runs of elapsed_s and of each stage (radicands that errored have none),
-    after a calibration sample."""
-    argv = [sys.executable, "-c", CAL + "print(cal())", str(root / "src"), str(root / "perfbench")]
-    cal_s = float(subprocess.run(argv, cwd=root, capture_output=True, text=True,
-                                 check=True).stdout)
+    runs of elapsed_s and of each stage (radicands that errored have none)."""
     walls, runs = [], []
     for _ in range(K_AUDIT):
         t0 = time.perf_counter()
@@ -133,26 +108,24 @@ def measure_audit(root: Path) -> dict:
         }
         for entries in zip(*runs) if "stages" in entries[0]
     }
-    return {"unit": "s", "runs": K_AUDIT, "cal_s": cal_s, "wall_s": walls, "by_d": by_d}
+    return {"unit": "s", "runs": K_AUDIT, "wall_s": walls, "by_d": by_d}
 
 
-# Run as `python -c LAYERS SRC PERFBENCH`: imports ostro from SRC and prints one JSON line.
-LAYERS = CAL + """
-import collections, contextlib, io, json, random
+# Run as `python -c LAYERS SRC`: imports ostro from SRC and prints one JSON line.
+LAYERS = """
+import collections, contextlib, io, json, random, sys, time
+sys.path.insert(0, sys.argv[1])
 from fractions import Fraction
 import ostro
 from ostro import cfrac, cli, ostrowski, shiftcalc
 
-def timed(fn, k=7):  # k timed calls, each right after a timed calibration run
-    cals, times = [], []
+def timed(fn, k=7):  # the min of k calls in a row
+    times = []
     for _ in range(k):
         t0 = time.perf_counter()
-        calibration_loop()
-        t1 = time.perf_counter()
         fn()
-        cals.append(t1 - t0)
-        times.append(time.perf_counter() - t1)
-    return {"unit": "s", "min_of": k, "cal_s": statistics.median(cals), "value": min(times)}
+        times.append(time.perf_counter() - t0)
+    return {"unit": "s", "min_of": k, "value": min(times)}
 
 def run_cli(argvs):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -160,7 +133,7 @@ def run_cli(argvs):
             if cli.main(argv) != 0:
                 raise RuntimeError(f"ostro {' '.join(argv)} failed")
 
-stages_cal_s, stages = cal(), {}
+stages = {}
 for d in (99991, 3):
     runs = [ostro.run_suite(ostro.SuiteConfig(d_list=(Fraction(d),)))["results"][0]["stages"]
             for _ in range(3)]
@@ -223,13 +196,12 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
     "cli_mul_99991_64": lambda: run_cli([["mul", "--d", "99991", "--x", "7/5"]]),
 }
 layers = {name: timed(fn) for name, fn in kernels.items()}
-print(json.dumps({"audit_stages": {"unit": "s", "min_of": 3, "cal_s": stages_cal_s,
-                                   "by_d": stages}, **layers}))
+print(json.dumps({"audit_stages": {"unit": "s", "min_of": 3, "by_d": stages}, **layers}))
 """
 
 
 def measure_layers(root: Path) -> dict:
-    argv = [sys.executable, "-c", LAYERS, str(root / "src"), str(root / "perfbench")]
+    argv = [sys.executable, "-c", LAYERS, str(root / "src")]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 

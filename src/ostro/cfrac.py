@@ -328,8 +328,8 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     Every identity is evaluated in two variants: the commonly printed
     form and the index-corrected form.  A failing printed form carries a
     witness (first failing index, both sides exact) from _first_witness.
-    For one deep period of sanity the complete quotients are re-derived
-    from the recurrence rather than read from the period table.
+    One period and one step of complete quotients are re-derived from the
+    recurrence; zeta_{m+1} = zeta_1 then closes the chain on the table.
 
     Every verdict is decided on the integers of conv_p, conv_q, period and
     zetas; QuadRat values are built only for the witness of a first failure
@@ -359,8 +359,10 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     # reduced triples (A + B sqrt(D))/E with E > 0, zeta_0 = sqrt(D)/dd, each
     # floor by floor_sqrt and each inverse by the conjugate.  zeta_k > 1 for
     # k >= 1, so its reduced triple is (P, 1, Q) for the pair of its entry.
+    # Each zeta is a function of the last, so once zeta_{m+1} = zeta_1 the
+    # chain repeats the table at every later k: checking to m + 1 is enough.
     a, b, e = 0, 1, dd
-    for k in range(1, 3 * m + 2):
+    for k in range(1, m + 2):
         a -= floor_sqrt(a, b, big_d, e) * e
         a, b, e = e * a, -e * b, a * a - b * b * big_d
         if e < 0:

@@ -347,6 +347,8 @@ def prefix_digit(cf: CFData, l: int, n: int) -> int:
     The digit is 0 when n < q_l and otherwise the unique i with
     i q_l <= n < min(q_{l+1}, (i+1) q_l), that is i = n // q_l.
     """
+    if l < 0:
+        raise ValueError(f"digit position must be nonnegative, got {l}")
     i = n // cf.q(l)
     if i > cf.a(l + 1):
         raise VerificationFailed(

@@ -476,6 +476,8 @@ def _bump(table: tuple, k: int, by: int = 1) -> tuple:
     (3, lambda cf: cf.replace(zetas=((cf.zetas[0][0] + 1, cf.zetas[0][1]),) + cf.zetas[1:])),
     (991, lambda cf: cf.replace(zetas=cf.zetas[:5] + ((cf.zetas[5][0] + 1, cf.zetas[5][1]),)
                              + cf.zetas[6:])),
+    # the last entry of the period (m = 60): its mismatch is the chain's step m
+    (991, lambda cf: cf.replace(zetas=cf.zetas[:59] + ((cf.zetas[59][0] + 1, cf.zetas[59][1]),))),
     (3, lambda cf: cf.replace(conv_q=_bump(cf.conv_q, 100))),
     (3, lambda cf: cf.replace(conv_p=_bump(cf.conv_p, cf.m - 1))),  # U changes
     (991, lambda cf: cf.replace(conv_p=_bump(cf.conv_p, cf.m - 1))),
@@ -489,8 +491,8 @@ def _bump(table: tuple, k: int, by: int = 1) -> tuple:
     # the period of sqrt(7) is (1, 1, 1, 4): break its palindrome, then its last digit
     (7, lambda cf: cf.replace(period=(1, 1, 2, 4))),
     (7, lambda cf: cf.replace(period=(1, 1, 1, 5))),
-], ids=["zeta-3", "zeta-991", "q100-3", "unit-3", "unit-991", "p0-3", "q0-3", "product-2",
-        "palindrome-7", "last-digit-7"])
+], ids=["zeta-3", "zeta-991", "zeta59-991", "q100-3", "unit-3", "unit-991", "p0-3", "q0-3",
+        "product-2", "palindrome-7", "last-digit-7"])
 def test_audit_corruptions_match_quadrat_reference(d, corrupt):
     cf = expand(d, 183)
     bad = corrupt(cf)
