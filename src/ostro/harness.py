@@ -26,7 +26,6 @@ import random
 import time
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cmp_to_key
 from math import isqrt
 from operator import mul
 from types import SimpleNamespace
@@ -249,52 +248,45 @@ def _times_sqrt_real(ctx) -> None:
 
 
 def _prefix_probe(ctx) -> None:
-    """Each sample's prefix naturals and their digits, against an oracle:
-    at each l the windows f(n) + prefix_window(cf, l, ...) of every
-    n < q_{l+1}, as integer pairs sorted by their lower ends, must tile I
-    exactly, so every c in I has exactly one prefix natural; bisection
-    over the lower ends then finds it."""
+    """Each sample's prefix naturals and their digits, against an oracle.
+
+    At each l the windows f(n) + prefix_window(cf, l, ...) of the naturals
+    n < q_{l+1} must tile I, so every c in I has exactly one prefix natural.
+    beta_k has the sign (-1)^k, so they run in the order of the alternating
+    digit key (b_0, -b_1, b_2, ...), by which the oracle is sorted once; the
+    chain check (the ends of I, shared ends, positive widths) certifies that
+    order.  Bisection over the lower ends, integer pairs, then finds each c."""
     cf, config, l_eff = ctx.cf, ctx.config, ctx.l_eff
     if l_eff < 0:
         ctx.out["prefix_probe"] = {"skipped": f"q_1 exceeds probe_q_limit={config.probe_q_limit}"}
         return
     lo_i = ostrowski.interval_bounds(cf)[0]
     samples = [lo_i + Fraction(ctx.rng.getrandbits(48), 2**48) for _ in range(config.probe_samples)]
-    fails = []
-    got = []
-    for c in samples:
-        digits = ostrowski.encode_real(c, cf, l_eff + 1).digits
-        row = []
-        for l in range(l_eff + 1):
-            n = shiftcalc.prefix_nat(cf, l, c)  # certified internally
-            row.append(n)
-            dig = digits[l] if l < len(digits) else 0
-            if shiftcalc.prefix_digit(cf, l, n) != dig:
-                fails.append({"l": l, "c": str(c), "reason": "digit mismatch"})
-        got.append(row)
-    dn, dd = cf.d.numerator, cf.d.denominator
+    encodings = [ostrowski.encode_real(c, cf, l_eff + 1).digits for c in samples]
+    dn, dd = cf.dn, cf.dd
     interval = ostrowski.window_parts(cf, 0, blocked=True)  # I
-    by_lower = cmp_to_key(lambda u, v: sign_sqrt(u[0] - v[0], u[1] - v[1], dn, dd))
+    oracle = sorted(ctx.oracle, key=lambda e: [-b if k % 2 else b for k, b in enumerate(e[2])])
+    fails = []
     for l in range(l_eff + 1):
-        top, wins = cf.q(l + 1), []
-        for n, fa, digs in ctx.oracle:
-            if n < top:
-                (la, lb), (ha, hb) = ostrowski.window_parts(cf, l + 1, blocked=digs[l] != 0)
-                wins.append(((fa + la, n + lb), (fa + ha, n + hb), n))
-        wins.sort(key=lambda w: by_lower(w[0]))
-        lows = [lo for lo, _, _ in wins]
-        highs = [hi for _, hi, _ in wins]
+        top, parts = cf.q(l + 1), (ostrowski.window_parts(cf, l + 1, blocked=False),
+                                   ostrowski.window_parts(cf, l + 1, blocked=True))
+        wins = [(n, fa, parts[digs[l] != 0]) for n, fa, digs in oracle if n < top]
+        lows = [(fa + la, n + lb) for n, fa, ((la, lb), _) in wins]
+        highs = [(fa + ha, n + hb) for n, fa, (_, (ha, hb)) in wins]
         tiles = (lows[0], highs[-1]) == interval and lows[1:] == highs[:-1] and all(
             sign_sqrt(ha - la, hb - lb, dn, dd) > 0 for (la, lb), (ha, hb) in zip(lows, highs))
         if not tiles:
             fails.append({"l": l, "reason": "windows do not tile I"})
-            continue
-        for ci, c in enumerate(samples):
-            ca, cb, den = c.scaled()
-            i = bisect_right(lows, False, key=lambda lo: sign_sqrt(
-                ca - lo[0] * den, cb - lo[1] * den, dn, dd) < 0) - 1  # last lower end <= c
-            if wins[i][2] != got[ci][l]:
-                fails.append({"l": l, "c": str(c), "got": got[ci][l], "oracle": [wins[i][2]]})
+        for c, digits in zip(samples, encodings):
+            n = shiftcalc.prefix_nat(cf, l, c)  # certified internally
+            if shiftcalc.prefix_digit(cf, l, n) != (digits[l] if l < len(digits) else 0):
+                fails.append({"l": l, "c": str(c), "reason": "digit mismatch"})
+            if tiles:
+                ca, cb, den = c.scaled()
+                i = bisect_right(lows, False, key=lambda lo: sign_sqrt(
+                    ca - lo[0] * den, cb - lo[1] * den, dn, dd) < 0) - 1  # last lower end <= c
+                if wins[i][0] != n:
+                    fails.append({"l": l, "c": str(c), "got": n, "oracle": [wins[i][0]]})
     _sweep(ctx.out, "prefix_probe", config.probe_samples * (l_eff + 1), fails)
     ctx.out["prefix_probe"]["l_max"] = l_eff
 

@@ -334,7 +334,10 @@ def prefix_window(cf: CFData, l: int, last_digit_zero: bool) -> tuple[QuadRat, Q
 
 def prefix_nat(cf: CFData, l: int, c: QuadRat) -> int:
     """The unique natural n < q_{l+1} whose digits match the first l+1
-    digits of c, certified by encode_real's tail-window test at l+1."""
+    digits of c, certified by encode_real's tail-window test at l+1; at
+    l = -1, the empty prefix, it is 0."""
+    if l < -1:
+        raise ValueError(f"prefix position must be at least -1, got {l}")
     n = decode_nat(encode_real(c, cf, l + 1))
     if n >= cf.q(l + 1):
         raise VerificationFailed(f"prefix natural {n} >= q_{l + 1} = {cf.q(l + 1)} for {c}")

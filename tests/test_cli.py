@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -235,6 +236,17 @@ def test_mul_eps_digits_stay_bounded_by_depth(capsys):
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: eps=1/10{150} needs more than 64 digit positions\n", err)
     assert main(["mul", "--d", "99991", "--x", "7/5", "--eps", "1e-150", "--depth", "874"]) == 0
+
+
+def test_failed_check_exits_1(monkeypatch, capsys):
+    def refuted(*args):
+        raise ostro.VerificationFailed("certified bound violated (seeded)")
+
+    monkeypatch.setattr(cli.shiftcalc, "times_sqrt_real", refuted)
+    assert main(["mul", "--d", "3", "--x", "7/5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "check failed: certified bound violated (seeded)\n"
 
 
 def test_mul_json(capsys):
@@ -648,3 +660,43 @@ def test_zero_denominator_is_input_error(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: zero denominator in '"), err
+
+
+# ---------------------------------------------------------------------------
+# README transcripts
+# ---------------------------------------------------------------------------
+
+
+def readme_transcripts():
+    """(command, stdout lines) for each `$ ostro` line of the README's code
+    blocks: the lines after it, up to the next `$ ` line or the block's end."""
+    runs, fenced, out = [], False, None
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced, out = not fenced, None
+        elif fenced and line.startswith("$ "):
+            out = []
+            runs.append((line[2:], out))
+        elif out is not None:
+            out.append(line)
+    return [run for run in runs if run[0].startswith("ostro ")]
+
+
+README_RUNS = readme_transcripts()
+
+
+def test_readme_has_eight_transcripts():
+    assert len(README_RUNS) == 8
+
+
+@pytest.mark.parametrize("command, expected", README_RUNS, ids=[c for c, _ in README_RUNS])
+def test_readme_transcript_replays(capsys, command, expected):
+    # a line "  ..." stands for any run of lines; timings are normalised
+    def timed(text):
+        return re.sub(r"\d+\.\d+s", "<t>s", text)
+
+    assert main(shlex.split(command)[1:]) == 0
+    pattern = "".join(r"(?:.*\n)*" if line == "  ..." else re.escape(timed(line)) + "\n"
+                      for line in expected)
+    out = capsys.readouterr().out
+    assert re.fullmatch(pattern, timed(out)), out

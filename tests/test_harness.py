@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from math import isqrt
 from pathlib import Path
 
@@ -17,8 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ostro
-from ostro import (RationalSquare, SuiteConfig, UnsupportedRadicand, VerificationFailed, harness,
-                   run_suite)
+from ostro import (DepthExceeded, RationalSquare, SuiteConfig, UnsupportedRadicand,
+                   VerificationFailed, harness, run_suite)
 from ostro import cfrac, ostrowski, shiftcalc
 from ostro.harness import (
     STAGES,
@@ -28,6 +29,7 @@ from ostro.harness import (
     render_text,
     render_tsv,
 )
+from ostro.qfield import sign_sqrt
 
 from test_shiftcalc import corrupt
 
@@ -400,6 +402,30 @@ def test_prefix_oracle_catches_a_wrong_prefix_natural(monkeypatch):
     assert res["prefix_probe"]["first_failure"] == {"l": 3, "c": c, "got": bad, "oracle": [right]}
 
 
+@pytest.mark.parametrize("d", (*harness.DEFAULT_D_LIST, *map(Fraction, (
+    "991", "9949", "99991", "1000003/7", "1000001"))), ids=str)
+def test_prefix_windows_run_in_alternating_digit_order(d):
+    # beta_k has the sign (-1)^k, so the prefix probe takes the windows of
+    # n < q_{l+1} in the order of the key (b_0, -b_1, b_2, ...); the exact
+    # comparison of lower ends that once sorted them is the reference
+    config = SuiteConfig()
+    cf = cfrac.expand(d, config.depth)
+    by_lower = cmp_to_key(lambda u, v: sign_sqrt(u[0] - v[0], u[1] - v[1], cf.dn, cf.dd))
+    levels = [l for l in range(config.probe_l_max + 1) if cf.q(l + 1) <= config.probe_q_limit]
+    strings = sorted(ostrowski.enumerate_valid(cf, len(levels)),
+                     key=lambda s: [-b if k % 2 else b for k, b in enumerate(s)])
+    for l in levels:
+        lows = []
+        for digits in strings:
+            n = sum(b * cf.q(k) for k, b in enumerate(digits))
+            if n < cf.q(l + 1):
+                fa = -sum(b * cf.p(k) for k, b in enumerate(digits))
+                (la, lb), _ = ostrowski.window_parts(cf, l + 1, blocked=digits[l] != 0)
+                lows.append((fa + la, n + lb))
+        assert len(lows) == cf.q(l + 1), (d, l)
+        assert all(by_lower(u) < by_lower(v) for u, v in zip(lows, lows[1:])), (d, l)
+
+
 # (kernel, fault built from the real function, the sweeps that must fail);
 # each fault is seeded at one place and checked on d = 3 of SMALL
 LOCALISED_FAULTS = [
@@ -594,21 +620,26 @@ def test_corrupted_constants_are_counted_not_raised(monkeypatch):
 
 
 def test_unexpected_error_is_recorded_per_radicand(monkeypatch, small_report):
-    probe = harness.shiftcalc.residue_class_probe
+    # a DepthExceeded fails one sweep only in a stage that writes one; the
+    # recovery stage writes three, so there it fails the radicand
+    for kernel, exc in (("residue_class_probe", ZeroDivisionError("injected")),
+                        ("natural_dots_upto", DepthExceeded("injected"))):
+        real = getattr(harness.shiftcalc, kernel)
 
-    def broken(cf, *args):
-        if cf.d == 3:
-            raise ZeroDivisionError("injected")
-        return probe(cf, *args)
+        def broken(cf, *args):
+            if cf.d == 3:
+                raise exc
+            return real(cf, *args)
 
-    monkeypatch.setattr(harness.shiftcalc, "residue_class_probe", broken)
-    report = run_suite(SMALL)
-    bad, good = report["results"]
-    assert bad == {"d": "3", "error": "ZeroDivisionError: injected"}
-    timing = ("stages", "elapsed_s")
-    want = {k: v for k, v in small_report["results"][1].items() if k not in timing}
-    assert {k: v for k, v in good.items() if k not in timing} == want
-    assert corrected_failures(report) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(harness.shiftcalc, kernel, broken)
+            report = run_suite(SMALL)
+        bad, good = report["results"]
+        assert bad == {"d": "3", "error": f"{type(exc).__name__}: injected"}, kernel
+        timing = ("stages", "elapsed_s")
+        want = {k: v for k, v in small_report["results"][1].items() if k not in timing}
+        assert {k: v for k, v in good.items() if k not in timing} == want
+        assert corrected_failures(report) == 1
 
 
 def test_small_audit_under_optimize(tmp_path):

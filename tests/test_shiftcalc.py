@@ -799,12 +799,13 @@ def test_window_digit_frozen(cf_of):
     assert window_digit(cf3, 4, quad(0, 0, 3)) == 0
 
 
-@pytest.mark.parametrize("l", [-1, -2])
+@pytest.mark.parametrize("l", [-1, -2, -3])
 def test_digit_at_a_negative_position_is_a_value_error(cf_of, l):
     cf3 = cf_of(3)
     with pytest.raises(ValueError, match=f"position must be nonnegative, got {l}"):
         shiftcalc.prefix_digit(cf3, l, 0)
-    with pytest.raises(ValueError):  # at l = -1 the empty prefix reaches prefix_digit
+    # at l = -1 the empty prefix reaches prefix_digit; below it prefix_nat refuses l
+    with pytest.raises(ValueError, match=f"position must be (nonnegative|at least -1), got {l}$"):
         window_digit(cf3, l, quad(-9, 5, 3))
     assert prefix_nat(cf3, -1, quad(-9, 5, 3)) == 0  # the one natural below q_0 = 1
 
