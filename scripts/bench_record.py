@@ -5,7 +5,10 @@ Usage, from any directory:
 
     python3 scripts/bench_record.py --pr N [--root DIR]
 
-For each workload of the checkout's BENCHMARK.json this runs
+It first byte-compiles the checkout's ``src/`` and ``perfbench/`` in a
+``python -m compileall`` subprocess, so that no run compiles a module from
+source, whether or not PYTHONDONTWRITEBYTECODE is set.  Then, for each
+workload of the checkout's BENCHMARK.json, it runs
 ``perfbench/run.py`` untraced on K = 7 seeds (101 .. 107) and once
 traced on seed 101, one process at a time, then times the tier-1 test
 command.  The record holds the checkout's git sha, machine info, per
@@ -139,6 +142,7 @@ for d in (99991, 3):
             for _ in range(3)]
     stages[str(d)] = {name: min(r[name] for r in runs) for name in runs[0]}
 cf874, cf64, cf61 = cfrac.expand(99991, 874), cfrac.expand(99991, 64), cfrac.expand(61, 150)
+unswept874 = cf874.replace()
 values = [ostro.quad(7 + Fraction(j, 40), -1, 61) for j in range(40)]
 rng = random.Random(1304)
 def part():
@@ -164,6 +168,8 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
     "expand_99991_874": lambda: cfrac.expand(99991, 874),
     "derive_shift_constants_3_64": lambda: cfrac.derive_shift_constants(cf3),
     "derive_shift_constants_99991_874": lambda: cfrac.derive_shift_constants(cf874),
+    # a copy made by replace is not marked swept, so the shift constants check every index
+    "derive_shift_constants_99991_874_unswept": lambda: cfrac.derive_shift_constants(unswept874),
     "at_least_99991_64_1311": lambda: cf64.at_least(1311),
     "encode_real_61_40x150": lambda: [ostrowski.encode_real(c, cf61, 150) for c in values],
     "quadrat_add_13_4_1000": lambda: [x + y for x, y in pairs],
@@ -248,6 +254,10 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     bench = json.loads((root / "BENCHMARK.json").read_text())
     seeds = list(range(SEED0, SEED0 + K))
+    # a subprocess, not an import of compileall, which would grow this process
+    # and so the peak RSS that every run forked from it starts from
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=root,
+                   check=True)
 
     workloads = {}
     for wl in (w["name"] for w in bench["workloads"]):

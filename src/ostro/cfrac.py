@@ -106,18 +106,20 @@ class CFData(Value):
     D = num(d)*den(d).  Derived on construction: a0 = floor(sqrt(d)), the
     period length m, the largest digit bound s_max, the depth (the last
     materialized index), t = max(m, 2), the residue-class modulus of the
-    shift constants, and dn, dd = num(d), den(d) as ints.
+    shift constants, dn, dd = num(d), den(d) as ints, and swept, False
+    here (so after replace, copy or pickle): expand sets it once its sweep
+    has passed the tables from index 0, and at_least keeps it.
     """
 
     _fields = ("d", "period", "conv_p", "conv_q", "zetas")
-    _derived = ("a0", "m", "s_max", "depth", "t", "dn", "dd")
+    _derived = ("a0", "m", "s_max", "depth", "t", "dn", "dd", "swept")
     __slots__ = (*_fields, *_derived)
 
     def __init__(self, d: Fraction, period: tuple[int, ...], conv_p: tuple[int, ...],
                  conv_q: tuple[int, ...], zetas: tuple[tuple[int, int], ...]) -> None:
         m, dn, dd = len(period), d.numerator, d.denominator
         self._fill(d, period, conv_p, conv_q, zetas, math.isqrt(dn * dd) // dd, m, max(period),
-                   len(conv_p) - 2, max(m, 2), dn, dd)
+                   len(conv_p) - 2, max(m, 2), dn, dd, False)
 
     def sqrt_d(self) -> QuadRat:
         return QuadRat._of(0, 1, 1, self.d)
@@ -154,13 +156,16 @@ class CFData(Value):
 
     def at_least(self, k: int) -> CFData:
         """This expansion if it reaches index k, else a copy with the tables
-        extended to index k; expand's sweep checks the new indices only."""
+        extended to index k; expand's sweep checks the new indices only, so
+        the copy is swept if this expansion is."""
         if k <= self.depth:
             return self
         ps, qs, j = list(self.conv_p), list(self.conv_q), self.depth % self.m  # a_{depth+1}
         _extend(ps, qs, itertools.islice(itertools.cycle(self.period), j, j + k - self.depth))
         _check_convergents(self.d, ps, qs, self.zetas, k, self.depth + 1)
-        return self.replace(conv_p=tuple(ps), conv_q=tuple(qs))
+        grown = self.replace(conv_p=tuple(ps), conv_q=tuple(qs))
+        CFData.swept.__set__(grown, self.swept)
+        return grown
 
 
 def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
@@ -210,7 +215,9 @@ def expand(d, depth: int = DEFAULT_DEPTH) -> CFData:
     ps, qs = [1, a0], [0, 1]  # p_{-1}, p_0, ...
     _extend(ps, qs, itertools.islice(itertools.cycle(period), depth))
     _check_convergents(d, ps, qs, zetas, depth)
-    return CFData(d, tuple(period), tuple(ps), tuple(qs), tuple(zetas))
+    cf = CFData(d, tuple(period), tuple(ps), tuple(qs), tuple(zetas))
+    CFData.swept.__set__(cf, True)
+    return cf
 
 
 def _beta_quotient_holds(dn: int, dd: int, ps, qs, zetas, k: int) -> bool:
@@ -225,9 +232,12 @@ def _beta_quotient_holds(dn: int, dd: int, ps, qs, zetas, k: int) -> bool:
 def _extend(ps: list, qs: list, quotients) -> None:
     """Append p_k = a_k p_{k-1} + p_{k-2} (same for q) to the tables for
     each next partial quotient a_k."""
+    p2, p1, q2, q1 = ps[-2], ps[-1], qs[-2], qs[-1]
     for ak in quotients:
-        ps.append(ak * ps[-1] + ps[-2])
-        qs.append(ak * qs[-1] + qs[-2])
+        p2, p1 = p1, ak * p1 + p2
+        q2, q1 = q1, ak * q1 + q2
+        ps.append(p1)
+        qs.append(q1)
 
 
 def _check_convergents(d: Fraction, ps, qs, zetas, depth: int, start: int = 0) -> None:
@@ -504,32 +514,32 @@ class ShiftConstants(Value):
 
 
 def derive_shift_constants(cf: CFData) -> ShiftConstants:
-    """Read the per-residue weights off the complete quotients and verify
-    them on every index.
+    """Read the per-residue weights off the complete quotients, valid on
+    every index of cf.at_least(2t+2): v_num[i] = Q_{i+1}, w_num[i] = -P_{i+2}.
 
-    v_num[i] = Q_{i+1} and w_num[i] = -P_{i+2} by the identity in
-    ShiftConstants, checked in integers on every index of cf.at_least(2t+2);
-    a mismatch raises VerificationFailed naming the index.  No linear system
-    is solved.
+    By the recurrence p_{k+1} = a_{k+1} p_k + p_{k-1} and the closure P_{k+1}
+    + P_{k+2} = a_{k+1} Q_{k+1}, the identity dn q_k = Q_{k+1} p_{k+1} -
+    P_{k+2} p_k of ShiftConstants is dn q_k = Q_{k+1} p_{k-1} + P_{k+1} p_k,
+    the rational half of the step beta_k zeta_{k+1} = -beta_{k-1}: expand's
+    sweep, which checks those two and carries that step to every index,
+    implies it on a swept expansion.  Any other is checked in integers in one
+    pass over its indices; a mismatch raises VerificationFailed naming the
+    first.  No linear system is solved.
     """
     t = cf.t
     cf = cf.at_least(2 * t + 2)
-    dn, m = cf.d.numerator, cf.m
-    ps, qs = cf.conv_p, cf.conv_q  # ps[k + 1] = p_k
-    v_num: list[int] = []
-    w_num: list[int] = []
-    for i in range(t):
-        v, w = cf.zetas[i % m][1], -cf.zetas[(i + 1) % m][0]  # Q_{i+1}, -P_{i+2}
-        for idx, q, p, p1 in zip(range(i, cf.depth, t), qs[i + 1::t], ps[i + 1::t], ps[i + 2::t]):
+    dn, m, ps, qs = cf.dn, cf.m, cf.conv_p, cf.conv_q  # ps[k + 1] = p_k
+    v_num = tuple(cf.zetas[i % m][1] for i in range(t))  # Q_{i+1}
+    w_num = tuple(-cf.zetas[(i + 1) % m][0] for i in range(t))  # -P_{i+2}
+    if not cf.swept:
+        weights = itertools.cycle(zip(v_num, w_num))
+        for k, (v, w), q, p, p1 in zip(range(cf.depth), weights, qs[1:], ps[1:], ps[2:]):
             if dn * q != v * p1 + w * p:
                 raise VerificationFailed(
-                    f"shift constants for d={cf.d} fail at index {idx}: "
+                    f"shift constants for d={cf.d} fail at index {k}: "
                     f"{dn}*q={dn * q} vs {v}*{p1}-{-w}*{p}"
                 )
-        v_num.append(v)
-        w_num.append(w)
-
-    return ShiftConstants(cf.d, tuple(v_num), tuple(w_num), fundamental_unit(cf))
+    return ShiftConstants(cf.d, v_num, w_num, fundamental_unit(cf))
 
 
 def fundamental_unit(cf: CFData) -> QuadRat:

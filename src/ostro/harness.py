@@ -138,7 +138,7 @@ def _identities(ctx) -> None:
 
 
 def _constants(ctx) -> None:
-    ctx.sc = cfrac.derive_shift_constants(ctx.cf)  # includes the full-index sweep
+    ctx.sc = cfrac.derive_shift_constants(ctx.cf)
     ctx.out["constants"] = ctx.sc.to_json()
 
 

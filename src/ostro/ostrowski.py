@@ -292,7 +292,7 @@ def encode_real(c: QuadRat, cf: CFData, depth: int) -> OstDigits:
     after K digits is bounded by |beta_{K-1}| + |beta_K|.  A c that is
     already a QuadRat over cf.d is taken as it is; any other is re-tagged.
     """
-    if isinstance(c, QuadRat) and c.d != cf.d and not c.is_rational:
+    if isinstance(c, QuadRat) and c.d is not cf.d and c.d != cf.d and not c.is_rational:
         raise OutOfInterval(f"value in Q(sqrt({c.d})) cannot be encoded over d={cf.d}")
     if not (isinstance(c, QuadRat) and (c.d is cf.d or c.d == cf.d)):
         c = QuadRat._of(0, 0, 1, cf.d) + c  # over cf.d, a rational c re-tagged

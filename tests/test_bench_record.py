@@ -1,21 +1,24 @@
 """scripts/bench_record.py against a stub checkout holding a copy of the
-script: one record per call at the checkout's root, medians and quartiles
-over the seeds, the traced metrics, the layers measured on the checkout's
-src/ (expand, the audit stages, the shift constants, at_least,
-encode_real, QuadRat add/mul/sign, the natural_dots_upto counter, the
-enumerate_valid odometer, times_sqrt_real, the identity audit,
-encode_nat, the recovery verdicts, decode_real, the recovery checks,
-prefix_nat and cli.main on short commands), each layer the min of 7
-calls in a row with no calibration sample anywhere in the record, the
-default audit timed per radicand, tier-1 timed, and the line count of
-each src/ostro module; and the record's provenance: the checkout's git
-sha, whether its tree is dirty, and a hash of the src/ostro modules.
+script: the checkout's src/ and perfbench/ byte-compiled before the first
+run, even under PYTHONDONTWRITEBYTECODE; one record per call at the
+checkout's root, medians and quartiles over the seeds, the traced
+metrics, the layers measured on the checkout's src/ (expand, the audit
+stages, the shift constants on a swept expansion and on an unswept copy,
+at_least, encode_real, QuadRat add/mul/sign, the natural_dots_upto
+counter, the enumerate_valid odometer, times_sqrt_real, the identity
+audit, encode_nat, the recovery verdicts, decode_real, the recovery
+checks, prefix_nat and cli.main on short commands), each layer the min
+of 7 calls in a row with no calibration sample anywhere in the record,
+the default audit timed per radicand, tier-1 timed, and the line count
+of each src/ostro module; and the record's provenance: the checkout's
+git sha, whether its tree is dirty, and a hash of the src/ostro modules.
 The script itself loads without hashlib, which would raise the RSS floor
 of every benchmark run it starts."""
 
 import hashlib
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -84,6 +87,9 @@ class CFData:
         if (self.d, self.depth, k) != (99991, 64, 1311):
             raise ValueError((self.d, self.depth, k))
         return CFData(self.d, k)
+
+    def replace(self):
+        return CFData(self.d, self.depth)
 
 
 def expand(d, depth):
@@ -219,8 +225,15 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     shutil.copy(SCRIPT, root / "scripts")
     proc = subprocess.run(  # no --root: the checkout holding the script
         [sys.executable, str(root / "scripts" / SCRIPT.name), "--pr", "1"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
+    def compiled(package):
+        return {p.name.split(".")[0] for p in (root / package / "__pycache__").glob("*.pyc")}
+
+    assert compiled("perfbench") == {"run"}
+    assert compiled("src/ostro") == {"__init__", "__main__", "cfrac", "cli", "ostrowski",
+                                     "shiftcalc"}
     rec = json.loads((root / "BENCH_1.json").read_text())
     assert rec["pr"] == 1 and rec["git_sha"] is None and rec["dirty"] is None  # no git checkout
     assert rec["machine"]["nproc"] >= 1
@@ -234,7 +247,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     layers = rec["layers"]
     for key in ("expand_2_64", "expand_99991_64", "expand_99991_874",
                 "derive_shift_constants_3_64",
-                "derive_shift_constants_99991_874", "at_least_99991_64_1311",
+                "derive_shift_constants_99991_874", "derive_shift_constants_99991_874_unswept",
+                "at_least_99991_64_1311",
                 "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
                 "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000",
                 "natural_dots_upto_99991_10000", "enumerate_valid_31_8", "times_sqrt_real_99991_20",

@@ -1,8 +1,10 @@
 """Expansion of sqrt(d): period shape, convergents against an
 independent fold oracle, identity audit verdicts, shift constants."""
 
+import copy
 import inspect
 import math
+import pickle
 import random
 import textwrap
 from fractions import Fraction
@@ -578,6 +580,59 @@ def test_constants_check_every_index(d, j, idx):
     deep = cf.replace(conv_q=cf.conv_q[:101] + (cf.conv_q[101] + 1,) + cf.conv_q[102:])
     with pytest.raises(VerificationFailed, match="fail at index 100:"):
         derive_shift_constants(deep)
+
+
+def test_expand_marks_its_tables_swept():
+    cf = expand(991, 8)  # m = 60
+    assert cf.swept and cf.at_least(183).swept and cf.at_least(8) is cf
+
+
+def test_other_constructions_are_not_swept():
+    cf = expand(991, 8)
+    others = {
+        "CFData": cfrac.CFData(cf.d, cf.period, cf.conv_p, cf.conv_q, cf.zetas),
+        "replace": cf.replace(),
+        "copy": copy.copy(cf),
+        "pickle": pickle.loads(pickle.dumps(cf)),
+        "at_least on an unswept base": cf.replace().at_least(183),
+    }
+    for how, other in others.items():
+        assert not other.swept, how
+    assert others["at_least on an unswept base"] == cf.at_least(183)
+
+
+def test_constants_sweep_an_unswept_base_grown_past_its_fault():
+    # at_least sweeps only the indices past 64, so only the sweep of the
+    # shift constants sees q_40
+    cf = expand(991, 64)  # t = 60: the constants grow it to 122
+    bad = cf.replace(conv_q=_bump(cf.conv_q, 40))
+    with pytest.raises(VerificationFailed, match="fail at index 40:"):
+        derive_shift_constants(bad)
+
+
+@pytest.mark.parametrize("d", DEFAULT_D_LIST + LONG_PERIOD, ids=str)
+def test_swept_constants_equal_the_constants_of_an_unswept_copy(d):
+    cf = expand(d)
+    unswept = cf.replace()
+    assert cf.swept and not unswept.swept
+    assert derive_shift_constants(cf) == derive_shift_constants(unswept)
+
+
+@pytest.mark.parametrize("d", [3, 991], ids=str)
+def test_constants_check_the_last_index(d):
+    cf = expand(d, 130)
+    k = cf.depth - 1  # the last index whose identity the tables reach
+    with pytest.raises(VerificationFailed, match=f"fail at index {k}:"):
+        derive_shift_constants(cf.replace(conv_q=_bump(cf.conv_q, k)))
+
+
+def test_constants_name_the_first_failing_index():
+    # q_80 and q_130 lie in residue classes 20 and 10 of t = 60: the sweep
+    # runs in index order, not class by class
+    cf = expand(991, 183)
+    bad = cf.replace(conv_q=_bump(_bump(cf.conv_q, 80), 130))
+    with pytest.raises(VerificationFailed, match="fail at index 80:"):
+        derive_shift_constants(bad)
 
 
 def test_constants_unit_exceeds_one(cf_of, sc_of):

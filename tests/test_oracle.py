@@ -7,7 +7,9 @@ collide with other test paths), and hypothesis draws derandomized,
 bounded inputs: non-square radicands num/den with num <= 10^6 and
 den <= 50, so long periods and rational radicands are included.  Every
 command runs through cli.main with --format json, at default flags where
-the command allows it, so the expansion grows on demand as in use.
+the command allows it, so the expansion grows on demand as in use.  The
+same radicands also run the whole audit (audit_one) at small counts, which
+must record no corrected-form failure and no error.
 
 The benchmark's audit workloads fail any radicand whose verdict
 projection (perfbench/workloads.py, loaded the same way) differs from
@@ -39,6 +41,7 @@ from hypothesis import strategies as st
 
 from ostro import SuiteConfig, run_suite
 from ostro.cfrac import MAX_PERIOD
+from ostro.harness import audit_one, corrected_failures
 from ostro.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -192,6 +195,17 @@ bad_quad = st.one_of(
 )
 non_positive_eps = st.one_of(st.just("0"), st.builds(lambda n, k: f"-{n}/{k}",
                                                      st.integers(1, 10**6), st.integers(1, 99)))
+
+
+@EXAMPLES
+@given(radicands)
+def test_small_audit_of_a_random_radicand_passes(d):
+    # the counts of tests/test_harness.py's SMALL; every stage runs
+    config = SuiteConfig(d_list=(d,), n_max=60, n_unique=30, lambda_n_max=15, lambda_samples=3,
+                         probe_samples=3, probe_l_max=4, class_l_max=6)
+    result = audit_one(d, config)
+    assert "error" not in result
+    assert corrected_failures({"results": [result]}) == 0
 
 
 @pytest.mark.parametrize("d", workloads.AUDIT_DEFAULT_SUBSET + workloads.AUDIT_LONG_SUBSET)
