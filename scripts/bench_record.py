@@ -143,7 +143,7 @@ for d in (99991, 3):
     stages[str(d)] = {name: min(r[name] for r in runs) for name in runs[0]}
 cf874, cf64, cf61 = cfrac.expand(99991, 874), cfrac.expand(99991, 64), cfrac.expand(61, 150)
 unswept874 = cf874.replace()
-values = [ostro.quad(7 + Fraction(j, 40), -1, 61) for j in range(40)]
+values = [7 + Fraction(j, 40) - cf61.sqrt_d() for j in range(40)]  # over cf61.d itself
 rng = random.Random(1304)
 def part():
     return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
@@ -151,7 +151,7 @@ pairs = [(ostro.quad(part(), part(), Fraction(13, 4)), ostro.quad(part(), part()
          for _ in range(1000)]
 cf3, cf31 = cfrac.expand(3, 64), cfrac.expand(31, 64)
 sc3, sc64 = cfrac.derive_shift_constants(cf3), cfrac.derive_shift_constants(cf64)
-cf1311 = cf64.at_least(1311)
+cf1311, cf4023 = cf64.at_least(1311), cfrac.expand(2999999, 4023)  # m = 436 and m = 1340
 rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction(1, 10**30)
 cf256 = cfrac.expand(3, 256)  # eps = 10^-60 takes 212 digits, and the shift stays inside
 sc256, eps60 = cfrac.derive_shift_constants(cf256), Fraction(1, 10**60)
@@ -186,6 +186,7 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
     "times_sqrt_real_3_256_50": lambda: [shiftcalc.times_sqrt_real(x, eps60, cf256, sc256)
                                          for x in by9973],
     "audit_identities_99991_1311": lambda: cfrac.audit_identities(cf1311),
+    "audit_identities_2999999_4023": lambda: cfrac.audit_identities(cf4023),
     "encode_nat_3_10000": lambda: [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)],
     "frac_verdicts_3_10000": lambda: [shiftcalc.frac_verdicts(cf3, sc3, fa, n, ya, yb)
                                       for fa, n, ya, yb, *_ in dots],

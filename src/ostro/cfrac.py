@@ -21,10 +21,10 @@ CFData.at_least extends the tables and sweeps only the new indices.
 
 ``audit_identities`` re-checks the classical identities in two variants
 each: the form as commonly printed (several of which are misindexed) and
-the corrected form.  Every verdict is decided by integer identities over
-the convergent, period and (P, Q) tables; one helper gives every witness
-(first failing index, both sides exact), and QuadRat values are built only
-for a witness or the message of a VerificationFailed.
+the corrected form.  Verdicts are integer identities over the convergent,
+period and (P, Q) tables, but the unit shift's: its QuadRat sides at k = 0
+and 1 decide every k where the convergent recurrence holds (else every k is
+compared).  One helper gives every witness (first index, both sides exact).
 ``derive_shift_constants`` gives the weights that express q_k through
 p_{k+1}, p_k along residue classes, the engine behind the digit-shift
 multiplication in :mod:`ostro.shiftcalc`, off the complete quotients:
@@ -321,17 +321,6 @@ def _first_witness(ks, sides, holds=None) -> dict | None:
     return None
 
 
-def _unit_shift_holds(cf: CFData, c0: int, c1: int, e: int, k: int) -> bool:
-    """c beta_{k+m} = (-1)^m beta_k for c = (c0 + c1 sqrt(d))/e, e > 0.  For
-    (p, q) = (p_{k+m}, q_{k+m}) that is c1 q dn - c0 p dd = -(-1)^m e dd p_k
-    and c0 q - c1 p = (-1)^m e q_k."""
-    dn, dd, m = cf.d.numerator, cf.d.denominator, cf.m
-    p, q = cf.conv_p[k + m + 1], cf.conv_q[k + m + 1]
-    se = (-1) ** m * e
-    return (c0 * q - c1 * p == se * cf.conv_q[k + 1]
-            and c1 * q * dn - c0 * p * dd == -se * dd * cf.conv_p[k + 1])
-
-
 def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdict]:
     """Re-check the convergent identities over all materialized indices.
 
@@ -341,10 +330,11 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     One period and one step of complete quotients are re-derived from the
     recurrence; zeta_{m+1} = zeta_1 then closes the chain on the table.
 
-    Every verdict is decided on the integers of conv_p, conv_q, period and
-    zetas; QuadRat values are built only for the witness of a first failure
-    or the message of a VerificationFailed, so the text is that of the
-    QuadRat evaluation of each side.
+    Verdicts are decided on the integers of conv_p, conv_q, period and
+    zetas, but the unit shift's on the QuadRat sides of its witness:
+    c beta_{k+m} - (-1)^m beta_k follows the convergent recurrence, so where
+    that holds through every k + m read, k = 0 and 1 decide every k, and
+    otherwise every k is compared.
 
     k_max caps the quantified index ranges (default: everything the
     expansion materialized).
@@ -392,7 +382,9 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
         ak = cf.period[(k - 1) % m]
         return (ps[k + 1], qs[k + 1]), (ak * ps[k] + ps[k - 1], ak * qs[k] + qs[k - 1])
 
-    add("convergent-recurrence", _first_witness(range(1, min(kcap + 1, cf.depth) + 1), recurrence))
+    rec_top = min(kcap + 1, cf.depth)
+    rec = _first_witness(range(1, rec_top + 1), recurrence)
+    add("convergent-recurrence", rec)
 
     # beta quotient step: beta_{k+1} = -beta_k / zeta_{k+2}, checked
     # multiplicatively at every index to stay division-free; expand's sweep
@@ -442,7 +434,7 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
     x1, y1, z1 = x * big_p + y * big_d, x + y * big_p, z * big_q
     b0, b1 = ps[m], qs[m]  # U = b0 + b1 sqrt(d)
     c0, c1 = qs[m] + a0 * qs[m + 1], qs[m + 1]
-    prod_m1 = QuadRat._of(x1, y1 * dd, z1, d)  # for witnesses
+    prod_m1 = QuadRat._of(x1, y1 * dd, z1, d)
     add("unit-product",
         _first_witness([m + 1], lambda k: (prod_m1, QuadRat._of(c0, c1, 1, d)),
                        lambda k: x1 == c0 * z1 and y1 * dd == c1 * z1),
@@ -450,12 +442,15 @@ def audit_identities(cf: CFData, k_max: int | None = None) -> list[IdentityVerdi
 
     # Shift of beta by one period length.
     # Printed: (zeta_1 ... zeta_{m+1}) beta_{k+m} = (-1)^m beta_k.
-    # Corrected: U beta_{k+m} = (-1)^m beta_k.
-    ks = range(0, min(kcap, cf.depth - m) + 1)
-    add("beta-unit-shift",
-        _first_witness(ks, lambda k: (prod_m1 * cf.beta(k + m), (-1) ** m * cf.beta(k)),
-                       lambda k: _unit_shift_holds(cf, x1, y1 * dd, z1, k)),
-        all(_unit_shift_holds(cf, b0, b1, 1, k) for k in ks))
+    # Corrected: U beta_{k+m} = (-1)^m beta_k.  Both decided at k = 0 and 1
+    # where the recurrence holds through every k + m read, else stepwise.
+    k_top = min(kcap, cf.depth - m)
+    if rec is None and k_top + m <= rec_top:
+        k_top = min(k_top, 1)
+    ks = range(0, k_top + 1)
+    printed, corrected = (_first_witness(ks, lambda k: (c * cf.beta(k + m), (-1) ** m * cf.beta(k)))
+                          for c in (prod_m1, QuadRat._of(b0, b1, 1, d)))
+    add("beta-unit-shift", printed, corrected is None)
     return out
 
 

@@ -6,8 +6,10 @@ metrics, the layers measured on the checkout's src/ (expand, the audit
 stages, the shift constants on a swept expansion and on an unswept copy,
 at_least, encode_real, QuadRat add/mul/sign, the natural_dots_upto
 counter, the enumerate_valid odometer, times_sqrt_real, the identity
-audit, encode_nat, the recovery verdicts, decode_real, the recovery
-checks, prefix_nat and cli.main on short commands), each layer the min
+audit at periods 436 and 1340, encode_nat, the recovery verdicts,
+decode_real, the recovery checks, prefix_nat and cli.main on short
+commands; encode_real and prefix_nat on values over the expansion's own
+d object, as the audit builds them), each layer the min
 of 7 calls in a row with no calibration sample anywhere in the record,
 the default audit timed per radicand, tier-1 timed, and the line count
 of each src/ostro module; and the record's provenance: the checkout's
@@ -58,12 +60,15 @@ class Quad(tuple):
             raise ValueError((self, other))
         return self
 
+    def __rsub__(self, other):
+        return Quad((other - self[0], -self[1], self[2]))
+
     def sign(self):
         return 1
 
 
 def quad(a, b, d):
-    if d not in (61, Fraction(13, 4)):
+    if d != Fraction(13, 4):
         raise ValueError(d)
     return Quad((a, b, d))
 
@@ -79,9 +84,16 @@ def run_suite(config):
 '''
 
 STUB_CFRAC = '''
+from fractions import Fraction
+
+
 class CFData:
     def __init__(self, d, depth):
-        self.d, self.depth = d, depth
+        self.d, self.depth = Fraction(d), depth  # a value over it carries this object
+
+    def sqrt_d(self):
+        from . import Quad
+        return Quad((0, 1, self.d))
 
     def at_least(self, k):
         if (self.d, self.depth, k) != (99991, 64, 1311):
@@ -94,7 +106,7 @@ class CFData:
 
 def expand(d, depth):
     if (d, depth) not in ((99991, 874), (99991, 64), (61, 150), (3, 64), (3, 256), (2, 64),
-                          (31, 64)):
+                          (31, 64), (2999999, 4023)):
         raise ValueError((d, depth))
     return CFData(d, depth)
 
@@ -106,7 +118,7 @@ def derive_shift_constants(cf):
 
 
 def audit_identities(cf):
-    if (cf.d, cf.depth) != (99991, 1311):
+    if (cf.d, cf.depth) not in ((99991, 1311), (2999999, 4023)):
         raise ValueError((cf.d, cf.depth))
     return []
 '''
@@ -114,7 +126,7 @@ def audit_identities(cf):
 STUB_OSTROWSKI = '''
 def encode_real(c, cf, depth):
     a, b, d = c
-    if (cf.d, cf.depth, depth, b, d) != (61, 150, 150, -1, 61) or not 7 <= a < 8:
+    if (cf.d, cf.depth, depth, b) != (61, 150, 150, -1) or d is not cf.d or not 7 <= a < 8:
         raise ValueError((c, cf.d, cf.depth, depth))
 
 
@@ -168,7 +180,8 @@ check_recover_nat = check_recover_frac
 
 def prefix_nat(cf, l, c):
     a, b, d = c
-    if (cf.d, cf.depth, b, d) != (61, 150, -1, 61) or not 0 <= l <= 8 or not 7 <= a < 8:
+    if ((cf.d, cf.depth, b) != (61, 150, -1) or d is not cf.d or not 0 <= l <= 8
+            or not 7 <= a < 8):
         raise ValueError((cf.d, cf.depth, l, c))
 
 
@@ -253,7 +266,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000",
                 "natural_dots_upto_99991_10000", "enumerate_valid_31_8", "times_sqrt_real_99991_20",
                 "times_sqrt_real_3_256_50",
-                "audit_identities_99991_1311", "encode_nat_3_10000", "frac_verdicts_3_10000",
+                "audit_identities_99991_1311", "audit_identities_2999999_4023",
+                "encode_nat_3_10000", "frac_verdicts_3_10000",
                 "frac_verdicts_99991_10000", "nat_verdicts_3_10000", "decode_real_3_10000", "check_recover_frac_3_2000",
                 "check_recover_nat_3_2000", "prefix_nat_61_40x9", "cli_main_short_40",
                 "cli_mul_99991_64"):

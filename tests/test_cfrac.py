@@ -469,6 +469,12 @@ def test_audit_matches_quadrat_reference(d):
             assert got == [v.to_json() for v in audit_identities_reference(cf, k_max)], k_max
 
 
+def _assert_audits_agree(bad):
+    for k_max in (None, 0, 1, 5):
+        want = _verdicts_or_error(audit_identities_reference, bad, k_max)
+        assert _verdicts_or_error(audit_identities, bad, k_max) == want, k_max
+
+
 def _bump(table: tuple, k: int, by: int = 1) -> tuple:
     """A convergent table with by added to the entry of index k (the table starts at -1)."""
     return table[:k + 1] + (table[k + 1] + by,) + table[k + 2:]
@@ -498,12 +504,65 @@ def _bump(table: tuple, k: int, by: int = 1) -> tuple:
 def test_audit_corruptions_match_quadrat_reference(d, corrupt):
     cf = expand(d, 183)
     bad = corrupt(cf)
-    for k_max in (None, 0, 1, 5):
-        want = _verdicts_or_error(audit_identities_reference, bad, k_max)
-        assert _verdicts_or_error(audit_identities, bad, k_max) == want, k_max
+    _assert_audits_agree(bad)
     # over every index the corruption is seen: an error, or a corrected verdict flipped
     want = _verdicts_or_error(audit_identities_reference, bad)
     assert isinstance(want, str) or any(v["corrected"] == "fails" for v in want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, Fraction(13, 4)], ids=str)
+def test_unit_shift_one_entry_corruptions_match_quadrat_reference(cf_of, d):
+    # the unit shift is decided at k = 0 and 1 where the recurrence sweep
+    # holds through every k + m it reads, and stepwise past a failing one: at
+    # d = 3 with k_max = 5 a bumped q_7 lies past that sweep, not the shift's
+    cf = cf_of(d, 3 * cf_of(d).m + 3)
+    for by in (1, -1):
+        for k in range(-1, cf.depth + 1):
+            _assert_audits_agree(cf.replace(conv_p=_bump(cf.conv_p, k, by)))
+            _assert_audits_agree(cf.replace(conv_q=_bump(cf.conv_q, k, by)))
+        for i in range(cf.m):
+            _assert_audits_agree(
+                cf.replace(period=cf.period[:i] + (cf.period[i] + by,) + cf.period[i + 1:]))
+
+
+@pytest.mark.parametrize("d", [991, 99991])
+def test_unit_shift_seeded_corruptions_match_quadrat_reference(cf_of, d):
+    cf = cf_of(d, 3 * cf_of(d).m + 3)
+    rng = random.Random(d)
+    for _ in range(4):
+        table = rng.choice(("conv_p", "conv_q"))
+        k, by = rng.randrange(-1, cf.depth + 1), rng.choice((1, -1))
+        _assert_audits_agree(cf.replace(**{table: _bump(getattr(cf, table), k, by)}))
+
+
+def _regrown(cf, p_1, q_1, p0, q0):
+    """cf with its convergent tables grown by _extend from p_-1, q_-1, p_0, q_0."""
+    ps, qs = [p_1, p0], [q_1, q0]
+    cfrac._extend(ps, qs, (cf.a(k) for k in range(1, cf.depth + 1)))
+    return cf.replace(conv_p=tuple(ps), conv_q=tuple(qs))
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, Fraction(13, 4), 991])
+@pytest.mark.parametrize("dp, dq", [(1, 0), (-1, 0), (0, 1)], ids=["p0+1", "p0-1", "q0+1"])
+def test_unit_shift_on_tables_regrown_from_a_wrong_start(cf_of, d, dp, dq):
+    # _extend makes the recurrence hold at every index, so only the base
+    # cases k = 0 and 1 can see the wrong start
+    cf = cf_of(d, 3 * cf_of(d).m + 3)
+    bad = _regrown(cf, 1, 0, cf.a0 + dp, 1 + dq)
+    assert verdict_map(bad)["convergent-recurrence"].printed == "holds"
+    assert verdict_map(bad)["beta-unit-shift"].corrected == "fails"
+    _assert_audits_agree(bad)
+
+
+@pytest.mark.parametrize("d, start", [(2, (-3, -8, -1, 2)), (3, (-23, 33, 26, -18))],
+                         ids=["2", "3"])
+def test_unit_shift_sees_a_start_where_only_k_1_fails(cf_of, d, start):
+    # (p_-1, q_-1, p_0, q_0) solves D_0 = 0 != D_1 for the printed constant c =
+    # zeta_1 ... zeta_{m+1}: grown by the recurrence, the printed shift holds
+    # at k = 0 and first fails at k = 1
+    bad = _regrown(cf_of(d, 3 * cf_of(d).m + 3), *start)
+    assert verdict_map(bad)["beta-unit-shift"].witness["k"] == 1
+    _assert_audits_agree(bad)
 
 
 # ---------------------------------------------------------------------------
