@@ -201,6 +201,13 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
                                    for l in range(9)],
     "cli_main_short_40": lambda: run_cli(short_argvs),  # argv parsing is a visible share
     "cli_mul_99991_64": lambda: run_cli([["mul", "--d", "99991", "--x", "7/5"]]),
+    # cli-mixed's documented depth at 99991: each command reads a few indices of it
+    "cli_cf_99991_874": lambda: run_cli([["cf", "--d", "99991", "--depth", "874"]]),
+    "cli_constants_99991_874": lambda: run_cli([["constants", "--d", "99991", "--depth", "874"]]),
+    "cli_encode_nat_99991_874": lambda: run_cli([["encode", "--d", "99991", "--depth", "874",
+                                                  "1234567890123456789012345"]]),
+    "cli_decode_real_99991_874": lambda: run_cli([["decode", "--d", "99991", "--depth", "874",
+                                                   "--real", ",".join(["0,1"] * 15)]]),
 }
 layers = {name: timed(fn) for name, fn in kernels.items()}
 print(json.dumps({"audit_stages": {"unit": "s", "min_of": 3, "by_d": stages}, **layers}))

@@ -496,11 +496,15 @@ class ShiftConstants(Value):
         return tuple(Fraction(x, self.d.numerator) for x in self.w_num)
 
     def to_json(self) -> dict:
+        def ratio(x: int) -> str:  # str(Fraction(x, dn)), without building it
+            g = math.gcd(x, self.dn)
+            return str(x // g) if g == self.dn else f"{x // g}/{self.dn // g}"
+
         return {
             "d": str(self.d),
             "t": self.t,
-            "v": [str(x) for x in self.v],
-            "w": [str(x) for x in self.w],
+            "v": [ratio(x) for x in self.v_num],
+            "w": [ratio(x) for x in self.w_num],
             "U": str(self.unit),
             "a": self.a_const,
             "b": self.b_const,
@@ -510,19 +514,20 @@ class ShiftConstants(Value):
 
 def derive_shift_constants(cf: CFData) -> ShiftConstants:
     """Read the per-residue weights off the complete quotients, valid on
-    every index of cf.at_least(2t+2): v_num[i] = Q_{i+1}, w_num[i] = -P_{i+2}.
+    every index: v_num[i] = Q_{i+1}, w_num[i] = -P_{i+2}.
 
     By the recurrence p_{k+1} = a_{k+1} p_k + p_{k-1} and the closure P_{k+1}
     + P_{k+2} = a_{k+1} Q_{k+1}, the identity dn q_k = Q_{k+1} p_{k+1} -
     P_{k+2} p_k of ShiftConstants is dn q_k = Q_{k+1} p_{k-1} + P_{k+1} p_k,
     the rational half of the step beta_k zeta_{k+1} = -beta_{k-1}: expand's
     sweep, which checks those two and carries that step to every index,
-    implies it on a swept expansion.  Any other is checked in integers in one
-    pass over its indices; a mismatch raises VerificationFailed naming the
-    first.  No linear system is solved.
+    implies it on a swept expansion once the closure has been read on every
+    period entry, so that one grows to m alone.  Any other is grown to 2t+2
+    and checked in integers in one pass over its indices; a mismatch raises
+    VerificationFailed naming the first.  No linear system is solved.
     """
     t = cf.t
-    cf = cf.at_least(2 * t + 2)
+    cf = cf.at_least(cf.m if cf.swept else 2 * t + 2)
     dn, m, ps, qs = cf.dn, cf.m, cf.conv_p, cf.conv_q  # ps[k + 1] = p_k
     v_num = tuple(cf.zetas[i % m][1] for i in range(t))  # Q_{i+1}
     w_num = tuple(-cf.zetas[(i + 1) % m][0] for i in range(t))  # -P_{i+2}

@@ -19,10 +19,15 @@ Exit codes:
        --digits past it), or a depth or period bound is exceeded
     4  domain error (value outside the fundamental interval, negative x)
 
-The environment variable OSTRO_MAX_DEPTH, when set, caps the expansion
-depth accepted from flags or config files.  The depth the period needs
-(2t+2, 3m+3, the m-shift of mul) grows on demand and is not counted; mul
-grows it once and encodes on it, with its eps digits bounded by --depth.
+--depth is the bound on what an input may need: each command expands
+only to the deepest index it reads (cf the 12 convergents it prints,
+encode of n the least k with F_{k+1} > n, so q_k > n, encode of a value
+and decode their digits, constants index 1), within that bound; mul reads
+--depth.  The environment variable OSTRO_MAX_DEPTH, when set, caps the
+expansion depth accepted from flags or config files.  The depth the
+period needs (the unit's m - 1, the constants' m, mul's 2t+2, the audit's
+3m+3, the m-shift of mul) grows on demand and is not counted; mul grows it
+once and encodes on it, with its eps digits bounded by --depth.
 argv is parsed once, by the named subcommand's parser, with the usage,
 errors and exit codes of parse_args on the full parser.
 """
@@ -82,9 +87,11 @@ def _emit(args, data, text: str, code: int = EXIT_OK) -> int:
     return code
 
 
-def _expand(args) -> cfrac.CFData:
-    d = parse_rat(args.d)
-    return cfrac.expand(d, _effective_depth(args.depth))
+def _expand(args, need: int, d=None) -> cfrac.CFData:
+    """sqrt(d), by default --d, expanded to need, the deepest index the
+    command reads, within --depth; a bad d or --depth raises first."""
+    d = parse_rat(args.d) if d is None else d
+    return cfrac.expand(d, min(_effective_depth(args.depth), max(1, need)))
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +100,14 @@ def _expand(args) -> cfrac.CFData:
 
 
 def cmd_cf(args) -> int:
-    cf = _expand(args)
+    cf = _expand(args, 12)
     data = {
         "d": str(cf.d),
         "a0": cf.a0,
         "period": list(cf.period),
         "m": cf.m,
         "s_max": cf.s_max,
-        "depth": cf.depth,
+        "depth": args.depth,  # the bound; the tables reach min(--depth, 12)
         "convergents": [
             {"k": k, "p": cf.p(k), "q": cf.q(k)} for k in range(min(cf.depth, 12))
         ],
@@ -120,13 +127,17 @@ def cmd_cf(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    cf = _expand(args)
     text = args.value.strip()
     try:
         n = int(text)
     except ValueError:
+        cf = _expand(args, args.digits)
         x = ostrowski.encode_real(parse_quad(text, cf.d), cf, args.digits)
     else:
+        k, f, f1 = 0, 1, 1  # F_{k+1}, F_{k+2}: q_k >= F_{k+1}, so q_k > n once F_{k+1} > n
+        while f <= n and k < args.depth:
+            k, f, f1 = k + 1, f1, f + f1
+        cf = _expand(args, k)
         if n < 0:
             raise OutOfDomain("naturals to encode must be nonnegative")
         x = ostrowski.encode_nat(n, cf)
@@ -144,7 +155,7 @@ def cmd_decode(args) -> int:
             raise ValueError("no radicand: pass --d or use the @d= suffix")
         data, text = {"d": None, "value": "0"}, "0"  # the empty string is zero over any radicand
     else:
-        cf = cfrac.expand(d, _effective_depth(args.depth))
+        cf = _expand(args, len(digits), d)
         kind = ostrowski.KIND_REAL if args.real else ostrowski.KIND_NAT
         x = ostrowski.make_digits(cf, digits, kind)
         value = ostrowski.decode_real(x) if args.real else ostrowski.decode_nat(x)
@@ -157,7 +168,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    cf = _expand(args)
+    cf = _expand(args, args.depth)
     grown = cf.at_least(2 * cf.t + 2)  # the depth the shift constants are checked to
     sc = cfrac.derive_shift_constants(grown)
     eps = parse_rat(args.eps)
@@ -175,7 +186,7 @@ def cmd_mul(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    data = cfrac.derive_shift_constants(_expand(args)).to_json()
+    data = cfrac.derive_shift_constants(_expand(args, 1)).to_json()
     text = "\n".join([
         f"d = {data['d']}",
         f"t = {data['t']}",
@@ -223,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         if need_d:
             p.add_argument("--d", required=True, help="radicand (rational, > 1, non-square)")
         p.add_argument("--depth", type=int, default=cfrac.DEFAULT_DEPTH,
-                       help="expansion depth (default %(default)s)")
+                       help="bound on the expansion depth an input may need "
+                       "(default %(default)s)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", help="write to file instead of stdout")
 

@@ -270,7 +270,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "encode_nat_3_10000", "frac_verdicts_3_10000",
                 "frac_verdicts_99991_10000", "nat_verdicts_3_10000", "decode_real_3_10000", "check_recover_frac_3_2000",
                 "check_recover_nat_3_2000", "prefix_nat_61_40x9", "cli_main_short_40",
-                "cli_mul_99991_64"):
+                "cli_mul_99991_64", "cli_cf_99991_874", "cli_constants_99991_874",
+                "cli_encode_nat_99991_874", "cli_decode_real_99991_874"):
         assert layers[key]["unit"] == "s" and layers[key]["min_of"] == 7, key
         assert layers[key]["value"] >= 0, key
     assert layers["audit_stages"] == {"unit": "s", "min_of": 3, "by_d": {

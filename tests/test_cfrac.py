@@ -677,6 +677,35 @@ def test_swept_constants_equal_the_constants_of_an_unswept_copy(d):
     assert derive_shift_constants(cf) == derive_shift_constants(unswept)
 
 
+def test_swept_constants_grow_to_the_period_only(monkeypatch):
+    # a swept expansion has had its closure read on every period entry once
+    # it reaches m; an unswept one is grown to 2t+2 and checked at each index
+    grown, at_least = [], cfrac.CFData.at_least
+    monkeypatch.setattr(cfrac.CFData, "at_least",
+                        lambda self, k: grown.append(k) or at_least(self, k))
+    shallow = expand(991, 1)  # m = t = 60
+    derive_shift_constants(shallow)
+    assert max(grown) == 60
+    grown.clear()
+    derive_shift_constants(shallow.replace())
+    assert max(grown) == 122
+
+
+@pytest.mark.parametrize("d", DEFAULT_D_LIST + LONG_PERIOD, ids=str)
+def test_constants_json_prints_the_weights_as_fractions(d):
+    sc = derive_shift_constants(expand(d, 1))
+    data = sc.to_json()
+    assert data["v"] == [str(Fraction(x, sc.dn)) for x in sc.v_num]
+    assert data["w"] == [str(Fraction(x, sc.dn)) for x in sc.w_num]
+
+
+def test_constants_json_prints_whole_and_zero_weights_as_fractions():
+    # no radicand above has a whole weight; replace takes any integers
+    sc = derive_shift_constants(expand(3, 1)).replace(v_num=(0, 6, -3, 2), w_num=(3, -9, 4, -1))
+    data = sc.to_json()
+    assert data["v"] == ["0", "2", "-1", "2/3"] and data["w"] == ["1", "-3", "4/3", "-1/3"]
+
+
 @pytest.mark.parametrize("d", [3, 991], ids=str)
 def test_constants_check_the_last_index(d):
     cf = expand(d, 130)

@@ -610,6 +610,99 @@ def test_module_exit_codes(tmp_path, argv, code):
     assert [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")], proc.stderr
 
 
+# ---------------------------------------------------------------------------
+# --depth as a bound: each command expands only as deep as it reads
+# ---------------------------------------------------------------------------
+
+
+# A bad radicand, --depth or OSTRO_MAX_DEPTH is reported before the input
+# that sets how deep a command reads: a negative natural is exit 4 only on
+# a good radicand and depth.
+@pytest.mark.parametrize("env, argv, code, err", [
+    (None, ["encode", "--d", "4", "--", "-5"], 2, "error: radicand 4 is a rational square"),
+    (None, ["encode", "--d", "3", "--depth", "0", "--", "-5"], 2,
+     "error: depth must be positive, got 0"),
+    (None, ["decode", "--d", "4", "0,1"], 2, "error: radicand 4 is a rational square"),
+    ("x", ["encode", "--d", "3", "--", "-5"], 2,
+     "error: OSTRO_MAX_DEPTH must be an integer, got 'x'"),
+    ("5", ["encode", "--d", "3", "--depth", "6", "--", "-5"], 3,
+     "error: requested depth 6 exceeds OSTRO_MAX_DEPTH=5"),
+    (None, ["encode", "--d", "3", "--", "-5"], 4, "error: naturals to encode must be nonnegative"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_bad_radicand_or_depth_comes_before_the_input(monkeypatch, capsys, env, argv, code, err):
+    if env is None:
+        monkeypatch.delenv("OSTRO_MAX_DEPTH", raising=False)
+    else:
+        monkeypatch.setenv("OSTRO_MAX_DEPTH", env)
+    assert main(argv) == code
+    assert capsys.readouterr().err.strip() == err
+
+
+def _outputs(argvs):
+    rows = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        rows.append((argv, code, out.getvalue(), err.getvalue()))
+    return rows
+
+
+@pytest.mark.parametrize("d", [*ostro.DEFAULT_D_LIST, *map(Fraction, ("991", "9949", "99991",
+                                                                          "1000003/7"))], ids=str)
+def test_commands_print_what_the_full_depth_prints(monkeypatch, d):
+    # stdout, stderr and exit code of each command, exit 3 included, against
+    # the same call expanded to the full --depth
+    cf, ds = cfrac.expand(d, 1), str(d)
+    value = f"{cf.a0 + Fraction(1, 3)}-sqrt({ds})"
+    commands = [["cf"], ["constants"], ["encode", "0"], ["encode", "123456"],
+                ["encode", str(10**30)], ["encode", "--", value],
+                ["encode", "--digits", "3", "--", value], ["decode", "0,1,0,1,0,1,0,1"],
+                ["decode", "0,1,0,0,0,0,0,0,0"], ["decode", "--real", "0,1,0,1,0,1,0,1"],
+                ["decode", ""], ["mul", "--x", "7/5"]]
+    argvs = [[cmd, "--d", ds, "--depth", str(depth), "--format", fmt, *rest]
+             for depth in (1, 5, 64, 2 * cf.t + 2) for cmd, *rest in commands
+             for fmt in ("text", "json")]
+    argvs += [argv for argv, code in EXIT_CASES if code == 3]
+    got = _outputs(argvs)
+    full = cli._expand
+    monkeypatch.setattr(cli, "_expand", lambda args, need, *d: full(args, args.depth, *d))
+    assert got == _outputs(argvs)
+
+
+# Each reads a few indices, so a depth bound far past what memory holds
+# costs nothing.  The child runs under an address-space limit, so a build
+# that grows its tables to the bound fails there, not on the machine.
+HUGE_DEPTH_CHILD = """
+import json, resource, sys, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from ostro.cli import main
+tracemalloc.start()
+t0 = time.perf_counter()
+code = main(sys.argv[1:])
+elapsed = time.perf_counter() - t0
+print(json.dumps({"code": code, "s": elapsed, "peak": tracemalloc.get_traced_memory()[1]}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "--d", "3"], ["constants", "--d", "3"], ["encode", "--d", "3", "123"],
+    ["encode", "--d", "2", "1/3"], ["decode", "0,1@d=3"],
+], ids=" ".join)
+def test_a_huge_depth_bound_costs_only_what_the_command_reads(argv):
+    src = str(Path(ostro.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OSTRO_MAX_DEPTH"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_DEPTH_CHILD, *argv[:1], "--depth", "1000000000", *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout.splitlines()[-1])
+    assert run["code"] == 0, proc.stderr
+    assert run["s"] < 1 and run["peak"] < 10 * 2**20, run
+
+
 # Exact values past Python's default limit of 4300 digits for int-to-str:
 # the unit of sqrt(99999993) has 4628 digits and eps = 10^-5000 has 5001.
 LONG_VALUE_CASES = [

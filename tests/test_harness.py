@@ -702,8 +702,9 @@ def _expand_calls(tree):
 
 def test_expand_only_at_requested_depths():
     # outside cfrac, expand is called only with a depth the user asked
-    # for; every need that follows from the period goes through
-    # CFData.at_least, so the depth rule cannot leak into another module
+    # for, or less where a command reads less; every need that follows
+    # from the period goes through CFData.at_least, so the depth rule
+    # cannot leak into another module
     pkg = Path(ostro.__file__).resolve().parent
     found = []
     for path in sorted(pkg.glob("*.py")):
@@ -715,8 +716,7 @@ def test_expand_only_at_requested_depths():
             assert not [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                         for a in node.names if a.name == "expand"], path.name
     assert sorted(found) == [
-        ("cli", "_expand", "_effective_depth(args.depth)"),
-        ("cli", "cmd_decode", "_effective_depth(args.depth)"),
+        ("cli", "_expand", "min(_effective_depth(args.depth), max(1, need))"),
         ("harness", "audit_one", "config.depth"),
     ]
 
