@@ -521,24 +521,16 @@ def derive_shift_constants(cf: CFData) -> ShiftConstants:
     P_{k+2} p_k of ShiftConstants is dn q_k = Q_{k+1} p_{k-1} + P_{k+1} p_k,
     the rational half of the step beta_k zeta_{k+1} = -beta_{k-1}: expand's
     sweep, which checks those two and carries that step to every index,
-    implies it on a swept expansion once the closure has been read on every
-    period entry, so that one grows to m alone.  Any other is grown to 2t+2
-    and checked in integers in one pass over its indices; a mismatch raises
-    VerificationFailed naming the first.  No linear system is solved.
+    implies it once the closure has been read on every period entry.  An
+    expansion that sweep has not passed gets it here, once, at its own depth,
+    and raises VerificationFailed naming the first failing entry; then either
+    grows to m, at_least sweeping the new indices.  No linear system is solved.
     """
-    t = cf.t
-    cf = cf.at_least(cf.m if cf.swept else 2 * t + 2)
-    dn, m, ps, qs = cf.dn, cf.m, cf.conv_p, cf.conv_q  # ps[k + 1] = p_k
+    if not cf.swept:
+        _check_convergents(cf.d, cf.conv_p, cf.conv_q, cf.zetas, cf.depth)
+    t, m, cf = cf.t, cf.m, cf.at_least(cf.m)
     v_num = tuple(cf.zetas[i % m][1] for i in range(t))  # Q_{i+1}
     w_num = tuple(-cf.zetas[(i + 1) % m][0] for i in range(t))  # -P_{i+2}
-    if not cf.swept:
-        weights = itertools.cycle(zip(v_num, w_num))
-        for k, (v, w), q, p, p1 in zip(range(cf.depth), weights, qs[1:], ps[1:], ps[2:]):
-            if dn * q != v * p1 + w * p:
-                raise VerificationFailed(
-                    f"shift constants for d={cf.d} fail at index {k}: "
-                    f"{dn}*q={dn * q} vs {v}*{p1}-{-w}*{p}"
-                )
     return ShiftConstants(cf.d, v_num, w_num, fundamental_unit(cf))
 
 

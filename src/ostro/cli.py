@@ -25,9 +25,9 @@ encode of n the least k with F_{k+1} > n, so q_k > n, encode of a value
 and decode their digits, constants index 1), within that bound; mul reads
 --depth.  The environment variable OSTRO_MAX_DEPTH, when set, caps the
 expansion depth accepted from flags or config files.  The depth the
-period needs (the unit's m - 1, the constants' m, mul's 2t+2, the audit's
-3m+3, the m-shift of mul) grows on demand and is not counted; mul grows it
-once and encodes on it, with its eps digits bounded by --depth.
+period needs (the unit's m - 1, the constants' m, the audit's 3m+3, the
+m-shift of mul) grows on demand and is not counted; mul's eps digits are
+bounded by --depth.
 argv is parsed once, by the named subcommand's parser, with the usage,
 errors and exit codes of parse_args on the full parser.
 """
@@ -169,11 +169,10 @@ def cmd_decode(args) -> int:
 
 def cmd_mul(args) -> int:
     cf = _expand(args, args.depth)
-    grown = cf.at_least(2 * cf.t + 2)  # the depth the shift constants are checked to
-    sc = cfrac.derive_shift_constants(grown)
+    sc = cfrac.derive_shift_constants(cf)
     eps = parse_rat(args.eps)
     x = parse_quad(args.x, cf.d)
-    result = shiftcalc.times_sqrt_real(x, eps, grown, sc, cf.depth)  # eps digits <= --depth
+    result = shiftcalc.times_sqrt_real(x, eps, cf, sc)  # eps digits <= --depth
     data = {
         "d": str(cf.d),
         "x": str(x),

@@ -267,15 +267,14 @@ def times_sqrt_nat(n: int, cf: CFData, sc: ShiftConstants) -> QuadRat:
     return decode_real(frac) + whole
 
 
-def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants,
-                    bound: int | None = None) -> QuadRat:
+def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
     """sqrt(d) * x for any x >= 0, certified to |error| < eps.
 
     x is reduced mod 1 into the fundamental interval, encoded to enough
-    digits that the tail (times sqrt(d)) is below eps, no more than bound
-    or cf.depth, and sqrt_product on their natural_dots gives the product
-    of the encoded part, from a deeper expansion if the digits shifted by m
-    pass cf.depth.  The sign, floor and certificate are integer tests.
+    digits that the tail (times sqrt(d)) is below eps, no more than
+    cf.depth, and sqrt_product on their natural_dots gives the product of
+    the encoded part, from cf grown to the depth its digits shifted by m
+    reach.  The sign, floor and certificate are integer tests.
     """
     xa, xb, xe = (QuadRat._of(0, 0, 1, cf.d) + x).scaled()  # over cf.d, a rational x re-tagged
     eps = Fraction(eps)
@@ -296,10 +295,9 @@ def times_sqrt_real(x, eps, cf: CFData, sc: ShiftConstants,
         dq, dp = qs[k] - qs[k + 1], ps[k] - ps[k + 1]
         return sign_sqrt(s * dq * dn * ed - en * dd, -s * dp * dd * ed, dn, dd) < 0
 
-    bound = cf.depth if bound is None else min(bound, cf.depth)
-    depth = bisect_right(range(1, bound + 1), False, key=below_eps) + 1
-    if depth > bound:
-        raise DepthExceeded(f"eps={eps} needs more than {bound} digit positions")
+    depth = bisect_right(range(1, cf.depth + 1), False, key=below_eps) + 1
+    if depth > cf.depth:
+        raise DepthExceeded(f"eps={eps} needs more than {cf.depth} digit positions")
 
     # encoded over the depth its digits shifted by m can reach
     c = QuadRat._of(xa - whole * xe, xb, xe, cf.d)

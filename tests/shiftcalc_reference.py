@@ -62,8 +62,7 @@ def natural_dots_single_level(cf: CFData, sc: ShiftConstants, n_max: int):
     yield digits, tails[0]
 
 
-def times_sqrt_real_quadrat(x, eps, cf: CFData, sc: ShiftConstants,
-                            bound: int | None = None) -> QuadRat:
+def times_sqrt_real_quadrat(x, eps, cf: CFData, sc: ShiftConstants) -> QuadRat:
     """sqrt(d) * x for any x >= 0, certified to |error| < eps, in QuadRat arithmetic."""
     x = QuadRat._of(0, 0, 1, cf.d) + x  # over cf.d, a rational x re-tagged
     eps = Fraction(eps)
@@ -84,10 +83,9 @@ def times_sqrt_real_quadrat(x, eps, cf: CFData, sc: ShiftConstants,
         dq, dp = qs[k] - qs[k + 1], ps[k] - ps[k + 1]
         return sign_sqrt(s * dq * dn * ed - en * dd, -s * dp * dd * ed, dn, dd) < 0
 
-    bound = cf.depth if bound is None else min(bound, cf.depth)
-    depth = bisect_right(range(1, bound + 1), False, key=below_eps) + 1
-    if depth > bound:
-        raise DepthExceeded(f"eps={eps} needs more than {bound} digit positions")
+    depth = bisect_right(range(1, cf.depth + 1), False, key=below_eps) + 1
+    if depth > cf.depth:
+        raise DepthExceeded(f"eps={eps} needs more than {cf.depth} digit positions")
 
     digits = encode_real(c, cf.at_least(depth - 1 + cf.m), depth)
     result = times_sqrt_frac(digits, sc) + QuadRat._of(0, whole, 1, cf.d)

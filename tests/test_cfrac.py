@@ -607,7 +607,7 @@ def test_constants_relation_all_materialized(cf_of, sc_of):
 
 
 def test_constants_grow_past_a_shallow_expansion():
-    # t = 60 needs 2t+2 = 122 indices; the shallow input is grown, not refused
+    # t = m = 60: the shallow input is grown to m, not refused
     assert derive_shift_constants(expand(991, 8)) == derive_shift_constants(expand(991, 183))
 
 
@@ -626,18 +626,20 @@ def test_constants_match_linear_solve_on_rationals(num, den):
     assert derive_shift_constants(cf) == shift_constants_reference(cf)
 
 
-@pytest.mark.parametrize("d,j,idx", [(3, 0, 1), (991, 5, 4)])
-def test_constants_check_every_index(d, j, idx):
+@pytest.mark.parametrize("d,j,closure", [(3, 0, "zeta_1 != a_1 \\+ 1/zeta_2"),
+                                         (991, 5, "zeta_5 != a_5 \\+ 1/zeta_6")],
+                         ids=["3-0-1", "991-5-4"])  # d, j, the first k whose weights read P_{j+1}
+def test_constants_check_every_index(d, j, closure):
     # zetas[j] = (P_{j+1}, Q_{j+1}); P_{j+1} is the w weight of residue
-    # j - 1 mod m, so that residue fails at its first index
+    # j - 1 mod m, and the closure that reads it fails first
     cf = expand(d, 130)
     big_p, big_q = cf.zetas[j]
     bad = cf.replace(zetas=cf.zetas[:j] + ((big_p + 1, big_q),) + cf.zetas[j + 1:])
-    with pytest.raises(VerificationFailed, match=f"fail at index {idx}:"):
+    with pytest.raises(VerificationFailed, match=closure):
         derive_shift_constants(bad)
-    # a deep convergent: only the check on every index can see it
+    # a deep convergent: only the sweep of every index can see it
     deep = cf.replace(conv_q=cf.conv_q[:101] + (cf.conv_q[101] + 1,) + cf.conv_q[102:])
-    with pytest.raises(VerificationFailed, match="fail at index 100:"):
+    with pytest.raises(VerificationFailed, match="beta_100 zeta_101 != -beta_99 "):
         derive_shift_constants(deep)
 
 
@@ -661,25 +663,27 @@ def test_other_constructions_are_not_swept():
 
 
 def test_constants_sweep_an_unswept_base_grown_past_its_fault():
-    # at_least sweeps only the indices past 64, so only the sweep of the
-    # shift constants sees q_40
-    cf = expand(991, 64)  # t = 60: the constants grow it to 122
-    bad = cf.replace(conv_q=_bump(cf.conv_q, 40))
-    with pytest.raises(VerificationFailed, match="fail at index 40:"):
+    # at_least sweeps only the indices it adds, so only the sweep of the
+    # shift constants, at the base's own depth, sees q_40
+    cf = expand(991, 64)
+    bad = cf.replace(conv_q=_bump(cf.conv_q, 40)).at_least(80)  # grown past q_40, unswept
+    with pytest.raises(VerificationFailed, match="beta_40 zeta_41 != -beta_39 "):
         derive_shift_constants(bad)
 
 
 @pytest.mark.parametrize("d", DEFAULT_D_LIST + LONG_PERIOD, ids=str)
 def test_swept_constants_equal_the_constants_of_an_unswept_copy(d):
-    cf = expand(d)
-    unswept = cf.replace()
-    assert cf.swept and not unswept.swept
-    assert derive_shift_constants(cf) == derive_shift_constants(unswept)
+    want = derive_shift_constants(expand(d))
+    for depth in (cfrac.DEFAULT_DEPTH, 1, 8, 2 * want.t + 2):
+        cf = expand(d, depth)
+        unswept = cf.replace()
+        assert cf.swept and not unswept.swept
+        assert derive_shift_constants(cf) == derive_shift_constants(unswept) == want, depth
 
 
 def test_swept_constants_grow_to_the_period_only(monkeypatch):
     # a swept expansion has had its closure read on every period entry once
-    # it reaches m; an unswept one is grown to 2t+2 and checked at each index
+    # it reaches m; an unswept one is swept at its own depth, then grown alike
     grown, at_least = [], cfrac.CFData.at_least
     monkeypatch.setattr(cfrac.CFData, "at_least",
                         lambda self, k: grown.append(k) or at_least(self, k))
@@ -688,7 +692,7 @@ def test_swept_constants_grow_to_the_period_only(monkeypatch):
     assert max(grown) == 60
     grown.clear()
     derive_shift_constants(shallow.replace())
-    assert max(grown) == 122
+    assert max(grown) == 60
 
 
 @pytest.mark.parametrize("d", DEFAULT_D_LIST + LONG_PERIOD, ids=str)
@@ -709,9 +713,19 @@ def test_constants_json_prints_whole_and_zero_weights_as_fractions():
 @pytest.mark.parametrize("d", [3, 991], ids=str)
 def test_constants_check_the_last_index(d):
     cf = expand(d, 130)
-    k = cf.depth - 1  # the last index whose identity the tables reach
-    with pytest.raises(VerificationFailed, match=f"fail at index {k}:"):
+    k = cf.depth - 1  # the last index whose identity dn q_k = v p_{k+1} + w p_k the tables reach
+    with pytest.raises(VerificationFailed, match=f"beta_{k} zeta_{k + 1} != -beta_{k - 1} "):
         derive_shift_constants(cf.replace(conv_q=_bump(cf.conv_q, k)))
+
+
+@pytest.mark.parametrize("table", ["conv_q", "conv_p"])
+@pytest.mark.parametrize("d", [3, 991], ids=str)
+def test_constants_check_the_last_table_entry(d, table):
+    # the sweep reads every entry, q_130 too, which no identity of the
+    # constants at an index below the depth reads
+    cf = expand(d, 130)
+    with pytest.raises(VerificationFailed, match="beta_130 zeta_131 != -beta_129 "):
+        derive_shift_constants(cf.replace(**{table: _bump(getattr(cf, table), 130)}))
 
 
 def test_constants_name_the_first_failing_index():
@@ -719,7 +733,7 @@ def test_constants_name_the_first_failing_index():
     # runs in index order, not class by class
     cf = expand(991, 183)
     bad = cf.replace(conv_q=_bump(_bump(cf.conv_q, 80), 130))
-    with pytest.raises(VerificationFailed, match="fail at index 80:"):
+    with pytest.raises(VerificationFailed, match="beta_80 zeta_81 != -beta_79 "):
         derive_shift_constants(bad)
 
 

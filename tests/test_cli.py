@@ -71,7 +71,7 @@ def test_cf_and_constants_output_frozen(capsys):
 
 @pytest.mark.parametrize("d", ["991", "9949", "99991", "1000003/7"])
 def test_long_periods_run_at_default_flags(capsys, d):
-    # the shift constants need 2t+2 indices and mul reads its digits
+    # the shift constants read the period, m entries, and mul its eps digits
     # shifted by m; both grow the expansion past the default depth 64
     code, out = run(capsys, "cf", "--d", d)
     assert code == 0 and "unit = " in out
@@ -230,12 +230,26 @@ def test_mul_reads_past_depth_for_the_shift(capsys):
 
 
 def test_mul_eps_digits_stay_bounded_by_depth(capsys):
-    # mul encodes on the expansion its shift constants grew to 2t+2 = 874;
-    # eps = 10^-150 fits in that, but not in the 64 digit positions of --depth
+    # mul grows the expansion past --depth to m = 436 and to its eps digits
+    # shifted by m, but eps = 10^-150 does not fit in the 64 digit positions
+    # of --depth
     assert main(["mul", "--d", "99991", "--x", "7/5", "--eps", "1e-150"]) == 3
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: eps=1/10{150} needs more than 64 digit positions\n", err)
     assert main(["mul", "--d", "99991", "--x", "7/5", "--eps", "1e-150", "--depth", "874"]) == 0
+
+
+def test_mul_grows_no_table_past_its_shifted_eps_digits(monkeypatch, capsys):
+    # eps = 10^-6 needs 18 digits of sqrt(991), m = 60: the product reads index
+    # 18 - 1 + 60 = 77 and the shift constants the period, so nothing grows further
+    grown, at_least = [], cfrac.CFData.at_least
+    monkeypatch.setattr(cfrac.CFData, "at_least",
+                        lambda self, k: grown.append(k) or at_least(self, k))
+    code, out = run(capsys, "mul", "--d", "991", "--depth", "20", "--x", "7/5", "--eps", "1e-6")
+    assert code == 0 and max(grown) == 77
+    assert out == ("sqrt(991) * (7/5+0*sqrt(991)) = 73519314027-2335417976*sqrt(991)\n"
+                   "  ~ 44.072213523887481285565359135012224956849048685940\n"
+                   "  certified |error| < 1/1000000\n")
 
 
 def test_failed_check_exits_1(monkeypatch, capsys):
