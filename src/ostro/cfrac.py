@@ -567,11 +567,10 @@ def normalize_d(d) -> tuple[Fraction, Fraction]:
     if lo < d < hi:
         return d, Fraction(1)
     for e in itertools.count():
-        n = d * 4**e
-        h = math.isqrt(math.floor(n / 4)) + 1  # the least h with h^2 > n/4
-        if h * h < 4 * n / 9:
-            scale = Fraction(h, 2**e)
-            d_norm = d / (scale * scale)
+        n4, dd = d.numerator << 2 * e, d.denominator  # n = n4 / dd
+        h = math.isqrt(n4 // (4 * dd)) + 1  # the least h with h^2 > n/4
+        if 9 * h * h * dd < 4 * n4:  # h^2 < 4n/9
+            scale, d_norm = Fraction(h, 1 << e), Fraction(n4, dd * h * h)
             if not (lo < d_norm < hi and scale * scale * d_norm == d):
                 raise VerificationFailed(
                     f"normalize_d({d}): {d_norm} with scale {scale} is outside "

@@ -28,8 +28,8 @@ expansion depth accepted from flags or config files.  The depth the
 period needs (the unit's m - 1, the constants' m, the audit's 3m+3, the
 m-shift of mul) grows on demand and is not counted; mul's eps digits are
 bounded by --depth.
-argv is parsed once, by the named subcommand's parser, with the usage,
-errors and exit codes of parse_args on the full parser.
+argv is read once: a scan of the subcommand's actions takes the plain forms,
+argparse any other argv, with parse_args's help, usage, errors and exit codes.
 """
 
 from __future__ import annotations
@@ -219,6 +219,55 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A subcommand's parser that keeps the actions add_argument returns, -h's too."""
+    def add_argument(self, *args, **kwargs):
+        vars(self).setdefault("added", []).append(action := super().add_argument(*args, **kwargs))
+        return action
+
+
+def _table(p: _Parser) -> tuple:
+    """_scan's view of a subcommand: help's flags map to None, a str default is typed."""
+    stored = [a for a in p.added if a.nargs is None or a.const is True]  # values and switches
+    flags = {s: a if a in stored else None for a in p.added for s in a.option_strings}
+    defaults = {a.dest: a.type(a.default) if a.type and isinstance(a.default, str) else a.default
+                for a in stored}
+    return (p.get_default("func"), flags, [a for a in stored if not a.option_strings],
+            [a for a in stored if a.required], defaults)
+
+
+def _scan(table: tuple, argv: list[str]) -> argparse.Namespace | None:
+    """argv as the subcommand's parser reads it, or None to leave it to argparse:
+    on "--", a "-" token that is no flag or unique flag prefix (-h, -5), help, a
+    repeated flag, "=" on a switch, a bad value, a missing or an extra argument."""
+    func, flags, positionals, required, defaults = table
+    seen, texts, tokens = {}, [], iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            texts.append(token)
+            continue
+        opt, eq, text = token.partition("=")  # "--" is a prefix of every flag
+        found = [flags[opt]] if opt in flags else [a for s, a in flags.items() if s.startswith(opt)]
+        action = found[0] if len(found) == 1 else None
+        if action is None or action in seen or (eq and action.nargs == 0):
+            return None
+        if action.nargs is None and not eq and (text := next(tokens, "-")).startswith("-"):
+            return None  # no value, or a dash token where it goes
+        seen[action] = action.const if action.nargs == 0 else text
+    seen.update(zip(positionals, texts))
+    if len(texts) != len(positionals) or any(a not in seen for a in required):
+        return None
+    values = dict(defaults)
+    for action, text in seen.items():
+        try:
+            values[action.dest] = value = action.type(text) if action.type else text
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+    return argparse.Namespace(**values, func=func)
+
+
 @functools.cache  # one parser per process: parse_args keeps no state, defaults are immutable
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -226,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Continued fractions of sqrt(d), Ostrowski digits, and "
         "certified multiplication by sqrt(d) on representations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     parser.subcommands = sub.choices  # main parses argv[1:] with the one named first
 
     def add_common(p, need_d=True):
@@ -278,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the report to a file")
     p.set_defaults(func=cmd_audit)
 
+    parser.tables = {name: _table(p) for name, p in sub.choices.items()}
     return parser
 
 
@@ -285,9 +335,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     sub = parser.subcommands.get(argv[0]) if argv else None  # None: no argv, -h, unknown
-    args, rest = sub.parse_known_args(argv[1:]) if sub else (parser.parse_args(argv), [])
-    if rest:  # as parse_args reports leftovers: under the top-level usage
-        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    if sub is None or (args := _scan(parser.tables[argv[0]], argv[1:])) is None:
+        args, rest = sub.parse_known_args(argv[1:]) if sub else (parser.parse_args(argv), [])
+        if rest:  # as parse_args reports leftovers: under the top-level usage
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact values print at any length
     try:

@@ -5,16 +5,19 @@ every index, and the stepwise sweep that checks the beta step at every
 index, which expand ran before it checked the step by induction.  The
 library decides the same verdicts; the tests require equal verdicts,
 witnesses and VerificationFailed messages on true and corrupted tables.
+normalize_d's search over Fractions is kept too: the library runs it on
+the numerator and denominator, and the tests require the same pair.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from ostro.cfrac import CFData, IdentityVerdict, _verdict
 from ostro.errors import DepthExceeded, VerificationFailed
-from ostro.qfield import quad, sign_sqrt
+from ostro.qfield import check_radicand, quad, sign_sqrt
 
 
 def check_convergents_reference(d: Fraction, ps, qs, depth: int) -> None:
@@ -198,3 +201,17 @@ def audit_identities_reference(cf: CFData, k_max: int | None = None) -> list[Ide
         )
     )
     return out
+
+
+def normalize_d_reference(d) -> tuple[Fraction, Fraction]:
+    """(d_norm, scale) with d = scale^2 * d_norm in (9/4, 4), scale = h / 2^e
+    for the smallest e admitting an integer h with n/4 < h^2 < 4n/9, n = d 4^e."""
+    d = check_radicand(d)
+    if Fraction(9, 4) < d < 4:
+        return d, Fraction(1)
+    for e in itertools.count():
+        n = d * 4**e
+        h = math.isqrt(math.floor(n / 4)) + 1  # the least h with h^2 > n/4
+        if h * h < 4 * n / 9:
+            scale = Fraction(h, 2**e)
+            return d / (scale * scale), scale

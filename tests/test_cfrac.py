@@ -14,6 +14,7 @@ from cfrac_reference import (
     audit_identities_reference,
     check_convergents_reference,
     check_convergents_stepwise,
+    normalize_d_reference,
 )
 from digit_maps import shift_constants_reference
 from hypothesis import assume, given
@@ -758,6 +759,21 @@ def test_normalize_frozen():
     # small radicands need more than 63 doublings of the scale
     assert normalize_d(Fraction(2, 10**38)) == (Fraction(2 * 4**65, 9 * 10**38), Fraction(3, 2**65))
     assert normalize_d(Fraction(3, 4**70)) == (Fraction(3), Fraction(1, 2**70))
+
+
+def test_normalize_matches_the_fraction_search():
+    # the integer search finds the pair of the search over Fractions, on the
+    # 25 radicands, on seeded num/den draws and below 1
+    rng = random.Random(45)
+    draws = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)) for _ in range(400)]
+    for d in [*DEFAULT_D_LIST, *LONG_PERIOD, *draws, Fraction(1, 1000), Fraction(2, 9), Fraction(7, 10**20)]:
+        try:
+            want = normalize_d_reference(d)
+        except RationalSquare:
+            with pytest.raises(RationalSquare):
+                normalize_d(d)
+            continue
+        assert normalize_d(d) == want, d
 
 
 @given(st.fractions(min_value=0, max_value=100, max_denominator=60))

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -505,6 +506,17 @@ PARSED_ARGVS = [
 ]
 
 
+def _argparse_calls(monkeypatch) -> list[str]:
+    """The names of the ArgumentParser parse methods called from now on."""
+    calls = []
+    for name in ("parse_known_args", "parse_args"):
+        def spy(self, *args, _name=name, _original=getattr(argparse.ArgumentParser, name), **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, name, spy)
+    return calls
+
+
 @pytest.fixture
 def captured(monkeypatch):
     """main with every subcommand replaced by one that records its namespace."""
@@ -522,20 +534,26 @@ def captured(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", PARSED_ARGVS, ids=" ".join)
-def test_main_parses_as_the_full_parser(captured, argv):
+def test_main_parses_as_the_full_parser(captured, monkeypatch, argv):
+    calls = _argparse_calls(monkeypatch)
     assert main(argv) == 0
+    assert bool(calls) == ("--" in argv)  # the scan reads the rest without argparse
     (got,) = captured
     want = vars(parse_args_reference(argv))
     assert want.pop("command") == argv[0]
     assert vars(got) == want
 
 
-def _outcome(fn, argv):
+def _read(fn, argv):
+    """The namespace fn returns on argv, as a dict without `command`, or
+    the (code, stdout, stderr) of its SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exc:
-            fn(argv)
-    return exc.value.code, out.getvalue(), err.getvalue()
+        try:
+            args = fn(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    return {k: v for k, v in vars(args).items() if k != "command"}
 
 
 # Each exits in the parser: help, a missing or unknown command, a missing
@@ -550,17 +568,122 @@ REJECTED_ARGVS = [
 
 
 @pytest.mark.parametrize("argv", REJECTED_ARGVS, ids=lambda argv: " ".join(argv) or "none")
-def test_rejected_argv_prints_what_the_full_parser_prints(argv):
-    code, out, err = _outcome(main, argv)
-    assert (code, out, err) == _outcome(parse_args_reference, argv)
+def test_rejected_argv_prints_what_the_full_parser_prints(monkeypatch, argv):
+    want = _read(parse_args_reference, argv)
+    calls = _argparse_calls(monkeypatch)
+    code, out, err = _read(main, argv)
+    assert (code, out, err) == want and calls  # argparse reads every rejected argv
     assert code == (0 if "-h" in argv else 2)
 
 
 def test_leftovers_are_reported_with_the_top_level_usage():
-    code, out, err = _outcome(main, ["cf", "--d", "3", "extra", "--frob"])
+    code, out, err = _read(main, ["cf", "--d", "3", "extra", "--frob"])
     assert (code, out) == (2, "")
     assert err.startswith("usage: ostro [-h] {cf,encode,decode,mul,constants,audit} ...\n")
     assert err.endswith("\nostro: error: unrecognized arguments: extra --frob\n")
+
+
+# ---------------------------------------------------------------------------
+# the scan: main reads plain argv without argparse
+# ---------------------------------------------------------------------------
+
+
+# the argv shapes of the benchmark's single commands
+SCANNED_ARGVS = [
+    ["cf", "--d", "3", "--depth", "12"],
+    ["constants", "--d", "99991", "--depth", "20"],
+    ["mul", "--d", "3", "--depth", "80", "--x", "12/7", "--eps", "4.5e-21"],
+    ["mul", "--d", "13/4", "--depth", "40", "--x", "1/2+3/4*sqrt(13/4)", "--eps", "2e-9"],
+    ["encode", "--d", "3", "--depth", "30", "12345"],
+    ["encode", "--d", "61", "--depth", "30", "--digits", "20", "22/3-sqrt(61)"],
+    ["decode", "0,1,0,1@d=3", "--depth", "4"],
+    ["decode", "0,1,0,1", "--d", "3", "--depth", "4"],
+    ["decode", "0,1,0,1@d=3", "--depth", "4", "--real"],
+]
+
+
+@pytest.mark.parametrize("argv", SCANNED_ARGVS, ids=" ".join)
+def test_plain_argv_never_reaches_argparse(monkeypatch, capsys, argv):
+    calls = _argparse_calls(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out and calls == []
+
+
+# The argv fuzz draws from each subcommand's own flags with good values, and
+# from a pool of exact, prefixed, help, ambiguous ("-", "--=3") and unknown
+# flags, "=" forms, dashes, blanks, "--d 3" as one token, bad ints and choices.
+FUZZ_OWN = {"cf": ["--d", "--depth", "--format"], "encode": ["--d", "--depth", "--digits", "--format"],
+            "decode": ["--d", "--depth", "--real", "--format"], "mul": ["--d", "--x", "--eps", "--dep"],
+            "constants": ["--d", "--depth", "--fo"], "audit": ["--d", "--n-max", "--seed", "--format", "--eps"]}
+FUZZ_GOOD = {"--d": "3", "--depth": "9", "--dep": "12", "--digits": "30", "--format": "json", "--fo": "text",
+             "--x": "7/5", "--eps": "1e-5", "--n-max": "5", "--seed": "7"}
+FUZZ_FLAGS = ["--d", "--depth", "--digits", "--format", "--output", "--real", "--x", "--eps", "--n-max",
+              "--seed", "--config", "--de", "--dep", "--di", "--form", "--fo", "--out", "--re", "--e",
+              "--n", "--se", "--conf", "--o", "--bogus", "--digitsx", "-d", "-", "--help", "--he", "--h"]
+FUZZ_EQ = ["--d=3", "--d=13/4", "--d=", "--depth=9", "--dep=x", "--format=json", "--form=xml", "--fo=tsv",
+           "--real=1", "--re=", "--x=7/5", "--x=-1/2", "--eps=1e-5", "--digits=30", "--di=x", "--n=5",
+           "--=3", "--seed=7", "--bogus=1", "--output=o.txt"]
+FUZZ_ODD = ["-h", "--", "-5", "-1/2", "", " ", "--d 3", "-h=1"]
+FUZZ_VALUES = ["3", "2,3", "13/4", "9", "x", "json", "text", "tsv", "xml", "0,1@d=3", "0,1", "7/5",
+               "1e-9", "c.json", "5", "abc", "1.5", "12", "0"]
+
+
+def _fuzz_argv(rng: random.Random, command: str) -> list[str]:
+    argv = [rng.choice(FUZZ_VALUES)] if command in ("encode", "decode") and rng.random() < 0.7 else []
+    for _ in range(rng.randint(0, 5)):
+        r = rng.random()
+        if r < 0.4:
+            flag = rng.choice(FUZZ_OWN[command])
+            argv += [flag] if flag == "--real" else rng.choice([[flag, FUZZ_GOOD[flag]],
+                                                                 [f"{flag}={FUZZ_GOOD[flag]}"]])
+        elif r < 0.55:
+            argv += [rng.choice(FUZZ_FLAGS), rng.choice(FUZZ_VALUES)]
+        elif r < 0.7:
+            argv.append(rng.choice(FUZZ_EQ))
+        elif r < 0.8:
+            argv.append(rng.choice(FUZZ_ODD))
+        else:
+            argv.append(rng.choice(FUZZ_VALUES + FUZZ_FLAGS))
+    return argv
+
+
+def test_scan_and_main_read_fuzzed_argv_as_the_full_parser(captured):
+    def main_namespace(argv):
+        assert main(argv) == 0
+        return captured.pop()
+
+    rng = random.Random(45)
+    tables = cli.build_parser().tables
+    # a scan that read "--" disagreed with parse_args on these two
+    draws = [("audit", ["--"]), ("cf", ["--d=3", "--"])]
+    draws += [(command, _fuzz_argv(rng, command)) for command in rng.choices(list(FUZZ_OWN), k=2500)]
+    scanned = 0
+    for command, argv in draws:
+        want = _read(parse_args_reference, [command, *argv])
+        args = cli._scan(tables[command], argv)
+        if args is not None:
+            scanned += 1
+            assert vars(args) == want, (command, argv)
+        assert _read(main_namespace, [command, *argv]) == want, (command, argv)
+    assert 200 < scanned < len(draws) - 1000  # both paths are exercised
+
+
+def test_scan_reads_forms_no_subcommand_has_as_parse_args_does(capsys):
+    # a str default, which parse_args converts by type, and two flags
+    # sharing a prefix, which parse_args rejects as ambiguous
+    p = cli._Parser(prog="t")
+    p.add_argument("--n", type=int, default="7")
+    p.add_argument("--alpha")
+    p.add_argument("--alps")
+    p.set_defaults(func=None)
+    table = cli._table(p)
+    assert vars(cli._scan(table, [])) == vars(p.parse_args([]))
+    assert vars(cli._scan(table, [])) == {"n": 7, "alpha": None, "alps": None, "func": None}
+    assert vars(cli._scan(table, ["--alph", "x"])) == vars(p.parse_args(["--alph", "x"]))
+    assert cli._scan(table, ["--al", "x"]) is None
+    with pytest.raises(SystemExit):
+        p.parse_args(["--al", "x"])
+    assert "ambiguous option: --al could match --alpha, --alps" in capsys.readouterr().err
 
 
 def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
