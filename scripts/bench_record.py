@@ -30,11 +30,16 @@ in ``LAYERS`` (a name and a zero-argument call on fixed inputs), each
 An ``audit`` block times K_AUDIT = 3 runs of ``python -m ostro audit
 --format json`` (the default suite) on the checkout and keeps per
 radicand the min over the runs of its ``elapsed_s`` and of each stage
-time.  These are raw seconds on a machine whose speed drifts between
-sessions, so a layer row compares only with the same row timed in
-interleaved rounds of one session, not with another record's.  ``src_lines``
-counts the lines of each ``src/ostro`` module (as ``wc -l`` does) and
-their total, the tracked size of the library.
+time.  A ``oneshot`` block runs each command of ONESHOT_ARGVS (``cf``,
+``encode``, ``mul`` and ``audit --d 2``) in K_ONESHOT = 25 fresh ``python
+-I`` interpreters; each imports ``ostro`` and ``ostro.cli`` and calls
+``cli.main`` once, and the block keeps per command the min of the
+import's seconds and the min of the first call's.  These are raw seconds
+on a machine whose speed drifts between sessions, so a layer row
+compares only with the same row timed in interleaved rounds of one
+session, not with another record's.  ``src_lines`` counts the lines of
+each ``src/ostro`` module (as ``wc -l`` does) and their total, the
+tracked size of the library.
 
 --root is the checkout to measure (default: the one holding this
 script), so an older commit can be measured from a clone without this
@@ -57,6 +62,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SEED0, K = 101, 7  # the same seeds in every record, so records compare seed for seed
 K_AUDIT = 3  # the default audit takes seconds, so fewer runs than the workloads
+K_ONESHOT = 25  # fresh interpreters per one-shot command
+ONESHOT_ARGVS = (["cf", "--d", "2"], ["encode", "--d", "3", "5"], ["mul", "--d", "3", "--x", "7/5"],
+                 ["audit", "--d", "2"])
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -112,6 +120,42 @@ def measure_audit(root: Path) -> dict:
         for entries in zip(*runs) if "stages" in entries[0]
     }
     return {"unit": "s", "runs": K_AUDIT, "wall_s": walls, "by_d": by_d}
+
+
+# Run as `python -I -c ONESHOT SRC ARGV...`: imports ostro and its CLI from SRC
+# and calls cli.main(ARGV) once with stdout kept, then prints the exit code,
+# the import's seconds and the call's.  It loads nothing before the import
+# that a fresh interpreter has not, so the import pays for all it loads.
+ONESHOT = """
+import io, sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import ostro, ostro.cli
+t1 = time.perf_counter()
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = ostro.cli.main(sys.argv[2:])
+t2 = time.perf_counter()
+sys.stdout = stdout
+print(code, t1 - t0, t2 - t1)
+"""
+
+
+def measure_oneshot(root: Path) -> dict:
+    """Per command of ONESHOT_ARGVS, the min over K_ONESHOT fresh interpreters
+    of the import of ostro and ostro.cli and of cli.main's first call."""
+    by_command = {}
+    for argv in ONESHOT_ARGVS:
+        times = []
+        for _ in range(K_ONESHOT):
+            proc = subprocess.run([sys.executable, "-I", "-c", ONESHOT, str(root / "src"), *argv],
+                                  cwd=root, capture_output=True, text=True, check=True)
+            code, import_s, call_s = proc.stdout.split()
+            if code != "0":
+                raise RuntimeError(f"ostro {' '.join(argv)} exited {code}")
+            times.append((float(import_s), float(call_s)))
+        by_command[" ".join(argv)] = {"import_s": min(t for t, _ in times),
+                                      "first_call_s": min(t for _, t in times)}
+    return {"unit": "s", "min_of": K_ONESHOT, "by_command": by_command}
 
 
 # Run as `python -c LAYERS SRC`: imports ostro from SRC and prints one JSON line.
@@ -299,6 +343,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "layers": measure_layers(root),
         "audit": measure_audit(root),
+        "oneshot": measure_oneshot(root),
         "tier1": time_tier1(root),
         "src_lines": src_lines(root),
     }

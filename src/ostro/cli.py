@@ -28,17 +28,18 @@ expansion depth accepted from flags or config files.  The depth the
 period needs (the unit's m - 1, the constants' m, the audit's 3m+3, the
 m-shift of mul) grows on demand and is not counted; mul's eps digits are
 bounded by --depth.
-argv is read once: a scan of the subcommand's actions takes the plain forms,
-argparse any other argv, with parse_args's help, usage, errors and exit codes.
+Each flag is described once, in COMMANDS.  argv is read once: a scan of
+that table takes the plain forms; argparse, imported and built only when the
+scan declines, reads any other argv with parse_args's help, usage, errors and
+exit codes.  json loads only for --format json and audit --config.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import cfrac, harness, ostrowski, shiftcalc
 from .errors import (
@@ -78,12 +79,15 @@ def _effective_depth(requested: int) -> int:
 def _emit(args, data, text: str, code: int = EXIT_OK) -> int:
     """Print data as JSON under --format json, else text, to --output or
     stdout; return the exit code."""
-    out = json.dumps(data, indent=2) if args.format == "json" else text
+    if args.format == "json":
+        import json
+
+        text = json.dumps(data, indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            print(out, file=fh)
+            print(text, file=fh)
     else:
-        print(out)
+        print(text)
     return code
 
 
@@ -200,6 +204,8 @@ def cmd_constants(args) -> int:
 def cmd_audit(args) -> int:
     data: dict = {}
     if args.config:
+        import json
+
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
         harness.config_from_json(data)  # a bad field is bad input even where a flag overrides it
@@ -215,127 +221,110 @@ def cmd_audit(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flags
 # ---------------------------------------------------------------------------
 
+# Each subcommand's help, and its flags and positionals in parser order with
+# their add_argument keywords: type, default, choices, required and help.
+# _scan reads the table, build_parser gives argparse the same table.
+_D = {"required": True, "help": "radicand (rational, > 1, non-square)"}
+_COMMON = {
+    "--depth": {"type": int, "default": cfrac.DEFAULT_DEPTH,
+                "help": "bound on the expansion depth an input may need (default %(default)s)"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--output": {"help": "write to file instead of stdout"},
+}
+COMMANDS = {
+    "cf": ("expand sqrt(d)", {"--d": _D, **_COMMON}),
+    "encode": ("encode a natural or interval value", {
+        "--d": _D, **_COMMON,
+        "value": {"help": "natural number, or a value like '1/3-...' in the interval"},
+        "--digits": {"type": int, "default": 24,
+                     "help": "digit count for interval values (default %(default)s)"}}),
+    "decode": ("decode a digit string", {
+        **_COMMON,
+        "digits": {"help": "comma separated digits, e.g. '0,1,0,1@d=3'"},
+        "--d": {"help": "radicand (needed when no @d= suffix)"},
+        "--real": {"action": "store_true", "default": False,
+                   "help": "decode on the beta scale instead of as a natural"}}),
+    "mul": ("multiply by sqrt(d) with a certified bound", {
+        "--d": _D, **_COMMON,
+        "--x": {"required": True, "help": "nonnegative value, e.g. 7/5 or '1+1/2*sqrt(3)'"},
+        "--eps": {"default": "1e-9", "help": "certified accuracy (default %(default)s)"}}),
+    "constants": ("derive the digit-shift constants", {"--d": _D, **_COMMON}),
+    "audit": ("run the verification suite", {
+        "--d": {"help": "comma separated radicands (default: built-in suite)"},
+        "--depth": {"type": int}, "--n-max": {"type": int}, "--eps": {}, "--seed": {"type": int},
+        "--config": {"help": "JSON config file (flags override it)"},
+        "--format": {"choices": ("text", "json", "tsv"), "default": "text"},
+        "--output": {"help": "write the report to a file"}}),
+}
+_HELP = ("-h", "--help")  # argparse gives every parser these; the scan declines them
 
-class _Parser(argparse.ArgumentParser):
-    """A subcommand's parser that keeps the actions add_argument returns, -h's too."""
-    def add_argument(self, *args, **kwargs):
-        vars(self).setdefault("added", []).append(action := super().add_argument(*args, **kwargs))
-        return action
 
-
-def _table(p: _Parser) -> tuple:
-    """_scan's view of a subcommand: help's flags map to None, a str default is typed."""
-    stored = [a for a in p.added if a.nargs is None or a.const is True]  # values and switches
-    flags = {s: a if a in stored else None for a in p.added for s in a.option_strings}
-    defaults = {a.dest: a.type(a.default) if a.type and isinstance(a.default, str) else a.default
-                for a in stored}
-    return (p.get_default("func"), flags, [a for a in stored if not a.option_strings],
-            [a for a in stored if a.required], defaults)
-
-
-def _scan(table: tuple, argv: list[str]) -> argparse.Namespace | None:
+def _scan(command: str, argv: list[str]) -> SimpleNamespace | None:
     """argv as the subcommand's parser reads it, or None to leave it to argparse:
     on "--", a "-" token that is no flag or unique flag prefix (-h, -5), help, a
     repeated flag, "=" on a switch, a bad value, a missing or an extra argument."""
-    func, flags, positionals, required, defaults = table
+    flags = COMMANDS[command][1]
     seen, texts, tokens = {}, [], iter(argv)
     for token in tokens:
         if not token.startswith("-"):
             texts.append(token)
             continue
         opt, eq, text = token.partition("=")  # "--" is a prefix of every flag
-        found = [flags[opt]] if opt in flags else [a for s, a in flags.items() if s.startswith(opt)]
-        action = found[0] if len(found) == 1 else None
-        if action is None or action in seen or (eq and action.nargs == 0):
+        found = [opt] if opt in flags else [s for s in (*_HELP, *flags) if s.startswith(opt)]
+        if len(found) != 1 or (name := found[0]) in _HELP or name in seen:
             return None
-        if action.nargs is None and not eq and (text := next(tokens, "-")).startswith("-"):
-            return None  # no value, or a dash token where it goes
-        seen[action] = action.const if action.nargs == 0 else text
-    seen.update(zip(positionals, texts))
-    if len(texts) != len(positionals) or any(a not in seen for a in required):
+        switch = "action" in flags[name]  # --real
+        if eq and switch or not (eq or switch) and (text := next(tokens, "-")).startswith("-"):
+            return None  # "=" on a switch, no value, or a dash token where it goes
+        seen[name] = True if switch else text
+    positionals = [name for name in flags if name[0] != "-"]
+    if len(texts) != len(positionals):
         return None
-    values = dict(defaults)
-    for action, text in seen.items():
+    seen.update(zip(positionals, texts))
+    values = {}
+    for name, kw in flags.items():
+        if name not in seen and kw.get("required"):
+            return None
+        text = seen.get(name, kw.get("default"))  # a str default is typed, as parse_args does
         try:
-            values[action.dest] = value = action.type(text) if action.type else text
+            value = kw["type"](text) if "type" in kw and isinstance(text, str) else text
         except (TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if name in seen and "choices" in kw and value not in kw["choices"]:
             return None
-    return argparse.Namespace(**values, func=func)
+        values[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**values, func=globals()[f"cmd_{command}"])  # as monkeypatched
 
 
-@functools.cache  # one parser per process: parse_args keeps no state, defaults are immutable
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache  # one parser per process, built only when the scan declines
+def build_parser():
+    """The argparse parser of COMMANDS, for help, usage, errors and exit 2."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ostro",
         description="Continued fractions of sqrt(d), Ostrowski digits, and "
         "certified multiplication by sqrt(d) on representations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommands = sub.choices  # main parses argv[1:] with the one named first
-
-    def add_common(p, need_d=True):
-        if need_d:
-            p.add_argument("--d", required=True, help="radicand (rational, > 1, non-square)")
-        p.add_argument("--depth", type=int, default=cfrac.DEFAULT_DEPTH,
-                       help="bound on the expansion depth an input may need "
-                       "(default %(default)s)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", help="write to file instead of stdout")
-
-    p = sub.add_parser("cf", help="expand sqrt(d)")
-    add_common(p)
-    p.set_defaults(func=cmd_cf)
-
-    p = sub.add_parser("encode", help="encode a natural or interval value")
-    add_common(p)
-    p.add_argument("value", help="natural number, or a value like '1/3-...' in the interval")
-    p.add_argument("--digits", type=int, default=24,
-                   help="digit count for interval values (default %(default)s)")
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("decode", help="decode a digit string")
-    add_common(p, need_d=False)
-    p.add_argument("digits", help="comma separated digits, e.g. '0,1,0,1@d=3'")
-    p.add_argument("--d", help="radicand (needed when no @d= suffix)")
-    p.add_argument("--real", action="store_true",
-                   help="decode on the beta scale instead of as a natural")
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("mul", help="multiply by sqrt(d) with a certified bound")
-    add_common(p)
-    p.add_argument("--x", required=True, help="nonnegative value, e.g. 7/5 or '1+1/2*sqrt(3)'")
-    p.add_argument("--eps", default="1e-9", help="certified accuracy (default %(default)s)")
-    p.set_defaults(func=cmd_mul)
-
-    p = sub.add_parser("constants", help="derive the digit-shift constants")
-    add_common(p)
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("audit", help="run the verification suite")
-    p.add_argument("--d", help="comma separated radicands (default: built-in suite)")
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
-    p.add_argument("--output", help="write the report to a file")
-    p.set_defaults(func=cmd_audit)
-
-    parser.tables = {name: _table(p) for name, p in sub.choices.items()}
+    for command, (text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, kw in flags.items():
+            p.add_argument(name, **kw)
+        p.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    sub = parser.subcommands.get(argv[0]) if argv else None  # None: no argv, -h, unknown
-    if sub is None or (args := _scan(parser.tables[argv[0]], argv[1:])) is None:
+    args = _scan(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    if args is None:  # help, an error, "--", or no or an unknown subcommand
+        parser = build_parser()
+        sub = parser.subcommands.get(argv[0]) if argv else None
         args, rest = sub.parse_known_args(argv[1:]) if sub else (parser.parse_args(argv), [])
         if rest:  # as parse_args reports leftovers: under the top-level usage
             parser.error(f"unrecognized arguments: {' '.join(rest)}")

@@ -420,7 +420,8 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> dict:
         try:
             results.append(audit_one(d, config))
         except Exception as exc:  # recorded per radicand; the suite goes on
-            results.append({"d": str(d), "error": f"{type(exc).__name__}: {exc}"})
+            name, text = type(exc).__name__, str(exc)  # MemoryError() has no text
+            results.append({"d": str(d), "error": f"{name}: {text}" if text else name})
     report = {
         "config": config.to_json(),
         "results": results,

@@ -11,7 +11,8 @@ decode_real, the recovery checks, prefix_nat and cli.main on short
 commands; encode_real and prefix_nat on values over the expansion's own
 d object, as the audit builds them), each layer the min
 of 7 calls in a row with no calibration sample anywhere in the record,
-the default audit timed per radicand, tier-1 timed, and the line count
+the default audit timed per radicand, the import and first call of
+four one-shot commands in fresh interpreters, tier-1 timed, and the line count
 of each src/ostro module; and the record's provenance: the checkout's
 git sha, whether its tree is dirty, and a hash of the src/ostro modules.
 The script itself loads without hashlib, which would raise the RSS floor
@@ -196,7 +197,7 @@ def times_sqrt_real(x, eps, cf, sc):
 
 STUB_CLI = '''
 def main(argv):
-    if argv[0] not in ("cf", "constants", "encode", "decode", "mul"):
+    if argv[0] not in ("cf", "constants", "encode", "decode", "mul", "audit"):
         raise ValueError(argv)
     print(" ".join(argv))
     return 0
@@ -218,6 +219,18 @@ print(json.dumps({"results": [
 '''
 
 
+# The script run as a program, with 2 fresh interpreters per one-shot
+# command instead of 25: each costs a Python start-up
+RUN_SCRIPT = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_record", sys.argv[1])
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+bench_record.K_ONESHOT = 2
+sys.exit(bench_record.main(sys.argv[2:]))
+"""
+
+
 def test_bench_record_on_a_stub_checkout(tmp_path):
     root = tmp_path / "checkout"
     (root / "perfbench").mkdir(parents=True)
@@ -237,7 +250,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     (root / "scripts").mkdir()
     shutil.copy(SCRIPT, root / "scripts")
     proc = subprocess.run(  # no --root: the checkout holding the script
-        [sys.executable, str(root / "scripts" / SCRIPT.name), "--pr", "1"],
+        [sys.executable, "-c", RUN_SCRIPT, str(root / "scripts" / SCRIPT.name), "--pr", "1"],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
@@ -281,6 +294,12 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     assert audit["unit"] == "s" and audit["runs"] == 3
     assert len(audit["wall_s"]) == 3 and min(audit["wall_s"]) > 0
     assert audit["by_d"] == {"2": {"elapsed_s": 0.5, "stages": {"identities": 0.1, "recovery": 0.4}}}
+    oneshot = rec["oneshot"]
+    assert (oneshot["unit"], oneshot["min_of"]) == ("s", 2)
+    assert list(oneshot["by_command"]) == ["cf --d 2", "encode --d 3 5", "mul --d 3 --x 7/5",
+                                           "audit --d 2"]
+    for times in oneshot["by_command"].values():
+        assert set(times) == {"import_s", "first_call_s"} and min(times.values()) > 0
     assert rec["tier1"]["returncode"] == 0 and "1 passed" in rec["tier1"]["summary"]
     stubs = {"__init__.py": STUB_OSTRO, "__main__.py": STUB_MAIN, "cfrac.py": STUB_CFRAC,
              "cli.py": STUB_CLI, "ostrowski.py": STUB_OSTROWSKI, "shiftcalc.py": STUB_SHIFTCALC}

@@ -441,7 +441,7 @@ def test_output_file(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_parser_built_once(monkeypatch, capsys):
+def test_parser_built_at_most_once_and_never_on_a_scanned_argv(monkeypatch, capsys):
     calls = []
     add_subparsers = argparse.ArgumentParser.add_subparsers
 
@@ -454,6 +454,9 @@ def test_parser_built_once(monkeypatch, capsys):
     assert main(["cf", "--d", "3"]) == 0
     assert main(["decode", "0,1,0,1@d=3"]) == 0
     assert main(["constants", "--d", "2"]) == 0
+    assert calls == []  # the scan read all three from the flag table
+    assert main(["decode", "--d", "3", "--", "0,1"]) == 0
+    assert main(["encode", "--d", "3", "--", "5"]) == 0
     assert calls == ["ostro"]
 
 
@@ -653,14 +656,13 @@ def test_scan_and_main_read_fuzzed_argv_as_the_full_parser(captured):
         return captured.pop()
 
     rng = random.Random(45)
-    tables = cli.build_parser().tables
     # a scan that read "--" disagreed with parse_args on these two
     draws = [("audit", ["--"]), ("cf", ["--d=3", "--"])]
     draws += [(command, _fuzz_argv(rng, command)) for command in rng.choices(list(FUZZ_OWN), k=2500)]
     scanned = 0
     for command, argv in draws:
         want = _read(parse_args_reference, [command, *argv])
-        args = cli._scan(tables[command], argv)
+        args = cli._scan(command, argv)
         if args is not None:
             scanned += 1
             assert vars(args) == want, (command, argv)
@@ -668,22 +670,40 @@ def test_scan_and_main_read_fuzzed_argv_as_the_full_parser(captured):
     assert 200 < scanned < len(draws) - 1000  # both paths are exercised
 
 
-def test_scan_reads_forms_no_subcommand_has_as_parse_args_does(capsys):
+def _table_parser(monkeypatch, flags):
+    """The parser of a subcommand "t" with the given flag table, added to
+    cli.COMMANDS for the test, whose command is None."""
+    monkeypatch.setitem(cli.COMMANDS, "t", ("a table no subcommand has", flags))
+    monkeypatch.setattr(cli, "cmd_t", None, raising=False)
+    cli.build_parser.cache_clear()  # a parser with the table's subcommand
+    try:
+        return cli.build_parser().subcommands["t"]
+    finally:
+        cli.build_parser.cache_clear()
+
+
+def test_scan_reads_forms_no_subcommand_has_as_parse_args_does(monkeypatch, capsys):
     # a str default, which parse_args converts by type, and two flags
     # sharing a prefix, which parse_args rejects as ambiguous
-    p = cli._Parser(prog="t")
-    p.add_argument("--n", type=int, default="7")
-    p.add_argument("--alpha")
-    p.add_argument("--alps")
-    p.set_defaults(func=None)
-    table = cli._table(p)
-    assert vars(cli._scan(table, [])) == vars(p.parse_args([]))
-    assert vars(cli._scan(table, [])) == {"n": 7, "alpha": None, "alps": None, "func": None}
-    assert vars(cli._scan(table, ["--alph", "x"])) == vars(p.parse_args(["--alph", "x"]))
-    assert cli._scan(table, ["--al", "x"]) is None
+    p = _table_parser(monkeypatch, {"--n": {"type": int, "default": "7"}, "--alpha": {}, "--alps": {}})
+    assert vars(cli._scan("t", [])) == vars(p.parse_args([]))
+    assert vars(cli._scan("t", [])) == {"n": 7, "alpha": None, "alps": None, "func": None}
+    assert vars(cli._scan("t", ["--alph", "x"])) == vars(p.parse_args(["--alph", "x"]))
+    assert cli._scan("t", ["--al", "x"]) is None
     with pytest.raises(SystemExit):
         p.parse_args(["--al", "x"])
     assert "ambiguous option: --al could match --alpha, --alps" in capsys.readouterr().err
+
+
+def test_scan_counts_help_among_the_flags_a_prefix_may_match(monkeypatch, capsys):
+    # no subcommand has a flag starting --h, so only a table with one shows
+    # that --he is ambiguous between --help and that flag
+    p = _table_parser(monkeypatch, {"--hex": {}})
+    assert vars(cli._scan("t", ["--hex", "x"])) == vars(p.parse_args(["--hex", "x"]))
+    assert cli._scan("t", ["--he", "x"]) is None
+    with pytest.raises(SystemExit):
+        p.parse_args(["--he", "x"])
+    assert "ambiguous option: --he could match --help, --hex" in capsys.readouterr().err
 
 
 def test_main_reads_sys_argv_by_default(monkeypatch, capsys):

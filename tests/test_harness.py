@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import ostro
 from ostro import (DepthExceeded, RationalSquare, SuiteConfig, UnsupportedRadicand,
                    VerificationFailed, harness, run_suite)
-from ostro import cfrac, ostrowski, shiftcalc
+from ostro import cfrac, cli, ostrowski, shiftcalc
 from ostro.harness import (
     STAGES,
     config_from_json,
@@ -640,6 +640,35 @@ def test_unexpected_error_is_recorded_per_radicand(monkeypatch, small_report):
         want = {k: v for k, v in small_report["results"][1].items() if k not in timing}
         assert {k: v for k, v in good.items() if k not in timing} == want
         assert corrected_failures(report) == 1
+
+
+def test_an_error_without_a_message_is_recorded_by_its_type_name(tmp_path, monkeypatch,
+                                                                 capsys, small_report):
+    # MemoryError() has an empty message: the entry names the type alone,
+    # with no ": " after it, in every format
+    def uniqueness(ctx):
+        if ctx.cf.d == 3:
+            raise MemoryError()
+        return stage(ctx)
+
+    ((_, stage, keys),) = [row for row in harness._TABLE if row[0] == "uniqueness"]
+    monkeypatch.setattr(harness, "_TABLE", tuple(
+        ("uniqueness", uniqueness, keys) if row[0] == "uniqueness" else row
+        for row in harness._TABLE))
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(SMALL.to_json()))
+    out = {}
+    for fmt in ("json", "text", "tsv"):
+        assert cli.main(["audit", "--config", str(cfg), "--format", fmt]) == 1
+        out[fmt] = capsys.readouterr().out
+    bad, good = json.loads(out["json"])["results"]
+    assert bad == {"d": "3", "error": "MemoryError"}
+    timing = ("stages", "elapsed_s")
+    want = {k: v for k, v in small_report["results"][1].items() if k not in timing}
+    assert {k: v for k, v in good.items() if k not in timing} == want
+    assert out["text"].splitlines()[0] == "d=3: ERROR MemoryError"
+    good_rows = render_tsv({"results": small_report["results"][1:]}).splitlines()
+    assert out["tsv"].splitlines() == [good_rows[0], "3\terror\t-\t-\tMemoryError", *good_rows[1:]]
 
 
 def test_small_audit_under_optimize(tmp_path):

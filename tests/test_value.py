@@ -17,7 +17,7 @@ from ostro import SuiteConfig, cfrac, encode_nat, shiftcalc
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_loads_no_dataclasses_or_inspect():
+def test_import_loads_no_dataclasses_inspect_argparse_or_json():
     # isolated mode: no user site, no PYTHONPATH; the modules the import adds
     # are those of sys.modules after it that were not there before
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
@@ -27,7 +27,31 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert proc.returncode == 0, proc.stderr
     added = set(ast.literal_eval(proc.stdout))
     assert {"ostro", "ostro.cfrac", "ostro.harness", "ostro.cli"} <= added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "argparse", "gettext", "json"}
+
+
+# In one fresh interpreter, in this order: a scanned argv loads neither
+# argparse nor json, --format json loads json alone, help loads argparse.
+LOADED_BY_MAIN = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+from ostro.cli import main
+for argv in (["cf", "--d", "2"], ["cf", "--d", "2", "--format", "json"], ["cf", "-h"]):
+    out, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    sys.stdout = out
+    print(code, "argparse" in sys.modules, "json" in sys.modules)
+"""
+
+
+def test_main_loads_argparse_only_for_the_parser_and_json_only_for_json():
+    proc = subprocess.run([sys.executable, "-I", "-c", LOADED_BY_MAIN, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 False False", "0 False True", "0 True True"]
 
 
 def _values():
