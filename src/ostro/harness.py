@@ -8,8 +8,8 @@ products), exhaustive uniqueness, multiplication of reals and the two
 digit probes.  The table also names the timed STAGES and the reported
 SWEEPS, which _rows reads: it yields one row per report line of a result
 entry, and both renderers and both failure counts read those rows.  The
-pass over n checks encode_nat against an Ostrowski counter's digits at
-every n, and its split test is one floor: fa + n*sqrt(d) lies in I iff
+pass over n checks encode_nat_upto against an Ostrowski counter's digits
+at every n, and its split test is one floor: fa + n*sqrt(d) lies in I iff
 a0 - fa = floor((n+1)*sqrt(d)), that is isqrt((n+1)^2 dn dd) // dd for
 d = dn/dd.  The uniqueness stage enumerates the valid digit strings
 once, and the prefix probe's tiling oracle reads its windows off those
@@ -127,9 +127,10 @@ def _sweep(result: dict, name: str, checked: int, failures: list) -> None:
     }
 
 
-def _witness_first(fails: list, witness) -> list:
-    """fails, (n, x) pairs, with the first one replaced by witness(n, x)."""
-    return [witness(*fails[0]), *fails[1:]] if fails else fails
+def _witness_first(cf, fails: list, witness) -> list:
+    """fails, (n, digits) pairs, with the first replaced by witness(n, its OstDigits)."""
+    x = fails and ostrowski.OstDigits._of(cf, fails[0][1], ostrowski.KIND_NAT)
+    return [witness(fails[0][0], x), *fails[1:]] if fails else fails
 
 
 def _identities(ctx) -> None:
@@ -145,17 +146,18 @@ def _constants(ctx) -> None:
 def _pass_over_n(ctx) -> None:
     """Roundtrip, sqrt split, both recoveries, and the shifted-digit product
     on the fractional part of n*sqrt(d), all from the ints an Ostrowski
-    counter carries from n to n+1; every encode_nat(n) must give the
-    counter's digits.  n < q_{depth-m+1} keeps the digits shifted by m
-    inside the depth.  Only a sweep's first failure and the worked
-    example build exact witnesses.  The exact products run here, fused;
-    their count, failures and seconds are left in ctx."""
+    counter carries from n to n+1; encode_nat_upto's greedy digits must be
+    the counter's at every n.  n < q_{depth-m+1} keeps the digits shifted by
+    m inside the depth.  Only a sweep's first failure and the worked example
+    build exact witnesses, from the counter's digits (the encoder's where the
+    roundtrip held).  The exact products run here, fused; their count,
+    failures and seconds are left in ctx."""
     cf, sc, config, out = ctx.cf, ctx.sc, ctx.config, ctx.out
     n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
     exact_top = min(config.lambda_n_max, n_max) + 1
     recovery_checked = exact_checked = 0  # n whose checks ran; a roundtrip failure skips them
     rt_fails: list = []
-    frac_fails: list = []  # (n, x) per failing n; _witness_first reports one
+    frac_fails: list = []  # (n, digits) per failing n; _witness_first reports one
     nat_fails: list = []
     exact_fails: list = []
     printed_frac_fails = printed_nat_fails = 0
@@ -164,12 +166,11 @@ def _pass_over_n(ctx) -> None:
     dndd = cf.dn * dd  # floor(floor(y)/dd) = floor(y/dd) makes the split test exact
     exact_s = 0.0
     # bound once per pass, from the module attributes, so a patched kernel is the one called
-    encode_nat, sqrt_product = ostrowski.encode_nat, shiftcalc.sqrt_product
-    frac_verdicts, nat_verdicts = shiftcalc.frac_verdicts, shiftcalc.nat_verdicts
-    counter = shiftcalc.natural_dots_upto(cf, sc, n_max)
-    for n, (digits, (fa, fb, ya, yb, v1, w0, w1)) in enumerate(counter):  # fb = n
-        x = encode_nat(n, cf)
-        if x.digits != digits or fb != n:
+    sqrt_product, frac_verdicts = shiftcalc.sqrt_product, shiftcalc.frac_verdicts
+    nat_verdicts = shiftcalc.nat_verdicts
+    counter = zip(ostrowski.encode_nat_upto(cf, n_max), shiftcalc.natural_dots_upto(cf, sc, n_max))
+    for n, (greedy, (digits, (fa, fb, ya, yb, v1, w0, w1))) in enumerate(counter):  # fb = n
+        if greedy != digits or fb != n:
             rt_fails.append({"n": n, "reason": "roundtrip"})
             continue
         recovery_checked += 1
@@ -179,24 +180,24 @@ def _pass_over_n(ctx) -> None:
             exact_checked += 1
             t_exact = time.perf_counter()
             if not sqrt_product(cf, sc, fa, fb, ya, yb)[0]:
-                exact_fails.append((n, x))
+                exact_fails.append((n, digits))
             exact_s += time.perf_counter() - t_exact
         if not frac_verdicts(cf, sc, fa, fb, ya, yb):
-            frac_fails.append((n, x))
+            frac_fails.append((n, digits))
         if not nat_verdicts(sc, fb, v1, w0):
-            nat_fails.append((n, x))
+            nat_fails.append((n, digits))
         if n <= 50:
             frac_printed, nat_printed = shiftcalc.printed_verdicts(cf, sc, fa, fb, ya, yb, v1, w1)
             printed_frac_fails += not frac_printed
             printed_nat_fails += not nat_printed
         if n == example_n:
-            example = x
+            example = ostrowski.OstDigits._of(cf, digits, ostrowski.KIND_NAT)
     ctx.exact_checked, ctx.exact_fails, ctx.exact_s = exact_checked, exact_fails, exact_s
     _sweep(out, "roundtrip_and_split", n_max + 1, rt_fails)
     _sweep(out, "recover_frac", recovery_checked, _witness_first(
-        frac_fails, lambda n, x: shiftcalc.check_recover_frac(x, sc).to_json()))
+        cf, frac_fails, lambda n, x: shiftcalc.check_recover_frac(x, sc).to_json()))
     _sweep(out, "recover_nat", recovery_checked, _witness_first(
-        nat_fails, lambda n, x: shiftcalc.check_recover_nat(x, sc).to_json()))
+        cf, nat_fails, lambda n, x: shiftcalc.check_recover_nat(x, sc).to_json()))
     out["recovery_printed_fails_upto_50"] = {
         "frac": printed_frac_fails,
         "nat": printed_nat_fails,
@@ -232,8 +233,8 @@ def _uniqueness(ctx) -> None:
 def _times_sqrt_exact(ctx) -> None:
     cf, sc = ctx.cf, ctx.sc
     _sweep(ctx.out, "times_sqrt_exact", ctx.exact_checked, _witness_first(
-        ctx.exact_fails, lambda n, x: {"n": n, "lhs": str(shiftcalc.times_sqrt_frac(x, sc)),
-                                       "rhs": str(cf.sqrt_d() * ostrowski.decode_real(x))}))
+        cf, ctx.exact_fails, lambda n, x: {"n": n, "lhs": str(shiftcalc.times_sqrt_frac(x, sc)),
+                                           "rhs": str(cf.sqrt_d() * ostrowski.decode_real(x))}))
 
 
 def _times_sqrt_real(ctx) -> None:

@@ -42,6 +42,7 @@ from .errors import (
 from .ostrowski import (
     KIND_REAL,
     OstDigits,
+    _split_position,
     decode_nat,
     decode_real,
     encode_nat,
@@ -151,17 +152,16 @@ def _count_from(cf: CFData, sc: ShiftConstants, lo: int):
 
 def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
     """Yield (digits of n, natural_dots of them) for n = 0 .. n_max, by a
-    two-level Ostrowski counter.  With J the first position >= 1 where
-    q_J >= 64, one _count_from run from 0 lists the digits and dots of every
-    n < q_J, and one from J steps through the high strings h in value order.
+    two-level Ostrowski counter.  With J = _split_position(cf, depth - m), one
+    _count_from run from 0 lists the digits and dots of every n < q_J, and one
+    from J steps through the high strings h in value order.
     The dots are linear in the digits, so h yields its block of n by one tuple
     concatenation and one 7-int sum per n: all q_J low strings, or the first
     q_{J-1} (digit J-1 zero) when h's digit at J is at its cap a_{J+1}.  A sweep
     inside the first block, or with no such J below the depth, is streamed.
     Past q_{depth-m+1} DepthExceeded is raised as natural_dots raises it.
     """
-    qs = cf.conv_q  # qs[k + 1] = q_k; low blocks of 32 to 128 n timed alike, 1024 slower
-    j = next((k for k in range(1, cf.depth - cf.m + 1) if qs[k + 1] >= 64), None)
+    qs, j = cf.conv_q, _split_position(cf, cf.depth - cf.m)  # qs[k + 1] = q_k
     if j is None or n_max < qs[j + 1]:
         yield from islice(_count_from(cf, sc, 0), max(n_max + 1, 0))
         return

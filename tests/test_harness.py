@@ -245,6 +245,56 @@ def test_corrupted_encoding_is_one_roundtrip_failure(monkeypatch, bad_n, exact_c
     assert res["times_sqrt_exact"]["checked"] == exact_checked
 
 
+def test_pass_over_n_calls_encode_nat_below_the_split_only(monkeypatch):
+    # the sweep calls encode_nat for n < q_J, q_8 = 153 at d = 3, and reads
+    # the low digits of every later n from those encodings
+    calls = []
+    encode = ostrowski.encode_nat
+    monkeypatch.setattr(ostrowski, "encode_nat", lambda n, cf: calls.append(n) or encode(n, cf))
+    res = run_suite(SMALL.replace(d_list=(Fraction(3),), n_max=2000))["results"][0]
+    assert res["roundtrip_and_split"] == {"checked": 2001, "failures": 0, "first_failure": None}
+    assert calls == list(range(153))
+
+
+def test_a_fault_past_the_split_is_one_roundtrip_failure(monkeypatch):
+    # the descent above J = 8 leaves 200 - q_8 = 47 at n = 200; one more puts
+    # the low digits of 48 there, which only the roundtrip sees
+    descend = ostrowski._descend
+
+    def faulty(digits, rem, k, stop, *rest):
+        return descend(digits, rem, k, stop, *rest) + (rem == 200 and stop > 0)
+
+    monkeypatch.setattr(ostrowski, "_descend", faulty)
+    res = run_suite(SMALL.replace(d_list=(Fraction(3),), n_max=400))["results"][0]
+    assert "error" not in res, res["error"]
+    assert res["roundtrip_and_split"] == {"checked": 401, "failures": 1,
+                                          "first_failure": {"n": 200, "reason": "roundtrip"}}
+    assert {key for key in SWEEP_KEYS if res[key]["failures"]} == {"roundtrip_and_split"}
+    assert res["recover_frac"]["checked"] == res["recover_nat"]["checked"] == 400
+
+
+def test_a_wrong_low_encoding_fails_every_n_that_reads_it(monkeypatch):
+    # encode_nat(10) is the table entry of every n whose digits below J are
+    # 10's: each of them fails the roundtrip, the first at n = 10
+    cf = cfrac.expand(3, SMALL.depth)
+    j = ostrowski._split_position(cf, cf.depth)
+
+    def low(n):
+        digits = ostrowski.encode_nat(n, cf).digits
+        return (digits + (0,) * j)[:j]
+
+    readers = [n for n in range(401) if low(n) == low(10)]
+    assert readers[0] == 10 and len(readers) > 1
+    encode = ostrowski.encode_nat
+    monkeypatch.setattr(ostrowski, "encode_nat",
+                        lambda n, cf: encode(n + 1 if n == 10 else n, cf))
+    res = run_suite(SMALL.replace(d_list=(Fraction(3),), n_max=400))["results"][0]
+    assert res["roundtrip_and_split"]["first_failure"] == {"n": 10, "reason": "roundtrip"}
+    assert res["roundtrip_and_split"]["failures"] == len(readers)
+    assert {key for key in SWEEP_KEYS if res[key]["failures"]} == {"roundtrip_and_split"}
+    assert res["recover_frac"]["checked"] == 401 - len(readers)
+
+
 def per_n_reference(cf, sc, config):
     """The pass over n as a loop over the witness-building checks: the
     (failures, first_failure) of each sweep and the printed counts."""

@@ -243,6 +243,87 @@ def test_encode_nat_errors_match_the_full_scan_on_corrupted_tables(cf_of, d):
     assert errors[InvalidDigits] and errors[DepthExceeded] and errors[ValueError]
 
 
+def _per_n_outcomes(encodings):
+    """The digits an iterable of encodings yields, then the (type, message) of its
+    first error, if any."""
+    out = []
+    try:
+        for digits in encodings:
+            out.append(digits)
+    except (OstroError, ValueError) as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _per_n_loop(cf, n_max):
+    return (encode_nat(n, cf).digits for n in range(n_max + 1))
+
+
+@pytest.mark.parametrize("d", ALL_D, ids=str)
+def test_encode_nat_upto_matches_per_n_encoding(cf_of, d):
+    # the sweep's greedy descent down to J, the first position >= 1 with
+    # q_J >= 64, and the low digits read from the first q_J encodings, against
+    # one encode_nat call per n at each end of the split and past it; the
+    # digits of n do not depend on the depth once q_depth > n, so one per-n
+    # list at depth 64 serves both expansions
+    deep = cf_of(d)
+    per_n = [x.digits for x in map(encode_nat, range(20001), [deep] * 20001)]
+    for depth in (64, 3 * deep.m + 3):
+        cf = cf_of(d, depth)
+        q_j = cf.q(ostrowski._split_position(cf, cf.depth))
+        for n_max in (0, q_j - 1, q_j, q_j + 1, min(20000, cf.q(cf.depth) - 1)):
+            got = list(ostrowski.encode_nat_upto(cf, n_max))
+            assert got == per_n[:n_max + 1], (d, depth, n_max)
+    assert list(ostrowski.encode_nat_upto(cf, -1)) == []
+
+
+@pytest.mark.parametrize("d", (2, 3, 7, Fraction(13, 4), 61), ids=str)
+def test_encode_nat_upto_errors_match_the_per_n_loop_on_corrupted_tables(cf_of, d):
+    # the tables of test_encode_nat_errors_match_the_full_scan_on_corrupted_tables;
+    # the sweep yields what the per-n loop yields up to its first error, then
+    # raises that error, so a moved q below or above the split, the top digit
+    # counted on a table that is not increasing, and a period entry moved by
+    # one are all seen at the n the loop sees them
+    deep = cf_of(d)
+    cf = cf_of(d, next(k for k in range(64) if deep.q(k) > 500))
+    tables = []
+    for i in range(len(cf.conv_q)):
+        for step in (-1, 1):
+            qs = list(cf.conv_q)
+            qs[i] += step
+            if qs[i] or i == 0:
+                tables.append(cf.replace(conv_q=tuple(qs)))
+    for i in range(cf.m):
+        for step in (-1, 1):
+            period = list(cf.period)
+            period[i] += step
+            tables.append(cf.replace(period=tuple(period)))
+    errors = Counter()
+    n_max = cf.q(cf.depth) + 1
+    for bad in tables:
+        got = _per_n_outcomes(ostrowski.encode_nat_upto(bad, n_max))
+        assert got == _per_n_outcomes(_per_n_loop(bad, n_max)), (bad.conv_q, bad.period)
+        errors[got[-1][0]] += 1
+    assert errors[InvalidDigits] and errors[DepthExceeded]
+    assert ostrowski._split_position(cf, cf.depth) is not None  # both parts were swept
+
+
+@pytest.mark.parametrize("d, depth", [(3, 12), (3, 3), (99991, 2)], ids=str)
+def test_encode_nat_upto_past_the_depth(cf_of, d, depth):
+    # q_12 = 1351 at d = 3 is past the split at J = 8; below depth 8 the
+    # depth itself bounds the per-n part; 99991 reaches q_J >= 64 at J = 1
+    cf = cf_of(d, depth)
+    top = cf.q(cf.depth)
+    with pytest.raises(DepthExceeded) as per_n:
+        encode_nat(top, cf)
+    for n_max in (top, top + 5):
+        swept = ostrowski.encode_nat_upto(cf, n_max)
+        assert [x for _, x in zip(range(top), swept)] == list(_per_n_loop(cf, top - 1))
+        with pytest.raises(DepthExceeded, match=rf"^{top} >= q_depth = {top}; expand deeper$"):
+            next(swept)
+    assert str(per_n.value) == f"{top} >= q_depth = {top}; expand deeper"
+
+
 def test_digits_are_read_only(cf_of):
     x = encode_nat(5, cf_of(3))
     for field in ("cf", "digits", "kind"):
