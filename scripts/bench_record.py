@@ -195,6 +195,8 @@ pairs = [(ostro.quad(part(), part(), Fraction(13, 4)), ostro.quad(part(), part()
          for _ in range(1000)]
 cf3, cf31 = cfrac.expand(3, 64), cfrac.expand(31, 64)
 sc3, sc64 = cfrac.derive_shift_constants(cf3), cfrac.derive_shift_constants(cf64)
+cf1000001, cf12 = cfrac.expand(1000001, 64), cfrac.expand(10**12 + 1, 64)
+sc1000001, sc12 = cfrac.derive_shift_constants(cf1000001), cfrac.derive_shift_constants(cf12)
 cf1311, cf4023 = cf64.at_least(1311), cfrac.expand(2999999, 4023)  # m = 436 and m = 1340
 rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction(1, 10**30)
 cf256 = cfrac.expand(3, 256)  # eps = 10^-60 takes 212 digits, and the shift stays inside
@@ -223,6 +225,11 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
         shiftcalc.natural_dots_upto(cf3, sc3, 10**4), maxlen=0),
     "natural_dots_upto_99991_10000": lambda: collections.deque(
         shiftcalc.natural_dots_upto(cf1311, sc64, 10**4), maxlen=0),
+    # q_1 = 2000: the first block lists 2000 low strings; q_1 = 2*10^6: streamed
+    "natural_dots_upto_1000001_10000": lambda: collections.deque(
+        shiftcalc.natural_dots_upto(cf1000001, sc1000001, 10**4), maxlen=0),
+    "natural_dots_upto_1000000000001_10000": lambda: collections.deque(
+        shiftcalc.natural_dots_upto(cf12, sc12, 10**4), maxlen=0),
     # 2885 strings: the uniqueness sweep's largest enumeration on the default list
     "enumerate_valid_31_8": lambda: collections.deque(ostrowski.enumerate_valid(cf31, 8), maxlen=0),
     "times_sqrt_real_99991_20": lambda: [shiftcalc.times_sqrt_real(x, eps, cf64, sc64)

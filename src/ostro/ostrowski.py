@@ -162,7 +162,8 @@ def _descend(digits: list[int], rem: int, k: int, stop: int, qs, period, m: int)
 
 def _split_position(cf: CFData, last: int) -> int | None:
     """The first J in 1 .. last with q_J >= 64, or None: the sweeps over n list
-    the n < q_J once (low blocks of 32 to 128 n timed alike, 1024 slower)."""
+    the n < q_J once (the recovery stage at d = 3 and 99991 times alike at 64 and
+    128 n, about 1 ms slower at 32 and d = 3, 7 to 40 ms slower at 1024)."""
     return next((k for k in range(1, last + 1) if cf.conv_q[k + 1] >= 64), None)
 
 

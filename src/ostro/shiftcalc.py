@@ -83,7 +83,7 @@ class AuditEntry(Value):
 def _dots(cf: CFData, sc: ShiftConstants, digits, start: int = 0) -> tuple[int, ...]:
     """The seven sums of natural_dots over digits placed from position start: digit k
     weighs -p_k, q_k, the p and q of k + m signed by (-1)^m, p_{k+1} v and p_k, p_{k+1} w
-    (sc's numerators at k mod t).  On the one digit 1 at k it is the counter's row k."""
+    (sc's numerators at k mod t)."""
     m, ps, qs = cf.m, cf.conv_p, cf.conv_q  # qs[i] = q_{i-1}
     nv, nw, t = sc.v_num, sc.w_num, sc.t
     bp = n = yp = yq = v1 = w0 = w1 = 0
@@ -110,24 +110,18 @@ def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
 
 
 def _count_from(cf: CFData, sc: ShiftConstants, lo: int):
-    """Yield (digits at positions lo, lo + 1, .., natural_dots of them) in value
+    """Yield (digits at positions lo, lo + 1, .., their _dots from lo) in value
     order, without end.  Going up by one raises the lowest digit that can rise
     and zeroes the ones below: digit k rises to rise[k] (its cap, one less at
-    position 0) while the digit above is not at its own cap.  The dots are sums
-    of one weight row per position (natural_dots on the one digit 1 there), so
-    tails[k], their sum over the digits >= k, takes row k at the raised digit
-    and is copied to the zeroed ones.  Rows and zero prefixes are built as the
-    digits reach them.  A digit whose shift by m passes the depth raises
-    DepthExceeded as natural_dots raises it."""
+    position 0) while the digit above is not at its own cap.  A digit whose
+    shift by m passes the depth raises DepthExceeded as natural_dots raises it."""
     m = cf.m
     top = cf.depth - m - lo  # the last position whose shift by m is materialized, from lo
     caps = [cf.period[(lo + k) % m] for k in range(max(top, 0) + 2)]  # k reaches top + 1
     rise = [cap - (lo + k == 0) for k, cap in enumerate(caps)]
     digits: tuple[int, ...] = ()
-    rows, zeros = [], []  # row k and zeros[k] = (0,) * k, built as the digits reach k
-    tails = [(0,) * 7]  # one longer than digits, ending in zeros
     while True:
-        yield digits, tails[0]
+        yield digits, _dots(cf, sc, digits, lo)
         k, size = 0, len(digits)
         while True:
             b = digits[k] + 1 if k < size else 1
@@ -136,18 +130,7 @@ def _count_from(cf: CFData, sc: ShiftConstants, lo: int):
             k += 1
         if k > top:
             raise DepthExceeded(f"shifted index {lo + k + m} exceeds depth {cf.depth}")
-        if k >= size:
-            rows += [_dots(cf, sc, (1,), lo + j) for j in range(size, k + 1)]
-            zeros += [(0,) * j for j in range(len(zeros), k + 1)]
-            tails += [tails[-1]] * (k + 1 - size)
-        (f0, f1, f2, f3, f4, f5, f6), (r0, r1, r2, r3, r4, r5, r6) = tails[k], rows[k]
-        tail = (f0 + r0, f1 + r1, f2 + r2, f3 + r3, f4 + r4, f5 + r5, f6 + r6)
-        if k:
-            digits = zeros[k] + (b,) + digits[k + 1:]
-            tails[:k + 1] = [tail] * (k + 1)
-        else:
-            digits = (b,) + digits[1:]
-            tails[0] = tail
+        digits = (0,) * k + (b,) + digits[k + 1:]
 
 
 def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):

@@ -5,10 +5,11 @@ checkout's root, medians and quartiles over the seeds, the traced
 metrics, the layers measured on the checkout's src/ (expand, the audit
 stages, the shift constants on a swept expansion and on an unswept copy,
 at_least, encode_real, QuadRat add/mul/sign, the natural_dots_upto
-counter, the enumerate_valid odometer, times_sqrt_real, the identity
-audit at periods 436 and 1340, encode_nat, the encode_nat_upto sweep,
-the recovery verdicts, decode_real, the recovery checks, prefix_nat and
-cli.main on short commands; encode_real and prefix_nat on values over the
+counter at d = 3 and 99991, on the listed first block of d = 1000001 and
+on the streamed one of d = 10^12 + 1, the enumerate_valid odometer,
+times_sqrt_real, the identity audit at periods 436 and 1340, encode_nat,
+the encode_nat_upto sweep, the recovery verdicts, decode_real, the
+recovery checks, prefix_nat and cli.main on short commands; encode_real and prefix_nat on values over the
 expansion's own d object, as the audit builds them), each layer the min
 of 7 calls in a row with no calibration sample anywhere in the record,
 the default audit timed per radicand, the import and first call of
@@ -107,13 +108,14 @@ class CFData:
 
 def expand(d, depth):
     if (d, depth) not in ((99991, 874), (99991, 64), (61, 150), (3, 64), (3, 256), (2, 64),
-                          (31, 64), (2999999, 4023)):
+                          (31, 64), (2999999, 4023), (1000001, 64), (10**12 + 1, 64)):
         raise ValueError((d, depth))
     return CFData(d, depth)
 
 
 def derive_shift_constants(cf):
-    if (cf.d, cf.depth) not in ((99991, 874), (99991, 64), (3, 64), (3, 256)):
+    if (cf.d, cf.depth) not in ((99991, 874), (99991, 64), (3, 64), (3, 256), (1000001, 64),
+                                (10**12 + 1, 64)):
         raise ValueError((cf.d, cf.depth))
     return ("sc", cf.d)
 
@@ -160,7 +162,9 @@ from fractions import Fraction
 
 def natural_dots_upto(cf, sc, n_max):
     if (cf.d, cf.depth, sc, n_max) not in ((3, 64, ("sc", 3), 10**4),
-                                           (99991, 1311, ("sc", 99991), 10**4)):
+                                           (99991, 1311, ("sc", 99991), 10**4),
+                                           (1000001, 64, ("sc", 1000001), 10**4),
+                                           (10**12 + 1, 64, ("sc", 10**12 + 1), 10**4)):
         raise ValueError((cf.d, cf.depth, sc, n_max))
     for n in range(n_max + 1):
         yield (), (-n, n, 0, 0, n, -n, 0)
@@ -283,8 +287,9 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "at_least_99991_64_1311",
                 "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
                 "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000",
-                "natural_dots_upto_99991_10000", "enumerate_valid_31_8", "times_sqrt_real_99991_20",
-                "times_sqrt_real_3_256_50",
+                "natural_dots_upto_99991_10000", "natural_dots_upto_1000001_10000",
+                "natural_dots_upto_1000000000001_10000", "enumerate_valid_31_8",
+                "times_sqrt_real_99991_20", "times_sqrt_real_3_256_50",
                 "audit_identities_99991_1311", "audit_identities_2999999_4023",
                 "encode_nat_3_10000", "encode_nat_upto_3_10000",
                 "encode_nat_upto_99991_10000", "frac_verdicts_3_10000",

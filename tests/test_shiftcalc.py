@@ -438,9 +438,10 @@ def test_counter_depth_boundary(cf_of, sc_of):
 
 
 def test_counter_memory_stays_with_the_digits(cf_of, sc_of):
-    # at d = 99991 over depth 1311 the counter may reach position 875; zero
-    # prefixes built up to there would take about 3 MB, those the digits of
-    # n <= 10^4 reach take a few hundred bytes
+    # at d = 99991 over depth 1311 the counter may reach position 875; each
+    # step builds a transient zero prefix no longer than the digits of
+    # n <= 10^4 (a few hundred bytes), where prefixes kept up to position 875
+    # would take about 3 MB
     cf = cf_of(99991).at_least(1311)
     sc = sc_of(99991)
     tracemalloc.start()
@@ -471,10 +472,11 @@ def _counted(counter):
 
 
 @pytest.mark.parametrize("d", [*ostro.harness.DEFAULT_D_LIST, *map(Fraction, (
-    991, 9949, 99991, "1000003/7", 1000001))], ids=str)
+    991, 9949, 99991, "1000003/7", 1000001, 10**12 + 1))], ids=str)
 def test_two_level_counter_matches_the_single_level(d):
     # J is the first position >= 1 with q_J >= 64; d = 1000001 has q_1 = 2000,
-    # so J = 1.  Each n_max at a block edge, or the audit's 10^4, inside the
+    # so J = 1, and d = 10^12 + 1 has q_1 = 2*10^6 > 10^4, so its sweep is
+    # streamed.  Each n_max at a block edge, or the audit's 10^4, inside the
     # depth bound of the audit's expansion
     cf = ostro.cfrac.expand(d, 64)
     cf = cf.at_least(3 * cf.m + 3)
