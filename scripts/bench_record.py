@@ -221,6 +221,8 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
     "quadrat_add_13_4_1000": lambda: [x + y for x, y in pairs],
     "quadrat_mul_13_4_1000": lambda: [x * y for x, y in pairs],
     "quadrat_sign_13_4_1000": lambda: [x.sign() for x, _ in pairs],
+    # the pass over n's one sweep: the greedy digits (encode_nat below q_J, the
+    # descent past it) and their seven sums
     "natural_dots_upto_3_10000": lambda: collections.deque(
         shiftcalc.natural_dots_upto(cf3, sc3, 10**4), maxlen=0),
     "natural_dots_upto_99991_10000": lambda: collections.deque(
@@ -239,11 +241,6 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
     "audit_identities_99991_1311": lambda: cfrac.audit_identities(cf1311),
     "audit_identities_2999999_4023": lambda: cfrac.audit_identities(cf4023),
     "encode_nat_3_10000": lambda: [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)],
-    # the pass over n's encodings: encode_nat below q_J, the greedy descent past it
-    "encode_nat_upto_3_10000": lambda: collections.deque(
-        ostrowski.encode_nat_upto(cf3, 10**4), maxlen=0),
-    "encode_nat_upto_99991_10000": lambda: collections.deque(
-        ostrowski.encode_nat_upto(cf1311, 10**4), maxlen=0),
     "frac_verdicts_3_10000": lambda: [shiftcalc.frac_verdicts(cf3, sc3, fa, n, ya, yb)
                                       for fa, n, ya, yb, *_ in dots],
     "frac_verdicts_99991_10000": lambda: [shiftcalc.frac_verdicts(cf1311, sc64, fa, n, ya, yb)

@@ -8,12 +8,13 @@ products), exhaustive uniqueness, multiplication of reals and the two
 digit probes.  The table also names the timed STAGES and the reported
 SWEEPS, which _rows reads: it yields one row per report line of a result
 entry, and both renderers and both failure counts read those rows.  The
-pass over n checks encode_nat_upto against an Ostrowski counter's digits
-at every n, and its split test is one floor: fa + n*sqrt(d) lies in I iff
-a0 - fa = floor((n+1)*sqrt(d)), that is isqrt((n+1)^2 dn dd) // dd for
-d = dn/dd.  The uniqueness stage enumerates the valid digit strings
-once, and the prefix probe's tiling oracle reads its windows off those
-strings, so no oracle calls the encoder another sweep checks.
+pass over n reads one sweep of greedy digits and their ints, checks that
+the digits of each n sum back to n, and its split test is one floor:
+fa + n*sqrt(d) lies in I iff a0 - fa = floor((n+1)*sqrt(d)), that is
+isqrt((n+1)^2 dn dd) // dd for d = dn/dd.  The uniqueness stage
+enumerates the valid digit strings once, and the prefix probe's tiling
+oracle reads its windows off those strings, so no oracle calls the
+encoder another sweep checks.
 
 A report is a plain dict (JSON-ready).  Only corrected-form failures
 count as failures; printed-form failures are expected findings and are
@@ -145,13 +146,13 @@ def _constants(ctx) -> None:
 
 def _pass_over_n(ctx) -> None:
     """Roundtrip, sqrt split, both recoveries, and the shifted-digit product
-    on the fractional part of n*sqrt(d), all from the ints an Ostrowski
-    counter carries from n to n+1; encode_nat_upto's greedy digits must be
-    the counter's at every n.  n < q_{depth-m+1} keeps the digits shifted by
-    m inside the depth.  Only a sweep's first failure and the worked example
-    build exact witnesses, from the counter's digits (the encoder's where the
-    roundtrip held).  The exact products run here, fused; their count,
-    failures and seconds are left in ctx."""
+    on the fractional part of n*sqrt(d), all from the ints natural_dots_upto
+    yields with the greedy digits of n.  The descent checks each digit's
+    constraint, so the roundtrip is that the digits sum back to n.
+    n < q_{depth-m+1} keeps the digits shifted by m inside the depth.  Only
+    a sweep's first failure and the worked example build exact witnesses,
+    from the sweep's digits.  The exact products run here, fused; their
+    count, failures and seconds are left in ctx."""
     cf, sc, config, out = ctx.cf, ctx.sc, ctx.config, ctx.out
     n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
     exact_top = min(config.lambda_n_max, n_max) + 1
@@ -168,9 +169,9 @@ def _pass_over_n(ctx) -> None:
     # bound once per pass, from the module attributes, so a patched kernel is the one called
     sqrt_product, frac_verdicts = shiftcalc.sqrt_product, shiftcalc.frac_verdicts
     nat_verdicts = shiftcalc.nat_verdicts
-    counter = zip(ostrowski.encode_nat_upto(cf, n_max), shiftcalc.natural_dots_upto(cf, sc, n_max))
-    for n, (greedy, (digits, (fa, fb, ya, yb, v1, w0, w1))) in enumerate(counter):  # fb = n
-        if greedy != digits or fb != n:
+    sweep = shiftcalc.natural_dots_upto(cf, sc, n_max)
+    for n, (digits, (fa, fb, ya, yb, v1, w0, w1)) in enumerate(sweep):  # fb = n
+        if fb != n:
             rt_fails.append({"n": n, "reason": "roundtrip"})
             continue
         recovery_checked += 1

@@ -146,7 +146,8 @@ def encode_nat(n: int, cf: CFData) -> OstDigits:
 
 
 def _descend(digits: list[int], rem: int, k: int, stop: int, qs, period, m: int) -> int:
-    """encode_nat's loop: rem's digits k-1 down to stop into digits; the remainder."""
+    """encode_nat's loop: rem's digits k-1 down to stop into digits; the remainder.
+    shiftcalc.natural_dots_upto runs it down to its split position J."""
     for q in qs[k:stop:-1]:  # q_{k-1} down to q_stop: after k -= 1, q is qs[k + 1]
         k -= 1
         if rem >= q:  # a zero digit is under every cap
@@ -161,26 +162,11 @@ def _descend(digits: list[int], rem: int, k: int, stop: int, qs, period, m: int)
 
 
 def _split_position(cf: CFData, last: int) -> int | None:
-    """The first J in 1 .. last with q_J >= 64, or None: the sweeps over n list
-    the n < q_J once (the recovery stage at d = 3 and 99991 times alike at 64 and
-    128 n, about 1 ms slower at 32 and d = 3, 7 to 40 ms slower at 1024)."""
+    """The first J in 1 .. last with q_J >= 64, or None: the sweep over n encodes
+    the n < q_J once (on the greedy sweep, the recovery stage at d = 3 took 14.6 ms
+    at 64 and at 128, the same J = 8, and 16.2 ms at 32; at d = 99991 19.2 ms at 64
+    and 32, the same J = 4, and 18.8 ms at 128; medians of 10 interleaved rounds)."""
     return next((k for k in range(1, last + 1) if cf.conv_q[k + 1] >= 64), None)
-
-
-def encode_nat_upto(cf: CFData, n_max: int):
-    """Yield encode_nat(n, cf).digits for n = 0 .. n_max: the module's encode_nat
-    below q_J (J = _split_position, or the depth), then _descend from n's top
-    digit to J, with the lower digits of the remainder read from the first ones."""
-    qs, period, m = cf.conv_q, cf.period, cf.m
-    j, low = _split_position(cf, cf.depth) or cf.depth, []
-    for n in range(min(n_max + 1, qs[j + 1])):
-        low.append(encode_nat(n, cf).digits)
-        yield low[-1]
-    low = [digits + (0,) * (j - len(digits)) for digits in low]
-    for k in range(j + 1, min(bisect_right(qs, n_max, 1), cf.depth + 1)):  # q_{k-1} <= n < q_k
-        for n in range(qs[k], min(n_max + 1, qs[k + 1])):
-            yield low[_descend(digits := [0] * k, n, k, j, qs, period, m)] + tuple(digits[j:])
-    yield from (encode_nat(n, cf).digits for n in range(qs[-1], n_max + 1))  # DepthExceeded
 
 
 def beta_parts(x: OstDigits) -> tuple[int, int]:

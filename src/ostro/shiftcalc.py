@@ -12,8 +12,9 @@ Two recovery identities are audited per digit string x of a natural n:
     shift 1 (an index slip seen in print) is reported alongside.
 
 Both are decided on Python ints that natural_dots reads off the digits
-in one pass, or that natural_dots_upto sums from a table of low digit
-strings over a sweep; frac_verdicts and nat_verdicts return bools, and frac
+in one pass, or that natural_dots_upto sums over a greedy sweep, from a
+table of low digit strings and the high digits once per block;
+frac_verdicts and nat_verdicts return bools, and frac
 recovery is decided as y = U^-1 f, so the period-sized shifted sum y is
 never multiplied by U.  The witness builders check_recover_frac and
 check_recover_nat form the exact sides of an AuditEntry.  On top of them
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice
 
+from . import ostrowski
 from .cfrac import CFData, ShiftConstants, Value, _verdict
 from .errors import (
     DepthExceeded,
@@ -109,57 +110,41 @@ def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
     return _dots(cf, sc, x.digits)
 
 
-def _count_from(cf: CFData, sc: ShiftConstants, lo: int):
-    """Yield (digits at positions lo, lo + 1, .., their _dots from lo) in value
-    order, without end.  Going up by one raises the lowest digit that can rise
-    and zeroes the ones below: digit k rises to rise[k] (its cap, one less at
-    position 0) while the digit above is not at its own cap.  A digit whose
-    shift by m passes the depth raises DepthExceeded as natural_dots raises it."""
-    m = cf.m
-    top = cf.depth - m - lo  # the last position whose shift by m is materialized, from lo
-    caps = [cf.period[(lo + k) % m] for k in range(max(top, 0) + 2)]  # k reaches top + 1
-    rise = [cap - (lo + k == 0) for k, cap in enumerate(caps)]
-    digits: tuple[int, ...] = ()
-    while True:
-        yield digits, _dots(cf, sc, digits, lo)
-        k, size = 0, len(digits)
-        while True:
-            b = digits[k] + 1 if k < size else 1
-            if b <= rise[k] and (k + 1 >= size or digits[k + 1] != caps[k + 1]):
-                break
-            k += 1
-        if k > top:
-            raise DepthExceeded(f"shifted index {lo + k + m} exceeds depth {cf.depth}")
-        digits = (0,) * k + (b,) + digits[k + 1:]
-
-
 def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
-    """Yield (digits of n, natural_dots of them) for n = 0 .. n_max, by a
-    two-level Ostrowski counter.  With J = _split_position(cf, depth - m), one
-    _count_from run from 0 lists the digits and dots of every n < q_J, and one
-    from J steps through the high strings h in value order.
-    The dots are linear in the digits, so h yields its block of n by one tuple
-    concatenation and one 7-int sum per n: all q_J low strings, or the first
-    q_{J-1} (digit J-1 zero) when h's digit at J is at its cap a_{J+1}.  A sweep
-    inside the first block, or with no such J below the depth, is streamed.
-    Past q_{depth-m+1} DepthExceeded is raised as natural_dots raises it.
+    """Yield (encode_nat(n, cf).digits, natural_dots of them) for n = 0 .. n_max,
+    in one greedy sweep.  With J = _split_position(cf, depth - m), the module's
+    encode_nat gives each n < q_J and _dots sums it; each later n runs
+    ostrowski._descend from its top digit down to J, and its digits below J and
+    their sums are the table entry of the remainder.  The dots are linear in the
+    digits, so the high digits, a function of n - remainder at each digit count,
+    are summed from J only when that changes: once per block of q_J or q_{J-1} n.
+    A sweep inside the first block keeps no table.  The first n with a digit
+    whose shift by m passes the depth raises DepthExceeded as natural_dots does.
     """
-    qs, j = cf.conv_q, _split_position(cf, cf.depth - cf.m)  # qs[k + 1] = q_k
-    if j is None or n_max < qs[j + 1]:
-        yield from islice(_count_from(cf, sc, 0), max(n_max + 1, 0))
-        return
-    low = list(islice(_count_from(cf, sc, 0), qs[j + 1]))
-    yield from low
-    padded = [(digits + (0,) * (j - len(digits)), dots) for digits, dots in low]
-    blocks = padded, padded[:qs[j]]  # by whether h's digit at J is at its cap
-    cap, n = cf.period[j % cf.m], qs[j + 1]  # n: the first n of the next block
-    high = islice(_count_from(cf, sc, j), 1, None)  # h = () was the first block
-    while n <= n_max:
-        h, (g0, g1, g2, g3, g4, g5, g6) = next(high)
-        block = blocks[h[0] == cap][:n_max + 1 - n]
-        n += len(block)
-        for digits, (f0, f1, f2, f3, f4, f5, f6) in block:
-            yield digits + h, (f0 + g0, f1 + g1, f2 + g2, f3 + g3, f4 + g4, f5 + g5, f6 + g6)
+    qs, period, m, depth = cf.conv_q, cf.period, cf.m, cf.depth  # qs[k + 1] = q_k
+    # no split: the table is n = 0 alone (q_j = 1), and j = 1 when q_1 = q_0 = 1
+    # keeps the first digit count swept from being empty
+    j = _split_position(cf, depth - m) or int(qs[2] == 1)
+    encode, descend = ostrowski.encode_nat, ostrowski._descend  # a patched kernel is the one called
+    keep, low = n_max >= qs[j + 1], []
+    for n in range(min(n_max + 1, qs[j + 1])):
+        digits = encode(n, cf).digits
+        item = digits, _dots(cf, sc, digits)
+        if keep:
+            low.append(item)
+        yield item
+    low = [(digits + (0,) * (j - len(digits)), dots) for digits, dots in low]
+    for k in range(j + 1, bisect_right(qs, n_max, 1)):  # the n with k digits: q_{k-1} <= n < q_k
+        if k - 1 + m > depth:
+            raise DepthExceeded(f"shifted index {k - 1 + m} exceeds depth {depth}")
+        h = -1  # the value of the high digits: none yet at this digit count
+        for n in range(qs[k], min(n_max + 1, qs[k + 1])):
+            rem = descend(digits := [0] * k, n, k, j, qs, period, m)
+            if n - rem != h:
+                h, high = n - rem, tuple(digits[j:])
+                g0, g1, g2, g3, g4, g5, g6 = _dots(cf, sc, high, j)
+            lo, (f0, f1, f2, f3, f4, f5, f6) = low[rem]
+            yield lo + high, (f0 + g0, f1 + g1, f2 + g2, f3 + g3, f4 + g4, f5 + g5, f6 + g6)
 
 
 def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int) -> bool:

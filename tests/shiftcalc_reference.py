@@ -1,13 +1,13 @@
 """Bodies that ostro.shiftcalc replaced, kept as references for the tests.
 
 natural_dots_single_level is the one-level Ostrowski counter that the
-two-level natural_dots_upto replaced: n + 1 runs a carry search over
+greedy sweep natural_dots_upto replaced: n + 1 runs a carry search over
 every digit of n, sums the raised position's row into its tail and
-splices the digit tuple.  The library's counter sums each digit string
-with _dots instead, so this running-tail sum lives only here, as the
-independent side of the differential.  The tests require equal yields
-and equal DepthExceeded messages at the same n, for n_max >= 0 (at
-n_max < 0 it still yields n = 0).
+splices the digit tuple.  The library encodes each n greedily and sums
+its digits with _dots instead, so this odometer and its running-tail sum
+live only here, as the independent side of the differential.  The tests
+require equal yields and equal DepthExceeded messages at the same n, for
+n_max >= 0 (at n_max < 0 it still yields n = 0).
 
 times_sqrt_real_quadrat is the QuadRat body of times_sqrt_real, kept as
 the reference for its integer certificate.  It re-tags x over cf.d, takes its sign, whole part

@@ -5,10 +5,10 @@ checkout's root, medians and quartiles over the seeds, the traced
 metrics, the layers measured on the checkout's src/ (expand, the audit
 stages, the shift constants on a swept expansion and on an unswept copy,
 at_least, encode_real, QuadRat add/mul/sign, the natural_dots_upto
-counter at d = 3 and 99991, on the listed first block of d = 1000001 and
+sweep at d = 3 and 99991, on the listed first block of d = 1000001 and
 on the streamed one of d = 10^12 + 1, the enumerate_valid odometer,
 times_sqrt_real, the identity audit at periods 436 and 1340, encode_nat,
-the encode_nat_upto sweep, the recovery verdicts, decode_real, the
+the recovery verdicts, decode_real, the
 recovery checks, prefix_nat and cli.main on short commands; encode_real and prefix_nat on values over the
 expansion's own d object, as the audit builds them), each layer the min
 of 7 calls in a row with no calibration sample anywhere in the record,
@@ -137,12 +137,6 @@ def encode_nat(n, cf):
     if (cf.d, cf.depth) != (3, 64) or not 0 <= n <= 10**4:
         raise ValueError((n, cf.d, cf.depth))
     return ("digits", n)
-
-
-def encode_nat_upto(cf, n_max):
-    if (cf.d, cf.depth, n_max) not in ((3, 64, 10**4), (99991, 1311, 10**4)):
-        raise ValueError((cf.d, cf.depth, n_max))
-    return iter([()] * (n_max + 1))
 
 
 def decode_real(x):
@@ -291,8 +285,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "natural_dots_upto_1000000000001_10000", "enumerate_valid_31_8",
                 "times_sqrt_real_99991_20", "times_sqrt_real_3_256_50",
                 "audit_identities_99991_1311", "audit_identities_2999999_4023",
-                "encode_nat_3_10000", "encode_nat_upto_3_10000",
-                "encode_nat_upto_99991_10000", "frac_verdicts_3_10000",
+                "encode_nat_3_10000", "frac_verdicts_3_10000",
                 "frac_verdicts_99991_10000", "nat_verdicts_3_10000", "decode_real_3_10000", "check_recover_frac_3_2000",
                 "check_recover_nat_3_2000", "prefix_nat_61_40x9", "cli_main_short_40",
                 "cli_mul_99991_64", "cli_cf_99991_874", "cli_constants_99991_874",

@@ -4,6 +4,7 @@ multiplication by sqrt(d), and the window/probe layer."""
 
 import collections
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import ostro
 from ostro import (
     DepthExceeded,
+    InvalidDigits,
     OutOfDomain,
     OutOfInterval,
     VerificationFailed,
@@ -402,22 +404,90 @@ def test_audit_entry_serialization(cf_of, sc_of):
     }
 
 
-@pytest.mark.parametrize("d", [*ostro.harness.DEFAULT_D_LIST, Fraction(991),
-                               Fraction(1000003, 7)], ids=str)
+@pytest.mark.parametrize("d", [*ostro.harness.DEFAULT_D_LIST, *map(Fraction, (
+    991, 9949, 99991, "1000003/7"))], ids=str)
 def test_counter_matches_encode_and_natural_dots(d):
-    # the audit's expansion: 3m+3 deep, so d = 991 and 1000003/7 count
-    # through positions past their first period
-    cf = ostro.cfrac.expand(d, 64)
-    cf = cf.at_least(3 * cf.m + 3)
+    # the sweep's greedy descent down to J = _split_position(cf, depth - m),
+    # with the digits below J and their dots read from the first q_J n,
+    # against encode_nat and natural_dots per n: over the audit's expansion
+    # (3m+3 deep, so d = 991 and 1000003/7 count through positions past their
+    # first period) up to 3000, and over depths 64 and 3m+3 at each end of the
+    # split and at 20000 or the last n below the depth bound q_{depth-m+1}.
+    # The digits and dots of n do not depend on the depth once its shift by m
+    # is inside it, so one per-n list over the audit's expansion serves all
+    audit = ostro.cfrac.expand(d, 64)
+    audit = audit.at_least(3 * audit.m + 3)
+    sc = ostro.cfrac.derive_shift_constants(audit)
+    cases = [(audit, min(3000, audit.q(audit.depth - audit.m + 1) - 1))]
+    for depth in (64, 3 * audit.m + 3):
+        cf = ostro.cfrac.expand(d, depth)
+        bound = cf.q(max(cf.depth - cf.m + 1, 0))
+        j = ostro.ostrowski._split_position(cf, cf.depth - cf.m)
+        q_j = bound if j is None else cf.q(j)
+        cases += [(cf, n_max) for n_max in (0, q_j - 1, q_j, q_j + 1, min(20000, bound - 1))
+                  if n_max < bound]
+    top = max(n_max for _, n_max in cases)
+    per_n = [(x.digits, shiftcalc.natural_dots(x, sc))
+             for x in map(encode_nat, range(top + 1), [audit] * (top + 1))]
+    for cf, n_max in cases:
+        assert list(shiftcalc.natural_dots_upto(cf, sc, n_max)) == per_n[:n_max + 1], (
+            cf.depth, n_max)
+
+
+def _outcomes(items):
+    """What an iterable yields, then the (type, message) of the InvalidDigits or
+    DepthExceeded that ended it, if any; any other error propagates."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except (InvalidDigits, DepthExceeded) as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("d", (2, 3, 7, Fraction(13, 4), 61), ids=str)
+def test_counter_errors_match_the_per_n_loop_on_corrupted_tables(d):
+    # the tables of test_encode_nat_errors_match_the_full_scan_on_corrupted_tables,
+    # swept with the good table's constants past q_depth: the sweep yields what
+    # encode_nat and natural_dots per n yield up to their first error, at the
+    # same n, and raises only InvalidDigits or DepthExceeded.  d = 2 and 3 split
+    # at J = 5 and 8; 7, 13/4 and 61 have no J below depth - m
+    deep = ostro.cfrac.expand(d, 64)
+    cf = ostro.cfrac.expand(d, next(k for k in range(64) if deep.q(k) > 500))
     sc = ostro.cfrac.derive_shift_constants(cf)
-    n_max = min(3000, cf.q(cf.depth - cf.m + 1) - 1)
-    seen = 0
-    for n, (digits, dots) in enumerate(shiftcalc.natural_dots_upto(cf, sc, n_max)):
-        x = encode_nat(n, cf)
-        assert digits == x.digits, n
-        assert dots == shiftcalc.natural_dots(x, sc), n
-        seen += 1
-    assert seen == n_max + 1
+    tables = []
+    for i in range(len(cf.conv_q)):
+        for step in (-1, 1):
+            qs = list(cf.conv_q)
+            qs[i] += step
+            if qs[i] or i == 0:
+                tables.append(cf.replace(conv_q=tuple(qs)))
+    for i in range(cf.m):
+        for step in (-1, 1):
+            period = list(cf.period)
+            period[i] += step
+            tables.append(cf.replace(period=tuple(period)))
+    errors = collections.Counter()
+    n_max = cf.q(cf.depth) + 1
+    for bad in tables:
+        got = _outcomes(shiftcalc.natural_dots_upto(bad, sc, n_max))
+        want = _outcomes((x.digits, shiftcalc.natural_dots(x, sc))
+                         for x in map(encode_nat, range(n_max + 1), [bad] * (n_max + 1)))
+        assert got[:-1] == want[:-1], (bad.conv_q, bad.period)
+        if got[-1] != want[-1]:
+            # the sweep checks a digit count's shift by m before it encodes the
+            # count's first n, where the loop meets encode_nat's q_depth error
+            # first (m = 1) or an InvalidDigits
+            n = len(got) - 1
+            k = bisect_right(bad.conv_q, n, 1) - 1  # n's digit count
+            assert got[-1] == (DepthExceeded,
+                               f"shifted index {k - 1 + bad.m} exceeds depth {bad.depth}")
+            assert want[-1][0] is InvalidDigits or (bad.m == 1 and n == bad.q(bad.depth)), (
+                bad.conv_q, bad.period, want[-1])
+        errors[got[-1][0]] += 1
+    # at d = 61 every n >= 1 has its shift by m past the depth 8 < m = 11
+    assert errors[DepthExceeded] and (errors[InvalidDigits] or cf.m > cf.depth)
 
 
 def test_counter_depth_boundary(cf_of, sc_of):
