@@ -32,7 +32,7 @@ from ostro import (
     tail_window,
     validate,
 )
-from ostro import ostrowski
+from ostro import cfrac, ostrowski, shiftcalc
 from ostro.harness import DEFAULT_D_LIST, SuiteConfig
 from ostro.ostrowski import KIND_REAL, OstDigits
 from ostro.qfield import sign_sqrt
@@ -241,6 +241,36 @@ def test_encode_nat_errors_match_the_full_scan_on_corrupted_tables(cf_of, d):
             assert got == _nat_outcome(encode_nat_full_scan, n, bad), (bad.conv_q, bad.period, n)
             errors[got[0]] += 1
     assert errors[InvalidDigits] and errors[DepthExceeded] and errors[ValueError]
+
+
+@pytest.mark.parametrize("d", ALL_D, ids=str)
+def test_encode_nat_upto_matches_per_n_encoding(d):
+    # the greedy sweep over n that encode_nat_upto was, now the digits of
+    # shiftcalc.natural_dots_upto: its descent down to J = _split_position(cf,
+    # depth - m), with the digits below J and their dots read from the first
+    # q_J n, against encode_nat and natural_dots per n, over depths 64 and 3m+3
+    # at each end of the split and at 20000 or the last n below the depth
+    # bound q_{depth-m+1}. The digits and dots of n do not depend on the depth
+    # once its shift by m is inside it, so one per-n list over the audit's
+    # expansion serves both depths
+    audit = cfrac.expand(d, 64)
+    audit = audit.at_least(3 * audit.m + 3)
+    sc = cfrac.derive_shift_constants(audit)
+    cases = []
+    for depth in (64, 3 * audit.m + 3):
+        cf = cfrac.expand(d, depth)
+        bound = cf.q(max(cf.depth - cf.m + 1, 0))
+        j = ostrowski._split_position(cf, cf.depth - cf.m)
+        q_j = bound if j is None else cf.q(j)
+        cases += [(cf, n_max) for n_max in (0, q_j - 1, q_j, q_j + 1, min(20000, bound - 1))
+                  if n_max < bound]
+    top = max(n_max for _, n_max in cases)
+    per_n = [(x.digits, shiftcalc.natural_dots(x, sc))
+             for x in map(encode_nat, range(top + 1), [audit] * (top + 1))]
+    for cf, n_max in cases:
+        assert list(shiftcalc.natural_dots_upto(cf, sc, n_max)) == per_n[:n_max + 1], (
+            cf.depth, n_max)
+    assert list(shiftcalc.natural_dots_upto(cf, sc, -1)) == []
 
 
 def test_digits_are_read_only(cf_of):

@@ -404,34 +404,23 @@ def test_audit_entry_serialization(cf_of, sc_of):
     }
 
 
-@pytest.mark.parametrize("d", [*ostro.harness.DEFAULT_D_LIST, *map(Fraction, (
-    991, 9949, 99991, "1000003/7"))], ids=str)
+@pytest.mark.parametrize("d", [*ostro.harness.DEFAULT_D_LIST, Fraction(991),
+                               Fraction(1000003, 7)], ids=str)
 def test_counter_matches_encode_and_natural_dots(d):
-    # the sweep's greedy descent down to J = _split_position(cf, depth - m),
-    # with the digits below J and their dots read from the first q_J n,
-    # against encode_nat and natural_dots per n: over the audit's expansion
-    # (3m+3 deep, so d = 991 and 1000003/7 count through positions past their
-    # first period) up to 3000, and over depths 64 and 3m+3 at each end of the
-    # split and at 20000 or the last n below the depth bound q_{depth-m+1}.
-    # The digits and dots of n do not depend on the depth once its shift by m
-    # is inside it, so one per-n list over the audit's expansion serves all
-    audit = ostro.cfrac.expand(d, 64)
-    audit = audit.at_least(3 * audit.m + 3)
-    sc = ostro.cfrac.derive_shift_constants(audit)
-    cases = [(audit, min(3000, audit.q(audit.depth - audit.m + 1) - 1))]
-    for depth in (64, 3 * audit.m + 3):
-        cf = ostro.cfrac.expand(d, depth)
-        bound = cf.q(max(cf.depth - cf.m + 1, 0))
-        j = ostro.ostrowski._split_position(cf, cf.depth - cf.m)
-        q_j = bound if j is None else cf.q(j)
-        cases += [(cf, n_max) for n_max in (0, q_j - 1, q_j, q_j + 1, min(20000, bound - 1))
-                  if n_max < bound]
-    top = max(n_max for _, n_max in cases)
-    per_n = [(x.digits, shiftcalc.natural_dots(x, sc))
-             for x in map(encode_nat, range(top + 1), [audit] * (top + 1))]
-    for cf, n_max in cases:
-        assert list(shiftcalc.natural_dots_upto(cf, sc, n_max)) == per_n[:n_max + 1], (
-            cf.depth, n_max)
+    # the audit's expansion: 3m+3 deep, so d = 991 and 1000003/7 count
+    # through positions past their first period; depths 64 and 3m+3 at the
+    # split's edges are swept by test_encode_nat_upto_matches_per_n_encoding
+    cf = ostro.cfrac.expand(d, 64)
+    cf = cf.at_least(3 * cf.m + 3)
+    sc = ostro.cfrac.derive_shift_constants(cf)
+    n_max = min(3000, cf.q(cf.depth - cf.m + 1) - 1)
+    seen = 0
+    for n, (digits, dots) in enumerate(shiftcalc.natural_dots_upto(cf, sc, n_max)):
+        x = encode_nat(n, cf)
+        assert digits == x.digits, n
+        assert dots == shiftcalc.natural_dots(x, sc), n
+        seen += 1
+    assert seen == n_max + 1
 
 
 def _outcomes(items):
