@@ -25,7 +25,8 @@ A ``layers`` block, measured in a subprocess on the checkout's ``src/``,
 adds what the traced run cannot show: ``audit_stages``, per audit stage
 the min of 3 runs of ``ostro.run_suite`` at the default config for
 d = 99991 and for d = 3, and one entry per row of the ``kernels`` table
-in ``LAYERS`` (a name and a zero-argument call on fixed inputs), each
+in ``LAYERS`` (a name and a zero-argument call on fixed inputs, such as
+``harness._pass_over_n`` on a prebuilt context at d = 3 and 99991), each
 ``{"unit": "s", "min_of": 7, "value": <min of 7 calls in a row>}``.
 An ``audit`` block times K_AUDIT = 3 runs of ``python -m ostro audit
 --format json`` (the default suite) on the checkout and keeps per
@@ -160,11 +161,11 @@ def measure_oneshot(root: Path) -> dict:
 
 # Run as `python -c LAYERS SRC`: imports ostro from SRC and prints one JSON line.
 LAYERS = """
-import collections, contextlib, io, json, random, sys, time
+import collections, contextlib, io, json, random, sys, time, types
 sys.path.insert(0, sys.argv[1])
 from fractions import Fraction
 import ostro
-from ostro import cfrac, cli, ostrowski, shiftcalc
+from ostro import cfrac, cli, harness, ostrowski, shiftcalc
 
 def timed(fn, k=7):  # the min of k calls in a row
     times = []
@@ -205,6 +206,9 @@ by9973 = [Fraction(10**6 + 7 * j, 9973) for j in range(50)]
 dots = [t for _, t in shiftcalc.natural_dots_upto(cf3, sc3, 10**4)]
 nats = [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)]
 dots99991 = [t for _, t in shiftcalc.natural_dots_upto(cf1311, sc64, 10**4)]
+def pass_ctx(cf, sc):  # what audit_one hands the pass over n, at the default config
+    return types.SimpleNamespace(cf=cf, sc=sc, config=ostro.SuiteConfig(d_list=(cf.d,)), out={})
+ctx3, ctx99991 = pass_ctx(cf3, sc3), pass_ctx(cf1311, sc64)
 short_argvs = [argv for d in ("2", "3", "7", "10", "19", "61", "13/4", "5/3") for argv in (
     ["cf", "--d", d, "--depth", "20"], ["constants", "--d", d], ["encode", "--d", d, "123456"],
     ["decode", "--real", f"0,1,0,1@d={d}"], ["mul", "--d", d, "--x", "7/5", "--eps", "1e-12"])]
@@ -227,6 +231,10 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
         shiftcalc.natural_dots_upto(cf3, sc3, 10**4), maxlen=0),
     "natural_dots_upto_99991_10000": lambda: collections.deque(
         shiftcalc.natural_dots_upto(cf1311, sc64, 10**4), maxlen=0),
+    # the audit's recovery stage on its own (n_max = 10^4): the sweep, the verdicts
+    # and the exact products; audit_stages reads it in steps of 1 ms
+    "pass_over_n_3_10000": lambda: harness._pass_over_n(ctx3),
+    "pass_over_n_99991_10000": lambda: harness._pass_over_n(ctx99991),
     # q_1 = 2000: the first block lists 2000 low strings; q_1 = 2*10^6: streamed
     "natural_dots_upto_1000001_10000": lambda: collections.deque(
         shiftcalc.natural_dots_upto(cf1000001, sc1000001, 10**4), maxlen=0),

@@ -147,7 +147,8 @@ def encode_nat(n: int, cf: CFData) -> OstDigits:
 
 def _descend(digits: list[int], rem: int, k: int, stop: int, qs, period, m: int) -> int:
     """encode_nat's loop: rem's digits k-1 down to stop into digits; the remainder.
-    shiftcalc.natural_dots_upto runs it down to its split position J."""
+    shiftcalc.natural_dots_upto runs it down to its split position J once per block
+    of n that share their digits from J up."""
     for q in qs[k:stop:-1]:  # q_{k-1} down to q_stop: after k -= 1, q is qs[k + 1]
         k -= 1
         if rem >= q:  # a zero digit is under every cap
@@ -163,9 +164,9 @@ def _descend(digits: list[int], rem: int, k: int, stop: int, qs, period, m: int)
 
 def _split_position(cf: CFData, last: int) -> int | None:
     """The first J in 1 .. last with q_J >= 64, or None: the sweep over n encodes
-    the n < q_J once (on the greedy sweep, the recovery stage at d = 3 took 14.6 ms
-    at 64 and at 128, the same J = 8, and 16.2 ms at 32; at d = 99991 19.2 ms at 64
-    and 32, the same J = 4, and 18.8 ms at 128; medians of 10 interleaved rounds)."""
+    the n < q_J once (on the block sweep, the recovery stage of the nine audit-default
+    radicands, 991 and 99991 took 116.2 ms in all at 64, 118.4 at 128, 122.9 at 32
+    and 127.8 at 256; medians of 20 interleaved rounds, each the min of 5)."""
     return next((k for k in range(1, last + 1) if cf.conv_q[k + 1] >= 64), None)
 
 

@@ -13,8 +13,8 @@ Two recovery identities are audited per digit string x of a natural n:
 
 Both are decided on Python ints that natural_dots reads off the digits
 in one pass, or that natural_dots_upto sums over a greedy sweep, from a
-table of low digit strings and the high digits once per block;
-frac_verdicts and nat_verdicts return bools, and frac
+table of low digit strings and one descent and sum of the high digits
+per block of n; frac_verdicts and nat_verdicts return bools, and frac
 recovery is decided as y = U^-1 f, so the period-sized shifted sum y is
 never multiplied by U.  The witness builders check_recover_frac and
 check_recover_nat form the exact sides of an AuditEntry.  On top of them
@@ -113,13 +113,15 @@ def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
 def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
     """Yield (encode_nat(n, cf).digits, natural_dots of them) for n = 0 .. n_max,
     in one greedy sweep.  With J = _split_position(cf, depth - m), the module's
-    encode_nat gives each n < q_J and _dots sums it; each later n runs
-    ostrowski._descend from its top digit down to J, and its digits below J and
-    their sums are the table entry of the remainder.  The dots are linear in the
-    digits, so the high digits, a function of n - remainder at each digit count,
-    are summed from J only when that changes: once per block of q_J or q_{J-1} n.
-    A sweep inside the first block keeps no table.  The first n with a digit
-    whose shift by m passes the depth raises DepthExceeded as natural_dots does.
+    encode_nat gives each n < q_J and _dots sums it.  Past q_J, ostrowski._descend
+    runs from the top digit down to J once per block: the n whose digits from J up
+    (unique, by Ostrowski's theorem) are those of its first n.  Their remainders
+    follow on up to the block's room, the first at which a digit from J up would
+    change or the descent's cap check trip: q_J, or q_{J-1} at a capped digit J,
+    on a correct table.  Each n of a block is its remainder's table entry plus the
+    high digits, which _dots sums once per block.  A sweep inside the first block
+    keeps no table.  The first n with a digit whose shift by m passes the depth
+    raises DepthExceeded as natural_dots does.
     """
     qs, period, m, depth = cf.conv_q, cf.period, cf.m, cf.depth  # qs[k + 1] = q_k
     # no split: the table is n = 0 alone (q_j = 1), and j = 1 when q_1 = q_0 = 1
@@ -137,14 +139,22 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
     for k in range(j + 1, bisect_right(qs, n_max, 1)):  # the n with k digits: q_{k-1} <= n < q_k
         if k - 1 + m > depth:
             raise DepthExceeded(f"shifted index {k - 1 + m} exceeds depth {depth}")
-        h = -1  # the value of the high digits: none yet at this digit count
-        for n in range(qs[k], min(n_max + 1, qs[k + 1])):
+        n, end = qs[k], min(n_max + 1, qs[k + 1])
+        while n < end:  # one block: the n whose digits from J up are those of its first n
             rem = descend(digits := [0] * k, n, k, j, qs, period, m)
-            if n - rem != h:
-                h, high = n - rem, tuple(digits[j:])
-                g0, g1, g2, g3, g4, g5, g6 = _dots(cf, sc, high, j)
-            lo, (f0, f1, f2, f3, f4, f5, f6) = low[rem]
-            yield lo + high, (f0 + g0, f1 + g1, f2 + g2, f3 + g3, f4 + g4, f5 + g5, f6 + g6)
+            # room: the first remainder at which a digit i >= J would change (rem + t
+            # reaches q_i) or digit J at its cap trip the cap check (rem reaches q_{J-1});
+            # above J a capped digit's check trips where the 0 below it would change
+            room, t = rem + end - n, 0
+            for i in range(j, k):
+                room, t = min(room, qs[i + 1] - t), t + digits[i] * qs[i + 1]
+            if digits[j] and digits[j] == period[j % m]:
+                room = min(room, qs[j])
+            high = tuple(digits[j:])
+            g0, g1, g2, g3, g4, g5, g6 = _dots(cf, sc, high, j)
+            for lo, (f0, f1, f2, f3, f4, f5, f6) in low[rem:room]:
+                yield lo + high, (f0 + g0, f1 + g1, f2 + g2, f3 + g3, f4 + g4, f5 + g5, f6 + g6)
+            n += room - rem
 
 
 def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int) -> bool:

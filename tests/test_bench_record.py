@@ -6,7 +6,8 @@ metrics, the layers measured on the checkout's src/ (expand, the audit
 stages, the shift constants on a swept expansion and on an unswept copy,
 at_least, encode_real, QuadRat add/mul/sign, the natural_dots_upto
 sweep at d = 3 and 99991, on the listed first block of d = 1000001 and
-on the streamed one of d = 10^12 + 1, the enumerate_valid odometer,
+on the streamed one of d = 10^12 + 1, the audit's pass over n on a prebuilt
+context at d = 3 and 99991, the enumerate_valid odometer,
 times_sqrt_real, the identity audit at periods 436 and 1340, encode_nat,
 the recovery verdicts, decode_real, the
 recovery checks, prefix_nat and cli.main on short commands; encode_real and prefix_nat on values over the
@@ -199,6 +200,15 @@ def times_sqrt_real(x, eps, cf, sc):
         raise ValueError((x, eps, cf.d, cf.depth, sc))
 '''
 
+STUB_HARNESS = '''
+def _pass_over_n(ctx):
+    cf = ctx.cf
+    if ((cf.d, cf.depth, ctx.sc) not in ((3, 64, ("sc", 3)), (99991, 1311, ("sc", 99991)))
+            or ctx.config.d_list != (cf.d,)):
+        raise ValueError((cf.d, cf.depth, ctx.sc, ctx.config.d_list))
+    ctx.out["recover_nat"] = {"checked": 10**4 + 1}
+'''
+
 STUB_CLI = '''
 def main(argv):
     if argv[0] not in ("cf", "constants", "encode", "decode", "mul", "audit"):
@@ -245,6 +255,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     (root / "src" / "ostro" / "ostrowski.py").write_text(STUB_OSTROWSKI)
     (root / "src" / "ostro" / "shiftcalc.py").write_text(STUB_SHIFTCALC)
     (root / "src" / "ostro" / "cli.py").write_text(STUB_CLI)
+    (root / "src" / "ostro" / "harness.py").write_text(STUB_HARNESS)
     (root / "src" / "ostro" / "__main__.py").write_text(STUB_MAIN)
     (root / "tests").mkdir()
     (root / "tests" / "test_one.py").write_text("def test_one():\n    pass\n")
@@ -262,8 +273,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
         return {p.name.split(".")[0] for p in (root / package / "__pycache__").glob("*.pyc")}
 
     assert compiled("perfbench") == {"run"}
-    assert compiled("src/ostro") == {"__init__", "__main__", "cfrac", "cli", "ostrowski",
-                                     "shiftcalc"}
+    assert compiled("src/ostro") == {"__init__", "__main__", "cfrac", "cli", "harness",
+                                     "ostrowski", "shiftcalc"}
     rec = json.loads((root / "BENCH_1.json").read_text())
     assert rec["pr"] == 1 and rec["git_sha"] is None and rec["dirty"] is None  # no git checkout
     assert rec["machine"]["nproc"] >= 1
@@ -282,7 +293,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "encode_real_61_40x150", "quadrat_add_13_4_1000", "quadrat_mul_13_4_1000",
                 "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000",
                 "natural_dots_upto_99991_10000", "natural_dots_upto_1000001_10000",
-                "natural_dots_upto_1000000000001_10000", "enumerate_valid_31_8",
+                "natural_dots_upto_1000000000001_10000", "pass_over_n_3_10000",
+                "pass_over_n_99991_10000", "enumerate_valid_31_8",
                 "times_sqrt_real_99991_20", "times_sqrt_real_3_256_50",
                 "audit_identities_99991_1311", "audit_identities_2999999_4023",
                 "encode_nat_3_10000", "frac_verdicts_3_10000",
@@ -307,7 +319,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
         assert set(times) == {"import_s", "first_call_s"} and min(times.values()) > 0
     assert rec["tier1"]["returncode"] == 0 and "1 passed" in rec["tier1"]["summary"]
     stubs = {"__init__.py": STUB_OSTRO, "__main__.py": STUB_MAIN, "cfrac.py": STUB_CFRAC,
-             "cli.py": STUB_CLI, "ostrowski.py": STUB_OSTROWSKI, "shiftcalc.py": STUB_SHIFTCALC}
+             "cli.py": STUB_CLI, "harness.py": STUB_HARNESS, "ostrowski.py": STUB_OSTROWSKI,
+             "shiftcalc.py": STUB_SHIFTCALC}
     assert rec["src_lines"] == {"by_module": {name: text.count("\n")
                                               for name, text in sorted(stubs.items())},
                                 "total": sum(text.count("\n") for text in stubs.values())}

@@ -256,21 +256,43 @@ def test_pass_over_n_calls_encode_nat_below_the_split_only(monkeypatch):
     assert calls == list(range(153))
 
 
-def test_a_fault_past_the_split_is_one_roundtrip_failure(monkeypatch):
-    # the descent above J = 8 leaves 200 - q_8 = 47 at n = 200; one more puts
-    # the low digits of 48 there, which only the roundtrip sees
+def test_pass_over_n_descends_once_per_block(monkeypatch):
+    # past q_8 = 153 at d = 3 the sweep descends once per block of n that share
+    # their digits from J = 8 up, so once per distinct such string up to 2000
+    cf = cfrac.expand(3, SMALL.depth)
+    j = ostrowski._split_position(cf, cf.depth - cf.m)
+    highs = {ostrowski.encode_nat(n, cf).digits[j:] for n in range(cf.q(j), 2001)}
+    calls = []
+    descend = ostrowski._descend
+
+    def counted(digits, rem, k, stop, *rest):
+        if stop:
+            calls.append(rem)
+        return descend(digits, rem, k, stop, *rest)
+
+    monkeypatch.setattr(ostrowski, "_descend", counted)
+    res = run_suite(SMALL.replace(d_list=(Fraction(3),), n_max=2000))["results"][0]
+    assert res["roundtrip_and_split"] == {"checked": 2001, "failures": 0, "first_failure": None}
+    assert len(calls) == len(highs) == 18
+
+
+def test_a_fault_past_the_split_fails_its_block_in_the_roundtrip(monkeypatch):
+    # up to 400 the descent above J = 8 starts blocks at 153, 209 and 362; one
+    # more on 362's remainder puts the low digits of n + 1 on every n of its
+    # block, which n_max cuts at the 39 n 362 .. 400, and only the roundtrip
+    # sees them
     descend = ostrowski._descend
 
     def faulty(digits, rem, k, stop, *rest):
-        return descend(digits, rem, k, stop, *rest) + (rem == 200 and stop > 0)
+        return descend(digits, rem, k, stop, *rest) + (rem == 362 and stop > 0)
 
     monkeypatch.setattr(ostrowski, "_descend", faulty)
     res = run_suite(SMALL.replace(d_list=(Fraction(3),), n_max=400))["results"][0]
     assert "error" not in res, res["error"]
-    assert res["roundtrip_and_split"] == {"checked": 401, "failures": 1,
-                                          "first_failure": {"n": 200, "reason": "roundtrip"}}
+    assert res["roundtrip_and_split"] == {"checked": 401, "failures": 39,
+                                          "first_failure": {"n": 362, "reason": "roundtrip"}}
     assert {key for key in SWEEP_KEYS if res[key]["failures"]} == {"roundtrip_and_split"}
-    assert res["recover_frac"]["checked"] == res["recover_nat"]["checked"] == 400
+    assert res["recover_frac"]["checked"] == res["recover_nat"]["checked"] == 362
 
 
 def test_a_wrong_low_encoding_fails_every_n_that_reads_it(monkeypatch):

@@ -479,6 +479,27 @@ def test_counter_errors_match_the_per_n_loop_on_corrupted_tables(d):
     assert errors[DepthExceeded] and (errors[InvalidDigits] or cf.m > cf.depth)
 
 
+def test_counter_stops_mid_block_where_a_capped_digit_above_the_split_trips():
+    # d = 3 over depth 12 (J = 8, a_11 = 1) with q_9 moved to 208, and a_10 to 3
+    # so that no n with digit 9 = 2 fails first: n = 779 = q_10 + q_8 + 55 has
+    # digit 10 at its cap with remainder 208 = q_9, which the descent rejects at
+    # position 10.  779 lies inside the block 724 .. 779 that digit J at its cap
+    # (q_7 = 56) would give, so the block must end at 778 for the sweep to raise
+    # where encode_nat does
+    cf = ostro.cfrac.expand(3, 12)
+    sc = ostro.cfrac.derive_shift_constants(cf)
+    qs = list(cf.conv_q)
+    qs[10] -= 1
+    bad = cf.replace(conv_q=tuple(qs), period=(1, 3))
+    assert ostro.ostrowski._split_position(bad, bad.depth - bad.m) == 8
+    got = _outcomes(shiftcalc.natural_dots_upto(bad, sc, 779))
+    want = _outcomes((x.digits, shiftcalc.natural_dots(x, sc))
+                     for x in map(encode_nat, range(780), [bad] * 780))
+    assert got == want
+    assert len(got) == 780 and got[-1] == (
+        InvalidDigits, f"digit constraint violated at position 10: {[0] * 10 + [1]}")
+
+
 def test_counter_depth_boundary(cf_of, sc_of):
     # over depth 14, d = 3 (m = 2) counts up to q_13 - 1 = 2910; the next
     # n has its top digit at 13, which shifted by m passes the depth
