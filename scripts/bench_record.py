@@ -161,7 +161,7 @@ def measure_oneshot(root: Path) -> dict:
 
 # Run as `python -c LAYERS SRC`: imports ostro from SRC and prints one JSON line.
 LAYERS = """
-import collections, contextlib, io, json, random, sys, time, types
+import collections, contextlib, io, json, os, random, sys, time, types
 sys.path.insert(0, sys.argv[1])
 from fractions import Fraction
 import ostro
@@ -203,9 +203,17 @@ rationals, eps = [Fraction(7, 5) + Fraction(j, 20) for j in range(20)], Fraction
 cf256 = cfrac.expand(3, 256)  # eps = 10^-60 takes 212 digits, and the shift stays inside
 sc256, eps60 = cfrac.derive_shift_constants(cf256), Fraction(1, 10**60)
 by9973 = [Fraction(10**6 + 7 * j, 9973) for j in range(50)]
-dots = [t for _, t in shiftcalc.natural_dots_upto(cf3, sc3, 10**4)]
+# the ints per n, for the verdict kernels: the reference flattening of the block
+# sweep, kept with the checkout's tests; a checkout from before the block sweep
+# has none, and its sweep yields them per n
+sys.path.insert(1, os.path.join(os.path.dirname(sys.argv[1]), "tests"))
+try:
+    from shiftcalc_reference import natural_dots_per_n
+except ImportError:
+    natural_dots_per_n = shiftcalc.natural_dots_upto
+dots = [t for _, t in natural_dots_per_n(cf3, sc3, 10**4)]
 nats = [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)]
-dots99991 = [t for _, t in shiftcalc.natural_dots_upto(cf1311, sc64, 10**4)]
+dots99991 = [t for _, t in natural_dots_per_n(cf1311, sc64, 10**4)]
 def pass_ctx(cf, sc):  # what audit_one hands the pass over n, at the default config
     return types.SimpleNamespace(cf=cf, sc=sc, config=ostro.SuiteConfig(d_list=(cf.d,)), out={})
 ctx3, ctx99991 = pass_ctx(cf3, sc3), pass_ctx(cf1311, sc64)
@@ -225,14 +233,15 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
     "quadrat_add_13_4_1000": lambda: [x + y for x, y in pairs],
     "quadrat_mul_13_4_1000": lambda: [x * y for x, y in pairs],
     "quadrat_sign_13_4_1000": lambda: [x.sign() for x, _ in pairs],
-    # the pass over n's one sweep: the greedy digits (encode_nat below q_J, the
-    # descent past it) and their seven sums
+    # the pass over n's one sweep: the low table's greedy digits and their seven
+    # sums (encode_nat below q_J), then one descent and sum per block past it
     "natural_dots_upto_3_10000": lambda: collections.deque(
         shiftcalc.natural_dots_upto(cf3, sc3, 10**4), maxlen=0),
     "natural_dots_upto_99991_10000": lambda: collections.deque(
         shiftcalc.natural_dots_upto(cf1311, sc64, 10**4), maxlen=0),
-    # the audit's recovery stage on its own (n_max = 10^4): the sweep, the verdicts
-    # and the exact products; audit_stages reads it in steps of 1 ms
+    # the audit's recovery stage on its own (n_max = 10^4): the sweep, the checks
+    # per entry and per block, and the exact products; audit_stages reads it in
+    # steps of 1 ms
     "pass_over_n_3_10000": lambda: harness._pass_over_n(ctx3),
     "pass_over_n_99991_10000": lambda: harness._pass_over_n(ctx99991),
     # q_1 = 2000: the first block lists 2000 low strings; q_1 = 2*10^6: streamed

@@ -58,6 +58,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_DEPTH = 3
 EXIT_DOMAIN = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
 
 
 def _effective_depth(requested: int) -> int:
@@ -331,7 +332,12 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact values print at any length
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader of stdout is gone: end quietly, as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (RationalSquare, UnsupportedRadicand, InvalidDigits, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)  # json.JSONDecodeError is a ValueError
         return EXIT_BAD_INPUT

@@ -8,13 +8,13 @@ products), exhaustive uniqueness, multiplication of reals and the two
 digit probes.  The table also names the timed STAGES and the reported
 SWEEPS, which _rows reads: it yields one row per report line of a result
 entry, and both renderers and both failure counts read those rows.  The
-pass over n reads one sweep of greedy digits and their ints, checks that
-the digits of each n sum back to n, and its split test is one floor:
-fa + n*sqrt(d) lies in I iff a0 - fa = floor((n+1)*sqrt(d)), that is
-isqrt((n+1)^2 dn dd) // dd for d = dn/dd.  The uniqueness stage
-enumerates the valid digit strings once, and the prefix probe's tiling
-oracle reads its windows off those strings, so no oracle calls the
-encoder another sweep checks.
+pass over n reads one sweep, a low table and then blocks of n, and decides
+each check once per entry and once per block, per n only where that fails.
+Its split test is one floor: fa + n*sqrt(d) lies in I iff a0 - fa =
+floor((n+1)*sqrt(d)), isqrt((n+1)^2 dn dd) // dd for d = dn/dd, taken per
+block at two n.  The uniqueness stage enumerates the valid digit strings
+once, and the prefix probe's tiling oracle reads its windows off those
+strings, so no oracle calls the encoder another sweep checks.
 
 A report is a plain dict (JSON-ready).  Only corrected-form failures
 count as failures; printed-form failures are expected findings and are
@@ -28,7 +28,7 @@ import time
 from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
-from operator import mul
+from operator import add, mul
 from types import SimpleNamespace
 
 from . import cfrac, ostrowski, shiftcalc
@@ -147,62 +147,88 @@ def _constants(ctx) -> None:
 def _pass_over_n(ctx) -> None:
     """Roundtrip, sqrt split, both recoveries, and the shifted-digit product
     on the fractional part of n*sqrt(d), all from the ints natural_dots_upto
-    yields with the greedy digits of n.  The descent checks each digit's
-    constraint, so the roundtrip is that the digits sum back to n.
-    n < q_{depth-m+1} keeps the digits shifted by m inside the depth.  Only
-    a sweep's first failure and the worked example build exact witnesses,
-    from the sweep's digits.  The exact products run here, fused; their
-    count, failures and seconds are left in ctx."""
+    yields.  The descent checks each digit's constraint, so the roundtrip is
+    that the digits sum back to n.  n < q_{depth-m+1} keeps the digits shifted
+    by m inside the depth.  check runs every check at one n: each table entry,
+    and each n of a block that does not pass whole.  A block passes whole when
+    rem = 0, n0 > 50 (the printed forms stay per n), no entry below its room has
+    a nonzero residual, its own are zero (each residual is linear in the ints),
+    and the split holds at the entries of least and greatest beta (I is convex).
+    Only a sweep's first failure and the worked example build exact witnesses,
+    from the sweep's digits.  The exact products run here, fused; their count,
+    failures and seconds are left in ctx."""
     cf, sc, config, out = ctx.cf, ctx.sc, ctx.config, ctx.out
     n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
     exact_top = min(config.lambda_n_max, n_max) + 1
-    recovery_checked = exact_checked = 0  # n whose checks ran; a roundtrip failure skips them
     rt_fails: list = []
     frac_fails: list = []  # (n, digits) per failing n; _witness_first reports one
     nat_fails: list = []
     exact_fails: list = []
-    printed_frac_fails = printed_nat_fails = 0
+    printed = [0, 0]  # frac and nat printed-form failures up to n = 50
     example = None
-    a0, dd, example_n = cf.a0, cf.dd, min(5, n_max)
-    dndd = cf.dn * dd  # floor(floor(y)/dd) = floor(y/dd) makes the split test exact
+    a0, dn, dd, example_n = cf.a0, cf.dn, cf.dd, min(5, n_max)
+    dndd = dn * dd  # floor(floor(y)/dd) = floor(y/dd) makes the split test exact
     exact_s = 0.0
     # bound once per pass, from the module attributes, so a patched kernel is the one called
     sqrt_product, frac_verdicts = shiftcalc.sqrt_product, shiftcalc.frac_verdicts
     nat_verdicts = shiftcalc.nat_verdicts
-    sweep = shiftcalc.natural_dots_upto(cf, sc, n_max)
-    for n, (digits, (fa, fb, ya, yb, v1, w0, w1)) in enumerate(sweep):  # fb = n
+
+    def in_i(n: int, fa: int) -> bool:  # fa + n sqrt(d) lies in I
+        return a0 - fa == isqrt((n + 1) ** 2 * dndd) // dd
+
+    def check(n, digits, fa, fb, ya, yb, v1, w0, w1) -> bool:
+        """Every check at n, its failures recorded; whether a residual is nonzero."""
+        nonlocal exact_s, example
         if fb != n:
             rt_fails.append({"n": n, "reason": "roundtrip"})
-            continue
-        recovery_checked += 1
-        if a0 - fa != isqrt((n + 1) ** 2 * dndd) // dd:
+            return True
+        if not in_i(n, fa):
             rt_fails.append({"n": n, "reason": "fractional part outside I"})
-        if n < exact_top:
-            exact_checked += 1
-            t_exact = time.perf_counter()
-            if not sqrt_product(cf, sc, fa, fb, ya, yb)[0]:
-                exact_fails.append((n, digits))
-            exact_s += time.perf_counter() - t_exact
-        if not frac_verdicts(cf, sc, fa, fb, ya, yb):
-            frac_fails.append((n, digits))
-        if not nat_verdicts(sc, fb, v1, w0):
-            nat_fails.append((n, digits))
+        t_exact = time.perf_counter()
+        exact = n < exact_top and any(sqrt_product(cf, sc, fa, fb, ya, yb)[0])
+        exact_s += time.perf_counter() - t_exact
+        wrong = exact, any(frac_verdicts(cf, sc, fa, fb, ya, yb)), nat_verdicts(sc, fb, v1, w0)
+        for fails, bad in zip((exact_fails, frac_fails, nat_fails), wrong):
+            if bad:
+                fails.append((n, digits))
         if n <= 50:
             frac_printed, nat_printed = shiftcalc.printed_verdicts(cf, sc, fa, fb, ya, yb, v1, w1)
-            printed_frac_fails += not frac_printed
-            printed_nat_fails += not nat_printed
+            printed[0] += not frac_printed
+            printed[1] += not nat_printed
         if n == example_n:
             example = ostrowski.OstDigits._of(cf, digits, ostrowski.KIND_NAT)
+        return any(wrong)
+
+    table: list = []  # per entry: digits, ints, and up to it a nonzero flag, argmin, argmax
+    flagged, lo, hi = False, 0, 0
+    for item in shiftcalc.natural_dots_upto(cf, sc, n_max):
+        if len(item) == 2:  # the table entry of n = r
+            r, (digits, ints) = len(table), item
+            flagged = check(r, digits, *ints) or flagged
+            least, most = (table[lo][1], table[hi][1]) if table else (ints, ints)
+            lo = r if sign_sqrt(ints[0] - least[0], ints[1] - least[1], dn, dd) < 0 else lo
+            hi = r if sign_sqrt(ints[0] - most[0], ints[1] - most[1], dn, dd) > 0 else hi
+            table.append((digits, ints, flagged, lo, hi))
+            continue
+        n, rem, room, high, g = item
+        *_, nonzero, lo_r, hi_r = table[room - 1]
+        if (rem or n <= 50 or nonzero or g[1] != n or any(frac_verdicts(cf, sc, *g[:4]))
+                or nat_verdicts(sc, n, g[4], g[5])
+                or n < exact_top and any(sqrt_product(cf, sc, *g[:4])[0])
+                or not all(in_i(n + r, table[r][1][0] + g[0]) for r in (lo_r, hi_r))):
+            for r in range(rem, room):
+                digits, ints = table[r][:2]
+                check(n - rem + r, digits + high[len(digits):], *map(add, ints, g))
+    skipped = [f["n"] for f in rt_fails if f["reason"] == "roundtrip"]  # their checks did not run
+    recovery_checked = n_max + 1 - len(skipped)
+    exact_checked = exact_top - sum(n < exact_top for n in skipped)
     ctx.exact_checked, ctx.exact_fails, ctx.exact_s = exact_checked, exact_fails, exact_s
     _sweep(out, "roundtrip_and_split", n_max + 1, rt_fails)
     _sweep(out, "recover_frac", recovery_checked, _witness_first(
         cf, frac_fails, lambda n, x: shiftcalc.check_recover_frac(x, sc).to_json()))
     _sweep(out, "recover_nat", recovery_checked, _witness_first(
         cf, nat_fails, lambda n, x: shiftcalc.check_recover_nat(x, sc).to_json()))
-    out["recovery_printed_fails_upto_50"] = {
-        "frac": printed_frac_fails,
-        "nat": printed_nat_fails,
-    }
+    out["recovery_printed_fails_upto_50"] = {"frac": printed[0], "nat": printed[1]}
     out["recovery_example"] = None if example is None else {
         "frac": shiftcalc.check_recover_frac(example, sc).to_json(),
         "nat": shiftcalc.check_recover_nat(example, sc).to_json(),

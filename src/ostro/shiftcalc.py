@@ -12,17 +12,17 @@ Two recovery identities are audited per digit string x of a natural n:
     shift 1 (an index slip seen in print) is reported alongside.
 
 Both are decided on Python ints that natural_dots reads off the digits
-in one pass, or that natural_dots_upto sums over a greedy sweep, from a
-table of low digit strings and one descent and sum of the high digits
-per block of n; frac_verdicts and nat_verdicts return bools, and frac
-recovery is decided as y = U^-1 f, so the period-sized shifted sum y is
-never multiplied by U.  The witness builders check_recover_frac and
-check_recover_nat form the exact sides of an AuditEntry.  On top of them
-sit representation-level multiplication by sqrt(d) (exact on naturals
-and on interval values, eps-certified on arbitrary non-negative inputs)
-and the digit-extraction probes that mirror the first-order
-definability arguments: prefix windows, digit reads by thresholds, and
-periodic residue-class witnesses.
+in one pass, or that natural_dots_upto sums over a greedy sweep: a table
+of low digit strings, then one descent and sum of the high digits per
+block of n.  frac_verdicts and nat_verdicts return integer residuals,
+zero exactly where the check holds and linear in the ints, and frac
+recovery is decided as y = U^-1 f, so y is never multiplied by U.  The
+witness builders check_recover_frac and check_recover_nat form the exact
+sides of an AuditEntry.  On top of them sit representation-level
+multiplication by sqrt(d) (exact on naturals and on interval values,
+eps-certified on arbitrary non-negative inputs) and the digit-extraction
+probes that mirror the first-order definability arguments: prefix
+windows, digit reads by thresholds, and periodic residue-class witnesses.
 ``embed`` lists a digit string's nonzero (position, digit) pairs.
 """
 
@@ -111,31 +111,26 @@ def natural_dots(x: OstDigits, sc: ShiftConstants) -> tuple[int, ...]:
 
 
 def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
-    """Yield (encode_nat(n, cf).digits, natural_dots of them) for n = 0 .. n_max,
-    in one greedy sweep.  With J = _split_position(cf, depth - m), the module's
-    encode_nat gives each n < q_J and _dots sums it.  Past q_J, ostrowski._descend
-    runs from the top digit down to J once per block: the n whose digits from J up
-    (unique, by Ostrowski's theorem) are those of its first n.  Their remainders
-    follow on up to the block's room, the first at which a digit from J up would
-    change or the descent's cap check trip: q_J, or q_{J-1} at a capped digit J,
-    on a correct table.  Each n of a block is its remainder's table entry plus the
-    high digits, which _dots sums once per block.  A sweep inside the first block
-    keeps no table.  The first n with a digit whose shift by m passes the depth
-    raises DepthExceeded as natural_dots does.
+    """The greedy sweep over n = 0 .. n_max, in blocks.  With J = _split_position(cf,
+    depth - m) it yields the low table, (encode_nat(n, cf).digits, natural_dots of them)
+    for each n < q_J from the module's encode_nat and _dots, then one (n, rem, room,
+    high, ints) per block.  ostrowski._descend runs from the top digit down to J at the
+    block's first n, leaving the remainder rem; its digits from J up (unique, by
+    Ostrowski's theorem) hold for the n that follow, up to the room: the first remainder
+    at which one would change or the cap check trip, q_J or q_{J-1} at a capped digit J
+    on a correct table.  high is n's digits with zeros below J, ints their seven sums;
+    n - rem + r for r in [rem, room) has the digits lo + high[len(lo):] of table entry
+    (lo, dots) and the ints dots + ints.  The sweep keeps no table.  The first n with a
+    digit whose shift by m passes the depth raises DepthExceeded as natural_dots does.
     """
     qs, period, m, depth = cf.conv_q, cf.period, cf.m, cf.depth  # qs[k + 1] = q_k
     # no split: the table is n = 0 alone (q_j = 1), and j = 1 when q_1 = q_0 = 1
     # keeps the first digit count swept from being empty
     j = _split_position(cf, depth - m) or int(qs[2] == 1)
     encode, descend = ostrowski.encode_nat, ostrowski._descend  # a patched kernel is the one called
-    keep, low = n_max >= qs[j + 1], []
     for n in range(min(n_max + 1, qs[j + 1])):
         digits = encode(n, cf).digits
-        item = digits, _dots(cf, sc, digits)
-        if keep:
-            low.append(item)
-        yield item
-    low = [(digits + (0,) * (j - len(digits)), dots) for digits, dots in low]
+        yield digits, _dots(cf, sc, digits)
     for k in range(j + 1, bisect_right(qs, n_max, 1)):  # the n with k digits: q_{k-1} <= n < q_k
         if k - 1 + m > depth:
             raise DepthExceeded(f"shifted index {k - 1 + m} exceeds depth {depth}")
@@ -150,24 +145,23 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
                 room, t = min(room, qs[i + 1] - t), t + digits[i] * qs[i + 1]
             if digits[j] and digits[j] == period[j % m]:
                 room = min(room, qs[j])
-            high = tuple(digits[j:])
-            g0, g1, g2, g3, g4, g5, g6 = _dots(cf, sc, high, j)
-            for lo, (f0, f1, f2, f3, f4, f5, f6) in low[rem:room]:
-                yield lo + high, (f0 + g0, f1 + g1, f2 + g2, f3 + g3, f4 + g4, f5 + g5, f6 + g6)
+            high = tuple(digits)
+            yield n, rem, room, high, _dots(cf, sc, high)
             n += room - rem
 
 
-def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int) -> bool:
-    """Corrected frac recovery on natural_dots, f = U y for f = fa + n sqrt(d), y = ya + yb sqrt(d),
-    decided as y = U^-1 f (U != 0): the unit-sized U^-1 = (ia + ib sqrt(d)) / ie
-    meets only the small fa and n, never the period-sized ya and yb."""
+def frac_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int) -> tuple:
+    """The residuals of corrected frac recovery on natural_dots, both zero exactly when
+    f = U y for f = fa + n sqrt(d), y = ya + yb sqrt(d), taken as y = U^-1 f (U != 0): the
+    unit-sized U^-1 = (ia + ib sqrt(d)) / ie meets only the small fa and n, never ya and yb."""
     dd, (ia, ib, ie) = cf.dd, sc.unit_inverse
-    return ya * ie * dd == fa * ia * dd + n * ib * cf.dn and yb * ie == fa * ib + n * ia
+    return ya * ie * dd - fa * ia * dd - n * ib * cf.dn, yb * ie - fa * ib - n * ia
 
 
-def nat_verdicts(sc: ShiftConstants, n: int, v1: int, w0: int) -> bool:
-    """Corrected nat recovery on natural_dots: (v1 + w0) / num(d) == n."""
-    return v1 + w0 == n * sc.dn
+def nat_verdicts(sc: ShiftConstants, n: int, v1: int, w0: int) -> int:
+    """The residual of corrected nat recovery on natural_dots, zero exactly when
+    (v1 + w0) / num(d) == n."""
+    return v1 + w0 - n * sc.dn
 
 
 def printed_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, yb: int,
@@ -182,13 +176,12 @@ def printed_verdicts(cf: CFData, sc: ShiftConstants, fa: int, n: int, ya: int, y
 
 
 def sqrt_product(cf: CFData, sc: ShiftConstants, fa: int, fb: int, ya: int, yb: int):
-    """(exact, product as a QuadRat triple) of times_sqrt_frac on natural_dots;
-    exact says whether the product is sqrt(d) f = fb d + fa sqrt(d)."""
+    """(residuals, product as a QuadRat triple) of times_sqrt_frac on natural_dots;
+    the two residuals are zero exactly when the product is sqrt(d) f = fb d + fa sqrt(d)."""
     pn, pd = sc.pell_norm.numerator, sc.pell_norm.denominator
     b, e = sc.b_const, sc.a_const * pd
     pa, pb = ya * pn + b * fa * pd, yb * pn + b * fb * pd
-    exact = pa * cf.dd == fb * cf.dn * e and pb == fa * e
-    return exact, (pa, pb, e)
+    return (pa * cf.dd - fb * cf.dn * e, pb - fa * e), (pa, pb, e)
 
 
 def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
@@ -196,7 +189,7 @@ def check_recover_frac(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     decided by frac_verdicts and printed_verdicts on natural_dots."""
     cf = x.cf
     fa, n, ya, yb, v1, _, w1 = natural_dots(x, sc)
-    corrected = frac_verdicts(cf, sc, fa, n, ya, yb)
+    corrected = not any(frac_verdicts(cf, sc, fa, n, ya, yb))
     printed = printed_verdicts(cf, sc, fa, n, ya, yb, v1, w1)[0]
     return AuditEntry("frac-recovery", n, _verdict(printed), _verdict(corrected),
                       QuadRat._of(fa, n, 1, cf.d), sc.unit * QuadRat._of(ya, yb, 1, cf.d))
@@ -214,7 +207,8 @@ def check_recover_nat(x: OstDigits, sc: ShiftConstants) -> AuditEntry:
     cf = x.cf
     fa, n, ya, yb, v1, w0, w1 = natural_dots(x, sc)
     printed = printed_verdicts(cf, sc, fa, n, ya, yb, v1, w1)[1]
-    return AuditEntry("nat-recovery", n, _verdict(printed), _verdict(nat_verdicts(sc, n, v1, w0)),
+    corrected = not nat_verdicts(sc, n, v1, w0)
+    return AuditEntry("nat-recovery", n, _verdict(printed), _verdict(corrected),
                       n, QuadRat._of(v1 + w0, 0, cf.d.numerator, cf.d))
 
 

@@ -1,4 +1,15 @@
-"""Bodies that ostro.shiftcalc replaced, kept as references for the tests.
+"""Bodies that ostro.shiftcalc and ostro.harness replaced, kept as references for the tests.
+
+natural_dots_per_n is the per-n view of the block sweep natural_dots_upto:
+(digits, the seven ints) for each n = 0 .. n_max, each n of a block being
+its remainder's low-table entry plus the block's high digits and ints.
+The differentials that compare the sweep with encode_nat and natural_dots
+per n read it.
+
+pass_over_n_per_n is the pass over n that decided every check at every n
+before harness._pass_over_n decided them once per table entry and once
+per block: the same per-n body, on natural_dots_per_n.  The tests require
+the same report entries, counts, first failures and witnesses.
 
 natural_dots_single_level is the one-level Ostrowski counter that the
 greedy sweep natural_dots_upto replaced: n + 1 runs a carry search over
@@ -22,12 +33,76 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import isqrt
+from operator import add
 
+from ostro import ostrowski, shiftcalc
 from ostro.cfrac import CFData, ShiftConstants
 from ostro.errors import DepthExceeded, OutOfDomain, VerificationFailed
+from ostro.harness import _sweep, _witness_first
 from ostro.ostrowski import encode_real
 from ostro.qfield import QuadRat, sign_sqrt
 from ostro.shiftcalc import _dots, times_sqrt_frac
+
+
+def natural_dots_per_n(cf: CFData, sc: ShiftConstants, n_max: int):
+    """(digits of n, natural_dots of them) for n = 0 .. n_max, from the block sweep."""
+    low = []
+    for item in shiftcalc.natural_dots_upto(cf, sc, n_max):
+        if len(item) == 2:  # the low-table entry of n = len(low)
+            low.append(item)
+            yield item
+            continue
+        _, rem, room, high, ints = item
+        for digits, dots in low[rem:room]:
+            yield digits + high[len(digits):], tuple(map(add, dots, ints))
+
+
+def pass_over_n_per_n(ctx) -> None:
+    """harness._pass_over_n with every check decided at every n; it leaves in ctx
+    the count and failures of the exact products, as the pass does, but no seconds."""
+    cf, sc, config, out = ctx.cf, ctx.sc, ctx.config, ctx.out
+    n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
+    exact_top = min(config.lambda_n_max, n_max) + 1
+    recovery_checked = exact_checked = 0
+    rt_fails, frac_fails, nat_fails, exact_fails = [], [], [], []
+    printed_frac_fails = printed_nat_fails = 0
+    example = None
+    a0, dd, example_n = cf.a0, cf.dd, min(5, n_max)
+    dndd = cf.dn * dd
+    for n, (digits, (fa, fb, ya, yb, v1, w0, w1)) in enumerate(
+            natural_dots_per_n(cf, sc, n_max)):
+        if fb != n:
+            rt_fails.append({"n": n, "reason": "roundtrip"})
+            continue
+        recovery_checked += 1
+        if a0 - fa != isqrt((n + 1) ** 2 * dndd) // dd:
+            rt_fails.append({"n": n, "reason": "fractional part outside I"})
+        if n < exact_top:
+            exact_checked += 1
+            if any(shiftcalc.sqrt_product(cf, sc, fa, fb, ya, yb)[0]):
+                exact_fails.append((n, digits))
+        if any(shiftcalc.frac_verdicts(cf, sc, fa, fb, ya, yb)):
+            frac_fails.append((n, digits))
+        if shiftcalc.nat_verdicts(sc, fb, v1, w0):
+            nat_fails.append((n, digits))
+        if n <= 50:
+            frac_printed, nat_printed = shiftcalc.printed_verdicts(cf, sc, fa, fb, ya, yb, v1, w1)
+            printed_frac_fails += not frac_printed
+            printed_nat_fails += not nat_printed
+        if n == example_n:
+            example = ostrowski.OstDigits._of(cf, digits, ostrowski.KIND_NAT)
+    ctx.exact_checked, ctx.exact_fails = exact_checked, exact_fails
+    _sweep(out, "roundtrip_and_split", n_max + 1, rt_fails)
+    _sweep(out, "recover_frac", recovery_checked, _witness_first(
+        cf, frac_fails, lambda n, x: shiftcalc.check_recover_frac(x, sc).to_json()))
+    _sweep(out, "recover_nat", recovery_checked, _witness_first(
+        cf, nat_fails, lambda n, x: shiftcalc.check_recover_nat(x, sc).to_json()))
+    out["recovery_printed_fails_upto_50"] = {"frac": printed_frac_fails, "nat": printed_nat_fails}
+    out["recovery_example"] = None if example is None else {
+        "frac": shiftcalc.check_recover_frac(example, sc).to_json(),
+        "nat": shiftcalc.check_recover_nat(example, sc).to_json(),
+    }
 
 
 def natural_dots_single_level(cf: CFData, sc: ShiftConstants, n_max: int):

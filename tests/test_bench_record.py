@@ -5,11 +5,12 @@ checkout's root, medians and quartiles over the seeds, the traced
 metrics, the layers measured on the checkout's src/ (expand, the audit
 stages, the shift constants on a swept expansion and on an unswept copy,
 at_least, encode_real, QuadRat add/mul/sign, the natural_dots_upto
-sweep at d = 3 and 99991, on the listed first block of d = 1000001 and
+block sweep at d = 3 and 99991, on the listed first block of d = 1000001 and
 on the streamed one of d = 10^12 + 1, the audit's pass over n on a prebuilt
 context at d = 3 and 99991, the enumerate_valid odometer,
 times_sqrt_real, the identity audit at periods 436 and 1340, encode_nat,
-the recovery verdicts, decode_real, the
+the recovery verdicts on the ints per n of the tests' reference
+flattening, decode_real, the
 recovery checks, prefix_nat and cli.main on short commands; encode_real and prefix_nat on values over the
 expansion's own d object, as the audit builds them), each layer the min
 of 7 calls in a row with no calibration sample anywhere in the record,
@@ -161,8 +162,8 @@ def natural_dots_upto(cf, sc, n_max):
                                            (1000001, 64, ("sc", 1000001), 10**4),
                                            (10**12 + 1, 64, ("sc", 10**12 + 1), 10**4)):
         raise ValueError((cf.d, cf.depth, sc, n_max))
-    for n in range(n_max + 1):
-        yield (), (-n, n, 0, 0, n, -n, 0)
+    yield (), (0,) * 7  # the low table, n = 0
+    yield 1, 0, n_max, (), (0,) * 7  # one block, which only the flattening reads
 
 
 def frac_verdicts(cf, sc, fa, n, ya, yb):
@@ -198,6 +199,16 @@ def times_sqrt_real(x, eps, cf, sc):
     elif ((cf.d, cf.depth, sc, eps) != (99991, 64, ("sc", 99991), Fraction(1, 10**30))
             or not Fraction(7, 5) <= x < Fraction(12, 5)):
         raise ValueError((x, eps, cf.d, cf.depth, sc))
+'''
+
+# the per-n view of the block sweep, which the verdict rows read
+STUB_SHIFTCALC_REFERENCE = '''
+def natural_dots_per_n(cf, sc, n_max):
+    if (cf.d, cf.depth, sc, n_max) not in ((3, 64, ("sc", 3), 10**4),
+                                           (99991, 1311, ("sc", 99991), 10**4)):
+        raise ValueError((cf.d, cf.depth, sc, n_max))
+    for n in range(n_max + 1):
+        yield (), (-n, n, 0, 0, n, -n, 0)
 '''
 
 STUB_HARNESS = '''
@@ -259,6 +270,7 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
     (root / "src" / "ostro" / "__main__.py").write_text(STUB_MAIN)
     (root / "tests").mkdir()
     (root / "tests" / "test_one.py").write_text("def test_one():\n    pass\n")
+    (root / "tests" / "shiftcalc_reference.py").write_text(STUB_SHIFTCALC_REFERENCE)
     (root / "BENCHMARK.json").write_text(json.dumps({
         "command": ["python3", "perfbench/run.py"], "run_seconds": 1,
         "workloads": [{"name": "stub"}]}))

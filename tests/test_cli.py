@@ -355,6 +355,36 @@ def test_audit_empty_radicand_list_is_input_error(tmp_path, capsys, argv):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_audit_missing_config_file_is_input_error(tmp_path, capsys):
+    # reading an input file fails as bad input; only a closed stdout has its own code
+    missing = tmp_path / "absent.json"
+    assert main(["audit", "--config", str(missing), "--d", "2", "--n-max", "5"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+
+
+def test_audit_into_a_closed_pipe_ends_quietly(tmp_path):
+    # the report (about 200 kB, past any pipe buffer) goes to a reader that
+    # takes one line and closes: exit 141 as on SIGPIPE, and nothing on stderr
+    cfg = tmp_path / "suite.json"
+    cfg.write_text('{"lambda_samples": 0, "probe_samples": 0, "n_unique": 10, "class_l_max": 2}')
+    src = str(Path(ostro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = ["audit", "--d", ",".join(["2"] * 60), "--n-max", "10", "--format", "json",
+            "--config", str(cfg)]
+    proc = subprocess.Popen([sys.executable, "-m", "ostro", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == cli.EXIT_PIPE == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 def test_audit_negative_count_flag_is_input_error(tmp_path, capsys):
     # a negative count is rejected whether it comes from a flag or a file
     assert main(["audit", "--d", "3", "--n-max", "-5", "--format", "json"]) == 2
@@ -733,6 +763,13 @@ def test_module_entry_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5"
+
+
+def test_mul_value_without_a_sign_between_parts_is_input_error(capsys):
+    assert main(["mul", "--d", "2", "--x", "2 sqrt(2)"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: missing sign between parts in '2 sqrt(2)'\n")
 
 
 # Documented exit codes for failures that once escaped as tracebacks.

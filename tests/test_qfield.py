@@ -62,6 +62,12 @@ def test_text_form_round_trip():
     assert parse_rat("3/4") == Fraction(3, 4)
 
 
+def test_parse_quad_needs_a_radicand_for_a_bare_rational():
+    # "7" names no sqrt(d), so only an explicit d can place it
+    with pytest.raises(ValueError, match="^bare rational '7' needs an explicit radicand$"):
+        parse_quad("7")
+
+
 @pytest.mark.parametrize("text", ["nan", "-NaN", "snan", "inf", "-Infinity", "abc", "1e"])
 def test_parse_rat_rejects_non_rationals_by_their_text(text):
     # Decimal reads NaN and Infinity, which have no ratio; the message is

@@ -41,7 +41,8 @@ from ostro.qfield import QuadRat
 
 from digit_maps import (Weights, digit_window, embed, gen_digits, shift, unary_layers,
                         weighted_beta_sum, weighted_q_sum)
-from shiftcalc_reference import natural_dots_single_level, times_sqrt_real_quadrat
+from shiftcalc_reference import (natural_dots_per_n, natural_dots_single_level,
+                                 times_sqrt_real_quadrat)
 
 D_SMALL = [Fraction(x) for x in (2, 3, "3/2", "32/9")]
 
@@ -340,26 +341,26 @@ def with_units(sc):
 
 @pytest.mark.parametrize("d", ["2", "3", "13/4", "32/9", "991", "99991", "1000003/7"])
 def test_frac_verdicts_match_the_unit_product(d):
-    # the audit decides U y == f as y == U^-1 f; the reference multiplies
-    # the period-sized y by U, on the counter's ints and on each of them
-    # moved by one, for the true unit and for three wrong ones
+    # the audit decides U y == f as y == U^-1 f, both residuals zero; the
+    # reference multiplies the period-sized y by U, on the counter's ints and
+    # on each of them moved by one, for the true unit and for three wrong ones
     cf = audit_cf(d)
     verdicts = []
     for sc in with_units(ostro.cfrac.derive_shift_constants(cf)):
-        for _, (fa, n, ya, yb, *_) in shiftcalc.natural_dots_upto(cf, sc, 2000):
+        for _, (fa, n, ya, yb, *_) in natural_dots_per_n(cf, sc, 2000):
             uy, f = sc.unit * QuadRat._of(ya, yb, 1, cf.d), QuadRat._of(fa, n, 1, cf.d)
             for fa2, n2 in [(fa, n), (fa + 1, n), (fa - 1, n), (fa, n + 1), (fa, n - 1)]:
-                ours = shiftcalc.frac_verdicts(cf, sc, fa2, n2, ya, yb)
+                ours = not any(shiftcalc.frac_verdicts(cf, sc, fa2, n2, ya, yb))
                 assert ours == (uy == QuadRat._of(fa2, n2, 1, cf.d)), (sc.unit, n, fa2, n2)
                 verdicts.append(ours)
             for ya2, yb2 in [(ya + 1, yb), (ya - 1, yb), (ya, yb + 1), (ya, yb - 1)]:
-                ours = shiftcalc.frac_verdicts(cf, sc, fa, n, ya2, yb2)
+                ours = not any(shiftcalc.frac_verdicts(cf, sc, fa, n, ya2, yb2))
                 uy2 = sc.unit * QuadRat._of(ya2, yb2, 1, cf.d)
                 assert ours == (uy2 == f), (sc.unit, n, ya2, yb2)
                 verdicts.append(ours)
             # U (sa + sb sqrt(d)) == e f exactly, so it holds under every unit
             sa, sb, e = (sc.unit.inverse() * f).scaled()
-            assert shiftcalc.frac_verdicts(cf, sc, e * fa, e * n, sa, sb), (sc.unit, n)
+            assert not any(shiftcalc.frac_verdicts(cf, sc, e * fa, e * n, sa, sb)), (sc.unit, n)
     # the unmoved ints under the true unit, and n = 0 (f = y = 0) under every unit
     assert verdicts.count(True) == 2001 + 3
 
@@ -415,7 +416,7 @@ def test_counter_matches_encode_and_natural_dots(d):
     sc = ostro.cfrac.derive_shift_constants(cf)
     n_max = min(3000, cf.q(cf.depth - cf.m + 1) - 1)
     seen = 0
-    for n, (digits, dots) in enumerate(shiftcalc.natural_dots_upto(cf, sc, n_max)):
+    for n, (digits, dots) in enumerate(natural_dots_per_n(cf, sc, n_max)):
         x = encode_nat(n, cf)
         assert digits == x.digits, n
         assert dots == shiftcalc.natural_dots(x, sc), n
@@ -435,16 +436,15 @@ def _outcomes(items):
     return out
 
 
-@pytest.mark.parametrize("d", (2, 3, 7, Fraction(13, 4), 61), ids=str)
-def test_counter_errors_match_the_per_n_loop_on_corrupted_tables(d):
-    # the tables of test_encode_nat_errors_match_the_full_scan_on_corrupted_tables,
-    # swept with the good table's constants past q_depth: the sweep yields what
-    # encode_nat and natural_dots per n yield up to their first error, at the
-    # same n, and raises only InvalidDigits or DepthExceeded.  d = 2 and 3 split
-    # at J = 5 and 8; 7, 13/4 and 61 have no J below depth - m
+CORRUPTED_TABLE_D = (2, 3, 7, Fraction(13, 4), 61)
+
+
+def corrupted_tables(d):
+    """The good expansion of d to the first q_k > 500, its shift constants, and each
+    copy with one q or one partial quotient of the period moved by one, as in
+    test_encode_nat_errors_match_the_full_scan_on_corrupted_tables."""
     deep = ostro.cfrac.expand(d, 64)
     cf = ostro.cfrac.expand(d, next(k for k in range(64) if deep.q(k) > 500))
-    sc = ostro.cfrac.derive_shift_constants(cf)
     tables = []
     for i in range(len(cf.conv_q)):
         for step in (-1, 1):
@@ -457,10 +457,20 @@ def test_counter_errors_match_the_per_n_loop_on_corrupted_tables(d):
             period = list(cf.period)
             period[i] += step
             tables.append(cf.replace(period=tuple(period)))
+    return cf, ostro.cfrac.derive_shift_constants(cf), tables
+
+
+@pytest.mark.parametrize("d", CORRUPTED_TABLE_D, ids=str)
+def test_counter_errors_match_the_per_n_loop_on_corrupted_tables(d):
+    # the tables swept with the good table's constants past q_depth: the sweep
+    # yields what encode_nat and natural_dots per n yield up to their first
+    # error, at the same n, and raises only InvalidDigits or DepthExceeded.
+    # d = 2 and 3 split at J = 5 and 8; 7, 13/4 and 61 have no J below depth - m
+    cf, sc, tables = corrupted_tables(d)
     errors = collections.Counter()
     n_max = cf.q(cf.depth) + 1
     for bad in tables:
-        got = _outcomes(shiftcalc.natural_dots_upto(bad, sc, n_max))
+        got = _outcomes(natural_dots_per_n(bad, sc, n_max))
         want = _outcomes((x.digits, shiftcalc.natural_dots(x, sc))
                          for x in map(encode_nat, range(n_max + 1), [bad] * (n_max + 1)))
         assert got[:-1] == want[:-1], (bad.conv_q, bad.period)
@@ -492,7 +502,7 @@ def test_counter_stops_mid_block_where_a_capped_digit_above_the_split_trips():
     qs[10] -= 1
     bad = cf.replace(conv_q=tuple(qs), period=(1, 3))
     assert ostro.ostrowski._split_position(bad, bad.depth - bad.m) == 8
-    got = _outcomes(shiftcalc.natural_dots_upto(bad, sc, 779))
+    got = _outcomes(natural_dots_per_n(bad, sc, 779))
     want = _outcomes((x.digits, shiftcalc.natural_dots(x, sc))
                      for x in map(encode_nat, range(780), [bad] * 780))
     assert got == want
@@ -505,7 +515,7 @@ def test_counter_depth_boundary(cf_of, sc_of):
     # n has its top digit at 13, which shifted by m passes the depth
     cf, sc = cf_of(3, 14), sc_of(3, 14)
     assert cf.q(13) == 2911
-    last = list(shiftcalc.natural_dots_upto(cf, sc, 2910))[-1]
+    last = list(natural_dots_per_n(cf, sc, 2910))[-1]
     assert last == (encode_nat(2910, cf).digits, shiftcalc.natural_dots(encode_nat(2910, cf), sc))
     counter = shiftcalc.natural_dots_upto(cf, sc, 2911)
     with pytest.raises(DepthExceeded) as ours:
@@ -565,7 +575,7 @@ def test_two_level_counter_matches_the_single_level(d):
     q_j, cap, bound = cf.q(j), cf.a(j + 1), cf.q(cf.depth - cf.m + 1)
     for n_max in sorted({0, 1, q_j - 2, q_j - 1, q_j, q_j + 1, cf.q(j + 1), 10**4}):
         if n_max <= 10**4 and n_max < bound:
-            ours = _counted(shiftcalc.natural_dots_upto(cf, sc, n_max))
+            ours = _counted(natural_dots_per_n(cf, sc, n_max))
             assert ours == _counted(natural_dots_single_level(cf, sc, n_max)), n_max
             assert len(ours[0]) == n_max + 1 and ours[1] is None, n_max
     # digit J at its cap restricts its block to the low strings with digit
@@ -584,7 +594,7 @@ def test_two_level_counter_stops_at_the_depth_as_the_single_level():
         for depth in range(1, 21):
             cf = ostro.cfrac.expand(d, depth)
             for n_max in (0, 1, 63, 64, 65, 100, 500, 3000):
-                ours = _counted(shiftcalc.natural_dots_upto(cf, sc, n_max))
+                ours = _counted(natural_dots_per_n(cf, sc, n_max))
                 assert ours == _counted(natural_dots_single_level(cf, sc, n_max)), (d, depth)
 
 
@@ -712,8 +722,8 @@ def test_times_sqrt_real_certificate_catches_a_moved_product(monkeypatch, cf_of,
     real = shiftcalc.sqrt_product
 
     def moved(*args):
-        exact, triple = real(*args)
-        return exact, tuple(v + delta * (i == part) for i, v in enumerate(triple))
+        residuals, triple = real(*args)
+        return residuals, tuple(v + delta * (i == part) for i, v in enumerate(triple))
 
     monkeypatch.setattr(shiftcalc, "sqrt_product", moved)
     for d in ostro.harness.DEFAULT_D_LIST:
