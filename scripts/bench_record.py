@@ -26,7 +26,8 @@ adds what the traced run cannot show: ``audit_stages``, per audit stage
 the min of 3 runs of ``ostro.run_suite`` at the default config for
 d = 99991 and for d = 3, and one entry per row of the ``kernels`` table
 in ``LAYERS`` (a name and a zero-argument call on fixed inputs, such as
-``harness._pass_over_n`` on a prebuilt context at d = 3 and 99991), each
+``harness._pass_over_n`` on a prebuilt context at d = 3, 99991 and
+10^12 + 1), each
 ``{"unit": "s", "min_of": 7, "value": <min of 7 calls in a row>}``.
 An ``audit`` block times K_AUDIT = 3 runs of ``python -m ostro audit
 --format json`` (the default suite) on the checkout and keeps per
@@ -216,7 +217,7 @@ nats = [ostrowski.encode_nat(n, cf3) for n in range(10**4 + 1)]
 dots99991 = [t for _, t in natural_dots_per_n(cf1311, sc64, 10**4)]
 def pass_ctx(cf, sc):  # what audit_one hands the pass over n, at the default config
     return types.SimpleNamespace(cf=cf, sc=sc, config=ostro.SuiteConfig(d_list=(cf.d,)), out={})
-ctx3, ctx99991 = pass_ctx(cf3, sc3), pass_ctx(cf1311, sc64)
+ctx3, ctx99991, ctx12 = pass_ctx(cf3, sc3), pass_ctx(cf1311, sc64), pass_ctx(cf12, sc12)
 short_argvs = [argv for d in ("2", "3", "7", "10", "19", "61", "13/4", "5/3") for argv in (
     ["cf", "--d", d, "--depth", "20"], ["constants", "--d", d], ["encode", "--d", d, "123456"],
     ["decode", "--real", f"0,1,0,1@d={d}"], ["mul", "--d", d, "--x", "7/5", "--eps", "1e-12"])]
@@ -249,6 +250,8 @@ kernels = {  # on the short _2_64 and _3_64 rows, building the value is a visibl
         shiftcalc.natural_dots_upto(cf1000001, sc1000001, 10**4), maxlen=0),
     "natural_dots_upto_1000000000001_10000": lambda: collections.deque(
         shiftcalc.natural_dots_upto(cf12, sc12, 10**4), maxlen=0),
+    # the pass over that streamed sweep: every n is a low-table entry, checked alone
+    "pass_over_n_1000000000001_10000": lambda: harness._pass_over_n(ctx12),
     # 2885 strings: the uniqueness sweep's largest enumeration on the default list
     "enumerate_valid_31_8": lambda: collections.deque(ostrowski.enumerate_valid(cf31, 8), maxlen=0),
     "times_sqrt_real_99991_20": lambda: [shiftcalc.times_sqrt_real(x, eps, cf64, sc64)

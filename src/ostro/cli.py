@@ -18,6 +18,9 @@ Exit codes:
     3  an input needs more than --depth (eps digits, decode or encode
        --digits past it), or a depth or period bound is exceeded
     4  domain error (value outside the fundamental interval, negative x)
+    5  the output could not be written (a full disk, an unwritable --output)
+    6  out of memory
+  141  the reader of stdout closed it
 
 --depth is the bound on what an input may need: each command expands
 only to the deepest index it reads (cf the 12 convergents it prints,
@@ -58,6 +61,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_DEPTH = 3
 EXIT_DOMAIN = 4
+EXIT_OUTPUT = 5  # a write of stdout or --output failed; a failed read of an input is 2
+EXIT_MEMORY = 6
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
 
 
@@ -79,16 +84,23 @@ def _effective_depth(requested: int) -> int:
 
 def _emit(args, data, text: str, code: int = EXIT_OK) -> int:
     """Print data as JSON under --format json, else text, to --output or
-    stdout; return the exit code."""
+    stdout; return the exit code, EXIT_OUTPUT if the write failed.  A closed
+    stdout raises BrokenPipeError here, not at interpreter exit."""
     if args.format == "json":
         import json
 
         text = json.dumps(data, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            print(text, file=fh)
-    else:
-        print(text)
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                print(text, file=fh)
+        else:
+            print(text, flush=True)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     return code
 
 
@@ -332,9 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # exact values print at any length
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        return code
+        return args.func(args)
     except BrokenPipeError:  # the reader of stdout is gone: end quietly, as on SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
@@ -350,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except OstroError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MEMORY
     finally:
         sys.set_int_max_str_digits(limit)
 

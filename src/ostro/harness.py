@@ -8,13 +8,14 @@ products), exhaustive uniqueness, multiplication of reals and the two
 digit probes.  The table also names the timed STAGES and the reported
 SWEEPS, which _rows reads: it yields one row per report line of a result
 entry, and both renderers and both failure counts read those rows.  The
-pass over n reads one sweep, a low table and then blocks of n, and decides
-each check once per entry and once per block, per n only where that fails.
-Its split test is one floor: fa + n*sqrt(d) lies in I iff a0 - fa =
-floor((n+1)*sqrt(d)), isqrt((n+1)^2 dn dd) // dd for d = dn/dd, taken per
-block at two n.  The uniqueness stage enumerates the valid digit strings
-once, and the prefix probe's tiling oracle reads its windows off those
-strings, so no oracle calls the encoder another sweep checks.
+pass over n reads one sweep, a low table and then blocks of n; one rule
+decides each linear check once per entry and once per block, per n only
+where that fails.  Its split test is one floor: fa + n*sqrt(d) lies in I
+iff a0 - fa = floor((n+1)*sqrt(d)), isqrt((n+1)^2 dn dd) // dd for
+d = dn/dd, taken per block at two n.  The uniqueness stage enumerates the
+valid digit strings once, and the prefix probe's tiling oracle reads its
+windows off those strings, so no oracle calls the encoder another sweep
+checks.
 
 A report is a plain dict (JSON-ready).  Only corrected-form failures
 count as failures; printed-form failures are expected findings and are
@@ -149,14 +150,15 @@ def _pass_over_n(ctx) -> None:
     on the fractional part of n*sqrt(d), all from the ints natural_dots_upto
     yields.  The descent checks each digit's constraint, so the roundtrip is
     that the digits sum back to n.  n < q_{depth-m+1} keeps the digits shifted
-    by m inside the depth.  check runs every check at one n: each table entry,
-    and each n of a block that does not pass whole.  A block passes whole when
-    rem = 0, n0 > 50 (the printed forms stay per n), no entry below its room has
-    a nonzero residual, its own are zero (each residual is linear in the ints),
-    and the split holds at the entries of least and greatest beta (I is convex).
-    Only a sweep's first failure and the worked example build exact witnesses,
-    from the sweep's digits.  The exact products run here, fused; their count,
-    failures and seconds are left in ctx."""
+    by m inside the depth.  rule decides every linear check, a residual in the
+    ints (roundtrip fb - n, exact product, frac, nat); check records one n's
+    failures from it, at each table entry and each n of a block that does not
+    pass whole.  A block passes whole when rem = 0, n0 > 50 (the printed forms
+    stay per n), no entry below its room has a nonzero residual, rule finds its
+    own ints' zero, and the split holds at the entries of least and greatest
+    beta (I is convex).  Only a sweep's first failure and the worked example
+    build exact witnesses, from the sweep's digits.  The exact products run
+    here, fused; their count and failures are left in ctx."""
     cf, sc, config, out = ctx.cf, ctx.sc, ctx.config, ctx.out
     n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
     exact_top = min(config.lambda_n_max, n_max) + 1
@@ -168,27 +170,26 @@ def _pass_over_n(ctx) -> None:
     example = None
     a0, dn, dd, example_n = cf.a0, cf.dn, cf.dd, min(5, n_max)
     dndd = dn * dd  # floor(floor(y)/dd) = floor(y/dd) makes the split test exact
-    exact_s = 0.0
-    # bound once per pass, from the module attributes, so a patched kernel is the one called
-    sqrt_product, frac_verdicts = shiftcalc.sqrt_product, shiftcalc.frac_verdicts
-    nat_verdicts = shiftcalc.nat_verdicts
 
     def in_i(n: int, fa: int) -> bool:  # fa + n sqrt(d) lies in I
         return a0 - fa == isqrt((n + 1) ** 2 * dndd) // dd
 
+    def rule(n, fa, fb, ya, yb, v1, w0) -> tuple:
+        """Whether each residual at n is nonzero: roundtrip, exact product, frac, nat."""
+        return (fb != n, n < exact_top and any(shiftcalc.sqrt_product(cf, sc, fa, fb, ya, yb)[0]),
+                any(shiftcalc.frac_verdicts(cf, sc, fa, fb, ya, yb)),
+                bool(shiftcalc.nat_verdicts(sc, fb, v1, w0)))
+
     def check(n, digits, fa, fb, ya, yb, v1, w0, w1) -> bool:
         """Every check at n, its failures recorded; whether a residual is nonzero."""
-        nonlocal exact_s, example
-        if fb != n:
+        nonlocal example
+        roundtrip, exact, frac, nat = rule(n, fa, fb, ya, yb, v1, w0)
+        if roundtrip:
             rt_fails.append({"n": n, "reason": "roundtrip"})
             return True
         if not in_i(n, fa):
             rt_fails.append({"n": n, "reason": "fractional part outside I"})
-        t_exact = time.perf_counter()
-        exact = n < exact_top and any(sqrt_product(cf, sc, fa, fb, ya, yb)[0])
-        exact_s += time.perf_counter() - t_exact
-        wrong = exact, any(frac_verdicts(cf, sc, fa, fb, ya, yb)), nat_verdicts(sc, fb, v1, w0)
-        for fails, bad in zip((exact_fails, frac_fails, nat_fails), wrong):
+        for fails, bad in ((exact_fails, exact), (frac_fails, frac), (nat_fails, nat)):
             if bad:
                 fails.append((n, digits))
         if n <= 50:
@@ -197,7 +198,7 @@ def _pass_over_n(ctx) -> None:
             printed[1] += not nat_printed
         if n == example_n:
             example = ostrowski.OstDigits._of(cf, digits, ostrowski.KIND_NAT)
-        return any(wrong)
+        return exact or frac or nat
 
     table: list = []  # per entry: digits, ints, and up to it a nonzero flag, argmin, argmax
     flagged, lo, hi = False, 0, 0
@@ -212,9 +213,7 @@ def _pass_over_n(ctx) -> None:
             continue
         n, rem, room, high, g = item
         *_, nonzero, lo_r, hi_r = table[room - 1]
-        if (rem or n <= 50 or nonzero or g[1] != n or any(frac_verdicts(cf, sc, *g[:4]))
-                or nat_verdicts(sc, n, g[4], g[5])
-                or n < exact_top and any(sqrt_product(cf, sc, *g[:4])[0])
+        if (rem or n <= 50 or nonzero or any(rule(n, *g[:6]))
                 or not all(in_i(n + r, table[r][1][0] + g[0]) for r in (lo_r, hi_r))):
             for r in range(rem, room):
                 digits, ints = table[r][:2]
@@ -222,7 +221,7 @@ def _pass_over_n(ctx) -> None:
     skipped = [f["n"] for f in rt_fails if f["reason"] == "roundtrip"]  # their checks did not run
     recovery_checked = n_max + 1 - len(skipped)
     exact_checked = exact_top - sum(n < exact_top for n in skipped)
-    ctx.exact_checked, ctx.exact_fails, ctx.exact_s = exact_checked, exact_fails, exact_s
+    ctx.exact_checked, ctx.exact_fails = exact_checked, exact_fails
     _sweep(out, "roundtrip_and_split", n_max + 1, rt_fails)
     _sweep(out, "recover_frac", recovery_checked, _witness_first(
         cf, frac_fails, lambda n, x: shiftcalc.check_recover_frac(x, sc).to_json()))
@@ -360,7 +359,7 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
     sweep with its message; in any other stage it fails the radicand.
     The stages share one context: the uniqueness stage's enumeration of
     valid strings is the prefix probe's oracle, and the pass over n runs
-    the exact products, whose seconds "stages" counts as times_sqrt_exact.
+    the exact products, whose seconds count in "recovery".
     Checks run on integers: A + B*sqrt(d) is a pair of ints and its order
     test is qfield.sign_sqrt.
     """
@@ -391,8 +390,6 @@ def audit_one(d: Fraction, config: SuiteConfig) -> dict:
                 raise
             _sweep(out, keys[0], 0, [{"error": f"DepthExceeded: {exc}"}])
         stages[name] = time.perf_counter() - mark
-    stages["recovery"] -= ctx.exact_s
-    stages["times_sqrt_exact"] += ctx.exact_s
     out["stages"] = {k: round(v, 3) for k, v in stages.items()}
     out["elapsed_s"] = round(time.perf_counter() - t0, 3)
     return out

@@ -81,14 +81,14 @@ class AuditEntry(Value):
         return {**self._asdict(), "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
-def _dots(cf: CFData, sc: ShiftConstants, digits, start: int = 0) -> tuple[int, ...]:
-    """The seven sums of natural_dots over digits placed from position start: digit k
-    weighs -p_k, q_k, the p and q of k + m signed by (-1)^m, p_{k+1} v and p_k, p_{k+1} w
-    (sc's numerators at k mod t)."""
+def _dots(cf: CFData, sc: ShiftConstants, digits) -> tuple[int, ...]:
+    """The seven sums of natural_dots over digits: digit k weighs -p_k, q_k, the p and
+    q of k + m signed by (-1)^m, p_{k+1} v and p_k, p_{k+1} w (sc's numerators at
+    k mod t)."""
     m, ps, qs = cf.m, cf.conv_p, cf.conv_q  # qs[i] = q_{i-1}
     nv, nw, t = sc.v_num, sc.w_num, sc.t
     bp = n = yp = yq = v1 = w0 = w1 = 0
-    for k, b in enumerate(digits, start):
+    for k, b in enumerate(digits):
         if b:
             i = k % t
             p0, p1 = b * ps[k + 1], b * ps[k + 2]
@@ -127,16 +127,15 @@ def natural_dots_upto(cf: CFData, sc: ShiftConstants, n_max: int):
     # no split: the table is n = 0 alone (q_j = 1), and j = 1 when q_1 = q_0 = 1
     # keeps the first digit count swept from being empty
     j = _split_position(cf, depth - m) or int(qs[2] == 1)
-    encode, descend = ostrowski.encode_nat, ostrowski._descend  # a patched kernel is the one called
     for n in range(min(n_max + 1, qs[j + 1])):
-        digits = encode(n, cf).digits
+        digits = ostrowski.encode_nat(n, cf).digits
         yield digits, _dots(cf, sc, digits)
     for k in range(j + 1, bisect_right(qs, n_max, 1)):  # the n with k digits: q_{k-1} <= n < q_k
         if k - 1 + m > depth:
             raise DepthExceeded(f"shifted index {k - 1 + m} exceeds depth {depth}")
         n, end = qs[k], min(n_max + 1, qs[k + 1])
         while n < end:  # one block: the n whose digits from J up are those of its first n
-            rem = descend(digits := [0] * k, n, k, j, qs, period, m)
+            rem = ostrowski._descend(digits := [0] * k, n, k, j, qs, period, m)
             # room: the first remainder at which a digit i >= J would change (rem + t
             # reaches q_i) or digit J at its cap trip the cap check (rem reaches q_{J-1});
             # above J a capped digit's check trips where the 0 below it would change

@@ -60,7 +60,7 @@ def natural_dots_per_n(cf: CFData, sc: ShiftConstants, n_max: int):
 
 def pass_over_n_per_n(ctx) -> None:
     """harness._pass_over_n with every check decided at every n; it leaves in ctx
-    the count and failures of the exact products, as the pass does, but no seconds."""
+    the count and failures of the exact products, as the pass does."""
     cf, sc, config, out = ctx.cf, ctx.sc, ctx.config, ctx.out
     n_max = min(config.n_max, cf.q(cf.depth - cf.m + 1) - 1)
     exact_top = min(config.lambda_n_max, n_max) + 1
@@ -125,7 +125,7 @@ def natural_dots_single_level(cf: CFData, sc: ShiftConstants, n_max: int):
         if k > top:
             raise DepthExceeded(f"shifted index {k + m} exceeds depth {cf.depth}")
         if k >= size:
-            rows += [_dots(cf, sc, (1,), j) for j in range(size, k + 1)]
+            rows += [_dots(cf, sc, (0,) * j + (1,)) for j in range(size, k + 1)]
             zeros += [(0,) * j for j in range(len(zeros), k + 1)]
             tails += [tails[-1]] * (k + 1 - size)
         (f0, f1, f2, f3, f4, f5, f6), (r0, r1, r2, r3, r4, r5, r6) = tails[k], rows[k]

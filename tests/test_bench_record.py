@@ -7,7 +7,7 @@ stages, the shift constants on a swept expansion and on an unswept copy,
 at_least, encode_real, QuadRat add/mul/sign, the natural_dots_upto
 block sweep at d = 3 and 99991, on the listed first block of d = 1000001 and
 on the streamed one of d = 10^12 + 1, the audit's pass over n on a prebuilt
-context at d = 3 and 99991, the enumerate_valid odometer,
+context at d = 3, 99991 and 10^12 + 1, the enumerate_valid odometer,
 times_sqrt_real, the identity audit at periods 436 and 1340, encode_nat,
 the recovery verdicts on the ints per n of the tests' reference
 flattening, decode_real, the
@@ -214,7 +214,8 @@ def natural_dots_per_n(cf, sc, n_max):
 STUB_HARNESS = '''
 def _pass_over_n(ctx):
     cf = ctx.cf
-    if ((cf.d, cf.depth, ctx.sc) not in ((3, 64, ("sc", 3)), (99991, 1311, ("sc", 99991)))
+    if ((cf.d, cf.depth, ctx.sc) not in ((3, 64, ("sc", 3)), (99991, 1311, ("sc", 99991)),
+                                         (10**12 + 1, 64, ("sc", 10**12 + 1)))
             or ctx.config.d_list != (cf.d,)):
         raise ValueError((cf.d, cf.depth, ctx.sc, ctx.config.d_list))
     ctx.out["recover_nat"] = {"checked": 10**4 + 1}
@@ -306,7 +307,8 @@ def test_bench_record_on_a_stub_checkout(tmp_path):
                 "quadrat_sign_13_4_1000", "natural_dots_upto_3_10000",
                 "natural_dots_upto_99991_10000", "natural_dots_upto_1000001_10000",
                 "natural_dots_upto_1000000000001_10000", "pass_over_n_3_10000",
-                "pass_over_n_99991_10000", "enumerate_valid_31_8",
+                "pass_over_n_99991_10000", "pass_over_n_1000000000001_10000",
+                "enumerate_valid_31_8",
                 "times_sqrt_real_99991_20", "times_sqrt_real_3_256_50",
                 "audit_identities_99991_1311", "audit_identities_2999999_4023",
                 "encode_nat_3_10000", "frac_verdicts_3_10000",

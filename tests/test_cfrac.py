@@ -786,3 +786,16 @@ def test_normalize_contract(d):
         return
     assert Fraction(9, 4) < d_norm < 4
     assert scale * scale * d_norm == d
+
+
+def test_negative_and_unmaterialized_indices_are_refused():
+    # a and zeta refuse a negative index, p and q one past their tables (_at)
+    cf = expand(3, 10)
+    with pytest.raises(IndexError, match=r"^partial quotient index -1 out of range$"):
+        cf.a(-1)
+    with pytest.raises(IndexError, match=r"^complete quotient index -1 out of range$"):
+        cf.zeta(-1)
+    for convergent in (cf.p, cf.q):
+        with pytest.raises(DepthExceeded,
+                           match=r"^convergent index 11 not materialized \(depth 10\)$"):
+            convergent(cf.depth + 1)

@@ -3,6 +3,7 @@ trips, depth capping, and file output."""
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -363,6 +364,36 @@ def test_audit_missing_config_file_is_input_error(tmp_path, capsys):
         f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
 
 
+class _FullFile(io.StringIO):
+    """A text file on a full disk: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("output", [None, "report.txt"], ids=["stdout", "output"])
+def test_a_failed_write_of_the_output_has_its_own_code(capsys, monkeypatch, output):
+    # a full disk under stdout or --output is no bad input: exit 5, one line
+    if output:
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullFile(), raising=False)
+    else:
+        monkeypatch.setattr(sys, "stdout", _FullFile())
+    argv = ["cf", "--d", "2"] + (["--output", output] if output else [])
+    assert main(argv) == cli.EXIT_OUTPUT == 5
+    assert capsys.readouterr().err == (
+        "error: cannot write the output: [Errno 28] No space left on device\n")
+
+
+def test_out_of_memory_has_its_own_code(capsys, monkeypatch):
+    # a MemoryError is no failed check: exit 6, one line and no traceback
+    def exhausted(d, depth):
+        raise MemoryError()
+
+    monkeypatch.setattr(cfrac, "expand", exhausted)
+    assert main(["cf", "--d", "2"]) == cli.EXIT_MEMORY == 6
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 def test_audit_into_a_closed_pipe_ends_quietly(tmp_path):
     # the report (about 200 kB, past any pipe buffer) goes to a reader that
     # takes one line and closes: exit 141 as on SIGPIPE, and nothing on stderr
@@ -383,6 +414,17 @@ def test_audit_into_a_closed_pipe_ends_quietly(tmp_path):
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+def test_the_cli_module_runs_as_a_script():
+    # python -m ostro.cli reaches cli.py's own entry and prints what python -m ostro prints
+    src = str(Path(ostro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    runs = [subprocess.run([sys.executable, "-m", module, "cf", "--d", "2"], capture_output=True,
+                           text=True, env=env, timeout=60) for module in ("ostro.cli", "ostro")]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout and "period = [2]" in runs[0].stdout
 
 
 def test_audit_negative_count_flag_is_input_error(tmp_path, capsys):

@@ -369,6 +369,59 @@ def test_block_pass_matches_the_per_n_reference_on_corrupted_tables(d):
     assert bool(seen["fails"]) == (cf.m < 6)
 
 
+class _Watched(tuple):
+    """A block's high digits, which note whether the pass read them: it reads
+    them only where the block falls back to the per-n checks."""
+
+    read = False
+
+    def __getitem__(self, index):
+        self.read = True
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=str)
+def test_block_pass_matches_the_per_n_reference_on_deep_corrupted_tables(monkeypatch, d):
+    # deep enough that n_max = 2000 lies below q_{depth-m+1}, so blocks run past
+    # q_J (J = 5 at d = 2, 8 at d = 3): one q_k that the low table reads (its
+    # encodings up to q_J, its sums at k + m for k < J) moved by one, nonzero, or
+    # one period entry.  The blocks read q_{J-1} up and add the entries' ints.
+    # The same entries or the same error at two exact-product bounds, and some
+    # blocks of the block pass pass whole, some fall back
+    deep = cfrac.expand(d, 64)
+    cf = cfrac.expand(d, next(k for k in range(64) if deep.q(k - deep.m + 1) > 2000))
+    sc, m = cfrac.derive_shift_constants(cf), cf.m
+    j = ostrowski._split_position(cf, cf.depth - m)
+    tables = []
+    for k in range(j + m + 1):  # conv_q[k] = q_{k-1}, up to q_{J-1+m}
+        for step in (-1, 1):
+            qs = list(cf.conv_q)
+            qs[k] += step
+            if qs[k] or k == 0:
+                tables.append(cf.replace(conv_q=tuple(qs)))
+    tables += [cf.replace(period=tuple(a + step * (i == k) for i, a in enumerate(cf.period)))
+               for k in range(m) for step in (-1, 1)]
+    real, sweeps = shiftcalc.natural_dots_upto, []  # per sweep, its blocks' high digits
+
+    def watched(cf, sc, n_max):
+        sweeps.append(highs := [])
+        for item in real(cf, sc, n_max):
+            if len(item) == 5:
+                highs.append(_Watched(item[3]))
+                item = (*item[:3], highs[-1], item[4])
+            yield item
+
+    monkeypatch.setattr(shiftcalc, "natural_dots_upto", watched)
+    read = Counter()
+    for bad in tables:
+        for lambda_n_max in (1000, 20):
+            sweeps.clear()
+            ours, want = _both_passes(bad, sc, n_max=2000, lambda_n_max=lambda_n_max)
+            assert ours == want, (bad.conv_q, bad.period, lambda_n_max)
+            read.update(high.read for high in sweeps[0])  # the block pass's sweep
+    assert read[True] and read[False]
+
+
 def _with_item(monkeypatch, k, change):
     """The sweep with its k-th item replaced by change(cf, sc, *item)."""
     real = shiftcalc.natural_dots_upto

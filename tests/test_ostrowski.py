@@ -612,3 +612,14 @@ def test_digit_text_round_trip(cf_of):
     assert parse_digit_text("  @d=5/3 ") == ([], Fraction(5, 3))
     with pytest.raises(ValueError):
         parse_digit_text("0,x,1@d=3")
+
+
+def test_window_parts_past_the_depth_is_refused():
+    cf = cfrac.expand(3, 10)
+    with pytest.raises(DepthExceeded, match=r"^window index 11 not materialized \(depth 10\)$"):
+        ostrowski.window_parts(cf, cf.depth + 1, True)
+
+
+def test_ostdigits_repr_names_its_table_digits_and_kind():
+    cf = cfrac.expand(3, 10)
+    assert repr(encode_nat(5, cf)) == f"OstDigits(cf={cf!r}, digits=(0, 1, 0, 1), kind='natural')"

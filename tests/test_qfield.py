@@ -323,3 +323,16 @@ def test_approx_of_a_rational_keeps_its_own_exponent():
         "0", "1.4", "-5", "-0.125"]
     third = quad(Fraction(1, 3), 0, Fraction(13, 4)).approx(40)
     assert third.as_tuple().digits == (3,) * 50 and third.adjusted() == -1
+
+
+def test_an_unsupported_operand_falls_through_notimplemented():
+    # __mul__ declines a str, so Python tries the str's repetition and refuses
+    x = quad(1, 1, 2)
+    assert x.__mul__("x") is NotImplemented
+    with pytest.raises(TypeError, match=r"^can't multiply sequence by non-int of type 'QuadRat'$"):
+        x * "x"
+
+
+def test_a_zero_denominator_is_refused():
+    with pytest.raises(ZeroDivisionError, match=r"^\(1 \+ 1\*sqrt\(2\)\) / 0$"):
+        QuadRat._of(1, 1, 0, Fraction(2))

@@ -955,3 +955,8 @@ def test_unary_layers_roundtrip_and_monotone(cf_of, d, rng):
     for i in range(ul.t):
         for s in range(1, ul.s_max):
             assert set(ul.supports[(i, s + 1)]) <= set(ul.supports[(i, s)])
+
+
+def test_residue_class_probe_refuses_a_modulus_below_two():
+    with pytest.raises(ValueError, match=r"^modulus must be at least 2, got 1$"):
+        residue_class_probe(ostro.cfrac.expand(3, 10), 0, 1, 4)
